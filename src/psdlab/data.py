@@ -164,27 +164,12 @@ def generate(spec: SyntheticSpec, rng: RngState) -> PairedDataset:
                          pairing=pairing, class_labels=labels, corrupted=corrupted)
 
 
-def replay_generator_internals(spec: SyntheticSpec, seed: int):
-    """Re-derive the latent structure a generate(spec, RngState(seed)) call
-    used, without rebuilding the dataset. Returns (means, proj_image,
-    proj_text, latents). Relies on the documented RNG consumption order."""
-    rng = RngState(seed)
-    means = rng.normals(spec.num_classes, spec.latent_dim)
-    proj_image = rng.normals(spec.latent_dim, spec.image_dim) / np.sqrt(spec.latent_dim)
-    proj_text = rng.normals(spec.latent_dim, spec.text_dim) / np.sqrt(spec.latent_dim)
-    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), spec.samples_per_class)
-    latents = means[labels] + LATENT_SPREAD * rng.normals(spec.num_samples, spec.latent_dim)
-    return means, proj_image, proj_text, latents
-
-
 def select_captions(ds: PairedDataset, rng: RngState) -> np.ndarray:
     """One caption row index per image, uniform over its candidates."""
     m = ds.captions_per_image
     if m == 1:
         return ds.pairing[:, 0].copy()
-    slots = np.fromiter((rng.randint(m) for _ in range(ds.num_samples)),
-                        dtype=np.int64, count=ds.num_samples)
-    return ds.pairing[np.arange(ds.num_samples), slots]
+    return ds.pairing[np.arange(ds.num_samples), rng.integers(m, ds.num_samples)]
 
 
 def take_subset(ds: PairedDataset, image_idx: np.ndarray) -> PairedDataset:

@@ -173,7 +173,7 @@ def check_probe_loss(seed: int, instances: int) -> CheckReport:
         d = 2 + rng.randint(7)
         classes = 2 + rng.randint(3)
         x = rng.normals(n, d)
-        y = np.fromiter((rng.randint(classes) for _ in range(n)), dtype=np.int64, count=n)
+        y = rng.integers(classes, n)
         w = 0.5 * rng.normals(d * classes + classes)
         _, analytic = probe_loss_and_grad(w, x, y, classes, l2=1e-4)
         numeric = central_difference(

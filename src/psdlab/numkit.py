@@ -7,6 +7,11 @@ probability kernels with their exact contracts and a self-contained PRNG so
 that every random draw in the package is bit-reproducible from a 64-bit seed,
 independent of platform or numpy version.
 
+The PRNG is counter-based (Salmon et al. 2011): word k of a stream is the
+splitmix64 finalizer (Steele et al. 2014) applied to seed + k * gamma, so a
+block of words is one vectorized pass over a counter range and no draw loops
+in Python. ``derive_seed`` keys independent streams with the same mix.
+
 Everything here is a pure function over immutable inputs except RngState,
 which is single-owner mutable state.
 """
@@ -22,6 +27,11 @@ from .errors import DegenerateInputError, InvalidInputError
 _LOG_FLOOR = 1e-300
 
 _MASK64 = (1 << 64) - 1
+# splitmix64 constants: the counter increment (gamma) and the two finalizer
+# multipliers.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -78,10 +88,10 @@ def normalize_rows_l2(m) -> np.ndarray:
 
 def _splitmix64(state: int) -> tuple[int, int]:
     """One splitmix64 step: returns (next state, output word)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    state = (state + _GAMMA) & _MASK64
     z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return state, z ^ (z >> 31)
 
 
@@ -99,94 +109,95 @@ def derive_seed(base: int, *tags: int) -> int:
     return out
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class RngState:
-    """xoshiro256** generator seeded via splitmix64.
+    """splitmix64 over a counter: word k (k = 1, 2, ...) of seed s is the
+    splitmix64 finalizer applied to (s + k * gamma) mod 2**64.
 
-    Fixed published constants; identical seeds produce bit-identical streams
-    on every platform. Instances are single-owner: never share one across
-    threads.
+    These are the words the scalar ``_splitmix64`` chain started at s
+    produces, computed for a whole block of counters at once on numpy uint64
+    arrays, so every draw is a handful of array operations. Each draw takes
+    the next words of the stream and the counter only advances: draws split
+    across calls equal one call of the combined size (for normals, when the
+    first call's size is even). A permutation is the stable argsort of n
+    words; two of them tie with probability below n**2 / 2**65, and the
+    stable sort breaks a tie by index. Identical seeds give bit-identical
+    streams on every platform. Instances are single-owner: never share one
+    across threads.
     """
 
-    __slots__ = ("seed", "_s")
+    __slots__ = ("seed", "_count")
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        state = self.seed
-        s = []
-        for _ in range(4):
-            state, word = _splitmix64(state)
-            s.append(word)
-        self._s = s
+        self._count = 0
 
-    def spawn(self, *tags: int) -> "RngState":
-        """Child stream keyed on this seed plus integer tags."""
-        return RngState(derive_seed(self.seed, *tags))
+    def _words(self, n: int) -> np.ndarray:
+        """The next n words of the stream as a uint64 array."""
+        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        self._count += n
+        z *= _GAMMA
+        z += self.seed
+        z ^= z >> 30
+        z *= _MIX1
+        z ^= z >> 27
+        z *= _MIX2
+        z ^= z >> 31
+        return z
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        """The next word of the stream."""
+        return int(self._words(1)[0])
 
     def uniform(self) -> float:
         """Uniform double in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return float(self.uniforms(1)[0])
 
     def uniforms(self, n: int) -> np.ndarray:
-        out = np.empty(n, dtype=np.float64)
-        next_u64 = self.next_u64
-        for i in range(n):
-            out[i] = (next_u64() >> 11) * 2.0**-53
-        return out
+        return (self._words(n) >> 11) * 2.0**-53
 
     def normals(self, *shape: int) -> np.ndarray:
         """Standard normals via pairwise Box-Muller.
 
-        Consumes exactly 2*ceil(size/2) uniforms; the first of each pair is
+        Consumes exactly 2*ceil(size/2) words; the first of each pair is
         shifted into (0, 1] so the log is always finite.
         """
-        size = 1
-        for dim in shape:
-            size *= dim
-        pairs = (size + 1) // 2
-        u = np.empty(2 * pairs, dtype=np.float64)
-        next_u64 = self.next_u64
-        for i in range(2 * pairs):
-            u[i] = next_u64() >> 11
+        size = math.prod(shape)
+        u = (self._words(2 * ((size + 1) // 2)) >> 11).astype(np.float64)
         u1 = (u[0::2] + 1.0) * 2.0**-53
         u2 = u[1::2] * 2.0**-53
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * math.pi * u2
-        z = np.empty(2 * pairs, dtype=np.float64)
+        z = np.empty_like(u)
         z[0::2] = r * np.cos(theta)
         z[1::2] = r * np.sin(theta)
         return z[:size].reshape(shape) if shape else z[0]
 
+    def integers(self, n: int, size: int) -> np.ndarray:
+        """``size`` uniform integers in [0, n) as a uint64 array, for
+        1 <= n < 2**64.
+
+        Rejection sampling without modulo bias: a word x is accepted when
+        x < 2**64 - (2**64 mod n) and yields x mod n. Rejected words are
+        skipped and only the shortfall is drawn again, so the result is the
+        first ``size`` accepted words of the stream, exactly as ``size``
+        calls of ``randint`` would give.
+        """
+        if not 0 < n <= _MASK64:
+            raise InvalidInputError(f"integer bound must lie in [1, 2**64), got {n}")
+        out = self._words(size)
+        rem = (_MASK64 + 1) % n
+        if rem:
+            bound = _MASK64 + 1 - rem
+            out = out[out < bound]
+            while out.size < size:
+                more = self._words(size - out.size)
+                out = np.concatenate([out, more[more < bound]])
+        return out % n
+
     def randint(self, n: int) -> int:
-        """Uniform integer in [0, n) via rejection sampling (no modulo bias)."""
-        if n <= 0:
-            raise InvalidInputError(f"randint bound must be positive, got {n}")
-        bound = _MASK64 + 1 - ((_MASK64 + 1) % n)
-        while True:
-            x = self.next_u64()
-            if x < bound:
-                return x % n
+        """Uniform integer in [0, n); see ``integers``."""
+        return int(self.integers(n, 1)[0])
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of 0..n-1."""
-        perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.randint(i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        """Random permutation of 0..n-1: the stable argsort of the next n words."""
+        return np.argsort(self._words(n), kind="stable")

@@ -92,21 +92,17 @@ def alpha_at(schedule: AlphaSchedule, t: int) -> float:
     return schedule.start + (schedule.end - schedule.start) * frac
 
 
-def make_partition(n: int, alpha: float, mode: str = "dynamic",
-                   rng: RngState | None = None,
+def make_partition(n: int, alpha: float, rng: RngState | None = None,
                    priority: np.ndarray | None = None) -> PartitionPlan:
     """Split n batch rows into floor(alpha*n) aligned rows and the rest.
 
     ``priority`` ranks the rows: the lowest-priority floor(alpha*n) rows are
     aligned. When omitted, a fresh ranking is drawn from ``rng``. The trainer
     passes per-instance priorities refreshed each epoch (dynamic) or fixed at
-    training start (static); the mode argument only documents which policy
-    produced the ranking.
+    training start (static).
     """
     if n < 1:
         raise InvalidInputError("partition requires n >= 1")
-    if mode not in PARTITION_MODES:
-        raise InvalidInputError(f"partition mode must be one of {PARTITION_MODES}")
     if not (0.0 <= alpha <= 1.0):
         raise InvalidInputError(f"alpha must lie in [0, 1], got {alpha}")
     if priority is None:
@@ -338,8 +334,7 @@ def train(cfg: TrainConfig, ds: PairedDataset,
                     lg = info_nce(batch, temp)
                 else:
                     alpha = alpha_at(schedule, step)
-                    plan = make_partition(cfg.batch_size, alpha, cfg.partition_mode,
-                                          priority=priority[idx])
+                    plan = make_partition(cfg.batch_size, alpha, priority=priority[idx])
                     teacher_scale = temp.scale if cfg.teacher_scale is None else cfg.teacher_scale
                     build = soft_targets_swapped if cfg.target_mode == "swapped" else soft_targets_bootstrap
                     targets = build(emb_img, emb_txt, teacher_scale, plan)

@@ -1,0 +1,112 @@
+"""Every error class the CLI can raise reaches its exit code through
+``cli.main``. DivergenceError and NonFiniteGradientError (code 6) are not
+reached from command-line inputs: a run that blows up produces non-finite
+embeddings first, which the objective rejects as invalid input (code 3)."""
+
+import numpy as np
+import pytest
+
+from psdlab.cli import main
+from psdlab.data import PairedDataset, SyntheticSpec, generate, save_pairs
+from psdlab.errors import (
+    BadMagicError,
+    ConfigError,
+    DegenerateInputError,
+    DimensionOverflowError,
+    InvalidInputError,
+    TruncatedFileError,
+    VersionMismatchError,
+)
+from psdlab.numkit import RngState
+
+
+@pytest.fixture
+def pairs_file(tmp_path):
+    spec = SyntheticSpec(num_classes=2, latent_dim=3, image_dim=4, text_dim=4,
+                         samples_per_class=10)
+    path = tmp_path / "pairs.psdd"
+    save_pairs(generate(spec, RngState(0)), path)
+    return path
+
+
+def patched(path, offset, data):
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + len(data)] = data
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def train_on(path, tmp_path, *extra):
+    return main(["train", "--quiet", "--dataset", str(path), "--out", str(tmp_path / "out"),
+                 "--set", "batch_size=4", "--epochs", "1", *extra])
+
+
+def test_generate_succeeds(tmp_path):
+    assert main(["generate", "--quiet", "--set", "samples_per_class=5",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "dataset.psdd").is_file()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--set", "samples_per_class"],          # --set without '='
+    ["generate", "--set", "no_such_key=1"],
+    ["generate", "--set", "samples_per_class=ten"],
+    ["train", "--set", "target_mode=sideways"],
+    ["generate", "--config", "/nonexistent/psdlab.cfg"],
+])
+def test_malformed_configuration_exits_config_code(argv, tmp_path):
+    assert main(argv + ["--quiet", "--out", str(tmp_path)]) == ConfigError.exit_code == 2
+
+
+def test_bad_log_level_exits_config_code(monkeypatch, tmp_path):
+    monkeypatch.setenv("PSD_LOG_LEVEL", "chatty")
+    assert main(["generate", "--out", str(tmp_path)]) == ConfigError.exit_code
+
+
+def test_out_of_range_value_exits_invalid_input_code(tmp_path):
+    rc = main(["generate", "--quiet", "--set", "mismatch_rate=1.5", "--out", str(tmp_path)])
+    assert rc == InvalidInputError.exit_code == 3
+
+
+def test_zero_inputs_exit_degenerate_code(tmp_path):
+    # A linear image encoder starts with zero biases, so all-zero image
+    # features map to zero vectors that cannot be normalized.
+    spec = SyntheticSpec(num_classes=2, latent_dim=3, image_dim=4, text_dim=4,
+                         samples_per_class=10)
+    ds = generate(spec, RngState(0))
+    path = tmp_path / "zeros.psdd"
+    save_pairs(PairedDataset(np.zeros_like(ds.image_features), ds.text_features,
+                             ds.pairing, ds.class_labels, ds.corrupted), path)
+    rc = train_on(path, tmp_path, "--set", "image_hidden_dims=")
+    assert rc == DegenerateInputError.exit_code == 4
+
+
+@pytest.mark.parametrize("offset, data, error, message", [
+    (0, b"XXXX", BadMagicError, "expected magic"),
+    (4, (7).to_bytes(4, "little"), VersionMismatchError, "version 7"),
+    (8, (1 << 30).to_bytes(4, "little"), DimensionOverflowError, "exceeds"),
+])
+def test_corrupt_header_exits_file_format_code(pairs_file, tmp_path, caplog,
+                                               offset, data, error, message):
+    assert train_on(patched(pairs_file, offset, data), tmp_path) == error.exit_code == 5
+    assert message in caplog.text
+
+
+def test_truncated_file_exits_file_format_code(pairs_file, tmp_path, caplog):
+    pairs_file.write_bytes(pairs_file.read_bytes()[:-9])
+    assert train_on(pairs_file, tmp_path) == TruncatedFileError.exit_code == 5
+    assert "header promises" in caplog.text
+
+
+def test_truncated_file_in_eval_exits_file_format_code(pairs_file, tmp_path):
+    ckpt = tmp_path / "ckpt"
+    assert main(["train", "--quiet", "--set", "samples_per_class=30", "--set", "batch_size=64",
+                 "--epochs", "1", "--out", str(ckpt)]) == 0
+    pairs_file.write_bytes(pairs_file.read_bytes()[:20])
+    rc = main(["eval", "--quiet", str(ckpt / "checkpoint"), str(pairs_file),
+               "--out", str(tmp_path / "eval")])
+    assert rc == TruncatedFileError.exit_code
+
+
+def test_missing_file_exits_one(tmp_path):
+    assert train_on(tmp_path / "absent.psdd", tmp_path) == 1

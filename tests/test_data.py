@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from psdlab.data import (
+    LATENT_SPREAD,
     PairedDataset,
     SyntheticSpec,
     generate,
     load_pairs,
-    replay_generator_internals,
     save_pairs,
     select_captions,
     take_subset,
@@ -19,6 +19,19 @@ from psdlab.errors import (
     VersionMismatchError,
 )
 from psdlab.numkit import RngState
+
+
+def replay_generator_internals(spec: SyntheticSpec, seed: int):
+    """Re-derive the latent structure a generate(spec, RngState(seed)) call
+    used, without rebuilding the dataset. Returns (means, proj_image,
+    proj_text, latents). Relies on the documented RNG consumption order."""
+    rng = RngState(seed)
+    means = rng.normals(spec.num_classes, spec.latent_dim)
+    proj_image = rng.normals(spec.latent_dim, spec.image_dim) / np.sqrt(spec.latent_dim)
+    proj_text = rng.normals(spec.latent_dim, spec.text_dim) / np.sqrt(spec.latent_dim)
+    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), spec.samples_per_class)
+    latents = means[labels] + LATENT_SPREAD * rng.normals(spec.num_samples, spec.latent_dim)
+    return means, proj_image, proj_text, latents
 
 
 def small_spec(**kw):

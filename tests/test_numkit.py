@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdlab.errors import DegenerateInputError, InvalidInputError
 from psdlab.numkit import (
     RngState,
+    _splitmix64,
     cross_entropy_rows,
     derive_seed,
     normalize_rows_l2,
@@ -141,6 +144,93 @@ class TestRngState:
         with pytest.raises(InvalidInputError):
             RngState(0).randint(0)
 
+    def test_randint_follows_integers(self):
+        r = RngState(8)
+        draws = [r.randint(5) for _ in range(50)]
+        np.testing.assert_array_equal(RngState(8).integers(5, 50), draws)
+
     def test_derive_seed_decorrelates(self):
         seeds = {derive_seed(42, label, epoch) for label in range(5) for epoch in range(5)}
         assert len(seeds) == 25
+
+
+def scalar_words(seed: int, count: int) -> list[int]:
+    """The scalar splitmix64 chain from ``seed``: the stream's reference."""
+    state, words = seed, []
+    for _ in range(count):
+        state, word = _splitmix64(state)
+        words.append(word)
+    return words
+
+
+def box_muller_scalar(words: list[int], size: int) -> list[float]:
+    """Pairwise Box-Muller over consecutive words, one value at a time."""
+    out = []
+    for a, b in zip(words[0::2], words[1::2]):
+        r = math.sqrt(-2.0 * math.log(((a >> 11) + 1) * 2.0**-53))
+        theta = 2.0 * math.pi * ((b >> 11) * 2.0**-53)
+        out += [r * math.cos(theta), r * math.sin(theta)]
+    return out[:size]
+
+
+class TestCounterStream:
+    @pytest.mark.parametrize("seed", [0, 1, 12345, (1 << 64) - 1])
+    def test_first_words_equal_scalar_chain(self, seed):
+        ref = scalar_words(seed, 12)
+        r = RngState(seed)
+        assert [r.next_u64() for _ in range(4)] == ref[:4]
+        np.testing.assert_array_equal(r.uniforms(8), [(w >> 11) * 2.0**-53 for w in ref[4:]])
+
+    def test_split_normals_continue_one_stream(self):
+        r = RngState(21)
+        first, second = r.normals(3), r.normals(5)
+        words = scalar_words(21, 10)  # normals(3) takes 4 words, normals(5) takes 6
+        np.testing.assert_allclose(first, box_muller_scalar(words[:4], 3), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(second, box_muller_scalar(words[4:], 5), rtol=0, atol=1e-14)
+        assert r.next_u64() == scalar_words(21, 11)[-1]
+        r = RngState(21)
+        np.testing.assert_array_equal(np.concatenate([r.normals(4), r.normals(4)]),
+                                      RngState(21).normals(8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, (1 << 64) - 1), a=st.integers(0, 40), b=st.integers(0, 40),
+           n=st.one_of(st.integers(1, 10), st.integers(1, (1 << 64) - 1)))
+    def test_split_draws_equal_one_draw(self, seed, a, b, n):
+        r = RngState(seed)
+        np.testing.assert_array_equal(np.concatenate([r.integers(n, a), r.integers(n, b)]),
+                                      RngState(seed).integers(n, a + b))
+        r = RngState(seed)
+        np.testing.assert_array_equal(np.concatenate([r.uniforms(a), r.uniforms(b)]),
+                                      RngState(seed).uniforms(a + b))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_integers_unbiased(self, n):
+        draws = RngState(30 + n).integers(n, 60000)
+        assert draws.min() == 0 and draws.max() == n - 1
+        freqs = np.bincount(draws.astype(np.int64), minlength=n) / draws.size
+        np.testing.assert_allclose(freqs, 1.0 / n, atol=0.01)
+
+    def test_rejection_near_two_to_the_63(self):
+        # 2**64 mod n == n - 2 for n = 2**63 + 1, so only words below n are
+        # accepted: about half the stream is rejected and redrawn.
+        n = (1 << 63) + 1
+        r = RngState(77)
+        draws = r.integers(n, 300)
+        words = scalar_words(77, 1200)
+        accepted = [i for i, w in enumerate(words) if w < n][:300]
+        assert 450 < accepted[-1] + 1 < 750
+        np.testing.assert_array_equal(draws, [words[i] for i in accepted])
+        assert r.next_u64() == words[accepted[-1] + 1]
+
+    def test_integers_rejects_bad_bounds(self):
+        for n in (0, -3, 1 << 64):
+            with pytest.raises(InvalidInputError):
+                RngState(0).integers(n, 4)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 2000])
+    def test_permutation_is_argsort_of_words(self, n):
+        perm = RngState(40).permutation(n)
+        np.testing.assert_array_equal(np.sort(perm), np.arange(n))
+        np.testing.assert_array_equal(perm, RngState(40).permutation(n))
+        np.testing.assert_array_equal(
+            perm, np.argsort(np.array(scalar_words(40, n), dtype=np.uint64), kind="stable"))
