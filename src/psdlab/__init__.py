@@ -6,7 +6,7 @@ protocols."""
 from .data import PairedDataset, SyntheticSpec, generate, load_pairs, save_pairs, select_captions
 from .evaluation import linear_probe, retrieval_eval, similarity_stats, zero_shot_top1
 from .model import EncoderSpec, ParamSet, encode, encode_backward, init_params
-from .numkit import RngState, cross_entropy_rows, normalize_rows_l2, softmax_rows
+from .numkit import RngState, normalize_rows_l2, softmax_rows, softmax_xent
 from .objective import (
     EmbeddingBatch,
     LossGrad,
@@ -27,9 +27,9 @@ __all__ = [
     "AlphaSchedule", "EmbeddingBatch", "EncoderSpec", "LossGrad", "OptState",
     "PairedDataset", "ParamSet", "PartitionPlan", "RngState", "SoftTargets",
     "SyntheticSpec", "TemperatureParam", "TrainConfig", "adamw_step", "alpha_at",
-    "clamp_scale", "cross_entropy_rows", "encode", "encode_backward", "generate",
+    "clamp_scale", "encode", "encode_backward", "generate",
     "info_nce", "init_params", "linear_probe", "load_pairs", "make_partition",
     "normalize_rows_l2", "psd_loss", "retrieval_eval", "save_pairs",
     "select_captions", "similarity_stats", "soft_targets_bootstrap",
-    "soft_targets_swapped", "softmax_rows", "train", "zero_shot_top1",
+    "soft_targets_swapped", "softmax_rows", "softmax_xent", "train", "zero_shot_top1",
 ]

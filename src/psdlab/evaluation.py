@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numkit import as_matrix
+from .numkit import as_matrix, softmax_xent
 
 PROBE_L2_DEFAULT = 1e-4
 
@@ -124,16 +124,9 @@ def probe_loss_and_grad(w_flat: np.ndarray, features: np.ndarray, labels: np.nda
     n, d = features.shape
     w = w_flat[: d * num_classes].reshape(d, num_classes)
     b = w_flat[d * num_classes:]
-    logits = features @ w + b
-    logits = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    rows = np.arange(n)
-    loss = float(-np.log(np.maximum(probs[rows, labels], 1e-300)).mean()
-                 + 0.5 * l2 * float((w * w).sum()))
-    delta = probs
-    delta[rows, labels] -= 1.0
-    delta /= n
+    xent, delta = softmax_xent(features @ w + b, np.full(n, 1.0 / n), labels,
+                               np.zeros(0, dtype=np.int64), np.zeros((0, num_classes)))
+    loss = xent + 0.5 * l2 * float((w * w).sum())
     grad_w = features.T @ delta + l2 * w
     grad_b = delta.sum(axis=0)
     return loss, np.concatenate([grad_w.ravel(), grad_b])

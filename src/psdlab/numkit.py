@@ -7,6 +7,12 @@ probability kernels with their exact contracts and a self-contained PRNG so
 that every random draw in the package is bit-reproducible from a 64-bit seed,
 independent of platform or numpy version.
 
+One row softmax (max shift, exp, normalise) serves both probability kernels:
+``softmax_rows`` for the teacher targets, and ``softmax_xent``, the single
+softmax cross-entropy of the package. It is one kernel with two target kinds:
+a hard row is one-hot at its label and is read by indexing, a soft row takes
+a given distribution. InfoNCE, the PSD loss and the linear probe all call it.
+
 The PRNG is counter-based (Salmon et al. 2011): word k of a stream is the
 splitmix64 finalizer (Steele et al. 2014) applied to seed + k * gamma, so a
 block of words is one vectorized pass over a counter range and no draw loops
@@ -23,8 +29,6 @@ import math
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-
-_LOG_FLOOR = 1e-300
 
 _MASK64 = (1 << 64) - 1
 # splitmix64 constants: the counter increment (gamma) and the two finalizer
@@ -44,6 +48,18 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _softmax_rows_inplace(x: np.ndarray) -> np.ndarray:
+    """Overwrite each row of ``x`` with its softmax and return the rows'
+    log-sum-exp. The row maximum is subtracted before exp, so no row
+    overflows and the largest entry of each row becomes exactly exp(0)."""
+    top = x.max(axis=1, keepdims=True)
+    x -= top
+    np.exp(x, out=x)
+    total = x.sum(axis=1, keepdims=True)
+    x /= total
+    return (top + np.log(total))[:, 0]
+
+
 def softmax_rows(m, scale: float) -> np.ndarray:
     """Row-wise softmax of ``scale * m`` with per-row max subtraction.
 
@@ -53,27 +69,41 @@ def softmax_rows(m, scale: float) -> np.ndarray:
     m = as_matrix(m, "softmax input")
     if not (math.isfinite(scale) and scale > 0.0):
         raise InvalidInputError(f"softmax scale must be a positive real, got {scale}")
-    logits = scale * m
-    logits -= logits.max(axis=1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
-    return logits
+    probs = scale * m
+    _softmax_rows_inplace(probs)
+    return probs
 
 
-def cross_entropy_rows(targets, probs) -> float:
-    """Mean over rows of -sum_j targets[i,j] * log(probs[i,j]).
+def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
+                 soft_rows: np.ndarray, soft_targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Weighted softmax cross-entropy over the rows of ``logits``, with its
+    gradient: returns (sum_i weights[i] * H(q_i, softmax(logits[i])), d_logits).
 
-    Probabilities are floored at 1e-300 before the log so exactly-stochastic
-    rows stay untouched. An input with zero rows returns 0.0 by definition.
+    Row i's target q_i is one-hot at ``labels[i]`` (a hard row), except for
+    the rows listed in ``soft_rows``, whose targets are the matching rows of
+    ``soft_targets`` (soft rows; their labels must index a column but are
+    otherwise ignored). No dense target matrix is built. The loss is taken in
+    log-sum-exp form, H(q, softmax(x)) = lse(x) * sum(q) - q . x, so it stays
+    exact however far apart the logits are; d_logits[i] = weights[i] *
+    (softmax(logits[i]) * sum(q_i) - q_i). Zero rows give (0.0, an empty array).
     """
-    t = as_matrix(targets, "targets")
-    p = as_matrix(probs, "probs")
-    if t.shape != p.shape:
-        raise InvalidInputError(f"shape mismatch: targets {t.shape} vs probs {p.shape}")
-    if t.shape[0] == 0:
-        return 0.0
-    logp = np.log(np.maximum(p, _LOG_FLOOR))
-    return float(-(t * logp).sum() / t.shape[0])
+    n, cols = logits.shape
+    if (weights.shape != (n,) or labels.shape != (n,)
+            or soft_targets.shape != (soft_rows.size, cols)):
+        raise InvalidInputError(
+            f"shape mismatch: logits {logits.shape}, weights {weights.shape}, labels "
+            f"{labels.shape}, {soft_rows.size} soft rows, soft targets {soft_targets.shape}")
+    probs = np.array(logits, dtype=np.float64)
+    lse = _softmax_rows_inplace(probs)
+    rows = np.arange(n)
+    row_loss = lse - logits[rows, labels]
+    mass = soft_targets.sum(axis=1)
+    row_loss[soft_rows] = lse[soft_rows] * mass - (soft_targets * logits[soft_rows]).sum(axis=1)
+    soft_grad = probs[soft_rows] * mass[:, None] - soft_targets
+    probs[rows, labels] -= 1.0
+    probs[soft_rows] = soft_grad
+    probs *= weights[:, None]
+    return float(weights @ row_loss), probs
 
 
 def normalize_rows_l2(m) -> np.ndarray:

@@ -6,6 +6,14 @@ partitioned progressive self-distillation objective. Each loss returns its
 value together with exact partial derivatives with respect to both embedding
 matrices and the learnable log inverse-temperature.
 
+Both losses are one cross-entropy with two target kinds (``numkit.softmax_xent``):
+the similarity matrix S = V T^T is computed once, the kernel runs on scale * S
+(image rows over texts) and on its transpose (text rows over images), and both
+gradients flow back through that single S. A hard row targets its own partner;
+a soft row targets the teacher's distribution. InfoNCE is every row hard with
+weight 1/N; the PSD loss weights the aligned (hard) rows alpha/|A| and the
+unaligned (soft) rows (1 - alpha)/|U|.
+
 Gradient convention: embeddings are treated as free variables (the losses are
 smooth functions of the raw matrix entries), so every gradient can be checked
 coordinate-wise against central finite differences. Soft targets are plain
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBatchError, InvalidInputError
-from .numkit import as_matrix, softmax_rows
+from .numkit import as_matrix, softmax_rows, softmax_xent
 
 MAX_LOGIT_SCALE = 100.0
 
@@ -163,31 +171,22 @@ class LossGrad:
     d_log_scale: float
 
 
-def _ce_softmax_term(queries: np.ndarray, keys: np.ndarray, scale: float,
-                     targets: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """One cross-entropy term H(targets, softmax_rows(scale * queries @ keys.T)).
-
-    Mean reduction over the query rows. Returns (loss, d_queries, d_keys,
-    d_scale); gradients flow through both operands of the similarity product
-    (numerators and denominators alike) but not through targets.
-    """
-    rows = queries.shape[0]
-    if rows == 0:
-        return 0.0, np.zeros_like(queries), np.zeros_like(keys), 0.0
-    sims = queries @ keys.T
-    probs = softmax_rows(sims, scale)
-    loss = float(-(targets * np.log(np.maximum(probs, 1e-300))).sum() / rows)
-    d_logits = (probs - targets) / rows
-    d_queries = scale * (d_logits @ keys)
-    d_keys = scale * (d_logits.T @ queries)
-    d_scale = float((d_logits * sims).sum())
-    return loss, d_queries, d_keys, d_scale
-
-
-def _one_hot_rows(row_targets: np.ndarray, n_cols: int) -> np.ndarray:
-    out = np.zeros((row_targets.size, n_cols))
-    out[np.arange(row_targets.size), row_targets] = 1.0
-    return out
+def _bidirectional_xent(batch: EmbeddingBatch, temp: TemperatureParam, weights: np.ndarray,
+                       soft_rows: np.ndarray, targets_v: np.ndarray,
+                       targets_t: np.ndarray) -> LossGrad:
+    """Weighted cross-entropy of every image row over the texts plus every
+    text row over the images, from one similarity matrix. Row i is hard
+    (its target is partner i) unless listed in ``soft_rows``, whose targets
+    are the rows of ``targets_v`` (image rows) and ``targets_t`` (text rows)."""
+    v, t = batch.image, batch.text
+    logits = temp.scale * (v @ t.T)
+    labels = np.arange(batch.n)
+    loss_v, d_v = softmax_xent(logits, weights, labels, soft_rows, targets_v)
+    loss_t, d_t = softmax_xent(logits.T, weights, labels, soft_rows, targets_t)
+    d_logits = d_v + d_t.T
+    d_sims = temp.scale * d_logits
+    return LossGrad(loss=loss_v + loss_t, d_image=d_sims @ t, d_text=d_sims.T @ v,
+                    d_log_scale=float(np.vdot(d_logits, logits)))
 
 
 def info_nce(batch: EmbeddingBatch, temp: TemperatureParam) -> LossGrad:
@@ -195,17 +194,9 @@ def info_nce(batch: EmbeddingBatch, temp: TemperatureParam) -> LossGrad:
     pairing, image-to-text plus text-to-image, each with mean reduction."""
     if batch.n == 0:
         raise EmptyBatchError("info_nce requires at least one pair")
-    v, t = batch.image, batch.text
-    scale = temp.scale
-    eye = np.eye(batch.n)
-    loss_v, d_v1, d_t1, d_s1 = _ce_softmax_term(v, t, scale, eye)
-    loss_t, d_t2, d_v2, d_s2 = _ce_softmax_term(t, v, scale, eye)
-    return LossGrad(
-        loss=loss_v + loss_t,
-        d_image=d_v1 + d_v2,
-        d_text=d_t1 + d_t2,
-        d_log_scale=(d_s1 + d_s2) * scale,
-    )
+    no_soft = np.zeros((0, batch.n))
+    return _bidirectional_xent(batch, temp, np.full(batch.n, 1.0 / batch.n),
+                               np.zeros(0, dtype=np.int64), no_soft, no_soft)
 
 
 def _check_teacher(teacher_image, teacher_text, teacher_scale, plan):
@@ -287,36 +278,9 @@ def psd_loss(batch: EmbeddingBatch, temp: TemperatureParam, plan: PartitionPlan,
         raise InvalidInputError(
             f"targets shape {targets.image_targets.shape} does not match "
             f"(unaligned={plan.n_unaligned}, batch={batch.n})")
-    v, t = batch.image, batch.text
-    scale = temp.scale
-    alpha = plan.alpha
     a_idx, u_idx = plan.aligned_idx, plan.unaligned_idx
-
-    d_image = np.zeros_like(v)
-    d_text = np.zeros_like(t)
-    loss = 0.0
-    d_scale = 0.0
-
-    if a_idx.size:
-        hard = _one_hot_rows(a_idx, batch.n)
-        l1, dq1, dk1, ds1 = _ce_softmax_term(v[a_idx], t, scale, hard)
-        l2, dq2, dk2, ds2 = _ce_softmax_term(t[a_idx], v, scale, hard)
-        loss += alpha * (l1 + l2)
-        d_image[a_idx] += alpha * dq1
-        d_text += alpha * dk1
-        d_text[a_idx] += alpha * dq2
-        d_image += alpha * dk2
-        d_scale += alpha * (ds1 + ds2)
-
-    if u_idx.size:
-        l3, dq3, dk3, ds3 = _ce_softmax_term(v[u_idx], t, scale, targets.image_targets)
-        l4, dq4, dk4, ds4 = _ce_softmax_term(t[u_idx], v, scale, targets.text_targets)
-        loss += (1.0 - alpha) * (l3 + l4)
-        d_image[u_idx] += (1.0 - alpha) * dq3
-        d_text += (1.0 - alpha) * dk3
-        d_text[u_idx] += (1.0 - alpha) * dq4
-        d_image += (1.0 - alpha) * dk4
-        d_scale += (1.0 - alpha) * (ds3 + ds4)
-
-    return LossGrad(loss=loss, d_image=d_image, d_text=d_text,
-                    d_log_scale=d_scale * scale)
+    weights = np.empty(batch.n)
+    weights[a_idx] = plan.alpha / max(a_idx.size, 1)
+    weights[u_idx] = (1.0 - plan.alpha) / max(u_idx.size, 1)
+    return _bidirectional_xent(batch, temp, weights, u_idx,
+                               targets.image_targets, targets.text_targets)

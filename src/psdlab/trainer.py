@@ -5,17 +5,16 @@ Determinism: every random draw comes from a stream derived from
 bit-reproducible from its config alone and a checkpoint only needs to record
 the seed and the step/epoch counters to pin down all subsequent randomness.
 
-Trainer state file format (PSDT, version 1, little-endian):
+Trainer state file format (PSDT, version 2, little-endian):
 
     bytes 0..3  magic b"PSDT"
-    u32         format version (1)
+    u32         format version (2)
     u64         base seed
     u64         global step,  u64  completed epochs
     f64         temperature log-scale
-    u64         optimizer step count
-    u64         parameter count P
-    f64 * P     first-moment accumulator
-    f64 * P     second-moment accumulator
+
+Optimizer moments are not stored: there is no resume path, and evaluation
+reads only the encoders and the temperature.
 """
 
 from __future__ import annotations
@@ -369,7 +368,8 @@ def train(cfg: TrainConfig, ds: PairedDataset,
 
 
 _STATE_MAGIC = b"PSDT"
-_STATE_VERSION = 1
+_STATE_VERSION = 2
+_STATE_HEADER = "<4sIQQQd"
 
 
 def save_checkpoint(result: TrainResult, out_dir) -> None:
@@ -378,33 +378,25 @@ def save_checkpoint(result: TrainResult, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     save_params(result.image_params, out / "image_encoder.psdw")
     save_params(result.text_params, out / "text_encoder.psdw")
-    steps = len(result.step_records())
-    opt = result.opt
-    blob = struct.pack("<4sIQQQdQQ", _STATE_MAGIC, _STATE_VERSION,
-                       result.config.seed, steps, result.config.epochs,
-                       result.temperature.log_scale, opt.step, opt.m.size)
-    blob += opt.m.astype("<f8").tobytes() + opt.v.astype("<f8").tobytes()
+    blob = struct.pack(_STATE_HEADER, _STATE_MAGIC, _STATE_VERSION, result.config.seed,
+                       len(result.step_records()), result.config.epochs,
+                       result.temperature.log_scale)
     (out / "trainer_state.psdt").write_bytes(blob)
 
 
 def load_checkpoint(out_dir) -> tuple[ParamSet, ParamSet, TemperatureParam, dict]:
-    """Read back both encoders, the temperature, and the counters/moments."""
+    """Read back both encoders, the temperature, and the run counters
+    ``{seed, steps, epochs}``."""
     out = Path(out_dir)
     image_params = load_params(out / "image_encoder.psdw")
     text_params = load_params(out / "text_encoder.psdw")
     raw = (out / "trainer_state.psdt").read_bytes()
     if len(raw) < 4 or raw[:4] != _STATE_MAGIC:
         raise BadMagicError(f"{out}: expected trainer state magic {_STATE_MAGIC!r}")
-    head = struct.calcsize("<4sIQQQdQQ")
-    if len(raw) < head:
+    if len(raw) < struct.calcsize(_STATE_HEADER):
         raise TruncatedFileError(f"{out}: trainer state header incomplete")
-    _, version, seed, steps, epochs, log_scale, opt_step, p = struct.unpack_from("<4sIQQQdQQ", raw)
+    _, version, seed, steps, epochs, log_scale = struct.unpack_from(_STATE_HEADER, raw)
     if version != _STATE_VERSION:
         raise VersionMismatchError(f"{out}: trainer state version {version}")
-    if len(raw) < head + 16 * p:
-        raise TruncatedFileError(f"{out}: trainer state moments truncated")
-    m = np.frombuffer(raw, "<f8", p, head).copy()
-    v = np.frombuffer(raw, "<f8", p, head + 8 * p).copy()
-    state = {"seed": seed, "steps": steps, "epochs": epochs,
-             "opt_step": opt_step, "m": m, "v": v}
+    state = {"seed": seed, "steps": steps, "epochs": epochs}
     return image_params, text_params, TemperatureParam(log_scale=log_scale), state

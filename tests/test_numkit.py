@@ -9,10 +9,10 @@ from psdlab.errors import DegenerateInputError, InvalidInputError
 from psdlab.numkit import (
     RngState,
     _splitmix64,
-    cross_entropy_rows,
     derive_seed,
     normalize_rows_l2,
     softmax_rows,
+    softmax_xent,
 )
 
 from oracles import cross_entropy_scalar, softmax_row_scalar
@@ -53,35 +53,76 @@ class TestSoftmaxRows:
             softmax_rows([[1.0, 0.0]], -2.0)
 
 
+def soft_xent(targets, logits):
+    """Mean cross-entropy of softmax(logits) against row-stochastic targets,
+    every row soft."""
+    n = targets.shape[0]
+    return softmax_xent(logits, np.full(n, 1.0 / max(n, 1)), np.zeros(n, dtype=np.int64),
+                        np.arange(n), targets)
+
+
 class TestCrossEntropyRows:
+    """softmax_xent, the one softmax cross-entropy kernel."""
+
     def test_uniform_prediction(self):
-        val = cross_entropy_rows(np.eye(2), [[0.5, 0.5], [0.5, 0.5]])
-        assert val == pytest.approx(math.log(2.0), abs=1e-12)
+        loss, _ = softmax_xent(np.zeros((2, 2)), np.full(2, 0.5), np.arange(2),
+                               np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_entropy_identity(self, rng):
-        p = softmax_rows(rng.normals(6, 4), 1.0)
+        x = rng.normals(6, 4)
+        p = softmax_rows(x, 1.0)
         entropy = float(-(p * np.log(p)).sum() / p.shape[0])
-        assert cross_entropy_rows(p, p) == pytest.approx(entropy, abs=1e-12)
+        assert soft_xent(p, x)[0] == pytest.approx(entropy, abs=1e-12)
 
     def test_scalar_oracle(self, rng):
         t = softmax_rows(rng.normals(3, 3), 1.0)
-        p = softmax_rows(rng.normals(3, 3), 1.0)
-        assert cross_entropy_rows(t, p) == pytest.approx(
-            cross_entropy_scalar(t.tolist(), p.tolist()), abs=1e-12)
+        x = rng.normals(3, 3)
+        p = [softmax_row_scalar(row, 1.0) for row in x.tolist()]
+        assert soft_xent(t, x)[0] == pytest.approx(cross_entropy_scalar(t.tolist(), p), abs=1e-12)
 
     def test_zero_rows(self):
-        assert cross_entropy_rows(np.zeros((0, 4)), np.zeros((0, 4))) == 0.0
+        loss, grad = soft_xent(np.zeros((0, 4)), np.zeros((0, 4)))
+        assert loss == 0.0 and grad.shape == (0, 4)
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
-            cross_entropy_rows(np.eye(2), np.ones((3, 2)) / 2)
+            softmax_xent(np.zeros((2, 2)), np.full(2, 0.5), np.arange(2),
+                         np.arange(1), np.ones((2, 2)) / 2)
 
     def test_gibbs_inequality(self, rng):
         for _ in range(30):
             t = softmax_rows(rng.normals(5, 6), 1.0)
-            p = softmax_rows(rng.normals(5, 6), 1.0)
+            x = rng.normals(5, 6)
             entropy = float(-(t * np.log(t)).sum() / t.shape[0])
-            assert cross_entropy_rows(t, p) >= entropy - 1e-10
+            assert soft_xent(t, x)[0] >= entropy - 1e-10
+
+    def test_one_hot_soft_row_equals_hard_row(self, rng):
+        x = 5.0 * rng.normals(4, 6)
+        weights = rng.uniforms(4)
+        labels = np.array([3, 0, 5, 2])
+        hard = softmax_xent(x, weights, labels, np.zeros(0, dtype=np.int64), np.zeros((0, 6)))
+        soft_rows = np.array([0, 2])
+        ignored = labels.copy()
+        ignored[soft_rows] = 1  # a soft row's label is not its target
+        soft = softmax_xent(x, weights, ignored, soft_rows, np.eye(6)[labels[soft_rows]])
+        assert soft[0] == hard[0]
+        np.testing.assert_array_equal(soft[1], hard[1])
+
+    def test_linear_in_weights(self, rng):
+        x = 3.0 * rng.normals(5, 4)
+        labels = np.array([0, 1, 2, 3, 0])
+        rows = np.array([1, 4])
+        targets = softmax_rows(rng.normals(2, 4), 1.0)
+        w1, w2 = rng.uniforms(5), rng.uniforms(5)
+
+        def at(w):
+            return softmax_xent(x, w, labels, rows, targets)
+
+        loss, grad = at(w1 + 2.5 * w2)
+        (l1, g1), (l2, g2) = at(w1), at(w2)
+        assert loss == pytest.approx(l1 + 2.5 * l2, rel=1e-13)
+        np.testing.assert_allclose(grad, g1 + 2.5 * g2, rtol=1e-13, atol=1e-15)
 
 
 class TestNormalizeRows:

@@ -67,6 +67,14 @@ class TestInfoNce:
         lg = info_nce(EmbeddingBatch(v, t), TemperatureParam(math.log(scale)))
         assert lg.loss == pytest.approx(info_nce_scalar(v.tolist(), t.tolist(), scale), abs=1e-10)
 
+    def test_exact_at_extreme_logits(self, rng):
+        # Rows of norm 3 at scale 100 spread the logits over about 1800, so
+        # softmax probabilities underflow to 0; the loss must not.
+        v, t = unit_batch(rng, 6, 4)
+        v, t = 3.0 * v, 3.0 * t
+        lg = info_nce(EmbeddingBatch(v, t), TemperatureParam(math.log(100.0)))
+        assert lg.loss == pytest.approx(info_nce_scalar(v.tolist(), t.tolist(), 100.0), rel=1e-12)
+
     def test_finite_differences(self, rng):
         for _ in range(5):
             v, t = unit_batch(rng, 4, 3)
@@ -219,6 +227,19 @@ class TestPsdLoss:
             plan.aligned_idx.tolist(), plan.unaligned_idx.tolist(), plan.alpha,
             targets.image_targets.tolist(), targets.text_targets.tolist())
         assert lg.loss == pytest.approx(expected, abs=1e-10)
+
+    def test_exact_at_extreme_logits(self, rng):
+        v, t = unit_batch(rng, 6, 4)
+        v, t = 3.0 * v, 3.0 * t
+        temp = TemperatureParam(math.log(100.0))
+        plan = make_partition(6, 0.5, rng=rng)
+        targets = soft_targets_swapped(v, t, 1.0, plan)
+        lg = psd_loss(EmbeddingBatch(v, t), temp, plan, targets)
+        expected = psd_scalar(
+            v.tolist(), t.tolist(), 100.0, plan.aligned_idx.tolist(),
+            plan.unaligned_idx.tolist(), plan.alpha,
+            targets.image_targets.tolist(), targets.text_targets.tolist())
+        assert lg.loss == pytest.approx(expected, rel=1e-12)
 
     def test_finite_differences_both_target_kinds(self, rng):
         for build in (soft_targets_swapped, soft_targets_bootstrap):

@@ -1,5 +1,7 @@
 """Determinism gates for the training loop: a run is a pure function of its
-config and dataset, whatever the BLAS thread count."""
+config and dataset, whatever the BLAS thread count. Also the checkpoint
+files: they round-trip bit for bit, and a malformed trainer state fails
+``psdlab eval`` with the file-format exit code."""
 
 import hashlib
 import json
@@ -9,28 +11,36 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from psdlab.data import SyntheticSpec, generate
+from psdlab.cli import main
+from psdlab.data import SyntheticSpec, generate, save_pairs
+from psdlab.errors import BadMagicError, TruncatedFileError, VersionMismatchError
 from psdlab.model import EncoderSpec
 from psdlab.numkit import RngState
-from psdlab.trainer import TrainConfig, train
+from psdlab.trainer import TrainConfig, load_checkpoint, save_checkpoint, train
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def small_run() -> tuple[bytes, list[dict]]:
+SPEC = SyntheticSpec(num_classes=4, latent_dim=6, image_dim=12, text_dim=10,
+                     samples_per_class=32, feature_noise_sigma=0.3,
+                     mismatch_rate=0.25, captions_per_image=2)
+
+
+def small_result(epochs: int = 3):
     """Train a small swapped/dynamic run with 2 captions per image, so every
-    random stream of the trainer is drawn; returns the final-parameter bytes
-    and the metrics history."""
-    spec = SyntheticSpec(num_classes=4, latent_dim=6, image_dim=12, text_dim=10,
-                         samples_per_class=32, feature_noise_sigma=0.3,
-                         mismatch_rate=0.25, captions_per_image=2)
-    ds = generate(spec, RngState(5))
+    random stream of the trainer is drawn."""
     cfg = TrainConfig(image_encoder=EncoderSpec(12, (16,), 8),
                       text_encoder=EncoderSpec(10, (16,), 8),
-                      batch_size=32, epochs=3, seed=9, learning_rate=1e-2,
+                      batch_size=32, epochs=epochs, seed=9, learning_rate=1e-2,
                       target_mode="swapped", partition_mode="dynamic")
-    result = train(cfg, ds)
+    return train(cfg, generate(SPEC, RngState(5)))
+
+
+def small_run() -> tuple[bytes, list[dict]]:
+    """The final-parameter bytes and the metrics history of small_result()."""
+    result = small_result()
     blob = (result.image_params.flatten().tobytes() + result.text_params.flatten().tobytes()
             + np.float64(result.temperature.log_scale).tobytes())
     return blob, result.history
@@ -56,3 +66,33 @@ class TestTrainDeterminism:
             digests[threads] = proc.stdout.strip()
         assert digests["1"] == digests["2"]
         assert digests["1"] == hashlib.sha256(small_run()[0]).hexdigest()
+
+
+class TestCheckpoint:
+    def test_round_trip_bit_exact(self, tmp_path):
+        result = small_result()
+        save_checkpoint(result, tmp_path)
+        image_params, text_params, temp, state = load_checkpoint(tmp_path)
+        assert image_params.flatten().tobytes() == result.image_params.flatten().tobytes()
+        assert text_params.flatten().tobytes() == result.text_params.flatten().tobytes()
+        assert image_params.spec == result.image_params.spec
+        assert text_params.spec == result.text_params.spec
+        assert np.float64(temp.log_scale).tobytes() == \
+            np.float64(result.temperature.log_scale).tobytes()
+        assert state == {"seed": 9, "steps": len(result.step_records()), "epochs": 3}
+
+    @pytest.mark.parametrize("corrupt, error", [
+        (lambda raw: b"XXXX" + raw[4:], BadMagicError),
+        (lambda raw: raw[:20], TruncatedFileError),
+        (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:], VersionMismatchError),
+    ], ids=["bad_magic", "truncated_header", "version_1"])
+    def test_malformed_state_fails_eval(self, tmp_path, caplog, corrupt, error):
+        ckpt = tmp_path / "checkpoint"
+        save_checkpoint(small_result(epochs=1), ckpt)
+        state = ckpt / "trainer_state.psdt"
+        state.write_bytes(corrupt(state.read_bytes()))
+        pairs = tmp_path / "pairs.psdd"
+        save_pairs(generate(SPEC, RngState(5)), pairs)
+        rc = main(["eval", "--quiet", str(ckpt), str(pairs), "--out", str(tmp_path / "eval")])
+        assert rc == error.exit_code == 5
+        assert "trainer state" in caplog.text
