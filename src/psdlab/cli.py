@@ -263,7 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random instances per check (default 100)")
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("ablate", help="paired-seed loss-variant comparison")
+    p = sub.add_parser(
+        "ablate", help="paired-seed loss-variant comparison",
+        description="Train every loss variant on every seed's pool and compare them. The "
+                    "(seed, variant) trainings run in parallel on one worker process per "
+                    "available CPU, at most one per training, each with BLAS on one thread; "
+                    "the output equals a serial run's byte for byte.")
     add_common(p)
     p.set_defaults(func=cmd_ablate)
 

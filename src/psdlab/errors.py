@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Every error class carries a stable ``exit_code`` so the CLI can map failures
-to named nonzero process exit codes (0 is reserved for success).
+to named nonzero process exit codes (0 is reserved for success). Errors
+pickle with their message and attributes intact, so one raised in an
+ablation worker reaches the CLI as it was raised.
 """
 
 
@@ -69,3 +71,8 @@ class DivergenceError(PsdError):
     def __init__(self, step: int, message: str | None = None):
         self.step = step
         super().__init__(message or f"non-finite loss at step {step}")
+
+    def __reduce__(self):
+        # An exception pickles as its class called on ``args``, which holds
+        # only the message here; the step must come back as the step.
+        return type(self), (self.step, *self.args)

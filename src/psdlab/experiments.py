@@ -5,11 +5,20 @@ uncorrupted images is carved off as a clean held-out retrieval set (it shares
 the pool's latent structure but never trains), and every loss variant trains
 on the identical remaining split with the identical parameter init and batch
 order, so per-seed comparisons isolate the objective.
+
+The (seed, variant) trainings are independent, so ``run_matrix`` runs them on
+a pool of forked worker processes, one per available CPU and at most one per
+training, each with BLAS pinned to one thread. A run's numbers do not depend
+on the BLAS thread count, so the outcomes equal those of training every pair
+in turn in one process, bit for bit.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -137,19 +146,75 @@ def run_variant(exp_cfg: ExperimentConfig, variant: str, seed: int,
                                exp_cfg.histogram_bins, variant, seed)
 
 
+# The thread-count setter under the names OpenBLAS builds export it by: the
+# numpy wheels' 64-bit-integer build, other 64-bit builds, the plain build.
+OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                        "openblas_set_num_threads")
+
+
+def _openblas_call(symbols, *args: int, restype=ctypes.c_int):
+    """Call the first of ``symbols`` that the OpenBLAS bundled with numpy
+    exports, with int arguments, and return its result; None when numpy
+    ships no OpenBLAS."""
+    libs = Path(np.__file__).resolve().parent.with_name("numpy.libs")
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in symbols:
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int] * len(args), restype
+                return fn(*args)
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Worker initializer: the pool already keeps every CPU busy, and a
+    second BLAS thread per worker only contends for the same cores."""
+    _openblas_call(OPENBLAS_SET_THREADS, 1, restype=None)
+
+
 def run_matrix(exp_cfg: ExperimentConfig, seeds, variants=None,
                progress=None) -> dict[str, list[VariantOutcome]]:
-    """Train every variant on every seed's pool; paired by construction."""
-    variants = list(variants or ABLATION_VARIANTS)
-    outcomes: dict[str, list[VariantOutcome]] = {v: [] for v in variants}
-    for seed in seeds:
-        pool = generate(exp_cfg.synthetic_spec(), RngState(seed))
-        train_ds, eval_ds = split_clean_holdout(pool, exp_cfg.eval_per_class)
-        for variant in variants:
-            outcome = run_variant(exp_cfg, variant, seed, train_ds, eval_ds)
+    """Train every variant on every seed's pool; paired by construction.
+
+    Each (seed, variant) pair is one task on a pool of forked workers: as
+    many as there are available CPUs, at most one per task, each with BLAS
+    on one thread. Each seed's pool is generated here and its tasks submitted
+    at once, so the workers fork before this process holds every seed's
+    data. Outcomes are collected, and ``progress`` called, in seed-major
+    submission order, so the result equals a serial run bit for bit. The
+    first task to raise re-raises its error here, and the pool is shut down
+    and joined before this returns either way.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    seeds, variants = list(seeds), list(variants or ABLATION_VARIANTS)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    executor = ProcessPoolExecutor(max(1, min(cpus, len(seeds) * len(variants))),
+                                   mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_one_blas_thread)
+    try:
+        futures = []
+        for seed in seeds:
+            # The whole pool is dropped once split: the workers fork from this
+            # process at the first submit, and every page it holds then counts
+            # in each worker's resident set.
+            train_ds, eval_ds = split_clean_holdout(
+                generate(exp_cfg.synthetic_spec(), RngState(seed)), exp_cfg.eval_per_class)
+            futures += [(variant, executor.submit(run_variant, exp_cfg, variant, seed,
+                                                  train_ds, eval_ds)) for variant in variants]
+        outcomes: dict[str, list[VariantOutcome]] = {v: [] for v in variants}
+        for variant, future in futures:
+            outcome = future.result()
             outcomes[variant].append(outcome)
             if progress:
                 progress(outcome)
+    finally:
+        executor.shutdown(cancel_futures=True)
     return outcomes
 
 

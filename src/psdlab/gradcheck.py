@@ -19,7 +19,6 @@ from .model import EncoderSpec, ParamSet, encode, encode_backward, init_params
 from .numkit import RngState, normalize_rows_l2
 from .objective import (
     EmbeddingBatch,
-    PartitionPlan,
     TemperatureParam,
     info_nce,
     psd_loss,

@@ -181,12 +181,15 @@ def _bidirectional_xent(batch: EmbeddingBatch, temp: TemperatureParam, weights: 
     v, t = batch.image, batch.text
     logits = temp.scale * (v @ t.T)
     labels = np.arange(batch.n)
-    loss_v, d_v = softmax_xent(logits, weights, labels, soft_rows, targets_v)
+    loss_v, d_logits = softmax_xent(logits, weights, labels, soft_rows, targets_v)
     loss_t, d_t = softmax_xent(logits.T, weights, labels, soft_rows, targets_t)
-    d_logits = d_v + d_t.T
-    d_sims = temp.scale * d_logits
-    return LossGrad(loss=loss_v + loss_t, d_image=d_sims @ t, d_text=d_sims.T @ v,
-                    d_log_scale=float(np.vdot(d_logits, logits)))
+    d_logits += d_t.T
+    # einsum, not a BLAS dot: a threaded BLAS splits a reduction this long
+    # across its threads, and the sum's rounding would follow the thread count.
+    d_log_scale = float(np.einsum("ij,ij->", d_logits, logits))
+    d_logits *= temp.scale  # now the gradient with respect to v @ t.T
+    return LossGrad(loss=loss_v + loss_t, d_image=d_logits @ t, d_text=d_logits.T @ v,
+                    d_log_scale=d_log_scale)
 
 
 def info_nce(batch: EmbeddingBatch, temp: TemperatureParam) -> LossGrad:

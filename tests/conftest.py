@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from psdlab.numkit import RngState, normalize_rows_l2
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 @pytest.fixture
@@ -32,3 +40,13 @@ def lift_sims_to_embeddings(sims):
         raise ValueError("columns of sims must have norm <= 1")
     t[:, n] = np.sqrt(residual)
     return v, t
+
+
+def python_with_blas_threads(code: str, threads: int) -> str:
+    """Standard output of ``code`` run in a fresh interpreter whose BLAS has
+    ``threads`` threads; the tests directory and ``src`` are importable."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([str(TESTS), str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return proc.stdout

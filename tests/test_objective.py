@@ -19,7 +19,7 @@ from psdlab.objective import (
 )
 from psdlab.trainer import make_partition
 
-from conftest import unit_batch
+from conftest import python_with_blas_threads, unit_batch
 from oracles import (
     bootstrap_targets_scalar,
     info_nce_scalar,
@@ -308,3 +308,26 @@ class TestPsdLoss:
             PartitionPlan(aligned_idx=[0], unaligned_idx=[2], alpha=0.5)
         with pytest.raises(InvalidInputError):
             PartitionPlan(aligned_idx=[0], unaligned_idx=[1], alpha=1.5)
+
+
+def d_log_scale_bits(seeds=range(5), n: int = 256, d: int = 64) -> list[str]:
+    """The exact bits of d_log_scale from info_nce and psd_loss on seeded
+    batches of the trainer's default size, where the gradient's n*n
+    reduction is large enough for a threaded BLAS to split it."""
+    bits = []
+    for seed in seeds:
+        rng = RngState(seed)
+        v, t = unit_batch(rng, n, d)
+        batch, temp = EmbeddingBatch(v, t), TemperatureParam.from_temperature(0.07)
+        plan = make_partition(n, 0.37, rng=rng)
+        targets = soft_targets_swapped(v, t, 15.0, plan)
+        for lg in (info_nce(batch, temp), psd_loss(batch, temp, plan, targets)):
+            bits.append(float.hex(lg.d_log_scale))
+    return bits
+
+
+def test_d_log_scale_independent_of_blas_threads():
+    script = "from test_objective import d_log_scale_bits; print(*d_log_scale_bits())"
+    bits = {threads: python_with_blas_threads(script, threads).split() for threads in (1, 2)}
+    assert bits[1] == bits[2]
+    assert bits[1] == d_log_scale_bits()

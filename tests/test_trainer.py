@@ -5,10 +5,6 @@ files: they round-trip bit for bit, and a malformed trainer state fails
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +16,7 @@ from psdlab.model import EncoderSpec
 from psdlab.numkit import RngState
 from psdlab.trainer import TrainConfig, load_checkpoint, save_checkpoint, train
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import python_with_blas_threads
 
 
 SPEC = SyntheticSpec(num_classes=4, latent_dim=6, image_dim=12, text_dim=10,
@@ -54,18 +50,11 @@ class TestTrainDeterminism:
         assert json.dumps(history_a, sort_keys=True) == json.dumps(history_b, sort_keys=True)
 
     def test_blas_thread_count_does_not_change_parameters(self):
-        script = ("import hashlib, sys; sys.path.insert(0, sys.argv[1]); "
-                  "from test_trainer import small_run; "
+        script = ("import hashlib; from test_trainer import small_run; "
                   "print(hashlib.sha256(small_run()[0]).hexdigest())")
-        digests = {}
-        for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": f"{SRC}{os.pathsep}{os.environ.get('PYTHONPATH', '')}",
-                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-            proc = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
-                                  env=env, capture_output=True, text=True, timeout=120, check=True)
-            digests[threads] = proc.stdout.strip()
-        assert digests["1"] == digests["2"]
-        assert digests["1"] == hashlib.sha256(small_run()[0]).hexdigest()
+        digests = {threads: python_with_blas_threads(script, threads).strip() for threads in (1, 2)}
+        assert digests[1] == digests[2]
+        assert digests[1] == hashlib.sha256(small_run()[0]).hexdigest()
 
 
 class TestCheckpoint:
