@@ -47,7 +47,9 @@ def _setup_logging(quiet: bool) -> None:
     log.setLevel(level)
 
 
-def _resolve_config(args, base: ExperimentConfig | None = None) -> tuple[ExperimentConfig, str | None]:
+def _resolve_config(args, base: ExperimentConfig | None = None) -> tuple[ExperimentConfig, Path]:
+    """The configuration from defaults, file, --set and flags, echoed into
+    its output directory, which is created and returned alongside it."""
     cfg = base or ExperimentConfig()
     source_text = None
     if args.config:
@@ -72,7 +74,9 @@ def _resolve_config(args, base: ExperimentConfig | None = None) -> tuple[Experim
     klist = getattr(args, "klist", None)
     if klist is not None:
         set_key(cfg, "k_list", klist)
-    return cfg, source_text
+    out = Path(cfg.out_dir)
+    echo_config(cfg, out, source_text)
+    return cfg, out
 
 
 def _load_or_generate(cfg: ExperimentConfig, dataset_arg: str | None):
@@ -89,10 +93,7 @@ def _sha256(path: Path) -> str:
 
 
 def cmd_generate(args) -> int:
-    cfg, source = _resolve_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    echo_config(cfg, out, source)
+    cfg, out = _resolve_config(args)
     ds = generate(cfg.synthetic_spec(), RngState(cfg.seed))
     path = out / "dataset.psdd"
     save_pairs(ds, path)
@@ -106,10 +107,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, source = _resolve_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    echo_config(cfg, out, source)
+    cfg, out = _resolve_config(args)
     ds = _load_or_generate(cfg, args.dataset)
     eval_ds = None
     if cfg.eval_every > 0:
@@ -128,10 +126,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, source = _resolve_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    echo_config(cfg, out, source)
+    cfg, out = _resolve_config(args)
     image_params, text_params, temp, _state = load_checkpoint(args.checkpoint)
     ds = load_pairs(args.dataset)
     img, txt = encode_pairs(image_params, text_params, ds)
@@ -171,10 +166,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg, source = _resolve_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    echo_config(cfg, out, source)
+    cfg, out = _resolve_config(args)
     reports = gradcheck_mod.run_all(seed=cfg.seed, instances=args.seeds)
     width = max(len(r.name) for r in reports)
     all_ok = True
@@ -190,10 +182,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg, source = _resolve_config(args, base=noise_experiment_config())
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    echo_config(cfg, out, source)
+    cfg, out = _resolve_config(args, base=noise_experiment_config())
     seeds = [cfg.seed + i for i in range(cfg.ablate_seeds)]
 
     def progress(outcome):

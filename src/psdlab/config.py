@@ -122,7 +122,6 @@ class ExperimentConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _LIST_FIELDS = {"image_hidden_dims", "text_hidden_dims", "k_list"}
-_BOOL_FIELDS = {"probe"}
 _CHOICE_FIELDS = {"target_mode": TARGET_MODES, "partition_mode": PARTITION_MODES,
                   "alpha_schedule": SCHEDULE_KINDS, "activation": ("tanh", "relu")}
 
@@ -135,8 +134,6 @@ def set_key(cfg: ExperimentConfig, key: str, raw: str) -> None:
     try:
         if key in _LIST_FIELDS:
             value: object = _parse_int_list(raw)
-        elif key in _BOOL_FIELDS:
-            value = _parse_bool(raw)
         elif isinstance(getattr(cfg, key), bool):
             value = _parse_bool(raw)
         elif isinstance(getattr(cfg, key), int):
@@ -147,6 +144,8 @@ def set_key(cfg: ExperimentConfig, key: str, raw: str) -> None:
             value = raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+    if key == "k_list" and not value:
+        raise ConfigError("k_list needs at least one recall cutoff")
     if key in _CHOICE_FIELDS and value not in _CHOICE_FIELDS[key]:
         raise ConfigError(f"{key} must be one of {_CHOICE_FIELDS[key]}, got {value!r}")
     setattr(cfg, key, value)
@@ -163,14 +162,6 @@ def parse_config_text(text: str, cfg: ExperimentConfig | None = None) -> Experim
         key, raw = stripped.split("=", 1)
         set_key(cfg, key.strip(), raw)
     return cfg
-
-
-def load_config(path) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text)
 
 
 def render_config(cfg: ExperimentConfig) -> str:

@@ -2,10 +2,18 @@
 
 All operations are read-only over embedding matrices. Ranking ties break
 toward the lower index so every metric is exactly reproducible.
+
+Retrieval and the similarity statistics each compute the score matrix
+S = V T^T once and read both directions from it: image-to-text ranks count
+along the rows of S, text-to-image ranks along its columns, with no
+transposed copy and no loop over rows. The negative (off-diagonal) histogram
+is the histogram of all of S minus that of its diagonal, and the negative
+mean is (sum S - trace S) / (n^2 - n), so no n x n mask or gather is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +38,8 @@ class RetrievalReport:
 
 @dataclass(frozen=True)
 class SimilarityStats:
-    positive_scores: np.ndarray
-    negative_scores: np.ndarray
+    positive_scores: np.ndarray     # the n diagonal scores
+    negative_mean: float            # mean off-diagonal score; NaN when n < 2
     bin_centers: np.ndarray
     positive_counts: np.ndarray
     negative_counts: np.ndarray
@@ -39,7 +47,7 @@ class SimilarityStats:
     def to_dict(self) -> dict:
         return {
             "positive_mean": float(self.positive_scores.mean()),
-            "negative_mean": float(self.negative_scores.mean()),
+            "negative_mean": self.negative_mean,
             "bin_centers": self.bin_centers.tolist(),
             "positive_counts": self.positive_counts.tolist(),
             "negative_counts": self.negative_counts.tolist(),
@@ -66,35 +74,45 @@ def _check_unit_rows(m: np.ndarray, name: str) -> None:
         raise InvalidInputError(f"{name} rows must be unit-norm")
 
 
-def _ranks_of_partner(scores: np.ndarray) -> np.ndarray:
-    """1-based rank of the diagonal entry in each row under descending score,
-    ties resolved toward the lower column index."""
-    n = scores.shape[0]
-    diag = scores[np.arange(n), np.arange(n)]
-    higher = (scores > diag[:, None]).sum(axis=1)
-    tied_before = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        tied_before[i] = int(np.count_nonzero(scores[i, :i] == diag[i]))
-    return higher + tied_before + 1
-
-
-def retrieval_eval(image_emb, text_emb, k_list) -> tuple[RetrievalReport, RetrievalReport]:
-    """Rank each row's true partner under descending dot product; reports
-    (image_to_text, text_to_image)."""
+def _unit_pairs(image_emb, text_emb) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (V, T): finite matrices of one shape with unit-norm rows."""
     v = as_matrix(image_emb, "image embeddings")
     t = as_matrix(text_emb, "text embeddings")
     if v.shape != t.shape:
         raise InvalidInputError("embedding matrices must share a shape")
     _check_unit_rows(v, "image")
     _check_unit_rows(t, "text")
+    return v, t
+
+
+def _ranks_of_partner(scores: np.ndarray, axis: int) -> np.ndarray:
+    """1-based rank of each diagonal entry under descending score among the
+    entries of its row (axis=1) or its column (axis=0) of ``scores``, ties
+    resolved toward the lower index."""
+    n = scores.shape[0]
+    # A contiguous copy: broadcasting the strided diagonal view against the
+    # columns is several times slower.
+    partner = np.expand_dims(scores.diagonal().copy(), axis)
+    higher = np.count_nonzero(scores > partner, axis=axis)
+    # Ties from one flat scan: 2-D nonzero is about 9x slower at n = 4000.
+    rows, cols = np.divmod(np.flatnonzero(scores == partner), n)
+    query, other = (rows, cols) if axis == 1 else (cols, rows)
+    tied_before = np.bincount(query[other < query], minlength=n)
+    return higher + tied_before + 1
+
+
+def retrieval_eval(image_emb, text_emb, k_list) -> tuple[RetrievalReport, RetrievalReport]:
+    """Rank each row's true partner under descending dot product; reports
+    (image_to_text, text_to_image)."""
+    v, t = _unit_pairs(image_emb, text_emb)
     n = v.shape[0]
     k_list = [int(k) for k in k_list]
     if any(k < 1 or k > n for k in k_list):
         raise InvalidInputError(f"every K must lie in [1, {n}], got {k_list}")
     scores = v @ t.T
     reports = []
-    for direction, mat in (("image_to_text", scores), ("text_to_image", scores.T)):
-        ranks = _ranks_of_partner(np.ascontiguousarray(mat))
+    for direction, axis in (("image_to_text", 1), ("text_to_image", 0)):
+        ranks = _ranks_of_partner(scores, axis)
         recall = {k: float(100.0 * np.count_nonzero(ranks <= k) / n) for k in k_list}
         reports.append(RetrievalReport(direction=direction, recall_at=recall,
                                        mean_rank=float(ranks.mean())))
@@ -275,24 +293,21 @@ def similarity_stats(image_emb, text_emb, bins: int) -> SimilarityStats:
     equal-width histograms over [-1, 1]."""
     if bins < 1:
         raise InvalidInputError(f"bins must be >= 1, got {bins}")
-    v = as_matrix(image_emb, "image embeddings")
-    t = as_matrix(text_emb, "text embeddings")
-    if v.shape != t.shape:
-        raise InvalidInputError("embedding matrices must share a shape")
-    _check_unit_rows(v, "image")
-    _check_unit_rows(t, "text")
+    v, t = _unit_pairs(image_emb, text_emb)
     n = v.shape[0]
-    scores = np.clip(v @ t.T, -1.0, 1.0)
-    mask = ~np.eye(n, dtype=bool)
-    positives = scores[np.arange(n), np.arange(n)].copy()
-    negatives = scores[mask]
+    scores = v @ t.T
+    np.clip(scores, -1.0, 1.0, out=scores)
+    positives = scores.diagonal().copy()
     edges = np.linspace(-1.0, 1.0, bins + 1)
     pos_counts, _ = np.histogram(positives, bins=edges)
-    neg_counts, _ = np.histogram(negatives, bins=edges)
+    all_counts, _ = np.histogram(scores, bins=edges)
+    negative_mean = math.nan
+    if n > 1:
+        negative_mean = (float(scores.sum()) - float(positives.sum())) / (n * n - n)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    return SimilarityStats(positive_scores=positives, negative_scores=negatives,
+    return SimilarityStats(positive_scores=positives, negative_mean=negative_mean,
                            bin_centers=centers, positive_counts=pos_counts,
-                           negative_counts=neg_counts)
+                           negative_counts=all_counts - pos_counts)
 
 
 def histogram_csv(stats: SimilarityStats, which: str) -> str:

@@ -131,7 +131,7 @@ def evaluate_on_holdout(result: TrainResult, eval_ds: PairedDataset,
         t2i_mean_rank=t2i.mean_rank, i2t_mean_rank=i2t.mean_rank,
         zero_shot=zs,
         positive_sim_mean=float(stats.positive_scores.mean()),
-        negative_sim_mean=float(stats.negative_scores.mean()),
+        negative_sim_mean=stats.negative_mean,
         final_loss=float(result.step_records()[-1]["loss"]),
     )
 

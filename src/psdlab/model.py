@@ -118,7 +118,6 @@ class ForwardCache:
     x: np.ndarray
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
-    pre_norm: np.ndarray
     norms: np.ndarray
     embeddings: np.ndarray
 
@@ -161,8 +160,7 @@ def encode(params: ParamSet, x) -> tuple[np.ndarray, ForwardCache]:
             f"row {int(bad[0])} maps to a near-zero vector ahead of normalization")
     emb = pre_norm / norms[:, None]
     cache = ForwardCache(params=params, x=x, pre_activations=pre_acts,
-                         activations=acts, pre_norm=pre_norm, norms=norms,
-                         embeddings=emb)
+                         activations=acts, norms=norms, embeddings=emb)
     return emb, cache
 
 

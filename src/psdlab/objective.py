@@ -32,8 +32,6 @@ from .numkit import as_matrix, softmax_rows, softmax_xent
 
 MAX_LOGIT_SCALE = 100.0
 
-DEFAULT_INIT_TEMPERATURE = 0.07
-
 
 @dataclass(frozen=True)
 class TemperatureParam:
@@ -84,10 +82,6 @@ class EmbeddingBatch:
     def n(self) -> int:
         return self.image.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.image.shape[1]
-
 
 @dataclass(frozen=True)
 class PartitionPlan:
@@ -119,10 +113,6 @@ class PartitionPlan:
     @property
     def n(self) -> int:
         return self.aligned_idx.size + self.unaligned_idx.size
-
-    @property
-    def n_aligned(self) -> int:
-        return self.aligned_idx.size
 
     @property
     def n_unaligned(self) -> int:
@@ -202,7 +192,12 @@ def info_nce(batch: EmbeddingBatch, temp: TemperatureParam) -> LossGrad:
                                np.zeros(0, dtype=np.int64), no_soft, no_soft)
 
 
-def _check_teacher(teacher_image, teacher_text, teacher_scale, plan):
+def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: PartitionPlan,
+                  swapped: bool) -> SoftTargets:
+    """Teacher targets for the unaligned rows from the two row-softmaxed
+    directions of one similarity matrix: each row's own posterior, or
+    (``swapped``) the opposite direction's posteriors read down a column and
+    renormalized."""
     v = as_matrix(teacher_image, "teacher image embeddings")
     t = as_matrix(teacher_text, "teacher text embeddings")
     if v.shape != t.shape:
@@ -212,7 +207,22 @@ def _check_teacher(teacher_image, teacher_text, teacher_scale, plan):
             f"teacher matrices cover {v.shape[0]} rows but plan covers {plan.n}")
     if not (math.isfinite(teacher_scale) and teacher_scale > 0.0):
         raise InvalidInputError(f"teacher scale must be positive, got {teacher_scale}")
-    return v, t
+    u = plan.unaligned_idx
+    if u.size == 0:
+        empty = np.zeros((0, plan.n))
+        return SoftTargets(empty, empty.copy(), teacher_scale)
+    sims = v @ t.T
+    # [i, j] = P(text j | image i): softmax over texts for each image.
+    text_given_image = softmax_rows(sims, teacher_scale)
+    # [i, j] = P(image j | text i): softmax over images for each text.
+    image_given_text = softmax_rows(sims.T, teacher_scale)
+    if not swapped:
+        return SoftTargets(text_given_image[u], image_given_text[u], teacher_scale)
+    a_v = image_given_text.T[u]
+    a_t = text_given_image.T[u]
+    a_v = a_v / a_v.sum(axis=1, keepdims=True)
+    a_t = a_t / a_t.sum(axis=1, keepdims=True)
+    return SoftTargets(a_v, a_t, teacher_scale)
 
 
 def soft_targets_swapped(teacher_image, teacher_text, teacher_scale: float,
@@ -225,22 +235,7 @@ def soft_targets_swapped(teacher_image, teacher_text, teacher_scale: float,
     transposed rows are renormalized to sum to 1 so they feed a
     proper-distribution cross entropy.
     """
-    v, t = _check_teacher(teacher_image, teacher_text, teacher_scale, plan)
-    u = plan.unaligned_idx
-    n = plan.n
-    if u.size == 0:
-        empty = np.zeros((0, n))
-        return SoftTargets(empty, empty.copy(), teacher_scale)
-    sims = v @ t.T
-    # [i, j] = P(image i | text j): softmax over images for each text.
-    image_given_text = softmax_rows(sims.T, teacher_scale).T
-    # [i, j] = P(text i | image j): softmax over texts for each image.
-    text_given_image = softmax_rows(sims, teacher_scale).T
-    a_v = image_given_text[u]
-    a_t = text_given_image[u]
-    a_v = a_v / a_v.sum(axis=1, keepdims=True)
-    a_t = a_t / a_t.sum(axis=1, keepdims=True)
-    return SoftTargets(a_v, a_t, teacher_scale)
+    return _soft_targets(teacher_image, teacher_text, teacher_scale, plan, swapped=True)
 
 
 def soft_targets_bootstrap(teacher_image, teacher_text, teacher_scale: float,
@@ -250,16 +245,7 @@ def soft_targets_bootstrap(teacher_image, teacher_text, teacher_scale: float,
     Rows of the row-softmaxed similarity matrices are already stochastic, so
     no renormalization is applied.
     """
-    v, t = _check_teacher(teacher_image, teacher_text, teacher_scale, plan)
-    u = plan.unaligned_idx
-    n = plan.n
-    if u.size == 0:
-        empty = np.zeros((0, n))
-        return SoftTargets(empty, empty.copy(), teacher_scale)
-    sims = v @ t.T
-    a_v = softmax_rows(sims, teacher_scale)[u]
-    a_t = softmax_rows(sims.T, teacher_scale)[u]
-    return SoftTargets(a_v, a_t, teacher_scale)
+    return _soft_targets(teacher_image, teacher_text, teacher_scale, plan, swapped=False)
 
 
 def psd_loss(batch: EmbeddingBatch, temp: TemperatureParam, plan: PartitionPlan,

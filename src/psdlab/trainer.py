@@ -139,10 +139,11 @@ class OptState:
     def __post_init__(self):
         self.m = np.zeros(self.size)
         self.v = np.zeros(self.size)
-        if self.decay_mask is not None:
-            self.decay_mask = np.asarray(self.decay_mask, dtype=np.float64)
-            if self.decay_mask.shape != (self.size,):
-                raise InvalidInputError("decay mask must match the parameter count")
+        if self.decay_mask is None:
+            self.decay_mask = np.ones(self.size)
+        self.decay_mask = np.asarray(self.decay_mask, dtype=np.float64)
+        if self.decay_mask.shape != (self.size,):
+            raise InvalidInputError("decay mask must match the parameter count")
 
     def lr_at(self, t: int) -> float:
         """Learning rate for (1-based) step t: linear warmup, cosine decay to 0."""
@@ -156,8 +157,9 @@ class OptState:
 def adamw_step(params: np.ndarray, grads: np.ndarray, opt: OptState) -> np.ndarray:
     """One bias-corrected Adam step with decoupled weight decay.
 
-    Decay multiplies parameters by (1 - lr*wd) (masked if a decay mask is
-    set) before the Adam delta. Mutates ``opt``; returns the new parameters.
+    Decay multiplies parameters by (1 - lr*wd*mask), the mask being all ones
+    unless one is given, before the Adam delta. Mutates ``opt``; returns the
+    new parameters.
     """
     if params.shape != (opt.size,) or grads.shape != (opt.size,):
         raise InvalidInputError("params/grads must match the optimizer size")
@@ -165,14 +167,7 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, opt: OptState) -> np.ndarr
         raise NonFiniteGradientError(f"non-finite gradient at optimizer step {opt.step + 1}")
     opt.step += 1
     lr = opt.lr_at(opt.step)
-    decay = lr * opt.weight_decay
-    if decay != 0.0:
-        if opt.decay_mask is None:
-            params = params * (1.0 - decay)
-        else:
-            params = params * (1.0 - decay * opt.decay_mask)
-    else:
-        params = params.copy()
+    params = params * (1.0 - lr * opt.weight_decay * opt.decay_mask)
     opt.m = opt.beta1 * opt.m + (1.0 - opt.beta1) * grads
     opt.v = opt.beta2 * opt.v + (1.0 - opt.beta2) * grads * grads
     m_hat = opt.m / (1.0 - opt.beta1 ** opt.step)

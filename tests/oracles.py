@@ -157,18 +157,22 @@ def histogram_scalar(values, bins):
     return counts
 
 
-def adam_scalar_trajectory(p0, grads_per_step, lr, beta1, beta2, eps, wd):
-    """Decoupled-decay Adam reference on plain Python lists."""
+def adam_scalar_trajectory(p0, grads_per_step, lr, beta1, beta2, eps, wd, decay_mask=None):
+    """Decoupled-decay Adam reference on plain Python lists. ``lr`` is one
+    rate for every step or a list with one per step; ``decay_mask`` scales
+    each entry's decay (1 everywhere when omitted)."""
     p = list(p0)
     m = [0.0] * len(p)
     v = [0.0] * len(p)
+    lrs = list(lr) if isinstance(lr, (list, tuple)) else [lr] * len(grads_per_step)
+    mask = [1.0] * len(p) if decay_mask is None else list(decay_mask)
     out = []
-    for step, g in enumerate(grads_per_step, start=1):
-        p = [x * (1.0 - lr * wd) for x in p]
+    for step, (g, rate) in enumerate(zip(grads_per_step, lrs), start=1):
+        p = [x * (1.0 - rate * wd * k) for x, k in zip(p, mask)]
         m = [beta1 * mi + (1 - beta1) * gi for mi, gi in zip(m, g)]
         v = [beta2 * vi + (1 - beta2) * gi * gi for vi, gi in zip(v, g)]
         mh = [mi / (1 - beta1 ** step) for mi in m]
         vh = [vi / (1 - beta2 ** step) for vi in v]
-        p = [x - lr * mi / (math.sqrt(vi) + eps) for x, mi, vi in zip(p, mh, vh)]
+        p = [x - rate * mi / (math.sqrt(vi) + eps) for x, mi, vi in zip(p, mh, vh)]
         out.append(list(p))
     return out

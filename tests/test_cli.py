@@ -53,6 +53,8 @@ def test_generate_succeeds(tmp_path):
     ["generate", "--set", "samples_per_class=ten"],
     ["train", "--set", "target_mode=sideways"],
     ["generate", "--config", "/nonexistent/psdlab.cfg"],
+    ["ablate", "--set", "k_list="],                      # no recall cutoff
+    ["eval", "checkpoint", "pairs.psdd", "--klist", ""],
 ])
 def test_malformed_configuration_exits_config_code(argv, tmp_path):
     assert main(argv + ["--quiet", "--out", str(tmp_path)]) == ConfigError.exit_code == 2

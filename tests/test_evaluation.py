@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdlab.errors import InvalidInputError
 from psdlab.evaluation import (
@@ -73,6 +75,33 @@ class TestRetrieval:
         assert i2t.recall_at[1] == 50.0
         assert i2t.recall_at[2] == 100.0
         assert i2t.mean_rank == 1.5
+
+    def test_text_to_image_tie_breaks_toward_lower_index(self):
+        # Text j ranks the images by column j. Text 0 ties image 1 after its
+        # partner (rank 1); text 2 ties images 0 and 1 before it (rank 3).
+        sims = np.array([[0.5, 0.2, 0.4],
+                         [0.5, 0.45, 0.4],
+                         [0.1, 0.1, 0.4]])
+        v, t = lift_sims_to_embeddings(sims)
+        i2t, t2i = retrieval_eval(v, t, [1, 2, 3])
+        assert t2i.recall_at == {1: 200.0 / 3, 2: 200.0 / 3, 3: 100.0}
+        assert t2i.mean_rank == pytest.approx(5.0 / 3, abs=1e-12)
+        assert i2t.mean_rank == pytest.approx(4.0 / 3, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(levels=st.lists(st.integers(-2, 2), min_size=1, max_size=64))
+    def test_tie_heavy_matches_brute_force(self, levels):
+        # Five score levels make ties the rule; entries of magnitude at most
+        # 1/n keep every column norm well below 1, so the lift is exact.
+        n = math.isqrt(len(levels))
+        sims = np.array(levels[:n * n], dtype=np.float64).reshape(n, n) / (2.0 * n)
+        v, t = lift_sims_to_embeddings(sims)
+        ks = list(range(1, n + 1))
+        i2t, t2i = retrieval_eval(v, t, ks)
+        expected = retrieval_scalar(v.tolist(), t.tolist(), ks)
+        for rep, key in ((i2t, "image_to_text"), (t2i, "text_to_image")):
+            assert rep.recall_at == expected[key]["recall_at"]
+            assert rep.mean_rank == pytest.approx(expected[key]["mean_rank"], abs=1e-12)
 
 
 class TestZeroShot:
@@ -163,28 +192,45 @@ class TestLinearProbe:
         assert np.all(np.diff(running) <= 1e-12)
 
 
+def off_diagonal(v, t):
+    """The clipped off-diagonal scores, gathered by mask."""
+    scores = np.clip(v @ t.T, -1.0, 1.0)
+    return scores[~np.eye(scores.shape[0], dtype=bool)]
+
+
 class TestSimilarityStats:
     def test_orthonormal_identity(self):
         v = np.eye(4)
         stats = similarity_stats(v, v, bins=8)
         np.testing.assert_allclose(stats.positive_scores, 1.0)
-        np.testing.assert_allclose(stats.negative_scores, 0.0)
+        assert stats.negative_mean == 0.0
+        np.testing.assert_array_equal(stats.negative_counts, histogram_scalar([0.0] * 12, 8))
 
     def test_counts(self, rng):
         v, t = unit_batch(rng, 9, 5)
         stats = similarity_stats(v, t, bins=10)
         assert stats.positive_scores.size == 9
-        assert stats.negative_scores.size == 9 * 8
         assert stats.positive_counts.sum() == 9
         assert stats.negative_counts.sum() == 72
+        assert stats.negative_mean == pytest.approx(off_diagonal(v, t).mean(), rel=1e-14)
 
     def test_binning_matches_scalar_oracle(self, rng):
         v, t = unit_batch(rng, 15, 4)
         stats = similarity_stats(v, t, bins=7)
+        negatives = off_diagonal(v, t)
         np.testing.assert_array_equal(
             stats.positive_counts, histogram_scalar(stats.positive_scores.tolist(), 7))
         np.testing.assert_array_equal(
-            stats.negative_counts, histogram_scalar(stats.negative_scores.tolist(), 7))
+            stats.negative_counts, histogram_scalar(negatives.tolist(), 7))
+        assert stats.negative_mean == pytest.approx(math.fsum(negatives) / negatives.size,
+                                                    rel=1e-14)
+
+    def test_single_pair_has_no_negatives(self):
+        v = np.array([[0.6, 0.8]])
+        stats = similarity_stats(v, v, bins=4)
+        assert math.isnan(stats.negative_mean)
+        assert stats.negative_counts.tolist() == [0, 0, 0, 0]
+        assert stats.positive_counts.sum() == 1
 
     def test_bins_validation(self, rng):
         v, t = unit_batch(rng, 3, 3)

@@ -1,7 +1,8 @@
 """Determinism gates for the training loop: a run is a pure function of its
 config and dataset, whatever the BLAS thread count. Also the checkpoint
 files: they round-trip bit for bit, and a malformed trainer state fails
-``psdlab eval`` with the file-format exit code."""
+``psdlab eval`` with the file-format exit code. AdamW steps match the
+scalar oracle."""
 
 import hashlib
 import json
@@ -14,9 +15,10 @@ from psdlab.data import SyntheticSpec, generate, save_pairs
 from psdlab.errors import BadMagicError, TruncatedFileError, VersionMismatchError
 from psdlab.model import EncoderSpec
 from psdlab.numkit import RngState
-from psdlab.trainer import TrainConfig, load_checkpoint, save_checkpoint, train
+from psdlab.trainer import OptState, TrainConfig, adamw_step, load_checkpoint, save_checkpoint, train
 
 from conftest import python_with_blas_threads
+from oracles import adam_scalar_trajectory
 
 
 SPEC = SyntheticSpec(num_classes=4, latent_dim=6, image_dim=12, text_dim=10,
@@ -85,3 +87,33 @@ class TestCheckpoint:
         rc = main(["eval", "--quiet", str(ckpt), str(pairs), "--out", str(tmp_path / "eval")])
         assert rc == error.exit_code == 5
         assert "trainer state" in caplog.text
+
+
+class TestAdamW:
+    """``adamw_step`` against the plain-Python oracle over a warmup + cosine
+    learning-rate schedule. Both sides round the same operations in the same
+    order, so the trajectories agree exactly."""
+
+    @pytest.mark.parametrize("weight_decay, decay_mask", [
+        (0.1, None),
+        (0.1, [1.0, 0.0, 1.0, 1.0, 0.5, 1.0, 0.0]),
+        (0.0, None),
+    ], ids=["no_mask", "mask", "no_decay"])
+    def test_matches_scalar_oracle(self, weight_decay, decay_mask):
+        size, steps = 7, 12
+        rng = RngState(11)
+        p0 = rng.normals(size)
+        grads = [rng.normals(size) for _ in range(steps)]
+        opt = OptState(size=size, total_steps=steps, lr_max=0.05, warmup_steps=3,
+                       weight_decay=weight_decay, decay_mask=decay_mask)
+        params, trajectory = p0, []
+        for g in grads:
+            params = adamw_step(params, g, opt)
+            trajectory.append(params)
+        lrs = [opt.lr_at(t) for t in range(1, steps + 1)]
+        assert len(set(lrs)) == steps
+        expected = adam_scalar_trajectory(p0.tolist(), [g.tolist() for g in grads], lrs,
+                                          opt.beta1, opt.beta2, opt.eps, weight_decay,
+                                          decay_mask)
+        for got, want in zip(trajectory, expected):
+            np.testing.assert_array_equal(got, want)
