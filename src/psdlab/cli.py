@@ -66,7 +66,7 @@ def _resolve_config(args, base: ExperimentConfig | None = None) -> tuple[Experim
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
-        cfg.out_dir = args.out
+        set_key(cfg, "out_dir", args.out)
     for flag in ("target_mode", "partition_mode", "alpha_schedule", "epochs"):
         value = getattr(args, flag, None)
         if value is not None:

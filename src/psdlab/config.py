@@ -1,9 +1,11 @@
 """Plain-text experiment configuration.
 
 Format: one ``key = value`` pair per line; blank lines and ``#`` comments are
-ignored. Every key has a default, unknown keys are rejected, and the resolved
-configuration is echoed into the output directory for provenance. Command
-line flags override file values.
+ignored. A ``#`` starts a comment anywhere on a line, so ``set_key`` rejects a
+string value that holds one: the resolved configuration, echoed into the
+output directory for provenance, then reads back as the same configuration.
+Every key has a default, unknown keys are rejected, and command line flags
+override file values.
 """
 
 from __future__ import annotations
@@ -141,6 +143,8 @@ def set_key(cfg: ExperimentConfig, key: str, raw: str) -> None:
         elif isinstance(getattr(cfg, key), float):
             value = float(raw)
         else:
+            if "#" in raw:
+                raise ConfigError(f"{key} cannot hold '#', which starts a comment: {raw!r}")
             value = raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc

@@ -189,11 +189,10 @@ def encode_backward(cache: ForwardCache, d_emb) -> tuple[ParamSet, np.ndarray]:
         grads.biases[i][:] = delta.sum(axis=0)
         delta = delta @ params.weights[i].T
         if i > 0:
-            z = cache.pre_activations[i - 1]
             if spec.activation == "tanh":
-                delta = delta * (1.0 - np.tanh(z) ** 2)
+                delta = delta * (1.0 - cache.activations[i - 1] ** 2)
             else:
-                delta = delta * (z > 0.0)
+                delta = delta * (cache.pre_activations[i - 1] > 0.0)
     return grads, delta
 
 

@@ -7,11 +7,15 @@ probability kernels with their exact contracts and a self-contained PRNG so
 that every random draw in the package is bit-reproducible from a 64-bit seed,
 independent of platform or numpy version.
 
-One row softmax (max shift, exp, normalise) serves both probability kernels:
-``softmax_rows`` for the teacher targets, and ``softmax_xent``, the single
-softmax cross-entropy of the package. It is one kernel with two target kinds:
-a hard row is one-hot at its label and is read by indexing, a soft row takes
-a given distribution. InfoNCE, the PSD loss and the linear probe all call it.
+One max-shifted exponential, ``exp_shifted`` (max, exp(x - max), sum along
+either axis of a 2-D array), serves every probability kernel: ``softmax_rows``,
+the teacher's posteriors, and ``softmax_xent``, the single softmax
+cross-entropy of the package. That kernel has two target kinds: a hard row is
+one-hot at its label and is read by indexing, a soft row takes a given
+distribution. It reads the rows of a C-contiguous logit matrix, or its
+columns in place (``axis=0``), with no transposed copy, so one matrix of
+image-text logits serves both retrieval directions. InfoNCE, the PSD loss and
+the linear probe all call it.
 
 The PRNG is counter-based (Salmon et al. 2011): word k of a stream is the
 splitmix64 finalizer (Steele et al. 2014) applied to seed + k * gamma, so a
@@ -48,16 +52,16 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _softmax_rows_inplace(x: np.ndarray) -> np.ndarray:
-    """Overwrite each row of ``x`` with its softmax and return the rows'
-    log-sum-exp. The row maximum is subtracted before exp, so no row
-    overflows and the largest entry of each row becomes exactly exp(0)."""
-    top = x.max(axis=1, keepdims=True)
-    x -= top
-    np.exp(x, out=x)
-    total = x.sum(axis=1, keepdims=True)
-    x /= total
-    return (top + np.log(total))[:, 0]
+def exp_shifted(x: np.ndarray, axis: int,
+                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(x - max) along ``axis`` of a 2-D array into ``out`` (new when
+    None; may be ``x``), with that max and the sum of the exponentials, both
+    kept 2-D to broadcast against ``x``. The shift keeps every exponential in
+    (0, 1], so none overflows; max + log(sum) is the log-sum-exp."""
+    top = x.max(axis=axis, keepdims=True)
+    e = np.subtract(x, top, out=out)
+    np.exp(e, out=e)
+    return e, top, e.sum(axis=axis, keepdims=True)
 
 
 def softmax_rows(m, scale: float) -> np.ndarray:
@@ -70,40 +74,58 @@ def softmax_rows(m, scale: float) -> np.ndarray:
     if not (math.isfinite(scale) and scale > 0.0):
         raise InvalidInputError(f"softmax scale must be a positive real, got {scale}")
     probs = scale * m
-    _softmax_rows_inplace(probs)
+    _, _, total = exp_shifted(probs, 1, out=probs)
+    probs /= total
     return probs
 
 
 def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
-                 soft_rows: np.ndarray, soft_targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Weighted softmax cross-entropy over the rows of ``logits``, with its
-    gradient: returns (sum_i weights[i] * H(q_i, softmax(logits[i])), d_logits).
+                 soft_rows: np.ndarray, soft_targets: np.ndarray,
+                 axis: int = 1) -> tuple[float, np.ndarray]:
+    """Weighted softmax cross-entropy over the rows of ``logits`` (``axis``
+    1) or over its columns (``axis`` 0), with its gradient: returns
+    (sum_i weights[i] * H(q_i, softmax(x_i)), d_logits), where x_i is row i,
+    or column i, of ``logits`` and d_logits has the shape of ``logits``.
+    Columns are read in place: no transposed copy is made.
 
-    Row i's target q_i is one-hot at ``labels[i]`` (a hard row), except for
-    the rows listed in ``soft_rows``, whose targets are the matching rows of
-    ``soft_targets`` (soft rows; their labels must index a column but are
-    otherwise ignored). No dense target matrix is built. The loss is taken in
-    log-sum-exp form, H(q, softmax(x)) = lse(x) * sum(q) - q . x, so it stays
-    exact however far apart the logits are; d_logits[i] = weights[i] *
-    (softmax(logits[i]) * sum(q_i) - q_i). Zero rows give (0.0, an empty array).
+    Target q_i is one-hot at ``labels[i]`` (a hard row), except for the rows
+    listed in ``soft_rows``, whose targets are the matching rows of
+    ``soft_targets`` (soft rows; their labels are ignored). No dense target
+    matrix is built. The loss is taken in log-sum-exp form,
+    H(q, softmax(x)) = lse(x) * sum(q) - q . x, so it stays exact however far
+    apart the logits are; d_x_i = weights[i] * (softmax(x_i) * sum(q_i) - q_i),
+    formed as exp(x_i - max) times weights[i] * sum(q_i) / sum(exp) with the
+    target subtracted in place. Zero rows give (0.0, an empty array).
     """
-    n, cols = logits.shape
+    if axis not in (0, 1):
+        raise InvalidInputError(f"axis must be 0 or 1, got {axis}")
+    cols, n = logits.shape if axis == 0 else logits.shape[::-1]
     if (weights.shape != (n,) or labels.shape != (n,)
             or soft_targets.shape != (soft_rows.size, cols)):
         raise InvalidInputError(
-            f"shape mismatch: logits {logits.shape}, weights {weights.shape}, labels "
-            f"{labels.shape}, {soft_rows.size} soft rows, soft targets {soft_targets.shape}")
-    probs = np.array(logits, dtype=np.float64)
-    lse = _softmax_rows_inplace(probs)
-    rows = np.arange(n)
-    row_loss = lse - logits[rows, labels]
-    mass = soft_targets.sum(axis=1)
-    row_loss[soft_rows] = lse[soft_rows] * mass - (soft_targets * logits[soft_rows]).sum(axis=1)
-    soft_grad = probs[soft_rows] * mass[:, None] - soft_targets
-    probs[rows, labels] -= 1.0
-    probs[soft_rows] = soft_grad
-    probs *= weights[:, None]
-    return float(weights @ row_loss), probs
+            f"shape mismatch: logits {logits.shape} along axis {axis}, weights "
+            f"{weights.shape}, labels {labels.shape}, {soft_rows.size} soft rows, "
+            f"soft targets {soft_targets.shape}")
+    grad, top, total = exp_shifted(logits, axis)
+    lse = (top + np.log(total)).ravel()
+    mass = np.ones(n)
+    mass[soft_rows] = soft_targets.sum(axis=1)
+    grad *= (weights * mass).reshape(total.shape) / total
+    hard = np.ones(n, dtype=bool)
+    hard[soft_rows] = False
+    rows = np.flatnonzero(hard)
+    at = (rows, labels[rows]) if axis == 1 else (labels[rows], rows)
+    grad[at] -= weights[rows]
+    picked = np.empty(n)
+    picked[rows] = logits[at]
+    soft = logits[soft_rows] if axis == 1 else logits[:, soft_rows].T
+    picked[soft_rows] = np.einsum("ij,ij->i", soft_targets, soft)
+    np.multiply(soft_targets, weights[soft_rows, None], out=soft)  # reuse the gathered block
+    if axis == 1:
+        grad[soft_rows] -= soft
+    else:
+        grad[:, soft_rows] -= soft.T
+    return float(weights @ (lse * mass - picked)), grad
 
 
 def normalize_rows_l2(m) -> np.ndarray:

@@ -6,13 +6,16 @@ partitioned progressive self-distillation objective. Each loss returns its
 value together with exact partial derivatives with respect to both embedding
 matrices and the learnable log inverse-temperature.
 
-Both losses are one cross-entropy with two target kinds (``numkit.softmax_xent``):
-the similarity matrix S = V T^T is computed once, the kernel runs on scale * S
-(image rows over texts) and on its transpose (text rows over images), and both
-gradients flow back through that single S. A hard row targets its own partner;
-a soft row targets the teacher's distribution. InfoNCE is every row hard with
-weight 1/N; the PSD loss weights the aligned (hard) rows alpha/|A| and the
-unaligned (soft) rows (1 - alpha)/|U|.
+Both losses are one cross-entropy with two target kinds
+(``numkit.softmax_xent``): the similarity matrix S = V T^T is computed once,
+the kernel reads the rows (images over texts) and the columns (texts over
+images) of the one C-contiguous scale * S, with no transposed copy, and both
+gradients land in S's layout and flow back through that single S. A hard row
+targets its own partner; a soft row targets the teacher's distribution.
+InfoNCE is every row hard with weight 1/N; the PSD loss weights the aligned
+(hard) rows alpha/|A| and the unaligned (soft) rows (1 - alpha)/|U|. The
+teacher reads the rows and columns of its own C-contiguous teacher_scale * S
+in the same way.
 
 Gradient convention: embeddings are treated as free variables (the losses are
 smooth functions of the raw matrix entries), so every gradient can be checked
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBatchError, InvalidInputError
-from .numkit import as_matrix, softmax_rows, softmax_xent
+from .numkit import as_matrix, exp_shifted, softmax_xent
 
 MAX_LOGIT_SCALE = 100.0
 
@@ -169,17 +172,19 @@ def _bidirectional_xent(batch: EmbeddingBatch, temp: TemperatureParam, weights: 
     (its target is partner i) unless listed in ``soft_rows``, whose targets
     are the rows of ``targets_v`` (image rows) and ``targets_t`` (text rows)."""
     v, t = batch.image, batch.text
-    logits = temp.scale * (v @ t.T)
+    scaled_v = temp.scale * v
+    logits = scaled_v @ t.T
     labels = np.arange(batch.n)
     loss_v, d_logits = softmax_xent(logits, weights, labels, soft_rows, targets_v)
-    loss_t, d_t = softmax_xent(logits.T, weights, labels, soft_rows, targets_t)
-    d_logits += d_t.T
-    # einsum, not a BLAS dot: a threaded BLAS splits a reduction this long
-    # across its threads, and the sum's rounding would follow the thread count.
-    d_log_scale = float(np.einsum("ij,ij->", d_logits, logits))
-    d_logits *= temp.scale  # now the gradient with respect to v @ t.T
-    return LossGrad(loss=loss_v + loss_t, d_image=d_logits @ t, d_text=d_logits.T @ v,
-                    d_log_scale=d_log_scale)
+    loss_t, d_t = softmax_xent(logits, weights, labels, soft_rows, targets_t, axis=0)
+    d_logits += d_t
+    d_scaled_v = d_logits @ t
+    # sum(d_logits * logits) reduced over n x d instead of n x n, since the
+    # logits are (scale * v) t^T; einsum, not a BLAS dot, because a threaded
+    # BLAS splits a dot's sum across threads and its rounding would follow them.
+    d_log_scale = float(np.einsum("ij,ij->", d_scaled_v, scaled_v))
+    return LossGrad(loss=loss_v + loss_t, d_image=temp.scale * d_scaled_v,
+                    d_text=temp.scale * (d_logits.T @ v), d_log_scale=d_log_scale)
 
 
 def info_nce(batch: EmbeddingBatch, temp: TemperatureParam) -> LossGrad:
@@ -194,10 +199,10 @@ def info_nce(batch: EmbeddingBatch, temp: TemperatureParam) -> LossGrad:
 
 def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: PartitionPlan,
                   swapped: bool) -> SoftTargets:
-    """Teacher targets for the unaligned rows from the two row-softmaxed
-    directions of one similarity matrix: each row's own posterior, or
-    (``swapped``) the opposite direction's posteriors read down a column and
-    renormalized."""
+    """Teacher targets for the unaligned rows from one similarity matrix,
+    read along its rows (images over texts) and its columns (texts over
+    images): each row's own posterior, or (``swapped``) the opposite
+    direction's posteriors of that row, renormalized."""
     v = as_matrix(teacher_image, "teacher image embeddings")
     t = as_matrix(teacher_text, "teacher text embeddings")
     if v.shape != t.shape:
@@ -208,21 +213,24 @@ def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: Parti
     if not (math.isfinite(teacher_scale) and teacher_scale > 0.0):
         raise InvalidInputError(f"teacher scale must be positive, got {teacher_scale}")
     u = plan.unaligned_idx
-    if u.size == 0:
-        empty = np.zeros((0, plan.n))
-        return SoftTargets(empty, empty.copy(), teacher_scale)
-    sims = v @ t.T
-    # [i, j] = P(text j | image i): softmax over texts for each image.
-    text_given_image = softmax_rows(sims, teacher_scale)
-    # [i, j] = P(image j | text i): softmax over images for each text.
-    image_given_text = softmax_rows(sims.T, teacher_scale)
-    if not swapped:
-        return SoftTargets(text_given_image[u], image_given_text[u], teacher_scale)
-    a_v = image_given_text.T[u]
-    a_t = text_given_image.T[u]
-    a_v = a_v / a_v.sum(axis=1, keepdims=True)
-    a_t = a_t / a_t.sum(axis=1, keepdims=True)
-    return SoftTargets(a_v, a_t, teacher_scale)
+    logits = (teacher_scale * v) @ t.T
+    # Row u of each result is a softmax over the batch: of s[u, j] for the
+    # image's own posterior over texts j, of s[j, u] for the text's over
+    # images j. Swapped targets subtract the opposite direction's
+    # log-normalizer from those logits, since P(image u | text j) =
+    # exp(s[u, j] - lse_i s[i, j]); renormalizing such a row is its softmax.
+    image_rows = logits[u]
+    text_rows = logits[:, u].T
+    if swapped:
+        work = np.empty_like(logits)
+        _, top, total = exp_shifted(logits, 0, out=work)
+        image_rows -= top + np.log(total)
+        _, top, total = exp_shifted(logits, 1, out=work)
+        text_rows -= (top + np.log(total)).T
+    for rows in (image_rows, text_rows):
+        _, _, total = exp_shifted(rows, 1, out=rows)
+        rows /= total
+    return SoftTargets(image_rows, text_rows, teacher_scale)
 
 
 def soft_targets_swapped(teacher_image, teacher_text, teacher_scale: float,

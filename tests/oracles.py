@@ -70,32 +70,28 @@ def psd_scalar(v, t, scale, aligned, unaligned, alpha, image_targets, text_targe
 
 
 def swapped_targets_scalar(v, t, scale, unaligned):
-    """A^v[u, j] = exp(s_ji)/sum_k exp(s_jk) with s_jk = scale*sim(t_j, v_k),
-    then row renormalization; A^t with modalities exchanged."""
+    """A^v[u, j] = exp(s_ju)/sum_k exp(s_jk) with s_jk = scale*sim(t_j, v_k),
+    then row renormalization; A^t with modalities exchanged.
+
+    Taken in log space, so that no exponential overflows and a row whose
+    posteriors all underflow is still defined: renormalizing the row
+    P(u | j) over j is the softmax over j of log P(u | j)."""
     n = len(v)
 
     def sim(a, b):
         return sum(x * y for x, y in zip(a, b))
 
-    image_targets = []
-    for i in unaligned:
-        raw = []
+    def targets(queries, keys):
+        # log_post[j][k] = log P(key k | query j)
+        log_post = []
         for j in range(n):
-            num = math.exp(scale * sim(t[j], v[i]))
-            den = sum(math.exp(scale * sim(t[j], v[k])) for k in range(n))
-            raw.append(num / den)
-        total = sum(raw)
-        image_targets.append([x / total for x in raw])
-    text_targets = []
-    for i in unaligned:
-        raw = []
-        for j in range(n):
-            num = math.exp(scale * sim(v[j], t[i]))
-            den = sum(math.exp(scale * sim(v[j], t[k])) for k in range(n))
-            raw.append(num / den)
-        total = sum(raw)
-        text_targets.append([x / total for x in raw])
-    return image_targets, text_targets
+            logits = [scale * sim(queries[j], keys[k]) for k in range(n)]
+            m = max(logits)
+            lse = m + math.log(sum(math.exp(x - m) for x in logits))
+            log_post.append([x - lse for x in logits])
+        return [softmax_row_scalar([log_post[j][i] for j in range(n)], 1.0) for i in unaligned]
+
+    return targets(t, v), targets(v, t)
 
 
 def bootstrap_targets_scalar(v, t, scale, unaligned):

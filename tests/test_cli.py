@@ -55,9 +55,13 @@ def test_generate_succeeds(tmp_path):
     ["generate", "--config", "/nonexistent/psdlab.cfg"],
     ["ablate", "--set", "k_list="],                      # no recall cutoff
     ["eval", "checkpoint", "pairs.psdd", "--klist", ""],
+    ["train", "--out", "runs/#3"],                       # would read back as runs/
 ])
-def test_malformed_configuration_exits_config_code(argv, tmp_path):
-    assert main(argv + ["--quiet", "--out", str(tmp_path)]) == ConfigError.exit_code == 2
+def test_malformed_configuration_exits_config_code(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # argv's own flags come last, so its --out wins over the default one.
+    rc = main(argv[:1] + ["--quiet", "--out", str(tmp_path)] + argv[1:])
+    assert rc == ConfigError.exit_code == 2
 
 
 def test_bad_log_level_exits_config_code(monkeypatch, tmp_path):

@@ -3,7 +3,8 @@
 
 import pytest
 
-from psdlab.config import ExperimentConfig, parse_config_text, render_config
+from psdlab.config import ExperimentConfig, parse_config_text, render_config, set_key
+from psdlab.errors import ConfigError
 from psdlab.experiments import noise_experiment_config
 
 
@@ -29,3 +30,12 @@ def test_render_then_parse_is_identity(make):
     cfg = make()
     text = render_config(cfg)
     assert parse_config_text(text) == cfg
+
+
+@pytest.mark.parametrize("key", ["out_dir", "dataset_path"])
+def test_string_holding_comment_mark_rejected(key):
+    # "runs/#3" would be written out whole and read back as "runs/".
+    cfg = ExperimentConfig()
+    with pytest.raises(ConfigError, match="#"):
+        set_key(cfg, key, "runs/#3")
+    assert cfg == ExperimentConfig()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdlab.errors import DegenerateInputError, InvalidInputError
+from psdlab.gradcheck import central_difference, max_rel_error
 from psdlab.numkit import (
     RngState,
     _splitmix64,
@@ -89,6 +90,57 @@ class TestCrossEntropyRows:
         with pytest.raises(InvalidInputError):
             softmax_xent(np.zeros((2, 2)), np.full(2, 0.5), np.arange(2),
                          np.arange(1), np.ones((2, 2)) / 2)
+        # Along axis 0 the columns are the distributions: 3 of them here.
+        with pytest.raises(InvalidInputError):
+            softmax_xent(np.zeros((2, 3)), np.full(2, 0.5), np.arange(2),
+                         np.zeros(0, dtype=np.int64), np.zeros((0, 3)), axis=0)
+        with pytest.raises(InvalidInputError):
+            softmax_xent(np.zeros((2, 2)), np.full(2, 0.5), np.arange(2),
+                         np.zeros(0, dtype=np.int64), np.zeros((0, 2)), axis=2)
+
+    @pytest.mark.parametrize("axis", [1, 0])
+    def test_gradient_with_unnormalized_soft_rows_matches_finite_differences(self, rng, axis):
+        # Soft rows of mass 2.5: the gradient carries softmax * sum(q) - q.
+        x = 2.0 * rng.normals(4, 5)
+        logits = x if axis == 1 else np.ascontiguousarray(x.T)
+        weights = rng.uniforms(4)
+        labels = np.array([1, 0, 4, 2])
+        rows = np.array([0, 3])
+        targets = 2.5 * softmax_rows(rng.normals(2, 5), 1.0)
+
+        def loss_at(flat):
+            return softmax_xent(flat.reshape(logits.shape), weights, labels, rows, targets,
+                                axis=axis)[0]
+
+        _, grad = softmax_xent(logits, weights, labels, rows, targets, axis=axis)
+        assert max_rel_error(grad.ravel(), central_difference(loss_at, logits.ravel())) < 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, (1 << 64) - 1), rows=st.integers(1, 40), cols=st.integers(1, 40),
+           spread=st.sampled_from([1e-3, 1.0, 30.0, 1e3]), data=st.data())
+    def test_axis_0_equals_rows_of_transposed_copy(self, seed, rows, cols, spread, data):
+        # The columns of x are `cols` distributions over `rows` entries.
+        # Spread 1e3 puts softmax entries far below the smallest double.
+        rng = RngState(seed)
+        x = spread * rng.normals(rows, cols)
+        weights = rng.uniforms(cols)
+        labels = rng.integers(rows, cols).astype(np.int64)
+        n_soft = data.draw(st.integers(0, cols))
+        soft_rows = np.sort(rng.permutation(cols)[:n_soft])
+        targets = (softmax_rows(3.0 * rng.normals(n_soft, rows), 1.0) if n_soft
+                   else np.zeros((0, rows)))
+        loss, grad = softmax_xent(x, weights, labels, soft_rows, targets, axis=0)
+        ref_loss, ref_grad = softmax_xent(np.ascontiguousarray(x.T), weights, labels,
+                                          soft_rows, targets)
+        # The two reductions add exp(x - max) in another order, so a sum may
+        # differ in its last bit; a log-sum-exp term is at most max|x| +
+        # log(rows) and a gradient term at most weight * mass in size.
+        mass = np.ones(cols)
+        mass[soft_rows] = targets.sum(axis=1)
+        terms = weights @ (mass * (np.abs(x).max(axis=0) + math.log(rows)))
+        assert abs(loss - ref_loss) <= 1e-15 * max(abs(ref_loss), terms)
+        np.testing.assert_allclose(grad, ref_grad.T, rtol=1e-15,
+                                   atol=1e-15 * (weights * mass).max())
 
     def test_gibbs_inequality(self, rng):
         for _ in range(30):

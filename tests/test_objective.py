@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdlab.errors import EmptyBatchError, InvalidInputError
 from psdlab.gradcheck import central_difference, max_rel_error
@@ -182,6 +184,44 @@ class TestSoftTargets:
             st = build(v, t, 11.0, plan)
             np.testing.assert_allclose(st.image_targets.sum(axis=1), 1.0, atol=1e-9)
             np.testing.assert_allclose(st.text_targets.sum(axis=1), 1.0, atol=1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, (1 << 64) - 1), n=st.integers(1, 7), d=st.integers(1, 4),
+           data=st.data(), scale=st.floats(1e-3, 100.0))
+    def test_rows_stochastic_and_equal_scalar_oracles(self, seed, n, d, data, scale):
+        # Rows of norm up to 3 at teacher scale up to 100 spread the logits
+        # over up to 1800, so rows and columns have far-apart maxima and
+        # whole posterior rows underflow; each softmax must shift by its own.
+        rng = RngState(seed)
+        norms = np.array(data.draw(st.lists(st.floats(0.0, 3.0), min_size=2 * n, max_size=2 * n)))
+        v = normalize_rows_l2(rng.normals(n, d)) * norms[:n, None]
+        t = normalize_rows_l2(rng.normals(n, d)) * norms[n:, None]
+        n_aligned = data.draw(st.integers(0, n))
+        order = rng.permutation(n)
+        plan = PartitionPlan(aligned_idx=order[:n_aligned], unaligned_idx=order[n_aligned:],
+                             alpha=n_aligned / n)
+        u = plan.unaligned_idx.tolist()
+        for build, oracle in ((soft_targets_swapped, swapped_targets_scalar),
+                              (soft_targets_bootstrap, bootstrap_targets_scalar)):
+            out = build(v, t, scale, plan)
+            expected_v, expected_t = oracle(v.tolist(), t.tolist(), scale, u)
+            for got, expected in ((out.image_targets, expected_v), (out.text_targets, expected_t)):
+                assert got.shape == (len(u), n)
+                assert (got >= 0.0).all()
+                np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got, np.reshape(expected, (len(u), n)),
+                                           rtol=0, atol=1e-12)
+
+    def test_swapped_row_whose_posteriors_all_underflow(self):
+        # Image 1 trails image 0 by 1800 logits for every text, so each
+        # P(image 1 | text j) underflows to 0; renormalized over the equal
+        # texts, the row is still uniform.
+        v = np.array([[3.0], [-3.0]])
+        t = np.array([[3.0], [3.0]])
+        plan = PartitionPlan(aligned_idx=[0], unaligned_idx=[1], alpha=0.5)
+        out = soft_targets_swapped(v, t, 100.0, plan)
+        np.testing.assert_array_equal(out.image_targets, [[0.5, 0.5]])
+        np.testing.assert_array_equal(out.text_targets, [[0.5, 0.5]])
 
     def test_empty_unaligned_set(self, rng):
         v, t = unit_batch(rng, 4, 3)

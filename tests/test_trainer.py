@@ -2,20 +2,30 @@
 config and dataset, whatever the BLAS thread count. Also the checkpoint
 files: they round-trip bit for bit, and a malformed trainer state fails
 ``psdlab eval`` with the file-format exit code. AdamW steps match the
-scalar oracle."""
+scalar oracle, and partitions follow their priorities."""
 
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdlab.cli import main
 from psdlab.data import SyntheticSpec, generate, save_pairs
 from psdlab.errors import BadMagicError, TruncatedFileError, VersionMismatchError
 from psdlab.model import EncoderSpec
 from psdlab.numkit import RngState
-from psdlab.trainer import OptState, TrainConfig, adamw_step, load_checkpoint, save_checkpoint, train
+from psdlab.trainer import (
+    OptState,
+    TrainConfig,
+    adamw_step,
+    load_checkpoint,
+    make_partition,
+    save_checkpoint,
+    train,
+)
 
 from conftest import python_with_blas_threads
 from oracles import adam_scalar_trajectory
@@ -117,3 +127,17 @@ class TestAdamW:
                                           decay_mask)
         for got, want in zip(trajectory, expected):
             np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(priority=st.lists(st.integers(0, 5), min_size=1, max_size=300), alpha=st.floats(0.0, 1.0))
+def test_partition_aligns_the_lowest_priorities(priority, alpha):
+    # Few distinct priorities make ties the rule; a tie goes to the lower row.
+    n = len(priority)
+    plan = make_partition(n, alpha, priority=np.array(priority))
+    a, u = plan.aligned_idx, plan.unaligned_idx
+    assert a.size == int(np.floor(alpha * n))
+    np.testing.assert_array_equal(np.sort(np.concatenate([a, u])), np.arange(n))
+    assert np.all(np.diff(a) > 0) and np.all(np.diff(u) > 0)
+    if a.size and u.size:
+        assert max((priority[i], i) for i in a) < min((priority[i], i) for i in u)
