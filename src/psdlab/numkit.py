@@ -17,6 +17,17 @@ columns in place (``axis=0``), with no transposed copy, so one matrix of
 image-text logits serves both retrieval directions. InfoNCE, the PSD loss and
 the linear probe all call it.
 
+When both axes of one square matrix need their log-sum-exps (``axis=None``,
+and the swapped teacher), ``exp_both_axes`` takes them from one exponential
+under the global max. Each row's terms then come out smaller by
+exp(top - row max) than under the row's own max, and rounding x - top costs
+more the further below the top they sit, so a row or column far down would
+lose precision and, past about 700, its whole sum. Hence a span rule: every
+row max and every column max must lie within ``SHARED_EXP_SPAN`` = 600 of the
+global max, which keeps each axis' largest term at or above exp(-600), well
+inside the normal doubles. Otherwise it declines, and the caller takes one
+max-shifted exponential per axis.
+
 The PRNG is counter-based (Salmon et al. 2011): word k of a stream is the
 splitmix64 finalizer (Steele et al. 2014) applied to seed + k * gamma, so a
 block of words is one vectorized pass over a counter range and no draw loops
@@ -40,6 +51,12 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# exp_both_axes' span rule: the furthest a row or column max may sit below the
+# matrix's max. exp(-600) ~ 3e-261, so every axis' largest term stays a normal
+# double with room for n of them below it.
+SHARED_EXP_SPAN = 600.0
+# Rows per band when softmax_xent(axis=None) scales its exponential in place.
+_BAND_ROWS = 64
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -64,6 +81,26 @@ def exp_shifted(x: np.ndarray, axis: int,
     return e, top, e.sum(axis=axis, keepdims=True)
 
 
+def exp_both_axes(x: np.ndarray, out: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray] | None:
+    """exp(x - max x) of a 2-D array into ``out`` (new when None; may be
+    ``x``), with the global max and the row and column sums of the
+    exponentials, kept 2-D to broadcast against ``x``: top + log(sum) is each
+    axis' log-sum-exp. Returns None, with ``out`` untouched, unless every row
+    max and every column max lies within ``SHARED_EXP_SPAN`` of the global max
+    (an empty ``x``, or one holding NaN or +inf, never does)."""
+    if not x.size:
+        return None
+    row_top = x.max(axis=1)
+    col_top = x.max(axis=0)
+    top = row_top.max()
+    if not top - min(row_top.min(), col_top.min()) <= SHARED_EXP_SPAN:
+        return None
+    e = np.subtract(x, top, out=out)
+    np.exp(e, out=e)
+    return e, float(top), e.sum(axis=1, keepdims=True), e.sum(axis=0, keepdims=True)
+
+
 def softmax_rows(m, scale: float) -> np.ndarray:
     """Row-wise softmax of ``scale * m`` with per-row max subtraction.
 
@@ -80,8 +117,9 @@ def softmax_rows(m, scale: float) -> np.ndarray:
 
 
 def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
-                 soft_rows: np.ndarray, soft_targets: np.ndarray,
-                 axis: int = 1) -> tuple[float, np.ndarray]:
+                 soft_rows: np.ndarray,
+                 soft_targets: np.ndarray | tuple[np.ndarray, np.ndarray],
+                 axis: int | None = 1) -> tuple[float, np.ndarray]:
     """Weighted softmax cross-entropy over the rows of ``logits`` (``axis``
     1) or over its columns (``axis`` 0), with its gradient: returns
     (sum_i weights[i] * H(q_i, softmax(x_i)), d_logits), where x_i is row i,
@@ -96,9 +134,30 @@ def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
     apart the logits are; d_x_i = weights[i] * (softmax(x_i) * sum(q_i) - q_i),
     formed as exp(x_i - max) times weights[i] * sum(q_i) / sum(exp) with the
     target subtracted in place. Zero rows give (0.0, an empty array).
+
+    ``axis=None`` takes a square ``logits`` and a pair of soft-target blocks,
+    (row targets, column targets), and returns the axis-1 loss plus the axis-0
+    loss with the summed gradient; ``weights``, ``labels`` and ``soft_rows``
+    serve both axes. When ``exp_both_axes`` admits the matrix, both axes'
+    normalizers come from its one exponential e, and the gradient is
+    e * (a_i + b_j) less the targets, with a = weights * mass / row sum and
+    b = weights * mass / column sum; otherwise each axis runs its own pass.
     """
+    if axis is None:
+        return _xent_both_axes(logits, weights, labels, soft_rows, *soft_targets)
+    n = _check_xent_shapes(logits, weights, labels, soft_rows, soft_targets, axis)
+    grad, top, total = exp_shifted(logits, axis)
+    lse = (top + np.log(total)).ravel()
+    mass = _target_mass(n, soft_rows, soft_targets)
+    grad *= (weights * mass).reshape(total.shape) / total
+    picked = _subtract_targets(grad, logits, weights, labels, soft_rows, soft_targets, axis)
+    return float(weights @ (lse * mass - picked)), grad
+
+
+def _check_xent_shapes(logits, weights, labels, soft_rows, soft_targets, axis) -> int:
+    """The number of distributions in ``logits`` along ``axis``."""
     if axis not in (0, 1):
-        raise InvalidInputError(f"axis must be 0 or 1, got {axis}")
+        raise InvalidInputError(f"axis must be 0, 1 or None, got {axis}")
     cols, n = logits.shape if axis == 0 else logits.shape[::-1]
     if (weights.shape != (n,) or labels.shape != (n,)
             or soft_targets.shape != (soft_rows.size, cols)):
@@ -106,11 +165,20 @@ def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
             f"shape mismatch: logits {logits.shape} along axis {axis}, weights "
             f"{weights.shape}, labels {labels.shape}, {soft_rows.size} soft rows, "
             f"soft targets {soft_targets.shape}")
-    grad, top, total = exp_shifted(logits, axis)
-    lse = (top + np.log(total)).ravel()
+    return n
+
+
+def _target_mass(n: int, soft_rows: np.ndarray, soft_targets: np.ndarray) -> np.ndarray:
+    """sum(q_i) of every target: 1 for a hard row."""
     mass = np.ones(n)
     mass[soft_rows] = soft_targets.sum(axis=1)
-    grad *= (weights * mass).reshape(total.shape) / total
+    return mass
+
+
+def _subtract_targets(grad, logits, weights, labels, soft_rows, soft_targets, axis) -> np.ndarray:
+    """Subtract weights[i] * q_i from ``grad`` along ``axis`` and return each
+    target's q_i . x_i."""
+    n = weights.size
     hard = np.ones(n, dtype=bool)
     hard[soft_rows] = False
     rows = np.flatnonzero(hard)
@@ -125,7 +193,37 @@ def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
         grad[soft_rows] -= soft
     else:
         grad[:, soft_rows] -= soft.T
-    return float(weights @ (lse * mass - picked)), grad
+    return picked
+
+
+def _xent_both_axes(logits, weights, labels, soft_rows, row_targets,
+                    col_targets) -> tuple[float, np.ndarray]:
+    """softmax_xent's ``axis=None``: the row loss plus the column loss."""
+    n = _check_xent_shapes(logits, weights, labels, soft_rows, row_targets, 1)
+    _check_xent_shapes(logits, weights, labels, soft_rows, col_targets, 0)
+    shared = exp_both_axes(logits)
+    if shared is None:
+        loss, grad = softmax_xent(logits, weights, labels, soft_rows, row_targets, axis=1)
+        loss_t, grad_t = softmax_xent(logits, weights, labels, soft_rows, col_targets, axis=0)
+        grad += grad_t
+        return loss + loss_t, grad
+    grad, top, row_sum, col_sum = shared
+    row_mass = _target_mass(n, soft_rows, row_targets)
+    col_mass = _target_mass(n, soft_rows, col_targets)
+    a = (weights * row_mass)[:, None] / row_sum
+    b = (weights * col_mass) / col_sum
+    # e * (a + b) in place, a band of rows at a time: a fresh n x n block for
+    # a + b would cost more than the multiply.
+    for start in range(0, n, _BAND_ROWS):
+        band = slice(start, start + _BAND_ROWS)
+        grad[band] *= a[band] + b
+    loss = 0.0
+    for axis, targets, mass, total in ((1, row_targets, row_mass, row_sum),
+                                       (0, col_targets, col_mass, col_sum)):
+        picked = _subtract_targets(grad, logits, weights, labels, soft_rows, targets, axis)
+        lse = top + np.log(total.ravel())
+        loss += float(weights @ (lse * mass - picked))
+    return loss, grad
 
 
 def normalize_rows_l2(m) -> np.ndarray:

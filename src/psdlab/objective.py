@@ -8,14 +8,20 @@ matrices and the learnable log inverse-temperature.
 
 Both losses are one cross-entropy with two target kinds
 (``numkit.softmax_xent``): the similarity matrix S = V T^T is computed once,
-the kernel reads the rows (images over texts) and the columns (texts over
-images) of the one C-contiguous scale * S, with no transposed copy, and both
-gradients land in S's layout and flow back through that single S. A hard row
-targets its own partner; a soft row targets the teacher's distribution.
-InfoNCE is every row hard with weight 1/N; the PSD loss weights the aligned
-(hard) rows alpha/|A| and the unaligned (soft) rows (1 - alpha)/|U|. The
-teacher reads the rows and columns of its own C-contiguous teacher_scale * S
-in the same way.
+and one kernel call (``axis=None``) reads the rows (images over texts) and
+the columns (texts over images) of the one C-contiguous scale * S, with no
+transposed copy; the summed gradient lands in S's layout and flows back
+through that single S. A hard row targets its own partner; a soft row
+targets the teacher's distribution. InfoNCE is every row hard with weight
+1/N; the PSD loss weights the aligned (hard) rows alpha/|A| and the unaligned
+(soft) rows (1 - alpha)/|U|.
+
+The teacher reads the rows and columns of its own teacher_scale * S in the
+same way. Swapped targets need both axes' log-normalizers; for unit-norm
+embeddings every logit lies within 2 * teacher_scale of the largest, so one
+exponential under the global max serves both (``numkit.exp_both_axes``,
+whose span rule sends wider matrices to one max-shifted exponential per axis).
+Bootstrap targets exponentiate only their |U| gathered rows.
 
 Gradient convention: embeddings are treated as free variables (the losses are
 smooth functions of the raw matrix entries), so every gradient can be checked
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBatchError, InvalidInputError
-from .numkit import as_matrix, exp_shifted, softmax_xent
+from .numkit import as_matrix, exp_both_axes, exp_shifted, softmax_xent
 
 MAX_LOGIT_SCALE = 100.0
 
@@ -142,9 +148,10 @@ class SoftTargets:
         for name, m in (("image_targets", a_v), ("text_targets", a_t)):
             if m.ndim != 2:
                 raise InvalidInputError(f"{name} must be 2-D")
-            if m.size and (m.min() < -1e-12 or m.max() > 1.0 + 1e-12):
-                raise InvalidInputError(f"{name} entries must lie in [0, 1]")
-            if m.shape[0] and np.abs(m.sum(axis=1) - 1.0).max() > 1e-9:
+            # Written so that NaN, for which every comparison is false, fails.
+            if m.size and not (m.min() >= -1e-12 and m.max() <= 1.0 + 1e-12):
+                raise InvalidInputError(f"{name} entries must be numbers in [0, 1]")
+            if m.shape[0] and not np.abs(m.sum(axis=1) - 1.0).max() <= 1e-9:
                 raise InvalidInputError(f"{name} rows must sum to 1 within 1e-9")
         if a_v.shape != a_t.shape:
             raise InvalidInputError("image_targets and text_targets must share a shape")
@@ -174,16 +181,14 @@ def _bidirectional_xent(batch: EmbeddingBatch, temp: TemperatureParam, weights: 
     v, t = batch.image, batch.text
     scaled_v = temp.scale * v
     logits = scaled_v @ t.T
-    labels = np.arange(batch.n)
-    loss_v, d_logits = softmax_xent(logits, weights, labels, soft_rows, targets_v)
-    loss_t, d_t = softmax_xent(logits, weights, labels, soft_rows, targets_t, axis=0)
-    d_logits += d_t
+    loss, d_logits = softmax_xent(logits, weights, np.arange(batch.n), soft_rows,
+                                  (targets_v, targets_t), axis=None)
     d_scaled_v = d_logits @ t
     # sum(d_logits * logits) reduced over n x d instead of n x n, since the
     # logits are (scale * v) t^T; einsum, not a BLAS dot, because a threaded
     # BLAS splits a dot's sum across threads and its rounding would follow them.
     d_log_scale = float(np.einsum("ij,ij->", d_scaled_v, scaled_v))
-    return LossGrad(loss=loss_v + loss_t, d_image=temp.scale * d_scaled_v,
+    return LossGrad(loss=loss, d_image=temp.scale * d_scaled_v,
                     d_text=temp.scale * (d_logits.T @ v), d_log_scale=d_log_scale)
 
 
@@ -216,9 +221,21 @@ def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: Parti
     logits = (teacher_scale * v) @ t.T
     # Row u of each result is a softmax over the batch: of s[u, j] for the
     # image's own posterior over texts j, of s[j, u] for the text's over
-    # images j. Swapped targets subtract the opposite direction's
-    # log-normalizer from those logits, since P(image u | text j) =
-    # exp(s[u, j] - lse_i s[i, j]); renormalizing such a row is its softmax.
+    # images j. Swapped targets are the opposite direction's posteriors,
+    # P(image u | text j) = exp(s[u, j] - lse_i s[i, j]), renormalized. Under
+    # the span rule they are quotients of one exponential by its column and
+    # row sums; otherwise each axis' log-normalizer is subtracted from the
+    # logits, and a renormalized row of those is its softmax.
+    shared = exp_both_axes(logits, out=logits) if swapped else None
+    if shared is not None:
+        e, _, row_sum, col_sum = shared
+        image_rows = e[u]
+        image_rows /= col_sum
+        text_rows = e[:, u].T
+        text_rows /= row_sum.T
+        for rows in (image_rows, text_rows):
+            rows /= rows.sum(axis=1, keepdims=True)
+        return SoftTargets(image_rows, text_rows, teacher_scale)
     image_rows = logits[u]
     text_rows = logits[:, u].T
     if swapped:

@@ -266,6 +266,8 @@ def train(cfg: TrainConfig, ds: PairedDataset,
     modalities are encoded once, soft targets are built from those same
     embeddings as detached constants, the partitioned loss is backpropagated,
     AdamW updates all parameters jointly, and the logit scale is re-clamped.
+    A step that leaves a non-finite loss or parameter, or a logit scale that
+    underflowed to 0, raises DivergenceError.
     """
     n = ds.num_samples
     if n < cfg.batch_size:
@@ -334,9 +336,6 @@ def train(cfg: TrainConfig, ds: PairedDataset,
                     targets = build(emb_img, emb_txt, teacher_scale, plan)
                     lg = psd_loss(batch, temp, plan, targets)
 
-                if not math.isfinite(lg.loss):
-                    raise DivergenceError(step)
-
                 grad_img, _ = encode_backward(cache_img, lg.d_image)
                 grad_txt, _ = encode_backward(cache_txt, lg.d_text)
                 grads = np.concatenate([grad_img.flatten(), grad_txt.flatten(),
@@ -344,6 +343,12 @@ def train(cfg: TrainConfig, ds: PairedDataset,
                 flat = adamw_step(flat, grads, opt)
                 temp = clamp_scale(TemperatureParam(log_scale=float(flat[-1])))
                 flat[-1] = temp.log_scale
+                # One O(parameters) health check per step. A logit scale that
+                # underflowed to 0 has a finite log, so it is tested apart.
+                if not (math.isfinite(lg.loss) and np.isfinite(flat).all() and temp.scale > 0.0):
+                    raise DivergenceError(step, (
+                        f"training diverged at step {step}: loss {lg.loss}, logit scale "
+                        f"{temp.scale}, {int((~np.isfinite(flat)).sum())} non-finite parameters"))
                 image_params = ParamSet.unflatten(cfg.image_encoder, flat[:n_image])
                 text_params = ParamSet.unflatten(cfg.text_encoder, flat[n_image:n_image + n_text])
 

@@ -1,7 +1,9 @@
 """Every error class the CLI can raise reaches its exit code through
-``cli.main``. DivergenceError and NonFiniteGradientError (code 6) are not
-reached from command-line inputs: a run that blows up produces non-finite
-embeddings first, which the objective rejects as invalid input (code 3)."""
+``cli.main``. A run that blows up fails the trainer's per-step health check
+with DivergenceError (code 6) before the objective sees its non-finite or
+degenerate state as invalid input (code 3)."""
+
+import math
 
 import numpy as np
 import pytest
@@ -13,11 +15,13 @@ from psdlab.errors import (
     ConfigError,
     DegenerateInputError,
     DimensionOverflowError,
+    DivergenceError,
     InvalidInputError,
     TruncatedFileError,
     VersionMismatchError,
 )
 from psdlab.numkit import RngState
+from psdlab.trainer import load_checkpoint
 
 
 @pytest.fixture
@@ -85,6 +89,30 @@ def test_zero_inputs_exit_degenerate_code(tmp_path):
                              ds.pairing, ds.class_labels, ds.corrupted), path)
     rc = train_on(path, tmp_path, "--set", "image_hidden_dims=")
     assert rc == DegenerateInputError.exit_code == 4
+
+
+@pytest.mark.parametrize("settings", [
+    ["learning_rate=1e3"],                              # the logit scale underflows to 0
+    ["learning_rate=1e3", "activation=relu", "learning_rate=1e300"],
+])
+def test_diverged_run_exits_divergence_code(settings, tmp_path, caplog):
+    argv = ["train", "--quiet", "--epochs", "2", "--out", str(tmp_path)]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == DivergenceError.exit_code == 6
+    assert "training diverged at step" in caplog.text
+
+
+@pytest.mark.parametrize("teacher_scale", [1000, 3000])
+def test_wide_teacher_scale_trains_finite(teacher_scale, tmp_path):
+    # Teacher logits span up to 2 * teacher_scale. In this run every swapped
+    # target comes from one shared exponential at 1000 and from per-axis
+    # passes at 3000, whose row and column maxima lie over 600 apart.
+    assert main(["train", "--quiet", "--epochs", "1", "--set", f"teacher_scale={teacher_scale}",
+                 "--out", str(tmp_path)]) == 0
+    image_params, text_params, temp, _ = load_checkpoint(tmp_path / "checkpoint")
+    assert np.isfinite(image_params.flatten()).all() and np.isfinite(text_params.flatten()).all()
+    assert 0.0 < temp.scale < math.inf
 
 
 @pytest.mark.parametrize("offset, data, error, message", [

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from psdlab.errors import DegenerateInputError, InvalidInputError
 from psdlab.gradcheck import central_difference, max_rel_error
 from psdlab.numkit import (
+    SHARED_EXP_SPAN,
     RngState,
     _splitmix64,
     derive_seed,
+    exp_both_axes,
     normalize_rows_l2,
     softmax_rows,
     softmax_xent,
@@ -52,6 +54,31 @@ class TestSoftmaxRows:
             softmax_rows([[1.0, 0.0]], 0.0)
         with pytest.raises(InvalidInputError):
             softmax_rows([[1.0, 0.0]], -2.0)
+
+
+class TestExpBothAxes:
+    def test_sums_of_one_exponential(self, rng):
+        x = 5.0 * rng.normals(4, 6)
+        e, top, row_sum, col_sum = exp_both_axes(x)
+        assert top == x.max()
+        np.testing.assert_array_equal(e, np.exp(x - x.max()))
+        np.testing.assert_array_equal(row_sum, e.sum(axis=1, keepdims=True))
+        np.testing.assert_array_equal(col_sum, e.sum(axis=0, keepdims=True))
+
+    def test_span_rule_is_600(self):
+        # Row 1's max sits `gap` below the top; column 1's max is the top.
+        for gap, serves in ((SHARED_EXP_SPAN, True), (SHARED_EXP_SPAN + 1e-9, False)):
+            x = np.array([[0.0, 0.0], [-gap, -gap]])
+            assert (exp_both_axes(x) is not None) == serves
+            assert (exp_both_axes(np.ascontiguousarray(x.T)) is not None) == serves
+
+    def test_declines_without_writing(self):
+        x = np.array([[1000.0, 0.0], [0.0, -1000.0]])
+        out = np.full_like(x, 7.0)
+        assert exp_both_axes(x, out=out) is None
+        assert (out == 7.0).all()
+        assert exp_both_axes(np.zeros((0, 3))) is None
+        assert exp_both_axes(np.array([[np.inf, 0.0]])) is None
 
 
 def soft_xent(targets, logits):
@@ -141,6 +168,47 @@ class TestCrossEntropyRows:
         assert abs(loss - ref_loss) <= 1e-15 * max(abs(ref_loss), terms)
         np.testing.assert_allclose(grad, ref_grad.T, rtol=1e-15,
                                    atol=1e-15 * (weights * mass).max())
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, (1 << 64) - 1), n=st.integers(1, 40),
+           span=st.floats(0.0, 2000.0), drop=st.floats(0.0, 1200.0), data=st.data())
+    def test_both_axes_equal_axis_1_plus_axis_0(self, seed, n, span, drop, data):
+        # Logits uniform over `span`, with row 0 lowered by `drop`: the shared
+        # exponential serves while every row and column max stays within 600
+        # of the top, so both of softmax_xent(axis=None)'s paths are drawn.
+        rng = RngState(seed)
+        x = span * (rng.uniforms(n * n).reshape(n, n) - 0.5)
+        x[0] -= drop
+        weights = rng.uniforms(n)
+        labels = rng.integers(n, n).astype(np.int64)
+        n_soft = data.draw(st.integers(0, n))
+        soft_rows = np.sort(rng.permutation(n)[:n_soft])
+        targets = [data.draw(st.floats(0.5, 2.0)) * softmax_rows(3.0 * rng.normals(n_soft, n), 1.0)
+                   if n_soft else np.zeros((0, n)) for _ in range(2)]
+        shared = exp_both_axes(x) is not None
+        event("shared exponential" if shared else "per-axis passes")
+        loss, grad = softmax_xent(x, weights, labels, soft_rows, targets, axis=None)
+        loss_r, grad_r = softmax_xent(x, weights, labels, soft_rows, targets[0])
+        loss_c, grad_c = softmax_xent(x, weights, labels, soft_rows, targets[1], axis=0)
+        terms, wm = 0.0, 0.0  # bounds on the loss's log-sum-exp terms, on a gradient term
+        for q in targets:
+            mass = np.ones(n)
+            mass[soft_rows] = q.sum(axis=1)
+            terms += weights @ (mass * (np.abs(x).max() + math.log(n)))
+            wm = max(wm, (weights * mass).max())
+        assert abs(loss - (loss_r + loss_c)) <= 1e-15 * max(abs(loss_r + loss_c), terms)
+        # The shared exponential shifts a row or column by up to `reach` more
+        # than its own max would, and rounding x - max then costs up to
+        # reach * 2**-53 relative in each exponential of that row.
+        reach = x.max() - min(x.max(axis=1).min(), x.max(axis=0).min()) if shared else 0.0
+        np.testing.assert_allclose(grad, grad_r + grad_c, rtol=1e-15,
+                                   atol=1e-15 * wm * (1.0 + reach))
+
+    def test_both_axes_shape_mismatch(self):
+        pair = (np.zeros((0, 3)), np.zeros((0, 3)))
+        with pytest.raises(InvalidInputError):
+            softmax_xent(np.zeros((2, 3)), np.full(2, 0.5), np.arange(2),
+                         np.zeros(0, dtype=np.int64), pair, axis=None)
 
     def test_gibbs_inequality(self, rng):
         for _ in range(30):
