@@ -170,12 +170,13 @@ class TestCrossEntropyRows:
                                    atol=1e-15 * (weights * mass).max())
 
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, (1 << 64) - 1), n=st.integers(1, 40),
+    @given(seed=st.integers(0, (1 << 64) - 1), n=st.integers(1, 150),
            span=st.floats(0.0, 2000.0), drop=st.floats(0.0, 1200.0), data=st.data())
     def test_both_axes_equal_axis_1_plus_axis_0(self, seed, n, span, drop, data):
         # Logits uniform over `span`, with row 0 lowered by `drop`: the shared
         # exponential serves while every row and column max stays within 600
         # of the top, so both of softmax_xent(axis=None)'s paths are drawn.
+        # Past 64 rows the shared path scales its exponential in several bands.
         rng = RngState(seed)
         x = span * (rng.uniforms(n * n).reshape(n, n) - 0.5)
         x[0] -= drop
