@@ -96,6 +96,7 @@ def test_zero_inputs_exit_degenerate_code(tmp_path):
     ["learning_rate=1e3", "activation=relu", "learning_rate=1e300"],
     ["learning_rate=1", "weight_decay=1e300"],          # parameters overflow, scale stays > 0
 ])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_diverged_run_exits_divergence_code(settings, tmp_path, caplog):
     argv = ["train", "--quiet", "--epochs", "2", "--out", str(tmp_path)]
     for setting in settings:
