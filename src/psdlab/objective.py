@@ -19,8 +19,11 @@ targets the teacher's distribution. InfoNCE is every row hard with weight
 The teacher reads the rows and columns of its own teacher_scale * S in the
 same way. Swapped targets need both axes' log-normalizers; for unit-norm
 embeddings every logit lies within 2 * teacher_scale of the largest, so one
-exponential under the global max serves both (``numkit.exp_both_axes``,
-whose span rule sends wider matrices to one max-shifted exponential per axis).
+exponential under the global max serves both (``numkit.exp_both_axes``). Its
+span rule asks every logit to lie within 600 of the largest, because a
+target divides single exponentials by their sums and one that underflowed
+could have led its row; wider matrices take one max-shifted exponential per
+axis.
 Bootstrap targets exponentiate only their |U| gathered rows.
 
 Gradient convention: embeddings are treated as free variables (the losses are

@@ -105,11 +105,12 @@ def test_diverged_run_exits_divergence_code(settings, tmp_path, caplog):
     assert "training diverged at step" in caplog.text
 
 
-@pytest.mark.parametrize("teacher_scale", [1000, 3000])
+@pytest.mark.parametrize("teacher_scale", [300, 1000])
 def test_wide_teacher_scale_trains_finite(teacher_scale, tmp_path):
-    # Teacher logits span up to 2 * teacher_scale. In this run every swapped
-    # target comes from one shared exponential at 1000 and from per-axis
-    # passes at 3000, whose row and column maxima lie over 600 apart.
+    # Teacher logits span up to 2 * teacher_scale, and the shared exponential
+    # asks every logit to lie within 600 of the top. In this run every swapped
+    # target comes from the shared exponential at 300 and from per-axis
+    # passes at 1000.
     assert main(["train", "--quiet", "--epochs", "1", "--set", f"teacher_scale={teacher_scale}",
                  "--out", str(tmp_path)]) == 0
     image_params, text_params, temp, _ = load_checkpoint(tmp_path / "checkpoint")
