@@ -32,7 +32,15 @@ from .experiments import (
     split_clean_holdout,
 )
 from .numkit import RngState
-from .trainer import encode_pairs, load_checkpoint, save_checkpoint, train
+from .trainer import (
+    PARTITION_MODES,
+    SCHEDULE_KINDS,
+    TARGET_MODES,
+    encode_pairs,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
 
 log = logging.getLogger("psdlab")
 
@@ -63,17 +71,12 @@ def _resolve_config(args, base: ExperimentConfig | None = None) -> tuple[Experim
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         set_key(cfg, key.strip(), raw)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        set_key(cfg, "out_dir", args.out)
-    for flag in ("target_mode", "partition_mode", "alpha_schedule", "epochs"):
-        value = getattr(args, flag, None)
+    # The dedicated flags, each stored under its config key; not every command has each.
+    for key in ("seed", "out_dir", "target_mode", "partition_mode", "alpha_schedule",
+                "epochs", "k_list"):
+        value = getattr(args, key, None)
         if value is not None:
-            set_key(cfg, flag, str(value))
-    klist = getattr(args, "klist", None)
-    if klist is not None:
-        set_key(cfg, "k_list", klist)
+            set_key(cfg, key, str(value))
     out = Path(cfg.out_dir)
     echo_config(cfg, out, source_text)
     return cfg, out
@@ -88,10 +91,6 @@ def _load_or_generate(cfg: ExperimentConfig, dataset_arg: str | None):
     return generate(cfg.synthetic_spec(), RngState(cfg.seed))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def cmd_generate(args) -> int:
     cfg, out = _resolve_config(args)
     ds = generate(cfg.synthetic_spec(), RngState(cfg.seed))
@@ -102,7 +101,7 @@ def cmd_generate(args) -> int:
     print(f"n: {ds.num_samples}  classes: {ds.num_classes}  "
           f"captions_per_image: {ds.captions_per_image}")
     print(f"eta: {cfg.mismatch_rate}  corrupted: {corrupted}")
-    print(f"sha256: {_sha256(path)}")
+    print(f"sha256: {hashlib.sha256(path.read_bytes()).hexdigest()}")
     return 0
 
 
@@ -197,8 +196,7 @@ def cmd_ablate(args) -> int:
     ks = sorted(int(k) for k in next(iter(table["rows"].values()))["t2i_r@k_mean"])
     header = ["variant".ljust(18)] + [f"t2i_r{k}" for k in ks] + ["zeroshot", "vs_base"]
     print("  ".join(header))
-    for variant in ("baseline", "bootstrap_static", "swapped_static", "swapped_dynamic"):
-        row = table["rows"][variant]
+    for variant, row in table["rows"].items():
         vote = table["wins_vs_baseline"].get(variant)
         vote_txt = f"{vote['wins']}W/{vote['losses']}L" if vote else "-"
         cells = [variant.ljust(18)]
@@ -218,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--seed", type=int, help="base RNG seed (u64)")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", dest="out_dir", help="output directory")
         p.add_argument("--quiet", action="store_true", help="errors only")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
@@ -230,12 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one run, write metrics + checkpoint")
     add_common(p)
     p.add_argument("--dataset", help="PSDD file (default: synthesize per config)")
-    p.add_argument("--target-mode", dest="target_mode",
-                   choices=("swapped", "bootstrap", "none"))
-    p.add_argument("--partition-mode", dest="partition_mode",
-                   choices=("dynamic", "static"))
-    p.add_argument("--alpha-schedule", dest="alpha_schedule",
-                   choices=("cosine", "linear"))
+    p.add_argument("--target-mode", dest="target_mode", choices=TARGET_MODES)
+    p.add_argument("--partition-mode", dest="partition_mode", choices=PARTITION_MODES)
+    p.add_argument("--alpha-schedule", dest="alpha_schedule", choices=SCHEDULE_KINDS)
     p.add_argument("--epochs", type=int)
     p.set_defaults(func=cmd_train)
 
@@ -243,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("checkpoint", help="checkpoint directory from train")
     p.add_argument("dataset", help="PSDD dataset file")
-    p.add_argument("--klist", help="comma-separated recall cutoffs, e.g. 1,5,10")
+    p.add_argument("--klist", dest="k_list", help="comma-separated recall cutoffs, e.g. 1,5,10")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")

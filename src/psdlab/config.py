@@ -5,7 +5,8 @@ ignored. A ``#`` starts a comment anywhere on a line, so ``set_key`` rejects a
 string value that holds one: the resolved configuration, echoed into the
 output directory for provenance, then reads back as the same configuration.
 Every key has a default, unknown keys are rejected, and command line flags
-override file values.
+override file values. The data and training specs take every field whose name
+is also a key of ``ExperimentConfig`` from the key of that name.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .data import SyntheticSpec
 from .errors import ConfigError
-from .model import EncoderSpec
+from .model import _ACTIVATIONS, EncoderSpec
 from .trainer import PARTITION_MODES, SCHEDULE_KINDS, TARGET_MODES, TrainConfig
 
 
@@ -89,58 +90,40 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def synthetic_spec(self) -> SyntheticSpec:
-        return SyntheticSpec(
-            num_classes=self.num_classes, latent_dim=self.latent_dim,
-            image_dim=self.image_dim, text_dim=self.text_dim,
-            samples_per_class=self.samples_per_class,
-            feature_noise_sigma=self.feature_noise_sigma,
-            mismatch_rate=self.mismatch_rate,
-            captions_per_image=self.captions_per_image)
+        return SyntheticSpec(**{f.name: getattr(self, f.name) for f in fields(SyntheticSpec)})
 
     def train_config(self, image_input_dim: int | None = None,
                      text_input_dim: int | None = None, **overrides) -> TrainConfig:
-        image_spec = EncoderSpec(
-            input_dim=image_input_dim or self.image_dim,
-            hidden_dims=self.image_hidden_dims,
-            embed_dim=self.embed_dim, activation=self.activation)
-        text_spec = EncoderSpec(
-            input_dim=text_input_dim or self.text_dim,
-            hidden_dims=self.text_hidden_dims,
-            embed_dim=self.embed_dim, activation=self.activation)
-        kwargs = dict(
-            image_encoder=image_spec, text_encoder=text_spec,
-            batch_size=self.batch_size, epochs=self.epochs, seed=self.seed,
-            learning_rate=self.learning_rate, warmup_frac=self.warmup_frac,
-            weight_decay=self.weight_decay, beta1=self.beta1, beta2=self.beta2,
-            adam_eps=self.adam_eps, alpha_start=self.alpha_start,
-            alpha_end=self.alpha_end, alpha_schedule=self.alpha_schedule,
-            target_mode=self.target_mode, partition_mode=self.partition_mode,
-            temperature_init=self.temperature_init,
-            teacher_scale=self.teacher_scale if self.teacher_scale > 0.0 else None,
-            eval_every=self.eval_every, eval_k_list=self.k_list)
+        kwargs = {f.name: getattr(self, f.name) for f in fields(TrainConfig) if f.name in _KEYS}
+        for side, input_dim in (("image", image_input_dim), ("text", text_input_dim)):
+            kwargs[f"{side}_encoder"] = EncoderSpec(
+                input_dim=input_dim or getattr(self, f"{side}_dim"),
+                hidden_dims=getattr(self, f"{side}_hidden_dims"),
+                embed_dim=self.embed_dim, activation=self.activation)
+        kwargs["teacher_scale"] = self.teacher_scale if self.teacher_scale > 0.0 else None
         kwargs.update(overrides)
         return TrainConfig(**kwargs)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_LIST_FIELDS = {"image_hidden_dims", "text_hidden_dims", "k_list"}
+_KEYS = {f.name for f in fields(ExperimentConfig)}
 _CHOICE_FIELDS = {"target_mode": TARGET_MODES, "partition_mode": PARTITION_MODES,
-                  "alpha_schedule": SCHEDULE_KINDS, "activation": ("tanh", "relu")}
+                  "alpha_schedule": SCHEDULE_KINDS, "activation": _ACTIVATIONS}
 
 
 def set_key(cfg: ExperimentConfig, key: str, raw: str) -> None:
     """Coerce and assign one key=value pair; unknown keys are rejected."""
-    if key not in _FIELD_TYPES:
+    if key not in _KEYS:
         raise ConfigError(f"unknown configuration key {key!r}")
     raw = raw.strip()
+    default = getattr(ExperimentConfig, key)
     try:
-        if key in _LIST_FIELDS:
+        if isinstance(default, tuple):
             value: object = _parse_int_list(raw)
-        elif isinstance(getattr(cfg, key), bool):
+        elif isinstance(default, bool):
             value = _parse_bool(raw)
-        elif isinstance(getattr(cfg, key), int):
+        elif isinstance(default, int):
             value = int(raw)
-        elif isinstance(getattr(cfg, key), float):
+        elif isinstance(default, float):
             value = float(raw)
         else:
             if "#" in raw:

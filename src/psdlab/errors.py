@@ -64,7 +64,9 @@ class NonFiniteGradientError(PsdError):
 
 
 class DivergenceError(PsdError):
-    """Training produced a non-finite loss; carries the offending step."""
+    """Training diverged: a non-finite loss or parameter, a logit scale that
+    underflowed to 0, or an encoder output whose norm is zero or overflows
+    after the first update. Carries the offending step."""
 
     exit_code = 6
 

@@ -14,7 +14,7 @@ mean is (sum S - trace S) / (n^2 - n), so no n x n mask or gather is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,9 +31,7 @@ class RetrievalReport:
     mean_rank: float
 
     def to_dict(self) -> dict:
-        return {"direction": self.direction,
-                "recall_at": {str(k): v for k, v in self.recall_at.items()},
-                "mean_rank": self.mean_rank}
+        return {**asdict(self), "recall_at": {str(k): v for k, v in self.recall_at.items()}}
 
 
 @dataclass(frozen=True)
@@ -63,9 +61,7 @@ class ProbeResult:
     line_search_fallbacks: int
 
     def to_dict(self) -> dict:
-        return {"accuracy": self.accuracy, "train_accuracy": self.train_accuracy,
-                "iterations": self.iterations, "final_loss": self.final_loss,
-                "line_search_fallbacks": self.line_search_fallbacks}
+        return asdict(self)
 
 
 def _check_unit_rows(m: np.ndarray, name: str) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,16 +105,12 @@ class VariantOutcome:
     final_loss: float
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant, "seed": self.seed,
-            "t2i_recall": {str(k): v for k, v in self.t2i_recall.items()},
-            "i2t_recall": {str(k): v for k, v in self.i2t_recall.items()},
-            "t2i_mean_rank": self.t2i_mean_rank, "i2t_mean_rank": self.i2t_mean_rank,
-            "zero_shot": self.zero_shot,
-            "positive_sim_mean": self.positive_sim_mean,
-            "negative_sim_mean": self.negative_sim_mean,
-            "final_loss": self.final_loss,
-        }
+        # String keys, as JSON writes them: under sort_keys they also set the
+        # order of the recall entries in ablation.json.
+        d = asdict(self)
+        for key in ("t2i_recall", "i2t_recall"):
+            d[key] = {str(k): v for k, v in d[key].items()}
+        return d
 
 
 def evaluate_on_holdout(result: TrainResult, eval_ds: PairedDataset,

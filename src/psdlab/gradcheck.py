@@ -9,7 +9,7 @@ catching any real derivative mistake.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,8 +40,7 @@ class CheckReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "instances": self.instances,
-                "worst_rel_error": self.worst_rel_error, "passed": self.passed}
+        return asdict(self)
 
 
 def central_difference(f, x0: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -61,60 +60,55 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-def _random_batch(rng: RngState, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    v = normalize_rows_l2(rng.normals(n, d))
-    t = normalize_rows_l2(rng.normals(n, d))
-    return v, t
-
-
 def _pack(v, t, s):
     return np.concatenate([v.ravel(), t.ravel(), [s]])
 
 
-def check_info_nce(seed: int, instances: int) -> CheckReport:
+def _loss_instances(seed: int, instances: int):
+    """Yield (k, rng, v, t, s) for ``instances`` random loss instances: unit
+    rows, 2..8 of them in 2..8 dims, and a scale in ~[1.6, 12]. A caller
+    that draws more from ``rng`` for instance k does so before asking for
+    instance k + 1, which keeps each check's draws in a fixed order."""
     rng = RngState(seed)
-    worst = 0.0
-    for _ in range(instances):
-        n = 2 + rng.randint(7)   # 2..8
+    for k in range(instances):
+        n = 2 + rng.randint(7)
         d = 2 + rng.randint(7)
-        v, t = _random_batch(rng, n, d)
-        s = 0.5 + 2.0 * rng.uniform()   # scale in ~[1.6, 12]
+        v = normalize_rows_l2(rng.normals(n, d))
+        t = normalize_rows_l2(rng.normals(n, d))
+        yield k, rng, v, t, 0.5 + 2.0 * rng.uniform()
 
-        def loss_of(vec, n=n, d=d):
-            v2 = vec[: n * d].reshape(n, d)
-            t2 = vec[n * d: 2 * n * d].reshape(n, d)
-            return info_nce(EmbeddingBatch(v2, t2), TemperatureParam(vec[-1])).loss
 
-        lg = info_nce(EmbeddingBatch(v, t), TemperatureParam(s))
-        analytic = _pack(lg.d_image, lg.d_text, lg.d_log_scale)
-        numeric = central_difference(loss_of, _pack(v, t, s))
-        worst = max(worst, max_rel_error(analytic, numeric))
+def _loss_fd_error(loss, v, t, s) -> float:
+    """Worst relative error of ``loss(batch, temp)``'s analytic gradients
+    in the embeddings and the log scale against central differences."""
+    n, d = v.shape
+
+    def loss_of(vec):
+        v2 = vec[: n * d].reshape(n, d)
+        t2 = vec[n * d: 2 * n * d].reshape(n, d)
+        return loss(EmbeddingBatch(v2, t2), TemperatureParam(vec[-1])).loss
+
+    lg = loss(EmbeddingBatch(v, t), TemperatureParam(s))
+    analytic = _pack(lg.d_image, lg.d_text, lg.d_log_scale)
+    return max_rel_error(analytic, central_difference(loss_of, _pack(v, t, s)))
+
+
+def check_info_nce(seed: int, instances: int) -> CheckReport:
+    worst = 0.0
+    for _, _, v, t, s in _loss_instances(seed, instances):
+        worst = max(worst, _loss_fd_error(info_nce, v, t, s))
     return CheckReport("info_nce", instances, worst, worst < REL_TOL)
 
 
 def check_psd_loss(seed: int, instances: int) -> CheckReport:
-    rng = RngState(seed)
     worst = 0.0
-    for k in range(instances):
-        n = 2 + rng.randint(7)
-        d = 2 + rng.randint(7)
-        v, t = _random_batch(rng, n, d)
-        s = 0.5 + 2.0 * rng.uniform()
+    for k, rng, v, t, s in _loss_instances(seed, instances):
         alpha = rng.uniform() if k % 4 else float(k % 3) / 2.0  # hit 0, 0.5, 1 too
-        plan = make_partition(n, alpha, rng=rng)
+        plan = make_partition(len(v), alpha, rng=rng)
         build = soft_targets_swapped if k % 2 == 0 else soft_targets_bootstrap
         targets = build(v, t, s, plan)
-
-        def loss_of(vec, n=n, d=d, plan=plan, targets=targets):
-            v2 = vec[: n * d].reshape(n, d)
-            t2 = vec[n * d: 2 * n * d].reshape(n, d)
-            return psd_loss(EmbeddingBatch(v2, t2), TemperatureParam(vec[-1]),
-                            plan, targets).loss
-
-        lg = psd_loss(EmbeddingBatch(v, t), TemperatureParam(s), plan, targets)
-        analytic = _pack(lg.d_image, lg.d_text, lg.d_log_scale)
-        numeric = central_difference(loss_of, _pack(v, t, s))
-        worst = max(worst, max_rel_error(analytic, numeric))
+        worst = max(worst, _loss_fd_error(
+            lambda batch, temp: psd_loss(batch, temp, plan, targets), v, t, s))
     return CheckReport("psd_loss", instances, worst, worst < REL_TOL)
 
 
@@ -183,18 +177,12 @@ def check_probe_loss(seed: int, instances: int) -> CheckReport:
 
 def check_alpha_one_reduction(seed: int, instances: int) -> CheckReport:
     """psd_loss at alpha = 1 must equal info_nce to 1e-12 in value and grads."""
-    rng = RngState(seed)
     worst = 0.0
-    for _ in range(instances):
-        n = 2 + rng.randint(7)
-        d = 2 + rng.randint(7)
-        v, t = _random_batch(rng, n, d)
-        s = 0.5 + 2.0 * rng.uniform()
+    for _, rng, v, t, s in _loss_instances(seed, instances):
         batch = EmbeddingBatch(v, t)
         temp = TemperatureParam(s)
-        plan = make_partition(n, 1.0, rng=rng)
-        targets = soft_targets_swapped(v, t, s, plan)
-        a = psd_loss(batch, temp, plan, targets)
+        plan = make_partition(len(v), 1.0, rng=rng)
+        a = psd_loss(batch, temp, plan, soft_targets_swapped(v, t, s, plan))
         b = info_nce(batch, temp)
         gap = max(abs(a.loss - b.loss),
                   float(np.abs(a.d_image - b.d_image).max()),

@@ -29,13 +29,12 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
-    DegenerateInputError,
     DimensionOverflowError,
     InvalidInputError,
     TruncatedFileError,
     VersionMismatchError,
 )
-from .numkit import RngState, as_matrix
+from .numkit import RngState, as_matrix, unit_rows
 
 _MAGIC = b"PSDW"
 _VERSION = 1
@@ -137,7 +136,8 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 def encode(params: ParamSet, x) -> tuple[np.ndarray, ForwardCache]:
     """Forward pass: hidden layers with activation, linear output layer,
-    then row-wise l2 normalization. Output rows have unit norm."""
+    then row-wise l2 normalization (``unit_rows``, which rejects a row whose
+    norm is below 1e-12 or not finite). Output rows have unit norm."""
     spec = params.spec
     x = as_matrix(x, "encoder input")
     if x.shape[1] != spec.input_dim:
@@ -153,12 +153,7 @@ def encode(params: ParamSet, x) -> tuple[np.ndarray, ForwardCache]:
             acts.append(a)
         else:
             pre_norm = z
-    norms = np.sqrt((pre_norm * pre_norm).sum(axis=1))
-    bad = np.flatnonzero(norms < 1e-12)
-    if bad.size:
-        raise DegenerateInputError(
-            f"row {int(bad[0])} maps to a near-zero vector ahead of normalization")
-    emb = pre_norm / norms[:, None]
+    emb, norms = unit_rows(pre_norm)
     cache = ForwardCache(params=params, x=x, pre_activations=pre_acts,
                          activations=acts, norms=norms, embeddings=emb)
     return emb, cache

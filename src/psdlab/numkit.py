@@ -226,14 +226,20 @@ def _xent_both_axes(logits, weights, labels, soft_rows, row_targets,
     return loss, grad
 
 
-def normalize_rows_l2(m) -> np.ndarray:
-    """Scale each row to unit Euclidean norm; rejects rows with norm < 1e-12."""
-    m = as_matrix(m, "normalize input")
+def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of a 2-D array scaled to unit Euclidean norm, and the norms; a
+    row whose norm is below 1e-12 or not finite raises DegenerateInputError."""
     norms = np.sqrt((m * m).sum(axis=1))
-    bad = np.flatnonzero(norms < 1e-12)
+    bad = np.flatnonzero(~((norms >= 1e-12) & (norms < np.inf)))  # NaN fails too
     if bad.size:
-        raise DegenerateInputError(f"row {int(bad[0])} has near-zero norm, cannot normalize")
-    return m / norms[:, None]
+        raise DegenerateInputError(
+            f"row {int(bad[0])} has norm {norms[bad[0]]}, outside [1e-12, inf): cannot normalize")
+    return m / norms[:, None], norms
+
+
+def normalize_rows_l2(m) -> np.ndarray:
+    """Scale each row of a finite matrix to unit Euclidean norm (``unit_rows``)."""
+    return unit_rows(as_matrix(m, "normalize input"))[0]
 
 
 def _splitmix64(state: int) -> tuple[int, int]:

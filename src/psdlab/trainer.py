@@ -30,6 +30,7 @@ import numpy as np
 from .data import PairedDataset, select_captions
 from .errors import (
     BadMagicError,
+    DegenerateInputError,
     DivergenceError,
     InvalidInputError,
     NonFiniteGradientError,
@@ -199,19 +200,17 @@ class TrainConfig:
     temperature_init: float = 0.07
     teacher_scale: float | None = None   # None tracks the student's scale
     eval_every: int = 0                  # epochs between held-out evals, 0 = off
-    eval_k_list: tuple[int, ...] = (1, 5, 10)
+    k_list: tuple[int, ...] = (1, 5, 10)  # recall cutoffs of the held-out evals
 
     def __post_init__(self):
         if self.batch_size < 2:
             raise InvalidInputError("batch size must be >= 2")
         if self.epochs < 1:
             raise InvalidInputError("epochs must be >= 1")
-        if self.target_mode not in TARGET_MODES:
-            raise InvalidInputError(f"target mode must be one of {TARGET_MODES}")
-        if self.partition_mode not in PARTITION_MODES:
-            raise InvalidInputError(f"partition mode must be one of {PARTITION_MODES}")
-        if self.alpha_schedule not in SCHEDULE_KINDS:
-            raise InvalidInputError(f"alpha schedule must be one of {SCHEDULE_KINDS}")
+        for name, choices in (("target_mode", TARGET_MODES), ("partition_mode", PARTITION_MODES),
+                              ("alpha_schedule", SCHEDULE_KINDS)):
+            if getattr(self, name) not in choices:
+                raise InvalidInputError(f"{name.replace('_', ' ')} must be one of {choices}")
         if self.image_encoder.embed_dim != self.text_encoder.embed_dim:
             raise InvalidInputError("both encoders must share the embedding dimension")
         if self.teacher_scale is not None and self.teacher_scale <= 0.0:
@@ -267,7 +266,8 @@ def train(cfg: TrainConfig, ds: PairedDataset,
     embeddings as detached constants, the partitioned loss is backpropagated,
     AdamW updates all parameters jointly, and the logit scale is re-clamped.
     A step that leaves a non-finite loss or parameter, or a logit scale that
-    underflowed to 0, raises DivergenceError.
+    underflowed to 0, raises DivergenceError, and so does an encode after
+    step 0 that meets a zero or overflowing output norm.
     """
     n = ds.num_samples
     if n < cfg.batch_size:
@@ -321,8 +321,13 @@ def train(cfg: TrainConfig, ds: PairedDataset,
                 idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
                 x_img = ds.image_features[idx]
                 x_txt = ds.text_features[captions[idx]]
-                emb_img, cache_img = encode(image_params, x_img)
-                emb_txt, cache_txt = encode(text_params, x_txt)
+                try:
+                    emb_img, cache_img = encode(image_params, x_img)
+                    emb_txt, cache_txt = encode(text_params, x_txt)
+                except DegenerateInputError as exc:
+                    if step == 0:
+                        raise  # the data's fault: no update has run yet
+                    raise DivergenceError(step, f"training diverged at step {step}: {exc}") from exc
                 batch = EmbeddingBatch(emb_img, emb_txt)
 
                 if cfg.target_mode == "none":
@@ -358,7 +363,7 @@ def train(cfg: TrainConfig, ds: PairedDataset,
 
             if eval_ds is not None and cfg.eval_every > 0 and (epoch + 1) % cfg.eval_every == 0:
                 emit(_eval_record(step, epoch, image_params, text_params,
-                                  eval_ds, cfg.eval_k_list))
+                                  eval_ds, cfg.k_list))
     finally:
         if sink:
             sink.close()

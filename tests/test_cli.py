@@ -1,7 +1,7 @@
 """Every error class the CLI can raise reaches its exit code through
-``cli.main``. A run that blows up fails the trainer's per-step health check
-with DivergenceError (code 6) before the objective sees its non-finite or
-degenerate state as invalid input (code 3)."""
+``cli.main``. A run that blows up fails the trainer's per-step health check,
+or the next step's encode, with DivergenceError (code 6) before the objective
+sees its non-finite or degenerate state as invalid input (code 3)."""
 
 import math
 
@@ -95,6 +95,7 @@ def test_zero_inputs_exit_degenerate_code(tmp_path):
     ["learning_rate=1e3"],                              # the logit scale underflows to 0
     ["learning_rate=1e3", "activation=relu", "learning_rate=1e300"],
     ["learning_rate=1", "weight_decay=1e300"],          # parameters overflow, scale stays > 0
+    ["learning_rate=1", "weight_decay=1e308"],          # finite parameters, the encode overflows
 ])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_diverged_run_exits_divergence_code(settings, tmp_path, caplog):

@@ -1,11 +1,16 @@
 """The config text format: what ``render_config`` writes,
-``parse_config_text`` reads back as the same configuration."""
+``parse_config_text`` reads back as the same configuration. The specs built
+from a config take their fields by name, with the same defaults."""
+
+from dataclasses import fields
 
 import pytest
 
 from psdlab.config import ExperimentConfig, parse_config_text, render_config, set_key
+from psdlab.data import SyntheticSpec
 from psdlab.errors import ConfigError
 from psdlab.experiments import noise_experiment_config
+from psdlab.trainer import TrainConfig
 
 
 def edited_config() -> ExperimentConfig:
@@ -39,3 +44,21 @@ def test_string_holding_comment_mark_rejected(key):
     with pytest.raises(ConfigError, match="#"):
         set_key(cfg, key, "runs/#3")
     assert cfg == ExperimentConfig()
+
+
+def test_spec_fields_are_config_keys_with_the_same_defaults():
+    # A spec field with no key of its name would silently keep its own
+    # default; a default set in one place only would make the two disagree.
+    keys = {f.name for f in fields(ExperimentConfig)}
+    encoders = {"image_encoder", "text_encoder"}
+    assert {f.name for f in fields(SyntheticSpec)} <= keys
+    assert {f.name for f in fields(TrainConfig)} - encoders <= keys
+    cfg = ExperimentConfig()
+    assert cfg.synthetic_spec() == SyntheticSpec()
+    tc = cfg.train_config()
+    assert tc == TrainConfig(image_encoder=tc.image_encoder, text_encoder=tc.text_encoder)
+    # Values away from the defaults reach the spec too.
+    edited = edited_config()
+    tc = edited.train_config()
+    for name in {f.name for f in fields(TrainConfig)} & keys - {"teacher_scale"}:
+        assert getattr(tc, name) == getattr(edited, name), name

@@ -87,6 +87,15 @@ class TestEncode:
         with pytest.raises(DegenerateInputError, match="row 0"):
             encode(params, [[0.0, 0.0, 0.0]])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_row_rejected(self):
+        # Row 1 maps to 1e200, whose square overflows: its norm is inf, and
+        # dividing by it would return a zero embedding. Row 0 maps to 1e140.
+        spec = EncoderSpec(input_dim=3, hidden_dims=(), embed_dim=3)
+        params = ParamSet(spec=spec, weights=[1e200 * np.eye(3)], biases=[np.zeros(3)])
+        with pytest.raises(DegenerateInputError, match="row 1 has norm inf"):
+            encode(params, [[1e-60, 0.0, 0.0], [1.0, 0.0, 0.0]])
+
     def test_input_width_checked(self):
         spec = EncoderSpec(input_dim=3, hidden_dims=(), embed_dim=2)
         params = init_params(spec, RngState(0))

@@ -259,6 +259,11 @@ class TestNormalizeRows:
         with pytest.raises(DegenerateInputError, match="row 1"):
             normalize_rows_l2([[1.0, 0.0], [0.0, 0.0]])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_row_rejected(self):
+        with pytest.raises(DegenerateInputError, match="row 1 has norm inf"):
+            normalize_rows_l2([[1.0, 0.0], [1e200, 1e200]])
+
     def test_unit_norms(self, rng):
         out = normalize_rows_l2(100.0 * rng.normals(20, 7))
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)

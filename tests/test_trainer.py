@@ -36,14 +36,14 @@ SPEC = SyntheticSpec(num_classes=4, latent_dim=6, image_dim=12, text_dim=10,
                      mismatch_rate=0.25, captions_per_image=2)
 
 
-def small_result(epochs: int = 3):
+def small_result(epochs: int = 3, eval_ds=None, **overrides):
     """Train a small swapped/dynamic run with 2 captions per image, so every
     random stream of the trainer is drawn."""
     cfg = TrainConfig(image_encoder=EncoderSpec(12, (16,), 8),
                       text_encoder=EncoderSpec(10, (16,), 8),
                       batch_size=32, epochs=epochs, seed=9, learning_rate=1e-2,
-                      target_mode="swapped", partition_mode="dynamic")
-    return train(cfg, generate(SPEC, RngState(5)))
+                      target_mode="swapped", partition_mode="dynamic", **overrides)
+    return train(cfg, generate(SPEC, RngState(5)), eval_ds=eval_ds)
 
 
 def small_run() -> tuple[bytes, list[dict]]:
@@ -67,6 +67,23 @@ class TestTrainDeterminism:
         digests = {threads: python_with_blas_threads(script, threads).strip() for threads in (1, 2)}
         assert digests[1] == digests[2]
         assert digests[1] == hashlib.sha256(small_run()[0]).hexdigest()
+
+
+def test_held_out_evals_are_recorded_and_change_nothing():
+    eval_ds = generate(SPEC, RngState(6))
+    observed = small_result(eval_ds=eval_ds, eval_every=1, k_list=(1, 3))
+    evals = [r for r in observed.history if r.get("kind") == "eval"]
+    assert [r["epoch"] for r in evals] == [0, 1, 2]
+    for r in evals:
+        assert {f"{d}_r{k}" for d in ("i2t", "t2i") for k in (1, 3)} <= r.keys()
+        assert "i2t_r10" not in r
+    # Observation never changes what is trained.
+    plain = small_result(eval_every=1, k_list=(1, 3))
+    assert observed.step_records() == plain.step_records() == plain.history
+    for name in ("image_params", "text_params"):
+        assert getattr(observed, name).flatten().tobytes() == \
+            getattr(plain, name).flatten().tobytes()
+    assert observed.temperature.log_scale == plain.temperature.log_scale
 
 
 class TestCheckpoint:
