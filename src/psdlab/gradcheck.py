@@ -9,6 +9,7 @@ catching any real derivative mistake.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,6 +35,10 @@ _REL_FLOOR = 1e-3
 
 @dataclass
 class CheckReport:
+    """One check over ``instances`` random instances. ``worst_rel_error`` is
+    the largest error among them, NaN when any of them is NaN (a NaN
+    gradient), and such a check fails."""
+
     name: str
     instances: int
     worst_rel_error: float
@@ -58,6 +63,12 @@ def central_difference(f, x0: np.ndarray, h: float = FD_STEP) -> np.ndarray:
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), _REL_FLOOR)
     return float((np.abs(analytic - numeric) / denom).max())
+
+
+def _worse(worst: float, err: float) -> float:
+    """The larger of two errors, where NaN counts as larger than any number
+    (``max`` would drop it, since every comparison with NaN is false)."""
+    return err if math.isnan(err) or err > worst else worst
 
 
 def _pack(v, t, s):
@@ -96,7 +107,7 @@ def _loss_fd_error(loss, v, t, s) -> float:
 def check_info_nce(seed: int, instances: int) -> CheckReport:
     worst = 0.0
     for _, _, v, t, s in _loss_instances(seed, instances):
-        worst = max(worst, _loss_fd_error(info_nce, v, t, s))
+        worst = _worse(worst, _loss_fd_error(info_nce, v, t, s))
     return CheckReport("info_nce", instances, worst, worst < REL_TOL)
 
 
@@ -107,7 +118,7 @@ def check_psd_loss(seed: int, instances: int) -> CheckReport:
         plan = make_partition(len(v), alpha, rng=rng)
         build = soft_targets_swapped if k % 2 == 0 else soft_targets_bootstrap
         targets = build(v, t, s, plan)
-        worst = max(worst, _loss_fd_error(
+        worst = _worse(worst, _loss_fd_error(
             lambda batch, temp: psd_loss(batch, temp, plan, targets), v, t, s))
     return CheckReport("psd_loss", instances, worst, worst < REL_TOL)
 
@@ -154,7 +165,7 @@ def check_encoder_backward(seed: int, instances: int) -> CheckReport:
             return float((upstream * emb).sum())
 
         numeric = central_difference(probe, flat0)
-        worst = max(worst, max_rel_error(analytic, numeric))
+        worst = _worse(worst, max_rel_error(analytic, numeric))
     return CheckReport("encoder_backward", instances, worst, worst < REL_TOL)
 
 
@@ -171,7 +182,7 @@ def check_probe_loss(seed: int, instances: int) -> CheckReport:
         _, analytic = probe_loss_and_grad(w, x, y, classes, l2=1e-4)
         numeric = central_difference(
             lambda vec, x=x, y=y, c=classes: probe_loss_and_grad(vec, x, y, c, l2=1e-4)[0], w)
-        worst = max(worst, max_rel_error(analytic, numeric))
+        worst = _worse(worst, max_rel_error(analytic, numeric))
     return CheckReport("probe_loss", instances, worst, worst < REL_TOL)
 
 
@@ -184,11 +195,10 @@ def check_alpha_one_reduction(seed: int, instances: int) -> CheckReport:
         plan = make_partition(len(v), 1.0, rng=rng)
         a = psd_loss(batch, temp, plan, soft_targets_swapped(v, t, s, plan))
         b = info_nce(batch, temp)
-        gap = max(abs(a.loss - b.loss),
-                  float(np.abs(a.d_image - b.d_image).max()),
-                  float(np.abs(a.d_text - b.d_text).max()),
-                  abs(a.d_log_scale - b.d_log_scale))
-        worst = max(worst, gap)
+        gap = float(np.max([abs(a.loss - b.loss), np.abs(a.d_image - b.d_image).max(),
+                            np.abs(a.d_text - b.d_text).max(),
+                            abs(a.d_log_scale - b.d_log_scale)]))
+        worst = _worse(worst, gap)
     return CheckReport("alpha_one_reduction", instances, worst, worst < 1e-12)
 
 

@@ -8,28 +8,31 @@ that every random draw in the package is bit-reproducible from a 64-bit seed,
 independent of platform or numpy version.
 
 One max-shifted exponential, ``exp_shifted`` (max, exp(x - max), sum along
-either axis of a 2-D array), serves every probability kernel: ``softmax_rows``,
-the teacher's posteriors, and ``softmax_xent``, the single softmax
-cross-entropy of the package. That kernel has two target kinds: a hard row is
-one-hot at its label and is read by indexing, a soft row takes a given
-distribution. It reads the rows of a C-contiguous logit matrix, or its
-columns in place (``axis=0``), with no transposed copy, so one matrix of
-image-text logits serves both retrieval directions. InfoNCE, the PSD loss and
-the linear probe all call it.
+either axis of a 2-D array), serves every probability kernel. Two
+cross-entropy kernels sit on it, both with two target kinds: a hard target
+is one-hot, a soft target is a given distribution, and neither kernel builds
+a dense target matrix. ``softmax_xent`` takes the rows of a dense logit
+matrix against hard labels and soft rows; the linear probe calls it.
+``contrastive_xent`` takes the rows and the columns of a square logit
+matrix L = scaled_v t^T given by its two factors, with its diagonal as the
+hard targets, and returns the gradients in the factors; InfoNCE and the PSD
+loss call it. Its soft targets reach the gradients through the factors, so
+no n x n target block is gathered from or written into.
 
-When both axes of one square matrix need their log-sum-exps (``axis=None``,
-and the swapped teacher), ``exp_both_axes`` takes them from one exponential
-under the global max. Each entry then comes out smaller by exp(top - its
-row's or column's max) than under that max, and rounding x - top costs more
-the further below the top it sits; past about 708 an exponential turns
-subnormal and past 745 it is 0. Callers divide single entries by their
-column or row sums, and such a quotient can lead its row even when the entry
-itself underflows. Hence a span rule on every entry: the whole matrix must
-lie within ``SHARED_EXP_SPAN`` = 600 of its max, which keeps every
-exponential at or above exp(-600), a normal double, so each quotient and sum
-keeps its rounding bound. Otherwise it declines, and the caller takes one
-max-shifted exponential per axis. Unit-norm logits at scale s span at most
-2 * s, so every scale up to 300 takes the shared path.
+When both axes of one square matrix need their log-sum-exps
+(``contrastive_xent`` and the swapped teacher), ``exp_both_axes`` takes them
+from one exponential under the global max. Each entry then comes out
+smaller by exp(top - its row's or column's max) than under that max, and
+rounding x - top costs more the further below the top it sits; past about
+708 an exponential turns subnormal and past 745 it is 0. Callers divide
+single entries by their column or row sums, and such a quotient can lead
+its row even when the entry itself underflows. Hence a span rule on every
+entry: the whole matrix must lie within ``SHARED_EXP_SPAN`` = 600 of its
+max, which keeps every exponential at or above exp(-600), a normal double,
+so each quotient and sum keeps its rounding bound. Otherwise it declines,
+and the caller takes one max-shifted exponential per axis. Unit-norm logits
+at scale s span at most 2 * s, so every scale up to 300 takes the shared
+path.
 
 The PRNG is counter-based (Salmon et al. 2011): word k of a stream is the
 splitmix64 finalizer (Steele et al. 2014) applied to seed + k * gamma, so a
@@ -57,7 +60,7 @@ _MIX2 = 0x94D049BB133111EB
 # exp_both_axes' span rule: the furthest any entry may sit below the matrix's
 # max. exp(-600) ~ 3e-261, so every exponential stays a normal double.
 SHARED_EXP_SPAN = 600.0
-# Rows per band when softmax_xent(axis=None) scales its exponential in place.
+# Rows per band when contrastive_xent scales its exponential in place.
 _BAND_ROWS = 64
 
 
@@ -117,14 +120,10 @@ def softmax_rows(m, scale: float) -> np.ndarray:
 
 
 def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
-                 soft_rows: np.ndarray,
-                 soft_targets: np.ndarray | tuple[np.ndarray, np.ndarray],
-                 axis: int | None = 1) -> tuple[float, np.ndarray]:
-    """Weighted softmax cross-entropy over the rows of ``logits`` (``axis``
-    1) or over its columns (``axis`` 0), with its gradient: returns
-    (sum_i weights[i] * H(q_i, softmax(x_i)), d_logits), where x_i is row i,
-    or column i, of ``logits`` and d_logits has the shape of ``logits``.
-    Columns are read in place: no transposed copy is made.
+                 soft_rows: np.ndarray, soft_targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Weighted softmax cross-entropy over the rows of ``logits``, with its
+    gradient: returns (sum_i weights[i] * H(q_i, softmax(x_i)), d_logits),
+    where x_i is row i of ``logits`` and d_logits has its shape.
 
     Target q_i is one-hot at ``labels[i]`` (a hard row), except for the rows
     listed in ``soft_rows``, whose targets are the matching rows of
@@ -134,38 +133,117 @@ def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
     apart the logits are; d_x_i = weights[i] * (softmax(x_i) * sum(q_i) - q_i),
     formed as exp(x_i - max) times weights[i] * sum(q_i) / sum(exp) with the
     target subtracted in place. Zero rows give (0.0, an empty array).
-
-    ``axis=None`` takes a square ``logits`` and a pair of soft-target blocks,
-    (row targets, column targets), and returns the axis-1 loss plus the axis-0
-    loss with the summed gradient; ``weights``, ``labels`` and ``soft_rows``
-    serve both axes. When ``exp_both_axes`` admits the matrix, both axes'
-    normalizers come from its one exponential e, and the gradient is
-    e * (a_i + b_j) less the targets, with a = weights * mass / row sum and
-    b = weights * mass / column sum; otherwise each axis runs its own pass.
     """
-    if axis is None:
-        return _xent_both_axes(logits, weights, labels, soft_rows, *soft_targets)
-    n = _check_xent_shapes(logits, weights, labels, soft_rows, soft_targets, axis)
-    grad, top, total = exp_shifted(logits, axis)
-    lse = (top + np.log(total)).ravel()
-    mass = _target_mass(n, soft_rows, soft_targets)
-    grad *= (weights * mass).reshape(total.shape) / total
-    picked = _subtract_targets(grad, logits, weights, labels, soft_rows, soft_targets, axis)
-    return float(weights @ (lse * mass - picked)), grad
-
-
-def _check_xent_shapes(logits, weights, labels, soft_rows, soft_targets, axis) -> int:
-    """The number of distributions in ``logits`` along ``axis``."""
-    if axis not in (0, 1):
-        raise InvalidInputError(f"axis must be 0, 1 or None, got {axis}")
-    cols, n = logits.shape if axis == 0 else logits.shape[::-1]
+    n, cols = logits.shape
     if (weights.shape != (n,) or labels.shape != (n,)
             or soft_targets.shape != (soft_rows.size, cols)):
         raise InvalidInputError(
-            f"shape mismatch: logits {logits.shape} along axis {axis}, weights "
-            f"{weights.shape}, labels {labels.shape}, {soft_rows.size} soft rows, "
-            f"soft targets {soft_targets.shape}")
-    return n
+            f"shape mismatch: logits {logits.shape}, weights {weights.shape}, labels "
+            f"{labels.shape}, {soft_rows.size} soft rows, soft targets {soft_targets.shape}")
+    grad, top, total = exp_shifted(logits, 1)
+    lse = (top + np.log(total)).ravel()
+    mass = _target_mass(n, soft_rows, soft_targets)
+    grad *= (weights * mass).reshape(total.shape) / total
+    hard = np.ones(n, dtype=bool)
+    hard[soft_rows] = False
+    rows = np.flatnonzero(hard)
+    at = (rows, labels[rows])
+    grad[at] -= weights[rows]
+    picked = np.empty(n)
+    picked[rows] = logits[at]
+    soft = logits[soft_rows]
+    picked[soft_rows] = np.einsum("ij,ij->i", soft_targets, soft)
+    np.multiply(soft_targets, weights[soft_rows, None], out=soft)  # reuse the gathered block
+    grad[soft_rows] -= soft
+    return float(weights @ (lse * mass - picked)), grad
+
+
+def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
+                     soft_rows: np.ndarray, row_targets: np.ndarray, col_targets: np.ndarray
+                     ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Weighted softmax cross-entropy of every row plus every column of the
+    square logit matrix L = scaled_v t^T, with its gradients in the two
+    factors: returns (loss, d_scaled_v, d_t), the gradients in the layouts
+    of ``scaled_v`` and ``t``.
+
+    Row i and column i each cost weights[i] * H(q, softmax(x)) in
+    log-sum-exp form, as in ``softmax_xent``. Both target the diagonal entry
+    L[i, i] (hard), except for the i listed in ``soft_rows``: row
+    soft_rows[u] targets ``row_targets[u]``, a distribution over the n
+    columns, and column soft_rows[u] targets ``col_targets[u]``, one over
+    the n rows. A soft target need not sum to 1.
+
+    The gradient in L is e * (a_i + b_j) - G, with a = weights * mass / row
+    sum, b = weights * mass / column sum and G the weighted targets. When
+    ``exp_both_axes`` admits L, e is its one exponential, taken in place in
+    L's buffer; otherwise each axis takes its own ``exp_shifted`` pass and
+    the two scaled exponentials are summed into one block. The hard targets
+    are subtracted from that block's diagonal. The soft ones never enter it:
+    every term of the gradient is linear in G, so G t and G^T scaled_v are
+    formed from the targets and the factors at |soft_rows| x n x d cost and
+    subtracted from the block's products with t and scaled_v, and each soft
+    target's q . x is read from the same products.
+    """
+    n = scaled_v.shape[0]
+    if (t.shape != scaled_v.shape or weights.shape != (n,)
+            or row_targets.shape != (soft_rows.size, n) or col_targets.shape != row_targets.shape):
+        raise InvalidInputError(
+            f"shape mismatch: factors {scaled_v.shape} and {t.shape}, weights {weights.shape}, "
+            f"{soft_rows.size} soft rows, targets {row_targets.shape} and {col_targets.shape}")
+    logits = scaled_v @ t.T
+    row_mass = _target_mass(n, soft_rows, row_targets)
+    col_mass = _target_mass(n, soft_rows, col_targets)
+    a = (weights * row_mass)[:, None]
+    b = weights * col_mass
+    shared = exp_both_axes(logits, out=logits)
+    if shared is not None:
+        grad, top, row_sum, col_sum = shared
+        row_lse = top + np.log(row_sum.ravel())
+        col_lse = top + np.log(col_sum.ravel())
+        a /= row_sum
+        b /= col_sum.ravel()
+        # e * (a + b) in place, a band of rows at a time: a fresh n x n block
+        # for a + b raised info_nce's peak from 2.7 to 3.4 n x n blocks at n = 256.
+        for start in range(0, n, _BAND_ROWS):
+            band = slice(start, start + _BAND_ROWS)
+            grad[band] *= a[band] + b
+    else:
+        grad, top, total = exp_shifted(logits, 1)
+        row_lse = (top + np.log(total)).ravel()
+        grad *= a / total
+        e, top, total = exp_shifted(logits, 0, out=logits)
+        col_lse = (top + np.log(total)).ravel()
+        e *= b / total
+        grad += e
+    # The hard targets, weights[i] at L[i, i] once per axis, through a
+    # strided view of the block's diagonal.
+    hard = 2.0 * weights
+    hard[soft_rows] = 0.0
+    diagonal = grad.reshape(-1)[:: n + 1]
+    diagonal -= hard
+    d_v = grad @ t
+    d_t = grad.T @ scaled_v
+    picked_row = np.einsum("ij,ij->i", scaled_v, t)
+    picked_col = picked_row.copy()
+    # Rows soft_rows of G are w_u * row_targets, and its columns soft_rows
+    # are (w_u * col_targets)^T. The products with G^T are taken as
+    # (X^T G_u)^T, which OpenBLAS ran about 10% faster than G_u^T X at
+    # n = 256, |soft_rows| = 162, d = 64.
+    w_u = weights[soft_rows, None]
+    v_u, t_u = scaled_v[soft_rows], t[soft_rows]
+    row_t = row_targets @ t
+    col_v = col_targets @ scaled_v
+    picked_row[soft_rows] = np.einsum("ij,ij->i", v_u, row_t)
+    picked_col[soft_rows] = np.einsum("ij,ij->i", t_u, col_v)
+    row_t *= w_u
+    col_v *= w_u
+    d_v[soft_rows] -= row_t
+    d_t[soft_rows] -= col_v
+    d_v -= ((w_u * t_u).T @ col_targets).T
+    d_t -= ((w_u * v_u).T @ row_targets).T
+    loss = (float(weights @ (row_lse * row_mass - picked_row))
+            + float(weights @ (col_lse * col_mass - picked_col)))
+    return loss, d_v, d_t
 
 
 def _target_mass(n: int, soft_rows: np.ndarray, soft_targets: np.ndarray) -> np.ndarray:
@@ -173,57 +251,6 @@ def _target_mass(n: int, soft_rows: np.ndarray, soft_targets: np.ndarray) -> np.
     mass = np.ones(n)
     mass[soft_rows] = soft_targets.sum(axis=1)
     return mass
-
-
-def _subtract_targets(grad, logits, weights, labels, soft_rows, soft_targets, axis) -> np.ndarray:
-    """Subtract weights[i] * q_i from ``grad`` along ``axis`` and return each
-    target's q_i . x_i."""
-    n = weights.size
-    hard = np.ones(n, dtype=bool)
-    hard[soft_rows] = False
-    rows = np.flatnonzero(hard)
-    at = (rows, labels[rows]) if axis == 1 else (labels[rows], rows)
-    grad[at] -= weights[rows]
-    picked = np.empty(n)
-    picked[rows] = logits[at]
-    soft = logits[soft_rows] if axis == 1 else logits[:, soft_rows].T
-    picked[soft_rows] = np.einsum("ij,ij->i", soft_targets, soft)
-    np.multiply(soft_targets, weights[soft_rows, None], out=soft)  # reuse the gathered block
-    if axis == 1:
-        grad[soft_rows] -= soft
-    else:
-        grad[:, soft_rows] -= soft.T
-    return picked
-
-
-def _xent_both_axes(logits, weights, labels, soft_rows, row_targets,
-                    col_targets) -> tuple[float, np.ndarray]:
-    """softmax_xent's ``axis=None``: the row loss plus the column loss."""
-    n = _check_xent_shapes(logits, weights, labels, soft_rows, row_targets, 1)
-    _check_xent_shapes(logits, weights, labels, soft_rows, col_targets, 0)
-    shared = exp_both_axes(logits)
-    if shared is None:
-        loss, grad = softmax_xent(logits, weights, labels, soft_rows, row_targets, axis=1)
-        loss_t, grad_t = softmax_xent(logits, weights, labels, soft_rows, col_targets, axis=0)
-        grad += grad_t
-        return loss + loss_t, grad
-    grad, top, row_sum, col_sum = shared
-    row_mass = _target_mass(n, soft_rows, row_targets)
-    col_mass = _target_mass(n, soft_rows, col_targets)
-    a = (weights * row_mass)[:, None] / row_sum
-    b = (weights * col_mass) / col_sum
-    # e * (a + b) in place, a band of rows at a time: a fresh n x n block for
-    # a + b raised info_nce's peak from 2.7 to 3.4 n x n blocks at n = 256.
-    for start in range(0, n, _BAND_ROWS):
-        band = slice(start, start + _BAND_ROWS)
-        grad[band] *= a[band] + b
-    loss = 0.0
-    for axis, targets, mass, total in ((1, row_targets, row_mass, row_sum),
-                                       (0, col_targets, col_mass, col_sum)):
-        picked = _subtract_targets(grad, logits, weights, labels, soft_rows, targets, axis)
-        lse = top + np.log(total.ravel())
-        loss += float(weights @ (lse * mass - picked))
-    return loss, grad
 
 
 def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

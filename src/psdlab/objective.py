@@ -7,17 +7,17 @@ value together with exact partial derivatives with respect to both embedding
 matrices and the learnable log inverse-temperature.
 
 Both losses are one cross-entropy with two target kinds
-(``numkit.softmax_xent``): the similarity matrix S = V T^T is computed once,
-and one kernel call (``axis=None``) reads the rows (images over texts) and
-the columns (texts over images) of the one C-contiguous scale * S, with no
-transposed copy; the summed gradient lands in S's layout and flows back
-through that single S. A hard row targets its own partner; a soft row
+(``numkit.contrastive_xent``) over the rows (images over texts) and the
+columns (texts over images) of the logit matrix (scale * V) T^T. The kernel
+takes the two factors and returns the gradients in them; the teacher
+targets reach those gradients through the same factors and are never
+written into an n x n block. A hard row targets its own partner; a soft row
 targets the teacher's distribution. InfoNCE is every row hard with weight
-1/N; the PSD loss weights the aligned (hard) rows alpha/|A| and the unaligned
-(soft) rows (1 - alpha)/|U|.
+1/N; the PSD loss weights the aligned (hard) rows alpha/|A| and the
+unaligned (soft) rows (1 - alpha)/|U|.
 
-The teacher reads the rows and columns of its own teacher_scale * S in the
-same way. Swapped targets need both axes' log-normalizers; for unit-norm
+The teacher reads the rows and columns of its own (teacher_scale * V) T^T in
+the same way. Swapped targets need both axes' log-normalizers; for unit-norm
 embeddings every logit lies within 2 * teacher_scale of the largest, so one
 exponential under the global max serves both (``numkit.exp_both_axes``). Its
 span rule asks every logit to lie within 600 of the largest, because a
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBatchError, InvalidInputError
-from .numkit import as_matrix, exp_both_axes, exp_shifted, softmax_xent
+from .numkit import as_matrix, contrastive_xent, exp_both_axes, exp_shifted
 
 MAX_LOGIT_SCALE = 100.0
 
@@ -181,18 +181,15 @@ def _bidirectional_xent(batch: EmbeddingBatch, temp: TemperatureParam, weights: 
     text row over the images, from one similarity matrix. Row i is hard
     (its target is partner i) unless listed in ``soft_rows``, whose targets
     are the rows of ``targets_v`` (image rows) and ``targets_t`` (text rows)."""
-    v, t = batch.image, batch.text
-    scaled_v = temp.scale * v
-    logits = scaled_v @ t.T
-    loss, d_logits = softmax_xent(logits, weights, np.arange(batch.n), soft_rows,
-                                  (targets_v, targets_t), axis=None)
-    d_scaled_v = d_logits @ t
+    scaled_v = temp.scale * batch.image
+    loss, d_scaled_v, d_text = contrastive_xent(scaled_v, batch.text, weights, soft_rows,
+                                                targets_v, targets_t)
     # sum(d_logits * logits) reduced over n x d instead of n x n, since the
     # logits are (scale * v) t^T; einsum, not a BLAS dot, because a threaded
     # BLAS splits a dot's sum across threads and its rounding would follow them.
     d_log_scale = float(np.einsum("ij,ij->", d_scaled_v, scaled_v))
-    return LossGrad(loss=loss, d_image=temp.scale * d_scaled_v,
-                    d_text=temp.scale * (d_logits.T @ v), d_log_scale=d_log_scale)
+    return LossGrad(loss=loss, d_image=temp.scale * d_scaled_v, d_text=d_text,
+                    d_log_scale=d_log_scale)
 
 
 def info_nce(batch: EmbeddingBatch, temp: TemperatureParam) -> LossGrad:

@@ -11,6 +11,7 @@ from psdlab.numkit import (
     SHARED_EXP_SPAN,
     RngState,
     _splitmix64,
+    contrastive_xent,
     derive_seed,
     exp_both_axes,
     normalize_rows_l2,
@@ -90,8 +91,50 @@ def soft_xent(targets, logits):
                         np.arange(n), targets)
 
 
+def dense_reference(x, weights, soft_rows, row_targets, col_targets):
+    """contrastive_xent on the factors (x, I), whose logit matrix is x
+    itself, from the dense row kernel: softmax_xent over the rows of x plus
+    over the rows of a transposed copy of x, the summed gradient block then
+    pushed through the factors. Returns (loss, d_x, d_identity); d_x, the
+    block times I, is the block itself."""
+    labels = np.arange(x.shape[0])
+    loss_r, grad_r = softmax_xent(x, weights, labels, soft_rows, row_targets)
+    loss_c, grad_c = softmax_xent(np.ascontiguousarray(x.T), weights, labels, soft_rows,
+                                  col_targets)
+    block = grad_r + grad_c.T
+    return loss_r + loss_c, block, block.T @ x
+
+
+def draw_soft_rows(rng, n, data):
+    """A sorted draw of soft rows, none and all of them among the draws."""
+    n_soft = data.draw(st.one_of(st.sampled_from([0, n]), st.integers(0, n)))
+    return np.sort(rng.permutation(n)[:n_soft])
+
+
+def target_block(weights, soft_rows, row_targets, col_targets):
+    """The weighted targets as one dense n x n block: 2 * weights[i] at
+    (i, i) for a hard i, and the soft rows' and columns' targets."""
+    g = np.diag(2.0 * weights)
+    g[soft_rows, soft_rows] = 0.0
+    g[soft_rows] += weights[soft_rows, None] * row_targets
+    g[:, soft_rows] += (weights[soft_rows, None] * col_targets).T
+    return g
+
+
+def product_bound(block_err, block, targets, x):
+    """A bound on the error of block^T x, given an entrywise bound on the
+    error of the gradient ``block``: the error carried through, plus the
+    rounding of sums of n products, some taken over the exponential part
+    (block + targets) and the targets apart."""
+    n = x.shape[0]
+    size = np.abs(block) + 2.0 * np.abs(targets)
+    return block_err.T @ np.abs(x) + 2.0 * n * 2.0**-53 * (size.T @ np.abs(x))
+
+
 class TestCrossEntropyRows:
-    """softmax_xent, the one softmax cross-entropy kernel."""
+    """The two cross-entropy kernels: softmax_xent over the rows of a dense
+    logit matrix, and contrastive_xent over the rows and columns of a
+    factored one, with softmax_xent as its reference."""
 
     def test_uniform_prediction(self):
         loss, _ = softmax_xent(np.zeros((2, 2)), np.full(2, 0.5), np.arange(2),
@@ -118,57 +161,68 @@ class TestCrossEntropyRows:
         with pytest.raises(InvalidInputError):
             softmax_xent(np.zeros((2, 2)), np.full(2, 0.5), np.arange(2),
                          np.arange(1), np.ones((2, 2)) / 2)
-        # Along axis 0 the columns are the distributions: 3 of them here.
-        with pytest.raises(InvalidInputError):
-            softmax_xent(np.zeros((2, 3)), np.full(2, 0.5), np.arange(2),
-                         np.zeros(0, dtype=np.int64), np.zeros((0, 3)), axis=0)
-        with pytest.raises(InvalidInputError):
-            softmax_xent(np.zeros((2, 2)), np.full(2, 0.5), np.arange(2),
-                         np.zeros(0, dtype=np.int64), np.zeros((0, 2)), axis=2)
 
-    @pytest.mark.parametrize("axis", [1, 0])
-    def test_gradient_with_unnormalized_soft_rows_matches_finite_differences(self, rng, axis):
-        # Soft rows of mass 2.5: the gradient carries softmax * sum(q) - q.
-        x = 2.0 * rng.normals(4, 5)
-        logits = x if axis == 1 else np.ascontiguousarray(x.T)
-        weights = rng.uniforms(4)
-        labels = np.array([1, 0, 4, 2])
+    @pytest.mark.parametrize("far", [0.0, 30.0])
+    def test_gradient_with_unnormalized_soft_rows_matches_finite_differences(self, rng, far):
+        # Soft rows of mass 2.5 and soft columns of mass 0.5: the gradient
+        # carries softmax * sum(q) - q. With far = 30, pair 4 lies alone
+        # along the last axis, so its logit, 900, sits more than 600 above
+        # all others: exp_both_axes declines and each axis takes its own
+        # pass. That pair is hard and its softmaxes saturate, so every loss
+        # term stays small enough for central differences.
+        v, t = 2.0 * rng.normals(5, 4), 2.0 * rng.normals(5, 4)
+        if far:
+            v[:, 3] = t[:, 3] = 0.0
+            v[4] = t[4] = [0.0, 0.0, 0.0, far]
+        assert (exp_both_axes(v @ t.T) is None) == bool(far)
+        weights = rng.uniforms(5)
         rows = np.array([0, 3])
-        targets = 2.5 * softmax_rows(rng.normals(2, 5), 1.0)
+        row_targets = 2.5 * softmax_rows(rng.normals(2, 5), 1.0)
+        col_targets = 0.5 * softmax_rows(rng.normals(2, 5), 1.0)
 
         def loss_at(flat):
-            return softmax_xent(flat.reshape(logits.shape), weights, labels, rows, targets,
-                                axis=axis)[0]
+            return contrastive_xent(flat[:20].reshape(5, 4), flat[20:].reshape(5, 4), weights,
+                                    rows, row_targets, col_targets)[0]
 
-        _, grad = softmax_xent(logits, weights, labels, rows, targets, axis=axis)
-        assert max_rel_error(grad.ravel(), central_difference(loss_at, logits.ravel())) < 1e-6
+        _, d_v, d_t = contrastive_xent(v, t, weights, rows, row_targets, col_targets)
+        flat = np.concatenate([v.ravel(), t.ravel()])
+        numeric = central_difference(loss_at, flat)
+        assert max_rel_error(np.concatenate([d_v.ravel(), d_t.ravel()]), numeric) < 1e-6
 
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, (1 << 64) - 1), rows=st.integers(1, 40), cols=st.integers(1, 40),
+    @given(seed=st.integers(0, (1 << 64) - 1), n=st.integers(1, 40),
            spread=st.sampled_from([1e-3, 1.0, 30.0, 1e3]), data=st.data())
-    def test_axis_0_equals_rows_of_transposed_copy(self, seed, rows, cols, spread, data):
-        # The columns of x are `cols` distributions over `rows` entries.
-        # Spread 1e3 puts softmax entries far below the smallest double.
+    def test_axis_0_equals_rows_of_transposed_copy(self, seed, n, spread, data):
+        # The columns of L = v t^T are the rows of t v^T: swapping the factors
+        # and the two target blocks swaps the gradients. With the factors
+        # (x, I) and (I, x) the logits are x and its transpose exactly, and
+        # the gradient in x is the gradient block itself.
+        # Spread 1e3 puts softmax entries far below the smallest double and
+        # sends the matrix to the per-axis passes.
         rng = RngState(seed)
-        x = spread * rng.normals(rows, cols)
-        weights = rng.uniforms(cols)
-        labels = rng.integers(rows, cols).astype(np.int64)
-        n_soft = data.draw(st.integers(0, cols))
-        soft_rows = np.sort(rng.permutation(cols)[:n_soft])
-        targets = (softmax_rows(3.0 * rng.normals(n_soft, rows), 1.0) if n_soft
-                   else np.zeros((0, rows)))
-        loss, grad = softmax_xent(x, weights, labels, soft_rows, targets, axis=0)
-        ref_loss, ref_grad = softmax_xent(np.ascontiguousarray(x.T), weights, labels,
-                                          soft_rows, targets)
+        x = spread * rng.normals(n, n)
+        eye = np.eye(n)
+        weights = rng.uniforms(n)
+        soft_rows = draw_soft_rows(rng, n, data)
+        targets = [data.draw(st.floats(0.5, 2.0))
+                   * softmax_rows(3.0 * rng.normals(soft_rows.size, n), 1.0) for _ in range(2)]
+        loss, block, d_eye = contrastive_xent(x, eye, weights, soft_rows, *targets)
+        ref_loss, ref_d_eye, ref_block = contrastive_xent(eye, x, weights, soft_rows,
+                                                          *targets[::-1])
         # The two reductions add exp(x - max) in another order, so a sum may
         # differ in its last bit; a log-sum-exp term is at most max|x| +
-        # log(rows) and a gradient term at most weight * mass in size.
-        mass = np.ones(cols)
-        mass[soft_rows] = targets.sum(axis=1)
-        terms = weights @ (mass * (np.abs(x).max(axis=0) + math.log(rows)))
+        # log(n) and a gradient term at most weight * mass in size.
+        terms, wm = 0.0, 0.0
+        for q in targets:
+            mass = np.ones(n)
+            mass[soft_rows] = q.sum(axis=1)
+            terms += weights @ (mass * (np.abs(x).max() + math.log(n)))
+            wm = max(wm, (weights * mass).max())
         assert abs(loss - ref_loss) <= 1e-15 * max(abs(ref_loss), terms)
-        np.testing.assert_allclose(grad, ref_grad.T, rtol=1e-15,
-                                   atol=1e-15 * (weights * mass).max())
+        block_err = 1e-15 * np.abs(ref_block) + 1e-15 * wm
+        assert (np.abs(block - ref_block) <= block_err).all()
+        g = target_block(weights, soft_rows, *targets)
+        assert (np.abs(d_eye - ref_d_eye) <= product_bound(block_err, ref_block, g, x)).all()
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, (1 << 64) - 1), n=st.integers(1, 150),
@@ -176,41 +230,50 @@ class TestCrossEntropyRows:
     def test_both_axes_equal_axis_1_plus_axis_0(self, seed, n, span, drop, data):
         # Logits uniform over `span`, with row 0 lowered by `drop`: the shared
         # exponential serves while every logit stays within 600 of the top,
-        # so both of softmax_xent(axis=None)'s paths are drawn.
-        # Past 64 rows the shared path scales its exponential in several bands.
+        # so both of contrastive_xent's paths are drawn. Past 64 rows the
+        # shared path scales its exponential in several bands. The factors
+        # (x, I) make the logits x exactly and the gradient in x the block.
         rng = RngState(seed)
         x = span * (rng.uniforms(n * n).reshape(n, n) - 0.5)
         x[0] -= drop
         weights = rng.uniforms(n)
-        labels = rng.integers(n, n).astype(np.int64)
-        n_soft = data.draw(st.integers(0, n))
-        soft_rows = np.sort(rng.permutation(n)[:n_soft])
-        targets = [data.draw(st.floats(0.5, 2.0)) * softmax_rows(3.0 * rng.normals(n_soft, n), 1.0)
-                   if n_soft else np.zeros((0, n)) for _ in range(2)]
+        soft_rows = draw_soft_rows(rng, n, data)
+        targets = [data.draw(st.floats(0.5, 2.0))
+                   * softmax_rows(3.0 * rng.normals(soft_rows.size, n), 1.0) for _ in range(2)]
         shared = exp_both_axes(x) is not None
         event("shared exponential" if shared else "per-axis passes")
-        loss, grad = softmax_xent(x, weights, labels, soft_rows, targets, axis=None)
-        loss_r, grad_r = softmax_xent(x, weights, labels, soft_rows, targets[0])
-        loss_c, grad_c = softmax_xent(x, weights, labels, soft_rows, targets[1], axis=0)
+        event("hard only" if not soft_rows.size else "all soft" if soft_rows.size == n else "mixed")
+        loss, d_x, d_eye = contrastive_xent(x, np.eye(n), weights, soft_rows, *targets)
+        ref_loss, ref_block, ref_d_eye = dense_reference(x, weights, soft_rows, *targets)
         terms, wm = 0.0, 0.0  # bounds on the loss's log-sum-exp terms, on a gradient term
         for q in targets:
             mass = np.ones(n)
             mass[soft_rows] = q.sum(axis=1)
             terms += weights @ (mass * (np.abs(x).max() + math.log(n)))
             wm = max(wm, (weights * mass).max())
-        assert abs(loss - (loss_r + loss_c)) <= 1e-15 * max(abs(loss_r + loss_c), terms)
+        assert abs(loss - ref_loss) <= 1e-15 * max(abs(ref_loss), terms)
         # The shared exponential shifts a row or column by up to `reach` more
         # than its own max would, and rounding x - max then costs up to
         # reach * 2**-53 relative in each exponential of that row.
         reach = x.max() - min(x.max(axis=1).min(), x.max(axis=0).min()) if shared else 0.0
-        np.testing.assert_allclose(grad, grad_r + grad_c, rtol=1e-15,
-                                   atol=1e-15 * wm * (1.0 + reach))
+        block_err = 1e-15 * np.abs(ref_block) + 1e-15 * wm * (1.0 + reach)
+        assert (np.abs(d_x - ref_block) <= block_err).all()
+        g = target_block(weights, soft_rows, *targets)
+        assert (np.abs(d_eye - ref_d_eye) <= product_bound(block_err, ref_block, g, x)).all()
 
     def test_both_axes_shape_mismatch(self):
-        pair = (np.zeros((0, 3)), np.zeros((0, 3)))
-        with pytest.raises(InvalidInputError):
-            softmax_xent(np.zeros((2, 3)), np.full(2, 0.5), np.arange(2),
-                         np.zeros(0, dtype=np.int64), pair, axis=None)
+        no_soft = np.zeros((0, 2))
+        for v, t, weights, soft_rows, row_targets, col_targets in (
+                (np.zeros((2, 3)), np.zeros((3, 3)), np.full(2, 0.5), np.zeros(0, np.int64),
+                 no_soft, no_soft),
+                (np.zeros((2, 3)), np.zeros((2, 3)), np.full(3, 0.5), np.zeros(0, np.int64),
+                 no_soft, no_soft),
+                (np.zeros((2, 3)), np.zeros((2, 3)), np.full(2, 0.5), np.arange(1),
+                 np.ones((1, 2)), np.ones((1, 3))),
+                (np.zeros((2, 3)), np.zeros((2, 3)), np.full(2, 0.5), np.arange(1),
+                 np.ones((2, 2)), np.ones((2, 2)))):
+            with pytest.raises(InvalidInputError):
+                contrastive_xent(v, t, weights, soft_rows, row_targets, col_targets)
 
     def test_gibbs_inequality(self, rng):
         for _ in range(30):

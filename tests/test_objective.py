@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from psdlab.errors import EmptyBatchError, InvalidInputError
 from psdlab.gradcheck import central_difference, max_rel_error
-from psdlab.numkit import RngState, normalize_rows_l2
+from psdlab.numkit import RngState, exp_both_axes, normalize_rows_l2
 from psdlab.objective import (
     EmbeddingBatch,
     PartitionPlan,
@@ -28,6 +28,20 @@ from oracles import (
     psd_scalar,
     swapped_targets_scalar,
 )
+
+
+def wide_span_batch(rng, log_scale: float = 1.5):
+    """Five pairs in three dims: four of unit norm in the first two dims,
+    and pair 4 of norm 12 along the third. At scale e**1.5 that pair's
+    logit, 645, sits more than 600 above every other (all within 4.5 of 0),
+    so exp_both_axes declines the matrix and each axis takes its own pass.
+    The pair's softmaxes saturate, so every loss term stays small enough
+    for central differences, as long as the pair is hard (aligned)."""
+    v, t = np.zeros((5, 3)), np.zeros((5, 3))
+    v[:4, :2], t[:4, :2] = unit_batch(rng, 4, 2)
+    v[4, 2] = t[4, 2] = 12.0
+    assert exp_both_axes((math.exp(log_scale) * v) @ t.T) is None
+    return v, t, log_scale
 
 
 class TestTemperature:
@@ -78,12 +92,12 @@ class TestInfoNce:
         assert lg.loss == pytest.approx(info_nce_scalar(v.tolist(), t.tolist(), 100.0), rel=1e-12)
 
     def test_finite_differences(self, rng):
-        for _ in range(5):
-            v, t = unit_batch(rng, 4, 3)
-            s = 1.5
+        inputs = [(*unit_batch(rng, 4, 3), 1.5) for _ in range(5)]
+        for v, t, s in inputs + [wide_span_batch(RngState(7))]:
+            n, d = v.shape
 
             def loss_of(vec):
-                v2, t2 = vec[:12].reshape(4, 3), vec[12:24].reshape(4, 3)
+                v2, t2 = vec[: n * d].reshape(n, d), vec[n * d: 2 * n * d].reshape(n, d)
                 return info_nce(EmbeddingBatch(v2, t2), TemperatureParam(vec[-1])).loss
 
             lg = info_nce(EmbeddingBatch(v, t), TemperatureParam(s))
@@ -302,19 +316,25 @@ class TestPsdLoss:
 
     def test_finite_differences_both_target_kinds(self, rng):
         for build in (soft_targets_swapped, soft_targets_bootstrap):
-            batch, temp, plan, targets = self._random_setup(rng, n=5, d=3, alpha=0.4, build=build)
-            n, d = 5, 3
+            setups = [self._random_setup(rng, n=5, d=3, alpha=0.4, build=build)]
+            v, t, log_scale = wide_span_batch(RngState(7))
+            temp = TemperatureParam(log_scale)
+            plan = PartitionPlan(aligned_idx=[0, 4], unaligned_idx=[1, 2, 3], alpha=0.4)
+            setups.append((EmbeddingBatch(v, t), temp, plan, build(v, t, temp.scale, plan)))
+            for batch, temp, plan, targets in setups:
+                n, d = batch.image.shape
 
-            def loss_of(vec):
-                v2 = vec[: n * d].reshape(n, d)
-                t2 = vec[n * d: 2 * n * d].reshape(n, d)
-                return psd_loss(EmbeddingBatch(v2, t2), TemperatureParam(vec[-1]),
-                                plan, targets).loss
+                def loss_of(vec):
+                    v2 = vec[: n * d].reshape(n, d)
+                    t2 = vec[n * d: 2 * n * d].reshape(n, d)
+                    return psd_loss(EmbeddingBatch(v2, t2), TemperatureParam(vec[-1]),
+                                    plan, targets).loss
 
-            lg = psd_loss(batch, temp, plan, targets)
-            analytic = np.concatenate([lg.d_image.ravel(), lg.d_text.ravel(), [lg.d_log_scale]])
-            x0 = np.concatenate([batch.image.ravel(), batch.text.ravel(), [temp.log_scale]])
-            assert max_rel_error(analytic, central_difference(loss_of, x0)) < 1e-5
+                lg = psd_loss(batch, temp, plan, targets)
+                analytic = np.concatenate([lg.d_image.ravel(), lg.d_text.ravel(),
+                                           [lg.d_log_scale]])
+                x0 = np.concatenate([batch.image.ravel(), batch.text.ravel(), [temp.log_scale]])
+                assert max_rel_error(analytic, central_difference(loss_of, x0)) < 1e-5
 
     def test_affine_in_alpha(self, rng):
         v, t = unit_batch(rng, 8, 5)
