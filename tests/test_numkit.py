@@ -125,10 +125,15 @@ def product_bound(block_err, block, targets, x):
     """A bound on the error of block^T x, given an entrywise bound on the
     error of the gradient ``block``: the error carried through, plus the
     rounding of sums of n products, some taken over the exponential part
-    (block + targets) and the targets apart."""
+    (block + targets) and the targets apart. A product below the smallest
+    normal double rounds to the subnormal grid, off by up to half its step,
+    2**-1075, whatever its size: the kernel and the reference take at most
+    6n such products per entry, and the kernel scales some by a target of
+    at most 2 afterwards, so 8n half-steps (4n steps) cover them."""
     n = x.shape[0]
     size = np.abs(block) + 2.0 * np.abs(targets)
-    return block_err.T @ np.abs(x) + 2.0 * n * 2.0**-53 * (size.T @ np.abs(x))
+    return (block_err.T @ np.abs(x) + 2.0 * n * 2.0**-53 * (size.T @ np.abs(x))
+            + 4.0 * n * 2.0**-1074)
 
 
 class TestCrossEntropyRows:
