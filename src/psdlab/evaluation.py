@@ -237,6 +237,10 @@ def linear_probe(train_features, train_labels, test_features, test_labels,
     y_te = np.asarray(test_labels, dtype=np.int64)
     if y_tr.shape != (x_tr.shape[0],) or y_te.shape != (x_te.shape[0],):
         raise InvalidInputError("one label per feature row required")
+    if not (y_tr.size and y_te.size):
+        raise InvalidInputError("linear probe requires a nonempty train and test set")
+    if min(y_tr.min(), y_te.min()) < 0:
+        raise InvalidInputError("labels must be class indices 0, 1, ...")
     classes = int(max(y_tr.max(), y_te.max())) + 1
     if classes < 2:
         raise InvalidInputError("linear probe requires at least 2 classes")

@@ -10,26 +10,29 @@ independent of platform or numpy version.
 One max-shifted exponential, ``exp_shifted`` (max, exp(x - max), sum along
 either axis of a 2-D array), serves every probability kernel. Two
 cross-entropy kernels sit on it, both with two target kinds: a hard target
-is one-hot, a soft target is a given distribution, and neither kernel builds
-a dense target matrix. ``softmax_xent`` takes the rows of a dense logit
-matrix against hard labels and soft rows; the linear probe calls it.
-``contrastive_xent`` takes the rows and the columns of a square logit
-matrix L = scaled_v t^T given by its two factors, with its diagonal as the
-hard targets, and returns the gradients in the factors; InfoNCE and the PSD
-loss call it. Its soft targets reach the gradients through the factors, so
-no n x n target block is gathered from or written into.
+is one-hot, a soft target is a given distribution. ``softmax_xent`` takes
+the rows of a dense logit matrix against hard labels and dense soft rows;
+the linear probe calls it. ``contrastive_xent`` takes the rows and the
+columns of a square logit matrix L = scaled_v t^T given by its two factors,
+with its diagonal as the hard targets, and returns the gradients in the
+factors; InfoNCE and the PSD loss call it. Its soft targets come as factors
+of an exponential, an n x n block with one scale per row and one per
+column, which is how the PSD teacher makes them: no target row is gathered,
+and the weighted targets are subtracted from the gradient block a band of
+rows at a time, so the block's two products with the factors carry them.
 
 When both axes of one square matrix need their log-sum-exps
 (``contrastive_xent`` and the swapped teacher), ``exp_both_axes`` takes them
 from one exponential under the global max. Each entry then comes out
 smaller by exp(top - its row's or column's max) than under that max, and
 rounding x - top costs more the further below the top it sits; past about
-708 an exponential turns subnormal and past 745 it is 0. Callers divide
-single entries by their column or row sums, and such a quotient can lead
-its row even when the entry itself underflows. Hence a span rule on every
-entry: the whole matrix must lie within ``SHARED_EXP_SPAN`` = 600 of its
-max, which keeps every exponential at or above exp(-600), a normal double,
-so each quotient and sum keeps its rounding bound. Otherwise it declines,
+708 an exponential turns subnormal and past 745 it is 0. Callers scale
+single entries by the reciprocals of their column or row sums, and such a
+product can lead its row even when the entry itself underflows. Hence a
+span rule on every entry: the whole matrix must lie within
+``SHARED_EXP_SPAN`` = 600 of its max, which keeps every exponential at or
+above exp(-600), a normal double, so each product and sum keeps its
+rounding bound. Otherwise it declines,
 and the caller takes one max-shifted exponential per axis. Unit-norm logits
 at scale s span at most 2 * s, so every scale up to 300 takes the shared
 path.
@@ -142,7 +145,8 @@ def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
             f"{labels.shape}, {soft_rows.size} soft rows, soft targets {soft_targets.shape}")
     grad, top, total = exp_shifted(logits, 1)
     lse = (top + np.log(total)).ravel()
-    mass = _target_mass(n, soft_rows, soft_targets)
+    mass = np.ones(n)  # sum(q_i) of every target: 1 for a hard row
+    mass[soft_rows] = soft_targets.sum(axis=1)
     grad *= (weights * mass).reshape(total.shape) / total
     hard = np.ones(n, dtype=bool)
     hard[soft_rows] = False
@@ -159,7 +163,7 @@ def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
 
 
 def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
-                     soft_rows: np.ndarray, row_targets: np.ndarray, col_targets: np.ndarray
+                     soft_rows: np.ndarray, row_targets, col_targets
                      ) -> tuple[float, np.ndarray, np.ndarray]:
     """Weighted softmax cross-entropy of every row plus every column of the
     square logit matrix L = scaled_v t^T, with its gradients in the two
@@ -168,31 +172,72 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
 
     Row i and column i each cost weights[i] * H(q, softmax(x)) in
     log-sum-exp form, as in ``softmax_xent``. Both target the diagonal entry
-    L[i, i] (hard), except for the i listed in ``soft_rows``: row
-    soft_rows[u] targets ``row_targets[u]``, a distribution over the n
-    columns, and column soft_rows[u] targets ``col_targets[u]``, one over
-    the n rows. A soft target need not sum to 1.
+    L[i, i] (hard), except for the i listed in ``soft_rows`` (increasing),
+    whose targets are entries of an n x n block times a row and a column
+    scale. With ``row_targets = (row_exp, p, g)``, row soft_rows[u] targets
+    row_exp[soft_rows[u], j] * p[u] * g[j] over the columns j; with
+    ``col_targets = (col_exp, r, s)``, column soft_rows[u] targets
+    col_exp[i, soft_rows[u]] * r[i] * s[u] over the rows i. The two blocks
+    may be one array, and neither is written to. A soft target need not sum
+    to 1; its mass is taken from the factors. Both target arguments are
+    ignored, and may be None, when ``soft_rows`` is empty.
 
-    The gradient in L is e * (a_i + b_j) - G, with a = weights * mass / row
-    sum, b = weights * mass / column sum and G the weighted targets. When
-    ``exp_both_axes`` admits L, e is its one exponential, taken in place in
-    L's buffer; otherwise each axis takes its own ``exp_shifted`` pass and
-    the two scaled exponentials are summed into one block. The hard targets
-    are subtracted from that block's diagonal. The soft ones never enter it:
-    every term of the gradient is linear in G, so G t and G^T scaled_v are
-    formed from the targets and the factors at |soft_rows| x n x d cost and
-    subtracted from the block's products with t and scaled_v, and each soft
-    target's q . x is read from the same products.
+    The gradient in L is e * (a_i + b_j) - H - M, with a = weights * mass /
+    row sum, b = weights * mass / column sum, H the hard targets and M the
+    weighted soft ones: M = row_exp * (alpha (x) g) + col_exp * (r (x) beta),
+    where alpha and beta are weights * p and weights * s on the soft rows
+    and 0 elsewhere (one block times a rank-2 product when the blocks are one
+    array). When ``exp_both_axes`` admits L, e is its one exponential, taken
+    in place in L's buffer; otherwise each axis takes its own
+    ``exp_shifted`` pass and the two scaled exponentials are summed into one
+    block. M is subtracted from that block a band of rows at a time and H
+    from its diagonal, so the block's two n x n x d products carry every
+    target. Each soft target's q . x is read band by band before the
+    exponential overwrites L, from the products of the blocks with L and
+    the scales; M is rebuilt per band and never held whole.
     """
     n = scaled_v.shape[0]
-    if (t.shape != scaled_v.shape or weights.shape != (n,)
-            or row_targets.shape != (soft_rows.size, n) or col_targets.shape != row_targets.shape):
+    k = soft_rows.size
+    if t.shape != scaled_v.shape or weights.shape != (n,):
         raise InvalidInputError(
-            f"shape mismatch: factors {scaled_v.shape} and {t.shape}, weights {weights.shape}, "
-            f"{soft_rows.size} soft rows, targets {row_targets.shape} and {col_targets.shape}")
+            f"shape mismatch: factors {scaled_v.shape} and {t.shape}, weights {weights.shape}")
+    row_mass, col_mass = np.ones(n), np.ones(n)
+    terms = []  # (block, x, y): M = sum of block * (x @ y) over the terms
+    if k:
+        (row_exp, p, g), (col_exp, r, s) = row_targets, col_targets
+        if (row_exp.shape != (n, n) or col_exp.shape != (n, n) or p.shape != (k,)
+                or g.shape != (n,) or r.shape != (n,) or s.shape != (k,)):
+            raise InvalidInputError(
+                f"shape mismatch: {k} soft rows of {n}, target blocks {row_exp.shape} and "
+                f"{col_exp.shape}, scales {p.shape}, {g.shape}, {r.shape} and {s.shape}")
+        row_mass[soft_rows] = p * (row_exp @ g)[soft_rows]
+        col_mass[soft_rows] = s * (r @ col_exp)[soft_rows]
+        alpha, beta = np.zeros(n), np.zeros(n)
+        alpha[soft_rows] = weights[soft_rows] * p
+        beta[soft_rows] = weights[soft_rows] * s
+        if row_exp is col_exp:
+            terms.append((row_exp, np.stack([alpha, r], axis=1), np.stack([g, beta])))
+        else:
+            terms.append((row_exp, alpha[:, None], g[None]))
+            terms.append((col_exp, r[:, None], beta[None]))
     logits = scaled_v @ t.T
-    row_mass = _target_mass(n, soft_rows, row_targets)
-    col_mass = _target_mass(n, soft_rows, col_targets)
+    bands = [slice(start, min(start + _BAND_ROWS, n)) for start in range(0, n, _BAND_ROWS)]
+    # q . x of every target, before the exponential overwrites L: L[i, i]
+    # for a hard one; for a soft row u, p[u] times row u of (row_exp * L) @ g,
+    # and for a soft column, s[u] times column u of r @ (col_exp * L).
+    picked_row = np.einsum("ij,ij->i", scaled_v, t)
+    picked_col = picked_row.copy()
+    work = np.empty((min(n, _BAND_ROWS), n))  # one band's scratch, reused
+    if k:
+        soft_row, soft_col = np.empty(n), np.zeros(n)
+        for band in bands:
+            product = np.multiply(row_exp[band], logits[band], out=work[: band.stop - band.start])
+            soft_row[band] = product @ g
+            if col_exp is not row_exp:
+                np.multiply(col_exp[band], logits[band], out=product)
+            soft_col += r[band] @ product
+        picked_row[soft_rows] = p * soft_row[soft_rows]
+        picked_col[soft_rows] = s * soft_col[soft_rows]
     a = (weights * row_mass)[:, None]
     b = weights * col_mass
     shared = exp_both_axes(logits, out=logits)
@@ -202,11 +247,6 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
         col_lse = top + np.log(col_sum.ravel())
         a /= row_sum
         b /= col_sum.ravel()
-        # e * (a + b) in place, a band of rows at a time: a fresh n x n block
-        # for a + b raised info_nce's peak from 2.7 to 3.4 n x n blocks at n = 256.
-        for start in range(0, n, _BAND_ROWS):
-            band = slice(start, start + _BAND_ROWS)
-            grad[band] *= a[band] + b
     else:
         grad, top, total = exp_shifted(logits, 1)
         row_lse = (top + np.log(total)).ravel()
@@ -215,42 +255,26 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
         col_lse = (top + np.log(total)).ravel()
         e *= b / total
         grad += e
+    # e * (a + b) less M in place, a band of rows at a time: a fresh n x n
+    # block for a + b raised info_nce's peak from 2.7 to 3.4 n x n blocks at
+    # n = 256.
+    for band in bands:
+        scratch = work[: band.stop - band.start]
+        if shared is not None:
+            grad[band] *= np.add(a[band], b, out=scratch)
+        for block, x, y in terms:
+            target = np.matmul(x[band], y, out=scratch)
+            target *= block[band]
+            grad[band] -= target
     # The hard targets, weights[i] at L[i, i] once per axis, through a
     # strided view of the block's diagonal.
     hard = 2.0 * weights
     hard[soft_rows] = 0.0
     diagonal = grad.reshape(-1)[:: n + 1]
     diagonal -= hard
-    d_v = grad @ t
-    d_t = grad.T @ scaled_v
-    picked_row = np.einsum("ij,ij->i", scaled_v, t)
-    picked_col = picked_row.copy()
-    # Rows soft_rows of G are w_u * row_targets, and its columns soft_rows
-    # are (w_u * col_targets)^T. The products with G^T are taken as
-    # (X^T G_u)^T, which OpenBLAS ran about 10% faster than G_u^T X at
-    # n = 256, |soft_rows| = 162, d = 64.
-    w_u = weights[soft_rows, None]
-    v_u, t_u = scaled_v[soft_rows], t[soft_rows]
-    row_t = row_targets @ t
-    col_v = col_targets @ scaled_v
-    picked_row[soft_rows] = np.einsum("ij,ij->i", v_u, row_t)
-    picked_col[soft_rows] = np.einsum("ij,ij->i", t_u, col_v)
-    row_t *= w_u
-    col_v *= w_u
-    d_v[soft_rows] -= row_t
-    d_t[soft_rows] -= col_v
-    d_v -= ((w_u * t_u).T @ col_targets).T
-    d_t -= ((w_u * v_u).T @ row_targets).T
     loss = (float(weights @ (row_lse * row_mass - picked_row))
             + float(weights @ (col_lse * col_mass - picked_col)))
-    return loss, d_v, d_t
-
-
-def _target_mass(n: int, soft_rows: np.ndarray, soft_targets: np.ndarray) -> np.ndarray:
-    """sum(q_i) of every target: 1 for a hard row."""
-    mass = np.ones(n)
-    mass[soft_rows] = soft_targets.sum(axis=1)
-    return mass
+    return loss, grad @ t, grad.T @ scaled_v
 
 
 def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

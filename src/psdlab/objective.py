@@ -9,27 +9,28 @@ matrices and the learnable log inverse-temperature.
 Both losses are one cross-entropy with two target kinds
 (``numkit.contrastive_xent``) over the rows (images over texts) and the
 columns (texts over images) of the logit matrix (scale * V) T^T. The kernel
-takes the two factors and returns the gradients in them; the teacher
-targets reach those gradients through the same factors and are never
-written into an n x n block. A hard row targets its own partner; a soft row
-targets the teacher's distribution. InfoNCE is every row hard with weight
-1/N; the PSD loss weights the aligned (hard) rows alpha/|A| and the
-unaligned (soft) rows (1 - alpha)/|U|.
+takes the two factors and returns the gradients in them. A hard row targets
+its own partner; a soft row targets the teacher's distribution. InfoNCE is
+every row hard with weight 1/N; the PSD loss weights the aligned (hard) rows
+alpha/|A| and the unaligned (soft) rows (1 - alpha)/|U|.
 
 The teacher reads the rows and columns of its own (teacher_scale * V) T^T in
-the same way. Swapped targets need both axes' log-normalizers; for unit-norm
-embeddings every logit lies within 2 * teacher_scale of the largest, so one
-exponential under the global max serves both (``numkit.exp_both_axes``). Its
+the same way, and hands the loss its targets as factors, never as dense
+|U| x n rows (``SoftTargets``): every target entry is an entry of the
+teacher's exponential E times one row scale and one column scale. For
+unit-norm embeddings every logit lies within 2 * teacher_scale of the
+largest, so one E = exp(S - max S) under the global max serves both
+directions and both target kinds (``numkit.exp_both_axes``); the scales are
+reciprocals of its row and column sums and of the targets' normalizers. Its
 span rule asks every logit to lie within 600 of the largest, because a
-target divides single exponentials by their sums and one that underflowed
-could have led its row; wider matrices take one max-shifted exponential per
-axis.
-Bootstrap targets exponentiate only their |U| gathered rows.
+target scales single exponentials by reciprocal sums and one that
+underflowed could have led its row. Wider matrices take one block per
+direction, each shifted by its own rows' or columns' maxima.
 
 Gradient convention: embeddings are treated as free variables (the losses are
 smooth functions of the raw matrix entries), so every gradient can be checked
-coordinate-wise against central finite differences. Soft targets are plain
-arrays and never receive gradient.
+coordinate-wise against central finite differences. Soft targets are
+constants and never receive gradient.
 """
 
 from __future__ import annotations
@@ -133,21 +134,79 @@ class PartitionPlan:
 
 @dataclass(frozen=True)
 class SoftTargets:
-    """Teacher-produced alignment distributions for the unaligned subset.
+    """Teacher-produced alignment distributions for the unaligned rows of a
+    batch of n pairs, held as factors of the teacher's exponential.
 
-    Row u of each matrix is the target distribution for batch row
-    unaligned_idx[u]: image_targets rows are distributions over the batch's
-    texts, text_targets rows over its images. Targets are constants to the
-    student; no gradient flows into them.
+    Row u of ``image_targets``, the target of image rows[u] over the batch's
+    texts, and row u of ``text_targets``, the target of text rows[u] over its
+    images, are
+
+        image_targets[u, j] = image_exp[rows[u], j] * p[u] * g[j],
+        text_targets[u, i] = text_exp[i, rows[u]] * r[i] * s[u],
+
+    with ``image_scales = (p, g)`` and ``text_scales = (r, s)``. The two
+    n x n blocks are exponentials of teacher logits and may be one array;
+    their entries are not scanned. Both views are derived on access and
+    read-only; the loss reads the factors. Targets are constants to the
+    student; no gradient flows into them, and nothing here writes to the
+    arrays it holds.
+
+    A scale that is not a finite positive number, or a derived row whose
+    mass, computed from the factors, lies outside [1 - 1e-9, 1 + 1e-12]
+    (NaN too), raises InvalidInputError. The row sums of each block taken
+    for those masses must be finite, which rejects a NaN or infinite entry
+    anywhere in either block. ``from_rows`` builds targets from dense rows.
     """
 
-    image_targets: np.ndarray
-    text_targets: np.ndarray
+    rows: np.ndarray
+    image_exp: np.ndarray
+    image_scales: tuple[np.ndarray, np.ndarray]
+    text_exp: np.ndarray
+    text_scales: tuple[np.ndarray, np.ndarray]
     teacher_scale: float
 
     def __post_init__(self):
-        a_v = np.ascontiguousarray(self.image_targets, dtype=np.float64)
-        a_t = np.ascontiguousarray(self.text_targets, dtype=np.float64)
+        e_v = np.ascontiguousarray(self.image_exp, dtype=np.float64)
+        e_t = (e_v if self.text_exp is self.image_exp
+               else np.ascontiguousarray(self.text_exp, dtype=np.float64))
+        n = e_v.shape[0] if e_v.ndim == 2 else -1
+        if e_v.shape != (n, n) or e_t.shape != (n, n):
+            raise InvalidInputError(
+                f"target blocks must be one square shape, got {e_v.shape} and {e_t.shape}")
+        rows = _target_rows(self.rows, n)
+        p, g, r, s = (np.asarray(x, dtype=np.float64) for x in (*self.image_scales,
+                                                                  *self.text_scales))
+        if (p.shape, g.shape, r.shape, s.shape) != ((rows.size,), (n,), (n,), (rows.size,)):
+            raise InvalidInputError(
+                f"target scales {p.shape}, {g.shape}, {r.shape} and {s.shape} do not fit "
+                f"{rows.size} rows of {n}")
+        # Each test below is written so that NaN, for which every comparison
+        # is false, fails it.
+        scales = np.concatenate([p, g, r, s])
+        if not (scales.min() > 0.0 and scales.max() < math.inf):
+            raise InvalidInputError("target scales must be finite and positive")
+        sums = np.concatenate([e_v @ g, r @ e_t])
+        if not np.isfinite(sums).all():
+            raise InvalidInputError("target blocks hold NaN or infinite entries")
+        mass = np.concatenate([p * sums[rows], s * sums[n + rows]])
+        if mass.size and not (mass.min() >= 1.0 - 1e-9 and mass.max() <= 1.0 + 1e-12):
+            raise InvalidInputError("target rows must sum to within [1 - 1e-9, 1 + 1e-12]")
+        if not (math.isfinite(self.teacher_scale) and self.teacher_scale > 0.0):
+            raise InvalidInputError(f"teacher scale must be positive, got {self.teacher_scale}")
+        for name, value in (("rows", rows), ("image_exp", e_v), ("image_scales", (p, g)),
+                            ("text_exp", e_t), ("text_scales", (r, s))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_rows(cls, image_targets, text_targets, rows, teacher_scale: float) -> "SoftTargets":
+        """Targets given as dense rows for the batch rows ``rows``: row u of
+        ``image_targets`` over the texts, of ``text_targets`` over the
+        images. Every entry must lie in [0, 1] within 1e-12 and every row
+        sum to 1 within 1e-9. The rows are then laid into zero blocks with
+        unit scales, whose checks above also hold each row's sum to at most
+        1 + 1e-12."""
+        a_v = np.asarray(image_targets, dtype=np.float64)
+        a_t = np.asarray(text_targets, dtype=np.float64)
         for name, m in (("image_targets", a_v), ("text_targets", a_t)):
             if m.ndim != 2:
                 raise InvalidInputError(f"{name} must be 2-D")
@@ -158,10 +217,41 @@ class SoftTargets:
                 raise InvalidInputError(f"{name} rows must sum to 1 within 1e-9")
         if a_v.shape != a_t.shape:
             raise InvalidInputError("image_targets and text_targets must share a shape")
-        if not (math.isfinite(self.teacher_scale) and self.teacher_scale > 0.0):
-            raise InvalidInputError(f"teacher scale must be positive, got {self.teacher_scale}")
-        object.__setattr__(self, "image_targets", a_v)
-        object.__setattr__(self, "text_targets", a_t)
+        n = a_v.shape[1]
+        rows = _target_rows(rows, n)
+        if rows.size != a_v.shape[0]:
+            raise InvalidInputError(f"{a_v.shape[0]} target rows for {rows.size} batch rows")
+        e_v, e_t = np.zeros((n, n)), np.zeros((n, n))
+        e_v[rows] = a_v
+        e_t[:, rows] = a_t.T
+        ones_u, ones_n = np.ones(rows.size), np.ones(n)
+        return cls(rows, e_v, (ones_u, ones_n), e_t, (ones_n, ones_u), teacher_scale)
+
+    @property
+    def image_targets(self) -> np.ndarray:
+        p, g = self.image_scales
+        out = self.image_exp[self.rows] * p[:, None]
+        out *= g
+        out.flags.writeable = False
+        return out
+
+    @property
+    def text_targets(self) -> np.ndarray:
+        r, s = self.text_scales
+        out = self.text_exp[:, self.rows] * r[:, None]
+        out *= s
+        out = out.T
+        out.flags.writeable = False
+        return out
+
+
+def _target_rows(rows, n: int) -> np.ndarray:
+    """``rows`` as an increasing int64 array of indices in 0..n-1."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1 or (rows.size and not (rows[0] >= 0 and rows[-1] < n
+                                             and (rows[1:] > rows[:-1]).all())):
+        raise InvalidInputError(f"target rows must be increasing indices in 0..{n - 1}")
+    return rows
 
 
 @dataclass
@@ -175,15 +265,17 @@ class LossGrad:
 
 
 def _bidirectional_xent(batch: EmbeddingBatch, temp: TemperatureParam, weights: np.ndarray,
-                       soft_rows: np.ndarray, targets_v: np.ndarray,
-                       targets_t: np.ndarray) -> LossGrad:
+                       targets: SoftTargets | None) -> LossGrad:
     """Weighted cross-entropy of every image row over the texts plus every
     text row over the images, from one similarity matrix. Row i is hard
-    (its target is partner i) unless listed in ``soft_rows``, whose targets
-    are the rows of ``targets_v`` (image rows) and ``targets_t`` (text rows)."""
+    (its target is partner i) unless it is one of the rows of ``targets``."""
     scaled_v = temp.scale * batch.image
-    loss, d_scaled_v, d_text = contrastive_xent(scaled_v, batch.text, weights, soft_rows,
-                                                targets_v, targets_t)
+    if targets is None:
+        soft = (np.zeros(0, dtype=np.int64), None, None)
+    else:
+        soft = (targets.rows, (targets.image_exp, *targets.image_scales),
+                (targets.text_exp, *targets.text_scales))
+    loss, d_scaled_v, d_text = contrastive_xent(scaled_v, batch.text, weights, *soft)
     # sum(d_logits * logits) reduced over n x d instead of n x n, since the
     # logits are (scale * v) t^T; einsum, not a BLAS dot, because a threaded
     # BLAS splits a dot's sum across threads and its rounding would follow them.
@@ -197,17 +289,16 @@ def info_nce(batch: EmbeddingBatch, temp: TemperatureParam) -> LossGrad:
     pairing, image-to-text plus text-to-image, each with mean reduction."""
     if batch.n == 0:
         raise EmptyBatchError("info_nce requires at least one pair")
-    no_soft = np.zeros((0, batch.n))
-    return _bidirectional_xent(batch, temp, np.full(batch.n, 1.0 / batch.n),
-                               np.zeros(0, dtype=np.int64), no_soft, no_soft)
+    return _bidirectional_xent(batch, temp, np.full(batch.n, 1.0 / batch.n), None)
 
 
 def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: PartitionPlan,
                   swapped: bool) -> SoftTargets:
-    """Teacher targets for the unaligned rows from one similarity matrix,
+    """Teacher targets for the unaligned rows from one similarity matrix S,
     read along its rows (images over texts) and its columns (texts over
     images): each row's own posterior, or (``swapped``) the opposite
-    direction's posteriors of that row, renormalized."""
+    direction's posteriors of that row, renormalized. Only the factors are
+    formed; no target row is gathered."""
     v = as_matrix(teacher_image, "teacher image embeddings")
     t = as_matrix(teacher_text, "teacher text embeddings")
     if v.shape != t.shape:
@@ -218,36 +309,41 @@ def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: Parti
     if not (math.isfinite(teacher_scale) and teacher_scale > 0.0):
         raise InvalidInputError(f"teacher scale must be positive, got {teacher_scale}")
     u = plan.unaligned_idx
+    ones = np.ones(plan.n)
     logits = (teacher_scale * v) @ t.T
-    # Row u of each result is a softmax over the batch: of s[u, j] for the
-    # image's own posterior over texts j, of s[j, u] for the text's over
-    # images j. Swapped targets are the opposite direction's posteriors,
-    # P(image u | text j) = exp(s[u, j] - lse_i s[i, j]), renormalized. Under
-    # the span rule they are quotients of one exponential by its column and
-    # row sums; otherwise each axis' log-normalizer is subtracted from the
-    # logits, and a renormalized row of those is its softmax.
-    shared = exp_both_axes(logits, out=logits) if swapped else None
+    # Under the span rule one E = exp(S - max S), with row sums r and column
+    # sums c, serves both directions. A swapped image row is P(image u |
+    # text j) = E[u, j] / c_j renormalized over j: scales 1/Z_u and 1/c_j,
+    # with Z = E @ (1/c). A swapped text row is E[i, u] / r_i renormalized
+    # over i: scales 1/r_i and 1/Z'_u, with Z' = (1/r) @ E. A bootstrap image
+    # row is E[u, j] / r_u, and a bootstrap text row E[i, u] / c_u.
+    shared = exp_both_axes(logits, out=logits)
     if shared is not None:
         e, _, row_sum, col_sum = shared
-        image_rows = e[u]
-        image_rows /= col_sum
-        text_rows = e[:, u].T
-        text_rows /= row_sum.T
-        for rows in (image_rows, text_rows):
-            rows /= rows.sum(axis=1, keepdims=True)
-        return SoftTargets(image_rows, text_rows, teacher_scale)
-    image_rows = logits[u]
-    text_rows = logits[:, u].T
+        if swapped:
+            g, r = 1.0 / col_sum.ravel(), 1.0 / row_sum.ravel()
+            z_image, z_text = (e @ g)[u], (r @ e)[u]
+        else:
+            g = r = ones
+            z_image, z_text = row_sum.ravel()[u], col_sum.ravel()[u]
+        return SoftTargets(u, e, (1.0 / z_image, g), e, (r, 1.0 / z_text), teacher_scale)
+    # Otherwise each direction gets its own block, shifted by its own rows'
+    # (image) or columns' (text) maxima so that none underflows entirely:
+    # exp of each log-posterior, log P(image i | text j) = S[i, j] - lse_i
+    # S[i, j] for swapped targets, or of S itself for bootstrap ones.
+    image_exp = np.empty_like(logits)
     if swapped:
-        work = np.empty_like(logits)
-        _, top, total = exp_shifted(logits, 0, out=work)
-        image_rows -= top + np.log(total)
-        _, top, total = exp_shifted(logits, 1, out=work)
-        text_rows -= (top + np.log(total)).T
-    for rows in (image_rows, text_rows):
-        _, _, total = exp_shifted(rows, 1, out=rows)
-        rows /= total
-    return SoftTargets(image_rows, text_rows, teacher_scale)
+        _, top, total = exp_shifted(logits, 0, out=image_exp)
+        col_lse = top + np.log(total)
+        _, top, total = exp_shifted(logits, 1, out=image_exp)
+        np.subtract(logits, col_lse, out=image_exp)
+        logits -= top + np.log(total)
+    else:
+        image_exp[...] = logits
+    _, _, z_image = exp_shifted(image_exp, 1, out=image_exp)
+    text_exp, _, z_text = exp_shifted(logits, 0, out=logits)
+    return SoftTargets(u, image_exp, (1.0 / z_image.ravel()[u], ones),
+                       text_exp, (ones, 1.0 / z_text.ravel()[u]), teacher_scale)
 
 
 def soft_targets_swapped(teacher_image, teacher_text, teacher_scale: float,
@@ -288,13 +384,13 @@ def psd_loss(batch: EmbeddingBatch, temp: TemperatureParam, plan: PartitionPlan,
         raise EmptyBatchError("psd_loss requires at least one pair")
     if plan.n != batch.n:
         raise InvalidInputError(f"plan covers {plan.n} rows but batch has {batch.n}")
-    if targets.image_targets.shape != (plan.n_unaligned, batch.n):
+    if (targets.image_exp.shape[0] != batch.n
+            or not np.array_equal(targets.rows, plan.unaligned_idx)):
         raise InvalidInputError(
-            f"targets shape {targets.image_targets.shape} does not match "
-            f"(unaligned={plan.n_unaligned}, batch={batch.n})")
+            f"targets for {targets.rows.size} of {targets.image_exp.shape[0]} rows do not match "
+            f"the plan's {plan.n_unaligned} unaligned rows of {batch.n}")
     a_idx, u_idx = plan.aligned_idx, plan.unaligned_idx
     weights = np.empty(batch.n)
     weights[a_idx] = plan.alpha / max(a_idx.size, 1)
     weights[u_idx] = (1.0 - plan.alpha) / max(u_idx.size, 1)
-    return _bidirectional_xent(batch, temp, weights, u_idx,
-                               targets.image_targets, targets.text_targets)
+    return _bidirectional_xent(batch, temp, weights, targets)

@@ -166,6 +166,25 @@ class TestLinearProbe:
         result = linear_probe(x[~test], y[~test], x[test], y[test])
         assert result.accuracy > 90.0
 
+    def test_negative_label_rejected(self):
+        # A label of -1 used to index the last class and train silently.
+        x = RngState(8).normals(10, 3)
+        y = np.arange(10) % 2
+        for side in ("train", "test"):
+            bad = y.copy()
+            bad[0] = -1
+            labels = (bad, y) if side == "train" else (y, bad)
+            with pytest.raises(InvalidInputError):
+                linear_probe(x, labels[0], x, labels[1], max_iters=5)
+
+    def test_empty_split_rejected(self):
+        x = RngState(9).normals(6, 3)
+        y = np.arange(6) % 2
+        empty_x, empty_y = np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
+        for args in ((empty_x, empty_y, x, y), (x, y, empty_x, empty_y)):
+            with pytest.raises(InvalidInputError):
+                linear_probe(*args, max_iters=5)
+
     def test_loss_monotone_over_iterations(self):
         # strong Wolfe (or the Armijo fallback) only ever accepts a decrease
         rng = RngState(7)

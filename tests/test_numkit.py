@@ -111,6 +111,17 @@ def draw_soft_rows(rng, n, data):
     return np.sort(rng.permutation(n)[:n_soft])
 
 
+def factored(n, soft_rows, row_targets, col_targets):
+    """Dense soft targets as contrastive_xent's factors: each set of rows laid
+    into a zero n x n block (row targets as rows, column targets as
+    columns), with unit scales."""
+    row_exp, col_exp = np.zeros((n, n)), np.zeros((n, n))
+    row_exp[soft_rows] = row_targets
+    col_exp[:, soft_rows] = col_targets.T
+    ones_u, ones_n = np.ones(soft_rows.size), np.ones(n)
+    return (row_exp, ones_u, ones_n), (col_exp, ones_n, ones_u)
+
+
 def target_block(weights, soft_rows, row_targets, col_targets):
     """The weighted targets as one dense n x n block: 2 * weights[i] at
     (i, i) for a hard i, and the soft rows' and columns' targets."""
@@ -180,19 +191,25 @@ class TestCrossEntropyRows:
             v[:, 3] = t[:, 3] = 0.0
             v[4] = t[4] = [0.0, 0.0, 0.0, far]
         assert (exp_both_axes(v @ t.T) is None) == bool(far)
+        # The targets come in both forms the kernel takes: dense rows laid
+        # into two blocks, and one shared block with scales on both sides.
         weights = rng.uniforms(5)
         rows = np.array([0, 3])
         row_targets = 2.5 * softmax_rows(rng.normals(2, 5), 1.0)
         col_targets = 0.5 * softmax_rows(rng.normals(2, 5), 1.0)
+        block = np.exp(rng.normals(5, 5))
+        scales = [0.5 + rng.uniforms(size) for size in (2, 5, 5, 2)]
+        for targets in (factored(5, rows, row_targets, col_targets),
+                        ((block, *scales[:2]), (block, *scales[2:]))):
 
-        def loss_at(flat):
-            return contrastive_xent(flat[:20].reshape(5, 4), flat[20:].reshape(5, 4), weights,
-                                    rows, row_targets, col_targets)[0]
+            def loss_at(flat):
+                return contrastive_xent(flat[:20].reshape(5, 4), flat[20:].reshape(5, 4),
+                                        weights, rows, *targets)[0]
 
-        _, d_v, d_t = contrastive_xent(v, t, weights, rows, row_targets, col_targets)
-        flat = np.concatenate([v.ravel(), t.ravel()])
-        numeric = central_difference(loss_at, flat)
-        assert max_rel_error(np.concatenate([d_v.ravel(), d_t.ravel()]), numeric) < 1e-6
+            _, d_v, d_t = contrastive_xent(v, t, weights, rows, *targets)
+            flat = np.concatenate([v.ravel(), t.ravel()])
+            numeric = central_difference(loss_at, flat)
+            assert max_rel_error(np.concatenate([d_v.ravel(), d_t.ravel()]), numeric) < 1e-6
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, (1 << 64) - 1), n=st.integers(1, 40),
@@ -211,9 +228,10 @@ class TestCrossEntropyRows:
         soft_rows = draw_soft_rows(rng, n, data)
         targets = [data.draw(st.floats(0.5, 2.0))
                    * softmax_rows(3.0 * rng.normals(soft_rows.size, n), 1.0) for _ in range(2)]
-        loss, block, d_eye = contrastive_xent(x, eye, weights, soft_rows, *targets)
+        loss, block, d_eye = contrastive_xent(x, eye, weights, soft_rows,
+                                              *factored(n, soft_rows, *targets))
         ref_loss, ref_d_eye, ref_block = contrastive_xent(eye, x, weights, soft_rows,
-                                                          *targets[::-1])
+                                                          *factored(n, soft_rows, *targets[::-1]))
         # The two reductions add exp(x - max) in another order, so a sum may
         # differ in its last bit; a log-sum-exp term is at most max|x| +
         # log(n) and a gradient term at most weight * mass in size.
@@ -248,7 +266,8 @@ class TestCrossEntropyRows:
         shared = exp_both_axes(x) is not None
         event("shared exponential" if shared else "per-axis passes")
         event("hard only" if not soft_rows.size else "all soft" if soft_rows.size == n else "mixed")
-        loss, d_x, d_eye = contrastive_xent(x, np.eye(n), weights, soft_rows, *targets)
+        loss, d_x, d_eye = contrastive_xent(x, np.eye(n), weights, soft_rows,
+                                            *factored(n, soft_rows, *targets))
         ref_loss, ref_block, ref_d_eye = dense_reference(x, weights, soft_rows, *targets)
         terms, wm = 0.0, 0.0  # bounds on the loss's log-sum-exp terms, on a gradient term
         for q in targets:
@@ -267,16 +286,19 @@ class TestCrossEntropyRows:
         assert (np.abs(d_eye - ref_d_eye) <= product_bound(block_err, ref_block, g, x)).all()
 
     def test_both_axes_shape_mismatch(self):
-        no_soft = np.zeros((0, 2))
+        one, two = np.ones(1), np.ones(2)
+        block = np.ones((2, 2))
         for v, t, weights, soft_rows, row_targets, col_targets in (
                 (np.zeros((2, 3)), np.zeros((3, 3)), np.full(2, 0.5), np.zeros(0, np.int64),
-                 no_soft, no_soft),
+                 None, None),
                 (np.zeros((2, 3)), np.zeros((2, 3)), np.full(3, 0.5), np.zeros(0, np.int64),
-                 no_soft, no_soft),
+                 None, None),
                 (np.zeros((2, 3)), np.zeros((2, 3)), np.full(2, 0.5), np.arange(1),
-                 np.ones((1, 2)), np.ones((1, 3))),
+                 (np.ones((1, 2)), one, two), (block, two, one)),
                 (np.zeros((2, 3)), np.zeros((2, 3)), np.full(2, 0.5), np.arange(1),
-                 np.ones((2, 2)), np.ones((2, 2)))):
+                 (block, two, two), (block, two, one)),
+                (np.zeros((2, 3)), np.zeros((2, 3)), np.full(2, 0.5), np.arange(1),
+                 (block, one, two), (block, one, one))):
             with pytest.raises(InvalidInputError):
                 contrastive_xent(v, t, weights, soft_rows, row_targets, col_targets)
 

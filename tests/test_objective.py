@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from psdlab.errors import EmptyBatchError, InvalidInputError
@@ -254,7 +255,55 @@ class TestSoftTargets:
         good = [[0.5, 0.5]]
         kwargs = {"image_targets": good, "text_targets": good, side: rows}
         with pytest.raises(InvalidInputError):
-            SoftTargets(teacher_scale=1.0, **kwargs)
+            SoftTargets.from_rows(rows=[0], teacher_scale=1.0, **kwargs)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("which", ["p", "g", "r", "s"])
+    def test_bad_scale_rejected(self, rng, which, bad):
+        v, t = unit_batch(rng, 5, 3)
+        st = soft_targets_swapped(v, t, 5.0, make_partition(5, 0.4, rng=rng))
+        (p, g), (r, s) = st.image_scales, st.text_scales
+        scales = {"p": p.copy(), "g": g.copy(), "r": r.copy(), "s": s.copy()}
+        scales[which][-1] = bad
+        with pytest.raises(InvalidInputError):
+            dataclasses.replace(st, image_scales=(scales["p"], scales["g"]),
+                                text_scales=(scales["r"], scales["s"]))
+
+    @pytest.mark.parametrize("factor, accepted", [(1.0 + 5e-13, True), (1.0 + 2e-12, False),
+                                                  (1.0 - 5e-10, True), (1.0 - 2e-9, False)])
+    def test_mass_bounds(self, rng, factor, accepted):
+        # A derived row's mass, computed from the factors, must lie in
+        # [1 - 1e-9, 1 + 1e-12]: scaling one row scale scales its mass.
+        v, t = unit_batch(rng, 5, 3)
+        st = soft_targets_swapped(v, t, 5.0, make_partition(5, 0.4, rng=rng))
+        for side in ("image_scales", "text_scales"):
+            scales = [x.copy() for x in getattr(st, side)]
+            scales[0 if side == "image_scales" else 1][0] *= factor
+            if accepted:
+                dataclasses.replace(st, **{side: tuple(scales)})
+            else:
+                with pytest.raises(InvalidInputError):
+                    dataclasses.replace(st, **{side: tuple(scales)})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_block_entry_rejected(self, rng, value):
+        # Even an entry outside the unaligned rows, which no derived row
+        # reads but the loss's gradient block would.
+        v, t = unit_batch(rng, 5, 3)
+        plan = make_partition(5, 0.4, rng=rng)
+        st = soft_targets_bootstrap(v, t, 5.0, plan)
+        block = st.image_exp.copy()
+        block[plan.aligned_idx[0], 0] = value
+        for side in ("image_exp", "text_exp"):
+            with pytest.raises(InvalidInputError):
+                dataclasses.replace(st, **{side: block})
+
+    def test_derived_rows_are_read_only(self, rng):
+        v, t = unit_batch(rng, 5, 3)
+        st = soft_targets_swapped(v, t, 5.0, make_partition(5, 0.4, rng=rng))
+        for rows in (st.image_targets, st.text_targets):
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0.5
 
     def test_empty_unaligned_set(self, rng):
         v, t = unit_batch(rng, 4, 3)
@@ -286,7 +335,8 @@ class TestPsdLoss:
         temp = TemperatureParam(0.8)
         plan = PartitionPlan(aligned_idx=[], unaligned_idx=np.arange(5), alpha=0.0)
         eye = np.eye(5)
-        targets = SoftTargets(image_targets=eye, text_targets=eye, teacher_scale=1.0)
+        targets = SoftTargets.from_rows(image_targets=eye, text_targets=eye, rows=np.arange(5),
+                                        teacher_scale=1.0)
         a = psd_loss(EmbeddingBatch(v, t), temp, plan, targets)
         b = info_nce(EmbeddingBatch(v, t), temp)
         assert a.loss == pytest.approx(b.loss, abs=1e-12)
@@ -366,13 +416,76 @@ class TestPsdLoss:
         batch, temp, plan, targets = self._random_setup(rng)
         lg1 = psd_loss(batch, temp, plan, targets)
         # mutate the teacher path after construction; stored targets are constants
-        mangled = SoftTargets(image_targets=targets.image_targets.copy(),
-                              text_targets=targets.text_targets.copy(),
-                              teacher_scale=999.0)
+        block = targets.image_exp.copy()
+        mangled = dataclasses.replace(
+            targets, image_exp=block, teacher_scale=999.0,
+            text_exp=block if targets.text_exp is targets.image_exp else targets.text_exp.copy())
         lg2 = psd_loss(batch, temp, plan, mangled)
         assert lg1.loss == lg2.loss
         np.testing.assert_array_equal(lg1.d_image, lg2.d_image)
         np.testing.assert_array_equal(lg1.d_text, lg2.d_text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, (1 << 64) - 1), n=st.integers(1, 40), d=st.integers(1, 6),
+           n_soft=st.sampled_from(["none", "one", "all"]), swapped=st.booleans(),
+           teacher_scale=st.floats(1e-3, 1000.0), log_scale=st.floats(-2.0, math.log(100.0)))
+    # Unit rows at teacher scale 1000 span up to 2000, past the shared
+    # exponential's 600; at 15 they span at most 30.
+    @example(seed=3, n=12, d=4, n_soft="all", swapped=True, teacher_scale=1000.0, log_scale=2.6)
+    @example(seed=3, n=12, d=4, n_soft="one", swapped=False, teacher_scale=1000.0, log_scale=2.6)
+    @example(seed=4, n=12, d=4, n_soft="all", swapped=False, teacher_scale=15.0, log_scale=2.6)
+    def test_factored_targets_equal_their_dense_rows(self, seed, n, d, n_soft, swapped,
+                                                      teacher_scale, log_scale):
+        # The teacher's factored targets and a dense copy of their derived
+        # rows reach the loss through one kernel, as one shared block or as
+        # two blocks of scattered rows, and must give the same loss and
+        # gradients. Each difference is bounded by 1e-12 of the size of the
+        # terms it sums: a log-sum-exp or picked logit is at most
+        # max|L| + log n per unit of weight (the weights sum to 2), and a
+        # gradient row's block entries sum to at most 4 * max weight in size.
+        rng = RngState(seed)
+        v, t = unit_batch(rng, n, d)
+        k = {"none": 0, "one": 1, "all": n}[n_soft]
+        order = rng.permutation(n)
+        plan = PartitionPlan(aligned_idx=order[k:], unaligned_idx=order[:k], alpha=(n - k) / n)
+        build = soft_targets_swapped if swapped else soft_targets_bootstrap
+        factored = build(v, t, teacher_scale, plan)
+        shared = exp_both_axes((teacher_scale * v) @ t.T) is not None
+        assert (factored.image_exp is factored.text_exp) == shared
+        event("shared block" if shared else "a block per direction")
+        dense = SoftTargets.from_rows(factored.image_targets, factored.text_targets,
+                                      factored.rows, teacher_scale)
+        batch, temp = EmbeddingBatch(v, t), TemperatureParam(log_scale)
+        a = psd_loss(batch, temp, plan, factored)
+        b = psd_loss(batch, temp, plan, dense)
+        top = temp.scale * np.abs(v @ t.T).max() + math.log(n)
+        assert abs(a.loss - b.loss) <= 1e-12 * max(abs(b.loss), 2.0 * top)
+        assert abs(a.d_log_scale - b.d_log_scale) <= 1e-12 * max(abs(b.d_log_scale), 8.0 * top)
+        w_max = max(plan.alpha / max(n - k, 1), (1.0 - plan.alpha) / max(k, 1))
+        for got, want, other in ((a.d_image, b.d_image, temp.scale * t),
+                                 (a.d_text, b.d_text, temp.scale * v)):
+            size = max(np.abs(want).max(), 4.0 * w_max * np.abs(other).max())
+            assert np.abs(got - want).max() <= 1e-12 * size
+
+    @pytest.mark.parametrize("teacher_scale", [15.0, 1000.0])
+    @pytest.mark.parametrize("build", [soft_targets_swapped, soft_targets_bootstrap])
+    def test_targets_reused_across_calls(self, rng, build, teacher_scale):
+        # gradcheck's finite differences call psd_loss many times on one
+        # targets object: the calls must agree bit for bit and leave every
+        # array the targets hold as it was.
+        v, t = unit_batch(rng, 9, 4)
+        plan = make_partition(9, 0.4, rng=rng)
+        targets = build(v, t, teacher_scale, plan)
+        held = [targets.rows, targets.image_exp, *targets.image_scales, targets.text_exp,
+                *targets.text_scales]
+        before = [x.copy() for x in held]
+        batch, temp = EmbeddingBatch(v, t), TemperatureParam(1.2)
+        first, second = (psd_loss(batch, temp, plan, targets) for _ in range(2))
+        assert first.loss == second.loss and first.d_log_scale == second.d_log_scale
+        np.testing.assert_array_equal(first.d_image, second.d_image)
+        np.testing.assert_array_equal(first.d_text, second.d_text)
+        for now, then in zip(held, before):
+            np.testing.assert_array_equal(now, then)
 
     def test_plan_target_mismatch_rejected(self, rng):
         batch, temp, plan, targets = self._random_setup(rng, n=6, alpha=0.5)
