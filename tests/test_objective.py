@@ -269,6 +269,27 @@ class TestSoftTargets:
             dataclasses.replace(st, image_scales=(scales["p"], scales["g"]),
                                 text_scales=(scales["r"], scales["s"]))
 
+    @pytest.mark.parametrize("rows, count", [([-1], 1), ([2], 1), ([1, 0], 2), ([0, 0], 2),
+                                             ([0, 1], 1)])
+    def test_rows_must_be_increasing_indices(self, rows, count):
+        # A negative row would wrap to the last one, and an unsorted or
+        # repeated one would keep every derived mass at 1.
+        targets = [[0.5, 0.5]] * count
+        with pytest.raises(InvalidInputError):
+            SoftTargets.from_rows(targets, targets, rows, 1.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_scale_checked_apart_from_mass(self, bad):
+        # Row 0 of the identity block is [1, 0], and so is its column 0: a
+        # scale of 0 or -1 at index 1 of the image targets' column scale or
+        # the text targets' row scale leaves both derived masses at exactly
+        # 1, so only the scale check can reject it.
+        eye, one, ones, odd = np.eye(2), np.ones(1), np.ones(2), np.array([1.0, bad])
+        SoftTargets([0], eye, (one, ones), eye, (ones, one), 1.0)
+        for image_scales, text_scales in (((one, odd), (ones, one)), ((one, ones), (odd, one))):
+            with pytest.raises(InvalidInputError):
+                SoftTargets([0], eye, image_scales, eye, text_scales, 1.0)
+
     @pytest.mark.parametrize("factor, accepted", [(1.0 + 5e-13, True), (1.0 + 2e-12, False),
                                                   (1.0 - 5e-10, True), (1.0 - 2e-9, False)])
     def test_mass_bounds(self, rng, factor, accepted):
