@@ -183,7 +183,7 @@ class SoftTargets:
         # Each test below is written so that NaN, for which every comparison
         # is false, fails it.
         scales = np.concatenate([p, g, r, s])
-        if not (scales.min() > 0.0 and scales.max() < math.inf):
+        if scales.size and not (scales.min() > 0.0 and scales.max() < math.inf):
             raise InvalidInputError("target scales must be finite and positive")
         sums = np.concatenate([e_v @ g, r @ e_t])
         if not np.isfinite(sums).all():
