@@ -76,7 +76,7 @@ class ExperimentConfig:
     target_mode: str = "swapped"
     partition_mode: str = "dynamic"
     temperature_init: float = 0.07
-    teacher_scale: float = 0.0        # 0 tracks the student scale
+    teacher_scale: float = 0.0        # 0 tracks the student scale; bootstrap targets need > 0
     eval_every: int = 0
 
     # evaluation / experiments

@@ -10,16 +10,17 @@ independent of platform or numpy version.
 One max-shifted exponential, ``exp_shifted`` (max, exp(x - max), sum along
 either axis of a 2-D array), serves every probability kernel. Two
 cross-entropy kernels sit on it, both with two target kinds: a hard target
-is one-hot, a soft target is a given distribution. ``softmax_xent`` takes
-the rows of a dense logit matrix against hard labels and dense soft rows;
-the linear probe calls it. ``contrastive_xent`` takes the rows and the
-columns of a square logit matrix L = scaled_v t^T given by its two factors,
-with its diagonal as the hard targets, and returns the gradients in the
-factors; InfoNCE and the PSD loss call it. Its soft targets come as factors
-of an exponential, an n x n block with one scale per row and one per
-column, which is how the PSD teacher makes them: no target row is gathered,
-and the weighted targets are subtracted from the gradient block a band of
-rows at a time, so the block's two products with the factors carry them.
+is one-hot, a soft target is a distribution. ``softmax_xent`` takes the
+rows of a dense logit matrix against hard labels and dense soft rows, whose
+sums it reads; the linear probe calls it. ``contrastive_xent`` takes the
+rows and the columns of a square logit matrix L = scaled_v t^T given by its
+two factors, with its diagonal as the hard targets, and returns the
+gradients in the factors; InfoNCE and the PSD loss call it. Its soft
+targets come normalized (``objective.SoftTargets``) as factors of an
+exponential, an n x n block with one scale per row and one per column: no
+target row is gathered, and the weighted targets are subtracted from the
+gradient block a band of rows at a time, so the block's two products with
+the factors carry them.
 
 When both axes of one square matrix need their log-sum-exps
 (``contrastive_xent`` and the swapped teacher), ``exp_both_axes`` takes them
@@ -107,21 +108,6 @@ def exp_both_axes(x: np.ndarray, out: np.ndarray | None = None
     return e, float(top), e.sum(axis=1, keepdims=True), e.sum(axis=0, keepdims=True)
 
 
-def softmax_rows(m, scale: float) -> np.ndarray:
-    """Row-wise softmax of ``scale * m`` with per-row max subtraction.
-
-    ``scale`` multiplies the logits (it plays the role of an inverse
-    temperature). Each output row is nonnegative and sums to 1.
-    """
-    m = as_matrix(m, "softmax input")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise InvalidInputError(f"softmax scale must be a positive real, got {scale}")
-    probs = scale * m
-    _, _, total = exp_shifted(probs, 1, out=probs)
-    probs /= total
-    return probs
-
-
 def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
                  soft_rows: np.ndarray, soft_targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Weighted softmax cross-entropy over the rows of ``logits``, with its
@@ -178,15 +164,16 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
     row_exp[soft_rows[u], j] * p[u] * g[j] over the columns j; with
     ``col_targets = (col_exp, r, s)``, column soft_rows[u] targets
     col_exp[i, soft_rows[u]] * r[i] * s[u] over the rows i. The two blocks
-    may be one array, and neither is written to. A soft target need not sum
-    to 1; its mass is taken from the factors. Both target arguments are
-    ignored, and may be None, when ``soft_rows`` is empty.
+    may be one array, and neither is written to. Every soft target must sum
+    to 1, as ``objective.SoftTargets`` makes it, so each term is
+    lse(x) - q . x. Both target arguments are ignored, and may be None, when
+    ``soft_rows`` is empty.
 
-    The gradient in L is e * (a_i + b_j) - H - M, with a = weights * mass /
-    row sum, b = weights * mass / column sum, H the hard targets and M the
-    weighted soft ones: M = row_exp * (alpha (x) g) + col_exp * (r (x) beta),
-    where alpha and beta are weights * p and weights * s on the soft rows
-    and 0 elsewhere (one block times a rank-2 product when the blocks are one
+    The gradient in L is e * (a_i + b_j) - H - M, with a = weights / row
+    sum, b = weights / column sum, H the hard targets and M the weighted
+    soft ones: M = row_exp * (alpha (x) g) + col_exp * (r (x) beta), where
+    alpha and beta are weights * p and weights * s on the soft rows and 0
+    elsewhere (one block times a rank-2 product when the blocks are one
     array). When ``exp_both_axes`` admits L, e is its one exponential, taken
     in place in L's buffer; otherwise each axis takes its own
     ``exp_shifted`` pass and the two scaled exponentials are summed into one
@@ -201,7 +188,6 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
     if t.shape != scaled_v.shape or weights.shape != (n,):
         raise InvalidInputError(
             f"shape mismatch: factors {scaled_v.shape} and {t.shape}, weights {weights.shape}")
-    row_mass, col_mass = np.ones(n), np.ones(n)
     terms = []  # (block, x, y): M = sum of block * (x @ y) over the terms
     if k:
         (row_exp, p, g), (col_exp, r, s) = row_targets, col_targets
@@ -210,8 +196,6 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
             raise InvalidInputError(
                 f"shape mismatch: {k} soft rows of {n}, target blocks {row_exp.shape} and "
                 f"{col_exp.shape}, scales {p.shape}, {g.shape}, {r.shape} and {s.shape}")
-        row_mass[soft_rows] = p * (row_exp @ g)[soft_rows]
-        col_mass[soft_rows] = s * (r @ col_exp)[soft_rows]
         alpha, beta = np.zeros(n), np.zeros(n)
         alpha[soft_rows] = weights[soft_rows] * p
         beta[soft_rows] = weights[soft_rows] * s
@@ -238,22 +222,20 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
             soft_col += r[band] @ product
         picked_row[soft_rows] = p * soft_row[soft_rows]
         picked_col[soft_rows] = s * soft_col[soft_rows]
-    a = (weights * row_mass)[:, None]
-    b = weights * col_mass
     shared = exp_both_axes(logits, out=logits)
     if shared is not None:
         grad, top, row_sum, col_sum = shared
         row_lse = top + np.log(row_sum.ravel())
         col_lse = top + np.log(col_sum.ravel())
-        a /= row_sum
-        b /= col_sum.ravel()
+        a = weights[:, None] / row_sum
+        b = weights / col_sum.ravel()
     else:
         grad, top, total = exp_shifted(logits, 1)
         row_lse = (top + np.log(total)).ravel()
-        grad *= a / total
+        grad *= weights[:, None] / total
         e, top, total = exp_shifted(logits, 0, out=logits)
         col_lse = (top + np.log(total)).ravel()
-        e *= b / total
+        e *= weights / total
         grad += e
     # e * (a + b) less M in place, a band of rows at a time: a fresh n x n
     # block for a + b raised info_nce's peak from 2.7 to 3.4 n x n blocks at
@@ -272,8 +254,7 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
     hard[soft_rows] = 0.0
     diagonal = grad.reshape(-1)[:: n + 1]
     diagonal -= hard
-    loss = (float(weights @ (row_lse * row_mass - picked_row))
-            + float(weights @ (col_lse * col_mass - picked_col)))
+    loss = float(weights @ (row_lse - picked_row)) + float(weights @ (col_lse - picked_col))
     return loss, grad @ t, grad.T @ scaled_v
 
 

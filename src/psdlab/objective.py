@@ -17,15 +17,18 @@ alpha/|A| and the unaligned (soft) rows (1 - alpha)/|U|.
 The teacher reads the rows and columns of its own (teacher_scale * V) T^T in
 the same way, and hands the loss its targets as factors, never as dense
 |U| x n rows (``SoftTargets``): every target entry is an entry of the
-teacher's exponential E times one row scale and one column scale. For
-unit-norm embeddings every logit lies within 2 * teacher_scale of the
-largest, so one E = exp(S - max S) under the global max serves both
-directions and both target kinds (``numkit.exp_both_axes``); the scales are
-reciprocals of its row and column sums and of the targets' normalizers. Its
-span rule asks every logit to lie within 600 of the largest, because a
-target scales single exponentials by reciprocal sums and one that
-underflowed could have led its row. Wider matrices take one block per
-direction, each shifted by its own rows' or columns' maxima.
+teacher's exponential E times one scale over the opposite modality and one
+normalizer per target row. The teacher picks the block and the scale (for
+swapped targets, the reciprocals of E's column or row sums; for bootstrap
+targets, 1); ``SoftTargets`` alone derives the normalizers, so every target
+is a distribution and the loss takes it as one. For unit-norm embeddings
+every logit lies within 2 * teacher_scale of the largest, so one
+E = exp(S - max S) under the global max serves both directions and both
+target kinds (``numkit.exp_both_axes``). Its span rule asks every logit to
+lie within 600 of the largest, because a target scales single exponentials
+by reciprocal sums and one that underflowed could have led its row. Wider
+matrices take one block per direction, each shifted by its own rows' or
+columns' maxima.
 
 Gradient convention: embeddings are treated as free variables (the losses are
 smooth functions of the raw matrix entries), so every gradient can be checked
@@ -36,7 +39,7 @@ constants and never receive gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,26 +147,27 @@ class SoftTargets:
         image_targets[u, j] = image_exp[rows[u], j] * p[u] * g[j],
         text_targets[u, i] = text_exp[i, rows[u]] * r[i] * s[u],
 
-    with ``image_scales = (p, g)`` and ``text_scales = (r, s)``. The two
-    n x n blocks are exponentials of teacher logits and may be one array;
-    their entries are not scanned. Both views are derived on access and
-    read-only; the loss reads the factors. Targets are constants to the
-    student; no gradient flows into them, and nothing here writes to the
-    arrays it holds.
+    given a scale ``g`` over the texts and ``r`` over the images. The
+    normalizers p = 1 / (image_exp @ g)[rows] and s = 1 / (r @ text_exp)[rows]
+    are derived here (again by ``dataclasses.replace``), so every target row
+    sums to 1 by construction. The two n x n blocks are exponentials of
+    teacher logits and may be one array. Both views are derived on access
+    and read-only; the loss reads the factors. Targets are constants to the
+    student; nothing here writes to the arrays it holds.
 
-    A scale that is not a finite positive number, or a derived row whose
-    mass, computed from the factors, lies outside [1 - 1e-9, 1 + 1e-12]
-    (NaN too), raises InvalidInputError. The row sums of each block taken
-    for those masses must be finite, which rejects a NaN or infinite entry
-    anywhere in either block. ``from_rows`` builds targets from dense rows.
+    InvalidInputError is raised for a scale that is not a finite positive
+    number, for a non-finite full row sum of either block (image_exp @ g or
+    r @ text_exp: a NaN or infinite entry anywhere), and for a target row
+    whose sum is not positive or has no finite reciprocal.
     """
 
     rows: np.ndarray
     image_exp: np.ndarray
-    image_scales: tuple[np.ndarray, np.ndarray]
+    g: np.ndarray
     text_exp: np.ndarray
-    text_scales: tuple[np.ndarray, np.ndarray]
-    teacher_scale: float
+    r: np.ndarray
+    p: np.ndarray = field(init=False)
+    s: np.ndarray = field(init=False)
 
     def __post_init__(self):
         e_v = np.ascontiguousarray(self.image_exp, dtype=np.float64)
@@ -173,85 +177,43 @@ class SoftTargets:
         if e_v.shape != (n, n) or e_t.shape != (n, n):
             raise InvalidInputError(
                 f"target blocks must be one square shape, got {e_v.shape} and {e_t.shape}")
-        rows = _target_rows(self.rows, n)
-        p, g, r, s = (np.asarray(x, dtype=np.float64) for x in (*self.image_scales,
-                                                                  *self.text_scales))
-        if (p.shape, g.shape, r.shape, s.shape) != ((rows.size,), (n,), (n,), (rows.size,)):
-            raise InvalidInputError(
-                f"target scales {p.shape}, {g.shape}, {r.shape} and {s.shape} do not fit "
-                f"{rows.size} rows of {n}")
+        rows = np.asarray(self.rows, dtype=np.int64)
+        if rows.ndim != 1 or (rows.size and not (rows[0] >= 0 and rows[-1] < n
+                                                 and (rows[1:] > rows[:-1]).all())):
+            raise InvalidInputError(f"target rows must be increasing indices in 0..{n - 1}")
+        g, r = np.asarray(self.g, dtype=np.float64), np.asarray(self.r, dtype=np.float64)
+        if g.shape != (n,) or r.shape != (n,):
+            raise InvalidInputError(f"target scales {g.shape} and {r.shape} do not fit {n} rows")
         # Each test below is written so that NaN, for which every comparison
         # is false, fails it.
-        scales = np.concatenate([p, g, r, s])
+        scales = np.concatenate([g, r])
         if scales.size and not (scales.min() > 0.0 and scales.max() < math.inf):
             raise InvalidInputError("target scales must be finite and positive")
         sums = np.concatenate([e_v @ g, r @ e_t])
         if not np.isfinite(sums).all():
             raise InvalidInputError("target blocks hold NaN or infinite entries")
-        mass = np.concatenate([p * sums[rows], s * sums[n + rows]])
-        if mass.size and not (mass.min() >= 1.0 - 1e-9 and mass.max() <= 1.0 + 1e-12):
-            raise InvalidInputError("target rows must sum to within [1 - 1e-9, 1 + 1e-12]")
-        if not (math.isfinite(self.teacher_scale) and self.teacher_scale > 0.0):
-            raise InvalidInputError(f"teacher scale must be positive, got {self.teacher_scale}")
-        for name, value in (("rows", rows), ("image_exp", e_v), ("image_scales", (p, g)),
-                            ("text_exp", e_t), ("text_scales", (r, s))):
+        with np.errstate(divide="ignore", over="ignore"):
+            norms = 1.0 / sums[np.concatenate([rows, n + rows])]
+        if norms.size and not (norms.min() > 0.0 and norms.max() < math.inf):
+            raise InvalidInputError("target row sums must be positive with finite reciprocals")
+        for name, value in (("rows", rows), ("image_exp", e_v), ("g", g), ("text_exp", e_t),
+                            ("r", r), ("p", norms[: rows.size]), ("s", norms[rows.size:])):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_rows(cls, image_targets, text_targets, rows, teacher_scale: float) -> "SoftTargets":
-        """Targets given as dense rows for the batch rows ``rows``: row u of
-        ``image_targets`` over the texts, of ``text_targets`` over the
-        images. Every entry must lie in [0, 1] within 1e-12 and every row
-        sum to 1 within 1e-9. The rows are then laid into zero blocks with
-        unit scales, whose checks above also hold each row's sum to at most
-        1 + 1e-12."""
-        a_v = np.asarray(image_targets, dtype=np.float64)
-        a_t = np.asarray(text_targets, dtype=np.float64)
-        for name, m in (("image_targets", a_v), ("text_targets", a_t)):
-            if m.ndim != 2:
-                raise InvalidInputError(f"{name} must be 2-D")
-            # Written so that NaN, for which every comparison is false, fails.
-            if m.size and not (m.min() >= -1e-12 and m.max() <= 1.0 + 1e-12):
-                raise InvalidInputError(f"{name} entries must be numbers in [0, 1]")
-            if m.shape[0] and not np.abs(m.sum(axis=1) - 1.0).max() <= 1e-9:
-                raise InvalidInputError(f"{name} rows must sum to 1 within 1e-9")
-        if a_v.shape != a_t.shape:
-            raise InvalidInputError("image_targets and text_targets must share a shape")
-        n = a_v.shape[1]
-        rows = _target_rows(rows, n)
-        if rows.size != a_v.shape[0]:
-            raise InvalidInputError(f"{a_v.shape[0]} target rows for {rows.size} batch rows")
-        e_v, e_t = np.zeros((n, n)), np.zeros((n, n))
-        e_v[rows] = a_v
-        e_t[:, rows] = a_t.T
-        ones_u, ones_n = np.ones(rows.size), np.ones(n)
-        return cls(rows, e_v, (ones_u, ones_n), e_t, (ones_n, ones_u), teacher_scale)
 
     @property
     def image_targets(self) -> np.ndarray:
-        p, g = self.image_scales
-        out = self.image_exp[self.rows] * p[:, None]
-        out *= g
+        out = self.image_exp[self.rows] * self.p[:, None]
+        out *= self.g
         out.flags.writeable = False
         return out
 
     @property
     def text_targets(self) -> np.ndarray:
-        r, s = self.text_scales
-        out = self.text_exp[:, self.rows] * r[:, None]
-        out *= s
+        out = self.text_exp[:, self.rows] * self.r[:, None]
+        out *= self.s
         out = out.T
         out.flags.writeable = False
         return out
-
-
-def _target_rows(rows, n: int) -> np.ndarray:
-    """``rows`` as an increasing int64 array of indices in 0..n-1."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 1 or (rows.size and not (rows[0] >= 0 and rows[-1] < n
-                                             and (rows[1:] > rows[:-1]).all())):
-        raise InvalidInputError(f"target rows must be increasing indices in 0..{n - 1}")
-    return rows
 
 
 @dataclass
@@ -273,8 +235,8 @@ def _bidirectional_xent(batch: EmbeddingBatch, temp: TemperatureParam, weights: 
     if targets is None:
         soft = (np.zeros(0, dtype=np.int64), None, None)
     else:
-        soft = (targets.rows, (targets.image_exp, *targets.image_scales),
-                (targets.text_exp, *targets.text_scales))
+        soft = (targets.rows, (targets.image_exp, targets.p, targets.g),
+                (targets.text_exp, targets.r, targets.s))
     loss, d_scaled_v, d_text = contrastive_xent(scaled_v, batch.text, weights, *soft)
     # sum(d_logits * logits) reduced over n x d instead of n x n, since the
     # logits are (scale * v) t^T; einsum, not a BLAS dot, because a threaded
@@ -311,22 +273,18 @@ def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: Parti
     u = plan.unaligned_idx
     ones = np.ones(plan.n)
     logits = (teacher_scale * v) @ t.T
-    # Under the span rule one E = exp(S - max S), with row sums r and column
-    # sums c, serves both directions. A swapped image row is P(image u |
-    # text j) = E[u, j] / c_j renormalized over j: scales 1/Z_u and 1/c_j,
-    # with Z = E @ (1/c). A swapped text row is E[i, u] / r_i renormalized
-    # over i: scales 1/r_i and 1/Z'_u, with Z' = (1/r) @ E. A bootstrap image
-    # row is E[u, j] / r_u, and a bootstrap text row E[i, u] / c_u.
+    # Under the span rule one E = exp(S - max S), with row sums R and column
+    # sums C, serves both directions. A swapped image row is P(image u |
+    # text j) = E[u, j] / C_j renormalized over j: scale g = 1/C over the
+    # texts. A swapped text row is E[i, u] / R_i renormalized over i: scale
+    # r = 1/R over the images. A bootstrap row is a row or column of E
+    # itself, renormalized: unit scales. SoftTargets renormalizes.
     shared = exp_both_axes(logits, out=logits)
     if shared is not None:
         e, _, row_sum, col_sum = shared
         if swapped:
-            g, r = 1.0 / col_sum.ravel(), 1.0 / row_sum.ravel()
-            z_image, z_text = (e @ g)[u], (r @ e)[u]
-        else:
-            g = r = ones
-            z_image, z_text = row_sum.ravel()[u], col_sum.ravel()[u]
-        return SoftTargets(u, e, (1.0 / z_image, g), e, (r, 1.0 / z_text), teacher_scale)
+            return SoftTargets(u, e, 1.0 / col_sum.ravel(), e, 1.0 / row_sum.ravel())
+        return SoftTargets(u, e, ones, e, ones)
     # Otherwise each direction gets its own block, shifted by its own rows'
     # (image) or columns' (text) maxima so that none underflows entirely:
     # exp of each log-posterior, log P(image i | text j) = S[i, j] - lse_i
@@ -340,10 +298,9 @@ def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: Parti
         logits -= top + np.log(total)
     else:
         image_exp[...] = logits
-    _, _, z_image = exp_shifted(image_exp, 1, out=image_exp)
-    text_exp, _, z_text = exp_shifted(logits, 0, out=logits)
-    return SoftTargets(u, image_exp, (1.0 / z_image.ravel()[u], ones),
-                       text_exp, (ones, 1.0 / z_text.ravel()[u]), teacher_scale)
+    exp_shifted(image_exp, 1, out=image_exp)
+    exp_shifted(logits, 0, out=logits)
+    return SoftTargets(u, image_exp, ones, logits, ones)
 
 
 def soft_targets_swapped(teacher_image, teacher_text, teacher_scale: float,

@@ -198,7 +198,7 @@ class TrainConfig:
     target_mode: str = "swapped"
     partition_mode: str = "dynamic"
     temperature_init: float = 0.07
-    teacher_scale: float | None = None   # None tracks the student's scale
+    teacher_scale: float | None = None   # None tracks the student's scale (not for bootstrap)
     eval_every: int = 0                  # epochs between held-out evals, 0 = off
     k_list: tuple[int, ...] = (1, 5, 10)  # recall cutoffs of the held-out evals
 
@@ -215,6 +215,9 @@ class TrainConfig:
             raise InvalidInputError("both encoders must share the embedding dimension")
         if self.teacher_scale is not None and self.teacher_scale <= 0.0:
             raise InvalidInputError("teacher scale override must be positive")
+        if self.target_mode == "bootstrap" and self.teacher_scale is None:
+            raise InvalidInputError("bootstrap targets at the student's scale are its own "
+                                    "posteriors and give no gradient: set teacher_scale")
 
 
 @dataclass

@@ -1,14 +1,22 @@
-"""Independent scalar/brute-force oracles used by the test suite.
+"""Independent scalar/brute-force oracles used by the test suite, and two
+numpy helpers that build the tests' inputs.
 
-Everything here is written with plain Python loops and the math module, never
+The oracles are written with plain Python loops and the math module, never
 with the package's vectorized code paths, so an agreement between the two is
-evidence rather than tautology.
+evidence rather than tautology. ``softmax_rows`` and ``dense_targets``, at
+the end, are test inputs, not oracles.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+
+import numpy as np
+
+from psdlab.errors import InvalidInputError
+from psdlab.numkit import as_matrix
+from psdlab.objective import SoftTargets
 
 
 def softmax_row_scalar(row, scale):
@@ -172,3 +180,43 @@ def adam_scalar_trajectory(p0, grads_per_step, lr, beta1, beta2, eps, wd, decay_
         p = [x - rate * mi / (math.sqrt(vi) + eps) for x, mi, vi in zip(p, mh, vh)]
         out.append(list(p))
     return out
+
+
+def softmax_rows(m, scale: float) -> np.ndarray:
+    """Row-wise softmax of ``scale * m`` with per-row max subtraction: each
+    row is nonnegative and sums to 1. A non-finite ``m`` or a scale that is
+    not a positive real raises InvalidInputError."""
+    m = as_matrix(m, "softmax input")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise InvalidInputError(f"softmax scale must be a positive real, got {scale}")
+    probs = scale * m
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
+
+
+def dense_targets(image_rows, text_rows, rows) -> SoftTargets:
+    """Soft targets given as dense rows for the batch rows ``rows``: row u of
+    ``image_rows`` over the texts, of ``text_rows`` over the images. Every
+    entry must lie in [0, 1] within 1e-12 and every row sum to 1 within
+    1e-9. The rows are laid into zero blocks with unit scales, so the
+    targets ``SoftTargets`` derives from them are the rows renormalized."""
+    a_v = np.asarray(image_rows, dtype=np.float64)
+    a_t = np.asarray(text_rows, dtype=np.float64)
+    for name, m in (("image_rows", a_v), ("text_rows", a_t)):
+        if m.ndim != 2:
+            raise InvalidInputError(f"{name} must be 2-D")
+        # Written so that NaN, for which every comparison is false, fails.
+        if m.size and not (m.min() >= -1e-12 and m.max() <= 1.0 + 1e-12):
+            raise InvalidInputError(f"{name} entries must be numbers in [0, 1]")
+        if m.shape[0] and not np.abs(m.sum(axis=1) - 1.0).max() <= 1e-9:
+            raise InvalidInputError(f"{name} rows must sum to 1 within 1e-9")
+    if a_v.shape != a_t.shape or a_v.shape[0] != len(rows):
+        raise InvalidInputError(f"{len(rows)} batch rows for targets of shapes {a_v.shape} "
+                                f"and {a_t.shape}")
+    n = a_v.shape[1]
+    e_v, e_t = np.zeros((n, n)), np.zeros((n, n))
+    e_v[rows] = a_v
+    e_t[:, rows] = a_t.T
+    return SoftTargets(rows, e_v, np.ones(n), e_t, np.ones(n))

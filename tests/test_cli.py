@@ -78,6 +78,13 @@ def test_out_of_range_value_exits_invalid_input_code(tmp_path):
     assert rc == InvalidInputError.exit_code == 3
 
 
+def test_bootstrap_targets_under_tracking_teacher_exit_invalid_input_code(tmp_path, caplog):
+    # The default teacher_scale = 0 tracks the student's scale.
+    rc = main(["train", "--quiet", "--target-mode", "bootstrap", "--out", str(tmp_path)])
+    assert rc == InvalidInputError.exit_code == 3
+    assert "set teacher_scale" in caplog.text
+
+
 def test_zero_inputs_exit_degenerate_code(tmp_path):
     # A linear image encoder starts with zero biases, so all-zero image
     # features map to zero vectors that cannot be normalized.

@@ -24,6 +24,7 @@ def edited_config() -> ExperimentConfig:
     cfg.learning_rate = 0.1 + 0.2
     cfg.feature_noise_sigma = 1e-300
     cfg.target_mode = "bootstrap"
+    cfg.teacher_scale = 15.0  # bootstrap targets need a fixed teacher
     cfg.dataset_path = "data/pairs.psdd"
     cfg.seed = (1 << 64) - 1
     return cfg
@@ -60,5 +61,5 @@ def test_spec_fields_are_config_keys_with_the_same_defaults():
     # Values away from the defaults reach the spec too.
     edited = edited_config()
     tc = edited.train_config()
-    for name in {f.name for f in fields(TrainConfig)} & keys - {"teacher_scale"}:
+    for name in {f.name for f in fields(TrainConfig)} & keys:
         assert getattr(tc, name) == getattr(edited, name), name

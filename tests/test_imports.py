@@ -1,5 +1,6 @@
-"""No module imports a name that it never reads. The package's
-``__init__.py`` is exempt: its imports are the public re-exports."""
+"""No module imports a name that it never reads, and no top-level
+definition of the package goes unread. The package's ``__init__.py`` is
+exempt from the first: its imports are the public re-exports."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for folder in ("src/psdlab", "tests") for p in (ROOT / folder).glob("*.py")
                  if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src/psdlab").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unread_imports(source: str) -> list[str]:
@@ -36,3 +39,60 @@ def test_scan_finds_an_unread_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_definitions(package: dict[str, str], others: dict[str, str]) -> list[str]:
+    """The top-level functions and classes of the ``package`` sources (file
+    name to source) that no source of ``package`` or ``others`` names outside
+    the definition itself and no ``__all__`` of ``package`` lists, as
+    ``file:name``. A name is a read name or an attribute. Dataclass fields
+    are out of scope: ``ExperimentConfig``'s are read through ``fields()``
+    and ``getattr`` only, which no static scan can follow, and
+    ``TrainResult.opt`` is a field the benchmark's traced loop passes by
+    keyword, ``opt=``."""
+    defined, exported, named = [], set(), []
+    for path, source in {**package, **others}.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.append((path, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                named.append((path, node.attr, node.lineno))
+        if path not in package:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path, node.name, node.lineno, node.end_lineno))
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                exported |= set(ast.literal_eval(node.value))
+    return [f"{path}:{name}" for path, name, first, last in defined
+            if name not in exported
+            and not any(n == name and not (p == path and first <= line <= last)
+                        for p, n, line in named)]
+
+
+def test_scan_finds_an_unread_definition():
+    package = {"a.py": ("__all__ = ['api']\n"
+                        "def api():\n"
+                        "    return _helper() + Shape.size\n"
+                        "def _helper():\n"
+                        "    return 1\n"
+                        "def unused(n):\n"
+                        "    return unused(n - 1) if n else 0\n"
+                        "class Orphan:\n"
+                        "    pass\n"
+                        "class Shape:\n"
+                        "    size = 2\n"
+                        "def benched():\n"
+                        "    return 3\n")}
+    bench = {"run.py": "from a import benched\nprint(benched())\n"}
+    assert unread_definitions(package, bench) == ["a.py:unused", "a.py:Orphan"]
+    assert unread_definitions(package, {}) == ["a.py:unused", "a.py:Orphan", "a.py:benched"]
+
+
+def test_every_definition_is_read():
+    def sources(paths):
+        return {f"{p.parent.name}/{p.name}": p.read_text(encoding="utf-8") for p in paths}
+
+    assert unread_definitions(sources(PACKAGE), sources(BENCHMARK)) == []

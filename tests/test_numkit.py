@@ -15,11 +15,10 @@ from psdlab.numkit import (
     derive_seed,
     exp_both_axes,
     normalize_rows_l2,
-    softmax_rows,
     softmax_xent,
 )
 
-from oracles import cross_entropy_scalar, softmax_row_scalar
+from oracles import cross_entropy_scalar, softmax_row_scalar, softmax_rows
 
 
 class TestSoftmaxRows:
@@ -179,28 +178,29 @@ class TestCrossEntropyRows:
                          np.arange(1), np.ones((2, 2)) / 2)
 
     @pytest.mark.parametrize("far", [0.0, 30.0])
-    def test_gradient_with_unnormalized_soft_rows_matches_finite_differences(self, rng, far):
-        # Soft rows of mass 2.5 and soft columns of mass 0.5: the gradient
-        # carries softmax * sum(q) - q. With far = 30, pair 4 lies alone
-        # along the last axis, so its logit, 900, sits more than 600 above
-        # all others: exp_both_axes declines and each axis takes its own
-        # pass. That pair is hard and its softmaxes saturate, so every loss
-        # term stays small enough for central differences.
+    def test_gradient_with_soft_rows_matches_finite_differences(self, rng, far):
+        # With far = 30, pair 4 lies alone along the last axis, so its
+        # logit, 900, sits more than 600 above all others: exp_both_axes
+        # declines and each axis takes its own pass. That pair is hard and
+        # its softmaxes saturate, so every loss term stays small enough for
+        # central differences.
         v, t = 2.0 * rng.normals(5, 4), 2.0 * rng.normals(5, 4)
         if far:
             v[:, 3] = t[:, 3] = 0.0
             v[4] = t[4] = [0.0, 0.0, 0.0, far]
         assert (exp_both_axes(v @ t.T) is None) == bool(far)
         # The targets come in both forms the kernel takes: dense rows laid
-        # into two blocks, and one shared block with scales on both sides.
+        # into two blocks, and one shared block with scales on both sides,
+        # each soft row and column normalized by its sum.
         weights = rng.uniforms(5)
         rows = np.array([0, 3])
-        row_targets = 2.5 * softmax_rows(rng.normals(2, 5), 1.0)
-        col_targets = 0.5 * softmax_rows(rng.normals(2, 5), 1.0)
+        row_targets = softmax_rows(rng.normals(2, 5), 1.0)
+        col_targets = softmax_rows(rng.normals(2, 5), 1.0)
         block = np.exp(rng.normals(5, 5))
-        scales = [0.5 + rng.uniforms(size) for size in (2, 5, 5, 2)]
+        g, r = 0.5 + rng.uniforms(5), 0.5 + rng.uniforms(5)
+        p, s = 1.0 / (block @ g)[rows], 1.0 / (r @ block)[rows]
         for targets in (factored(5, rows, row_targets, col_targets),
-                        ((block, *scales[:2]), (block, *scales[2:]))):
+                        ((block, p, g), (block, r, s))):
 
             def loss_at(flat):
                 return contrastive_xent(flat[:20].reshape(5, 4), flat[20:].reshape(5, 4),
@@ -226,8 +226,7 @@ class TestCrossEntropyRows:
         eye = np.eye(n)
         weights = rng.uniforms(n)
         soft_rows = draw_soft_rows(rng, n, data)
-        targets = [data.draw(st.floats(0.5, 2.0))
-                   * softmax_rows(3.0 * rng.normals(soft_rows.size, n), 1.0) for _ in range(2)]
+        targets = [softmax_rows(3.0 * rng.normals(soft_rows.size, n), 1.0) for _ in range(2)]
         loss, block, d_eye = contrastive_xent(x, eye, weights, soft_rows,
                                               *factored(n, soft_rows, *targets))
         ref_loss, ref_d_eye, ref_block = contrastive_xent(eye, x, weights, soft_rows,
@@ -261,8 +260,7 @@ class TestCrossEntropyRows:
         x[0] -= drop
         weights = rng.uniforms(n)
         soft_rows = draw_soft_rows(rng, n, data)
-        targets = [data.draw(st.floats(0.5, 2.0))
-                   * softmax_rows(3.0 * rng.normals(soft_rows.size, n), 1.0) for _ in range(2)]
+        targets = [softmax_rows(3.0 * rng.normals(soft_rows.size, n), 1.0) for _ in range(2)]
         shared = exp_both_axes(x) is not None
         event("shared exponential" if shared else "per-axis passes")
         event("hard only" if not soft_rows.size else "all soft" if soft_rows.size == n else "mixed")

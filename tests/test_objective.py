@@ -25,6 +25,7 @@ from psdlab.trainer import make_partition
 from conftest import python_with_blas_threads, unit_batch
 from oracles import (
     bootstrap_targets_scalar,
+    dense_targets,
     info_nce_scalar,
     psd_scalar,
     swapped_targets_scalar,
@@ -252,59 +253,97 @@ class TestSoftTargets:
                                       [[math.inf, 0.5]], [[-math.inf, 1.0]]])
     @pytest.mark.parametrize("side", ["image_targets", "text_targets"])
     def test_non_finite_targets_rejected(self, rows, side):
-        good = [[0.5, 0.5]]
-        kwargs = {"image_targets": good, "text_targets": good, side: rows}
+        # The bad row laid into its block where a target row is read: an
+        # image row as row 0, a text row as column 0.
+        blocks = {"image_targets": np.full((2, 2), 0.5), "text_targets": np.full((2, 2), 0.5)}
+        if side == "image_targets":
+            blocks[side][0] = rows[0]
+        else:
+            blocks[side][:, 0] = rows[0]
         with pytest.raises(InvalidInputError):
-            SoftTargets.from_rows(rows=[0], teacher_scale=1.0, **kwargs)
+            SoftTargets([0], blocks["image_targets"], np.ones(2), blocks["text_targets"],
+                        np.ones(2))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("which", ["p", "g", "r", "s"])
     def test_bad_scale_rejected(self, rng, which, bad):
+        # g and r are given; p and s are derived, so a bad one comes from a
+        # block row (for p) or column (for s) rescaled to sum to 1 / bad.
         v, t = unit_batch(rng, 5, 3)
         st = soft_targets_swapped(v, t, 5.0, make_partition(5, 0.4, rng=rng))
-        (p, g), (r, s) = st.image_scales, st.text_scales
-        scales = {"p": p.copy(), "g": g.copy(), "r": r.copy(), "s": s.copy()}
-        scales[which][-1] = bad
+        u = st.rows[-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inverse = np.float64(1.0) / bad
+            if which in ("g", "r"):
+                scale = getattr(st, which).copy()
+                scale[-1] = bad
+                change = {which: scale}
+            elif which == "p":
+                block = st.image_exp.copy()
+                block[u] *= inverse / (block[u] @ st.g)
+                change = {"image_exp": block}
+            else:
+                block = st.text_exp.copy()
+                block[:, u] *= inverse / (st.r @ block[:, u])
+                change = {"text_exp": block}
         with pytest.raises(InvalidInputError):
-            dataclasses.replace(st, image_scales=(scales["p"], scales["g"]),
-                                text_scales=(scales["r"], scales["s"]))
+            dataclasses.replace(st, **change)
 
-    @pytest.mark.parametrize("rows, count", [([-1], 1), ([2], 1), ([1, 0], 2), ([0, 0], 2),
-                                             ([0, 1], 1)])
-    def test_rows_must_be_increasing_indices(self, rows, count):
+    @pytest.mark.parametrize("rows, n", [([-1], 1), ([2], 1), ([1, 0], 2), ([0, 0], 2),
+                                         ([0, 1], 1)])
+    def test_rows_must_be_increasing_indices(self, rows, n):
         # A negative row would wrap to the last one, and an unsorted or
-        # repeated one would keep every derived mass at 1.
-        targets = [[0.5, 0.5]] * count
+        # repeated one would derive one target twice; row 1 of a one-row
+        # block lies past its end.
+        block = np.full((n, n), 1.0 / n)
         with pytest.raises(InvalidInputError):
-            SoftTargets.from_rows(targets, targets, rows, 1.0)
+            SoftTargets(rows, block, np.ones(n), block, np.ones(n))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_scale_checked_apart_from_mass(self, bad):
         # Row 0 of the identity block is [1, 0], and so is its column 0: a
-        # scale of 0 or -1 at index 1 of the image targets' column scale or
-        # the text targets' row scale leaves both derived masses at exactly
-        # 1, so only the scale check can reject it.
-        eye, one, ones, odd = np.eye(2), np.ones(1), np.ones(2), np.array([1.0, bad])
-        SoftTargets([0], eye, (one, ones), eye, (ones, one), 1.0)
-        for image_scales, text_scales in (((one, odd), (ones, one)), ((one, ones), (odd, one))):
+        # scale of 0 or -1 at index 1 of g or r leaves both target rows'
+        # sums, and so their normalizers, at exactly 1, so only the scale
+        # check can reject it.
+        eye, ones, odd = np.eye(2), np.ones(2), np.array([1.0, bad])
+        SoftTargets([0], eye, ones, eye, ones)
+        for g, r in ((odd, ones), (ones, odd)):
             with pytest.raises(InvalidInputError):
-                SoftTargets([0], eye, image_scales, eye, text_scales, 1.0)
+                SoftTargets([0], eye, g, eye, r)
 
-    @pytest.mark.parametrize("factor, accepted", [(1.0 + 5e-13, True), (1.0 + 2e-12, False),
-                                                  (1.0 - 5e-10, True), (1.0 - 2e-9, False)])
-    def test_mass_bounds(self, rng, factor, accepted):
-        # A derived row's mass, computed from the factors, must lie in
-        # [1 - 1e-9, 1 + 1e-12]: scaling one row scale scales its mass.
-        v, t = unit_batch(rng, 5, 3)
-        st = soft_targets_swapped(v, t, 5.0, make_partition(5, 0.4, rng=rng))
-        for side in ("image_scales", "text_scales"):
-            scales = [x.copy() for x in getattr(st, side)]
-            scales[0 if side == "image_scales" else 1][0] *= factor
-            if accepted:
-                dataclasses.replace(st, **{side: tuple(scales)})
-            else:
-                with pytest.raises(InvalidInputError):
-                    dataclasses.replace(st, **{side: tuple(scales)})
+    def test_zero_target_row_rejected(self, rng):
+        # A target row whose sum is 0 has no normalizer. Its block row (image)
+        # or column (text) is zeroed at a target row, not at the first one;
+        # a zeroed aligned row is no target row and passes.
+        v, t = unit_batch(rng, 6, 3)
+        plan = PartitionPlan(aligned_idx=[0, 4], unaligned_idx=[1, 2, 3, 5], alpha=1 / 3)
+        st = soft_targets_bootstrap(v, t, 5.0, plan)
+        for row, accepted in ((2, False), (4, True)):
+            image, text = st.image_exp.copy(), st.text_exp.copy()
+            image[row] = 0.0
+            text[:, row] = 0.0
+            for change in ({"image_exp": image}, {"text_exp": text}):
+                if accepted:
+                    dataclasses.replace(st, **change)
+                else:
+                    with pytest.raises(InvalidInputError, match="row sums must be positive"):
+                        dataclasses.replace(st, **change)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 256])
+    def test_derived_rows_sum_to_one(self, n):
+        # For any positive block and scales, every derived row's exact sum
+        # (fsum) is 1 within 4 ulp (2**-52 each) for the reciprocal and the
+        # two products of each entry, plus log2(n) ulp for the normalizer's
+        # blocked sum of n terms. Measured: at most 2 ulp up to n = 64 and
+        # 5.5 at n = 256.
+        bound = (4.0 + math.log2(n)) * 2.0**-52
+        for seed in range(20):
+            rng = RngState(seed)
+            block = np.exp(3.0 * rng.normals(n, n))
+            g, r = np.exp(3.0 * rng.normals(n)), np.exp(3.0 * rng.normals(n))
+            st = SoftTargets(np.arange(n), block, g, block, r)
+            for rows in (st.image_targets, st.text_targets):
+                assert max(abs(math.fsum(row) - 1.0) for row in rows) <= bound
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_block_entry_rejected(self, rng, value):
@@ -356,8 +395,7 @@ class TestPsdLoss:
         temp = TemperatureParam(0.8)
         plan = PartitionPlan(aligned_idx=[], unaligned_idx=np.arange(5), alpha=0.0)
         eye = np.eye(5)
-        targets = SoftTargets.from_rows(image_targets=eye, text_targets=eye, rows=np.arange(5),
-                                        teacher_scale=1.0)
+        targets = dense_targets(eye, eye, np.arange(5))
         a = psd_loss(EmbeddingBatch(v, t), temp, plan, targets)
         b = info_nce(EmbeddingBatch(v, t), temp)
         assert a.loss == pytest.approx(b.loss, abs=1e-12)
@@ -439,7 +477,7 @@ class TestPsdLoss:
         # mutate the teacher path after construction; stored targets are constants
         block = targets.image_exp.copy()
         mangled = dataclasses.replace(
-            targets, image_exp=block, teacher_scale=999.0,
+            targets, image_exp=block,
             text_exp=block if targets.text_exp is targets.image_exp else targets.text_exp.copy())
         lg2 = psd_loss(batch, temp, plan, mangled)
         assert lg1.loss == lg2.loss
@@ -474,8 +512,7 @@ class TestPsdLoss:
         shared = exp_both_axes((teacher_scale * v) @ t.T) is not None
         assert (factored.image_exp is factored.text_exp) == shared
         event("shared block" if shared else "a block per direction")
-        dense = SoftTargets.from_rows(factored.image_targets, factored.text_targets,
-                                      factored.rows, teacher_scale)
+        dense = dense_targets(factored.image_targets, factored.text_targets, factored.rows)
         batch, temp = EmbeddingBatch(v, t), TemperatureParam(log_scale)
         a = psd_loss(batch, temp, plan, factored)
         b = psd_loss(batch, temp, plan, dense)
@@ -497,8 +534,8 @@ class TestPsdLoss:
         v, t = unit_batch(rng, 9, 4)
         plan = make_partition(9, 0.4, rng=rng)
         targets = build(v, t, teacher_scale, plan)
-        held = [targets.rows, targets.image_exp, *targets.image_scales, targets.text_exp,
-                *targets.text_scales]
+        held = [targets.rows, targets.image_exp, targets.p, targets.g, targets.text_exp,
+                targets.r, targets.s]
         before = [x.copy() for x in held]
         batch, temp = EmbeddingBatch(v, t), TemperatureParam(1.2)
         first, second = (psd_loss(batch, temp, plan, targets) for _ in range(2))

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from psdlab.cli import main
 from psdlab.data import SyntheticSpec, generate, save_pairs
-from psdlab.errors import BadMagicError, TruncatedFileError, VersionMismatchError
+from psdlab.errors import (
+    BadMagicError,
+    InvalidInputError,
+    TruncatedFileError,
+    VersionMismatchError,
+)
 from psdlab.model import EncoderSpec
 from psdlab.numkit import RngState
 from psdlab.trainer import (
@@ -84,6 +89,18 @@ def test_held_out_evals_are_recorded_and_change_nothing():
         assert getattr(observed, name).flatten().tobytes() == \
             getattr(plain, name).flatten().tobytes()
     assert observed.temperature.log_scale == plain.temperature.log_scale
+
+
+def test_bootstrap_targets_need_a_fixed_teacher_scale():
+    # A teacher that tracks the student's scale reads the student's own
+    # logits, and bootstrap targets are then the student's own posteriors,
+    # whose soft gradient is 0; swapped targets differ from them and train.
+    encoder = EncoderSpec(12, (16,), 8)
+    with pytest.raises(InvalidInputError, match="set teacher_scale"):
+        TrainConfig(image_encoder=encoder, text_encoder=encoder, target_mode="bootstrap")
+    TrainConfig(image_encoder=encoder, text_encoder=encoder, target_mode="bootstrap",
+                teacher_scale=15.0)
+    TrainConfig(image_encoder=encoder, text_encoder=encoder, target_mode="swapped")
 
 
 class TestCheckpoint:
