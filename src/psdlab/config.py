@@ -76,7 +76,7 @@ class ExperimentConfig:
     target_mode: str = "swapped"
     partition_mode: str = "dynamic"
     temperature_init: float = 0.07
-    teacher_scale: float = 0.0        # 0 tracks the student scale; bootstrap targets need > 0
+    teacher_scale: float = 0.0        # in (0, 100]; 0 tracks the student (not for bootstrap)
     eval_every: int = 0
 
     # evaluation / experiments
@@ -100,7 +100,7 @@ class ExperimentConfig:
                 input_dim=input_dim or getattr(self, f"{side}_dim"),
                 hidden_dims=getattr(self, f"{side}_hidden_dims"),
                 embed_dim=self.embed_dim, activation=self.activation)
-        kwargs["teacher_scale"] = self.teacher_scale if self.teacher_scale > 0.0 else None
+        kwargs["teacher_scale"] = None if self.teacher_scale == 0.0 else self.teacher_scale
         kwargs.update(overrides)
         return TrainConfig(**kwargs)
 

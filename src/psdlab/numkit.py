@@ -7,36 +7,33 @@ probability kernels with their exact contracts and a self-contained PRNG so
 that every random draw in the package is bit-reproducible from a 64-bit seed,
 independent of platform or numpy version.
 
-One max-shifted exponential, ``exp_shifted`` (max, exp(x - max), sum along
-either axis of a 2-D array), serves every probability kernel. Two
-cross-entropy kernels sit on it, both with two target kinds: a hard target
-is one-hot, a soft target is a distribution. ``softmax_xent`` takes the
-rows of a dense logit matrix against hard labels and dense soft rows, whose
-sums it reads; the linear probe calls it. ``contrastive_xent`` takes the
-rows and the columns of a square logit matrix L = scaled_v t^T given by its
-two factors, with its diagonal as the hard targets, and returns the
-gradients in the factors; InfoNCE and the PSD loss call it. Its soft
-targets come normalized (``objective.SoftTargets``) as factors of an
-exponential, an n x n block with one scale per row and one per column: no
-target row is gathered, and the weighted targets are subtracted from the
-gradient block a band of rows at a time, so the block's two products with
-the factors carry them.
+Two cross-entropy kernels, both with two target kinds: a hard target is
+one-hot, a soft target is a distribution. ``softmax_xent`` takes the rows
+of a dense logit matrix, each shifted by its own max, against hard labels
+and dense soft rows, whose sums it reads; the linear probe calls it.
+``contrastive_xent`` takes the rows and the columns of a square logit
+matrix L = scaled_v t^T given by its two factors, with its diagonal as the
+hard targets, and returns the gradients in the factors; InfoNCE and the PSD
+loss call it. Its soft targets come normalized (``objective.SoftTargets``)
+as factors of one exponential, an n x n block with one scale per row and
+one per column: no target row is gathered, and the weighted targets are
+subtracted from the gradient block a band of rows at a time, so the
+block's two products with the factors carry them.
 
-When both axes of one square matrix need their log-sum-exps
-(``contrastive_xent`` and the swapped teacher), ``exp_both_axes`` takes them
-from one exponential under the global max. Each entry then comes out
-smaller by exp(top - its row's or column's max) than under that max, and
-rounding x - top costs more the further below the top it sits; past about
-708 an exponential turns subnormal and past 745 it is 0. Callers scale
-single entries by the reciprocals of their column or row sums, and such a
-product can lead its row even when the entry itself underflows. Hence a
-span rule on every entry: the whole matrix must lie within
-``SHARED_EXP_SPAN`` = 600 of its max, which keeps every exponential at or
-above exp(-600), a normal double, so each product and sum keeps its
-rounding bound. Otherwise it declines,
-and the caller takes one max-shifted exponential per axis. Unit-norm logits
-at scale s span at most 2 * s, so every scale up to 300 takes the shared
-path.
+Both axes of a square matrix take their log-sum-exps from one exponential
+under the global max, ``exp_both_axes`` (``contrastive_xent`` and the
+teacher). Each entry then comes out smaller by exp(top - its row's or
+column's max) than under that max, and rounding x - top costs more the
+further below the top it sits; past about 708 an exponential turns
+subnormal and past 745 it is 0. Callers scale single entries by the
+reciprocals of their column or row sums, and such a product can lead its
+row even when the entry itself underflows. Hence a span rule on every
+entry: the whole matrix must lie within ``SHARED_EXP_SPAN`` = 600 of its
+max, which keeps every exponential at or above exp(-600), a normal double,
+so each product and sum keeps its rounding bound; a wider matrix raises
+InvalidInputError. The package forms such matrices from unit-norm rows at
+a logit scale in (0, 100], the student's clamped and a fixed teacher's
+capped at ``objective.MAX_LOGIT_SCALE``, so they span at most 200.
 
 The PRNG is counter-based (Salmon et al. 2011): word k of a stream is the
 splitmix64 finalizer (Steele et al. 2014) applied to seed + k * gamma, so a
@@ -78,31 +75,21 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def exp_shifted(x: np.ndarray, axis: int,
-                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(x - max) along ``axis`` of a 2-D array into ``out`` (new when
-    None; may be ``x``), with that max and the sum of the exponentials, both
-    kept 2-D to broadcast against ``x``. The shift keeps every exponential in
-    (0, 1], so none overflows; max + log(sum) is the log-sum-exp."""
-    top = x.max(axis=axis, keepdims=True)
-    e = np.subtract(x, top, out=out)
-    np.exp(e, out=e)
-    return e, top, e.sum(axis=axis, keepdims=True)
-
-
 def exp_both_axes(x: np.ndarray, out: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray] | None:
+                  ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """exp(x - max x) of a 2-D array into ``out`` (new when None; may be
     ``x``), with the global max and the row and column sums of the
     exponentials, kept 2-D to broadcast against ``x``: top + log(sum) is each
-    axis' log-sum-exp. Returns None, with ``out`` untouched, unless every
-    entry lies within ``SHARED_EXP_SPAN`` of the global max (an empty ``x``,
-    or one holding NaN or an infinity, never does)."""
+    axis' log-sum-exp. Raises InvalidInputError, with ``out`` untouched,
+    unless every entry lies within ``SHARED_EXP_SPAN`` of the global max (an
+    empty ``x``, or one holding NaN or an infinity, never does)."""
     if not x.size:
-        return None
+        raise InvalidInputError("cannot exponentiate an empty matrix")
     top = x.max()
-    if not top - x.min() <= SHARED_EXP_SPAN:
-        return None
+    span = top - x.min()
+    if not span <= SHARED_EXP_SPAN:
+        raise InvalidInputError(
+            f"logits span {span}, past the {SHARED_EXP_SPAN:g} that one exponential admits")
     e = np.subtract(x, top, out=out)
     np.exp(e, out=e)
     return e, float(top), e.sum(axis=1, keepdims=True), e.sum(axis=0, keepdims=True)
@@ -118,10 +105,11 @@ def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
     listed in ``soft_rows``, whose targets are the matching rows of
     ``soft_targets`` (soft rows; their labels are ignored). No dense target
     matrix is built. The loss is taken in log-sum-exp form,
-    H(q, softmax(x)) = lse(x) * sum(q) - q . x, so it stays exact however far
-    apart the logits are; d_x_i = weights[i] * (softmax(x_i) * sum(q_i) - q_i),
-    formed as exp(x_i - max) times weights[i] * sum(q_i) / sum(exp) with the
-    target subtracted in place. Zero rows give (0.0, an empty array).
+    H(q, softmax(x)) = lse(x) * sum(q) - q . x, with each row shifted by its
+    own max, so it stays exact however far apart the logits are;
+    d_x_i = weights[i] * (softmax(x_i) * sum(q_i) - q_i), formed as
+    exp(x_i - max) times weights[i] * sum(q_i) / sum(exp) with the target
+    subtracted in place. Zero rows give (0.0, an empty array).
     """
     n, cols = logits.shape
     if (weights.shape != (n,) or labels.shape != (n,)
@@ -129,7 +117,10 @@ def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
         raise InvalidInputError(
             f"shape mismatch: logits {logits.shape}, weights {weights.shape}, labels "
             f"{labels.shape}, {soft_rows.size} soft rows, soft targets {soft_targets.shape}")
-    grad, top, total = exp_shifted(logits, 1)
+    top = logits.max(axis=1, keepdims=True)
+    grad = logits - top
+    np.exp(grad, out=grad)
+    total = grad.sum(axis=1, keepdims=True)
     lse = (top + np.log(total)).ravel()
     mass = np.ones(n)  # sum(q_i) of every target: 1 for a hard row
     mass[soft_rows] = soft_targets.sum(axis=1)
@@ -149,102 +140,79 @@ def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
 
 
 def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
-                     soft_rows: np.ndarray, row_targets, col_targets
-                     ) -> tuple[float, np.ndarray, np.ndarray]:
+                     soft_rows: np.ndarray, targets) -> tuple[float, np.ndarray, np.ndarray]:
     """Weighted softmax cross-entropy of every row plus every column of the
     square logit matrix L = scaled_v t^T, with its gradients in the two
     factors: returns (loss, d_scaled_v, d_t), the gradients in the layouts
-    of ``scaled_v`` and ``t``.
+    of ``scaled_v`` and ``t``. L must lie within ``SHARED_EXP_SPAN`` of its
+    max (``exp_both_axes``), or InvalidInputError is raised.
 
     Row i and column i each cost weights[i] * H(q, softmax(x)) in
     log-sum-exp form, as in ``softmax_xent``. Both target the diagonal entry
     L[i, i] (hard), except for the i listed in ``soft_rows`` (increasing),
     whose targets are entries of an n x n block times a row and a column
-    scale. With ``row_targets = (row_exp, p, g)``, row soft_rows[u] targets
-    row_exp[soft_rows[u], j] * p[u] * g[j] over the columns j; with
-    ``col_targets = (col_exp, r, s)``, column soft_rows[u] targets
-    col_exp[i, soft_rows[u]] * r[i] * s[u] over the rows i. The two blocks
-    may be one array, and neither is written to. Every soft target must sum
-    to 1, as ``objective.SoftTargets`` makes it, so each term is
-    lse(x) - q . x. Both target arguments are ignored, and may be None, when
-    ``soft_rows`` is empty.
+    scale. With ``targets = (block, p, g, r, s)``, row soft_rows[u] targets
+    block[soft_rows[u], j] * p[u] * g[j] over the columns j, and column
+    soft_rows[u] targets block[i, soft_rows[u]] * r[i] * s[u] over the rows
+    i. The block is not written to. Every soft target must sum to 1, as
+    ``objective.SoftTargets`` makes it, so each term is lse(x) - q . x.
+    ``targets`` is ignored, and may be None, when ``soft_rows`` is empty.
 
-    The gradient in L is e * (a_i + b_j) - H - M, with a = weights / row
-    sum, b = weights / column sum, H the hard targets and M the weighted
-    soft ones: M = row_exp * (alpha (x) g) + col_exp * (r (x) beta), where
+    The gradient in L is e * (a_i + b_j) - H - M, with e the one
+    exponential of ``exp_both_axes``, taken in place in L's buffer,
+    a = weights / row sum, b = weights / column sum, H the hard targets and
+    M the weighted soft ones: M = block * (alpha (x) g + r (x) beta), where
     alpha and beta are weights * p and weights * s on the soft rows and 0
-    elsewhere (one block times a rank-2 product when the blocks are one
-    array). When ``exp_both_axes`` admits L, e is its one exponential, taken
-    in place in L's buffer; otherwise each axis takes its own
-    ``exp_shifted`` pass and the two scaled exponentials are summed into one
-    block. M is subtracted from that block a band of rows at a time and H
-    from its diagonal, so the block's two n x n x d products carry every
-    target. Each soft target's q . x is read band by band before the
-    exponential overwrites L, from the products of the blocks with L and
-    the scales; M is rebuilt per band and never held whole.
+    elsewhere. M is subtracted a band of rows at a time, the block's band
+    times the band's rank-2 product, and H from the diagonal, so the
+    block's two n x n x d products carry every target. Each soft target's
+    q . x is read band by band before the exponential overwrites L, from
+    the products of the block with L and the scales; M is never held whole.
     """
     n = scaled_v.shape[0]
     k = soft_rows.size
     if t.shape != scaled_v.shape or weights.shape != (n,):
         raise InvalidInputError(
             f"shape mismatch: factors {scaled_v.shape} and {t.shape}, weights {weights.shape}")
-    terms = []  # (block, x, y): M = sum of block * (x @ y) over the terms
     if k:
-        (row_exp, p, g), (col_exp, r, s) = row_targets, col_targets
-        if (row_exp.shape != (n, n) or col_exp.shape != (n, n) or p.shape != (k,)
-                or g.shape != (n,) or r.shape != (n,) or s.shape != (k,)):
+        block, p, g, r, s = targets
+        if (block.shape != (n, n) or p.shape != (k,) or g.shape != (n,) or r.shape != (n,)
+                or s.shape != (k,)):
             raise InvalidInputError(
-                f"shape mismatch: {k} soft rows of {n}, target blocks {row_exp.shape} and "
-                f"{col_exp.shape}, scales {p.shape}, {g.shape}, {r.shape} and {s.shape}")
+                f"shape mismatch: {k} soft rows of {n}, target block {block.shape}, scales "
+                f"{p.shape}, {g.shape}, {r.shape} and {s.shape}")
         alpha, beta = np.zeros(n), np.zeros(n)
         alpha[soft_rows] = weights[soft_rows] * p
         beta[soft_rows] = weights[soft_rows] * s
-        if row_exp is col_exp:
-            terms.append((row_exp, np.stack([alpha, r], axis=1), np.stack([g, beta])))
-        else:
-            terms.append((row_exp, alpha[:, None], g[None]))
-            terms.append((col_exp, r[:, None], beta[None]))
+        x, y = np.stack([alpha, r], axis=1), np.stack([g, beta])  # M = block * (x @ y)
     logits = scaled_v @ t.T
     bands = [slice(start, min(start + _BAND_ROWS, n)) for start in range(0, n, _BAND_ROWS)]
     # q . x of every target, before the exponential overwrites L: L[i, i]
-    # for a hard one; for a soft row u, p[u] times row u of (row_exp * L) @ g,
-    # and for a soft column, s[u] times column u of r @ (col_exp * L).
+    # for a hard one; for a soft row u, p[u] times row u of (block * L) @ g,
+    # and for a soft column, s[u] times column u of r @ (block * L).
     picked_row = np.einsum("ij,ij->i", scaled_v, t)
     picked_col = picked_row.copy()
     work = np.empty((min(n, _BAND_ROWS), n))  # one band's scratch, reused
     if k:
         soft_row, soft_col = np.empty(n), np.zeros(n)
         for band in bands:
-            product = np.multiply(row_exp[band], logits[band], out=work[: band.stop - band.start])
+            product = np.multiply(block[band], logits[band], out=work[: band.stop - band.start])
             soft_row[band] = product @ g
-            if col_exp is not row_exp:
-                np.multiply(col_exp[band], logits[band], out=product)
             soft_col += r[band] @ product
         picked_row[soft_rows] = p * soft_row[soft_rows]
         picked_col[soft_rows] = s * soft_col[soft_rows]
-    shared = exp_both_axes(logits, out=logits)
-    if shared is not None:
-        grad, top, row_sum, col_sum = shared
-        row_lse = top + np.log(row_sum.ravel())
-        col_lse = top + np.log(col_sum.ravel())
-        a = weights[:, None] / row_sum
-        b = weights / col_sum.ravel()
-    else:
-        grad, top, total = exp_shifted(logits, 1)
-        row_lse = (top + np.log(total)).ravel()
-        grad *= weights[:, None] / total
-        e, top, total = exp_shifted(logits, 0, out=logits)
-        col_lse = (top + np.log(total)).ravel()
-        e *= weights / total
-        grad += e
+    grad, top, row_sum, col_sum = exp_both_axes(logits, out=logits)
+    row_lse = top + np.log(row_sum.ravel())
+    col_lse = top + np.log(col_sum.ravel())
+    a = weights[:, None] / row_sum
+    b = weights / col_sum.ravel()
     # e * (a + b) less M in place, a band of rows at a time: a fresh n x n
     # block for a + b raised info_nce's peak from 2.7 to 3.4 n x n blocks at
     # n = 256.
     for band in bands:
         scratch = work[: band.stop - band.start]
-        if shared is not None:
-            grad[band] *= np.add(a[band], b, out=scratch)
-        for block, x, y in terms:
+        grad[band] *= np.add(a[band], b, out=scratch)
+        if k:
             target = np.matmul(x[band], y, out=scratch)
             target *= block[band]
             grad[band] -= target

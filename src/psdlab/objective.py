@@ -18,17 +18,18 @@ The teacher reads the rows and columns of its own (teacher_scale * V) T^T in
 the same way, and hands the loss its targets as factors, never as dense
 |U| x n rows (``SoftTargets``): every target entry is an entry of the
 teacher's exponential E times one scale over the opposite modality and one
-normalizer per target row. The teacher picks the block and the scale (for
-swapped targets, the reciprocals of E's column or row sums; for bootstrap
-targets, 1); ``SoftTargets`` alone derives the normalizers, so every target
-is a distribution and the loss takes it as one. For unit-norm embeddings
-every logit lies within 2 * teacher_scale of the largest, so one
-E = exp(S - max S) under the global max serves both directions and both
-target kinds (``numkit.exp_both_axes``). Its span rule asks every logit to
-lie within 600 of the largest, because a target scales single exponentials
-by reciprocal sums and one that underflowed could have led its row. Wider
-matrices take one block per direction, each shifted by its own rows' or
-columns' maxima.
+normalizer per target row. The teacher picks the scale (for swapped
+targets, the reciprocals of E's column or row sums; for bootstrap targets,
+1); ``SoftTargets`` alone derives the normalizers, so every target is a
+distribution and the loss takes it as one. One E = exp(S - max S) under
+the global max serves both directions and both target kinds
+(``numkit.exp_both_axes``). Its span rule asks every logit to lie within
+600 of the largest, because a target scales single exponentials by
+reciprocal sums and one that underflowed could have led its row; a wider
+matrix raises InvalidInputError. For unit-norm embeddings every logit lies
+within 2 * scale of the largest, and both the student's scale and a fixed
+teacher's lie in (0, MAX_LOGIT_SCALE] = (0, 100], so no logit matrix of a
+training run spans more than 200.
 
 Gradient convention: embeddings are treated as free variables (the losses are
 smooth functions of the raw matrix entries), so every gradient can be checked
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyBatchError, InvalidInputError
-from .numkit import as_matrix, contrastive_xent, exp_both_axes, exp_shifted
+from .numkit import as_matrix, contrastive_xent, exp_both_axes
 
 MAX_LOGIT_SCALE = 100.0
 
@@ -140,43 +141,37 @@ class SoftTargets:
     """Teacher-produced alignment distributions for the unaligned rows of a
     batch of n pairs, held as factors of the teacher's exponential.
 
-    Row u of ``image_targets``, the target of image rows[u] over the batch's
-    texts, and row u of ``text_targets``, the target of text rows[u] over its
-    images, are
+    The target of image rows[u] over the batch's texts and the target of
+    text rows[u] over its images are
 
-        image_targets[u, j] = image_exp[rows[u], j] * p[u] * g[j],
-        text_targets[u, i] = text_exp[i, rows[u]] * r[i] * s[u],
+        image row u: exp[rows[u], j] * p[u] * g[j] over the texts j,
+        text row u:  exp[i, rows[u]] * r[i] * s[u] over the images i,
 
     given a scale ``g`` over the texts and ``r`` over the images. The
-    normalizers p = 1 / (image_exp @ g)[rows] and s = 1 / (r @ text_exp)[rows]
-    are derived here (again by ``dataclasses.replace``), so every target row
-    sums to 1 by construction. The two n x n blocks are exponentials of
-    teacher logits and may be one array. Both views are derived on access
-    and read-only; the loss reads the factors. Targets are constants to the
-    student; nothing here writes to the arrays it holds.
+    normalizers p = 1 / (exp @ g)[rows] and s = 1 / (r @ exp)[rows] are
+    derived here (again by ``dataclasses.replace``), so every target row
+    sums to 1 by construction. The n x n block is an exponential of teacher
+    logits. Targets are constants to the student; nothing here writes to
+    the arrays it holds, and the loss reads the factors.
 
     InvalidInputError is raised for a scale that is not a finite positive
-    number, for a non-finite full row sum of either block (image_exp @ g or
-    r @ text_exp: a NaN or infinite entry anywhere), and for a target row
-    whose sum is not positive or has no finite reciprocal.
+    number, for a non-finite full row sum (exp @ g or r @ exp: a NaN or
+    infinite entry anywhere), and for a target row whose sum is not
+    positive or has no finite reciprocal.
     """
 
     rows: np.ndarray
-    image_exp: np.ndarray
+    exp: np.ndarray
     g: np.ndarray
-    text_exp: np.ndarray
     r: np.ndarray
     p: np.ndarray = field(init=False)
     s: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        e_v = np.ascontiguousarray(self.image_exp, dtype=np.float64)
-        e_t = (e_v if self.text_exp is self.image_exp
-               else np.ascontiguousarray(self.text_exp, dtype=np.float64))
-        n = e_v.shape[0] if e_v.ndim == 2 else -1
-        if e_v.shape != (n, n) or e_t.shape != (n, n):
-            raise InvalidInputError(
-                f"target blocks must be one square shape, got {e_v.shape} and {e_t.shape}")
+        e = np.ascontiguousarray(self.exp, dtype=np.float64)
+        n = e.shape[0] if e.ndim == 2 else -1
+        if e.shape != (n, n):
+            raise InvalidInputError(f"target block must be square, got {e.shape}")
         rows = np.asarray(self.rows, dtype=np.int64)
         if rows.ndim != 1 or (rows.size and not (rows[0] >= 0 and rows[-1] < n
                                                  and (rows[1:] > rows[:-1]).all())):
@@ -189,31 +184,16 @@ class SoftTargets:
         scales = np.concatenate([g, r])
         if scales.size and not (scales.min() > 0.0 and scales.max() < math.inf):
             raise InvalidInputError("target scales must be finite and positive")
-        sums = np.concatenate([e_v @ g, r @ e_t])
+        sums = np.concatenate([e @ g, r @ e])
         if not np.isfinite(sums).all():
-            raise InvalidInputError("target blocks hold NaN or infinite entries")
+            raise InvalidInputError("target block holds NaN or infinite entries")
         with np.errstate(divide="ignore", over="ignore"):
             norms = 1.0 / sums[np.concatenate([rows, n + rows])]
         if norms.size and not (norms.min() > 0.0 and norms.max() < math.inf):
             raise InvalidInputError("target row sums must be positive with finite reciprocals")
-        for name, value in (("rows", rows), ("image_exp", e_v), ("g", g), ("text_exp", e_t),
-                            ("r", r), ("p", norms[: rows.size]), ("s", norms[rows.size:])):
+        for name, value in (("rows", rows), ("exp", e), ("g", g), ("r", r),
+                            ("p", norms[: rows.size]), ("s", norms[rows.size:])):
             object.__setattr__(self, name, value)
-
-    @property
-    def image_targets(self) -> np.ndarray:
-        out = self.image_exp[self.rows] * self.p[:, None]
-        out *= self.g
-        out.flags.writeable = False
-        return out
-
-    @property
-    def text_targets(self) -> np.ndarray:
-        out = self.text_exp[:, self.rows] * self.r[:, None]
-        out *= self.s
-        out = out.T
-        out.flags.writeable = False
-        return out
 
 
 @dataclass
@@ -233,10 +213,9 @@ def _bidirectional_xent(batch: EmbeddingBatch, temp: TemperatureParam, weights: 
     (its target is partner i) unless it is one of the rows of ``targets``."""
     scaled_v = temp.scale * batch.image
     if targets is None:
-        soft = (np.zeros(0, dtype=np.int64), None, None)
+        soft = (np.zeros(0, dtype=np.int64), None)
     else:
-        soft = (targets.rows, (targets.image_exp, targets.p, targets.g),
-                (targets.text_exp, targets.r, targets.s))
+        soft = (targets.rows, (targets.exp, targets.p, targets.g, targets.r, targets.s))
     loss, d_scaled_v, d_text = contrastive_xent(scaled_v, batch.text, weights, *soft)
     # sum(d_logits * logits) reduced over n x d instead of n x n, since the
     # logits are (scale * v) t^T; einsum, not a BLAS dot, because a threaded
@@ -260,7 +239,8 @@ def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: Parti
     read along its rows (images over texts) and its columns (texts over
     images): each row's own posterior, or (``swapped``) the opposite
     direction's posteriors of that row, renormalized. Only the factors are
-    formed; no target row is gathered."""
+    formed; no target row is gathered. Logits that span more than 600
+    raise InvalidInputError (``numkit.exp_both_axes``)."""
     v = as_matrix(teacher_image, "teacher image embeddings")
     t = as_matrix(teacher_text, "teacher text embeddings")
     if v.shape != t.shape:
@@ -270,37 +250,18 @@ def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: Parti
             f"teacher matrices cover {v.shape[0]} rows but plan covers {plan.n}")
     if not (math.isfinite(teacher_scale) and teacher_scale > 0.0):
         raise InvalidInputError(f"teacher scale must be positive, got {teacher_scale}")
-    u = plan.unaligned_idx
-    ones = np.ones(plan.n)
     logits = (teacher_scale * v) @ t.T
-    # Under the span rule one E = exp(S - max S), with row sums R and column
-    # sums C, serves both directions. A swapped image row is P(image u |
-    # text j) = E[u, j] / C_j renormalized over j: scale g = 1/C over the
-    # texts. A swapped text row is E[i, u] / R_i renormalized over i: scale
-    # r = 1/R over the images. A bootstrap row is a row or column of E
-    # itself, renormalized: unit scales. SoftTargets renormalizes.
-    shared = exp_both_axes(logits, out=logits)
-    if shared is not None:
-        e, _, row_sum, col_sum = shared
-        if swapped:
-            return SoftTargets(u, e, 1.0 / col_sum.ravel(), e, 1.0 / row_sum.ravel())
-        return SoftTargets(u, e, ones, e, ones)
-    # Otherwise each direction gets its own block, shifted by its own rows'
-    # (image) or columns' (text) maxima so that none underflows entirely:
-    # exp of each log-posterior, log P(image i | text j) = S[i, j] - lse_i
-    # S[i, j] for swapped targets, or of S itself for bootstrap ones.
-    image_exp = np.empty_like(logits)
+    # One E = exp(S - max S), with row sums R and column sums C, serves both
+    # directions. A swapped image row is P(image u | text j) = E[u, j] / C_j
+    # renormalized over j: scale g = 1/C over the texts. A swapped text row
+    # is E[i, u] / R_i renormalized over i: scale r = 1/R over the images. A
+    # bootstrap row is a row or column of E itself, renormalized: unit
+    # scales. SoftTargets renormalizes.
+    e, _, row_sum, col_sum = exp_both_axes(logits, out=logits)
     if swapped:
-        _, top, total = exp_shifted(logits, 0, out=image_exp)
-        col_lse = top + np.log(total)
-        _, top, total = exp_shifted(logits, 1, out=image_exp)
-        np.subtract(logits, col_lse, out=image_exp)
-        logits -= top + np.log(total)
-    else:
-        image_exp[...] = logits
-    exp_shifted(image_exp, 1, out=image_exp)
-    exp_shifted(logits, 0, out=logits)
-    return SoftTargets(u, image_exp, ones, logits, ones)
+        return SoftTargets(plan.unaligned_idx, e, 1.0 / col_sum.ravel(), 1.0 / row_sum.ravel())
+    ones = np.ones(plan.n)
+    return SoftTargets(plan.unaligned_idx, e, ones, ones)
 
 
 def soft_targets_swapped(teacher_image, teacher_text, teacher_scale: float,
@@ -341,10 +302,9 @@ def psd_loss(batch: EmbeddingBatch, temp: TemperatureParam, plan: PartitionPlan,
         raise EmptyBatchError("psd_loss requires at least one pair")
     if plan.n != batch.n:
         raise InvalidInputError(f"plan covers {plan.n} rows but batch has {batch.n}")
-    if (targets.image_exp.shape[0] != batch.n
-            or not np.array_equal(targets.rows, plan.unaligned_idx)):
+    if targets.exp.shape[0] != batch.n or not np.array_equal(targets.rows, plan.unaligned_idx):
         raise InvalidInputError(
-            f"targets for {targets.rows.size} of {targets.image_exp.shape[0]} rows do not match "
+            f"targets for {targets.rows.size} of {targets.exp.shape[0]} rows do not match "
             f"the plan's {plan.n_unaligned} unaligned rows of {batch.n}")
     a_idx, u_idx = plan.aligned_idx, plan.unaligned_idx
     weights = np.empty(batch.n)

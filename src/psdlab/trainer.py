@@ -41,6 +41,7 @@ from .evaluation import retrieval_eval
 from .model import EncoderSpec, ParamSet, encode, encode_backward, init_params, load_params, save_params
 from .numkit import RngState, derive_seed
 from .objective import (
+    MAX_LOGIT_SCALE,
     EmbeddingBatch,
     PartitionPlan,
     TemperatureParam,
@@ -198,7 +199,7 @@ class TrainConfig:
     target_mode: str = "swapped"
     partition_mode: str = "dynamic"
     temperature_init: float = 0.07
-    teacher_scale: float | None = None   # None tracks the student's scale (not for bootstrap)
+    teacher_scale: float | None = None   # in (0, 100]; None tracks the student's (not bootstrap)
     eval_every: int = 0                  # epochs between held-out evals, 0 = off
     k_list: tuple[int, ...] = (1, 5, 10)  # recall cutoffs of the held-out evals
 
@@ -213,8 +214,10 @@ class TrainConfig:
                 raise InvalidInputError(f"{name.replace('_', ' ')} must be one of {choices}")
         if self.image_encoder.embed_dim != self.text_encoder.embed_dim:
             raise InvalidInputError("both encoders must share the embedding dimension")
-        if self.teacher_scale is not None and self.teacher_scale <= 0.0:
-            raise InvalidInputError("teacher scale override must be positive")
+        # Written so that NaN, for which every comparison is false, fails.
+        if self.teacher_scale is not None and not 0.0 < self.teacher_scale <= MAX_LOGIT_SCALE:
+            raise InvalidInputError(f"teacher scale must lie in (0, {MAX_LOGIT_SCALE:g}], "
+                                    f"got {self.teacher_scale}")
         if self.target_mode == "bootstrap" and self.teacher_scale is None:
             raise InvalidInputError("bootstrap targets at the student's scale are its own "
                                     "posteriors and give no gradient: set teacher_scale")

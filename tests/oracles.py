@@ -3,8 +3,9 @@ numpy helpers that build the tests' inputs.
 
 The oracles are written with plain Python loops and the math module, never
 with the package's vectorized code paths, so an agreement between the two is
-evidence rather than tautology. ``softmax_rows`` and ``dense_targets``, at
-the end, are test inputs, not oracles.
+evidence rather than tautology. The numpy helpers at the end are no oracles:
+``softmax_rows`` and ``target_rows`` build test inputs, and ``dense_xent``
+is the factored cross-entropy's reference from the package's row kernel.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from psdlab.errors import InvalidInputError
-from psdlab.numkit import as_matrix
+from psdlab.numkit import as_matrix, softmax_xent
 from psdlab.objective import SoftTargets
 
 
@@ -196,27 +197,27 @@ def softmax_rows(m, scale: float) -> np.ndarray:
     return probs
 
 
-def dense_targets(image_rows, text_rows, rows) -> SoftTargets:
-    """Soft targets given as dense rows for the batch rows ``rows``: row u of
-    ``image_rows`` over the texts, of ``text_rows`` over the images. Every
-    entry must lie in [0, 1] within 1e-12 and every row sum to 1 within
-    1e-9. The rows are laid into zero blocks with unit scales, so the
-    targets ``SoftTargets`` derives from them are the rows renormalized."""
-    a_v = np.asarray(image_rows, dtype=np.float64)
-    a_t = np.asarray(text_rows, dtype=np.float64)
-    for name, m in (("image_rows", a_v), ("text_rows", a_t)):
-        if m.ndim != 2:
-            raise InvalidInputError(f"{name} must be 2-D")
-        # Written so that NaN, for which every comparison is false, fails.
-        if m.size and not (m.min() >= -1e-12 and m.max() <= 1.0 + 1e-12):
-            raise InvalidInputError(f"{name} entries must be numbers in [0, 1]")
-        if m.shape[0] and not np.abs(m.sum(axis=1) - 1.0).max() <= 1e-9:
-            raise InvalidInputError(f"{name} rows must sum to 1 within 1e-9")
-    if a_v.shape != a_t.shape or a_v.shape[0] != len(rows):
-        raise InvalidInputError(f"{len(rows)} batch rows for targets of shapes {a_v.shape} "
-                                f"and {a_t.shape}")
-    n = a_v.shape[1]
-    e_v, e_t = np.zeros((n, n)), np.zeros((n, n))
-    e_v[rows] = a_v
-    e_t[:, rows] = a_t.T
-    return SoftTargets(rows, e_v, np.ones(n), e_t, np.ones(n))
+def target_rows(targets: SoftTargets) -> tuple[np.ndarray, np.ndarray]:
+    """The dense |U| x n rows of soft targets, from their factors: row u of
+    the first is image rows[u]'s target over the texts, row u of the second
+    text rows[u]'s over the images."""
+    rows, e = targets.rows, targets.exp
+    image = e[rows] * targets.p[:, None]
+    image *= targets.g
+    text = e[:, rows] * targets.r[:, None]
+    text *= targets.s
+    return image, text.T
+
+
+def dense_xent(scaled_v, t, weights, soft_rows, row_targets, col_targets):
+    """``contrastive_xent`` from dense soft rows: the row kernel
+    ``softmax_xent`` over the rows of L = scaled_v t^T and over the rows of
+    a transposed copy of L, each row shifted by its own max. Returns
+    (loss, d_scaled_v, d_t), as the kernel does."""
+    logits = scaled_v @ t.T
+    labels = np.arange(logits.shape[0])
+    loss_r, grad_r = softmax_xent(logits, weights, labels, soft_rows, row_targets)
+    loss_c, grad_c = softmax_xent(np.ascontiguousarray(logits.T), weights, labels, soft_rows,
+                                  col_targets)
+    block = grad_r + grad_c.T
+    return loss_r + loss_c, block @ t, block.T @ scaled_v

@@ -113,14 +113,31 @@ def test_diverged_run_exits_divergence_code(settings, tmp_path, caplog):
     assert "training diverged at step" in caplog.text
 
 
-@pytest.mark.parametrize("teacher_scale", [300, 1000])
+@pytest.mark.parametrize("target_mode", ["swapped", "bootstrap"])
+@pytest.mark.parametrize("teacher_scale", ["-5", "nan", "inf", "1000"])
+def test_teacher_scale_outside_its_range_exits_invalid_input_code(teacher_scale, target_mode,
+                                                                  tmp_path, caplog):
+    # Only 0 tracks the student's scale; a fixed scale lies in (0, 100], and
+    # anything else fails before training starts, bootstrap targets included.
+    rc = main(["train", "--quiet", "--target-mode", target_mode,
+               "--set", f"teacher_scale={teacher_scale}", "--out", str(tmp_path)])
+    assert rc == InvalidInputError.exit_code == 3
+    assert "teacher scale must lie in (0, 100]" in caplog.text
+    assert not (tmp_path / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize("teacher_scale", [100, 100.5, 1000])
 def test_wide_teacher_scale_trains_finite(teacher_scale, tmp_path):
     # Teacher logits span up to 2 * teacher_scale, and the shared exponential
-    # asks every logit to lie within 600 of the top. In this run every swapped
-    # target comes from the shared exponential at 300 and from per-axis
-    # passes at 1000.
-    assert main(["train", "--quiet", "--epochs", "1", "--set", f"teacher_scale={teacher_scale}",
-                 "--out", str(tmp_path)]) == 0
+    # asks every logit to lie within 600 of the top. A fixed teacher scale is
+    # capped where the student's is, at 100, so its logits span at most 200;
+    # above the cap the run fails before training starts.
+    rc = main(["train", "--quiet", "--epochs", "1", "--set", f"teacher_scale={teacher_scale}",
+               "--out", str(tmp_path)])
+    if teacher_scale > 100:
+        assert rc == InvalidInputError.exit_code == 3
+        return
+    assert rc == 0
     image_params, text_params, temp, _ = load_checkpoint(tmp_path / "checkpoint")
     assert np.isfinite(image_params.flatten()).all() and np.isfinite(text_params.flatten()).all()
     assert 0.0 < temp.scale < math.inf

@@ -1,6 +1,7 @@
 """No module imports a name that it never reads, and no top-level
-definition of the package goes unread. The package's ``__init__.py`` is
-exempt from the first: its imports are the public re-exports."""
+definition of the package, nor any method or property of its classes, goes
+unread. The package's ``__init__.py`` is exempt from the first: its imports
+are the public re-exports."""
 
 import ast
 from pathlib import Path
@@ -43,13 +44,14 @@ def test_every_import_is_read(path):
 
 def unread_definitions(package: dict[str, str], others: dict[str, str]) -> list[str]:
     """The top-level functions and classes of the ``package`` sources (file
-    name to source) that no source of ``package`` or ``others`` names outside
-    the definition itself and no ``__all__`` of ``package`` lists, as
-    ``file:name``. A name is a read name or an attribute. Dataclass fields
-    are out of scope: ``ExperimentConfig``'s are read through ``fields()``
-    and ``getattr`` only, which no static scan can follow, and
-    ``TrainResult.opt`` is a field the benchmark's traced loop passes by
-    keyword, ``opt=``."""
+    name to source), and the methods and properties of those classes, that
+    no source of ``package`` or ``others`` names outside the definition
+    itself and no ``__all__`` of ``package`` lists, as ``file:name`` or
+    ``file:Class.name``. A name is a read name or an attribute. Dunders are
+    exempt: Python calls them. Dataclass fields are out of scope:
+    ``ExperimentConfig``'s are read through ``fields()`` and ``getattr``
+    only, which no static scan can follow, and ``TrainResult.opt`` is a
+    field the benchmark's traced loop passes by keyword, ``opt=``."""
     defined, exported, named = [], set(), []
     for path, source in {**package, **others}.items():
         tree = ast.parse(source)
@@ -60,14 +62,20 @@ def unread_definitions(package: dict[str, str], others: dict[str, str]) -> list[
                 named.append((path, node.attr, node.lineno))
         if path not in package:
             continue
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((path, node.name, node.lineno, node.end_lineno))
+            if isinstance(node, (*functions, ast.ClassDef)):
+                defined.append((path, node.name, node.name, node.lineno, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                defined += [(path, f"{node.name}.{item.name}", item.name, item.lineno,
+                             item.end_lineno) for item in node.body
+                            if isinstance(item, functions)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))]
             elif (isinstance(node, ast.Assign)
                   and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
                 exported |= set(ast.literal_eval(node.value))
-    return [f"{path}:{name}" for path, name, first, last in defined
-            if name not in exported
+    return [f"{path}:{label}" for path, label, name, first, last in defined
+            if label not in exported
             and not any(n == name and not (p == path and first <= line <= last)
                         for p, n, line in named)]
 
@@ -89,6 +97,31 @@ def test_scan_finds_an_unread_definition():
     bench = {"run.py": "from a import benched\nprint(benched())\n"}
     assert unread_definitions(package, bench) == ["a.py:unused", "a.py:Orphan"]
     assert unread_definitions(package, {}) == ["a.py:unused", "a.py:Orphan", "a.py:benched"]
+
+
+def test_scan_finds_an_unread_method_or_property():
+    package = {"a.py": ("class Shape:\n"
+                        "    def __init__(self, n):\n"
+                        "        self.n = n\n"
+                        "    def __len__(self):\n"
+                        "        return self.n\n"
+                        "    @property\n"
+                        "    def area(self):\n"
+                        "        return self.n * self.side()\n"
+                        "    def side(self):\n"
+                        "        return 1\n"
+                        "    @property\n"
+                        "    def dense(self):\n"
+                        "        return [self.n]\n"
+                        "    def walk(self, k):\n"
+                        "        return self.walk(k - 1) if k else self\n"
+                        "    @classmethod\n"
+                        "    def unit(cls):\n"
+                        "        return cls(1)\n"
+                        "print(Shape.unit().area)\n")}
+    bench = {"run.py": "from a import Shape\nprint(Shape(2).dense)\n"}
+    assert unread_definitions(package, {}) == ["a.py:Shape.dense", "a.py:Shape.walk"]
+    assert unread_definitions(package, bench) == ["a.py:Shape.walk"]
 
 
 def test_every_definition_is_read():

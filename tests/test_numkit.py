@@ -18,7 +18,7 @@ from psdlab.numkit import (
     softmax_xent,
 )
 
-from oracles import cross_entropy_scalar, softmax_row_scalar, softmax_rows
+from oracles import cross_entropy_scalar, dense_xent, softmax_row_scalar, softmax_rows
 
 
 class TestSoftmaxRows:
@@ -68,18 +68,22 @@ class TestExpBothAxes:
     def test_span_rule_is_600(self):
         # Every row max and column max is the top; one entry sits `gap` below
         # it, and the rule bounds that entry too.
-        for gap, serves in ((SHARED_EXP_SPAN, True), (SHARED_EXP_SPAN + 1e-9, False)):
-            x = np.array([[0.0, 0.0], [0.0, -gap]])
-            assert (exp_both_axes(x) is not None) == serves
+        x = np.array([[0.0, 0.0], [0.0, -SHARED_EXP_SPAN]])
+        assert exp_both_axes(x)[0].min() >= np.finfo(np.float64).tiny  # a normal double
+        x[1, 1] -= 1e-9
+        with pytest.raises(InvalidInputError, match="span"):
+            exp_both_axes(x)
 
     def test_declines_without_writing(self):
         x = np.array([[1000.0, 0.0], [0.0, -1000.0]])
         out = np.full_like(x, 7.0)
-        assert exp_both_axes(x, out=out) is None
+        with pytest.raises(InvalidInputError):
+            exp_both_axes(x, out=out)
         assert (out == 7.0).all()
-        assert exp_both_axes(np.zeros((0, 3))) is None
-        assert exp_both_axes(np.array([[np.inf, 0.0]])) is None
-        assert exp_both_axes(np.array([[-np.inf, 0.0]])) is None
+        for bad in (np.zeros((0, 3)), np.array([[np.inf, 0.0]]), np.array([[-np.inf, 0.0]]),
+                    np.array([[np.nan, 0.0]])):
+            with pytest.raises(InvalidInputError):
+                exp_both_axes(bad)
 
 
 def soft_xent(targets, logits):
@@ -90,18 +94,8 @@ def soft_xent(targets, logits):
                         np.arange(n), targets)
 
 
-def dense_reference(x, weights, soft_rows, row_targets, col_targets):
-    """contrastive_xent on the factors (x, I), whose logit matrix is x
-    itself, from the dense row kernel: softmax_xent over the rows of x plus
-    over the rows of a transposed copy of x, the summed gradient block then
-    pushed through the factors. Returns (loss, d_x, d_identity); d_x, the
-    block times I, is the block itself."""
-    labels = np.arange(x.shape[0])
-    loss_r, grad_r = softmax_xent(x, weights, labels, soft_rows, row_targets)
-    loss_c, grad_c = softmax_xent(np.ascontiguousarray(x.T), weights, labels, soft_rows,
-                                  col_targets)
-    block = grad_r + grad_c.T
-    return loss_r + loss_c, block, block.T @ x
+def logit_span(x) -> float:
+    return float(x.max() - x.min())
 
 
 def draw_soft_rows(rng, n, data):
@@ -110,15 +104,16 @@ def draw_soft_rows(rng, n, data):
     return np.sort(rng.permutation(n)[:n_soft])
 
 
-def factored(n, soft_rows, row_targets, col_targets):
-    """Dense soft targets as contrastive_xent's factors: each set of rows laid
-    into a zero n x n block (row targets as rows, column targets as
-    columns), with unit scales."""
-    row_exp, col_exp = np.zeros((n, n)), np.zeros((n, n))
-    row_exp[soft_rows] = row_targets
-    col_exp[:, soft_rows] = col_targets.T
-    ones_u, ones_n = np.ones(soft_rows.size), np.ones(n)
-    return (row_exp, ones_u, ones_n), (col_exp, ones_n, ones_u)
+def draw_targets(rng, n, soft_rows):
+    """Soft targets as contrastive_xent's factors (block, p, g, r, s) with
+    their dense rows and columns: a block exp(3 * normals), scales in
+    [0.5, 1.5) and the normalizers that make each target sum to 1."""
+    block = np.exp(3.0 * rng.normals(n, n))
+    g, r = 0.5 + rng.uniforms(n), 0.5 + rng.uniforms(n)
+    p, s = 1.0 / (block @ g)[soft_rows], 1.0 / (r @ block)[soft_rows]
+    row_targets = block[soft_rows] * p[:, None] * g
+    col_targets = (block[:, soft_rows] * r[:, None] * s).T
+    return (block, p, g, r, s), row_targets, col_targets
 
 
 def target_block(weights, soft_rows, row_targets, col_targets):
@@ -180,62 +175,62 @@ class TestCrossEntropyRows:
     @pytest.mark.parametrize("far", [0.0, 30.0])
     def test_gradient_with_soft_rows_matches_finite_differences(self, rng, far):
         # With far = 30, pair 4 lies alone along the last axis, so its
-        # logit, 900, sits more than 600 above all others: exp_both_axes
-        # declines and each axis takes its own pass. That pair is hard and
-        # its softmaxes saturate, so every loss term stays small enough for
-        # central differences.
+        # logit, 900, sits more than 600 above all others, and the kernel
+        # rejects the matrix.
         v, t = 2.0 * rng.normals(5, 4), 2.0 * rng.normals(5, 4)
         if far:
             v[:, 3] = t[:, 3] = 0.0
             v[4] = t[4] = [0.0, 0.0, 0.0, far]
-        assert (exp_both_axes(v @ t.T) is None) == bool(far)
-        # The targets come in both forms the kernel takes: dense rows laid
-        # into two blocks, and one shared block with scales on both sides,
-        # each soft row and column normalized by its sum.
+        # One block with scales on both sides, each soft row and column
+        # normalized by its sum.
         weights = rng.uniforms(5)
         rows = np.array([0, 3])
-        row_targets = softmax_rows(rng.normals(2, 5), 1.0)
-        col_targets = softmax_rows(rng.normals(2, 5), 1.0)
         block = np.exp(rng.normals(5, 5))
         g, r = 0.5 + rng.uniforms(5), 0.5 + rng.uniforms(5)
-        p, s = 1.0 / (block @ g)[rows], 1.0 / (r @ block)[rows]
-        for targets in (factored(5, rows, row_targets, col_targets),
-                        ((block, p, g), (block, r, s))):
+        targets = (block, 1.0 / (block @ g)[rows], g, r, 1.0 / (r @ block)[rows])
+        assert (logit_span(v @ t.T) > SHARED_EXP_SPAN) == bool(far)
+        if far:
+            with pytest.raises(InvalidInputError, match="span"):
+                contrastive_xent(v, t, weights, rows, targets)
+            return
 
-            def loss_at(flat):
-                return contrastive_xent(flat[:20].reshape(5, 4), flat[20:].reshape(5, 4),
-                                        weights, rows, *targets)[0]
+        def loss_at(flat):
+            return contrastive_xent(flat[:20].reshape(5, 4), flat[20:].reshape(5, 4),
+                                    weights, rows, targets)[0]
 
-            _, d_v, d_t = contrastive_xent(v, t, weights, rows, *targets)
-            flat = np.concatenate([v.ravel(), t.ravel()])
-            numeric = central_difference(loss_at, flat)
-            assert max_rel_error(np.concatenate([d_v.ravel(), d_t.ravel()]), numeric) < 1e-6
+        _, d_v, d_t = contrastive_xent(v, t, weights, rows, targets)
+        numeric = central_difference(loss_at, np.concatenate([v.ravel(), t.ravel()]))
+        assert max_rel_error(np.concatenate([d_v.ravel(), d_t.ravel()]), numeric) < 1e-6
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, (1 << 64) - 1), n=st.integers(1, 40),
            spread=st.sampled_from([1e-3, 1.0, 30.0, 1e3]), data=st.data())
     def test_axis_0_equals_rows_of_transposed_copy(self, seed, n, spread, data):
         # The columns of L = v t^T are the rows of t v^T: swapping the factors
-        # and the two target blocks swaps the gradients. With the factors
-        # (x, I) and (I, x) the logits are x and its transpose exactly, and
-        # the gradient in x is the gradient block itself.
-        # Spread 1e3 puts softmax entries far below the smallest double and
-        # sends the matrix to the per-axis passes.
+        # and transposing the targets (block^T, s, r, g, p) swaps the
+        # gradients. With the factors (x, I) and (I, x) the logits are x and
+        # its transpose exactly, and the gradient in x is the gradient block
+        # itself. Spread 1e3 spans x past 600 unless n = 1, and both calls
+        # must then reject it.
         rng = RngState(seed)
         x = spread * rng.normals(n, n)
         eye = np.eye(n)
         weights = rng.uniforms(n)
         soft_rows = draw_soft_rows(rng, n, data)
-        targets = [softmax_rows(3.0 * rng.normals(soft_rows.size, n), 1.0) for _ in range(2)]
-        loss, block, d_eye = contrastive_xent(x, eye, weights, soft_rows,
-                                              *factored(n, soft_rows, *targets))
-        ref_loss, ref_d_eye, ref_block = contrastive_xent(eye, x, weights, soft_rows,
-                                                          *factored(n, soft_rows, *targets[::-1]))
+        targets, row_targets, col_targets = draw_targets(rng, n, soft_rows)
+        swapped = (np.ascontiguousarray(targets[0].T), *targets[:0:-1])
+        if logit_span(x) > SHARED_EXP_SPAN:
+            for a, b, q in ((x, eye, targets), (eye, x, swapped)):
+                with pytest.raises(InvalidInputError, match="span"):
+                    contrastive_xent(a, b, weights, soft_rows, q)
+            return
+        loss, block, d_eye = contrastive_xent(x, eye, weights, soft_rows, targets)
+        ref_loss, ref_d_eye, ref_block = contrastive_xent(eye, x, weights, soft_rows, swapped)
         # The two reductions add exp(x - max) in another order, so a sum may
         # differ in its last bit; a log-sum-exp term is at most max|x| +
         # log(n) and a gradient term at most weight * mass in size.
         terms, wm = 0.0, 0.0
-        for q in targets:
+        for q in (row_targets, col_targets):
             mass = np.ones(n)
             mass[soft_rows] = q.sum(axis=1)
             terms += weights @ (mass * (np.abs(x).max() + math.log(n)))
@@ -243,62 +238,79 @@ class TestCrossEntropyRows:
         assert abs(loss - ref_loss) <= 1e-15 * max(abs(ref_loss), terms)
         block_err = 1e-15 * np.abs(ref_block) + 1e-15 * wm
         assert (np.abs(block - ref_block) <= block_err).all()
-        g = target_block(weights, soft_rows, *targets)
-        assert (np.abs(d_eye - ref_d_eye) <= product_bound(block_err, ref_block, g, x)).all()
+        goal = target_block(weights, soft_rows, row_targets, col_targets)
+        assert (np.abs(d_eye - ref_d_eye) <= product_bound(block_err, ref_block, goal, x)).all()
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, (1 << 64) - 1), n=st.integers(1, 150),
            span=st.floats(0.0, 2000.0), drop=st.floats(0.0, 1200.0), data=st.data())
     def test_both_axes_equal_axis_1_plus_axis_0(self, seed, n, span, drop, data):
-        # Logits uniform over `span`, with row 0 lowered by `drop`: the shared
-        # exponential serves while every logit stays within 600 of the top,
-        # so both of contrastive_xent's paths are drawn. Past 64 rows the
-        # shared path scales its exponential in several bands. The factors
-        # (x, I) make the logits x exactly and the gradient in x the block.
+        # Logits uniform over `span`, with row 0 lowered by `drop`: the kernel
+        # serves while every logit stays within 600 of the top and rejects
+        # the matrix past that, so both sides of the rule are drawn. Past 64
+        # rows it scales its exponential in several bands. The factors (x, I)
+        # make the logits x exactly and the gradient in x the block.
         rng = RngState(seed)
         x = span * (rng.uniforms(n * n).reshape(n, n) - 0.5)
         x[0] -= drop
         weights = rng.uniforms(n)
         soft_rows = draw_soft_rows(rng, n, data)
-        targets = [softmax_rows(3.0 * rng.normals(soft_rows.size, n), 1.0) for _ in range(2)]
-        shared = exp_both_axes(x) is not None
-        event("shared exponential" if shared else "per-axis passes")
+        targets, row_targets, col_targets = draw_targets(rng, n, soft_rows)
         event("hard only" if not soft_rows.size else "all soft" if soft_rows.size == n else "mixed")
-        loss, d_x, d_eye = contrastive_xent(x, np.eye(n), weights, soft_rows,
-                                            *factored(n, soft_rows, *targets))
-        ref_loss, ref_block, ref_d_eye = dense_reference(x, weights, soft_rows, *targets)
-        terms, wm = 0.0, 0.0  # bounds on the loss's log-sum-exp terms, on a gradient term
-        for q in targets:
+        if logit_span(x) > SHARED_EXP_SPAN:
+            event("rejected")
+            with pytest.raises(InvalidInputError, match="span"):
+                contrastive_xent(x, np.eye(n), weights, soft_rows, targets)
+            return
+        loss, d_x, d_eye = contrastive_xent(x, np.eye(n), weights, soft_rows, targets)
+        ref_loss, ref_block, ref_d_eye = dense_xent(x, np.eye(n), weights, soft_rows,
+                                                    row_targets, col_targets)
+        # Bounds on the loss's log-sum-exp terms and on a gradient term, and
+        # `drift`, on what two things move the loss by. The kernel takes each
+        # soft target's mass as 1 and the reference reads the dense rows'
+        # sums, a few ulp off 1. With subnormal logits, each product and sum
+        # that forms a soft target's q . x rounds to the subnormal grid, off
+        # by up to 2**-1075: the reference's 2n per target unscaled, the
+        # kernel's 3n then scaled by up to p[u] max(g, 1) (a row) or
+        # s[u] max(r, 1) (a column).
+        _, p, g, r, s = targets
+        terms, wm = 0.0, 0.0
+        grid = 4.0 * n + 3.0 * n * (p * max(g.max(), 1.0) + s * max(r.max(), 1.0))
+        drift = 2.0**-1074 * (weights[soft_rows] @ grid / 2.0)
+        for q in (row_targets, col_targets):
             mass = np.ones(n)
             mass[soft_rows] = q.sum(axis=1)
             terms += weights @ (mass * (np.abs(x).max() + math.log(n)))
+            drift += weights @ (np.abs(mass - 1.0) * (np.abs(x).max() + math.log(n)))
             wm = max(wm, (weights * mass).max())
-        assert abs(loss - ref_loss) <= 1e-15 * max(abs(ref_loss), terms)
+        assert abs(loss - ref_loss) <= 1e-15 * max(abs(ref_loss), terms) + drift
         # The shared exponential shifts a row or column by up to `reach` more
         # than its own max would, and rounding x - max then costs up to
         # reach * 2**-53 relative in each exponential of that row.
-        reach = x.max() - min(x.max(axis=1).min(), x.max(axis=0).min()) if shared else 0.0
+        reach = x.max() - min(x.max(axis=1).min(), x.max(axis=0).min())
         block_err = 1e-15 * np.abs(ref_block) + 1e-15 * wm * (1.0 + reach)
         assert (np.abs(d_x - ref_block) <= block_err).all()
-        g = target_block(weights, soft_rows, *targets)
-        assert (np.abs(d_eye - ref_d_eye) <= product_bound(block_err, ref_block, g, x)).all()
+        goal = target_block(weights, soft_rows, row_targets, col_targets)
+        assert (np.abs(d_eye - ref_d_eye) <= product_bound(block_err, ref_block, goal, x)).all()
 
     def test_both_axes_shape_mismatch(self):
         one, two = np.ones(1), np.ones(2)
         block = np.ones((2, 2))
-        for v, t, weights, soft_rows, row_targets, col_targets in (
-                (np.zeros((2, 3)), np.zeros((3, 3)), np.full(2, 0.5), np.zeros(0, np.int64),
-                 None, None),
-                (np.zeros((2, 3)), np.zeros((2, 3)), np.full(3, 0.5), np.zeros(0, np.int64),
-                 None, None),
+        for v, t, weights, soft_rows, targets in (
+                (np.zeros((2, 3)), np.zeros((3, 3)), np.full(2, 0.5), np.zeros(0, np.int64), None),
+                (np.zeros((2, 3)), np.zeros((2, 3)), np.full(3, 0.5), np.zeros(0, np.int64), None),
                 (np.zeros((2, 3)), np.zeros((2, 3)), np.full(2, 0.5), np.arange(1),
-                 (np.ones((1, 2)), one, two), (block, two, one)),
+                 (np.ones((1, 2)), one, two, two, one)),
                 (np.zeros((2, 3)), np.zeros((2, 3)), np.full(2, 0.5), np.arange(1),
-                 (block, two, two), (block, two, one)),
+                 (block, two, two, two, one)),
                 (np.zeros((2, 3)), np.zeros((2, 3)), np.full(2, 0.5), np.arange(1),
-                 (block, one, two), (block, one, one))):
+                 (block, one, one, two, one)),
+                (np.zeros((2, 3)), np.zeros((2, 3)), np.full(2, 0.5), np.arange(1),
+                 (block, one, two, one, one)),
+                (np.zeros((2, 3)), np.zeros((2, 3)), np.full(2, 0.5), np.arange(1),
+                 (block, one, two, two, two))):
             with pytest.raises(InvalidInputError):
-                contrastive_xent(v, t, weights, soft_rows, row_targets, col_targets)
+                contrastive_xent(v, t, weights, soft_rows, targets)
 
     def test_gibbs_inequality(self, rng):
         for _ in range(30):
