@@ -133,8 +133,9 @@ def _random_spec(rng: RngState, activation: str, hidden: bool) -> EncoderSpec:
 
 def check_encoder_backward(seed: int, instances: int) -> CheckReport:
     """FD check of the scalar probe <upstream, encode(x)> against the
-    analytic parameter and input gradients. relu instances resample until all
-    pre-activations sit away from the kink."""
+    analytic parameter and input gradients, the latter formed here as
+    d_z0 @ W0^T from ``encode_backward``'s d_z0. relu instances resample
+    until all pre-activations sit away from the kink."""
     rng = RngState(seed)
     worst = 0.0
     for k in range(instances):
@@ -154,7 +155,8 @@ def check_encoder_backward(seed: int, instances: int) -> CheckReport:
         else:
             raise DegenerateInputError("could not sample a well-conditioned relu instance")
         upstream = rng.normals(rows, spec.embed_dim)
-        grads, d_x = encode_backward(cache, upstream)
+        grads, d_z0 = encode_backward(cache, upstream)
+        d_x = d_z0 @ params.weights[0].T
         flat0 = np.concatenate([params.flatten(), x.ravel()])
         analytic = np.concatenate([grads.flatten(), d_x.ravel()])
 

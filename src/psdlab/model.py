@@ -16,7 +16,10 @@ Parameter file format (PSDW, version 1, all little-endian):
     f64 * P      parameters in flattening order
 
 Flattening order: for each layer in input-to-output order, the weight matrix
-row-major then the bias vector. flatten -> unflatten is the identity.
+row-major then the bias vector. ``unflatten`` lays the layers over a flat
+vector as views, so flatten -> unflatten is the identity and writes to the
+vector show through the ParamSet; the trainer keeps its parameters and
+gradients as one flat vector each this way.
 """
 
 from __future__ import annotations
@@ -89,15 +92,17 @@ class ParamSet:
 
     @classmethod
     def unflatten(cls, spec: EncoderSpec, vec: np.ndarray) -> "ParamSet":
+        """Layers as views into ``vec`` (into a float64 copy of it when it
+        has another dtype): no layer is copied."""
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (spec.num_params,):
             raise InvalidInputError(
                 f"expected flat vector of length {spec.num_params}, got {vec.shape}")
         weights, biases, off = [], [], 0
         for fan_in, fan_out in spec.layer_dims:
-            weights.append(vec[off:off + fan_in * fan_out].reshape(fan_in, fan_out).copy())
+            weights.append(vec[off:off + fan_in * fan_out].reshape(fan_in, fan_out))
             off += fan_in * fan_out
-            biases.append(vec[off:off + fan_out].copy())
+            biases.append(vec[off:off + fan_out])
             off += fan_out
         return cls(spec=spec, weights=weights, biases=biases)
 
@@ -146,7 +151,8 @@ def encode(params: ParamSet, x) -> tuple[np.ndarray, ForwardCache]:
     a = x
     pre_acts, acts = [], []
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
+        z = a @ w
+        z += b
         if i < len(params.weights) - 1:
             pre_acts.append(z)
             a = _activate(z, spec.activation)
@@ -159,11 +165,17 @@ def encode(params: ParamSet, x) -> tuple[np.ndarray, ForwardCache]:
     return emb, cache
 
 
-def encode_backward(cache: ForwardCache, d_emb) -> tuple[ParamSet, np.ndarray]:
+def encode_backward(cache: ForwardCache, d_emb, out: ParamSet | None = None
+                    ) -> tuple[ParamSet, np.ndarray]:
     """Backprop d_emb through the normalization and every layer.
 
     The normalization Jacobian (I - e e^T)/||z|| projects out each row's
-    radial direction before the chain continues into the MLP.
+    radial direction before the chain continues into the MLP. Returns the
+    parameter gradients and d_z0, the gradient in the first layer's
+    pre-activation z0 = x @ W0 + b0; the input gradient is d_z0 @ W0^T,
+    which is left to a caller that needs it. The gradients are written into
+    ``out`` (numpy's idiom; e.g. views into a flat buffer) and it is
+    returned, or into a new ParamSet when ``out`` is None.
     """
     params = cache.params
     spec = params.spec
@@ -172,23 +184,25 @@ def encode_backward(cache: ForwardCache, d_emb) -> tuple[ParamSet, np.ndarray]:
         raise InvalidInputError(
             f"upstream gradient shape {d_emb.shape} does not match "
             f"embeddings {cache.embeddings.shape}")
+    if out is None:
+        out = params.zeros_like()
+    elif out.spec != spec:
+        raise InvalidInputError("gradient ParamSet has another encoder spec")
     e = cache.embeddings
     radial = (d_emb * e).sum(axis=1, keepdims=True)
     delta = (d_emb - e * radial) / cache.norms[:, None]
 
-    grads = params.zeros_like()
-    n_layers = len(params.weights)
-    for i in range(n_layers - 1, -1, -1):
+    for i in range(len(params.weights) - 1, -1, -1):
         a_prev = cache.x if i == 0 else cache.activations[i - 1]
-        grads.weights[i][:] = a_prev.T @ delta
-        grads.biases[i][:] = delta.sum(axis=0)
-        delta = delta @ params.weights[i].T
+        np.matmul(a_prev.T, delta, out=out.weights[i])
+        delta.sum(axis=0, out=out.biases[i])
         if i > 0:
+            delta = delta @ params.weights[i].T
             if spec.activation == "tanh":
-                delta = delta * (1.0 - cache.activations[i - 1] ** 2)
+                delta *= 1.0 - cache.activations[i - 1] ** 2
             else:
-                delta = delta * (cache.pre_activations[i - 1] > 0.0)
-    return grads, delta
+                delta *= cache.pre_activations[i - 1] > 0.0
+    return out, delta
 
 
 def save_params(params: ParamSet, path) -> None:

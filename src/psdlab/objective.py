@@ -240,11 +240,15 @@ def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: Parti
     images): each row's own posterior, or (``swapped``) the opposite
     direction's posteriors of that row, renormalized. Only the factors are
     formed; no target row is gathered. Logits that span more than 600
-    raise InvalidInputError (``numkit.exp_both_axes``)."""
-    v = as_matrix(teacher_image, "teacher image embeddings")
-    t = as_matrix(teacher_text, "teacher text embeddings")
-    if v.shape != t.shape:
-        raise InvalidInputError("teacher matrices must share a shape")
+    raise InvalidInputError (``numkit.exp_both_axes``). So do NaN and
+    infinite entries, without a scan of their own: any such entry of V or T
+    leaves a whole row or column of logits NaN or infinite, which fails the
+    span check."""
+    v = np.ascontiguousarray(teacher_image, dtype=np.float64)
+    t = np.ascontiguousarray(teacher_text, dtype=np.float64)
+    if v.ndim != 2 or v.shape != t.shape:
+        raise InvalidInputError(
+            f"teacher matrices must be 2-D and share a shape, got {v.shape} and {t.shape}")
     if v.shape[0] != plan.n:
         raise InvalidInputError(
             f"teacher matrices cover {v.shape[0]} rows but plan covers {plan.n}")

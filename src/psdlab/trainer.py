@@ -123,7 +123,8 @@ def make_partition(n: int, alpha: float, rng: RngState | None = None,
 
 @dataclass
 class OptState:
-    """AdamW accumulators plus the warmup + cosine learning-rate schedule."""
+    """AdamW accumulators plus the warmup + cosine learning-rate schedule,
+    and two work buffers that let ``adamw_step`` run without allocating."""
 
     size: int
     total_steps: int
@@ -137,10 +138,12 @@ class OptState:
     step: int = 0
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
+    work: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.m = np.zeros(self.size)
         self.v = np.zeros(self.size)
+        self.work = (np.empty(self.size), np.empty(self.size))
         if self.decay_mask is None:
             self.decay_mask = np.ones(self.size)
         self.decay_mask = np.asarray(self.decay_mask, dtype=np.float64)
@@ -157,11 +160,13 @@ class OptState:
 
 
 def adamw_step(params: np.ndarray, grads: np.ndarray, opt: OptState) -> np.ndarray:
-    """One bias-corrected Adam step with decoupled weight decay.
+    """One bias-corrected Adam step with decoupled weight decay, in place.
 
     Decay multiplies parameters by (1 - lr*wd*mask), the mask being all ones
-    unless one is given, before the Adam delta. Mutates ``opt``; returns the
-    new parameters.
+    unless one is given, before the Adam delta lr*m_hat/(sqrt(v_hat) + eps).
+    Updates ``params``, ``opt.m`` and ``opt.v`` in place through ``opt.work``,
+    rounding the same operations in the same order as the formulas read, and
+    returns ``params``.
     """
     if params.shape != (opt.size,) or grads.shape != (opt.size,):
         raise InvalidInputError("params/grads must match the optimizer size")
@@ -169,12 +174,24 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, opt: OptState) -> np.ndarr
         raise NonFiniteGradientError(f"non-finite gradient at optimizer step {opt.step + 1}")
     opt.step += 1
     lr = opt.lr_at(opt.step)
-    params = params * (1.0 - lr * opt.weight_decay * opt.decay_mask)
-    opt.m = opt.beta1 * opt.m + (1.0 - opt.beta1) * grads
-    opt.v = opt.beta2 * opt.v + (1.0 - opt.beta2) * grads * grads
-    m_hat = opt.m / (1.0 - opt.beta1 ** opt.step)
-    v_hat = opt.v / (1.0 - opt.beta2 ** opt.step)
-    params -= lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+    w, u = opt.work
+    np.multiply(lr * opt.weight_decay, opt.decay_mask, out=w)
+    np.subtract(1.0, w, out=w)
+    params *= w
+    opt.m *= opt.beta1
+    np.multiply(1.0 - opt.beta1, grads, out=w)
+    opt.m += w
+    opt.v *= opt.beta2
+    np.multiply(1.0 - opt.beta2, grads, out=w)
+    w *= grads
+    opt.v += w
+    np.divide(opt.m, 1.0 - opt.beta1 ** opt.step, out=w)   # m_hat
+    w *= lr
+    np.divide(opt.v, 1.0 - opt.beta2 ** opt.step, out=u)   # v_hat
+    np.sqrt(u, out=u)
+    u += opt.eps
+    w /= u
+    params -= w
     return params
 
 
@@ -215,6 +232,16 @@ class TrainConfig:
         if self.image_encoder.embed_dim != self.text_encoder.embed_dim:
             raise InvalidInputError("both encoders must share the embedding dimension")
         # Written so that NaN, for which every comparison is false, fails.
+        for name, ok, bounds in (
+                ("learning_rate", 0.0 < self.learning_rate < math.inf, "(0, inf)"),
+                ("weight_decay", 0.0 <= self.weight_decay < math.inf, "[0, inf)"),
+                ("beta1", 0.0 <= self.beta1 < 1.0, "[0, 1)"),
+                ("beta2", 0.0 <= self.beta2 < 1.0, "[0, 1)"),
+                ("adam_eps", 0.0 < self.adam_eps < math.inf, "(0, inf)"),
+                ("warmup_frac", 0.0 <= self.warmup_frac <= 1.0, "[0, 1]")):
+            if not ok:
+                raise InvalidInputError(f"{name.replace('_', ' ')} must lie in {bounds}, "
+                                        f"got {getattr(self, name)}")
         if self.teacher_scale is not None and not 0.0 < self.teacher_scale <= MAX_LOGIT_SCALE:
             raise InvalidInputError(f"teacher scale must lie in (0, {MAX_LOGIT_SCALE:g}], "
                                     f"got {self.teacher_scale}")
@@ -292,10 +319,17 @@ def train(cfg: TrainConfig, ds: PairedDataset,
     schedule = AlphaSchedule(total_steps=total_steps, start=cfg.alpha_start,
                              end=cfg.alpha_end, kind=cfg.alpha_schedule)
 
+    # Parameters and gradients are one flat vector each, which AdamW updates
+    # in place; the encoders' ParamSets are views into them.
     flat = np.concatenate([image_params.flatten(), text_params.flatten(),
                            [temp.log_scale]])
+    grads = np.empty_like(flat)
     n_image = cfg.image_encoder.num_params
     n_text = cfg.text_encoder.num_params
+    image_params = ParamSet.unflatten(cfg.image_encoder, flat[:n_image])
+    text_params = ParamSet.unflatten(cfg.text_encoder, flat[n_image:n_image + n_text])
+    grad_img = ParamSet.unflatten(cfg.image_encoder, grads[:n_image])
+    grad_txt = ParamSet.unflatten(cfg.text_encoder, grads[n_image:n_image + n_text])
     decay_mask = np.ones(flat.size)
     decay_mask[-1] = 0.0  # decaying the logit scale toward zero is meaningless
     opt = OptState(size=flat.size, total_steps=total_steps, lr_max=cfg.learning_rate,
@@ -347,11 +381,10 @@ def train(cfg: TrainConfig, ds: PairedDataset,
                     targets = build(emb_img, emb_txt, teacher_scale, plan)
                     lg = psd_loss(batch, temp, plan, targets)
 
-                grad_img, _ = encode_backward(cache_img, lg.d_image)
-                grad_txt, _ = encode_backward(cache_txt, lg.d_text)
-                grads = np.concatenate([grad_img.flatten(), grad_txt.flatten(),
-                                        [lg.d_log_scale]])
-                flat = adamw_step(flat, grads, opt)
+                encode_backward(cache_img, lg.d_image, out=grad_img)
+                encode_backward(cache_txt, lg.d_text, out=grad_txt)
+                grads[-1] = lg.d_log_scale
+                adamw_step(flat, grads, opt)
                 temp = clamp_scale(TemperatureParam(log_scale=float(flat[-1])))
                 flat[-1] = temp.log_scale
                 # One O(parameters) health check per step. A logit scale that
@@ -360,8 +393,6 @@ def train(cfg: TrainConfig, ds: PairedDataset,
                     raise DivergenceError(step, (
                         f"training diverged at step {step}: loss {lg.loss}, logit scale "
                         f"{temp.scale}, {int((~np.isfinite(flat)).sum())} non-finite parameters"))
-                image_params = ParamSet.unflatten(cfg.image_encoder, flat[:n_image])
-                text_params = ParamSet.unflatten(cfg.text_encoder, flat[n_image:n_image + n_text])
 
                 emit({"step": step, "epoch": epoch, "alpha": alpha, "loss": lg.loss,
                       "lr": opt.lr_at(opt.step), "scale": temp.scale})

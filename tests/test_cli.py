@@ -113,6 +113,30 @@ def test_diverged_run_exits_divergence_code(settings, tmp_path, caplog):
     assert "training diverged at step" in caplog.text
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("learning_rate=-0.001", "learning rate must lie in (0, inf)"),
+    ("learning_rate=0", "learning rate must lie in (0, inf)"),
+    ("learning_rate=nan", "learning rate must lie in (0, inf)"),
+    ("learning_rate=inf", "learning rate must lie in (0, inf)"),
+    ("weight_decay=-5", "weight decay must lie in [0, inf)"),
+    ("weight_decay=nan", "weight decay must lie in [0, inf)"),
+    ("beta1=1.5", "beta1 must lie in [0, 1)"),
+    ("beta1=1", "beta1 must lie in [0, 1)"),
+    ("beta2=-0.1", "beta2 must lie in [0, 1)"),
+    ("beta2=nan", "beta2 must lie in [0, 1)"),
+    ("adam_eps=-1", "adam eps must lie in (0, inf)"),
+    ("adam_eps=0", "adam eps must lie in (0, inf)"),
+    ("warmup_frac=2", "warmup frac must lie in [0, 1]"),
+    ("warmup_frac=nan", "warmup frac must lie in [0, 1]"),
+])
+def test_optimizer_setting_outside_its_range_exits_invalid_input_code(setting, message,
+                                                                     tmp_path, caplog):
+    rc = main(["train", "--quiet", "--epochs", "2", "--set", setting, "--out", str(tmp_path)])
+    assert rc == InvalidInputError.exit_code == 3
+    assert message in caplog.text
+    assert not (tmp_path / "metrics.jsonl").exists()
+
+
 @pytest.mark.parametrize("target_mode", ["swapped", "bootstrap"])
 @pytest.mark.parametrize("teacher_scale", ["-5", "nan", "inf", "1000"])
 def test_teacher_scale_outside_its_range_exits_invalid_input_code(teacher_scale, target_mode,

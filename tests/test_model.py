@@ -53,6 +53,18 @@ class TestSpecAndParams:
         for b1, b2 in zip(params.biases, back.biases):
             np.testing.assert_array_equal(b1, b2)
 
+    def test_unflatten_returns_views_that_write_through(self):
+        spec = EncoderSpec(input_dim=3, hidden_dims=(2,), embed_dim=2)
+        vec = init_params(spec, RngState(4)).flatten()
+        params = ParamSet.unflatten(spec, vec)
+        for layer in (*params.weights, *params.biases):
+            assert np.shares_memory(layer, vec)
+        vec *= 2.0
+        np.testing.assert_array_equal(params.flatten(), vec)
+        params.weights[1][0, 1] = 7.0
+        params.biases[0][1] = -3.0
+        assert vec[3 * 2 + 2 + 1] == 7.0 and vec[3 * 2 + 1] == -3.0
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(InvalidInputError):
             EncoderSpec(input_dim=0, hidden_dims=(), embed_dim=4)
@@ -116,16 +128,16 @@ class TestEncodeBackward:
         spec = EncoderSpec(input_dim=4, hidden_dims=(3,), embed_dim=2)
         params = init_params(spec, RngState(1))
         _, cache = encode(params, RngState(2).normals(5, 4))
-        grads, dx = encode_backward(cache, np.zeros((5, 2)))
+        grads, d_z0 = encode_backward(cache, np.zeros((5, 2)))
         assert np.all(grads.flatten() == 0.0)
-        assert np.all(dx == 0.0)
+        assert np.all(d_z0 == 0.0)
 
     def test_radial_upstream_killed_by_normalization(self):
         spec = EncoderSpec(input_dim=4, hidden_dims=(), embed_dim=3)
         params = init_params(spec, RngState(3))
         emb, cache = encode(params, RngState(4).normals(1, 4))
-        grads, dx = encode_backward(cache, 2.5 * emb)  # parallel to the embedding
-        np.testing.assert_allclose(dx, 0.0, atol=1e-14)
+        grads, d_z0 = encode_backward(cache, 2.5 * emb)  # parallel to the embedding
+        np.testing.assert_allclose(d_z0, 0.0, atol=1e-14)
         np.testing.assert_allclose(grads.flatten(), 0.0, atol=1e-14)
 
     def test_finite_differences_random_mlp(self, rng):
@@ -134,7 +146,8 @@ class TestEncodeBackward:
         x = rng.normals(3, 4)
         upstream = rng.normals(3, 4)
         _, cache = encode(params, x)
-        grads, dx = encode_backward(cache, upstream)
+        grads, d_z0 = encode_backward(cache, upstream)
+        dx = d_z0 @ params.weights[0].T
         analytic = np.concatenate([grads.flatten(), dx.ravel()])
 
         def probe(vec):
@@ -144,6 +157,33 @@ class TestEncodeBackward:
 
         numeric = central_difference(probe, np.concatenate([params.flatten(), x.ravel()]))
         assert max_rel_error(analytic, numeric) < 1e-5
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_out_receives_the_gradients(self, activation):
+        # Gradients written through out= into views of one flat buffer equal
+        # a fresh ParamSet's bit for bit, and out itself is returned.
+        spec = EncoderSpec(input_dim=4, hidden_dims=(5, 3), embed_dim=3, activation=activation)
+        params = init_params(spec, RngState(6))
+        for b in params.biases:
+            b += 0.3  # keeps relu layers away from all-zero rows
+        _, cache = encode(params, RngState(7).normals(6, 4))
+        upstream = RngState(8).normals(6, 3)
+        fresh, d_z0 = encode_backward(cache, upstream)
+        buffer = np.full(spec.num_params + 1, np.nan)
+        out = ParamSet.unflatten(spec, buffer[:-1])
+        got, d_z0_out = encode_backward(cache, upstream, out=out)
+        assert got is out
+        np.testing.assert_array_equal(buffer[:-1], fresh.flatten())
+        assert np.isnan(buffer[-1])
+        np.testing.assert_array_equal(d_z0_out, d_z0)
+
+    def test_out_of_another_spec_rejected(self):
+        spec = EncoderSpec(input_dim=4, hidden_dims=(), embed_dim=2)
+        params = init_params(spec, RngState(1))
+        _, cache = encode(params, RngState(2).normals(3, 4))
+        other = init_params(EncoderSpec(input_dim=4, hidden_dims=(), embed_dim=3), RngState(1))
+        with pytest.raises(InvalidInputError):
+            encode_backward(cache, np.zeros((3, 2)), out=other)
 
     def test_shape_mismatch_rejected(self):
         spec = EncoderSpec(input_dim=4, hidden_dims=(), embed_dim=2)

@@ -269,6 +269,27 @@ class TestSoftTargets:
         with pytest.raises(InvalidInputError, match="span"):
             soft_targets_swapped(v, t, 100.0, plan)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["image", "text"])
+    @pytest.mark.parametrize("row", [0, 4])
+    def test_non_finite_teacher_input_rejected(self, rng, value, side, row):
+        # The teacher does not scan its inputs: a NaN or infinite entry makes
+        # a whole row or column of its logits NaN or infinite, which fails the
+        # span check of its exponential.
+        v, t = unit_batch(rng, 5, 3)
+        (v if side == "image" else t)[row, 1] = value
+        plan = make_partition(5, 0.4, rng=rng)
+        for build in (soft_targets_swapped, soft_targets_bootstrap):
+            with pytest.raises(InvalidInputError, match="span"):
+                build(v, t, 5.0, plan)
+
+    def test_teacher_input_shapes_checked(self, rng):
+        v, t = unit_batch(rng, 4, 3)
+        plan = make_partition(4, 0.5, rng=rng)
+        for bad_v, bad_t in ((v[0], t[0]), (v[None], t[None]), (v, t[:, :2]), (v[:3], t[:3])):
+            with pytest.raises(InvalidInputError, match="teacher matrices"):
+                soft_targets_swapped(bad_v, bad_t, 5.0, plan)
+
     @pytest.mark.parametrize("rows", [[[math.nan, math.nan]], [[0.5, math.nan]],
                                       [[math.inf, 0.5]], [[-math.inf, 1.0]]])
     @pytest.mark.parametrize("side", ["image_targets", "text_targets"])

@@ -6,6 +6,7 @@ scalar oracle, and partitions follow their priorities."""
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,7 +137,8 @@ class TestCheckpoint:
 class TestAdamW:
     """``adamw_step`` against the plain-Python oracle over a warmup + cosine
     learning-rate schedule. Both sides round the same operations in the same
-    order, so the trajectories agree exactly."""
+    order, so the trajectories agree exactly. The step updates its
+    parameters in place and allocates no parameter-sized array."""
 
     @pytest.mark.parametrize("weight_decay, decay_mask", [
         (0.1, None),
@@ -150,10 +152,10 @@ class TestAdamW:
         grads = [rng.normals(size) for _ in range(steps)]
         opt = OptState(size=size, total_steps=steps, lr_max=0.05, warmup_steps=3,
                        weight_decay=weight_decay, decay_mask=decay_mask)
-        params, trajectory = p0, []
+        params, trajectory = p0.copy(), []
         for g in grads:
-            params = adamw_step(params, g, opt)
-            trajectory.append(params)
+            assert adamw_step(params, g, opt) is params
+            trajectory.append(params.copy())
         lrs = [opt.lr_at(t) for t in range(1, steps + 1)]
         assert len(set(lrs)) == steps
         expected = adam_scalar_trajectory(p0.tolist(), [g.tolist() for g in grads], lrs,
@@ -161,6 +163,20 @@ class TestAdamW:
                                           decay_mask)
         for got, want in zip(trajectory, expected):
             np.testing.assert_array_equal(got, want)
+
+    def test_step_allocates_less_than_one_parameter_array(self):
+        size = 100_000
+        rng = RngState(12)
+        params, grads = rng.normals(size), rng.normals(size)
+        opt = OptState(size=size, total_steps=10, lr_max=0.05, warmup_steps=2)
+        adamw_step(params, grads, opt)
+        tracemalloc.start()
+        try:
+            adamw_step(params, grads, opt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.nbytes
 
 
 @settings(max_examples=100, deadline=None)
