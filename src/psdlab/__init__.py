@@ -6,12 +6,11 @@ protocols."""
 from .data import PairedDataset, SyntheticSpec, generate, load_pairs, save_pairs, select_captions
 from .evaluation import linear_probe, retrieval_eval, similarity_stats, zero_shot_top1
 from .model import EncoderSpec, ParamSet, encode, encode_backward, init_params
-from .numkit import RngState, normalize_rows_l2, softmax_xent
+from .numkit import RngState, SoftTargets, normalize_rows_l2, softmax_xent
 from .objective import (
     EmbeddingBatch,
     LossGrad,
     PartitionPlan,
-    SoftTargets,
     TemperatureParam,
     clamp_scale,
     info_nce,

@@ -72,8 +72,8 @@ def _resolve_config(args, base: ExperimentConfig | None = None) -> tuple[Experim
         key, raw = item.split("=", 1)
         set_key(cfg, key.strip(), raw)
     # The dedicated flags, each stored under its config key; not every command has each.
-    for key in ("seed", "out_dir", "target_mode", "partition_mode", "alpha_schedule",
-                "epochs", "k_list"):
+    for key in ("seed", "out_dir", "dataset_path", "target_mode", "partition_mode",
+                "alpha_schedule", "epochs", "k_list"):
         value = getattr(args, key, None)
         if value is not None:
             set_key(cfg, key, str(value))
@@ -82,11 +82,10 @@ def _resolve_config(args, base: ExperimentConfig | None = None) -> tuple[Experim
     return cfg, out
 
 
-def _load_or_generate(cfg: ExperimentConfig, dataset_arg: str | None):
-    path = dataset_arg or cfg.dataset_path
-    if path:
-        log.info("loading dataset %s", path)
-        return load_pairs(path)
+def _load_or_generate(cfg: ExperimentConfig):
+    if cfg.dataset_path:
+        log.info("loading dataset %s", cfg.dataset_path)
+        return load_pairs(cfg.dataset_path)
     log.info("generating synthetic dataset (seed %d)", cfg.seed)
     return generate(cfg.synthetic_spec(), RngState(cfg.seed))
 
@@ -107,7 +106,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, out = _resolve_config(args)
-    ds = _load_or_generate(cfg, args.dataset)
+    ds = _load_or_generate(cfg)
     eval_ds = None
     if cfg.eval_every > 0:
         ds, eval_ds = split_clean_holdout(ds, cfg.eval_per_class)
@@ -227,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one run, write metrics + checkpoint")
     add_common(p)
-    p.add_argument("--dataset", help="PSDD file (default: synthesize per config)")
+    p.add_argument("--dataset", dest="dataset_path",
+                   help="PSDD file (default: synthesize per config)")
     p.add_argument("--target-mode", dest="target_mode", choices=TARGET_MODES)
     p.add_argument("--partition-mode", dest="partition_mode", choices=PARTITION_MODES)
     p.add_argument("--alpha-schedule", dest="alpha_schedule", choices=SCHEDULE_KINDS)

@@ -166,10 +166,8 @@ def generate(spec: SyntheticSpec, rng: RngState) -> PairedDataset:
 
 def select_captions(ds: PairedDataset, rng: RngState) -> np.ndarray:
     """One caption row index per image, uniform over its candidates."""
-    m = ds.captions_per_image
-    if m == 1:
-        return ds.pairing[:, 0].copy()
-    return ds.pairing[np.arange(ds.num_samples), rng.integers(m, ds.num_samples)]
+    slots = rng.integers(ds.captions_per_image, ds.num_samples)
+    return ds.pairing[np.arange(ds.num_samples), slots]
 
 
 def take_subset(ds: PairedDataset, image_idx: np.ndarray) -> PairedDataset:

@@ -157,22 +157,22 @@ def _strong_wolfe(f, x, direction, f0, g0, c1=1e-4, c2=0.9, max_iter=25):
         val, grad = f(x + alpha * direction)
         return val, float(grad @ direction)
 
-    alpha_prev, phi_prev, dphi_prev = 0.0, f0, d0
+    alpha_prev, phi_prev = 0.0, f0
     alpha = 1.0
     alpha_max = 1e3
 
-    def zoom(lo, phi_lo, dphi_lo, hi, phi_hi):
+    def zoom(lo, phi_lo, hi):
         for _ in range(max_iter):
             mid = 0.5 * (lo + hi)
             phi_mid, dphi_mid = phi(mid)
             if phi_mid > f0 + c1 * mid * d0 or phi_mid >= phi_lo:
-                hi, phi_hi = mid, phi_mid
+                hi = mid
             else:
                 if abs(dphi_mid) <= -c2 * d0:
                     return mid
                 if dphi_mid * (hi - lo) >= 0.0:
-                    hi, phi_hi = lo, phi_lo
-                lo, phi_lo, dphi_lo = mid, phi_mid, dphi_mid
+                    hi = lo
+                lo, phi_lo = mid, phi_mid
             if abs(hi - lo) < 1e-16:
                 break
         return None
@@ -180,12 +180,12 @@ def _strong_wolfe(f, x, direction, f0, g0, c1=1e-4, c2=0.9, max_iter=25):
     for it in range(max_iter):
         phi_a, dphi_a = phi(alpha)
         if phi_a > f0 + c1 * alpha * d0 or (it > 0 and phi_a >= phi_prev):
-            return zoom(alpha_prev, phi_prev, dphi_prev, alpha, phi_a)
+            return zoom(alpha_prev, phi_prev, alpha)
         if abs(dphi_a) <= -c2 * d0:
             return alpha
         if dphi_a >= 0.0:
-            return zoom(alpha, phi_a, dphi_a, alpha_prev, phi_prev)
-        alpha_prev, phi_prev, dphi_prev = alpha, phi_a, dphi_a
+            return zoom(alpha, phi_a, alpha_prev)
+        alpha_prev, phi_prev = alpha, phi_a
         alpha = min(2.0 * alpha, alpha_max)
     return None
 

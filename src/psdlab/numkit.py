@@ -14,11 +14,12 @@ and dense soft rows, whose sums it reads; the linear probe calls it.
 ``contrastive_xent`` takes the rows and the columns of a square logit
 matrix L = scaled_v t^T given by its two factors, with its diagonal as the
 hard targets, and returns the gradients in the factors; InfoNCE and the PSD
-loss call it. Its soft targets come normalized (``objective.SoftTargets``)
-as factors of one exponential, an n x n block with one scale per row and
-one per column: no target row is gathered, and the weighted targets are
-subtracted from the gradient block a band of rows at a time, so the
-block's two products with the factors carry them.
+loss call it. Its soft targets arrive as one ``SoftTargets``, which checks
+them and makes each a distribution, held as factors of one exponential, an
+n x n block with one scale per row and one per column: no target row is
+gathered, and the weighted targets are subtracted from the gradient block a
+band of rows at a time, so the block's two products with the factors carry
+them.
 
 Both axes of a square matrix take their log-sum-exps from one exponential
 under the global max, ``exp_both_axes`` (``contrastive_xent`` and the
@@ -40,13 +41,14 @@ splitmix64 finalizer (Steele et al. 2014) applied to seed + k * gamma, so a
 block of words is one vectorized pass over a counter range and no draw loops
 in Python. ``derive_seed`` keys independent streams with the same mix.
 
-Everything here is a pure function over immutable inputs except RngState,
-which is single-owner mutable state.
+Everything here is a pure function or a frozen value over immutable inputs
+except RngState, which is single-owner mutable state.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,8 +141,68 @@ def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
     return float(weights @ (lse * mass - picked)), grad
 
 
+@dataclass(frozen=True)
+class SoftTargets:
+    """Teacher-produced alignment distributions for the unaligned rows of a
+    batch of n pairs, held as factors of the teacher's exponential.
+
+    The target of image rows[u] over the batch's texts and the target of
+    text rows[u] over its images are
+
+        image row u: exp[rows[u], j] * p[u] * g[j] over the texts j,
+        text row u:  exp[i, rows[u]] * r[i] * s[u] over the images i,
+
+    given a scale ``g`` over the texts and ``r`` over the images. The
+    normalizers p = 1 / (exp @ g)[rows] and s = 1 / (r @ exp)[rows] are
+    derived here (again by ``dataclasses.replace``), so every target row
+    sums to 1 by construction. The n x n block is an exponential of teacher
+    logits. Targets are constants to the student; nothing here writes to
+    the arrays it holds, and ``contrastive_xent`` reads the factors.
+
+    InvalidInputError is raised for a scale that is not a finite positive
+    number, for a non-finite full row sum (exp @ g or r @ exp: a NaN or
+    infinite entry anywhere), and for a target row whose sum is not
+    positive or has no finite reciprocal.
+    """
+
+    rows: np.ndarray
+    exp: np.ndarray
+    g: np.ndarray
+    r: np.ndarray
+    p: np.ndarray = field(init=False)
+    s: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        e = np.ascontiguousarray(self.exp, dtype=np.float64)
+        n = e.shape[0] if e.ndim == 2 else -1
+        if e.shape != (n, n):
+            raise InvalidInputError(f"target block must be square, got {e.shape}")
+        rows = np.asarray(self.rows, dtype=np.int64)
+        if rows.ndim != 1 or (rows.size and not (rows[0] >= 0 and rows[-1] < n
+                                                 and (rows[1:] > rows[:-1]).all())):
+            raise InvalidInputError(f"target rows must be increasing indices in 0..{n - 1}")
+        g, r = np.asarray(self.g, dtype=np.float64), np.asarray(self.r, dtype=np.float64)
+        if g.shape != (n,) or r.shape != (n,):
+            raise InvalidInputError(f"target scales {g.shape} and {r.shape} do not fit {n} rows")
+        # Each test below is written so that NaN, for which every comparison
+        # is false, fails it.
+        scales = np.concatenate([g, r])
+        if scales.size and not (scales.min() > 0.0 and scales.max() < math.inf):
+            raise InvalidInputError("target scales must be finite and positive")
+        sums = np.concatenate([e @ g, r @ e])
+        if not np.isfinite(sums).all():
+            raise InvalidInputError("target block holds NaN or infinite entries")
+        with np.errstate(divide="ignore", over="ignore"):
+            norms = 1.0 / sums[np.concatenate([rows, n + rows])]
+        if norms.size and not (norms.min() > 0.0 and norms.max() < math.inf):
+            raise InvalidInputError("target row sums must be positive with finite reciprocals")
+        for name, value in (("rows", rows), ("exp", e), ("g", g), ("r", r),
+                            ("p", norms[: rows.size]), ("s", norms[rows.size:])):
+            object.__setattr__(self, name, value)
+
+
 def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
-                     soft_rows: np.ndarray, targets) -> tuple[float, np.ndarray, np.ndarray]:
+                     targets: SoftTargets | None) -> tuple[float, np.ndarray, np.ndarray]:
     """Weighted softmax cross-entropy of every row plus every column of the
     square logit matrix L = scaled_v t^T, with its gradients in the two
     factors: returns (loss, d_scaled_v, d_t), the gradients in the layouts
@@ -149,14 +211,12 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
 
     Row i and column i each cost weights[i] * H(q, softmax(x)) in
     log-sum-exp form, as in ``softmax_xent``. Both target the diagonal entry
-    L[i, i] (hard), except for the i listed in ``soft_rows`` (increasing),
-    whose targets are entries of an n x n block times a row and a column
-    scale. With ``targets = (block, p, g, r, s)``, row soft_rows[u] targets
-    block[soft_rows[u], j] * p[u] * g[j] over the columns j, and column
-    soft_rows[u] targets block[i, soft_rows[u]] * r[i] * s[u] over the rows
-    i. The block is not written to. Every soft target must sum to 1, as
-    ``objective.SoftTargets`` makes it, so each term is lse(x) - q . x.
-    ``targets`` is ignored, and may be None, when ``soft_rows`` is empty.
+    L[i, i] (hard), except for the rows of ``targets`` (none when it is
+    None), whose targets are the ``SoftTargets`` entries: row rows[u]
+    targets exp[rows[u], j] * p[u] * g[j] over the columns j, and column
+    rows[u] targets exp[i, rows[u]] * r[i] * s[u] over the rows i. Their
+    block, exp, must be n x n; it is not written to. ``SoftTargets`` makes
+    every soft target a distribution, so each term is lse(x) - q . x.
 
     The gradient in L is e * (a_i + b_j) - H - M, with e the one
     exponential of ``exp_both_axes``, taken in place in L's buffer,
@@ -170,20 +230,18 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
     the products of the block with L and the scales; M is never held whole.
     """
     n = scaled_v.shape[0]
-    k = soft_rows.size
     if t.shape != scaled_v.shape or weights.shape != (n,):
         raise InvalidInputError(
             f"shape mismatch: factors {scaled_v.shape} and {t.shape}, weights {weights.shape}")
+    if targets is not None and targets.exp.shape != (n, n):
+        raise InvalidInputError(f"target block {targets.exp.shape} does not fit {n} rows")
+    soft_rows = np.zeros(0, dtype=np.int64) if targets is None else targets.rows
+    k = soft_rows.size
     if k:
-        block, p, g, r, s = targets
-        if (block.shape != (n, n) or p.shape != (k,) or g.shape != (n,) or r.shape != (n,)
-                or s.shape != (k,)):
-            raise InvalidInputError(
-                f"shape mismatch: {k} soft rows of {n}, target block {block.shape}, scales "
-                f"{p.shape}, {g.shape}, {r.shape} and {s.shape}")
+        block, g, r = targets.exp, targets.g, targets.r
         alpha, beta = np.zeros(n), np.zeros(n)
-        alpha[soft_rows] = weights[soft_rows] * p
-        beta[soft_rows] = weights[soft_rows] * s
+        alpha[soft_rows] = weights[soft_rows] * targets.p
+        beta[soft_rows] = weights[soft_rows] * targets.s
         x, y = np.stack([alpha, r], axis=1), np.stack([g, beta])  # M = block * (x @ y)
     logits = scaled_v @ t.T
     bands = [slice(start, min(start + _BAND_ROWS, n)) for start in range(0, n, _BAND_ROWS)]
@@ -199,8 +257,8 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
             product = np.multiply(block[band], logits[band], out=work[: band.stop - band.start])
             soft_row[band] = product @ g
             soft_col += r[band] @ product
-        picked_row[soft_rows] = p * soft_row[soft_rows]
-        picked_col[soft_rows] = s * soft_col[soft_rows]
+        picked_row[soft_rows] = targets.p * soft_row[soft_rows]
+        picked_col[soft_rows] = targets.s * soft_col[soft_rows]
     grad, top, row_sum, col_sum = exp_both_axes(logits, out=logits)
     row_lse = top + np.log(row_sum.ravel())
     col_lse = top + np.log(col_sum.ravel())

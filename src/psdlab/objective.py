@@ -15,13 +15,14 @@ every row hard with weight 1/N; the PSD loss weights the aligned (hard) rows
 alpha/|A| and the unaligned (soft) rows (1 - alpha)/|U|.
 
 The teacher reads the rows and columns of its own (teacher_scale * V) T^T in
-the same way, and hands the loss its targets as factors, never as dense
-|U| x n rows (``SoftTargets``): every target entry is an entry of the
-teacher's exponential E times one scale over the opposite modality and one
-normalizer per target row. The teacher picks the scale (for swapped
-targets, the reciprocals of E's column or row sums; for bootstrap targets,
-1); ``SoftTargets`` alone derives the normalizers, so every target is a
-distribution and the loss takes it as one. One E = exp(S - max S) under
+the same way, and hands the kernel its targets as one
+``numkit.SoftTargets``, which holds them as factors, never as dense |U| x n
+rows: every target entry is an entry of the teacher's exponential E times
+one scale over the opposite modality and one normalizer per target row. The
+teacher picks the scale (for swapped targets, the reciprocals of E's column
+or row sums; for bootstrap targets, 1); ``SoftTargets`` alone checks the
+factors and derives the normalizers, so every target is a distribution and
+the kernel takes it as one. One E = exp(S - max S) under
 the global max serves both directions and both target kinds
 (``numkit.exp_both_axes``). Its span rule asks every logit to lie within
 600 of the largest, because a target scales single exponentials by
@@ -40,12 +41,12 @@ constants and never receive gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyBatchError, InvalidInputError
-from .numkit import as_matrix, contrastive_xent, exp_both_axes
+from .numkit import SoftTargets, as_matrix, contrastive_xent, exp_both_axes
 
 MAX_LOGIT_SCALE = 100.0
 
@@ -131,70 +132,6 @@ class PartitionPlan:
     def n(self) -> int:
         return self.aligned_idx.size + self.unaligned_idx.size
 
-    @property
-    def n_unaligned(self) -> int:
-        return self.unaligned_idx.size
-
-
-@dataclass(frozen=True)
-class SoftTargets:
-    """Teacher-produced alignment distributions for the unaligned rows of a
-    batch of n pairs, held as factors of the teacher's exponential.
-
-    The target of image rows[u] over the batch's texts and the target of
-    text rows[u] over its images are
-
-        image row u: exp[rows[u], j] * p[u] * g[j] over the texts j,
-        text row u:  exp[i, rows[u]] * r[i] * s[u] over the images i,
-
-    given a scale ``g`` over the texts and ``r`` over the images. The
-    normalizers p = 1 / (exp @ g)[rows] and s = 1 / (r @ exp)[rows] are
-    derived here (again by ``dataclasses.replace``), so every target row
-    sums to 1 by construction. The n x n block is an exponential of teacher
-    logits. Targets are constants to the student; nothing here writes to
-    the arrays it holds, and the loss reads the factors.
-
-    InvalidInputError is raised for a scale that is not a finite positive
-    number, for a non-finite full row sum (exp @ g or r @ exp: a NaN or
-    infinite entry anywhere), and for a target row whose sum is not
-    positive or has no finite reciprocal.
-    """
-
-    rows: np.ndarray
-    exp: np.ndarray
-    g: np.ndarray
-    r: np.ndarray
-    p: np.ndarray = field(init=False)
-    s: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        e = np.ascontiguousarray(self.exp, dtype=np.float64)
-        n = e.shape[0] if e.ndim == 2 else -1
-        if e.shape != (n, n):
-            raise InvalidInputError(f"target block must be square, got {e.shape}")
-        rows = np.asarray(self.rows, dtype=np.int64)
-        if rows.ndim != 1 or (rows.size and not (rows[0] >= 0 and rows[-1] < n
-                                                 and (rows[1:] > rows[:-1]).all())):
-            raise InvalidInputError(f"target rows must be increasing indices in 0..{n - 1}")
-        g, r = np.asarray(self.g, dtype=np.float64), np.asarray(self.r, dtype=np.float64)
-        if g.shape != (n,) or r.shape != (n,):
-            raise InvalidInputError(f"target scales {g.shape} and {r.shape} do not fit {n} rows")
-        # Each test below is written so that NaN, for which every comparison
-        # is false, fails it.
-        scales = np.concatenate([g, r])
-        if scales.size and not (scales.min() > 0.0 and scales.max() < math.inf):
-            raise InvalidInputError("target scales must be finite and positive")
-        sums = np.concatenate([e @ g, r @ e])
-        if not np.isfinite(sums).all():
-            raise InvalidInputError("target block holds NaN or infinite entries")
-        with np.errstate(divide="ignore", over="ignore"):
-            norms = 1.0 / sums[np.concatenate([rows, n + rows])]
-        if norms.size and not (norms.min() > 0.0 and norms.max() < math.inf):
-            raise InvalidInputError("target row sums must be positive with finite reciprocals")
-        for name, value in (("rows", rows), ("exp", e), ("g", g), ("r", r),
-                            ("p", norms[: rows.size]), ("s", norms[rows.size:])):
-            object.__setattr__(self, name, value)
-
 
 @dataclass
 class LossGrad:
@@ -212,11 +149,7 @@ def _bidirectional_xent(batch: EmbeddingBatch, temp: TemperatureParam, weights: 
     text row over the images, from one similarity matrix. Row i is hard
     (its target is partner i) unless it is one of the rows of ``targets``."""
     scaled_v = temp.scale * batch.image
-    if targets is None:
-        soft = (np.zeros(0, dtype=np.int64), None)
-    else:
-        soft = (targets.rows, (targets.exp, targets.p, targets.g, targets.r, targets.s))
-    loss, d_scaled_v, d_text = contrastive_xent(scaled_v, batch.text, weights, *soft)
+    loss, d_scaled_v, d_text = contrastive_xent(scaled_v, batch.text, weights, targets)
     # sum(d_logits * logits) reduced over n x d instead of n x n, since the
     # logits are (scale * v) t^T; einsum, not a BLAS dot, because a threaded
     # BLAS splits a dot's sum across threads and its rounding would follow them.
@@ -306,10 +239,10 @@ def psd_loss(batch: EmbeddingBatch, temp: TemperatureParam, plan: PartitionPlan,
         raise EmptyBatchError("psd_loss requires at least one pair")
     if plan.n != batch.n:
         raise InvalidInputError(f"plan covers {plan.n} rows but batch has {batch.n}")
-    if targets.exp.shape[0] != batch.n or not np.array_equal(targets.rows, plan.unaligned_idx):
+    if not np.array_equal(targets.rows, plan.unaligned_idx):
         raise InvalidInputError(
-            f"targets for {targets.rows.size} of {targets.exp.shape[0]} rows do not match "
-            f"the plan's {plan.n_unaligned} unaligned rows of {batch.n}")
+            f"targets for {targets.rows.size} rows do not match the plan's "
+            f"{plan.unaligned_idx.size} unaligned rows")
     a_idx, u_idx = plan.aligned_idx, plan.unaligned_idx
     weights = np.empty(batch.n)
     weights[a_idx] = plan.alpha / max(a_idx.size, 1)

@@ -337,8 +337,6 @@ def train(cfg: TrainConfig, ds: PairedDataset,
                    weight_decay=cfg.weight_decay, beta1=cfg.beta1, beta2=cfg.beta2,
                    eps=cfg.adam_eps, decay_mask=decay_mask)
 
-    static_priority = RngState(derive_seed(cfg.seed, _STREAM_PARTITION, 0)).permutation(n)
-
     history: list[dict] = []
     sink = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
 
@@ -351,10 +349,9 @@ def train(cfg: TrainConfig, ds: PairedDataset,
         step = 0
         for epoch in range(cfg.epochs):
             order = RngState(derive_seed(cfg.seed, _STREAM_DATA_ORDER, epoch)).permutation(n)
-            if cfg.partition_mode == "dynamic":
-                priority = RngState(derive_seed(cfg.seed, _STREAM_PARTITION, epoch)).permutation(n)
-            else:
-                priority = static_priority
+            # A static partition keeps epoch 0's priority throughout.
+            tag = epoch if cfg.partition_mode == "dynamic" else 0
+            priority = RngState(derive_seed(cfg.seed, _STREAM_PARTITION, tag)).permutation(n)
             captions = select_captions(ds, RngState(derive_seed(cfg.seed, _STREAM_CAPTIONS, epoch)))
 
             for b in range(steps_per_epoch):

@@ -16,8 +16,7 @@ import math
 import numpy as np
 
 from psdlab.errors import InvalidInputError
-from psdlab.numkit import as_matrix, softmax_xent
-from psdlab.objective import SoftTargets
+from psdlab.numkit import SoftTargets, as_matrix, softmax_xent
 
 
 def softmax_row_scalar(row, scale):

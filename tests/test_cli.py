@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from psdlab.cli import main
+from psdlab.config import parse_config_text
 from psdlab.data import PairedDataset, SyntheticSpec, generate, save_pairs
 from psdlab.errors import (
     BadMagicError,
@@ -60,12 +61,28 @@ def test_generate_succeeds(tmp_path):
     ["ablate", "--set", "k_list="],                      # no recall cutoff
     ["eval", "checkpoint", "pairs.psdd", "--klist", ""],
     ["train", "--out", "runs/#3"],                       # would read back as runs/
+    ["train", "--dataset", "runs/#3.psdd"],              # would read back as runs/
 ])
 def test_malformed_configuration_exits_config_code(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # argv's own flags come last, so its --out wins over the default one.
     rc = main(argv[:1] + ["--quiet", "--out", str(tmp_path)] + argv[1:])
     assert rc == ConfigError.exit_code == 2
+
+
+def test_dataset_flag_is_recorded_in_resolved_config(pairs_file, tmp_path):
+    # --dataset sets dataset_path, so the echoed configuration names the
+    # file, and a run from it trains on that file to the same checkpoint.
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert train_on(pairs_file, tmp_path, "--out", str(first)) == 0
+    resolved = first / "config.resolved.txt"
+    assert parse_config_text(resolved.read_text(encoding="utf-8")).dataset_path == str(pairs_file)
+    assert main(["train", "--quiet", "--config", str(resolved), "--out", str(second)]) == 0
+    files = sorted(p.name for p in (first / "checkpoint").iterdir())
+    assert files == sorted(p.name for p in (second / "checkpoint").iterdir())
+    for name in files:
+        assert (first / "checkpoint" / name).read_bytes() == \
+            (second / "checkpoint" / name).read_bytes(), name
 
 
 def test_bad_log_level_exits_config_code(monkeypatch, tmp_path):

@@ -63,3 +63,26 @@ def test_spec_fields_are_config_keys_with_the_same_defaults():
     tc = edited.train_config()
     for name in {f.name for f in fields(TrainConfig)} & keys:
         assert getattr(tc, name) == getattr(edited, name), name
+
+
+def test_line_without_equals_names_its_line():
+    with pytest.raises(ConfigError, match="line 3"):
+        parse_config_text("seed = 3\n\nepochs\n")
+
+
+def test_blank_and_comment_lines_skipped():
+    text = "# a comment\n\n   \nseed = 7  # trailing comment\n  # indented comment\n"
+    assert parse_config_text(text) == ExperimentConfig(seed=7)
+
+
+@pytest.mark.parametrize("raw, value", [
+    *((raw, True) for raw in ("true", "TRUE", "1", "yes", "Yes", "on", "oN")),
+    *((raw, False) for raw in ("false", "False", "0", "no", "NO", "off", "Off"))])
+def test_bool_key_spellings(raw, value):
+    assert parse_config_text(f"probe = {raw}\n").probe is value
+
+
+@pytest.mark.parametrize("text", ["probe = maybe\n", "epochs = 1.5\n"])
+def test_value_of_the_wrong_kind_rejected(text):
+    with pytest.raises(ConfigError):
+        parse_config_text(text)

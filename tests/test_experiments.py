@@ -2,18 +2,21 @@
 soft targets with dynamic partitions beat the InfoNCE baseline. Also the
 worker pool behind ``run_matrix``, at tiny sizes: it gives what training
 each (seed, variant) pair in turn gives, a worker's error reaches the CLI,
-and every worker runs BLAS on one thread."""
+and every worker runs BLAS on one thread. And the harness's two pure
+parts: the clean holdout split and the ablation table."""
 
 import json
 
+import numpy as np
 import pytest
 
 from psdlab import experiments
 from psdlab.cli import main
-from psdlab.data import generate
-from psdlab.errors import DivergenceError
+from psdlab.data import SyntheticSpec, generate
+from psdlab.errors import DivergenceError, InvalidInputError
 from psdlab.experiments import (
     OPENBLAS_SET_THREADS,
+    VariantOutcome,
     ablation_table,
     noise_experiment_config,
     run_matrix,
@@ -87,3 +90,55 @@ def test_workers_run_blas_on_one_thread(monkeypatch):
     finally:
         experiments._openblas_call(OPENBLAS_SET_THREADS, threads, restype=None)
     assert outcomes == {"baseline": [1, 1], "swapped_dynamic": [1, 1]}
+
+
+def noisy_pool():
+    spec = SyntheticSpec(num_classes=3, latent_dim=4, image_dim=6, text_dim=5,
+                         samples_per_class=12, mismatch_rate=0.25)
+    return generate(spec, RngState(5))
+
+
+def test_clean_holdout_holds_per_class_clean_images():
+    pool = noisy_pool()
+    train_ds, eval_ds = split_clean_holdout(pool, 4)
+    assert np.bincount(eval_ds.class_labels, minlength=3).tolist() == [4, 4, 4]
+    assert not eval_ds.corrupted.any()
+    # Every image of the pool lands in exactly one split, its label and
+    # corruption flag with it.
+    def rows(ds):
+        return {(x.tobytes(), int(c), bool(k))
+                for x, c, k in zip(ds.image_features, ds.class_labels, ds.corrupted)}
+    assert train_ds.num_samples + eval_ds.num_samples == pool.num_samples
+    assert rows(train_ds) | rows(eval_ds) == rows(pool)
+    assert len(rows(pool)) == pool.num_samples
+
+
+def test_clean_holdout_needs_enough_clean_images():
+    pool = noisy_pool()
+    short = int(min(np.count_nonzero((pool.class_labels == c) & ~pool.corrupted)
+                    for c in range(pool.num_classes)))
+    split_clean_holdout(pool, short)
+    with pytest.raises(InvalidInputError, match="uncorrupted"):
+        split_clean_holdout(pool, short + 1)
+
+
+def outcome(variant, seed, r1):
+    return VariantOutcome(variant=variant, seed=seed, t2i_recall={1: r1, 5: 90.0},
+                          i2t_recall={1: r1, 5: 90.0}, t2i_mean_rank=2.0, i2t_mean_rank=2.0,
+                          zero_shot=50.0, positive_sim_mean=0.5, negative_sim_mean=0.0,
+                          final_loss=1.0)
+
+
+def test_ablation_table_counts_wins_losses_and_ties():
+    # Against the baseline's R@1 of 40, 50 and 60 on its seeds 7, 8, 9,
+    # the variant's runs, paired by position, win, tie and lose. They carry
+    # other seed labels and come first, so the table's seeds can only be
+    # the baseline's.
+    outcomes = {"swapped_dynamic": [outcome("swapped_dynamic", s, r)
+                                    for s, r in ((1, 45.0), (2, 50.0), (3, 55.0))],
+                "baseline": [outcome("baseline", s, r)
+                             for s, r in ((7, 40.0), (8, 50.0), (9, 60.0))]}
+    table = ablation_table(outcomes)
+    assert table["seeds"] == [7, 8, 9]
+    assert table["wins_vs_baseline"] == {"swapped_dynamic": {"wins": 1, "losses": 1, "ties": 1}}
+    assert table["rows"]["baseline"]["t2i_r@k_mean"] == {"1": 50.0, "5": 90.0}

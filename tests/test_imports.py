@@ -1,7 +1,8 @@
-"""No module imports a name that it never reads, and no top-level
-definition of the package, nor any method or property of its classes, goes
-unread. The package's ``__init__.py`` is exempt from the first: its imports
-are the public re-exports."""
+"""No module imports a name that it never reads; no top-level definition
+of the package, nor any method, property or dataclass field of its classes,
+goes unread; and no function of the package assigns a parameter or local
+that it never reads. The package's ``__init__.py`` is exempt from the
+first: its imports are the public re-exports."""
 
 import ast
 from pathlib import Path
@@ -42,42 +43,61 @@ def test_every_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
 
 
+# Dataclasses whose fields are read through ``fields()`` and ``getattr``
+# only, which no static scan can follow.
+FIELDS_READ_BY_NAME = {"ExperimentConfig"}
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
 def unread_definitions(package: dict[str, str], others: dict[str, str]) -> list[str]:
     """The top-level functions and classes of the ``package`` sources (file
-    name to source), and the methods and properties of those classes, that
-    no source of ``package`` or ``others`` names outside the definition
-    itself and no ``__all__`` of ``package`` lists, as ``file:name`` or
-    ``file:Class.name``. A name is a read name or an attribute. Dunders are
-    exempt: Python calls them. Dataclass fields are out of scope:
-    ``ExperimentConfig``'s are read through ``fields()`` and ``getattr``
-    only, which no static scan can follow, and ``TrainResult.opt`` is a
-    field the benchmark's traced loop passes by keyword, ``opt=``."""
+    name to source), and the methods, properties and dataclass fields of
+    those classes, that no source of ``package`` or ``others`` names outside
+    the definition itself and no ``__all__`` of ``package`` lists, as
+    ``file:name`` or ``file:Class.name``. A function, class or method is
+    named by a read name or an attribute; a field by an attribute or a
+    keyword argument. Dunders are exempt: Python calls them. So are the
+    fields of ``FIELDS_READ_BY_NAME``."""
+    by_name, by_member = {"name", "attr"}, {"attr", "keyword"}
     defined, exported, named = [], set(), []
     for path, source in {**package, **others}.items():
         tree = ast.parse(source)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                named.append((path, node.id, node.lineno))
+                named.append((path, node.id, node.lineno, "name"))
             elif isinstance(node, ast.Attribute):
-                named.append((path, node.attr, node.lineno))
+                named.append((path, node.attr, node.lineno, "attr"))
+            elif isinstance(node, ast.keyword) and node.arg:
+                named.append((path, node.arg, node.lineno, "keyword"))
         if path not in package:
             continue
         functions = (ast.FunctionDef, ast.AsyncFunctionDef)
         for node in tree.body:
             if isinstance(node, (*functions, ast.ClassDef)):
-                defined.append((path, node.name, node.name, node.lineno, node.end_lineno))
+                defined.append((path, node.name, node.name, node.lineno, node.end_lineno,
+                                by_name))
             if isinstance(node, ast.ClassDef):
                 defined += [(path, f"{node.name}.{item.name}", item.name, item.lineno,
-                             item.end_lineno) for item in node.body
+                             item.end_lineno, by_name) for item in node.body
                             if isinstance(item, functions)
                             and not (item.name.startswith("__") and item.name.endswith("__"))]
+                if is_dataclass(node) and node.name not in FIELDS_READ_BY_NAME:
+                    defined += [(path, f"{node.name}.{item.target.id}", item.target.id,
+                                 item.lineno, item.end_lineno, by_member) for item in node.body
+                                if isinstance(item, ast.AnnAssign)
+                                and isinstance(item.target, ast.Name)]
             elif (isinstance(node, ast.Assign)
                   and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
                 exported |= set(ast.literal_eval(node.value))
-    return [f"{path}:{label}" for path, label, name, first, last in defined
+    return [f"{path}:{label}" for path, label, name, first, last, kinds in defined
             if label not in exported
-            and not any(n == name and not (p == path and first <= line <= last)
-                        for p, n, line in named)]
+            and not any(n == name and kind in kinds and not (p == path and first <= line <= last)
+                        for p, n, line, kind in named)]
 
 
 def test_scan_finds_an_unread_definition():
@@ -124,8 +144,94 @@ def test_scan_finds_an_unread_method_or_property():
     assert unread_definitions(package, bench) == ["a.py:Shape.walk"]
 
 
+def test_scan_finds_an_unread_dataclass_field():
+    package = {"a.py": ("from dataclasses import dataclass\n"
+                        "__all__ = ['ExperimentConfig', 'build']\n"
+                        "@dataclass(frozen=True)\n"
+                        "class Spec:\n"
+                        "    width: int\n"
+                        "    depth: int = 1\n"
+                        "    label: str = ''\n"
+                        "    spare: int = 0\n"
+                        "@dataclass\n"
+                        "class ExperimentConfig:\n"
+                        "    knob: int = 0\n"
+                        "class Plain:\n"
+                        "    size: int = 0\n"
+                        "def build(label):\n"
+                        "    return Spec(width=label).depth + Plain.size\n")}
+    bench = {"run.py": "from a import Spec\nprint(Spec(2, label='x'))\n"}
+    # `label` is read as a name only, and `knob` through fields() alone.
+    assert unread_definitions(package, {}) == ["a.py:Spec.label", "a.py:Spec.spare"]
+    assert unread_definitions(package, bench) == ["a.py:Spec.spare"]
+
+
 def test_every_definition_is_read():
     def sources(paths):
         return {f"{p.parent.name}/{p.name}": p.read_text(encoding="utf-8") for p in paths}
 
     assert unread_definitions(sources(PACKAGE), sources(BENCHMARK)) == []
+
+
+def unread_locals(source: str) -> list[str]:
+    """The parameters and locals of each function of ``source`` that are
+    assigned but never read, as ``function:name``, in the order of the
+    functions. A read anywhere in the function, its nested functions
+    included, counts, and so does an augmented assignment; names that
+    start with ``_`` are exempt."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    unread = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, functions):
+            continue
+        args = func.args
+        bound = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                 args.vararg, args.kwarg) if a]
+        foreign = set()  # nonlocal and global names belong to another scope
+        stack = list(ast.iter_child_nodes(func))
+        while stack:  # the function's own nodes, not those of nested functions
+            node = stack.pop()
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.append(node.id)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.append(node.name)
+            elif isinstance(node, (ast.Nonlocal, ast.Global)):
+                foreign |= set(node.names)
+            if not isinstance(node, functions):
+                stack += ast.iter_child_nodes(node)
+        read = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+        name = getattr(func, "name", "<lambda>")
+        unread += [f"{name}:{local}" for local in dict.fromkeys(bound)
+                   if local not in read and local not in foreign and not local.startswith("_")]
+    return unread
+
+
+def test_scan_finds_an_unread_local_or_parameter():
+    source = ("def search(f, x, lo, hi, _spare):\n"
+              "    best, total, count = None, 0, 0\n"
+              "    count += 1\n"
+              "    def inner(step, width):\n"
+              "        nonlocal best\n"
+              "        best = step\n"
+              "        return f(x + step)\n"
+              "    for _, k in enumerate(range(3)):\n"
+              "        total = inner(k, 1)\n"
+              "    try:\n"
+              "        pass\n"
+              "    except ValueError as exc:\n"
+              "        pass\n"
+              "    return sorted([lo], key=lambda item, depth=2: item)\n")
+    # x is read by the closure only, count by its augmented assignment; best
+    # is assigned in both scopes and read in neither.
+    assert sorted(unread_locals(source)) == ["<lambda>:depth", "inner:width", "search:best",
+                                             "search:exc", "search:hi", "search:total"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_local_is_read(path):
+    assert unread_locals(path.read_text(encoding="utf-8")) == []

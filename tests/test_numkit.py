@@ -10,6 +10,7 @@ from psdlab.gradcheck import central_difference, max_rel_error
 from psdlab.numkit import (
     SHARED_EXP_SPAN,
     RngState,
+    SoftTargets,
     _splitmix64,
     contrastive_xent,
     derive_seed,
@@ -18,7 +19,13 @@ from psdlab.numkit import (
     softmax_xent,
 )
 
-from oracles import cross_entropy_scalar, dense_xent, softmax_row_scalar, softmax_rows
+from oracles import (
+    cross_entropy_scalar,
+    dense_xent,
+    softmax_row_scalar,
+    softmax_rows,
+    target_rows,
+)
 
 
 class TestSoftmaxRows:
@@ -105,15 +112,11 @@ def draw_soft_rows(rng, n, data):
 
 
 def draw_targets(rng, n, soft_rows):
-    """Soft targets as contrastive_xent's factors (block, p, g, r, s) with
-    their dense rows and columns: a block exp(3 * normals), scales in
-    [0.5, 1.5) and the normalizers that make each target sum to 1."""
+    """Soft targets on a block exp(3 * normals) with scales in [0.5, 1.5),
+    with their dense rows and columns."""
     block = np.exp(3.0 * rng.normals(n, n))
-    g, r = 0.5 + rng.uniforms(n), 0.5 + rng.uniforms(n)
-    p, s = 1.0 / (block @ g)[soft_rows], 1.0 / (r @ block)[soft_rows]
-    row_targets = block[soft_rows] * p[:, None] * g
-    col_targets = (block[:, soft_rows] * r[:, None] * s).T
-    return (block, p, g, r, s), row_targets, col_targets
+    targets = SoftTargets(soft_rows, block, 0.5 + rng.uniforms(n), 0.5 + rng.uniforms(n))
+    return targets, *target_rows(targets)
 
 
 def target_block(weights, soft_rows, row_targets, col_targets):
@@ -184,21 +187,19 @@ class TestCrossEntropyRows:
         # One block with scales on both sides, each soft row and column
         # normalized by its sum.
         weights = rng.uniforms(5)
-        rows = np.array([0, 3])
-        block = np.exp(rng.normals(5, 5))
-        g, r = 0.5 + rng.uniforms(5), 0.5 + rng.uniforms(5)
-        targets = (block, 1.0 / (block @ g)[rows], g, r, 1.0 / (r @ block)[rows])
+        targets = SoftTargets([0, 3], np.exp(rng.normals(5, 5)), 0.5 + rng.uniforms(5),
+                              0.5 + rng.uniforms(5))
         assert (logit_span(v @ t.T) > SHARED_EXP_SPAN) == bool(far)
         if far:
             with pytest.raises(InvalidInputError, match="span"):
-                contrastive_xent(v, t, weights, rows, targets)
+                contrastive_xent(v, t, weights, targets)
             return
 
         def loss_at(flat):
             return contrastive_xent(flat[:20].reshape(5, 4), flat[20:].reshape(5, 4),
-                                    weights, rows, targets)[0]
+                                    weights, targets)[0]
 
-        _, d_v, d_t = contrastive_xent(v, t, weights, rows, targets)
+        _, d_v, d_t = contrastive_xent(v, t, weights, targets)
         numeric = central_difference(loss_at, np.concatenate([v.ravel(), t.ravel()]))
         assert max_rel_error(np.concatenate([d_v.ravel(), d_t.ravel()]), numeric) < 1e-6
 
@@ -207,25 +208,26 @@ class TestCrossEntropyRows:
            spread=st.sampled_from([1e-3, 1.0, 30.0, 1e3]), data=st.data())
     def test_axis_0_equals_rows_of_transposed_copy(self, seed, n, spread, data):
         # The columns of L = v t^T are the rows of t v^T: swapping the factors
-        # and transposing the targets (block^T, s, r, g, p) swaps the
-        # gradients. With the factors (x, I) and (I, x) the logits are x and
-        # its transpose exactly, and the gradient in x is the gradient block
-        # itself. Spread 1e3 spans x past 600 unless n = 1, and both calls
-        # must then reject it.
+        # and transposing the targets (block^T, with g and r swapped) swaps
+        # the gradients. The transposed targets derive the normalizers s and
+        # p again, up to rounding. With the factors (x, I) and (I, x) the
+        # logits are x and its transpose exactly, and the gradient in x is
+        # the gradient block itself. Spread 1e3 spans x past 600 unless
+        # n = 1, and both calls must then reject it.
         rng = RngState(seed)
         x = spread * rng.normals(n, n)
         eye = np.eye(n)
         weights = rng.uniforms(n)
         soft_rows = draw_soft_rows(rng, n, data)
         targets, row_targets, col_targets = draw_targets(rng, n, soft_rows)
-        swapped = (np.ascontiguousarray(targets[0].T), *targets[:0:-1])
+        swapped = SoftTargets(soft_rows, targets.exp.T, targets.r, targets.g)
         if logit_span(x) > SHARED_EXP_SPAN:
             for a, b, q in ((x, eye, targets), (eye, x, swapped)):
                 with pytest.raises(InvalidInputError, match="span"):
-                    contrastive_xent(a, b, weights, soft_rows, q)
+                    contrastive_xent(a, b, weights, q)
             return
-        loss, block, d_eye = contrastive_xent(x, eye, weights, soft_rows, targets)
-        ref_loss, ref_d_eye, ref_block = contrastive_xent(eye, x, weights, soft_rows, swapped)
+        loss, block, d_eye = contrastive_xent(x, eye, weights, targets)
+        ref_loss, ref_d_eye, ref_block = contrastive_xent(eye, x, weights, swapped)
         # The two reductions add exp(x - max) in another order, so a sum may
         # differ in its last bit; a log-sum-exp term is at most max|x| +
         # log(n) and a gradient term at most weight * mass in size.
@@ -260,9 +262,9 @@ class TestCrossEntropyRows:
         if logit_span(x) > SHARED_EXP_SPAN:
             event("rejected")
             with pytest.raises(InvalidInputError, match="span"):
-                contrastive_xent(x, np.eye(n), weights, soft_rows, targets)
+                contrastive_xent(x, np.eye(n), weights, targets)
             return
-        loss, d_x, d_eye = contrastive_xent(x, np.eye(n), weights, soft_rows, targets)
+        loss, d_x, d_eye = contrastive_xent(x, np.eye(n), weights, targets)
         ref_loss, ref_block, ref_d_eye = dense_xent(x, np.eye(n), weights, soft_rows,
                                                     row_targets, col_targets)
         # Bounds on the loss's log-sum-exp terms and on a gradient term, and
@@ -273,9 +275,9 @@ class TestCrossEntropyRows:
         # by up to 2**-1075: the reference's 2n per target unscaled, the
         # kernel's 3n then scaled by up to p[u] max(g, 1) (a row) or
         # s[u] max(r, 1) (a column).
-        _, p, g, r, s = targets
         terms, wm = 0.0, 0.0
-        grid = 4.0 * n + 3.0 * n * (p * max(g.max(), 1.0) + s * max(r.max(), 1.0))
+        grid = 4.0 * n + 3.0 * n * (targets.p * max(targets.g.max(), 1.0)
+                                    + targets.s * max(targets.r.max(), 1.0))
         drift = 2.0**-1074 * (weights[soft_rows] @ grid / 2.0)
         for q in (row_targets, col_targets):
             mass = np.ones(n)
@@ -294,23 +296,16 @@ class TestCrossEntropyRows:
         assert (np.abs(d_eye - ref_d_eye) <= product_bound(block_err, ref_block, goal, x)).all()
 
     def test_both_axes_shape_mismatch(self):
-        one, two = np.ones(1), np.ones(2)
-        block = np.ones((2, 2))
-        for v, t, weights, soft_rows, targets in (
-                (np.zeros((2, 3)), np.zeros((3, 3)), np.full(2, 0.5), np.zeros(0, np.int64), None),
-                (np.zeros((2, 3)), np.zeros((2, 3)), np.full(3, 0.5), np.zeros(0, np.int64), None),
-                (np.zeros((2, 3)), np.zeros((2, 3)), np.full(2, 0.5), np.arange(1),
-                 (np.ones((1, 2)), one, two, two, one)),
-                (np.zeros((2, 3)), np.zeros((2, 3)), np.full(2, 0.5), np.arange(1),
-                 (block, two, two, two, one)),
-                (np.zeros((2, 3)), np.zeros((2, 3)), np.full(2, 0.5), np.arange(1),
-                 (block, one, one, two, one)),
-                (np.zeros((2, 3)), np.zeros((2, 3)), np.full(2, 0.5), np.arange(1),
-                 (block, one, two, one, one)),
-                (np.zeros((2, 3)), np.zeros((2, 3)), np.full(2, 0.5), np.arange(1),
-                 (block, one, two, two, two))):
-            with pytest.raises(InvalidInputError):
-                contrastive_xent(v, t, weights, soft_rows, targets)
+        # The factors must share a shape, the weights fit their rows and the
+        # target block be n x n; SoftTargets checks the rest of its factors.
+        v, weights = np.zeros((2, 3)), np.full(2, 0.5)
+        for a, b, w, targets in (
+                (v, np.zeros((3, 3)), weights, None),
+                (v, v, np.full(3, 0.5), None),
+                (v, v, weights, SoftTargets([0], np.ones((3, 3)), np.ones(3), np.ones(3))),
+                (v, v, weights, SoftTargets([], np.ones((1, 1)), np.ones(1), np.ones(1)))):
+            with pytest.raises(InvalidInputError, match="shape mismatch|does not fit"):
+                contrastive_xent(a, b, w, targets)
 
     def test_gibbs_inequality(self, rng):
         for _ in range(30):

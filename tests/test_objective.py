@@ -339,6 +339,17 @@ class TestSoftTargets:
         with pytest.raises(InvalidInputError):
             SoftTargets(rows, block, np.ones(n), np.ones(n))
 
+    @pytest.mark.parametrize("block, g, r, message", [
+        (np.ones((1, 2)), np.ones(2), np.ones(2), "square"),
+        (np.ones(2), np.ones(2), np.ones(2), "square"),
+        (np.ones((2, 2)), np.ones(1), np.ones(2), "do not fit"),
+        (np.ones((2, 2)), np.ones(2), np.ones(1), "do not fit")])
+    def test_factor_shapes_checked(self, block, g, r, message):
+        # The block must be square, and g and r must each hold one scale
+        # per row of it.
+        with pytest.raises(InvalidInputError, match=message):
+            SoftTargets([0], block, g, r)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_scale_checked_apart_from_mass(self, bad):
         # Row 0 of the identity block is [1, 0], and so is its column 0: a
@@ -580,6 +591,14 @@ class TestPsdLoss:
         other_plan = make_partition(6, 0.9, rng=rng)
         with pytest.raises(InvalidInputError):
             psd_loss(batch, temp, other_plan, targets)
+
+    def test_targets_of_another_batch_size_rejected(self, rng):
+        # The targets' rows match the plan's unaligned rows, but their block
+        # is one row too large for the batch: the kernel rejects it.
+        batch, temp, plan, _ = self._random_setup(rng, n=6, alpha=0.5)
+        targets = SoftTargets(plan.unaligned_idx, np.ones((7, 7)), np.ones(7), np.ones(7))
+        with pytest.raises(InvalidInputError, match="does not fit"):
+            psd_loss(batch, temp, plan, targets)
 
     def test_plan_validation(self):
         with pytest.raises(InvalidInputError):
