@@ -23,7 +23,7 @@ from . import gradcheck as gradcheck_mod
 from .config import ExperimentConfig, echo_config, parse_config_text, set_key
 from .data import generate, load_pairs, save_pairs
 from .errors import ConfigError, PsdError
-from .evaluation import histogram_csv, linear_probe, retrieval_eval, similarity_stats, zero_shot_top1
+from .evaluation import histogram_csv, linear_probe, score_eval, zero_shot_top1
 from .experiments import (
     ablation_table,
     class_prototypes,
@@ -128,10 +128,9 @@ def cmd_eval(args) -> int:
     image_params, text_params, temp, _state = load_checkpoint(args.checkpoint)
     ds = load_pairs(args.dataset)
     img, txt = encode_pairs(image_params, text_params, ds)
-    i2t, t2i = retrieval_eval(img, txt, cfg.k_list)
+    i2t, t2i, stats = score_eval(img, txt, cfg.k_list, cfg.histogram_bins)
     protos = class_prototypes(text_params, ds)
     zs = zero_shot_top1(img, protos, ds.class_labels)
-    stats = similarity_stats(img, txt, cfg.histogram_bins)
     report = {
         "checkpoint": str(args.checkpoint),
         "dataset": str(args.dataset),

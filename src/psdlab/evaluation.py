@@ -3,12 +3,23 @@
 All operations are read-only over embedding matrices. Ranking ties break
 toward the lower index so every metric is exactly reproducible.
 
-Retrieval and the similarity statistics each compute the score matrix
-S = V T^T once and read both directions from it: image-to-text ranks count
-along the rows of S, text-to-image ranks along its columns, with no
-transposed copy and no loop over rows. The negative (off-diagonal) histogram
-is the histogram of all of S minus that of its diagonal, and the negative
-mean is (sum S - trace S) / (n^2 - n), so no n x n mask or gather is built.
+Retrieval and the similarity statistics come from one scan of the score
+matrix S = V T^T, ``score_eval``, which forms S a block of rows at a time
+(about ``SCAN_ENTRIES`` entries, so S is never held whole once n passes
+1024) and reads each block once. Every partner score S[i, i] is computed
+once, from the diagonal of its block's square corner V[b] T[b]^T: before
+the scan, because text-to-image ranks compare every block against every
+partner, except in the first block, whose corner the scan forms anyway (so
+a one-block scan runs one gemm). It is written into the scanned block's
+diagonal, so both rank directions and the positive histogram compare
+against one set of values.
+Image-to-text ranks count along the rows of each block, text-to-image ranks
+add up along its columns. Outside a block's corner every candidate lies on
+one side of the partner's index, so one comparison (>= before it, > after
+it) counts both the higher scores and the ties that rank ahead; only the
+corner scans for ties. The negative (off-diagonal) histogram is the
+histogram of all of S minus that of its diagonal, and the negative mean is
+(sum S - trace S) / (n^2 - n), so no n x n mask or gather is built.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from .errors import InvalidInputError
 from .numkit import as_matrix, softmax_xent
 
 PROBE_L2_DEFAULT = 1e-4
+SCAN_ENTRIES = 1 << 20  # entries of S per scanned block: 8 MB of float64
 
 
 @dataclass(frozen=True)
@@ -81,38 +93,92 @@ def _unit_pairs(image_emb, text_emb) -> tuple[np.ndarray, np.ndarray]:
     return v, t
 
 
-def _ranks_of_partner(scores: np.ndarray, axis: int) -> np.ndarray:
-    """1-based rank of each diagonal entry under descending score among the
-    entries of its row (axis=1) or its column (axis=0) of ``scores``, ties
-    resolved toward the lower index."""
-    n = scores.shape[0]
-    # A contiguous copy: broadcasting the strided diagonal view against the
-    # columns is several times slower.
-    partner = np.expand_dims(scores.diagonal().copy(), axis)
-    higher = np.count_nonzero(scores > partner, axis=axis)
-    # Ties from one flat scan: 2-D nonzero is about 9x slower at n = 4000.
-    rows, cols = np.divmod(np.flatnonzero(scores == partner), n)
-    query, other = (rows, cols) if axis == 1 else (cols, rows)
-    tied_before = np.bincount(query[other < query], minlength=n)
-    return higher + tied_before + 1
+def _retrieval_report(direction: str, ranks: np.ndarray, k_list) -> RetrievalReport:
+    recall = {k: float(100.0 * np.count_nonzero(ranks <= k) / ranks.size) for k in k_list}
+    return RetrievalReport(direction=direction, recall_at=recall, mean_rank=float(ranks.mean()))
+
+
+def score_eval(image_emb, text_emb, k_list, bins
+               ) -> tuple[RetrievalReport | None, RetrievalReport | None, SimilarityStats | None]:
+    """One scan of S = V T^T for (image_to_text, text_to_image, similarity):
+    retrieval at each K of ``k_list`` (each partner ranked under descending
+    score) and the statistics over ``bins`` equal-width bins of [-1, 1]. A
+    ``k_list`` or ``bins`` of None skips that part, which is then None."""
+    if bins is not None and bins < 1:
+        raise InvalidInputError(f"bins must be >= 1, got {bins}")
+    v, t = _unit_pairs(image_emb, text_emb)
+    n = v.shape[0]
+    if n == 0:
+        raise InvalidInputError("evaluation requires at least one image-text pair")
+    if k_list is not None:
+        k_list = [int(k) for k in k_list]
+        if any(k < 1 or k > n for k in k_list):
+            raise InvalidInputError(f"every K must lie in [1, {n}], got {k_list}")
+        i2t_ranks = np.ones(n, dtype=np.int64)
+        t2i_ranks = np.ones(n, dtype=np.int64)
+    if bins is not None:
+        edges = np.linspace(-1.0, 1.0, bins + 1)
+        all_counts = np.zeros(bins, dtype=np.int64)
+        total = 0.0
+    rows = min(n, max(1, SCAN_ENTRIES // n))
+    buf = np.empty((rows, n))
+    partner = np.empty(n)
+    # Text-to-image ranks compare each block with every partner, so the
+    # partners of the later blocks come first, each from its block's corner.
+    for start in range(rows, n, rows):
+        stop = start + rows
+        partner[start:stop] = np.diagonal(v[start:stop] @ t[start:stop].T)
+    for start in range(0, n, rows):
+        stop = min(n, start + rows)
+        block = buf[:stop - start]
+        np.matmul(v[start:stop], t.T, out=block)
+        corner = block[:, start:stop]
+        if start == 0:  # the first corner lies in the first block: one block forms S once
+            partner[:stop] = corner.diagonal()
+        np.fill_diagonal(corner, partner[start:stop])
+        if k_list is not None:
+            own, width = partner[start:stop, None], stop - start
+            left, right = block[:, :start], block[:, stop:]
+            # Outside the corner a tie counts exactly when the other index
+            # is the lower: left of it for an image's row, above it for a
+            # text's column.
+            i2t_ranks[start:stop] += (np.count_nonzero(left >= own, axis=1)
+                                      + np.count_nonzero(right > own, axis=1))
+            t2i_ranks[:start] += np.count_nonzero(left > partner[:start], axis=0)
+            t2i_ranks[stop:] += np.count_nonzero(right >= partner[stop:], axis=0)
+            # In the corner, higher scores, then ties at a lower index found
+            # by one flat scan each: 2-D nonzero is about 9x slower.
+            i2t_ranks[start:stop] += np.count_nonzero(corner > own, axis=1)
+            t2i_ranks[start:stop] += np.count_nonzero(corner > own.T, axis=0)
+            row, col = np.divmod(np.flatnonzero(corner == own), width)
+            i2t_ranks[start:stop] += np.bincount(row[col < row], minlength=width)
+            row, col = np.divmod(np.flatnonzero(corner == own.T), width)
+            t2i_ranks[start:stop] += np.bincount(col[row < col], minlength=width)
+        if bins is not None:
+            np.clip(block, -1.0, 1.0, out=block)
+            all_counts += np.histogram(block, bins=edges)[0]
+            total += float(block.sum())
+    i2t = t2i = stats = None
+    if k_list is not None:
+        i2t = _retrieval_report("image_to_text", i2t_ranks, k_list)
+        t2i = _retrieval_report("text_to_image", t2i_ranks, k_list)
+    if bins is not None:
+        positives = np.clip(partner, -1.0, 1.0)
+        pos_counts, _ = np.histogram(positives, bins=edges)
+        negative_mean = math.nan
+        if n > 1:
+            negative_mean = (total - float(positives.sum())) / (n * n - n)
+        stats = SimilarityStats(positive_scores=positives, negative_mean=negative_mean,
+                                bin_centers=0.5 * (edges[:-1] + edges[1:]),
+                                positive_counts=pos_counts,
+                                negative_counts=all_counts - pos_counts)
+    return i2t, t2i, stats
 
 
 def retrieval_eval(image_emb, text_emb, k_list) -> tuple[RetrievalReport, RetrievalReport]:
     """Rank each row's true partner under descending dot product; reports
     (image_to_text, text_to_image)."""
-    v, t = _unit_pairs(image_emb, text_emb)
-    n = v.shape[0]
-    k_list = [int(k) for k in k_list]
-    if any(k < 1 or k > n for k in k_list):
-        raise InvalidInputError(f"every K must lie in [1, {n}], got {k_list}")
-    scores = v @ t.T
-    reports = []
-    for direction, axis in (("image_to_text", 1), ("text_to_image", 0)):
-        ranks = _ranks_of_partner(scores, axis)
-        recall = {k: float(100.0 * np.count_nonzero(ranks <= k) / n) for k in k_list}
-        reports.append(RetrievalReport(direction=direction, recall_at=recall,
-                                       mean_rank=float(ranks.mean())))
-    return reports[0], reports[1]
+    return score_eval(image_emb, text_emb, k_list, None)[:2]
 
 
 def zero_shot_top1(emb, prototypes, labels) -> float:
@@ -147,15 +213,16 @@ def probe_loss_and_grad(w_flat: np.ndarray, features: np.ndarray, labels: np.nda
 
 
 def _strong_wolfe(f, x, direction, f0, g0, c1=1e-4, c2=0.9, max_iter=25):
-    """Strong Wolfe line search (bracket + zoom). Returns a step length or
-    None when no acceptable step was found."""
+    """Strong Wolfe line search (bracket + zoom). Returns the accepted step
+    length with the loss and gradient at x + step * direction, or None when
+    no acceptable step was found."""
     d0 = float(g0 @ direction)
     if d0 >= 0.0:
         return None
 
     def phi(alpha):
         val, grad = f(x + alpha * direction)
-        return val, float(grad @ direction)
+        return val, grad, float(grad @ direction)
 
     alpha_prev, phi_prev = 0.0, f0
     alpha = 1.0
@@ -164,12 +231,12 @@ def _strong_wolfe(f, x, direction, f0, g0, c1=1e-4, c2=0.9, max_iter=25):
     def zoom(lo, phi_lo, hi):
         for _ in range(max_iter):
             mid = 0.5 * (lo + hi)
-            phi_mid, dphi_mid = phi(mid)
+            phi_mid, grad_mid, dphi_mid = phi(mid)
             if phi_mid > f0 + c1 * mid * d0 or phi_mid >= phi_lo:
                 hi = mid
             else:
                 if abs(dphi_mid) <= -c2 * d0:
-                    return mid
+                    return mid, phi_mid, grad_mid
                 if dphi_mid * (hi - lo) >= 0.0:
                     hi = lo
                 lo, phi_lo = mid, phi_mid
@@ -178,11 +245,11 @@ def _strong_wolfe(f, x, direction, f0, g0, c1=1e-4, c2=0.9, max_iter=25):
         return None
 
     for it in range(max_iter):
-        phi_a, dphi_a = phi(alpha)
+        phi_a, grad_a, dphi_a = phi(alpha)
         if phi_a > f0 + c1 * alpha * d0 or (it > 0 and phi_a >= phi_prev):
             return zoom(alpha_prev, phi_prev, alpha)
         if abs(dphi_a) <= -c2 * d0:
-            return alpha
+            return alpha, phi_a, grad_a
         if dphi_a >= 0.0:
             return zoom(alpha, phi_a, alpha_prev)
         alpha_prev, phi_prev = alpha, phi_a
@@ -190,14 +257,16 @@ def _strong_wolfe(f, x, direction, f0, g0, c1=1e-4, c2=0.9, max_iter=25):
     return None
 
 
-def _armijo_gradient_step(f, x, f0, g0, max_backtracks=30):
-    """Backtracking steepest-descent fallback; None when nothing decreases."""
+def _armijo_gradient_step(f, x, direction, f0, max_backtracks=30):
+    """Backtracking fallback along ``direction`` = minus the gradient at x:
+    the accepted step with the loss and gradient at x + step * direction,
+    or None when nothing decreases."""
     step = 1.0
-    sq = float(g0 @ g0)
+    sq = float(direction @ direction)
     for _ in range(max_backtracks):
-        val, _ = f(x - step * g0)
+        val, grad = f(x + step * direction)
         if val <= f0 - 1e-4 * step * sq:
-            return step
+            return step, val, grad
         step *= 0.5
     return None
 
@@ -259,15 +328,16 @@ def linear_probe(train_features, train_labels, test_features, test_labels,
         if np.abs(grad).max() < 1e-7:
             break
         direction = _lbfgs_direction(grad, s_hist, y_hist)
-        step = _strong_wolfe(f, w, direction, loss, grad)
-        if step is None:
-            step = _armijo_gradient_step(f, w, loss, grad)
-            if step is None:
-                break
+        accepted = _strong_wolfe(f, w, direction, loss, grad)
+        if accepted is None:
             direction = -grad
+            accepted = _armijo_gradient_step(f, w, direction, loss)
+            if accepted is None:
+                break
             fallbacks += 1
+        # The point the line search evaluated, by the same expression.
+        step, loss_new, grad_new = accepted
         w_new = w + step * direction
-        loss_new, grad_new = f(w_new)
         s, delta_g = w_new - w, grad_new - grad
         if float(delta_g @ s) > 1e-12:
             s_hist.append(s)
@@ -291,23 +361,7 @@ def linear_probe(train_features, train_labels, test_features, test_labels,
 def similarity_stats(image_emb, text_emb, bins: int) -> SimilarityStats:
     """Diagonal (positive) vs off-diagonal (negative) dot products with
     equal-width histograms over [-1, 1]."""
-    if bins < 1:
-        raise InvalidInputError(f"bins must be >= 1, got {bins}")
-    v, t = _unit_pairs(image_emb, text_emb)
-    n = v.shape[0]
-    scores = v @ t.T
-    np.clip(scores, -1.0, 1.0, out=scores)
-    positives = scores.diagonal().copy()
-    edges = np.linspace(-1.0, 1.0, bins + 1)
-    pos_counts, _ = np.histogram(positives, bins=edges)
-    all_counts, _ = np.histogram(scores, bins=edges)
-    negative_mean = math.nan
-    if n > 1:
-        negative_mean = (float(scores.sum()) - float(positives.sum())) / (n * n - n)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return SimilarityStats(positive_scores=positives, negative_mean=negative_mean,
-                           bin_centers=centers, positive_counts=pos_counts,
-                           negative_counts=all_counts - pos_counts)
+    return score_eval(image_emb, text_emb, None, bins)[2]
 
 
 def histogram_csv(stats: SimilarityStats, which: str) -> str:

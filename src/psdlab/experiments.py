@@ -25,7 +25,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import PairedDataset, generate, take_subset
 from .errors import InvalidInputError
-from .evaluation import retrieval_eval, similarity_stats, zero_shot_top1
+from .evaluation import score_eval, zero_shot_top1
 from .model import ParamSet, encode
 from .numkit import RngState
 from .trainer import TrainResult, encode_pairs, train
@@ -117,10 +117,9 @@ def evaluate_on_holdout(result: TrainResult, eval_ds: PairedDataset,
                         k_list, bins: int = 50,
                         variant: str = "", seed: int = 0) -> VariantOutcome:
     img, txt = encode_pairs(result.image_params, result.text_params, eval_ds)
-    i2t, t2i = retrieval_eval(img, txt, k_list)
+    i2t, t2i, stats = score_eval(img, txt, k_list, bins)
     protos = class_prototypes(result.text_params, eval_ds)
     zs = zero_shot_top1(img, protos, eval_ds.class_labels)
-    stats = similarity_stats(img, txt, bins)
     return VariantOutcome(
         variant=variant, seed=seed,
         t2i_recall=t2i.recall_at, i2t_recall=i2t.recall_at,

@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import psdlab.evaluation as ev
 from psdlab.errors import InvalidInputError
 from psdlab.evaluation import (
     histogram_csv,
     linear_probe,
     probe_loss_and_grad,
     retrieval_eval,
+    score_eval,
     similarity_stats,
     zero_shot_top1,
 )
@@ -198,7 +201,6 @@ class TestLinearProbe:
             losses.append(loss)
             return loss, grad
 
-        import psdlab.evaluation as ev
         original = ev.probe_loss_and_grad
         ev.probe_loss_and_grad = spy
         try:
@@ -209,6 +211,28 @@ class TestLinearProbe:
         # stream as prefix minima; assert the running minimum never increases
         running = np.minimum.accumulate(losses)
         assert np.all(np.diff(running) <= 1e-12)
+
+    @pytest.mark.parametrize("path", ["strong_wolfe", "armijo"])
+    def test_no_point_evaluated_twice(self, monkeypatch, path):
+        # The line search hands back the loss and gradient at the point it
+        # accepted, so the iteration never evaluates that point again.
+        rng = RngState(7)
+        x = rng.normals(60, 4)
+        y = np.fromiter((rng.randint(4) for _ in range(60)), dtype=np.int64)
+        points = []
+        true_f = ev.probe_loss_and_grad
+
+        def spy(w, *args):
+            points.append(w.tobytes())
+            return true_f(w, *args)
+
+        monkeypatch.setattr(ev, "probe_loss_and_grad", spy)
+        if path == "armijo":
+            monkeypatch.setattr(ev, "_strong_wolfe", lambda *args: None)
+        result = linear_probe(x, y, x, y, max_iters=50)
+        assert result.iterations > 0
+        assert result.line_search_fallbacks == (result.iterations if path == "armijo" else 0)
+        assert len(points) == len(set(points))
 
 
 def off_diagonal(v, t):
@@ -256,6 +280,14 @@ class TestSimilarityStats:
         with pytest.raises(InvalidInputError):
             similarity_stats(v, t, bins=0)
 
+    def test_empty_pair_set_rejected(self):
+        # Zero pairs used to give a NaN mean rank and empty positives.
+        z = np.zeros((0, 3))
+        with pytest.raises(InvalidInputError):
+            retrieval_eval(z, z, [])
+        with pytest.raises(InvalidInputError):
+            similarity_stats(z, z, bins=4)
+
     def test_csv_shape(self, rng):
         v, t = unit_batch(rng, 5, 4)
         stats = similarity_stats(v, t, bins=4)
@@ -265,3 +297,78 @@ class TestSimilarityStats:
         assert len(lines) == 5
         total = sum(int(line.split(",")[1]) for line in lines[1:])
         assert total == 5
+
+
+def blocked_scan_matches_oracles(v, t):
+    """Every output of the scan of (v, t) against the scalar oracles."""
+    n = v.shape[0]
+    ks = list(range(1, n + 1))
+    i2t, t2i, stats = score_eval(v, t, ks, 9)
+    expected = retrieval_scalar(v.tolist(), t.tolist(), ks)
+    for rep, key in ((i2t, "image_to_text"), (t2i, "text_to_image")):
+        # Recall at every K fixes the multiset of ranks.
+        assert rep.recall_at == expected[key]["recall_at"]
+        assert rep.mean_rank == expected[key]["mean_rank"]
+    positives = [math.fsum(a * b for a, b in zip(x, y)) for x, y in zip(v.tolist(), t.tolist())]
+    np.testing.assert_allclose(stats.positive_scores, np.clip(positives, -1.0, 1.0),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(stats.positive_counts,
+                                  histogram_scalar(stats.positive_scores.tolist(), 9))
+    negatives = off_diagonal(v, t)
+    np.testing.assert_array_equal(stats.negative_counts, histogram_scalar(negatives.tolist(), 9))
+    if n > 1:
+        assert stats.negative_mean == pytest.approx(math.fsum(negatives) / negatives.size,
+                                                    rel=1e-14)
+
+
+class TestScanBlocks:
+    """The scan forms S a block of rows at a time; with the block size
+    shrunk, a 50-row batch spans many blocks and must give what one block
+    gives."""
+
+    # Rows per block: one row each, a ragged 7 (the last block holds one
+    # row), exactly n, and more than n.
+    @pytest.mark.parametrize("rows", [1, 7, 50, 64])
+    def test_random_batch(self, monkeypatch, rng, rows):
+        monkeypatch.setattr(ev, "SCAN_ENTRIES", rows * 50)
+        v, t = unit_batch(rng, 50, 8)
+        blocked_scan_matches_oracles(v, t)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_ties_across_blocks(self, monkeypatch, rows):
+        # Lifted embeddings make every score exact, so planted ties hold
+        # whichever gemm forms them.
+        monkeypatch.setattr(ev, "SCAN_ENTRIES", rows * 50)
+        rng = RngState(11)
+        sims = (rng.integers(10**6, 2500).reshape(50, 50) - 5e5) / 5e7
+        sims[:, 45] = sims[:, 3]    # duplicate text rows: image 45 ties text 3
+        sims[2, 40] = sims[40, 40]  # text 40 ties image 2, in the first block
+        sims[27, 31] = sims[31, 31]  # text 31 ties image 27, in the block before
+        sims[44, 10] = sims[44, 44]  # image 44 ties text 10, in an earlier corner
+        v, t = lift_sims_to_embeddings(sims)
+        blocked_scan_matches_oracles(v, t)
+
+    def test_single_pair(self, monkeypatch):
+        monkeypatch.setattr(ev, "SCAN_ENTRIES", 1)
+        v = np.array([[0.6, 0.8]])
+        i2t, t2i, stats = score_eval(v, v, [1], 4)
+        assert i2t.recall_at == t2i.recall_at == {1: 100.0}
+        assert stats.positive_counts.tolist() == [0, 0, 0, 1]
+        assert stats.negative_counts.tolist() == [0, 0, 0, 0]
+
+    def test_skipped_parts_are_none(self, rng):
+        v, t = unit_batch(rng, 6, 4)
+        assert score_eval(v, t, None, 4)[:2] == (None, None)
+        assert score_eval(v, t, [1], None)[2] is None
+
+    def test_peak_memory_below_a_quarter_of_s(self, rng):
+        # At n = 4000 one n x n float64 matrix is 122 MiB; the scan holds a
+        # block of about 8 MB and its comparison masks.
+        v, t = unit_batch(rng, 4000, 16)
+        tracemalloc.start()
+        try:
+            score_eval(v, t, [1, 5, 10], 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
