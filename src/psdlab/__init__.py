@@ -6,7 +6,7 @@ protocols."""
 from .data import PairedDataset, SyntheticSpec, generate, load_pairs, save_pairs, select_captions
 from .evaluation import linear_probe, retrieval_eval, score_eval, similarity_stats, zero_shot_top1
 from .model import EncoderSpec, ParamSet, encode, encode_backward, init_params
-from .numkit import RngState, SoftTargets, normalize_rows_l2, softmax_xent
+from .numkit import RngState, SoftTargets, normalize_rows_l2
 from .objective import (
     EmbeddingBatch,
     LossGrad,
@@ -30,5 +30,5 @@ __all__ = [
     "info_nce", "init_params", "linear_probe", "load_pairs", "make_partition",
     "normalize_rows_l2", "psd_loss", "retrieval_eval", "save_pairs", "score_eval",
     "select_captions", "similarity_stats", "soft_targets_bootstrap",
-    "soft_targets_swapped", "softmax_xent", "train", "zero_shot_top1",
+    "soft_targets_swapped", "train", "zero_shot_top1",
 ]

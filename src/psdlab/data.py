@@ -16,8 +16,8 @@ Dataset file format (PSDD, version 1, all little-endian):
     f64          image features, n * image_dim row-major
     f64          text features, (n*m) * text_dim row-major
     u32          pairing table, n * m (caption row indices per image)
-    u32          class labels, n
-    u8           corrupted flags, n
+    u32          class labels, n, each below K
+    u8           corrupted flags, n, each 0 or 1
 """
 
 from __future__ import annotations
@@ -224,8 +224,14 @@ def load_pairs(path) -> PairedDataset:
     pairing = np.frombuffer(raw, "<u4", n * m, off).astype(np.int64).reshape(n, m)
     off += sizes[2]
     labels = np.frombuffer(raw, "<u4", n, off).astype(np.int64)
+    if n and labels.max() >= num_classes:
+        raise InvalidInputError(
+            f"{path}: class label {labels.max()} outside the header's {num_classes} classes")
     off += sizes[3]
-    corrupted = np.frombuffer(raw, "<u1", n, off).astype(bool)
+    flags = np.frombuffer(raw, "<u1", n, off)
+    if n and flags.max() > 1:
+        raise InvalidInputError(f"{path}: corrupted flag byte {flags.max()}, expected 0 or 1")
+    corrupted = flags.astype(bool)
     return PairedDataset(image_features=image_features.astype(np.float64),
                          text_features=text_features.astype(np.float64),
                          pairing=pairing, class_labels=labels, corrupted=corrupted)

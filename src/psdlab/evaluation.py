@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numkit import as_matrix, softmax_xent
+from .numkit import as_matrix
 
 PROBE_L2_DEFAULT = 1e-4
 SCAN_ENTRIES = 1 << 20  # entries of S per scanned block: 8 MB of float64
@@ -200,13 +200,28 @@ def zero_shot_top1(emb, prototypes, labels) -> float:
 def probe_loss_and_grad(w_flat: np.ndarray, features: np.ndarray, labels: np.ndarray,
                         num_classes: int, l2: float) -> tuple[float, np.ndarray]:
     """Multinomial logistic loss (mean cross entropy) + l2/2 * ||W||^2 on the
-    weights (bias excluded), with its exact gradient."""
+    weights (bias excluded), with its exact gradient.
+
+    With logits x_i = features[i] @ W + b, the cross entropy is taken in
+    log-sum-exp form, mean_i (lse(x_i) - x_i[labels[i]]), each row shifted
+    by its own max so it stays exact however far apart the logits are. Its
+    gradient in x_i is (softmax(x_i) - onehot(labels[i])) / n, formed as
+    exp(x_i - max) times (1/n) / sum(exp), less 1/n at the label.
+    """
     n, d = features.shape
     w = w_flat[: d * num_classes].reshape(d, num_classes)
     b = w_flat[d * num_classes:]
-    xent, delta = softmax_xent(features @ w + b, np.full(n, 1.0 / n), labels,
-                               np.zeros(0, dtype=np.int64), np.zeros((0, num_classes)))
-    loss = xent + 0.5 * l2 * float((w * w).sum())
+    logits = features @ w + b
+    top = logits.max(axis=1, keepdims=True)
+    delta = logits - top
+    np.exp(delta, out=delta)
+    total = delta.sum(axis=1, keepdims=True)
+    lse = (top + np.log(total)).ravel()
+    weights = np.full(n, 1.0 / n)
+    delta *= weights.reshape(total.shape) / total
+    at = (np.arange(n), labels)
+    delta[at] -= weights
+    loss = float(weights @ (lse - logits[at])) + 0.5 * l2 * float((w * w).sum())
     grad_w = features.T @ delta + l2 * w
     grad_b = delta.sum(axis=0)
     return loss, np.concatenate([grad_w.ravel(), grad_b])

@@ -7,19 +7,16 @@ probability kernels with their exact contracts and a self-contained PRNG so
 that every random draw in the package is bit-reproducible from a 64-bit seed,
 independent of platform or numpy version.
 
-Two cross-entropy kernels, both with two target kinds: a hard target is
-one-hot, a soft target is a distribution. ``softmax_xent`` takes the rows
-of a dense logit matrix, each shifted by its own max, against hard labels
-and dense soft rows, whose sums it reads; the linear probe calls it.
-``contrastive_xent`` takes the rows and the columns of a square logit
-matrix L = scaled_v t^T given by its two factors, with its diagonal as the
-hard targets, and returns the gradients in the factors; InfoNCE and the PSD
-loss call it. Its soft targets arrive as one ``SoftTargets``, which checks
-them and makes each a distribution, held as factors of one exponential, an
-n x n block with one scale per row and one per column: no target row is
-gathered, and the weighted targets are subtracted from the gradient block a
-band of rows at a time, so the block's two products with the factors carry
-them.
+One cross-entropy kernel, ``contrastive_xent``, with two target kinds: a
+hard target is one-hot, a soft target is a distribution. It takes the rows
+and the columns of a square logit matrix L = scaled_v t^T given by its two
+factors, with its diagonal as the hard targets, and returns the gradients in
+the factors; InfoNCE and the PSD loss call it. Its soft targets arrive as
+one ``SoftTargets``, which checks them and makes each a distribution, held
+as factors of one exponential, an n x n block with one scale per row and one
+per column: no target row is gathered, and the weighted targets are
+subtracted from the gradient block a band of rows at a time, so the block's
+two products with the factors carry them.
 
 Both axes of a square matrix take their log-sum-exps from one exponential
 under the global max, ``exp_both_axes`` (``contrastive_xent`` and the
@@ -97,50 +94,6 @@ def exp_both_axes(x: np.ndarray, out: np.ndarray | None = None
     return e, float(top), e.sum(axis=1, keepdims=True), e.sum(axis=0, keepdims=True)
 
 
-def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
-                 soft_rows: np.ndarray, soft_targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Weighted softmax cross-entropy over the rows of ``logits``, with its
-    gradient: returns (sum_i weights[i] * H(q_i, softmax(x_i)), d_logits),
-    where x_i is row i of ``logits`` and d_logits has its shape.
-
-    Target q_i is one-hot at ``labels[i]`` (a hard row), except for the rows
-    listed in ``soft_rows``, whose targets are the matching rows of
-    ``soft_targets`` (soft rows; their labels are ignored). No dense target
-    matrix is built. The loss is taken in log-sum-exp form,
-    H(q, softmax(x)) = lse(x) * sum(q) - q . x, with each row shifted by its
-    own max, so it stays exact however far apart the logits are;
-    d_x_i = weights[i] * (softmax(x_i) * sum(q_i) - q_i), formed as
-    exp(x_i - max) times weights[i] * sum(q_i) / sum(exp) with the target
-    subtracted in place. Zero rows give (0.0, an empty array).
-    """
-    n, cols = logits.shape
-    if (weights.shape != (n,) or labels.shape != (n,)
-            or soft_targets.shape != (soft_rows.size, cols)):
-        raise InvalidInputError(
-            f"shape mismatch: logits {logits.shape}, weights {weights.shape}, labels "
-            f"{labels.shape}, {soft_rows.size} soft rows, soft targets {soft_targets.shape}")
-    top = logits.max(axis=1, keepdims=True)
-    grad = logits - top
-    np.exp(grad, out=grad)
-    total = grad.sum(axis=1, keepdims=True)
-    lse = (top + np.log(total)).ravel()
-    mass = np.ones(n)  # sum(q_i) of every target: 1 for a hard row
-    mass[soft_rows] = soft_targets.sum(axis=1)
-    grad *= (weights * mass).reshape(total.shape) / total
-    hard = np.ones(n, dtype=bool)
-    hard[soft_rows] = False
-    rows = np.flatnonzero(hard)
-    at = (rows, labels[rows])
-    grad[at] -= weights[rows]
-    picked = np.empty(n)
-    picked[rows] = logits[at]
-    soft = logits[soft_rows]
-    picked[soft_rows] = np.einsum("ij,ij->i", soft_targets, soft)
-    np.multiply(soft_targets, weights[soft_rows, None], out=soft)  # reuse the gathered block
-    grad[soft_rows] -= soft
-    return float(weights @ (lse * mass - picked)), grad
-
-
 @dataclass(frozen=True)
 class SoftTargets:
     """Teacher-produced alignment distributions for the unaligned rows of a
@@ -209,14 +162,14 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
     of ``scaled_v`` and ``t``. L must lie within ``SHARED_EXP_SPAN`` of its
     max (``exp_both_axes``), or InvalidInputError is raised.
 
-    Row i and column i each cost weights[i] * H(q, softmax(x)) in
-    log-sum-exp form, as in ``softmax_xent``. Both target the diagonal entry
-    L[i, i] (hard), except for the rows of ``targets`` (none when it is
-    None), whose targets are the ``SoftTargets`` entries: row rows[u]
-    targets exp[rows[u], j] * p[u] * g[j] over the columns j, and column
-    rows[u] targets exp[i, rows[u]] * r[i] * s[u] over the rows i. Their
-    block, exp, must be n x n; it is not written to. ``SoftTargets`` makes
-    every soft target a distribution, so each term is lse(x) - q . x.
+    Row i and column i each cost weights[i] * H(q, softmax(x)). Both
+    target the diagonal entry L[i, i] (hard), except for the rows of
+    ``targets`` (none when it is None), whose targets are the
+    ``SoftTargets`` entries: row rows[u] targets exp[rows[u], j] * p[u] *
+    g[j] over the columns j, and column rows[u] targets exp[i, rows[u]] *
+    r[i] * s[u] over the rows i. Their block, exp, must be n x n; it is not
+    written to. ``SoftTargets`` makes every soft target a distribution, so
+    each term takes the log-sum-exp form H(q, softmax(x)) = lse(x) - q . x.
 
     The gradient in L is e * (a_i + b_j) - H - M, with e the one
     exponential of ``exp_both_axes``, taken in place in L's buffer,

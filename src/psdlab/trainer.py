@@ -265,13 +265,10 @@ class TrainResult:
         return [r for r in self.history if "loss" in r]
 
 
-def encode_pairs(image_params: ParamSet, text_params: ParamSet,
-                 ds: PairedDataset, caption_rows: np.ndarray | None = None):
-    """Embed a dataset's images and one caption per image (slot 0 default)."""
-    if caption_rows is None:
-        caption_rows = ds.pairing[:, 0]
+def encode_pairs(image_params: ParamSet, text_params: ParamSet, ds: PairedDataset):
+    """Embed a dataset's images and each image's caption in slot 0."""
     img, _ = encode(image_params, ds.image_features)
-    txt, _ = encode(text_params, ds.text_features[caption_rows])
+    txt, _ = encode(text_params, ds.text_features[ds.pairing[:, 0]])
     return img, txt
 
 

@@ -1,11 +1,14 @@
-"""Independent scalar/brute-force oracles used by the test suite, and two
-numpy helpers that build the tests' inputs.
+"""Independent scalar/brute-force oracles used by the test suite, and the
+numpy references and input builders next to them.
 
 The oracles are written with plain Python loops and the math module, never
 with the package's vectorized code paths, so an agreement between the two is
-evidence rather than tautology. The numpy helpers at the end are no oracles:
-``softmax_rows`` and ``target_rows`` build test inputs, and ``dense_xent``
-is the factored cross-entropy's reference from the package's row kernel.
+evidence rather than tautology. The numpy code at the end is no oracle:
+``softmax_rows`` and ``target_rows`` build test inputs; ``softmax_xent`` is
+the dense cross-entropy over the rows of a logit matrix, with hard labels
+and dense soft rows, that the probe's hard-label loss is checked against;
+and ``dense_xent``, the factored cross-entropy's reference, is built on this
+dense soft-row kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 import numpy as np
 
 from psdlab.errors import InvalidInputError
-from psdlab.numkit import SoftTargets, as_matrix, softmax_xent
+from psdlab.numkit import SoftTargets, as_matrix
 
 
 def softmax_row_scalar(row, scale):
@@ -208,8 +211,52 @@ def target_rows(targets: SoftTargets) -> tuple[np.ndarray, np.ndarray]:
     return image, text.T
 
 
+def softmax_xent(logits: np.ndarray, weights: np.ndarray, labels: np.ndarray,
+                 soft_rows: np.ndarray, soft_targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Weighted softmax cross-entropy over the rows of ``logits``, with its
+    gradient: returns (sum_i weights[i] * H(q_i, softmax(x_i)), d_logits),
+    where x_i is row i of ``logits`` and d_logits has its shape.
+
+    Target q_i is one-hot at ``labels[i]`` (a hard row), except for the rows
+    listed in ``soft_rows``, whose targets are the matching rows of
+    ``soft_targets`` (soft rows; their labels are ignored). No dense target
+    matrix is built. The loss is taken in log-sum-exp form,
+    H(q, softmax(x)) = lse(x) * sum(q) - q . x, with each row shifted by its
+    own max, so it stays exact however far apart the logits are;
+    d_x_i = weights[i] * (softmax(x_i) * sum(q_i) - q_i), formed as
+    exp(x_i - max) times weights[i] * sum(q_i) / sum(exp) with the target
+    subtracted in place. Zero rows give (0.0, an empty array).
+    """
+    n, cols = logits.shape
+    if (weights.shape != (n,) or labels.shape != (n,)
+            or soft_targets.shape != (soft_rows.size, cols)):
+        raise InvalidInputError(
+            f"shape mismatch: logits {logits.shape}, weights {weights.shape}, labels "
+            f"{labels.shape}, {soft_rows.size} soft rows, soft targets {soft_targets.shape}")
+    top = logits.max(axis=1, keepdims=True)
+    grad = logits - top
+    np.exp(grad, out=grad)
+    total = grad.sum(axis=1, keepdims=True)
+    lse = (top + np.log(total)).ravel()
+    mass = np.ones(n)  # sum(q_i) of every target: 1 for a hard row
+    mass[soft_rows] = soft_targets.sum(axis=1)
+    grad *= (weights * mass).reshape(total.shape) / total
+    hard = np.ones(n, dtype=bool)
+    hard[soft_rows] = False
+    rows = np.flatnonzero(hard)
+    at = (rows, labels[rows])
+    grad[at] -= weights[rows]
+    picked = np.empty(n)
+    picked[rows] = logits[at]
+    soft = logits[soft_rows]
+    picked[soft_rows] = np.einsum("ij,ij->i", soft_targets, soft)
+    np.multiply(soft_targets, weights[soft_rows, None], out=soft)  # reuse the gathered block
+    grad[soft_rows] -= soft
+    return float(weights @ (lse * mass - picked)), grad
+
+
 def dense_xent(scaled_v, t, weights, soft_rows, row_targets, col_targets):
-    """``contrastive_xent`` from dense soft rows: the row kernel
+    """``contrastive_xent`` from dense soft rows: this module's row kernel
     ``softmax_xent`` over the rows of L = scaled_v t^T and over the rows of
     a transposed copy of L, each row shifted by its own max. Returns
     (loss, d_scaled_v, d_t), as the kernel does."""

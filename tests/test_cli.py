@@ -211,5 +211,22 @@ def test_truncated_file_in_eval_exits_file_format_code(pairs_file, tmp_path):
     assert rc == TruncatedFileError.exit_code
 
 
+@pytest.mark.parametrize("offset, data, message", [
+    (24, (1).to_bytes(4, "little"), "outside the header's 1 classes"),
+    (-1, b"\x07", "flag byte 7"),
+])
+def test_contradictory_payload_in_eval_exits_invalid_input_code(pairs_file, tmp_path, caplog,
+                                                                offset, data, message):
+    # A header class count below the labels, or a corrupted flag byte past 1.
+    ckpt = tmp_path / "ckpt"
+    assert main(["train", "--quiet", "--set", "samples_per_class=30", "--set", "batch_size=64",
+                 "--epochs", "1", "--out", str(ckpt)]) == 0
+    path = patched(pairs_file, offset % pairs_file.stat().st_size, data)
+    rc = main(["eval", "--quiet", str(ckpt / "checkpoint"), str(path),
+               "--out", str(tmp_path / "eval")])
+    assert rc == InvalidInputError.exit_code == 3
+    assert message in caplog.text
+
+
 def test_missing_file_exits_one(tmp_path):
     assert train_on(tmp_path / "absent.psdd", tmp_path) == 1

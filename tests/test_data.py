@@ -187,6 +187,26 @@ class TestPairsFile:
         with pytest.raises(DimensionOverflowError):
             load_pairs(path)
 
+    def test_label_past_header_class_count(self, tmp_path):
+        path = tmp_path / "pairs.psdd"
+        ds = generate(small_spec(), RngState(22))
+        save_pairs(ds, path)
+        assert ds.num_classes > 2
+        raw = bytearray(path.read_bytes())
+        raw[24:28] = (2).to_bytes(4, "little")  # K = 2, below the labels' range
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidInputError, match="outside the header's 2 classes"):
+            load_pairs(path)
+
+    def test_corrupted_flag_byte_past_one(self, tmp_path):
+        path = tmp_path / "pairs.psdd"
+        save_pairs(generate(small_spec(), RngState(23)), path)
+        raw = bytearray(path.read_bytes())
+        raw[-1] = 7  # the last image's flag
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidInputError, match="flag byte 7"):
+            load_pairs(path)
+
 
 class TestSpecValidation:
     def test_rejects_bad_rates(self):

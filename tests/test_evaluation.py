@@ -21,7 +21,7 @@ from psdlab.gradcheck import central_difference, max_rel_error
 from psdlab.numkit import RngState, normalize_rows_l2
 
 from conftest import lift_sims_to_embeddings, unit_batch
-from oracles import histogram_scalar, retrieval_scalar, zero_shot_scalar
+from oracles import histogram_scalar, retrieval_scalar, softmax_xent, zero_shot_scalar
 
 
 class TestRetrieval:
@@ -133,11 +133,33 @@ class TestZeroShot:
 
 class TestLinearProbe:
     def test_loss_at_zero_weights_is_log_k(self, rng):
+        # Zero weights predict every class alike, whatever the features.
         x = rng.normals(30, 4)
-        y = np.tile(np.arange(3), 10)
-        w0 = np.zeros(4 * 3 + 3)
-        loss, _ = probe_loss_and_grad(w0, x, y, 3, l2=1e-4)
-        assert loss == pytest.approx(math.log(3.0), abs=1e-12)
+        for k in (2, 3, 7):
+            y = np.arange(30) % k
+            w0 = np.zeros(4 * k + k)
+            loss, _ = probe_loss_and_grad(w0, x, y, k, l2=1e-4)
+            assert loss == pytest.approx(math.log(k), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, (1 << 64) - 1), n=st.integers(1, 300), d=st.integers(1, 40),
+           k=st.integers(2, 13), spread=st.sampled_from([1e-3, 1.0, 30.0]),
+           dtype=st.sampled_from([np.int64, np.uint64]))
+    def test_equals_oracle_hard_rows_plus_l2_bit_for_bit(self, seed, n, d, k, spread, dtype):
+        # The probe's cross entropy is the oracle's with every row hard, at
+        # weights 1/n; linear_probe passes int64 labels, gradcheck uint64.
+        rng = RngState(seed)
+        x = rng.normals(n, d)
+        y = rng.integers(k, n).astype(dtype)
+        w = spread * rng.normals(d * k + k)
+        l2 = rng.uniform()
+        loss, grad = probe_loss_and_grad(w, x, y, k, l2)
+        weights = w[: d * k].reshape(d, k)
+        xent, delta = softmax_xent(x @ weights + w[d * k:], np.full(n, 1.0 / n), y,
+                                   np.zeros(0, dtype=np.int64), np.zeros((0, k)))
+        assert loss == xent + 0.5 * l2 * float((weights * weights).sum())
+        np.testing.assert_array_equal(
+            grad, np.concatenate([(x.T @ delta + l2 * weights).ravel(), delta.sum(axis=0)]))
 
     def test_gradient_matches_finite_differences(self, rng):
         x = rng.normals(12, 5)

@@ -2,12 +2,16 @@
 of the package, nor any method, property or dataclass field of its classes,
 goes unread; and no function of the package assigns a parameter or local
 that it never reads. The package's ``__init__.py`` is exempt from the
-first: its imports are the public re-exports."""
+first: its imports are the public re-exports, and every one of them, and
+nothing else, is listed in ``__all__`` and resolves on the package."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import psdlab
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for folder in ("src/psdlab", "tests") for p in (ROOT / folder).glob("*.py")
@@ -41,6 +45,30 @@ def test_scan_finds_an_unread_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def export_gaps(source: str, module) -> tuple[list[str], list[str]]:
+    """For a package's ``__init__`` ``source`` and the imported ``module``:
+    the names of its ``__all__`` that the module does not define, and the
+    names its imports bind that ``__all__`` does not list."""
+    bound = [a.asname or a.name for node in ast.parse(source).body
+             if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+             for a in node.names]
+    return ([name for name in module.__all__ if not hasattr(module, name)],
+            [name for name in bound if name not in module.__all__])
+
+
+def test_scan_finds_a_half_removed_export():
+    source = "from .numkit import RngState, SoftTargets\n"
+    module = types.ModuleType("pkg")
+    module.__all__ = ["RngState", "softmax_xent"]
+    module.RngState = module.SoftTargets = object
+    assert export_gaps(source, module) == (["softmax_xent"], ["SoftTargets"])
+
+
+def test_every_export_resolves_and_every_import_is_exported():
+    source = (ROOT / "src/psdlab/__init__.py").read_text(encoding="utf-8")
+    assert export_gaps(source, psdlab) == ([], [])
 
 
 # Dataclasses whose fields are read through ``fields()`` and ``getattr``

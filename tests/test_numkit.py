@@ -16,7 +16,6 @@ from psdlab.numkit import (
     derive_seed,
     exp_both_axes,
     normalize_rows_l2,
-    softmax_xent,
 )
 
 from oracles import (
@@ -24,6 +23,7 @@ from oracles import (
     dense_xent,
     softmax_row_scalar,
     softmax_rows,
+    softmax_xent,
     target_rows,
 )
 
@@ -145,9 +145,9 @@ def product_bound(block_err, block, targets, x):
 
 
 class TestCrossEntropyRows:
-    """The two cross-entropy kernels: softmax_xent over the rows of a dense
-    logit matrix, and contrastive_xent over the rows and columns of a
-    factored one, with softmax_xent as its reference."""
+    """contrastive_xent over the rows and columns of a factored logit
+    matrix, and its reference: the oracles' softmax_xent over the rows of a
+    dense one, whose hard and soft rows are checked here on their own."""
 
     def test_uniform_prediction(self):
         loss, _ = softmax_xent(np.zeros((2, 2)), np.full(2, 0.5), np.arange(2),
