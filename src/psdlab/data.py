@@ -16,8 +16,11 @@ Dataset file format (PSDD, version 1, all little-endian):
     f64          image features, n * image_dim row-major
     f64          text features, (n*m) * text_dim row-major
     u32          pairing table, n * m (caption row indices per image)
-    u32          class labels, n, each below K
+    u32          class labels, n, the largest K - 1 (K = 0 when n = 0)
     u8           corrupted flags, n, each 0 or 1
+
+A file holds exactly these bytes, so loading and saving it again gives the
+same bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .errors import (
     BadMagicError,
     DimensionOverflowError,
     InvalidInputError,
+    TrailingBytesError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -216,6 +220,9 @@ def load_pairs(path) -> PairedDataset:
     if len(raw) < expected:
         raise TruncatedFileError(
             f"{path}: payload holds {len(raw) - 28} bytes, header promises {expected - 28}")
+    if len(raw) > expected:
+        raise TrailingBytesError(
+            f"{path}: {len(raw) - expected} bytes follow the payload the header promises")
     off = 28
     image_features = np.frombuffer(raw, "<f8", n * image_dim, off).reshape(n, image_dim)
     off += sizes[0]
@@ -224,9 +231,13 @@ def load_pairs(path) -> PairedDataset:
     pairing = np.frombuffer(raw, "<u4", n * m, off).astype(np.int64).reshape(n, m)
     off += sizes[2]
     labels = np.frombuffer(raw, "<u4", n, off).astype(np.int64)
-    if n and labels.max() >= num_classes:
+    classes = int(labels.max()) + 1 if n else 0
+    if classes > num_classes:
         raise InvalidInputError(
-            f"{path}: class label {labels.max()} outside the header's {num_classes} classes")
+            f"{path}: class label {classes - 1} outside the header's {num_classes} classes")
+    if classes < num_classes:
+        raise InvalidInputError(
+            f"{path}: header promises {num_classes} classes, labels use {classes}")
     off += sizes[3]
     flags = np.frombuffer(raw, "<u1", n, off)
     if n and flags.max() > 1:

@@ -53,6 +53,10 @@ class TruncatedFileError(FileFormatError):
     """Header promises more payload than the file contains."""
 
 
+class TrailingBytesError(FileFormatError):
+    """File holds bytes past the payload its header promises."""
+
+
 class DimensionOverflowError(FileFormatError):
     """Header dimensions exceed sane bounds for a desk-scale dataset."""
 

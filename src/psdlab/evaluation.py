@@ -20,6 +20,13 @@ it) counts both the higher scores and the ties that rank ahead; only the
 corner scans for ties. The negative (off-diagonal) histogram is the
 histogram of all of S minus that of its diagonal, and the negative mean is
 (sum S - trace S) / (n^2 - n), so no n x n mask or gather is built.
+
+The histograms count with ``equal_width_counts``, which bins by arithmetic
+rather than by sorting: it scales each clipped score onto [0, bins], takes
+the floor as the bin, and looks up in the edges only the scores whose scaled
+value lies within a rounding margin of a whole number. The counts equal
+``np.histogram`` over ``np.linspace(-1, 1, bins + 1)`` exactly; the
+function's docstring bounds the rounding that makes them so.
 """
 
 from __future__ import annotations
@@ -34,6 +41,9 @@ from .numkit import as_matrix
 
 PROBE_L2_DEFAULT = 1e-4
 SCAN_ENTRIES = 1 << 20  # entries of S per scanned block: 8 MB of float64
+BIN_CHUNK = 1 << 15     # entries binned per pass: with its three work arrays, 1 MB, in L2
+MAX_BINS = 1 << 16      # the most histogram bins equal_width_counts' margin covers
+EDGE_MARGIN = 2.0 ** -32  # scaled distance from a bin edge below which the edges decide
 
 
 @dataclass(frozen=True)
@@ -98,26 +108,83 @@ def _retrieval_report(direction: str, ranks: np.ndarray, k_list) -> RetrievalRep
     return RetrievalReport(direction=direction, recall_at=recall, mean_rank=float(ranks.mean()))
 
 
+def check_eval_settings(n: int, k_list, bins) -> None:
+    """Raise InvalidInputError unless every K of ``k_list`` lies in [1, n]
+    for an evaluated set of n pairs and ``bins`` in [1, MAX_BINS]; None
+    skips either. Callers that train first check before the first step."""
+    if bins is not None and not 1 <= bins <= MAX_BINS:
+        raise InvalidInputError(f"bins must lie in [1, {MAX_BINS}], got {bins}")
+    if k_list is not None and not all(1 <= int(k) <= n for k in k_list):
+        raise InvalidInputError(f"every K must lie in [1, {n}], got {list(k_list)}")
+
+
+def equal_width_counts(values: np.ndarray, bins: int) -> np.ndarray:
+    """Counts of the 1-D ``values``, each within [-1, 1], over ``bins``
+    equal-width bins: exactly ``np.histogram(values, np.linspace(-1, 1,
+    bins + 1))``, bins left-closed and the last one closed, for bins in
+    [1, MAX_BINS].
+
+    It walks the values in chunks of ``BIN_CHUNK``, whose work arrays stay
+    in cache, scales each x to t = x (b/2) + b/2 (b = bins) and counts floor
+    t with ``np.bincount``. Only the x whose t lies within ``EDGE_MARGIN`` of
+    a whole number take their bin from the edges instead, by binary search.
+
+    Why the floor is exact elsewhere, with u = 2^-53: x lies in bin j when
+    edges[j] <= x < edges[j + 1], that is when the exact (x + 1) b/2 lies
+    between the scaled edges (edges[j] + 1) b/2 and (edges[j + 1] + 1) b/2.
+    The computed t is within u b/2 + u b = 1.5 u b of (x + 1) b/2 (b/2 is
+    exact, then one rounding each for the product and the sum). linspace
+    forms edges[j] = fl(fl(j s) - 1) with s = fl(2 / b), within 2u + 2u + u
+    of 2j/b - 1 (s's error times j, then the two roundings), so each scaled
+    edge lies within 2.5 u b of j. When t is at least 4 u b from every whole
+    number, floor t is therefore the bin; 4 u b = b 2^-51 <= 2^-35 for
+    b <= 2^16, which the margin of 2^-32 covers eightfold. t lies in [0, b]
+    as rounding is monotone, and a t of b is whole, so it is looked up and
+    lands in the closed last bin.
+    """
+    edges = np.linspace(-1.0, 1.0, bins + 1)
+    half = bins / 2
+    counts = np.zeros(bins, dtype=np.int64)
+    size = min(values.size, BIN_CHUNK)
+    scaled, floors, index = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
+    for start in range(0, values.size, BIN_CHUNK):
+        x = values[start:start + BIN_CHUNK]
+        t, f, k = scaled[:x.size], floors[:x.size], index[:x.size]
+        np.multiply(x, half, out=t)
+        t += half
+        np.floor(t, out=f)
+        np.copyto(k, f, casting="unsafe")
+        t -= f  # the fractional part, exact
+        near = (t < EDGE_MARGIN) | (t > 1.0 - EDGE_MARGIN)
+        if near.any():
+            near = np.flatnonzero(near)
+            k[near] = np.minimum(np.searchsorted(edges, x[near], side="right") - 1, bins - 1)
+        counts += np.bincount(k, minlength=bins)
+    return counts
+
+
 def score_eval(image_emb, text_emb, k_list, bins
                ) -> tuple[RetrievalReport | None, RetrievalReport | None, SimilarityStats | None]:
     """One scan of S = V T^T for (image_to_text, text_to_image, similarity):
     retrieval at each K of ``k_list`` (each partner ranked under descending
     score) and the statistics over ``bins`` equal-width bins of [-1, 1]. A
-    ``k_list`` or ``bins`` of None skips that part, which is then None."""
-    if bins is not None and bins < 1:
-        raise InvalidInputError(f"bins must be >= 1, got {bins}")
+    ``k_list`` or ``bins`` of None skips that part, which is then None.
+
+    Each block of S is clipped to [-1, 1] in place once its ranks are
+    counted; ``equal_width_counts`` bins it and its sum adds to the total.
+    The negative counts are those of all of S less those of the clipped
+    partner scores, so they equal ``np.histogram`` of the clipped
+    off-diagonal scores over ``np.linspace(-1, 1, bins + 1)`` exactly."""
     v, t = _unit_pairs(image_emb, text_emb)
     n = v.shape[0]
     if n == 0:
         raise InvalidInputError("evaluation requires at least one image-text pair")
+    check_eval_settings(n, k_list, bins)
     if k_list is not None:
         k_list = [int(k) for k in k_list]
-        if any(k < 1 or k > n for k in k_list):
-            raise InvalidInputError(f"every K must lie in [1, {n}], got {k_list}")
         i2t_ranks = np.ones(n, dtype=np.int64)
         t2i_ranks = np.ones(n, dtype=np.int64)
     if bins is not None:
-        edges = np.linspace(-1.0, 1.0, bins + 1)
         all_counts = np.zeros(bins, dtype=np.int64)
         total = 0.0
     rows = min(n, max(1, SCAN_ENTRIES // n))
@@ -156,7 +223,7 @@ def score_eval(image_emb, text_emb, k_list, bins
             t2i_ranks[start:stop] += np.bincount(col[row < col], minlength=width)
         if bins is not None:
             np.clip(block, -1.0, 1.0, out=block)
-            all_counts += np.histogram(block, bins=edges)[0]
+            all_counts += equal_width_counts(block.ravel(), bins)
             total += float(block.sum())
     i2t = t2i = stats = None
     if k_list is not None:
@@ -164,10 +231,11 @@ def score_eval(image_emb, text_emb, k_list, bins
         t2i = _retrieval_report("text_to_image", t2i_ranks, k_list)
     if bins is not None:
         positives = np.clip(partner, -1.0, 1.0)
-        pos_counts, _ = np.histogram(positives, bins=edges)
+        pos_counts = equal_width_counts(positives, bins)
         negative_mean = math.nan
         if n > 1:
             negative_mean = (total - float(positives.sum())) / (n * n - n)
+        edges = np.linspace(-1.0, 1.0, bins + 1)
         stats = SimilarityStats(positive_scores=positives, negative_mean=negative_mean,
                                 bin_centers=0.5 * (edges[:-1] + edges[1:]),
                                 positive_counts=pos_counts,

@@ -25,7 +25,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import PairedDataset, generate, take_subset
 from .errors import InvalidInputError
-from .evaluation import score_eval, zero_shot_top1
+from .evaluation import check_eval_settings, score_eval, zero_shot_top1
 from .model import ParamSet, encode
 from .numkit import RngState
 from .trainer import TrainResult, encode_pairs, train
@@ -179,11 +179,14 @@ def run_matrix(exp_cfg: ExperimentConfig, seeds, variants=None,
     data. Outcomes are collected, and ``progress`` called, in seed-major
     submission order, so the result equals a serial run bit for bit. The
     first task to raise re-raises its error here, and the pool is shut down
-    and joined before this returns either way.
+    and joined before this returns either way. Evaluation settings that the
+    held-out sets cannot serve raise InvalidInputError before any training.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    check_eval_settings(exp_cfg.eval_per_class * exp_cfg.num_classes,
+                        exp_cfg.k_list, exp_cfg.histogram_bins)
     seeds, variants = list(seeds), list(variants or ABLATION_VARIANTS)
     try:
         cpus = len(os.sched_getaffinity(0))

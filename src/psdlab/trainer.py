@@ -37,7 +37,7 @@ from .errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
-from .evaluation import retrieval_eval
+from .evaluation import check_eval_settings, retrieval_eval
 from .model import EncoderSpec, ParamSet, encode, encode_backward, init_params, load_params, save_params
 from .numkit import RngState, derive_seed
 from .objective import (
@@ -297,7 +297,9 @@ def train(cfg: TrainConfig, ds: PairedDataset,
     AdamW updates all parameters jointly, and the logit scale is re-clamped.
     A step that leaves a non-finite loss or parameter, or a logit scale that
     underflowed to 0, raises DivergenceError, and so does an encode after
-    step 0 that meets a zero or overflowing output norm.
+    step 0 that meets a zero or overflowing output norm. Recall cutoffs
+    that the held-out set cannot serve raise InvalidInputError before the
+    first step.
     """
     n = ds.num_samples
     if n < cfg.batch_size:
@@ -306,6 +308,8 @@ def train(cfg: TrainConfig, ds: PairedDataset,
         raise InvalidInputError("image encoder input dim does not match the dataset")
     if ds.text_features.shape[1] != cfg.text_encoder.input_dim:
         raise InvalidInputError("text encoder input dim does not match the dataset")
+    if eval_ds is not None and cfg.eval_every > 0:
+        check_eval_settings(eval_ds.num_samples, cfg.k_list, None)
 
     image_params = init_params(cfg.image_encoder, RngState(derive_seed(cfg.seed, _STREAM_INIT_IMAGE)))
     text_params = init_params(cfg.text_encoder, RngState(derive_seed(cfg.seed, _STREAM_INIT_TEXT)))

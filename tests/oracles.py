@@ -152,10 +152,19 @@ def zero_shot_scalar(emb, prototypes, labels):
     return 100.0 * hits / len(labels)
 
 
+def linspace_edges(bins):
+    """The bin edges of [-1, 1] as ``np.linspace(-1, 1, bins + 1)`` rounds
+    them: j * fl(2 / bins) - 1, one rounding each, and the last edge 1.
+    ``-1 + 2 j / bins`` differs from them by an ulp for most bin counts."""
+    step = 2.0 / bins
+    return [j * step - 1.0 for j in range(bins)] + [1.0]
+
+
 def histogram_scalar(values, bins):
     """Equal-width binning over [-1, 1]: left-closed right-open, last bin
-    closed (numpy.histogram convention, replicated via bisect on edges)."""
-    edges = [-1.0 + 2.0 * i / bins for i in range(bins + 1)]
+    closed (numpy.histogram convention, replicated via bisect on the
+    package's edges)."""
+    edges = linspace_edges(bins)
     counts = [0] * bins
     for x in values:
         x = min(1.0, max(-1.0, x))

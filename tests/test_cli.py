@@ -18,6 +18,7 @@ from psdlab.errors import (
     DimensionOverflowError,
     DivergenceError,
     InvalidInputError,
+    TrailingBytesError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -201,6 +202,12 @@ def test_truncated_file_exits_file_format_code(pairs_file, tmp_path, caplog):
     assert "header promises" in caplog.text
 
 
+def test_bytes_after_the_payload_exit_file_format_code(pairs_file, tmp_path, caplog):
+    pairs_file.write_bytes(pairs_file.read_bytes() + b"\0" * 3)
+    assert train_on(pairs_file, tmp_path) == TrailingBytesError.exit_code == 5
+    assert "3 bytes follow the payload" in caplog.text
+
+
 def test_truncated_file_in_eval_exits_file_format_code(pairs_file, tmp_path):
     ckpt = tmp_path / "ckpt"
     assert main(["train", "--quiet", "--set", "samples_per_class=30", "--set", "batch_size=64",
@@ -214,10 +221,12 @@ def test_truncated_file_in_eval_exits_file_format_code(pairs_file, tmp_path):
 @pytest.mark.parametrize("offset, data, message", [
     (24, (1).to_bytes(4, "little"), "outside the header's 1 classes"),
     (-1, b"\x07", "flag byte 7"),
+    (24, (3).to_bytes(4, "little"), "header promises 3 classes, labels use 2"),
 ])
 def test_contradictory_payload_in_eval_exits_invalid_input_code(pairs_file, tmp_path, caplog,
                                                                 offset, data, message):
-    # A header class count below the labels, or a corrupted flag byte past 1.
+    # A header class count below or above the labels', or a corrupted flag
+    # byte past 1.
     ckpt = tmp_path / "ckpt"
     assert main(["train", "--quiet", "--set", "samples_per_class=30", "--set", "batch_size=64",
                  "--epochs", "1", "--out", str(ckpt)]) == 0
@@ -230,3 +239,35 @@ def test_contradictory_payload_in_eval_exits_invalid_input_code(pairs_file, tmp_
 
 def test_missing_file_exits_one(tmp_path):
     assert train_on(tmp_path / "absent.psdd", tmp_path) == 1
+
+
+@pytest.mark.parametrize("setting", ["histogram_bins=0", "histogram_bins=65537",
+                                     "k_list=1,5,401"])
+def test_ablate_rejects_eval_settings_before_training(setting, tmp_path, monkeypatch, caplog):
+    # The preset's held-out set is 40 images x 10 classes; no pool is drawn.
+    def no_pool(*args):
+        raise AssertionError("ablate drew a pool before checking its evaluation settings")
+
+    monkeypatch.setattr("psdlab.experiments.generate", no_pool)
+    rc = main(["ablate", "--quiet", "--set", setting, "--out", str(tmp_path)])
+    assert rc == InvalidInputError.exit_code == 3
+    assert "must lie in" in caplog.text
+    assert not (tmp_path / "ablation.json").exists()
+
+
+def test_train_rejects_recall_cutoff_past_the_holdout_before_a_step(pairs_file, tmp_path):
+    # 2 classes x 2 held-out images leave 4 pairs, too few for R@5.
+    rc = train_on(pairs_file, tmp_path, "--set", "eval_every=1", "--set", "eval_per_class=2",
+                  "--set", "k_list=1,5")
+    assert rc == InvalidInputError.exit_code == 3
+    assert not (tmp_path / "out" / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize("setting", ["histogram_bins=10000000", "k_list=1,21"])
+def test_eval_rejects_settings_before_writing(setting, pairs_file, tmp_path):
+    ckpt = tmp_path / "ckpt"
+    assert train_on(pairs_file, ckpt) == 0
+    rc = main(["eval", "--quiet", str(ckpt / "out" / "checkpoint"), str(pairs_file),
+               "--set", setting, "--out", str(tmp_path / "eval")])
+    assert rc == InvalidInputError.exit_code == 3
+    assert not (tmp_path / "eval" / "report.json").exists()

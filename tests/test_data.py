@@ -15,6 +15,7 @@ from psdlab.errors import (
     BadMagicError,
     DimensionOverflowError,
     InvalidInputError,
+    TrailingBytesError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -197,6 +198,29 @@ class TestPairsFile:
         path.write_bytes(bytes(raw))
         with pytest.raises(InvalidInputError, match="outside the header's 2 classes"):
             load_pairs(path)
+
+    def test_header_class_count_past_labels(self, tmp_path):
+        # K = 20 over labels 0..3 used to load, and saving wrote K = 4 back.
+        path = tmp_path / "pairs.psdd"
+        save_pairs(generate(small_spec(), RngState(24)), path)
+        raw = bytearray(path.read_bytes())
+        raw[24:28] = (20).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidInputError, match="header promises 20 classes, labels use 4"):
+            load_pairs(path)
+
+    def test_bytes_after_the_payload(self, tmp_path):
+        path = tmp_path / "pairs.psdd"
+        save_pairs(generate(small_spec(), RngState(25)), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(TrailingBytesError, match="1 bytes follow"):
+            load_pairs(path)
+
+    def test_load_then_save_gives_the_same_bytes(self, tmp_path):
+        path, again = tmp_path / "pairs.psdd", tmp_path / "again.psdd"
+        save_pairs(generate(small_spec(mismatch_rate=0.2), RngState(26)), path)
+        save_pairs(load_pairs(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_corrupted_flag_byte_past_one(self, tmp_path):
         path = tmp_path / "pairs.psdd"

@@ -21,7 +21,13 @@ from psdlab.gradcheck import central_difference, max_rel_error
 from psdlab.numkit import RngState, normalize_rows_l2
 
 from conftest import lift_sims_to_embeddings, unit_batch
-from oracles import histogram_scalar, retrieval_scalar, softmax_xent, zero_shot_scalar
+from oracles import (
+    histogram_scalar,
+    linspace_edges,
+    retrieval_scalar,
+    softmax_xent,
+    zero_shot_scalar,
+)
 
 
 class TestRetrieval:
@@ -301,6 +307,9 @@ class TestSimilarityStats:
         v, t = unit_batch(rng, 3, 3)
         with pytest.raises(InvalidInputError):
             similarity_stats(v, t, bins=0)
+        with pytest.raises(InvalidInputError, match="bins must lie in"):
+            similarity_stats(v, t, bins=ev.MAX_BINS + 1)
+        assert similarity_stats(v, t, bins=ev.MAX_BINS).negative_counts.sum() == 6
 
     def test_empty_pair_set_rejected(self):
         # Zero pairs used to give a NaN mean rank and empty positives.
@@ -319,6 +328,80 @@ class TestSimilarityStats:
         assert len(lines) == 5
         total = sum(int(line.split(",")[1]) for line in lines[1:])
         assert total == 5
+
+
+def test_oracle_edges_are_the_package_edges():
+    for bins in [*range(1, 300), ev.MAX_BINS]:
+        assert linspace_edges(bins) == np.linspace(-1.0, 1.0, bins + 1).tolist()
+
+
+# One bin, two, odd counts, the default and the most the binner's rounding
+# margin covers.
+PLANTED_BINS = [1, 2, 3, 7, 50, ev.MAX_BINS]
+
+
+def planted_scores(bins):
+    """Every edge of ``bins`` bins, both neighbours of each within [-1, 1],
+    and -1 and 1 again, in a seeded shuffle."""
+    edges = np.linspace(-1.0, 1.0, bins + 1)
+    x = np.concatenate([edges, np.nextafter(edges, -2.0), np.nextafter(edges, 2.0), [-1.0, 1.0]])
+    return np.clip(x, -1.0, 1.0)[RngState(bins).permutation(x.size)]
+
+
+def assert_counts_exact(counts, x, bins):
+    np.testing.assert_array_equal(counts, np.histogram(x, np.linspace(-1.0, 1.0, bins + 1))[0])
+    np.testing.assert_array_equal(counts, histogram_scalar(x.tolist(), bins))
+
+
+class TestEqualWidthCounts:
+    """The binner scales each score onto [0, bins] and takes the floor, and
+    looks up only the scores next to an edge; its counts must equal
+    np.histogram's over the linspace edges exactly, chunk by chunk."""
+
+    # 10 leaves a ragged last chunk for every planted set; the default holds
+    # the small sets whole and leaves the largest ragged.
+    @pytest.mark.parametrize("chunk", [10, ev.BIN_CHUNK])
+    @pytest.mark.parametrize("bins", PLANTED_BINS)
+    def test_planted_edges(self, monkeypatch, bins, chunk):
+        monkeypatch.setattr(ev, "BIN_CHUNK", chunk)
+        x = planted_scores(bins)
+        assert x.size % chunk
+        assert_counts_exact(ev.equal_width_counts(x, bins), x, bins)
+
+    @pytest.mark.parametrize("bins", [7, 50])
+    @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+    def test_planted_edges_through_the_scan(self, monkeypatch, bins, where):
+        # Lifted embeddings make every score exact; one planted score per
+        # column keeps each column's norm within 1.
+        monkeypatch.setattr(ev, "SCAN_ENTRIES", 7 * 40)
+        monkeypatch.setattr(ev, "BIN_CHUNK", 13)
+        x = planted_scores(bins)
+        n = x.size
+        sims = np.zeros((n, n))
+        if where == "diagonal":
+            sims[np.arange(n), np.arange(n)] = x
+        else:
+            sims[np.arange(n), (np.arange(n) + 1) % n] = x
+        v, t = lift_sims_to_embeddings(sims)
+        stats = similarity_stats(v, t, bins)
+        assert_counts_exact(stats.positive_counts, np.diagonal(sims), bins)
+        assert_counts_exact(stats.negative_counts, off_diagonal(v, t), bins)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), bins=st.integers(1, ev.MAX_BINS), chunk=st.integers(1, 64))
+    def test_random_blocks(self, data, bins, chunk):
+        # Scores anywhere in [-1, 1], mixed with scores on an edge or one
+        # ulp to either side of it.
+        edges = np.linspace(-1.0, 1.0, bins + 1)
+        at_edge = st.builds(lambda j, side: min(1.0, max(-1.0, np.nextafter(edges[j], side))),
+                            st.integers(0, bins), st.sampled_from([-2.0, 2.0]))
+        at_edge |= st.integers(0, bins).map(lambda j: float(edges[j]))
+        x = np.array(data.draw(st.lists(st.floats(-1.0, 1.0) | at_edge, min_size=1,
+                                        max_size=300)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ev, "BIN_CHUNK", chunk)
+            counts = ev.equal_width_counts(x, bins)
+        assert_counts_exact(counts, x, bins)
 
 
 def blocked_scan_matches_oracles(v, t):
