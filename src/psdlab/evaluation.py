@@ -381,8 +381,11 @@ def linear_probe(train_features, train_labels, test_features, test_labels,
 
     A failed line search falls back to one Armijo gradient step (counted in
     the result); if even that cannot decrease the loss, optimization stops,
-    which keeps the loss monotone over accepted iterates.
+    which keeps the loss monotone over accepted iterates. An ``l2`` outside
+    [0, inf) raises InvalidInputError.
     """
+    if not 0.0 <= l2 < math.inf:  # written so that NaN fails
+        raise InvalidInputError(f"probe l2 must lie in [0, inf), got {l2}")
     x_tr = as_matrix(train_features, "train features")
     x_te = as_matrix(test_features, "test features")
     y_tr = np.asarray(train_labels, dtype=np.int64)

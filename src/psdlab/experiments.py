@@ -180,7 +180,8 @@ def run_matrix(exp_cfg: ExperimentConfig, seeds, variants=None,
     submission order, so the result equals a serial run bit for bit. The
     first task to raise re-raises its error here, and the pool is shut down
     and joined before this returns either way. Evaluation settings that the
-    held-out sets cannot serve raise InvalidInputError before any training.
+    held-out sets cannot serve, and an empty ``seeds``, raise
+    InvalidInputError before any pool is drawn.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -188,6 +189,8 @@ def run_matrix(exp_cfg: ExperimentConfig, seeds, variants=None,
     check_eval_settings(exp_cfg.eval_per_class * exp_cfg.num_classes,
                         exp_cfg.k_list, exp_cfg.histogram_bins)
     seeds, variants = list(seeds), list(variants or ABLATION_VARIANTS)
+    if not seeds:
+        raise InvalidInputError("the number of seeds must lie in [1, inf), got 0")
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:

@@ -115,7 +115,7 @@ def check_psd_loss(seed: int, instances: int) -> CheckReport:
     worst = 0.0
     for k, rng, v, t, s in _loss_instances(seed, instances):
         alpha = rng.uniform() if k % 4 else float(k % 3) / 2.0  # hit 0, 0.5, 1 too
-        plan = make_partition(len(v), alpha, rng=rng)
+        plan = make_partition(len(v), alpha, rng.permutation(len(v)))
         build = soft_targets_swapped if k % 2 == 0 else soft_targets_bootstrap
         targets = build(v, t, s, plan)
         worst = _worse(worst, _loss_fd_error(
@@ -194,7 +194,7 @@ def check_alpha_one_reduction(seed: int, instances: int) -> CheckReport:
     for _, rng, v, t, s in _loss_instances(seed, instances):
         batch = EmbeddingBatch(v, t)
         temp = TemperatureParam(s)
-        plan = make_partition(len(v), 1.0, rng=rng)
+        plan = make_partition(len(v), 1.0, rng.permutation(len(v)))
         a = psd_loss(batch, temp, plan, soft_targets_swapped(v, t, s, plan))
         b = info_nce(batch, temp)
         gap = float(np.max([abs(a.loss - b.loss), np.abs(a.d_image - b.d_image).max(),

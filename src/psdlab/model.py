@@ -15,6 +15,8 @@ Parameter file format (PSDW, version 1, all little-endian):
     u32 * H      hidden layer widths
     f64 * P      parameters in flattening order
 
+Nothing follows, so a load-save round trip is byte-exact.
+
 Flattening order: for each layer in input-to-output order, the weight matrix
 row-major then the bias vector. ``unflatten`` lays the layers over a flat
 vector as views, so flatten -> unflatten is the identity and writes to the
@@ -34,6 +36,7 @@ from .errors import (
     BadMagicError,
     DimensionOverflowError,
     InvalidInputError,
+    TrailingBytesError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -105,13 +108,6 @@ class ParamSet:
             biases.append(vec[off:off + fan_out])
             off += fan_out
         return cls(spec=spec, weights=weights, biases=biases)
-
-    def zeros_like(self) -> "ParamSet":
-        return ParamSet(
-            spec=self.spec,
-            weights=[np.zeros_like(w) for w in self.weights],
-            biases=[np.zeros_like(b) for b in self.biases],
-        )
 
 
 @dataclass
@@ -185,7 +181,7 @@ def encode_backward(cache: ForwardCache, d_emb, out: ParamSet | None = None
             f"upstream gradient shape {d_emb.shape} does not match "
             f"embeddings {cache.embeddings.shape}")
     if out is None:
-        out = params.zeros_like()
+        out = ParamSet.unflatten(spec, np.zeros(spec.num_params))
     elif out.spec != spec:
         raise InvalidInputError("gradient ParamSet has another encoder spec")
     e = cache.embeddings
@@ -240,5 +236,7 @@ def load_params(path) -> ParamSet:
     if len(raw) - off < expected:
         raise TruncatedFileError(
             f"{path}: payload holds {len(raw) - off} bytes, header promises {expected}")
+    if len(raw) - off > expected:
+        raise TrailingBytesError(f"{path}: {len(raw) - off - expected} bytes follow the payload")
     vec = np.frombuffer(raw, dtype="<f8", count=spec.num_params, offset=off).astype(np.float64)
     return ParamSet.unflatten(spec, vec)

@@ -74,6 +74,16 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def increasing_rows(rows, n: int, name: str) -> np.ndarray:
+    """``rows`` as a 1-D int64 array, or InvalidInputError unless it holds
+    strictly increasing indices in 0..n-1: no row repeats or wraps around."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1 or (rows.size and not (rows[0] >= 0 and rows[-1] < n
+                                             and (rows[1:] > rows[:-1]).all())):
+        raise InvalidInputError(f"{name} must be increasing indices in 0..{n - 1}")
+    return rows
+
+
 def exp_both_axes(x: np.ndarray, out: np.ndarray | None = None
                   ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """exp(x - max x) of a 2-D array into ``out`` (new when None; may be
@@ -130,10 +140,7 @@ class SoftTargets:
         n = e.shape[0] if e.ndim == 2 else -1
         if e.shape != (n, n):
             raise InvalidInputError(f"target block must be square, got {e.shape}")
-        rows = np.asarray(self.rows, dtype=np.int64)
-        if rows.ndim != 1 or (rows.size and not (rows[0] >= 0 and rows[-1] < n
-                                                 and (rows[1:] > rows[:-1]).all())):
-            raise InvalidInputError(f"target rows must be increasing indices in 0..{n - 1}")
+        rows = increasing_rows(self.rows, n, "target rows")
         g, r = np.asarray(self.g, dtype=np.float64), np.asarray(self.r, dtype=np.float64)
         if g.shape != (n,) or r.shape != (n,):
             raise InvalidInputError(f"target scales {g.shape} and {r.shape} do not fit {n} rows")

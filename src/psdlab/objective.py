@@ -11,8 +11,8 @@ Both losses are one cross-entropy with two target kinds
 columns (texts over images) of the logit matrix (scale * V) T^T. The kernel
 takes the two factors and returns the gradients in them. A hard row targets
 its own partner; a soft row targets the teacher's distribution. InfoNCE is
-every row hard with weight 1/N; the PSD loss weights the aligned (hard) rows
-alpha/|A| and the unaligned (soft) rows (1 - alpha)/|U|.
+every row hard with weight 1/N; the PSD loss weights a plan's unaligned (soft)
+rows U (1 - alpha)/|U| and every other (hard) row alpha/(n - |U|).
 
 The teacher reads the rows and columns of its own (teacher_scale * V) T^T in
 the same way, and hands the kernel its targets as one
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBatchError, InvalidInputError
-from .numkit import SoftTargets, as_matrix, contrastive_xent, exp_both_axes
+from .numkit import SoftTargets, as_matrix, contrastive_xent, exp_both_axes, increasing_rows
 
 MAX_LOGIT_SCALE = 100.0
 
@@ -103,34 +103,24 @@ class EmbeddingBatch:
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """Disjoint split of batch rows into aligned (hard-target) and unaligned
-    (soft-target) subsets, plus the mixing coefficient alpha.
+    """The unaligned (soft-target) rows of a batch of n, sorted here and then
+    held to ``numkit.increasing_rows`` as ``SoftTargets`` holds its rows,
+    and the mixing coefficient alpha; every other row is aligned. Hand-built
+    plans may decouple alpha from the split (make_partition leaves
+    n - floor(alpha * n) rows unaligned), which the affine-in-alpha property
+    relies on."""
 
-    Index arrays are kept sorted ascending. make_partition guarantees
-    len(aligned_idx) == floor(alpha * n); hand-built plans may decouple alpha
-    from the split, which the affine-in-alpha property relies on.
-    """
-
-    aligned_idx: np.ndarray
+    n: int
     unaligned_idx: np.ndarray
     alpha: float
 
     def __post_init__(self):
-        a = np.sort(np.asarray(self.aligned_idx, dtype=np.int64))
-        u = np.sort(np.asarray(self.unaligned_idx, dtype=np.int64))
-        n = a.size + u.size
-        merged = np.concatenate([a, u])
-        merged.sort()
-        if n == 0 or not np.array_equal(merged, np.arange(n, dtype=np.int64)):
-            raise InvalidInputError("aligned and unaligned indices must disjointly cover 0..N-1")
+        if self.n < 1:
+            raise InvalidInputError(f"a plan covers at least one row, got n = {self.n}")
+        rows = increasing_rows(np.sort(self.unaligned_idx), self.n, "unaligned rows")
         if not (0.0 <= self.alpha <= 1.0):
             raise InvalidInputError(f"alpha must lie in [0, 1], got {self.alpha}")
-        object.__setattr__(self, "aligned_idx", a)
-        object.__setattr__(self, "unaligned_idx", u)
-
-    @property
-    def n(self) -> int:
-        return self.aligned_idx.size + self.unaligned_idx.size
+        object.__setattr__(self, "unaligned_idx", rows)
 
 
 @dataclass
@@ -243,8 +233,7 @@ def psd_loss(batch: EmbeddingBatch, temp: TemperatureParam, plan: PartitionPlan,
         raise InvalidInputError(
             f"targets for {targets.rows.size} rows do not match the plan's "
             f"{plan.unaligned_idx.size} unaligned rows")
-    a_idx, u_idx = plan.aligned_idx, plan.unaligned_idx
-    weights = np.empty(batch.n)
-    weights[a_idx] = plan.alpha / max(a_idx.size, 1)
-    weights[u_idx] = (1.0 - plan.alpha) / max(u_idx.size, 1)
+    k = plan.unaligned_idx.size
+    weights = np.full(batch.n, plan.alpha / max(batch.n - k, 1))
+    weights[plan.unaligned_idx] = (1.0 - plan.alpha) / max(k, 1)
     return _bidirectional_xent(batch, temp, weights, targets)

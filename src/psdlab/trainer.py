@@ -13,6 +13,8 @@ Trainer state file format (PSDT, version 2, little-endian):
     u64         global step,  u64  completed epochs
     f64         temperature log-scale
 
+Nothing follows, so a load-save round trip is byte-exact.
+
 Optimizer moments are not stored: there is no resume path, and evaluation
 reads only the encoders and the temperature.
 """
@@ -34,6 +36,7 @@ from .errors import (
     DivergenceError,
     InvalidInputError,
     NonFiniteGradientError,
+    TrailingBytesError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -69,9 +72,9 @@ class AlphaSchedule:
     """Aligned-fraction schedule over training steps."""
 
     total_steps: int
-    start: float = 0.8
-    end: float = 0.2
-    kind: str = "cosine"
+    start: float
+    end: float
+    kind: str
 
     def __post_init__(self):
         if self.total_steps < 1:
@@ -93,32 +96,22 @@ def alpha_at(schedule: AlphaSchedule, t: int) -> float:
     return schedule.start + (schedule.end - schedule.start) * frac
 
 
-def make_partition(n: int, alpha: float, rng: RngState | None = None,
-                   priority: np.ndarray | None = None) -> PartitionPlan:
+def make_partition(n: int, alpha: float, priority: np.ndarray) -> PartitionPlan:
     """Split n batch rows into floor(alpha*n) aligned rows and the rest.
 
-    ``priority`` ranks the rows: the lowest-priority floor(alpha*n) rows are
-    aligned. When omitted, a fresh ranking is drawn from ``rng``. The trainer
-    passes per-instance priorities refreshed each epoch (dynamic) or fixed at
-    training start (static).
+    ``priority`` ranks the rows, ties going to the lower row: the
+    floor(alpha*n) lowest are aligned and the rest unaligned, which the plan
+    sorts. The trainer passes per-instance priorities refreshed each epoch
+    (dynamic) or fixed at training start (static); a random split is the
+    ranking ``rng.permutation(n)``.
     """
-    if n < 1:
-        raise InvalidInputError("partition requires n >= 1")
     if not (0.0 <= alpha <= 1.0):
         raise InvalidInputError(f"alpha must lie in [0, 1], got {alpha}")
-    if priority is None:
-        if rng is None:
-            raise InvalidInputError("either rng or priority must be provided")
-        priority = rng.permutation(n)
-    else:
-        priority = np.asarray(priority)
-        if priority.shape != (n,):
-            raise InvalidInputError(f"priority must have shape ({n},)")
-    n_aligned = math.floor(alpha * n)
+    priority = np.asarray(priority)
+    if priority.shape != (n,):
+        raise InvalidInputError(f"priority must have shape ({n},)")
     order = np.argsort(priority, kind="stable")
-    return PartitionPlan(aligned_idx=np.sort(order[:n_aligned]),
-                         unaligned_idx=np.sort(order[n_aligned:]),
-                         alpha=alpha)
+    return PartitionPlan(n=n, unaligned_idx=order[math.floor(alpha * n):], alpha=alpha)
 
 
 @dataclass
@@ -128,13 +121,13 @@ class OptState:
 
     size: int
     total_steps: int
-    lr_max: float = 1e-3
-    warmup_steps: int = 0
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    decay_mask: np.ndarray | None = None
+    lr_max: float
+    warmup_steps: int
+    weight_decay: float
+    beta1: float
+    beta2: float
+    eps: float
+    decay_mask: np.ndarray
     step: int = 0
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
@@ -144,8 +137,6 @@ class OptState:
         self.m = np.zeros(self.size)
         self.v = np.zeros(self.size)
         self.work = (np.empty(self.size), np.empty(self.size))
-        if self.decay_mask is None:
-            self.decay_mask = np.ones(self.size)
         self.decay_mask = np.asarray(self.decay_mask, dtype=np.float64)
         if self.decay_mask.shape != (self.size,):
             raise InvalidInputError("decay mask must match the parameter count")
@@ -162,8 +153,8 @@ class OptState:
 def adamw_step(params: np.ndarray, grads: np.ndarray, opt: OptState) -> np.ndarray:
     """One bias-corrected Adam step with decoupled weight decay, in place.
 
-    Decay multiplies parameters by (1 - lr*wd*mask), the mask being all ones
-    unless one is given, before the Adam delta lr*m_hat/(sqrt(v_hat) + eps).
+    Decay multiplies parameters by (1 - lr*wd*mask) before the Adam delta
+    lr*m_hat/(sqrt(v_hat) + eps).
     Updates ``params``, ``opt.m`` and ``opt.v`` in place through ``opt.work``,
     rounding the same operations in the same order as the formulas read, and
     returns ``params``.
@@ -238,7 +229,8 @@ class TrainConfig:
                 ("beta1", 0.0 <= self.beta1 < 1.0, "[0, 1)"),
                 ("beta2", 0.0 <= self.beta2 < 1.0, "[0, 1)"),
                 ("adam_eps", 0.0 < self.adam_eps < math.inf, "(0, inf)"),
-                ("warmup_frac", 0.0 <= self.warmup_frac <= 1.0, "[0, 1]")):
+                ("warmup_frac", 0.0 <= self.warmup_frac <= 1.0, "[0, 1]"),
+                ("eval_every", 0 <= self.eval_every, "[0, inf)")):
             if not ok:
                 raise InvalidInputError(f"{name.replace('_', ' ')} must lie in {bounds}, "
                                         f"got {getattr(self, name)}")
@@ -433,8 +425,11 @@ def load_checkpoint(out_dir) -> tuple[ParamSet, ParamSet, TemperatureParam, dict
     raw = (out / "trainer_state.psdt").read_bytes()
     if len(raw) < 4 or raw[:4] != _STATE_MAGIC:
         raise BadMagicError(f"{out}: expected trainer state magic {_STATE_MAGIC!r}")
-    if len(raw) < struct.calcsize(_STATE_HEADER):
+    size = struct.calcsize(_STATE_HEADER)
+    if len(raw) < size:
         raise TruncatedFileError(f"{out}: trainer state header incomplete")
+    if len(raw) > size:
+        raise TrailingBytesError(f"{out}: {len(raw) - size} bytes follow the trainer state")
     _, version, seed, steps, epochs, log_scale = struct.unpack_from(_STATE_HEADER, raw)
     if version != _STATE_VERSION:
         raise VersionMismatchError(f"{out}: trainer state version {version}")

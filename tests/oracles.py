@@ -173,15 +173,12 @@ def histogram_scalar(values, bins):
     return counts
 
 
-def adam_scalar_trajectory(p0, grads_per_step, lr, beta1, beta2, eps, wd, decay_mask=None):
-    """Decoupled-decay Adam reference on plain Python lists. ``lr`` is one
-    rate for every step or a list with one per step; ``decay_mask`` scales
-    each entry's decay (1 everywhere when omitted)."""
+def adam_scalar_trajectory(p0, grads_per_step, lrs, beta1, beta2, eps, wd, mask):
+    """Decoupled-decay Adam reference on plain Python lists, with one rate
+    of ``lrs`` per step; ``mask`` scales each entry's decay."""
     p = list(p0)
     m = [0.0] * len(p)
     v = [0.0] * len(p)
-    lrs = list(lr) if isinstance(lr, (list, tuple)) else [lr] * len(grads_per_step)
-    mask = [1.0] * len(p) if decay_mask is None else list(decay_mask)
     out = []
     for step, (g, rate) in enumerate(zip(grads_per_step, lrs), start=1):
         p = [x * (1.0 - rate * wd * k) for x, k in zip(p, mask)]

@@ -146,6 +146,7 @@ def test_diverged_run_exits_divergence_code(settings, tmp_path, caplog):
     ("adam_eps=0", "adam eps must lie in (0, inf)"),
     ("warmup_frac=2", "warmup frac must lie in [0, 1]"),
     ("warmup_frac=nan", "warmup frac must lie in [0, 1]"),
+    ("eval_every=-1", "eval every must lie in [0, inf)"),
 ])
 def test_optimizer_setting_outside_its_range_exits_invalid_input_code(setting, message,
                                                                      tmp_path, caplog):
@@ -242,9 +243,10 @@ def test_missing_file_exits_one(tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["histogram_bins=0", "histogram_bins=65537",
-                                     "k_list=1,5,401"])
+                                     "k_list=1,5,401", "ablate_seeds=0", "ablate_seeds=-1"])
 def test_ablate_rejects_eval_settings_before_training(setting, tmp_path, monkeypatch, caplog):
-    # The preset's held-out set is 40 images x 10 classes; no pool is drawn.
+    # The preset's held-out set is 40 images x 10 classes, and an ablation
+    # needs at least one seed to tabulate; no pool is drawn.
     def no_pool(*args):
         raise AssertionError("ablate drew a pool before checking its evaluation settings")
 
@@ -263,7 +265,8 @@ def test_train_rejects_recall_cutoff_past_the_holdout_before_a_step(pairs_file, 
     assert not (tmp_path / "out" / "metrics.jsonl").exists()
 
 
-@pytest.mark.parametrize("setting", ["histogram_bins=10000000", "k_list=1,21"])
+@pytest.mark.parametrize("setting", ["histogram_bins=10000000", "k_list=1,21",
+                                     "probe_l2=-1", "probe_l2=nan", "probe_l2=inf"])
 def test_eval_rejects_settings_before_writing(setting, pairs_file, tmp_path):
     ckpt = tmp_path / "ckpt"
     assert train_on(pairs_file, ckpt) == 0

@@ -5,6 +5,7 @@ from psdlab.errors import (
     BadMagicError,
     DegenerateInputError,
     InvalidInputError,
+    TrailingBytesError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -226,6 +227,15 @@ class TestParamSerialization:
         raw[4:8] = (999).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(VersionMismatchError):
+            load_params(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        # A file longer than its header promises would load, and saving it
+        # back would drop the extra bytes.
+        path = tmp_path / "enc.psdw"
+        save_params(self._params(), path)
+        path.write_bytes(path.read_bytes() + b"\0" * 4)
+        with pytest.raises(TrailingBytesError, match="4 bytes follow the payload"):
             load_params(path)
 
     def test_truncation(self, tmp_path):

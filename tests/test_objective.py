@@ -33,6 +33,11 @@ from oracles import (
 )
 
 
+def aligned_rows(plan: PartitionPlan) -> np.ndarray:
+    """The rows of the plan's batch that are not unaligned, ascending."""
+    return np.setdiff1d(np.arange(plan.n), plan.unaligned_idx)
+
+
 def widest_batch(rng, n: int = 6, d: int = 4):
     """Unit rows with pair 0 antipodal and pair 1 equal: at scale 100, the
     cap on both the student's and a fixed teacher's, their logits are -100
@@ -140,14 +145,14 @@ class TestSoftTargets:
     def test_uniform_when_similarities_equal(self, rng):
         v = np.tile(np.eye(1, 4), (5, 1))
         t = v.copy()
-        plan = make_partition(5, 0.4, rng=rng)
+        plan = make_partition(5, 0.4, rng.permutation(5))
         for build in (soft_targets_swapped, soft_targets_bootstrap):
             for rows in target_rows(build(v, t, 7.0, plan)):
                 np.testing.assert_allclose(rows, 0.2, atol=1e-12)
 
     def test_uniform_in_small_scale_limit(self, rng):
         v, t = unit_batch(rng, 6, 5)
-        plan = make_partition(6, 0.5, rng=rng)
+        plan = make_partition(6, 0.5, rng.permutation(6))
         for build in (soft_targets_swapped, soft_targets_bootstrap):
             for rows in target_rows(build(v, t, 1e-9, plan)):
                 np.testing.assert_allclose(rows, 1.0 / 6.0, atol=1e-6)
@@ -156,7 +161,7 @@ class TestSoftTargets:
         scale = 2.0
         v = np.eye(3)
         t = np.eye(3)
-        plan = PartitionPlan(aligned_idx=[0, 1], unaligned_idx=[2], alpha=2 / 3)
+        plan = PartitionPlan(n=3, unaligned_idx=[2], alpha=2 / 3)
         image, text = target_rows(soft_targets_swapped(v, t, scale, plan))
         expected_v, expected_t = swapped_targets_scalar(v.tolist(), t.tolist(), scale, [2])
         np.testing.assert_allclose(image, expected_v, atol=1e-12)
@@ -165,7 +170,7 @@ class TestSoftTargets:
 
     def test_swapped_scalar_oracle_random(self, rng):
         v, t = unit_batch(rng, 5, 4)
-        plan = make_partition(5, 0.4, rng=rng)
+        plan = make_partition(5, 0.4, rng.permutation(5))
         image, text = target_rows(soft_targets_swapped(v, t, 3.0, plan))
         expected_v, expected_t = swapped_targets_scalar(
             v.tolist(), t.tolist(), 3.0, plan.unaligned_idx.tolist())
@@ -175,13 +180,13 @@ class TestSoftTargets:
     def test_bootstrap_softmax_example(self):
         v = np.array([[2.0, 0.0], [0.0, 2.0]])
         t = np.eye(2)
-        plan = PartitionPlan(aligned_idx=[0], unaligned_idx=[1], alpha=0.5)
+        plan = PartitionPlan(n=2, unaligned_idx=[1], alpha=0.5)
         image, _ = target_rows(soft_targets_bootstrap(v, t, 1.0, plan))
         np.testing.assert_allclose(image[0], [0.119203, 0.880797], atol=1e-6)
 
     def test_bootstrap_scalar_oracle_random(self, rng):
         v, t = unit_batch(rng, 6, 3)
-        plan = make_partition(6, 0.5, rng=rng)
+        plan = make_partition(6, 0.5, rng.permutation(6))
         image, text = target_rows(soft_targets_bootstrap(v, t, 2.5, plan))
         expected_v, expected_t = bootstrap_targets_scalar(
             v.tolist(), t.tolist(), 2.5, plan.unaligned_idx.tolist())
@@ -194,7 +199,7 @@ class TestSoftTargets:
         # Teacher scale 100 on unit rows with an antipodal and an equal pair:
         # logits span 200, and posteriors come down to about e**-200.
         v, t = widest_batch(rng)
-        plan = PartitionPlan(aligned_idx=[3], unaligned_idx=[0, 1, 2, 4, 5], alpha=1 / 6)
+        plan = PartitionPlan(n=6, unaligned_idx=[5, 4, 2, 1, 0], alpha=1 / 6)
         expected = oracle(v.tolist(), t.tolist(), 100.0, plan.unaligned_idx.tolist())
         for got, want in zip(target_rows(build(v, t, 100.0, plan)), expected):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -205,7 +210,7 @@ class TestSoftTargets:
         # embeddings (identity similarities) are the canonical such instance.
         v = np.eye(4)
         t = np.eye(4)
-        plan = PartitionPlan(aligned_idx=[0, 2], unaligned_idx=[1, 3], alpha=0.5)
+        plan = PartitionPlan(n=4, unaligned_idx=[1, 3], alpha=0.5)
         swapped = target_rows(soft_targets_swapped(v, t, 3.0, plan))
         boot = target_rows(soft_targets_bootstrap(v, t, 3.0, plan))
         for a, b in zip(swapped, boot):
@@ -213,7 +218,7 @@ class TestSoftTargets:
 
     def test_rows_sum_to_one(self, rng):
         v, t = unit_batch(rng, 8, 6)
-        plan = make_partition(8, 0.25, rng=rng)
+        plan = make_partition(8, 0.25, rng.permutation(8))
         for build in (soft_targets_swapped, soft_targets_bootstrap):
             for rows in target_rows(build(v, t, 11.0, plan)):
                 np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
@@ -240,8 +245,7 @@ class TestSoftTargets:
         t = normalize_rows_l2(rng.normals(n, d)) * np.array(norms[n:2 * n])[:, None]
         n_aligned = math.floor(aligned * n)
         order = rng.permutation(n)
-        plan = PartitionPlan(aligned_idx=order[:n_aligned], unaligned_idx=order[n_aligned:],
-                             alpha=n_aligned / n)
+        plan = PartitionPlan(n=n, unaligned_idx=order[n_aligned:], alpha=n_aligned / n)
         u = plan.unaligned_idx.tolist()
         rejected = spans_past_600(scale, v, t)
         event("rejected" if rejected else "accepted")
@@ -265,7 +269,7 @@ class TestSoftTargets:
         # logits span past 600 and the teacher rejects them.
         v = np.array([[3.0], [-3.0]])
         t = np.array([[3.0], [3.0]])
-        plan = PartitionPlan(aligned_idx=[0], unaligned_idx=[1], alpha=0.5)
+        plan = PartitionPlan(n=2, unaligned_idx=[1], alpha=0.5)
         with pytest.raises(InvalidInputError, match="span"):
             soft_targets_swapped(v, t, 100.0, plan)
 
@@ -278,14 +282,14 @@ class TestSoftTargets:
         # span check of its exponential.
         v, t = unit_batch(rng, 5, 3)
         (v if side == "image" else t)[row, 1] = value
-        plan = make_partition(5, 0.4, rng=rng)
+        plan = make_partition(5, 0.4, rng.permutation(5))
         for build in (soft_targets_swapped, soft_targets_bootstrap):
             with pytest.raises(InvalidInputError, match="span"):
                 build(v, t, 5.0, plan)
 
     def test_teacher_input_shapes_checked(self, rng):
         v, t = unit_batch(rng, 4, 3)
-        plan = make_partition(4, 0.5, rng=rng)
+        plan = make_partition(4, 0.5, rng.permutation(4))
         for bad_v, bad_t in ((v[0], t[0]), (v[None], t[None]), (v, t[:, :2]), (v[:3], t[:3])):
             with pytest.raises(InvalidInputError, match="teacher matrices"):
                 soft_targets_swapped(bad_v, bad_t, 5.0, plan)
@@ -310,7 +314,7 @@ class TestSoftTargets:
         # g and r are given; p and s are derived, so a bad one comes from a
         # block row (for p) or column (for s) rescaled to sum to 1 / bad.
         v, t = unit_batch(rng, 5, 3)
-        st = soft_targets_swapped(v, t, 5.0, make_partition(5, 0.4, rng=rng))
+        st = soft_targets_swapped(v, t, 5.0, make_partition(5, 0.4, rng.permutation(5)))
         u = st.rows[-1]
         with np.errstate(divide="ignore", invalid="ignore"):
             inverse = np.float64(1.0) / bad
@@ -367,7 +371,7 @@ class TestSoftTargets:
         # or column (text) is zeroed at a target row, not at the first one;
         # a zeroed aligned row is no target row and passes.
         v, t = unit_batch(rng, 6, 3)
-        plan = PartitionPlan(aligned_idx=[0, 4], unaligned_idx=[1, 2, 3, 5], alpha=1 / 3)
+        plan = PartitionPlan(n=6, unaligned_idx=[1, 2, 3, 5], alpha=1 / 3)
         st = soft_targets_bootstrap(v, t, 5.0, plan)
         for row, accepted in ((2, False), (4, True)):
             image, text = st.exp.copy(), st.exp.copy()
@@ -400,16 +404,16 @@ class TestSoftTargets:
         # Even an entry outside the unaligned rows, which no derived row
         # reads but the loss's gradient block would.
         v, t = unit_batch(rng, 5, 3)
-        plan = make_partition(5, 0.4, rng=rng)
+        plan = make_partition(5, 0.4, rng.permutation(5))
         st = soft_targets_bootstrap(v, t, 5.0, plan)
         block = st.exp.copy()
-        block[plan.aligned_idx[0], 0] = value
+        block[aligned_rows(plan)[0], 0] = value
         with pytest.raises(InvalidInputError):
             dataclasses.replace(st, exp=block)
 
     def test_empty_unaligned_set(self, rng):
         v, t = unit_batch(rng, 4, 3)
-        plan = make_partition(4, 1.0, rng=rng)
+        plan = make_partition(4, 1.0, rng.permutation(4))
         for rows in target_rows(soft_targets_swapped(v, t, 5.0, plan)):
             assert rows.shape == (0, 4)
 
@@ -418,7 +422,7 @@ class TestPsdLoss:
     def _random_setup(self, rng, n=6, d=4, alpha=0.5, build=soft_targets_swapped):
         v, t = unit_batch(rng, n, d)
         temp = TemperatureParam(1.2)
-        plan = make_partition(n, alpha, rng=rng)
+        plan = make_partition(n, alpha, rng.permutation(n))
         targets = build(v, t, temp.scale, plan)
         return EmbeddingBatch(v, t), temp, plan, targets
 
@@ -434,7 +438,7 @@ class TestPsdLoss:
     def test_alpha_zero_with_one_hot_targets_equals_info_nce(self, rng):
         v, t = unit_batch(rng, 5, 4)
         temp = TemperatureParam(0.8)
-        plan = PartitionPlan(aligned_idx=[], unaligned_idx=np.arange(5), alpha=0.0)
+        plan = PartitionPlan(n=5, unaligned_idx=np.arange(5), alpha=0.0)
         targets = SoftTargets(np.arange(5), np.eye(5), np.ones(5), np.ones(5))
         a = psd_loss(EmbeddingBatch(v, t), temp, plan, targets)
         b = info_nce(EmbeddingBatch(v, t), temp)
@@ -446,7 +450,7 @@ class TestPsdLoss:
         lg = psd_loss(batch, temp, plan, targets)
         expected = psd_scalar(
             batch.image.tolist(), batch.text.tolist(), temp.scale,
-            plan.aligned_idx.tolist(), plan.unaligned_idx.tolist(), plan.alpha,
+            aligned_rows(plan).tolist(), plan.unaligned_idx.tolist(), plan.alpha,
             *(rows.tolist() for rows in target_rows(targets)))
         assert lg.loss == pytest.approx(expected, abs=1e-10)
 
@@ -455,12 +459,12 @@ class TestPsdLoss:
         # reaches, 200; rows of norm 3 span past 600 and are rejected.
         v, t = widest_batch(rng)
         temp = TemperatureParam(math.log(100.0))
-        plan = make_partition(6, 0.5, rng=rng)
+        plan = make_partition(6, 0.5, rng.permutation(6))
         for build in (soft_targets_swapped, soft_targets_bootstrap):
             targets = build(v, t, temp.scale, plan)
             lg = psd_loss(EmbeddingBatch(v, t), temp, plan, targets)
             expected = psd_scalar(
-                v.tolist(), t.tolist(), temp.scale, plan.aligned_idx.tolist(),
+                v.tolist(), t.tolist(), temp.scale, aligned_rows(plan).tolist(),
                 plan.unaligned_idx.tolist(), plan.alpha,
                 *(rows.tolist() for rows in target_rows(targets)))
             assert lg.loss == pytest.approx(expected, rel=1e-12)
@@ -486,13 +490,12 @@ class TestPsdLoss:
     def test_affine_in_alpha(self, rng):
         v, t = unit_batch(rng, 8, 5)
         temp = TemperatureParam(1.0)
-        base = make_partition(8, 0.5, rng=rng)
+        base = make_partition(8, 0.5, rng.permutation(8))
         targets = soft_targets_swapped(v, t, temp.scale, base)
         batch = EmbeddingBatch(v, t)
 
         def at(alpha):
-            plan = PartitionPlan(aligned_idx=base.aligned_idx,
-                                 unaligned_idx=base.unaligned_idx, alpha=alpha)
+            plan = PartitionPlan(n=8, unaligned_idx=base.unaligned_idx, alpha=alpha)
             return psd_loss(batch, temp, plan, targets).loss
 
         hard, soft = at(1.0), at(0.0)
@@ -502,7 +505,7 @@ class TestPsdLoss:
     def test_self_distillation_has_no_collapse_fixed_point(self, rng):
         v, t = unit_batch(rng, 6, 4)
         temp = TemperatureParam.from_temperature(0.07)
-        plan = make_partition(6, 0.5, rng=rng)
+        plan = make_partition(6, 0.5, rng.permutation(6))
         targets = soft_targets_swapped(v, t, temp.scale, plan)
         lg = psd_loss(EmbeddingBatch(v, t), temp, plan, targets)
         assert math.isfinite(lg.loss)
@@ -541,7 +544,7 @@ class TestPsdLoss:
         v, t = unit_batch(rng, n, d)
         k = {"none": 0, "one": 1, "all": n}[n_soft]
         order = rng.permutation(n)
-        plan = PartitionPlan(aligned_idx=order[k:], unaligned_idx=order[:k], alpha=(n - k) / n)
+        plan = PartitionPlan(n=n, unaligned_idx=order[:k], alpha=(n - k) / n)
         build = soft_targets_swapped if swapped else soft_targets_bootstrap
         if spans_past_600(teacher_scale, v, t):
             event("rejected")
@@ -553,7 +556,7 @@ class TestPsdLoss:
         a = psd_loss(batch, temp, plan, factored)
         weights = np.empty(n)
         w_max = max(plan.alpha / max(n - k, 1), (1.0 - plan.alpha) / max(k, 1))
-        weights[plan.aligned_idx] = plan.alpha / max(n - k, 1)
+        weights[aligned_rows(plan)] = plan.alpha / max(n - k, 1)
         weights[plan.unaligned_idx] = (1.0 - plan.alpha) / max(k, 1)
         scaled_v = temp.scale * v
         loss, d_scaled_v, d_text = dense_xent(scaled_v, t, weights, plan.unaligned_idx,
@@ -574,7 +577,7 @@ class TestPsdLoss:
         # targets object: the calls must agree bit for bit and leave every
         # array the targets hold as it was.
         v, t = unit_batch(rng, 9, 4)
-        plan = make_partition(9, 0.4, rng=rng)
+        plan = make_partition(9, 0.4, rng.permutation(9))
         targets = build(v, t, teacher_scale, plan)
         held = [targets.rows, targets.exp, targets.p, targets.g, targets.r, targets.s]
         before = [x.copy() for x in held]
@@ -588,7 +591,7 @@ class TestPsdLoss:
 
     def test_plan_target_mismatch_rejected(self, rng):
         batch, temp, plan, targets = self._random_setup(rng, n=6, alpha=0.5)
-        other_plan = make_partition(6, 0.9, rng=rng)
+        other_plan = make_partition(6, 0.9, rng.permutation(6))
         with pytest.raises(InvalidInputError):
             psd_loss(batch, temp, other_plan, targets)
 
@@ -601,12 +604,23 @@ class TestPsdLoss:
             psd_loss(batch, temp, plan, targets)
 
     def test_plan_validation(self):
-        with pytest.raises(InvalidInputError):
-            PartitionPlan(aligned_idx=[0, 1], unaligned_idx=[1, 2], alpha=0.5)
-        with pytest.raises(InvalidInputError):
-            PartitionPlan(aligned_idx=[0], unaligned_idx=[2], alpha=0.5)
-        with pytest.raises(InvalidInputError):
-            PartitionPlan(aligned_idx=[0], unaligned_idx=[1], alpha=1.5)
+        # The plan sorts its rows and then holds them to the rule SoftTargets
+        # holds its rows to: a repeated row, one past the end or below 0 (it
+        # would wrap to the last), or a 2-D index array is rejected.
+        for n, rows, alpha, message in (
+                (3, [1, 1], 0.5, "unaligned rows must be increasing indices in 0..2"),
+                (2, [2], 0.5, "unaligned rows must be increasing indices in 0..1"),
+                (2, [-1], 0.5, "unaligned rows must be increasing indices"),
+                (3, [[0, 1]], 0.5, "unaligned rows must be increasing indices"),
+                (2, [1], 1.5, "alpha must lie in"),
+                (2, [1], math.nan, "alpha must lie in"),
+                (0, [], 0.5, "at least one row")):
+            with pytest.raises(InvalidInputError, match=message):
+                PartitionPlan(n=n, unaligned_idx=rows, alpha=alpha)
+        plan = PartitionPlan(n=6, unaligned_idx=[5, 0, 3], alpha=0.5)
+        assert plan.unaligned_idx.dtype == np.int64
+        assert plan.unaligned_idx.tolist() == [0, 3, 5]
+        assert PartitionPlan(n=4, unaligned_idx=[], alpha=1.0).unaligned_idx.size == 0
 
 
 def d_log_scale_bits(seeds=range(5), n: int = 256, d: int = 64) -> list[str]:
@@ -618,7 +632,7 @@ def d_log_scale_bits(seeds=range(5), n: int = 256, d: int = 64) -> list[str]:
         rng = RngState(seed)
         v, t = unit_batch(rng, n, d)
         batch, temp = EmbeddingBatch(v, t), TemperatureParam.from_temperature(0.07)
-        plan = make_partition(n, 0.37, rng=rng)
+        plan = make_partition(n, 0.37, rng.permutation(n))
         targets = soft_targets_swapped(v, t, 15.0, plan)
         for lg in (info_nce(batch, temp), psd_loss(batch, temp, plan, targets)):
             bits.append(float.hex(lg.d_log_scale))
