@@ -23,7 +23,7 @@ from . import gradcheck as gradcheck_mod
 from .config import ExperimentConfig, echo_config, parse_config_text, set_key
 from .data import generate, load_pairs, save_pairs
 from .errors import ConfigError, PsdError
-from .evaluation import histogram_csv, linear_probe, score_eval, zero_shot_top1
+from .evaluation import check_eval_settings, histogram_csv, linear_probe, score_eval, zero_shot_top1
 from .experiments import (
     ablation_table,
     class_prototypes,
@@ -127,6 +127,8 @@ def cmd_eval(args) -> int:
     cfg, out = _resolve_config(args)
     image_params, text_params, temp, _state = load_checkpoint(args.checkpoint)
     ds = load_pairs(args.dataset)
+    check_eval_settings(ds.num_samples, cfg.k_list, cfg.histogram_bins,
+                        cfg.probe_l2 if cfg.probe else None)
     img, txt = encode_pairs(image_params, text_params, ds)
     i2t, t2i, stats = score_eval(img, txt, cfg.k_list, cfg.histogram_bins)
     protos = class_prototypes(text_params, ds)

@@ -20,30 +20,21 @@ Dataset file format (PSDD, version 1, all little-endian):
     u8           corrupted flags, n, each 0 or 1
 
 A file holds exactly these bytes, so loading and saving it again gives the
-same bytes.
+same bytes. ``errors.Framing`` checks the framing: magic, version, lengths;
+the loader checks the content: counts within 2^24, K and the flag bytes.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    DimensionOverflowError,
-    InvalidInputError,
-    TrailingBytesError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from .errors import DimensionOverflowError, Framing, InvalidInputError
 from .numkit import RngState, as_matrix
 
-_MAGIC = b"PSDD"
-_VERSION = 1
+_FRAMING = Framing("dataset", b"PSDD", 1, "IIIII")
 _MAX_COUNT = 1 << 24
 
 # Latent geometry constants: class means are standard Gaussian, instances
@@ -190,40 +181,20 @@ def take_subset(ds: PairedDataset, image_idx: np.ndarray) -> PairedDataset:
 
 
 def save_pairs(ds: PairedDataset, path) -> None:
-    n = ds.num_samples
-    m = ds.captions_per_image
-    header = struct.pack("<4sIIIIII", _MAGIC, _VERSION, n, m,
-                         ds.image_features.shape[1], ds.text_features.shape[1],
-                         ds.num_classes)
-    blob = bytearray(header)
-    blob += ds.image_features.astype("<f8").tobytes()
-    blob += ds.text_features.astype("<f8").tobytes()
-    blob += ds.pairing.astype("<u4").tobytes()
-    blob += ds.class_labels.astype("<u4").tobytes()
-    blob += ds.corrupted.astype("<u1").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    header = (ds.num_samples, ds.captions_per_image, ds.image_features.shape[1],
+              ds.text_features.shape[1], ds.num_classes)
+    columns = ((ds.image_features, "<f8"), (ds.text_features, "<f8"), (ds.pairing, "<u4"),
+               (ds.class_labels, "<u4"), (ds.corrupted, "<u1"))
+    _FRAMING.write(path, header, [np.ascontiguousarray(a, dtype) for a, dtype in columns])
 
 
 def load_pairs(path) -> PairedDataset:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != _MAGIC:
-        raise BadMagicError(f"{path}: expected magic {_MAGIC!r}")
-    if len(raw) < 28:
-        raise TruncatedFileError(f"{path}: header incomplete")
-    _, version, n, m, image_dim, text_dim, num_classes = struct.unpack_from("<4sIIIIII", raw)
-    if version != _VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, expected {_VERSION}")
+    raw, (n, m, image_dim, text_dim, num_classes) = _FRAMING.read(path)
     if max(n, m, image_dim, text_dim, num_classes) > _MAX_COUNT:
         raise DimensionOverflowError(f"{path}: header count exceeds {_MAX_COUNT}")
     sizes = (n * image_dim * 8, n * m * text_dim * 8, n * m * 4, n * 4, n)
-    expected = 28 + sum(sizes)
-    if len(raw) < expected:
-        raise TruncatedFileError(
-            f"{path}: payload holds {len(raw) - 28} bytes, header promises {expected - 28}")
-    if len(raw) > expected:
-        raise TrailingBytesError(
-            f"{path}: {len(raw) - expected} bytes follow the payload the header promises")
-    off = 28
+    off = _FRAMING.header.size
+    _FRAMING.check_end(raw, path, off + sum(sizes))
     image_features = np.frombuffer(raw, "<f8", n * image_dim, off).reshape(n, image_dim)
     off += sizes[0]
     text_features = np.frombuffer(raw, "<f8", n * m * text_dim, off).reshape(n * m, text_dim)

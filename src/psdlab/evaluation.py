@@ -108,14 +108,17 @@ def _retrieval_report(direction: str, ranks: np.ndarray, k_list) -> RetrievalRep
     return RetrievalReport(direction=direction, recall_at=recall, mean_rank=float(ranks.mean()))
 
 
-def check_eval_settings(n: int, k_list, bins) -> None:
+def check_eval_settings(n: int, k_list, bins, l2: float | None = None) -> None:
     """Raise InvalidInputError unless every K of ``k_list`` lies in [1, n]
-    for an evaluated set of n pairs and ``bins`` in [1, MAX_BINS]; None
-    skips either. Callers that train first check before the first step."""
+    for an evaluated set of n pairs, ``bins`` in [1, MAX_BINS] and the
+    probe's ``l2`` in [0, inf); None skips any of them. Callers that train
+    or scan first check before they start."""
     if bins is not None and not 1 <= bins <= MAX_BINS:
         raise InvalidInputError(f"bins must lie in [1, {MAX_BINS}], got {bins}")
     if k_list is not None and not all(1 <= int(k) <= n for k in k_list):
         raise InvalidInputError(f"every K must lie in [1, {n}], got {list(k_list)}")
+    if l2 is not None and not 0.0 <= l2 < math.inf:  # written so that NaN fails
+        raise InvalidInputError(f"probe l2 must lie in [0, inf), got {l2}")
 
 
 def equal_width_counts(values: np.ndarray, bins: int) -> np.ndarray:
@@ -384,8 +387,7 @@ def linear_probe(train_features, train_labels, test_features, test_labels,
     which keeps the loss monotone over accepted iterates. An ``l2`` outside
     [0, inf) raises InvalidInputError.
     """
-    if not 0.0 <= l2 < math.inf:  # written so that NaN fails
-        raise InvalidInputError(f"probe l2 must lie in [0, inf), got {l2}")
+    check_eval_settings(0, None, None, l2)
     x_tr = as_matrix(train_features, "train features")
     x_te = as_matrix(test_features, "test features")
     y_tr = np.asarray(train_labels, dtype=np.int64)

@@ -15,7 +15,9 @@ Parameter file format (PSDW, version 1, all little-endian):
     u32 * H      hidden layer widths
     f64 * P      parameters in flattening order
 
-Nothing follows, so a load-save round trip is byte-exact.
+Nothing follows, so a load-save round trip is byte-exact. ``errors.Framing``
+checks the framing: magic, version, lengths; the loader checks the content:
+the dimensions, the activation code and the hidden widths.
 
 Flattening order: for each layer in input-to-output order, the weight matrix
 row-major then the bias vector. ``unflatten`` lays the layers over a flat
@@ -26,24 +28,14 @@ gradients as one flat vector each this way.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    DimensionOverflowError,
-    InvalidInputError,
-    TrailingBytesError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from .errors import DimensionOverflowError, Framing, InvalidInputError
 from .numkit import RngState, as_matrix, unit_rows
 
-_MAGIC = b"PSDW"
-_VERSION = 1
+_FRAMING = Framing("parameter file", b"PSDW", 1, "IIII")
 _ACTIVATIONS = ("tanh", "relu")
 _MAX_DIM = 1 << 24
 
@@ -203,40 +195,23 @@ def encode_backward(cache: ForwardCache, d_emb, out: ParamSet | None = None
 
 def save_params(params: ParamSet, path) -> None:
     spec = params.spec
-    header = struct.pack(
-        "<4sIIIII",
-        _MAGIC, _VERSION, spec.input_dim, spec.embed_dim,
-        _ACTIVATIONS.index(spec.activation), len(spec.hidden_dims))
-    header += struct.pack(f"<{len(spec.hidden_dims)}I", *spec.hidden_dims)
-    payload = params.flatten().astype("<f8").tobytes()
-    Path(path).write_bytes(header + payload)
+    _FRAMING.write(path, (spec.input_dim, spec.embed_dim, _ACTIVATIONS.index(spec.activation),
+                          len(spec.hidden_dims)),
+                   (np.array(spec.hidden_dims, "<u4"), params.flatten().astype("<f8")))
 
 
 def load_params(path) -> ParamSet:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != _MAGIC:
-        raise BadMagicError(f"{path}: expected magic {_MAGIC!r}")
-    if len(raw) < 24:
-        raise TruncatedFileError(f"{path}: header incomplete")
-    _, version, input_dim, embed_dim, act_idx, n_hidden = struct.unpack_from("<4sIIIII", raw)
-    if version != _VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, expected {_VERSION}")
+    raw, (input_dim, embed_dim, act_idx, n_hidden) = _FRAMING.read(path)
     if max(input_dim, embed_dim, n_hidden) > _MAX_DIM:
         raise DimensionOverflowError(f"{path}: header dimension exceeds {_MAX_DIM}")
     if act_idx >= len(_ACTIVATIONS):
         raise InvalidInputError(f"{path}: unknown activation code {act_idx}")
-    off = 24
-    if len(raw) < off + 4 * n_hidden:
-        raise TruncatedFileError(f"{path}: hidden dims missing")
-    hidden = struct.unpack_from(f"<{n_hidden}I", raw, off)
+    off = _FRAMING.header.size
+    _FRAMING.check_end(raw, path, off + 4 * n_hidden, exact=False)
+    hidden = np.frombuffer(raw, "<u4", n_hidden, off)
     off += 4 * n_hidden
     spec = EncoderSpec(input_dim=input_dim, hidden_dims=hidden,
                        embed_dim=embed_dim, activation=_ACTIVATIONS[act_idx])
-    expected = spec.num_params * 8
-    if len(raw) - off < expected:
-        raise TruncatedFileError(
-            f"{path}: payload holds {len(raw) - off} bytes, header promises {expected}")
-    if len(raw) - off > expected:
-        raise TrailingBytesError(f"{path}: {len(raw) - off - expected} bytes follow the payload")
+    _FRAMING.check_end(raw, path, off + spec.num_params * 8)
     vec = np.frombuffer(raw, dtype="<f8", count=spec.num_params, offset=off).astype(np.float64)
     return ParamSet.unflatten(spec, vec)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBatchError, InvalidInputError
-from .numkit import SoftTargets, as_matrix, contrastive_xent, exp_both_axes, increasing_rows
+from .numkit import SoftTargets, contrastive_xent, exp_both_axes, increasing_rows
 
 MAX_LOGIT_SCALE = 100.0
 
@@ -76,23 +76,32 @@ def clamp_scale(temp: TemperatureParam) -> TemperatureParam:
     return temp
 
 
+def _matrix_pair(image, text, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Both C-contiguous float64, 2-D and of one shape, else InvalidInputError."""
+    v = np.ascontiguousarray(image, dtype=np.float64)
+    t = np.ascontiguousarray(text, dtype=np.float64)
+    if v.ndim != 2 or v.shape != t.shape:
+        raise InvalidInputError(
+            f"{name} must be 2-D and share a shape, got {v.shape} and {t.shape}")
+    return v, t
+
+
 @dataclass(frozen=True)
 class EmbeddingBatch:
     """Paired image/text embedding matrices, one row per pair.
 
-    Shape and finiteness are enforced here; unit row norms are the encoder's
-    postcondition (finite-difference probes legitimately evaluate the losses
-    at slightly off-unit points).
+    Shape is enforced here. Finiteness is not scanned: a NaN or infinite
+    entry fails the loss kernel's span rule, as it fails the teacher's (see
+    ``_soft_targets``). Unit row norms are the encoder's postcondition
+    (finite-difference probes legitimately evaluate the losses at slightly
+    off-unit points).
     """
 
     image: np.ndarray
     text: np.ndarray
 
     def __post_init__(self):
-        v = as_matrix(self.image, "image embeddings")
-        t = as_matrix(self.text, "text embeddings")
-        if v.shape != t.shape:
-            raise InvalidInputError(f"embedding shape mismatch: image {v.shape} vs text {t.shape}")
+        v, t = _matrix_pair(self.image, self.text, "embeddings")
         object.__setattr__(self, "image", v)
         object.__setattr__(self, "text", t)
 
@@ -167,11 +176,7 @@ def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: Parti
     infinite entries, without a scan of their own: any such entry of V or T
     leaves a whole row or column of logits NaN or infinite, which fails the
     span check."""
-    v = np.ascontiguousarray(teacher_image, dtype=np.float64)
-    t = np.ascontiguousarray(teacher_text, dtype=np.float64)
-    if v.ndim != 2 or v.shape != t.shape:
-        raise InvalidInputError(
-            f"teacher matrices must be 2-D and share a shape, got {v.shape} and {t.shape}")
+    v, t = _matrix_pair(teacher_image, teacher_text, "teacher matrices")
     if v.shape[0] != plan.n:
         raise InvalidInputError(
             f"teacher matrices cover {v.shape[0]} rows but plan covers {plan.n}")

@@ -13,17 +13,18 @@ Trainer state file format (PSDT, version 2, little-endian):
     u64         global step,  u64  completed epochs
     f64         temperature log-scale
 
-Nothing follows, so a load-save round trip is byte-exact.
+Nothing follows, so a load-save round trip is byte-exact. ``errors.Framing``
+checks the framing: magic, version (before any length), and the length.
 
 Optimizer moments are not stored: there is no resume path, and evaluation
-reads only the encoders and the temperature.
+reads only the encoders and the temperature. Version 1 stored them after
+the header; such a file fails as version 1.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,14 +32,11 @@ import numpy as np
 
 from .data import PairedDataset, select_captions
 from .errors import (
-    BadMagicError,
     DegenerateInputError,
     DivergenceError,
+    Framing,
     InvalidInputError,
     NonFiniteGradientError,
-    TrailingBytesError,
-    TruncatedFileError,
-    VersionMismatchError,
 )
 from .evaluation import check_eval_settings, retrieval_eval
 from .model import EncoderSpec, ParamSet, encode, encode_backward, init_params, load_params, save_params
@@ -103,15 +101,16 @@ def make_partition(n: int, alpha: float, priority: np.ndarray) -> PartitionPlan:
     floor(alpha*n) lowest are aligned and the rest unaligned, which the plan
     sorts. The trainer passes per-instance priorities refreshed each epoch
     (dynamic) or fixed at training start (static); a random split is the
-    ranking ``rng.permutation(n)``.
+    ranking ``rng.permutation(n)``. The plan checks alpha.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise InvalidInputError(f"alpha must lie in [0, 1], got {alpha}")
     priority = np.asarray(priority)
     if priority.shape != (n,):
         raise InvalidInputError(f"priority must have shape ({n},)")
     order = np.argsort(priority, kind="stable")
-    return PartitionPlan(n=n, unaligned_idx=order[math.floor(alpha * n):], alpha=alpha)
+    # math.floor raises a bare error on NaN and inf; the plan rejects them.
+    split = alpha * n
+    cut = math.floor(split) if math.isfinite(split) else 0
+    return PartitionPlan(n=n, unaligned_idx=order[cut:], alpha=alpha)
 
 
 @dataclass
@@ -399,9 +398,7 @@ def train(cfg: TrainConfig, ds: PairedDataset,
                        temperature=temp, history=history, config=cfg, opt=opt)
 
 
-_STATE_MAGIC = b"PSDT"
-_STATE_VERSION = 2
-_STATE_HEADER = "<4sIQQQd"
+_STATE_FRAMING = Framing("trainer state", b"PSDT", 2, "QQQd")
 
 
 def save_checkpoint(result: TrainResult, out_dir) -> None:
@@ -410,10 +407,9 @@ def save_checkpoint(result: TrainResult, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     save_params(result.image_params, out / "image_encoder.psdw")
     save_params(result.text_params, out / "text_encoder.psdw")
-    blob = struct.pack(_STATE_HEADER, _STATE_MAGIC, _STATE_VERSION, result.config.seed,
-                       len(result.step_records()), result.config.epochs,
-                       result.temperature.log_scale)
-    (out / "trainer_state.psdt").write_bytes(blob)
+    _STATE_FRAMING.write(out / "trainer_state.psdt",
+                         (result.config.seed, len(result.step_records()), result.config.epochs,
+                          result.temperature.log_scale))
 
 
 def load_checkpoint(out_dir) -> tuple[ParamSet, ParamSet, TemperatureParam, dict]:
@@ -422,16 +418,8 @@ def load_checkpoint(out_dir) -> tuple[ParamSet, ParamSet, TemperatureParam, dict
     out = Path(out_dir)
     image_params = load_params(out / "image_encoder.psdw")
     text_params = load_params(out / "text_encoder.psdw")
-    raw = (out / "trainer_state.psdt").read_bytes()
-    if len(raw) < 4 or raw[:4] != _STATE_MAGIC:
-        raise BadMagicError(f"{out}: expected trainer state magic {_STATE_MAGIC!r}")
-    size = struct.calcsize(_STATE_HEADER)
-    if len(raw) < size:
-        raise TruncatedFileError(f"{out}: trainer state header incomplete")
-    if len(raw) > size:
-        raise TrailingBytesError(f"{out}: {len(raw) - size} bytes follow the trainer state")
-    _, version, seed, steps, epochs, log_scale = struct.unpack_from(_STATE_HEADER, raw)
-    if version != _STATE_VERSION:
-        raise VersionMismatchError(f"{out}: trainer state version {version}")
+    path = out / "trainer_state.psdt"
+    raw, (seed, steps, epochs, log_scale) = _STATE_FRAMING.read(path)
+    _STATE_FRAMING.check_end(raw, path, _STATE_FRAMING.header.size)
     state = {"seed": seed, "steps": steps, "epochs": epochs}
     return image_params, text_params, TemperatureParam(log_scale=log_scale), state

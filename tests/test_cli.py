@@ -267,9 +267,14 @@ def test_train_rejects_recall_cutoff_past_the_holdout_before_a_step(pairs_file, 
 
 @pytest.mark.parametrize("setting", ["histogram_bins=10000000", "k_list=1,21",
                                      "probe_l2=-1", "probe_l2=nan", "probe_l2=inf"])
-def test_eval_rejects_settings_before_writing(setting, pairs_file, tmp_path):
+def test_eval_rejects_settings_before_writing(setting, pairs_file, tmp_path, monkeypatch):
     ckpt = tmp_path / "ckpt"
     assert train_on(pairs_file, ckpt) == 0
+
+    def no_scan(*args):
+        raise AssertionError("eval scanned the scores before checking its settings")
+
+    monkeypatch.setattr("psdlab.cli.score_eval", no_scan)
     rc = main(["eval", "--quiet", str(ckpt / "out" / "checkpoint"), str(pairs_file),
                "--set", setting, "--out", str(tmp_path / "eval")])
     assert rc == InvalidInputError.exit_code == 3

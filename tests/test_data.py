@@ -216,6 +216,14 @@ class TestPairsFile:
         with pytest.raises(TrailingBytesError, match="1 bytes follow"):
             load_pairs(path)
 
+    def test_round_trip_of_a_fortran_order_pairing(self, tmp_path):
+        # The pairing table is written row-major whatever its memory layout.
+        ds = generate(small_spec(captions_per_image=3), RngState(27))
+        ds.pairing = np.asfortranarray(ds.pairing)
+        path = tmp_path / "pairs.psdd"
+        save_pairs(ds, path)
+        np.testing.assert_array_equal(load_pairs(path).pairing, ds.pairing)
+
     def test_load_then_save_gives_the_same_bytes(self, tmp_path):
         path, again = tmp_path / "pairs.psdd", tmp_path / "again.psdd"
         save_pairs(generate(small_spec(mismatch_rate=0.2), RngState(26)), path)

@@ -141,6 +141,34 @@ class TestInfoNce:
             info_nce(EmbeddingBatch(np.zeros((0, 3)), np.zeros((0, 3))), TemperatureParam(1.0))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["image", "text"])
+@pytest.mark.parametrize("row", [0, 4])
+def test_non_finite_embedding_rejected(rng, value, side, row):
+    # EmbeddingBatch does not scan its matrices either: a NaN or infinite
+    # entry leaves a whole row or column of the student's logits NaN or
+    # infinite, which fails the span check of the loss kernel's exponential.
+    # The soft targets' products with an infinite logit warn on the way.
+    v, t = unit_batch(rng, 5, 3)
+    temp = TemperatureParam(1.2)
+    plan = make_partition(5, 0.4, rng.permutation(5))
+    targets = soft_targets_swapped(v, t, temp.scale, plan)
+    (v if side == "image" else t)[row, 1] = value
+    batch = EmbeddingBatch(v, t)
+    with pytest.raises(InvalidInputError, match="span"):
+        info_nce(batch, temp)
+    with pytest.raises(InvalidInputError, match="span"):
+        psd_loss(batch, temp, plan, targets)
+
+
+def test_embedding_shapes_checked():
+    v = np.zeros((4, 3))
+    for image, text in ((v[0], v[0]), (v[None], v[None]), (v, v[:, :2]), (v, v[:3])):
+        with pytest.raises(InvalidInputError, match="embeddings must be 2-D and share a shape"):
+            EmbeddingBatch(image, text)
+
+
 class TestSoftTargets:
     def test_uniform_when_similarities_equal(self, rng):
         v = np.tile(np.eye(1, 4), (5, 1))

@@ -6,6 +6,7 @@ scalar oracle, and partitions follow their priorities."""
 
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -196,3 +197,11 @@ def test_partition_aligns_the_lowest_priorities(priority, alpha):
     assert np.all(np.diff(u) > 0) and np.isin(u, np.arange(n)).all()
     if a.size and u.size:
         assert max((priority[i], i) for i in a) < min((priority[i], i) for i in u)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, -0.1, 1.5, math.inf, -math.inf, 1e308])
+def test_partition_rejects_alpha_outside_the_unit_interval(alpha):
+    # The plan's check is the only alpha rule; the split point must not
+    # raise a bare ValueError or OverflowError before it runs.
+    with pytest.raises(InvalidInputError, match="alpha must lie in"):
+        make_partition(4, alpha, np.arange(4))
