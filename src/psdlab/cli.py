@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -43,16 +42,6 @@ from .trainer import (
 )
 
 log = logging.getLogger("psdlab")
-
-
-def _setup_logging(quiet: bool) -> None:
-    level_name = os.environ.get("PSD_LOG_LEVEL", "info").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if level_name not in levels:
-        raise ConfigError(f"PSD_LOG_LEVEL must be one of {sorted(levels)}, got {level_name!r}")
-    level = logging.ERROR if quiet else levels[level_name]
-    logging.basicConfig(level=level, format="%(levelname)s %(message)s", stream=sys.stderr)
-    log.setLevel(level)
 
 
 def _resolve_config(args, base: ExperimentConfig | None = None) -> tuple[ExperimentConfig, Path]:
@@ -262,8 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    level = logging.ERROR if args.quiet else logging.INFO
+    logging.basicConfig(level=level, format="%(levelname)s %(message)s", stream=sys.stderr)
+    log.setLevel(level)
     try:
-        _setup_logging(args.quiet)
         return args.func(args)
     except PsdError as exc:
         log.error("%s", exc)

@@ -40,6 +40,9 @@ from .errors import InvalidInputError
 from .numkit import as_matrix
 
 PROBE_L2_DEFAULT = 1e-4
+LBFGS_HISTORY = 10   # curvature pairs the probe's L-BFGS keeps
+ARMIJO_C1 = 1e-4     # the share of the linear decrease a probe step must reach
+MAX_BACKTRACKS = 30  # step halvings before the probe's line search gives up
 SCAN_ENTRIES = 1 << 20  # entries of S per scanned block: 8 MB of float64
 BIN_CHUNK = 1 << 15     # entries binned per pass: with its three work arrays, 1 MB, in L2
 MAX_BINS = 1 << 16      # the most histogram bins equal_width_counts' margin covers
@@ -298,60 +301,19 @@ def probe_loss_and_grad(w_flat: np.ndarray, features: np.ndarray, labels: np.nda
     return loss, np.concatenate([grad_w.ravel(), grad_b])
 
 
-def _strong_wolfe(f, x, direction, f0, g0, c1=1e-4, c2=0.9, max_iter=25):
-    """Strong Wolfe line search (bracket + zoom). Returns the accepted step
-    length with the loss and gradient at x + step * direction, or None when
-    no acceptable step was found."""
-    d0 = float(g0 @ direction)
-    if d0 >= 0.0:
+def _backtrack(f, x, direction, f0, g0):
+    """Armijo backtracking along ``direction`` from x: the first of the steps
+    1, 1/2, 1/4, ... (at most ``MAX_BACKTRACKS``) whose loss is at most
+    f0 + ARMIJO_C1 * step * (g0 . direction). Returns that step with the
+    loss and gradient at x + step * direction, or None when ``direction``
+    does not descend or no step qualifies."""
+    slope = float(g0 @ direction)
+    if not slope < 0.0:
         return None
-
-    def phi(alpha):
-        val, grad = f(x + alpha * direction)
-        return val, grad, float(grad @ direction)
-
-    alpha_prev, phi_prev = 0.0, f0
-    alpha = 1.0
-    alpha_max = 1e3
-
-    def zoom(lo, phi_lo, hi):
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            phi_mid, grad_mid, dphi_mid = phi(mid)
-            if phi_mid > f0 + c1 * mid * d0 or phi_mid >= phi_lo:
-                hi = mid
-            else:
-                if abs(dphi_mid) <= -c2 * d0:
-                    return mid, phi_mid, grad_mid
-                if dphi_mid * (hi - lo) >= 0.0:
-                    hi = lo
-                lo, phi_lo = mid, phi_mid
-            if abs(hi - lo) < 1e-16:
-                break
-        return None
-
-    for it in range(max_iter):
-        phi_a, grad_a, dphi_a = phi(alpha)
-        if phi_a > f0 + c1 * alpha * d0 or (it > 0 and phi_a >= phi_prev):
-            return zoom(alpha_prev, phi_prev, alpha)
-        if abs(dphi_a) <= -c2 * d0:
-            return alpha, phi_a, grad_a
-        if dphi_a >= 0.0:
-            return zoom(alpha, phi_a, alpha_prev)
-        alpha_prev, phi_prev = alpha, phi_a
-        alpha = min(2.0 * alpha, alpha_max)
-    return None
-
-
-def _armijo_gradient_step(f, x, direction, f0, max_backtracks=30):
-    """Backtracking fallback along ``direction`` = minus the gradient at x:
-    the accepted step with the loss and gradient at x + step * direction,
-    or None when nothing decreases."""
     step = 1.0
-    sq = float(direction @ direction)
-    for _ in range(max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         val, grad = f(x + step * direction)
-        if val <= f0 - 1e-4 * step * sq:
+        if val <= f0 + ARMIJO_C1 * step * slope:
             return step, val, grad
         step *= 0.5
     return None
@@ -377,15 +339,18 @@ def _lbfgs_direction(grad, s_hist, y_hist):
 
 
 def linear_probe(train_features, train_labels, test_features, test_labels,
-                 max_iters: int = 1000, history: int = 10,
-                 l2: float = PROBE_L2_DEFAULT) -> ProbeResult:
+                 max_iters: int = 1000, l2: float = PROBE_L2_DEFAULT) -> ProbeResult:
     """Multinomial logistic regression on frozen features, trained from zero
-    weights by L-BFGS with strong-Wolfe steps; returns held-out top-1.
+    weights by L-BFGS with backtracking (Armijo) steps; returns held-out
+    top-1.
 
-    A failed line search falls back to one Armijo gradient step (counted in
-    the result); if even that cannot decrease the loss, optimization stops,
-    which keeps the loss monotone over accepted iterates. An ``l2`` outside
-    [0, inf) raises InvalidInputError.
+    The loss is convex, so a step needs no curvature condition for its pair
+    (s, y) to have y . s >= 0; the update keeps the pairs with y . s above
+    1e-12, which keeps the inverse-Hessian estimate positive definite. When
+    the search finds no step along the L-BFGS direction, it runs along minus
+    the gradient (counted in the result); if even that cannot decrease the
+    loss, optimization stops, which keeps the loss monotone over accepted
+    iterates. An ``l2`` outside [0, inf) raises InvalidInputError.
     """
     check_eval_settings(0, None, None, l2)
     x_tr = as_matrix(train_features, "train features")
@@ -416,10 +381,10 @@ def linear_probe(train_features, train_labels, test_features, test_labels,
         if np.abs(grad).max() < 1e-7:
             break
         direction = _lbfgs_direction(grad, s_hist, y_hist)
-        accepted = _strong_wolfe(f, w, direction, loss, grad)
+        accepted = _backtrack(f, w, direction, loss, grad)
         if accepted is None:
             direction = -grad
-            accepted = _armijo_gradient_step(f, w, direction, loss)
+            accepted = _backtrack(f, w, direction, loss, grad)
             if accepted is None:
                 break
             fallbacks += 1
@@ -430,7 +395,7 @@ def linear_probe(train_features, train_labels, test_features, test_labels,
         if float(delta_g @ s) > 1e-12:
             s_hist.append(s)
             y_hist.append(delta_g)
-            if len(s_hist) > history:
+            if len(s_hist) > LBFGS_HISTORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
         w, loss, grad = w_new, loss_new, grad_new

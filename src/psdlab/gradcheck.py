@@ -48,15 +48,16 @@ class CheckReport:
         return asdict(self)
 
 
-def central_difference(f, x0: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Per-coordinate central difference of a scalar function."""
+def central_difference(f, x0: np.ndarray) -> np.ndarray:
+    """Per-coordinate central difference of a scalar function, with step
+    ``FD_STEP``."""
     g = np.zeros_like(x0)
     for i in range(x0.size):
         xp = x0.copy()
         xm = x0.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
+        xp[i] += FD_STEP
+        xm[i] -= FD_STEP
+        g[i] = (f(xp) - f(xm)) / (2.0 * FD_STEP)
     return g
 
 

@@ -20,18 +20,19 @@ two products with the factors carry them.
 
 Both axes of a square matrix take their log-sum-exps from one exponential
 under the global max, ``exp_both_axes`` (``contrastive_xent`` and the
-teacher). Each entry then comes out smaller by exp(top - its row's or
-column's max) than under that max, and rounding x - top costs more the
-further below the top it sits; past about 708 an exponential turns
-subnormal and past 745 it is 0. Callers scale single entries by the
-reciprocals of their column or row sums, and such a product can lead its
-row even when the entry itself underflows. Hence a span rule on every
-entry: the whole matrix must lie within ``SHARED_EXP_SPAN`` = 600 of its
-max, which keeps every exponential at or above exp(-600), a normal double,
-so each product and sum keeps its rounding bound; a wider matrix raises
-InvalidInputError. The package forms such matrices from unit-norm rows at
-a logit scale in (0, 100], the student's clamped and a fixed teacher's
-capped at ``objective.MAX_LOGIT_SCALE``, so they span at most 200.
+teacher), after ``shared_exp_top`` has taken that max. Each entry then
+comes out smaller by exp(top - its row's or column's max) than under that
+max, and rounding x - top costs more the further below the top it sits;
+past about 708 an exponential turns subnormal and past 745 it is 0.
+Callers scale single entries by the reciprocals of their column or row
+sums, and such a product can lead its row even when the entry itself
+underflows. Hence a span rule on every entry: the whole matrix must lie
+within ``SHARED_EXP_SPAN`` = 600 of its max, which keeps every exponential
+at or above exp(-600), a normal double, so each product and sum keeps its
+rounding bound; ``shared_exp_top`` raises InvalidInputError for a wider
+matrix. The package forms such matrices from unit-norm rows at a logit
+scale in (0, 100], the student's clamped and a fixed teacher's capped at
+``objective.MAX_LOGIT_SCALE``, so they span at most 200.
 
 The PRNG is counter-based (Salmon et al. 2011): word k of a stream is the
 splitmix64 finalizer (Steele et al. 2014) applied to seed + k * gamma, so a
@@ -57,8 +58,8 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# exp_both_axes' span rule: the furthest any entry may sit below the matrix's
-# max. exp(-600) ~ 3e-261, so every exponential stays a normal double.
+# shared_exp_top's span rule: the furthest any entry may sit below the
+# matrix's max. exp(-600) ~ 3e-261, so every exponential stays a normal double.
 SHARED_EXP_SPAN = 600.0
 # Rows per band when contrastive_xent scales its exponential in place.
 _BAND_ROWS = 64
@@ -84,14 +85,11 @@ def increasing_rows(rows, n: int, name: str) -> np.ndarray:
     return rows
 
 
-def exp_both_axes(x: np.ndarray, out: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """exp(x - max x) of a 2-D array into ``out`` (new when None; may be
-    ``x``), with the global max and the row and column sums of the
-    exponentials, kept 2-D to broadcast against ``x``: top + log(sum) is each
-    axis' log-sum-exp. Raises InvalidInputError, with ``out`` untouched,
-    unless every entry lies within ``SHARED_EXP_SPAN`` of the global max (an
-    empty ``x``, or one holding NaN or an infinity, never does)."""
+def shared_exp_top(x: np.ndarray) -> float:
+    """The global max of a 2-D array, under which ``exp_both_axes``
+    exponentiates it. Raises InvalidInputError unless every entry lies
+    within ``SHARED_EXP_SPAN`` of that max (an empty ``x``, or one holding
+    NaN or an infinity, never does)."""
     if not x.size:
         raise InvalidInputError("cannot exponentiate an empty matrix")
     top = x.max()
@@ -99,9 +97,17 @@ def exp_both_axes(x: np.ndarray, out: np.ndarray | None = None
     if not span <= SHARED_EXP_SPAN:
         raise InvalidInputError(
             f"logits span {span}, past the {SHARED_EXP_SPAN:g} that one exponential admits")
-    e = np.subtract(x, top, out=out)
-    np.exp(e, out=e)
-    return e, float(top), e.sum(axis=1, keepdims=True), e.sum(axis=0, keepdims=True)
+    return float(top)
+
+
+def exp_both_axes(x: np.ndarray, top: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(x - top) of a 2-D array, in place, with the row and column sums
+    of the exponentials, kept 2-D to broadcast against ``x``: top + log(sum)
+    is each axis' log-sum-exp. ``top`` is ``shared_exp_top(x)``, whose span
+    rule keeps every exponential a normal double."""
+    np.subtract(x, top, out=x)
+    np.exp(x, out=x)
+    return x.sum(axis=1, keepdims=True), x.sum(axis=0, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -167,7 +173,8 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
     square logit matrix L = scaled_v t^T, with its gradients in the two
     factors: returns (loss, d_scaled_v, d_t), the gradients in the layouts
     of ``scaled_v`` and ``t``. L must lie within ``SHARED_EXP_SPAN`` of its
-    max (``exp_both_axes``), or InvalidInputError is raised.
+    max (``shared_exp_top``), or InvalidInputError is raised before any
+    product is formed.
 
     Row i and column i each cost weights[i] * H(q, softmax(x)). Both
     target the diagonal entry L[i, i] (hard), except for the rows of
@@ -205,6 +212,7 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
         x, y = np.stack([alpha, r], axis=1), np.stack([g, beta])  # M = block * (x @ y)
     logits = scaled_v @ t.T
     bands = [slice(start, min(start + _BAND_ROWS, n)) for start in range(0, n, _BAND_ROWS)]
+    top = shared_exp_top(logits)  # NaN or infinite logits fail here, before any product
     # q . x of every target, before the exponential overwrites L: L[i, i]
     # for a hard one; for a soft row u, p[u] times row u of (block * L) @ g,
     # and for a soft column, s[u] times column u of r @ (block * L).
@@ -219,7 +227,8 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
             soft_col += r[band] @ product
         picked_row[soft_rows] = targets.p * soft_row[soft_rows]
         picked_col[soft_rows] = targets.s * soft_col[soft_rows]
-    grad, top, row_sum, col_sum = exp_both_axes(logits, out=logits)
+    row_sum, col_sum = exp_both_axes(logits, top)
+    grad = logits  # e, which becomes the gradient in L in place
     row_lse = top + np.log(row_sum.ravel())
     col_lse = top + np.log(col_sum.ravel())
     a = weights[:, None] / row_sum

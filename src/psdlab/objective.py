@@ -24,8 +24,8 @@ or row sums; for bootstrap targets, 1); ``SoftTargets`` alone checks the
 factors and derives the normalizers, so every target is a distribution and
 the kernel takes it as one. One E = exp(S - max S) under
 the global max serves both directions and both target kinds
-(``numkit.exp_both_axes``). Its span rule asks every logit to lie within
-600 of the largest, because a target scales single exponentials by
+(``numkit.exp_both_axes``). Its span rule (``numkit.shared_exp_top``) asks
+every logit to lie within 600 of the largest, because a target scales single exponentials by
 reciprocal sums and one that underflowed could have led its row; a wider
 matrix raises InvalidInputError. For unit-norm embeddings every logit lies
 within 2 * scale of the largest, and both the student's scale and a fixed
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBatchError, InvalidInputError
-from .numkit import SoftTargets, contrastive_xent, exp_both_axes, increasing_rows
+from .numkit import SoftTargets, contrastive_xent, exp_both_axes, increasing_rows, shared_exp_top
 
 MAX_LOGIT_SCALE = 100.0
 
@@ -172,7 +172,7 @@ def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: Parti
     images): each row's own posterior, or (``swapped``) the opposite
     direction's posteriors of that row, renormalized. Only the factors are
     formed; no target row is gathered. Logits that span more than 600
-    raise InvalidInputError (``numkit.exp_both_axes``). So do NaN and
+    raise InvalidInputError (``numkit.shared_exp_top``). So do NaN and
     infinite entries, without a scan of their own: any such entry of V or T
     leaves a whole row or column of logits NaN or infinite, which fails the
     span check."""
@@ -182,14 +182,14 @@ def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: Parti
             f"teacher matrices cover {v.shape[0]} rows but plan covers {plan.n}")
     if not (math.isfinite(teacher_scale) and teacher_scale > 0.0):
         raise InvalidInputError(f"teacher scale must be positive, got {teacher_scale}")
-    logits = (teacher_scale * v) @ t.T
+    e = (teacher_scale * v) @ t.T  # the logits S, exponentiated in place below
     # One E = exp(S - max S), with row sums R and column sums C, serves both
     # directions. A swapped image row is P(image u | text j) = E[u, j] / C_j
     # renormalized over j: scale g = 1/C over the texts. A swapped text row
     # is E[i, u] / R_i renormalized over i: scale r = 1/R over the images. A
     # bootstrap row is a row or column of E itself, renormalized: unit
     # scales. SoftTargets renormalizes.
-    e, _, row_sum, col_sum = exp_both_axes(logits, out=logits)
+    row_sum, col_sum = exp_both_axes(e, shared_exp_top(e))
     if swapped:
         return SoftTargets(plan.unaligned_idx, e, 1.0 / col_sum.ravel(), 1.0 / row_sum.ravel())
     ones = np.ones(plan.n)

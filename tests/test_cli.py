@@ -86,11 +86,6 @@ def test_dataset_flag_is_recorded_in_resolved_config(pairs_file, tmp_path):
             (second / "checkpoint" / name).read_bytes(), name
 
 
-def test_bad_log_level_exits_config_code(monkeypatch, tmp_path):
-    monkeypatch.setenv("PSD_LOG_LEVEL", "chatty")
-    assert main(["generate", "--out", str(tmp_path)]) == ConfigError.exit_code
-
-
 def test_out_of_range_value_exits_invalid_input_code(tmp_path):
     rc = main(["generate", "--quiet", "--set", "mismatch_rate=1.5", "--out", str(tmp_path)])
     assert rc == InvalidInputError.exit_code == 3

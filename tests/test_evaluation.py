@@ -217,7 +217,8 @@ class TestLinearProbe:
                 linear_probe(*args, max_iters=5)
 
     def test_loss_monotone_over_iterations(self):
-        # strong Wolfe (or the Armijo fallback) only ever accepts a decrease
+        # the line search, along the L-BFGS direction or the gradient, only
+        # ever accepts a decrease
         rng = RngState(7)
         x = rng.normals(60, 4)
         y = np.fromiter((rng.randint(4) for _ in range(60)), dtype=np.int64)
@@ -240,7 +241,7 @@ class TestLinearProbe:
         running = np.minimum.accumulate(losses)
         assert np.all(np.diff(running) <= 1e-12)
 
-    @pytest.mark.parametrize("path", ["strong_wolfe", "armijo"])
+    @pytest.mark.parametrize("path", ["lbfgs", "fallback"])
     def test_no_point_evaluated_twice(self, monkeypatch, path):
         # The line search hands back the loss and gradient at the point it
         # accepted, so the iteration never evaluates that point again.
@@ -255,12 +256,66 @@ class TestLinearProbe:
             return true_f(w, *args)
 
         monkeypatch.setattr(ev, "probe_loss_and_grad", spy)
-        if path == "armijo":
-            monkeypatch.setattr(ev, "_strong_wolfe", lambda *args: None)
+        if path == "fallback":
+            # +grad ascends, so every step falls back to minus the gradient.
+            monkeypatch.setattr(ev, "_lbfgs_direction", lambda grad, *hist: grad.copy())
         result = linear_probe(x, y, x, y, max_iters=50)
         assert result.iterations > 0
-        assert result.line_search_fallbacks == (result.iterations if path == "armijo" else 0)
+        assert result.line_search_fallbacks == (result.iterations if path == "fallback" else 0)
         assert len(points) == len(set(points))
+
+    def test_backtrack_declines_a_non_descent_direction_unevaluated(self):
+        def f(x):
+            raise AssertionError("evaluated")
+
+        x, g = np.zeros(3), np.array([1.0, -2.0, 0.5])
+        for direction in (g, np.zeros(3), np.array([2.0, 1.0, 0.0]), np.full(3, np.nan)):
+            assert ev._backtrack(f, x, direction, 0.0, g) is None
+
+    def test_backtrack_step_satisfies_armijo(self, rng):
+        # A steep quadratic whose unit step overshoots: the search halves the
+        # step until the loss falls by at least ARMIJO_C1 of the linear
+        # decrease, after every longer step fell short of that.
+        a = np.diag([1.0, 40.0, 300.0])
+        tried = []
+
+        def f(w):
+            tried.append(w)
+            return 0.5 * float(w @ a @ w), a @ w
+
+        x = rng.normals(3)
+        f0, g0 = 0.5 * float(x @ a @ x), a @ x
+        direction = -g0
+        slope = float(g0 @ direction)
+        step, val, grad = ev._backtrack(f, x, direction, f0, g0)
+        assert val <= f0 + ev.ARMIJO_C1 * step * slope
+        steps = [0.5 ** i for i in range(len(tried))]
+        assert step == steps[-1] < 1.0
+        for w, tried_step in zip(tried, steps):
+            np.testing.assert_array_equal(w, x + tried_step * direction)
+        for w, tried_step in zip(tried[:-1], steps):
+            assert 0.5 * float(w @ a @ w) > f0 + ev.ARMIJO_C1 * tried_step * slope
+        np.testing.assert_array_equal(grad, a @ tried[-1])
+
+    def test_converges_on_gaussian_blobs(self, monkeypatch):
+        # The probe stops because its gradient vanished, not because it ran
+        # out of iterations: the last gradient evaluated is the one at the
+        # accepted point, and it is below the stopping tolerance.
+        rng = RngState(6)
+        x = np.vstack([rng.normals(50, 3) * 0.5 + 3.0 * np.eye(3)[c] for c in range(3)])
+        y = np.repeat(np.arange(3), 50)
+        grads = []
+        true_f = ev.probe_loss_and_grad
+
+        def spy(w, *args):
+            loss, grad = true_f(w, *args)
+            grads.append(grad)
+            return loss, grad
+
+        monkeypatch.setattr(ev, "probe_loss_and_grad", spy)
+        result = linear_probe(x, y, x, y, max_iters=1000)
+        assert result.iterations < 1000
+        assert np.abs(grads[-1]).max() < 1e-7
 
 
 def off_diagonal(v, t):

@@ -1,9 +1,11 @@
 """No module imports a name that it never reads; no top-level definition
 of the package, nor any method, property or dataclass field of its classes,
-goes unread; and no function of the package assigns a parameter or local
-that it never reads. The package's ``__init__.py`` is exempt from the
-first: its imports are the public re-exports, and every one of them, and
-nothing else, is listed in ``__all__`` and resolves on the package."""
+goes unread; no function of the package assigns a parameter or local that
+it never reads; and some call in the package, its tests or its benchmark
+sets each defaulted parameter of the package. The package's
+``__init__.py`` is exempt from the first: its imports are the public
+re-exports, and every one of them, and nothing else, is listed in
+``__all__`` and resolves on the package."""
 
 import ast
 import types
@@ -263,3 +265,90 @@ def test_scan_finds_an_unread_local_or_parameter():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_local_is_read(path):
     assert unread_locals(path.read_text(encoding="utf-8")) == []
+
+
+def unset_defaults(package: dict[str, str], others: dict[str, str]) -> list[str]:
+    """The defaulted parameters of the functions of the ``package`` sources
+    (file name to source) that no call in ``package`` or ``others`` sets, by
+    position or by keyword, as ``file:function.parameter``. A call matches
+    every function of its name, read as a name or an attribute; a call to a
+    class is a call to its ``__init__``, and a method's first parameter is
+    bound by the call itself. A call with ``*args`` or ``**kwargs`` sets
+    every parameter. A default that binds a name of the enclosing scope
+    (``spec=spec``) is a closure binding, not a knob, and is exempt."""
+    calls = {}  # name -> list of (positional count, keywords); None sets all
+    for source in {**package, **others}.values():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            spread = (any(isinstance(a, ast.Starred) for a in node.args)
+                      or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                None if spread else (len(node.args), {k.arg for k in node.keywords}))
+
+    def defaulted(func, bound_first):
+        """(parameter, positional index or None) of each defaulted parameter."""
+        args = func.args
+        positional = [*args.posonlyargs, *args.args]
+        skip = 1 if bound_first else 0
+        pairs = [(a, positional.index(a) - skip, d)
+                 for a, d in zip(positional[len(positional) - len(args.defaults):], args.defaults)]
+        pairs += [(a, None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+        return [(a.arg, i) for a, i, d in pairs
+                if not (isinstance(d, ast.Name) and d.id == a.arg)]
+
+    unset = []
+    for path, source in package.items():
+        tree = ast.parse(source)
+        owners = {id(item): node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = owners.get(id(node))
+            method = owner is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            name = owner if method and node.name == "__init__" else node.name
+            label = f"{owner}.{node.name}" if owner else node.name
+            for param, index in defaulted(node, method):
+                if not any(c is None or param in c[1] or (index is not None and c[0] > index)
+                           for c in calls.get(name, [])):
+                    unset.append(f"{path}:{label}.{param}")
+    return unset
+
+
+def test_scan_finds_a_default_no_call_sets():
+    package = {"a.py": ("def search(f, x, c1=1e-4, c2=0.9, max_iter=25):\n"
+                        "    return f(x, c1, c2, max_iter)\n"
+                        "def backtrack(f, x, *, steps=30, shrink=0.5):\n"
+                        "    return f(x, steps, shrink)\n"
+                        "def spread(a, b=1):\n"
+                        "    return a + b\n"
+                        "def outer(spec):\n"
+                        "    def inner(x, spec=spec):\n"
+                        "        return spec(x)\n"
+                        "    return inner\n"
+                        "class Probe:\n"
+                        "    def __init__(self, l2=0.0, history=10):\n"
+                        "        self.l2, self.history = l2, history\n"
+                        "    def fit(self, x, iters=100, tol=1e-7):\n"
+                        "        return search(x, x, 1e-3) + backtrack(x, x, shrink=0.25)\n"
+                        "    @staticmethod\n"
+                        "    def make(k, width=4):\n"
+                        "        return k * width\n"
+                        "print(Probe(0.1).fit(1, 50), Probe.make(2, 8), spread(*[1, 2]))\n")}
+    tests = {"test_a.py": "from a import search\nsearch(len, 1, c2=0.5)\n"}
+    # Probe(0.1) sets l2, fit(1, 50) sets iters, make(2, 8) sets width.
+    assert unset_defaults(package, tests) == [
+        "a.py:search.max_iter", "a.py:backtrack.steps", "a.py:Probe.__init__.history",
+        "a.py:Probe.fit.tol"]
+    assert "a.py:search.c2" in unset_defaults(package, {})
+
+
+def test_every_default_is_set_by_some_call():
+    def sources(paths):
+        return {f"{p.parent.name}/{p.name}": p.read_text(encoding="utf-8") for p in paths}
+
+    callers = sources([*sorted((ROOT / "tests").glob("*.py")), *BENCHMARK])
+    assert unset_defaults(sources(PACKAGE), callers) == []

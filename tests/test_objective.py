@@ -141,15 +141,15 @@ class TestInfoNce:
             info_nce(EmbeddingBatch(np.zeros((0, 3)), np.zeros((0, 3))), TemperatureParam(1.0))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("side", ["image", "text"])
 @pytest.mark.parametrize("row", [0, 4])
 def test_non_finite_embedding_rejected(rng, value, side, row):
     # EmbeddingBatch does not scan its matrices either: a NaN or infinite
     # entry leaves a whole row or column of the student's logits NaN or
-    # infinite, which fails the span check of the loss kernel's exponential.
-    # The soft targets' products with an infinite logit warn on the way.
+    # infinite, which fails the span check of the loss kernel's exponential
+    # before any product with the soft targets, so nothing warns on the way.
     v, t = unit_batch(rng, 5, 3)
     temp = TemperatureParam(1.2)
     plan = make_partition(5, 0.4, rng.permutation(5))
