@@ -42,6 +42,7 @@ from .trainer import (
 )
 
 log = logging.getLogger("psdlab")
+HASH_READ = 1 << 18  # bytes per read when hashing a written file
 
 
 def _resolve_config(args, base: ExperimentConfig | None = None) -> tuple[ExperimentConfig, Path]:
@@ -79,6 +80,15 @@ def _load_or_generate(cfg: ExperimentConfig):
     return generate(cfg.synthetic_spec(), RngState(cfg.seed))
 
 
+def _file_sha256(path: Path) -> str:
+    """The sha256 of a file, read ``HASH_READ`` bytes at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while block := f.read(HASH_READ):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def cmd_generate(args) -> int:
     cfg, out = _resolve_config(args)
     ds = generate(cfg.synthetic_spec(), RngState(cfg.seed))
@@ -89,7 +99,7 @@ def cmd_generate(args) -> int:
     print(f"n: {ds.num_samples}  classes: {ds.num_classes}  "
           f"captions_per_image: {ds.captions_per_image}")
     print(f"eta: {cfg.mismatch_rate}  corrupted: {corrupted}")
-    print(f"sha256: {hashlib.sha256(path.read_bytes()).hexdigest()}")
+    print(f"sha256: {_file_sha256(path)}")
     return 0
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionOverflowError, Framing, InvalidInputError
-from .numkit import RngState, as_matrix
+from .numkit import RNG_CHUNK, RngState, as_matrix
 
 _FRAMING = Framing("dataset", b"PSDD", 1, "IIIII")
 _MAX_COUNT = 1 << 24
@@ -112,6 +112,19 @@ class PairedDataset:
         return int(self.class_labels.max()) + 1 if self.class_labels.size else 0
 
 
+def _plus_noise(product: np.ndarray, sigma: float, rng: RngState) -> np.ndarray:
+    """``product + sigma * rng.normals(*product.shape)``, in place: the same
+    two roundings and the same normals, drawn an even count of rows at a
+    time (about one ``RNG_CHUNK``), so no full-size noise array is held."""
+    n, d = product.shape
+    rows = 2 * max(1, RNG_CHUNK // (2 * d))
+    for start in range(0, n, rows):
+        noise = rng.normals(min(rows, n - start), d)
+        noise *= sigma
+        product[start:start + rows] += noise
+    return product
+
+
 def generate(spec: SyntheticSpec, rng: RngState) -> PairedDataset:
     """Sample one dataset. RNG consumption order (part of the contract, the
     generator-replay tests depend on it):
@@ -143,8 +156,8 @@ def generate(spec: SyntheticSpec, rng: RngState) -> PairedDataset:
     latents = means[labels] + LATENT_SPREAD * rng.normals(n, spec.latent_dim)
 
     sigma = spec.feature_noise_sigma
-    image_features = latents @ proj_image + sigma * rng.normals(n, spec.image_dim)
-    text_features = np.repeat(latents, m, axis=0) @ proj_text + sigma * rng.normals(n * m, spec.text_dim)
+    image_features = _plus_noise(latents @ proj_image, sigma, rng)
+    text_features = _plus_noise(np.repeat(latents, m, axis=0) @ proj_text, sigma, rng)
 
     pairing = np.arange(n * m, dtype=np.int64).reshape(n, m)
     corrupted = np.zeros(n, dtype=bool)
@@ -214,6 +227,5 @@ def load_pairs(path) -> PairedDataset:
     if n and flags.max() > 1:
         raise InvalidInputError(f"{path}: corrupted flag byte {flags.max()}, expected 0 or 1")
     corrupted = flags.astype(bool)
-    return PairedDataset(image_features=image_features.astype(np.float64),
-                         text_features=text_features.astype(np.float64),
+    return PairedDataset(image_features=image_features, text_features=text_features,
                          pairing=pairing, class_labels=labels, corrupted=corrupted)

@@ -12,8 +12,10 @@ One ``Framing`` per format writes it and checks it on reading, raising the
 ``FileFormatError`` subclasses; each format checks only its content.
 """
 
+import os
 import struct
-from pathlib import Path
+
+import numpy as np
 
 
 class PsdError(Exception):
@@ -110,11 +112,20 @@ class Framing:
             for part in parts:
                 f.write(part)
 
-    def read(self, path) -> tuple[bytes, tuple]:
+    def read(self, path) -> tuple[memoryview, tuple]:
         """The file's bytes and its header fields after magic and version,
         checking the magic, then the version before any length (the layout
-        belongs to the version), then the header's length."""
-        raw = Path(path).read_bytes()
+        belongs to the version), then the header's length.
+
+        The bytes are read once into a writable buffer placed so that the
+        payload starts 8-byte aligned: a format's arrays can be views into
+        it, never a second copy of the file."""
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            buf = np.empty(size + 8, dtype=np.uint8)
+            pad = -(buf.ctypes.data + self.header.size) % 8
+            raw = memoryview(buf)[pad:pad + size]
+            raw = raw[:f.readinto(raw)]
         if raw[:4] != self.magic:
             raise BadMagicError(f"{path}: not a {self.name}, expected magic {self.magic!r}")
         version = int.from_bytes(raw[4:8], "little")
@@ -126,7 +137,7 @@ class Framing:
                                      f"{len(raw)} of {self.header.size} bytes")
         return raw, self.header.unpack_from(raw)[2:]
 
-    def check_end(self, raw: bytes, path, end: int, exact: bool = True) -> None:
+    def check_end(self, raw: memoryview, path, end: int, exact: bool = True) -> None:
         """TruncatedFileError unless ``raw`` reaches ``end``, the offset past
         what the header promises, and (``exact``) TrailingBytesError unless
         it ends there."""

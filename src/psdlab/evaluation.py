@@ -6,7 +6,7 @@ toward the lower index so every metric is exactly reproducible.
 Retrieval and the similarity statistics come from one scan of the score
 matrix S = V T^T, ``score_eval``, which forms S a block of rows at a time
 (about ``SCAN_ENTRIES`` entries, so S is never held whole once n passes
-1024) and reads each block once. Every partner score S[i, i] is computed
+512) and reads each block once. Every partner score S[i, i] is computed
 once, from the diagonal of its block's square corner V[b] T[b]^T: before
 the scan, because text-to-image ranks compare every block against every
 partner, except in the first block, whose corner the scan forms anyway (so
@@ -43,8 +43,8 @@ PROBE_L2_DEFAULT = 1e-4
 LBFGS_HISTORY = 10   # curvature pairs the probe's L-BFGS keeps
 ARMIJO_C1 = 1e-4     # the share of the linear decrease a probe step must reach
 MAX_BACKTRACKS = 30  # step halvings before the probe's line search gives up
-SCAN_ENTRIES = 1 << 20  # entries of S per scanned block: 8 MB of float64
-BIN_CHUNK = 1 << 15     # entries binned per pass: with its three work arrays, 1 MB, in L2
+SCAN_ENTRIES = 1 << 18  # entries of S per scanned block: 2 MB of float64
+BIN_CHUNK = 1 << 15     # entries binned per pass: its four work arrays, 1 MB, stay in L2
 MAX_BINS = 1 << 16      # the most histogram bins equal_width_counts' margin covers
 EDGE_MARGIN = 2.0 ** -32  # scaled distance from a bin edge below which the edges decide
 
@@ -124,16 +124,18 @@ def check_eval_settings(n: int, k_list, bins, l2: float | None = None) -> None:
         raise InvalidInputError(f"probe l2 must lie in [0, inf), got {l2}")
 
 
-def equal_width_counts(values: np.ndarray, bins: int) -> np.ndarray:
-    """Counts of the 1-D ``values``, each within [-1, 1], over ``bins``
-    equal-width bins: exactly ``np.histogram(values, np.linspace(-1, 1,
-    bins + 1))``, bins left-closed and the last one closed, for bins in
-    [1, MAX_BINS].
+def equal_width_counts(values: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
+    """Counts of the 1-D ``values``, each clipped to [-1, 1], over ``bins``
+    equal-width bins, and the sum of the clipped values. The counts are
+    exactly ``np.histogram`` of the clipped values over ``np.linspace(-1, 1,
+    bins + 1)``, bins left-closed and the last one closed, for bins in
+    [1, MAX_BINS]; ``values`` is left as it is.
 
     It walks the values in chunks of ``BIN_CHUNK``, whose work arrays stay
-    in cache, scales each x to t = x (b/2) + b/2 (b = bins) and counts floor
-    t with ``np.bincount``. Only the x whose t lies within ``EDGE_MARGIN`` of
-    a whole number take their bin from the edges instead, by binary search.
+    in cache: it clips each chunk, adds its sum to the total, scales each
+    clipped x to t = x (b/2) + b/2 (b = bins) and counts floor t with
+    ``np.bincount``. Only the x whose t lies within ``EDGE_MARGIN`` of a
+    whole number take their bin from the edges instead, by binary search.
 
     Why the floor is exact elsewhere, with u = 2^-53: x lies in bin j when
     edges[j] <= x < edges[j + 1], that is when the exact (x + 1) b/2 lies
@@ -151,11 +153,15 @@ def equal_width_counts(values: np.ndarray, bins: int) -> np.ndarray:
     edges = np.linspace(-1.0, 1.0, bins + 1)
     half = bins / 2
     counts = np.zeros(bins, dtype=np.int64)
+    total = 0.0
     size = min(values.size, BIN_CHUNK)
-    scaled, floors, index = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
+    clipped, scaled, floors = np.empty(size), np.empty(size), np.empty(size)
+    index = np.empty(size, dtype=np.intp)
     for start in range(0, values.size, BIN_CHUNK):
-        x = values[start:start + BIN_CHUNK]
-        t, f, k = scaled[:x.size], floors[:x.size], index[:x.size]
+        chunk = values[start:start + BIN_CHUNK]
+        x, t, f, k = (a[:chunk.size] for a in (clipped, scaled, floors, index))
+        np.clip(chunk, -1.0, 1.0, out=x)
+        total += float(x.sum())
         np.multiply(x, half, out=t)
         t += half
         np.floor(t, out=f)
@@ -166,7 +172,7 @@ def equal_width_counts(values: np.ndarray, bins: int) -> np.ndarray:
             near = np.flatnonzero(near)
             k[near] = np.minimum(np.searchsorted(edges, x[near], side="right") - 1, bins - 1)
         counts += np.bincount(k, minlength=bins)
-    return counts
+    return counts, total
 
 
 def score_eval(image_emb, text_emb, k_list, bins
@@ -176,11 +182,11 @@ def score_eval(image_emb, text_emb, k_list, bins
     score) and the statistics over ``bins`` equal-width bins of [-1, 1]. A
     ``k_list`` or ``bins`` of None skips that part, which is then None.
 
-    Each block of S is clipped to [-1, 1] in place once its ranks are
-    counted; ``equal_width_counts`` bins it and its sum adds to the total.
-    The negative counts are those of all of S less those of the clipped
-    partner scores, so they equal ``np.histogram`` of the clipped
-    off-diagonal scores over ``np.linspace(-1, 1, bins + 1)`` exactly."""
+    Once its ranks are counted, ``equal_width_counts`` clips each block of
+    S to [-1, 1], a chunk at a time, bins it and adds up its sum. The
+    negative counts are those of all of S less those of the clipped partner
+    scores, so they equal ``np.histogram`` of the clipped off-diagonal
+    scores over ``np.linspace(-1, 1, bins + 1)`` exactly."""
     v, t = _unit_pairs(image_emb, text_emb)
     n = v.shape[0]
     if n == 0:
@@ -228,19 +234,19 @@ def score_eval(image_emb, text_emb, k_list, bins
             row, col = np.divmod(np.flatnonzero(corner == own.T), width)
             t2i_ranks[start:stop] += np.bincount(col[row < col], minlength=width)
         if bins is not None:
-            np.clip(block, -1.0, 1.0, out=block)
-            all_counts += equal_width_counts(block.ravel(), bins)
-            total += float(block.sum())
+            counts, block_total = equal_width_counts(block.ravel(), bins)
+            all_counts += counts
+            total += block_total
     i2t = t2i = stats = None
     if k_list is not None:
         i2t = _retrieval_report("image_to_text", i2t_ranks, k_list)
         t2i = _retrieval_report("text_to_image", t2i_ranks, k_list)
     if bins is not None:
         positives = np.clip(partner, -1.0, 1.0)
-        pos_counts = equal_width_counts(positives, bins)
+        pos_counts, pos_total = equal_width_counts(positives, bins)
         negative_mean = math.nan
         if n > 1:
-            negative_mean = (total - float(positives.sum())) / (n * n - n)
+            negative_mean = (total - pos_total) / (n * n - n)
         edges = np.linspace(-1.0, 1.0, bins + 1)
         stats = SimilarityStats(positive_scores=positives, negative_mean=negative_mean,
                                 bin_centers=0.5 * (edges[:-1] + edges[1:]),

@@ -37,7 +37,12 @@ scale in (0, 100], the student's clamped and a fixed teacher's capped at
 The PRNG is counter-based (Salmon et al. 2011): word k of a stream is the
 splitmix64 finalizer (Steele et al. 2014) applied to seed + k * gamma, so a
 block of words is one vectorized pass over a counter range and no draw loops
-in Python. ``derive_seed`` keys independent streams with the same mix.
+in Python. A draw makes its words, and normals their values, ``RNG_CHUNK``
+words at a time in reused buffers, so its working memory stays in cache
+whatever its size. Each word and each value is an elementwise function of
+its counter alone, computed by the same operations in every chunk, so
+chunking never changes a word, a value or the stream's position.
+``derive_seed`` keys independent streams with the same mix.
 
 Everything here is a pure function or a frozen value over immutable inputs
 except RngState, which is single-owner mutable state.
@@ -63,6 +68,9 @@ _MIX2 = 0x94D049BB133111EB
 SHARED_EXP_SPAN = 600.0
 # Rows per band when contrastive_xent scales its exponential in place.
 _BAND_ROWS = 64
+# Words per pass of the random stream: even, so a normal's pair never
+# splits. normals' work arrays, about 4.5 such chunks of 8-byte words, stay in L2.
+RNG_CHUNK = 1 << 15
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -314,18 +322,33 @@ class RngState:
         self.seed = seed & _MASK64
         self._count = 0
 
+    def _chunks(self, n: int):
+        """The next n words of the stream, ``RNG_CHUNK`` at a time, each
+        chunk a uint64 array computed in one reused buffer: it holds until
+        the next chunk is drawn."""
+        size = max(1, min(n, RNG_CHUNK))
+        steps = np.arange(1, size + 1, dtype=np.uint64)
+        words, scratch = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+        for start in range(0, n, size):
+            k = min(size, n - start)
+            z, tmp = words[:k], scratch[:k]
+            np.add(steps[:k], self._count, out=z)
+            self._count += k
+            z *= _GAMMA
+            z += self.seed
+            z ^= np.right_shift(z, 30, out=tmp)
+            z *= _MIX1
+            z ^= np.right_shift(z, 27, out=tmp)
+            z *= _MIX2
+            z ^= np.right_shift(z, 31, out=tmp)
+            yield z
+
     def _words(self, n: int) -> np.ndarray:
         """The next n words of the stream as a uint64 array."""
-        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-        self._count += n
-        z *= _GAMMA
-        z += self.seed
-        z ^= z >> 30
-        z *= _MIX1
-        z ^= z >> 27
-        z *= _MIX2
-        z ^= z >> 31
-        return z
+        out = np.empty(n, dtype=np.uint64)
+        for start, z in zip(range(0, n, RNG_CHUNK), self._chunks(n)):
+            out[start:start + z.size] = z
+        return out
 
     def next_u64(self) -> int:
         """The next word of the stream."""
@@ -336,23 +359,40 @@ class RngState:
         return float(self.uniforms(1)[0])
 
     def uniforms(self, n: int) -> np.ndarray:
-        return (self._words(n) >> 11) * 2.0**-53
+        z = self._words(n)
+        z >>= 11
+        return z * 2.0**-53
 
     def normals(self, *shape: int) -> np.ndarray:
         """Standard normals via pairwise Box-Muller.
 
         Consumes exactly 2*ceil(size/2) words; the first of each pair is
-        shifted into (0, 1] so the log is always finite.
+        shifted into (0, 1] so the log is always finite. The pairs are
+        transformed ``RNG_CHUNK`` words at a time in reused buffers, each
+        step the same elementwise operation as on the whole array.
         """
         size = math.prod(shape)
-        u = (self._words(2 * ((size + 1) // 2)) >> 11).astype(np.float64)
-        u1 = (u[0::2] + 1.0) * 2.0**-53
-        u2 = u[1::2] * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * math.pi * u2
-        z = np.empty_like(u)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
+        words = 2 * ((size + 1) // 2)
+        z = np.empty(words)
+        half = max(1, min(words, RNG_CHUNK) // 2)
+        radii, angles, trig = np.empty(half), np.empty(half), np.empty(half)
+        pos = 0
+        for w in self._chunks(words):
+            r, theta, c = radii[:w.size // 2], angles[:w.size // 2], trig[:w.size // 2]
+            w >>= 11
+            np.copyto(r, w[0::2], casting="unsafe")
+            r += 1.0
+            r *= 2.0**-53
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            np.copyto(theta, w[1::2], casting="unsafe")
+            theta *= 2.0**-53
+            theta *= 2.0 * math.pi
+            out = z[pos:pos + w.size]
+            np.multiply(r, np.cos(theta, out=c), out=out[0::2])
+            np.multiply(r, np.sin(theta, out=c), out=out[1::2])
+            pos += w.size
         return z[:size].reshape(shape) if shape else z[0]
 
     def integers(self, n: int, size: int) -> np.ndarray:

@@ -258,8 +258,9 @@ class TrainResult:
 
 def encode_pairs(image_params: ParamSet, text_params: ParamSet, ds: PairedDataset):
     """Embed a dataset's images and each image's caption in slot 0."""
-    img, _ = encode(image_params, ds.image_features)
-    txt, _ = encode(text_params, ds.text_features[ds.pairing[:, 0]])
+    # Each forward cache is dropped as soon as its embeddings exist.
+    img = encode(image_params, ds.image_features)[0]
+    txt = encode(text_params, ds.text_features[ds.pairing[:, 0]])[0]
     return img, txt
 
 

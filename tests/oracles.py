@@ -7,8 +7,10 @@ evidence rather than tautology. The numpy code at the end is no oracle:
 ``softmax_rows`` and ``target_rows`` build test inputs; ``softmax_xent`` is
 the dense cross-entropy over the rows of a logit matrix, with hard labels
 and dense soft rows, that the probe's hard-label loss is checked against;
-and ``dense_xent``, the factored cross-entropy's reference, is built on this
-dense soft-row kernel.
+``dense_xent``, the factored cross-entropy's reference, is built on this
+dense soft-row kernel; and ``single_pass_words`` and ``single_pass_normals``
+are the random stream's draw formulas as one pass over a whole counter
+range, which the stream's chunked draws must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import numpy as np
 
 from psdlab.errors import InvalidInputError
-from psdlab.numkit import SoftTargets, as_matrix
+from psdlab.numkit import _GAMMA, _MIX1, _MIX2, SoftTargets, as_matrix
 
 
 def softmax_row_scalar(row, scale):
@@ -273,3 +275,31 @@ def dense_xent(scaled_v, t, weights, soft_rows, row_targets, col_targets):
                                   col_targets)
     block = grad_r + grad_c.T
     return loss_r + loss_c, block @ t, block.T @ scaled_v
+
+
+def single_pass_words(seed: int, start: int, n: int) -> np.ndarray:
+    """Words start + 1 .. start + n of the counter stream of ``seed``, each
+    step one array operation over the whole counter range."""
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += seed
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z
+
+
+def single_pass_normals(words: np.ndarray, size: int) -> np.ndarray:
+    """The first ``size`` pairwise Box-Muller normals of an even count of
+    ``words``, each step one array operation over all of them."""
+    u = (words >> 11).astype(np.float64)
+    u1 = (u[0::2] + 1.0) * 2.0**-53
+    u2 = u[1::2] * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * math.pi * u2
+    z = np.empty_like(u)
+    z[0::2] = r * np.cos(theta)
+    z[1::2] = r * np.sin(theta)
+    return z[:size]

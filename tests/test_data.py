@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +98,63 @@ class TestGenerate:
         np.testing.assert_allclose(z_img, latents, atol=1e-8)
         d2 = ((z_img[:, None, :] - z_cap[None, :, :]) ** 2).sum(axis=2)
         np.testing.assert_array_equal(np.argmin(d2, axis=1), np.arange(spec.num_samples))
+
+
+# sha256 of save_pairs(generate(SyntheticSpec(**kw), RngState(seed))). They
+# pin the dataset's bytes: a change to the random stream, the noise or the
+# file layout that moves one byte fails here.
+GOLDEN_DATASETS = [
+    # 2000 images x 5 captions: 480000 caption normals, many stream chunks.
+    (dict(num_classes=4, samples_per_class=500, captions_per_image=5, mismatch_rate=0.2), 7,
+     "f7334bb6c5cc2753124cb2ec99f280185d7694c06782c6ea080b45351a17c720"),
+    # n m d = 21 * 3 * 5 = 315 caption normals, an odd count, as is every block.
+    (dict(num_classes=3, samples_per_class=7, latent_dim=3, image_dim=7, text_dim=5,
+          captions_per_image=3, mismatch_rate=0.3), 11,
+     "b9818153ef74b69ad29aeffc2461a2d415f4ca638a88d67c2817190d7234bd02"),
+    ({}, 0, "ebacb3b89c74aa4c8a5c9e12134fbea1e5b52c8f86bf01ddc902a25db593c9ba"),
+]
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def dataset_bytes(ds: PairedDataset) -> int:
+    return sum(a.nbytes for a in (ds.image_features, ds.text_features, ds.pairing,
+                                  ds.class_labels, ds.corrupted))
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("kw, seed, digest", GOLDEN_DATASETS)
+    def test_dataset_bytes(self, tmp_path, kw, seed, digest):
+        path = tmp_path / "pairs.psdd"
+        save_pairs(generate(SyntheticSpec(**kw), RngState(seed)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestPeakMemory:
+    """generate and load_pairs hold what they return and working arrays of
+    about one random-stream chunk each, never a second copy of the data."""
+
+    SPEC = SyntheticSpec(samples_per_class=400, captions_per_image=5, mismatch_rate=0.2)
+
+    def test_generate_below_twice_its_output(self):
+        ds, peak = traced_peak(lambda: generate(self.SPEC, RngState(1)))
+        assert peak < 2 * dataset_bytes(ds)
+
+    def test_load_holds_the_file_once(self, tmp_path):
+        path = tmp_path / "pairs.psdd"
+        save_pairs(generate(self.SPEC, RngState(1)), path)
+        ds, peak = traced_peak(lambda: load_pairs(path))
+        assert peak < 1.25 * path.stat().st_size
+        for features in (ds.image_features, ds.text_features):
+            assert features.flags.writeable and features.flags.aligned
 
 
 class TestSelectCaptions:

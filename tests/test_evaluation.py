@@ -421,7 +421,9 @@ class TestEqualWidthCounts:
         monkeypatch.setattr(ev, "BIN_CHUNK", chunk)
         x = planted_scores(bins)
         assert x.size % chunk
-        assert_counts_exact(ev.equal_width_counts(x, bins), x, bins)
+        counts, total = ev.equal_width_counts(x, bins)
+        assert_counts_exact(counts, x, bins)
+        assert total == pytest.approx(math.fsum(x), rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("bins", [7, 50])
     @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
@@ -442,6 +444,14 @@ class TestEqualWidthCounts:
         assert_counts_exact(stats.positive_counts, np.diagonal(sims), bins)
         assert_counts_exact(stats.negative_counts, off_diagonal(v, t), bins)
 
+    def test_clips_without_writing_to_values(self):
+        x = np.array([-3.0, -1.0, np.nextafter(-1.0, -2.0), 0.25, np.nextafter(1.0, 2.0), 2.0])
+        before = x.copy()
+        counts, total = ev.equal_width_counts(x, 4)
+        np.testing.assert_array_equal(x, before)
+        assert counts.tolist() == [3, 0, 1, 2]
+        assert total == math.fsum(np.clip(x, -1.0, 1.0))
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), bins=st.integers(1, ev.MAX_BINS), chunk=st.integers(1, 64))
     def test_random_blocks(self, data, bins, chunk):
@@ -455,8 +465,9 @@ class TestEqualWidthCounts:
                                         max_size=300)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ev, "BIN_CHUNK", chunk)
-            counts = ev.equal_width_counts(x, bins)
+            counts, total = ev.equal_width_counts(x, bins)
         assert_counts_exact(counts, x, bins)
+        assert total == pytest.approx(math.fsum(x), rel=0, abs=1e-12)
 
 
 def blocked_scan_matches_oracles(v, t):
@@ -521,9 +532,10 @@ class TestScanBlocks:
         assert score_eval(v, t, None, 4)[:2] == (None, None)
         assert score_eval(v, t, [1], None)[2] is None
 
-    def test_peak_memory_below_a_quarter_of_s(self, rng):
-        # At n = 4000 one n x n float64 matrix is 122 MiB; the scan holds a
-        # block of about 8 MB and its comparison masks.
+    def test_peak_memory_within_one_block(self, rng):
+        # At n = 4000 one n x n float64 matrix is 122 MiB; the scan holds one
+        # block of SCAN_ENTRIES scores, a comparison mask a byte per score,
+        # and the binner's four work arrays of BIN_CHUNK entries.
         v, t = unit_batch(rng, 4000, 16)
         tracemalloc.start()
         try:
@@ -531,4 +543,4 @@ class TestScanBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 8 * ev.SCAN_ENTRIES + 2 * 2**20

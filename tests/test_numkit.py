@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from psdlab.errors import DegenerateInputError, InvalidInputError
 from psdlab.gradcheck import central_difference, max_rel_error
 from psdlab.numkit import (
+    RNG_CHUNK,
     SHARED_EXP_SPAN,
     RngState,
     SoftTargets,
@@ -22,6 +23,8 @@ from psdlab.numkit import (
 from oracles import (
     cross_entropy_scalar,
     dense_xent,
+    single_pass_normals,
+    single_pass_words,
     softmax_row_scalar,
     softmax_rows,
     softmax_xent,
@@ -500,3 +503,61 @@ class TestCounterStream:
         np.testing.assert_array_equal(perm, RngState(40).permutation(n))
         np.testing.assert_array_equal(
             perm, np.argsort(np.array(scalar_words(40, n), dtype=np.uint64), kind="stable"))
+
+
+# Sizes around the stream's chunk: one word, an odd count, and a chunk
+# boundary met from below, hit, passed by one, and passed twice.
+CHUNK_SIZES = [1, 7, RNG_CHUNK - 1, RNG_CHUNK, RNG_CHUNK + 1, 2 * RNG_CHUNK + 1]
+SEEDS = [3, (1 << 64) - 1]
+
+
+class TestChunkedDraws:
+    """Draws compute RNG_CHUNK words at a time in reused buffers; every
+    word, value and stream position must equal the single-pass formula's,
+    across chunk boundaries and for draws split across calls."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    def test_words(self, seed, size):
+        r = RngState(seed)
+        first, second = r._words(size), r._words(size + 2)
+        assert r._count == 2 * size + 2
+        np.testing.assert_array_equal(first, single_pass_words(seed, 0, size))
+        np.testing.assert_array_equal(second, single_pass_words(seed, size, size + 2))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    def test_normals(self, seed, size):
+        # normals(5) takes 6 words, so the second draw starts on word 7.
+        r = RngState(seed)
+        first, second = r.normals(5), r.normals(size)
+        taken = 2 * ((size + 1) // 2)
+        assert r._count == 6 + taken
+        np.testing.assert_array_equal(first, single_pass_normals(single_pass_words(seed, 0, 6), 5))
+        np.testing.assert_array_equal(
+            second, single_pass_normals(single_pass_words(seed, 6, taken), size))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    def test_integers(self, seed, size):
+        # 2**64 mod n == n - 2 for n = 2**63 + 1: about half the words are
+        # rejected, so the shortfall is drawn again across chunks.
+        n = (1 << 63) + 1
+        r = RngState(seed)
+        first, second = r.integers(n, size), r.integers(n, 3)
+        words = single_pass_words(seed, 0, 2 * size + 200)
+        accepted = np.flatnonzero(words < n)[:size + 3]
+        assert accepted.size == size + 3
+        assert r._count == accepted[-1] + 1
+        np.testing.assert_array_equal(np.concatenate([first, second]), words[accepted])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    def test_permutation(self, seed, size):
+        r = RngState(seed)
+        first, second = r.permutation(size), r.permutation(3)
+        assert r._count == size + 3
+        np.testing.assert_array_equal(
+            first, np.argsort(single_pass_words(seed, 0, size), kind="stable"))
+        np.testing.assert_array_equal(
+            second, np.argsort(single_pass_words(seed, size, 3), kind="stable"))
