@@ -157,7 +157,10 @@ def generate(spec: SyntheticSpec, rng: RngState) -> PairedDataset:
 
     sigma = spec.feature_noise_sigma
     image_features = _plus_noise(latents @ proj_image, sigma, rng)
-    text_features = _plus_noise(np.repeat(latents, m, axis=0) @ proj_text, sigma, rng)
+    text_features = latents @ proj_text
+    if m > 1:  # np.repeat copies even when m == 1
+        text_features = np.repeat(text_features, m, axis=0)
+    text_features = _plus_noise(text_features, sigma, rng)
 
     pairing = np.arange(n * m, dtype=np.int64).reshape(n, m)
     corrupted = np.zeros(n, dtype=bool)

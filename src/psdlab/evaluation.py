@@ -17,9 +17,15 @@ Image-to-text ranks count along the rows of each block, text-to-image ranks
 add up along its columns. Outside a block's corner every candidate lies on
 one side of the partner's index, so one comparison (>= before it, > after
 it) counts both the higher scores and the ties that rank ahead; only the
-corner scans for ties. The negative (off-diagonal) histogram is the
-histogram of all of S minus that of its diagonal, and the negative mean is
-(sum S - trace S) / (n^2 - n), so no n x n mask or gather is built.
+corner scans for ties. Each comparison mask is counted by ``_count_true``,
+which sums its bytes in the narrowest unsigned dtype that holds the length
+of the counted axis (uint8 up to 255 entries, uint16 up to 65535), not in
+the intp that ``np.count_nonzero`` casts every entry to. A count is at most
+that length, so it cannot overflow; each count is added on its own into the
+int64 ranks, so no two narrow counts are ever summed in their own dtype.
+The negative (off-diagonal) histogram is the histogram of all of S minus
+that of its diagonal, and the negative mean is (sum S - trace S) /
+(n^2 - n), so no n x n mask or gather is built.
 
 The histograms count with ``equal_width_counts``, which bins by arithmetic
 rather than by sorting: it scales each clipped score onto [0, bins], takes
@@ -90,7 +96,7 @@ class ProbeResult:
 
 
 def _check_unit_rows(m: np.ndarray, name: str) -> None:
-    norms = np.sqrt((m * m).sum(axis=1))
+    norms = np.sqrt(np.einsum("ij,ij->i", m, m))
     if norms.size and np.abs(norms - 1.0).max() > 1e-6:
         raise InvalidInputError(f"{name} rows must be unit-norm")
 
@@ -175,12 +181,25 @@ def equal_width_counts(values: np.ndarray, bins: int) -> tuple[np.ndarray, float
     return counts, total
 
 
+def _count_true(mask: np.ndarray, axis: int) -> np.ndarray:
+    """The True entries of the 2-D boolean ``mask`` along ``axis``, in the
+    narrowest unsigned dtype that holds the axis length: ``count_nonzero``
+    with an axis casts every entry to intp first. The sum reads the mask as
+    bytes, each 0 or 1, so no count exceeds the length and none wraps."""
+    return mask.view(np.uint8).sum(axis=axis, dtype=np.min_scalar_type(mask.shape[axis]))
+
+
 def score_eval(image_emb, text_emb, k_list, bins
                ) -> tuple[RetrievalReport | None, RetrievalReport | None, SimilarityStats | None]:
     """One scan of S = V T^T for (image_to_text, text_to_image, similarity):
     retrieval at each K of ``k_list`` (each partner ranked under descending
     score) and the statistics over ``bins`` equal-width bins of [-1, 1]. A
     ``k_list`` or ``bins`` of None skips that part, which is then None.
+
+    Each block's rank counts come from ``_count_true``, in an unsigned
+    dtype just wide enough for the counted axis (at most ``rows`` entries
+    down a column, n along a row), so no count wraps; every count is added
+    straight into the int64 ranks.
 
     Once its ranks are counted, ``equal_width_counts`` clips each block of
     S to [-1, 1], a chunk at a time, bins it and adds up its sum. The
@@ -221,14 +240,14 @@ def score_eval(image_emb, text_emb, k_list, bins
             # Outside the corner a tie counts exactly when the other index
             # is the lower: left of it for an image's row, above it for a
             # text's column.
-            i2t_ranks[start:stop] += (np.count_nonzero(left >= own, axis=1)
-                                      + np.count_nonzero(right > own, axis=1))
-            t2i_ranks[:start] += np.count_nonzero(left > partner[:start], axis=0)
-            t2i_ranks[stop:] += np.count_nonzero(right >= partner[stop:], axis=0)
+            i2t_ranks[start:stop] += _count_true(left >= own, axis=1)
+            i2t_ranks[start:stop] += _count_true(right > own, axis=1)
+            t2i_ranks[:start] += _count_true(left > partner[:start], axis=0)
+            t2i_ranks[stop:] += _count_true(right >= partner[stop:], axis=0)
             # In the corner, higher scores, then ties at a lower index found
             # by one flat scan each: 2-D nonzero is about 9x slower.
-            i2t_ranks[start:stop] += np.count_nonzero(corner > own, axis=1)
-            t2i_ranks[start:stop] += np.count_nonzero(corner > own.T, axis=0)
+            i2t_ranks[start:stop] += _count_true(corner > own, axis=1)
+            t2i_ranks[start:stop] += _count_true(corner > own.T, axis=0)
             row, col = np.divmod(np.flatnonzero(corner == own), width)
             i2t_ranks[start:stop] += np.bincount(row[col < row], minlength=width)
             row, col = np.divmod(np.flatnonzero(corner == own.T), width)
@@ -287,12 +306,21 @@ def probe_loss_and_grad(w_flat: np.ndarray, features: np.ndarray, labels: np.nda
     by its own max so it stays exact however far apart the logits are. Its
     gradient in x_i is (softmax(x_i) - onehot(labels[i])) / n, formed as
     exp(x_i - max) times (1/n) / sum(exp), less 1/n at the label.
+
+    The row max is taken one class column at a time with ``np.maximum``,
+    since a reduction along a short row costs per row, not per entry; a max
+    is exact in any order. Every other operation (the gemms, the sums, the
+    gather at the labels) runs in the order of the tests' reference
+    cross entropy, ``oracles.softmax_xent``, which pins the loss and
+    gradient bit for bit.
     """
     n, d = features.shape
     w = w_flat[: d * num_classes].reshape(d, num_classes)
     b = w_flat[d * num_classes:]
     logits = features @ w + b
-    top = logits.max(axis=1, keepdims=True)
+    top = logits[:, :1].copy()
+    for c in range(1, num_classes):
+        np.maximum(top, logits[:, c:c + 1], out=top)
     delta = logits - top
     np.exp(delta, out=delta)
     total = delta.sum(axis=1, keepdims=True)

@@ -492,6 +492,27 @@ def blocked_scan_matches_oracles(v, t):
                                                     rel=1e-14)
 
 
+class TestCountTrue:
+    """The scan counts each comparison mask in the narrowest unsigned dtype
+    that holds the counted axis; an all-True mask fills that dtype to its
+    length, at the edges where it widens."""
+
+    @pytest.mark.parametrize("length", [255, 256, 65535, 65536])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_all_true_counts_its_length(self, length, axis):
+        shape = (length, 3) if axis == 0 else (3, length)
+        counts = ev._count_true(np.ones(shape, dtype=bool), axis)
+        assert counts.dtype == np.min_scalar_type(length)
+        assert counts.tolist() == [length] * 3
+
+    def test_random_masks_match_count_nonzero(self, rng):
+        mask = rng.normals(40, 300) > 0.5
+        for view in (mask, mask[:, ::2], mask.T, mask[::3, 1:]):
+            for axis in (0, 1):
+                np.testing.assert_array_equal(ev._count_true(view, axis),
+                                              np.count_nonzero(view, axis=axis))
+
+
 class TestScanBlocks:
     """The scan forms S a block of rows at a time; with the block size
     shrunk, a 50-row batch spans many blocks and must give what one block
@@ -518,6 +539,26 @@ class TestScanBlocks:
         sims[44, 10] = sims[44, 44]  # image 44 ties text 10, in an earlier corner
         v, t = lift_sims_to_embeddings(sims)
         blocked_scan_matches_oracles(v, t)
+
+    def test_partners_ranked_last_past_one_byte(self, rng):
+        # At n = 600 the default block holds 436 rows, so the scan runs two
+        # blocks and counts along axes of 164 to 600 entries. A text that is
+        # its image negated scores -1 against it, the lowest of its row and
+        # column, so its partner ranks n in both directions: counts of
+        # n - 1 = 599, past the 255 of a byte.
+        n = 600
+        rows = ev.SCAN_ENTRIES // n
+        assert -(-n // rows) == 2
+        v, t = unit_batch(rng, n, 4)
+        last = np.arange(0, n, 3)
+        t[last] = -v[last]
+        ks = [1, 5, 10, rows, n - 1, n]
+        i2t, t2i = retrieval_eval(v, t, ks)
+        expected = retrieval_scalar(v.tolist(), t.tolist(), ks)
+        for rep, key in ((i2t, "image_to_text"), (t2i, "text_to_image")):
+            assert expected[key]["recall_at"][n - 1] == 100.0 * (n - last.size) / n
+            assert rep.recall_at == expected[key]["recall_at"]
+            assert rep.mean_rank == expected[key]["mean_rank"]
 
     def test_single_pair(self, monkeypatch):
         monkeypatch.setattr(ev, "SCAN_ENTRIES", 1)
