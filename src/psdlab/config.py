@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .data import SyntheticSpec
 from .errors import ConfigError
+from .evaluation import PROBE_L2_DEFAULT
 from .model import _ACTIVATIONS, EncoderSpec
 from .trainer import PARTITION_MODES, SCHEDULE_KINDS, TARGET_MODES, TrainConfig
 
@@ -83,7 +84,7 @@ class ExperimentConfig:
     k_list: tuple[int, ...] = (1, 5, 10)
     histogram_bins: int = 50
     probe: bool = True
-    probe_l2: float = 1e-4
+    probe_l2: float = PROBE_L2_DEFAULT
     eval_per_class: int = 40          # clean held-out images per class for experiments
     ablate_seeds: int = 10
 
@@ -168,7 +169,7 @@ def render_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def echo_config(cfg: ExperimentConfig, out_dir, source_text: str | None = None) -> None:
+def echo_config(cfg: ExperimentConfig, out_dir, source_text: str | None) -> None:
     """Write the resolved config (and the verbatim input, when given) to the
     output directory."""
     out = Path(out_dir)

@@ -188,11 +188,11 @@ def take_subset(ds: PairedDataset, image_idx: np.ndarray) -> PairedDataset:
     remap = np.full(ds.text_features.shape[0], -1, dtype=np.int64)
     remap[cap_rows] = np.arange(cap_rows.size, dtype=np.int64)
     return PairedDataset(
-        image_features=ds.image_features[image_idx].copy(),
-        text_features=ds.text_features[cap_rows].copy(),
+        image_features=ds.image_features[image_idx],
+        text_features=ds.text_features[cap_rows],
         pairing=remap[ds.pairing[image_idx]],
-        class_labels=ds.class_labels[image_idx].copy(),
-        corrupted=ds.corrupted[image_idx].copy(),
+        class_labels=ds.class_labels[image_idx],
+        corrupted=ds.corrupted[image_idx],
     )
 
 

@@ -46,6 +46,7 @@ from .errors import InvalidInputError
 from .numkit import as_matrix
 
 PROBE_L2_DEFAULT = 1e-4
+PROBE_MAX_ITERS = 1000  # L-BFGS iterations before the probe stops unconverged
 LBFGS_HISTORY = 10   # curvature pairs the probe's L-BFGS keeps
 ARMIJO_C1 = 1e-4     # the share of the linear decrease a probe step must reach
 MAX_BACKTRACKS = 30  # step halvings before the probe's line search gives up
@@ -373,7 +374,7 @@ def _lbfgs_direction(grad, s_hist, y_hist):
 
 
 def linear_probe(train_features, train_labels, test_features, test_labels,
-                 max_iters: int = 1000, l2: float = PROBE_L2_DEFAULT) -> ProbeResult:
+                 l2: float = PROBE_L2_DEFAULT) -> ProbeResult:
     """Multinomial logistic regression on frozen features, trained from zero
     weights by L-BFGS with backtracking (Armijo) steps; returns held-out
     top-1.
@@ -411,7 +412,7 @@ def linear_probe(train_features, train_labels, test_features, test_labels,
     y_hist: list[np.ndarray] = []
     fallbacks = 0
     iterations = 0
-    for _ in range(max_iters):
+    for _ in range(PROBE_MAX_ITERS):
         if np.abs(grad).max() < 1e-7:
             break
         direction = _lbfgs_direction(grad, s_hist, y_hist)

@@ -113,9 +113,8 @@ class VariantOutcome:
         return d
 
 
-def evaluate_on_holdout(result: TrainResult, eval_ds: PairedDataset,
-                        k_list, bins: int = 50,
-                        variant: str = "", seed: int = 0) -> VariantOutcome:
+def evaluate_on_holdout(result: TrainResult, eval_ds: PairedDataset, k_list, bins: int,
+                        variant: str, seed: int) -> VariantOutcome:
     img, txt = encode_pairs(result.image_params, result.text_params, eval_ds)
     i2t, t2i, stats = score_eval(img, txt, k_list, bins)
     protos = class_prototypes(result.text_params, eval_ds)
@@ -168,9 +167,10 @@ def _one_blas_thread() -> None:
     _openblas_call(OPENBLAS_SET_THREADS, 1, restype=None)
 
 
-def run_matrix(exp_cfg: ExperimentConfig, seeds, variants=None,
+def run_matrix(exp_cfg: ExperimentConfig, seeds,
                progress=None) -> dict[str, list[VariantOutcome]]:
-    """Train every variant on every seed's pool; paired by construction.
+    """Train every variant of ``ABLATION_VARIANTS`` on every seed's pool;
+    paired by construction.
 
     Each (seed, variant) pair is one task on a pool of forked workers: as
     many as there are available CPUs, at most one per task, each with BLAS
@@ -188,14 +188,14 @@ def run_matrix(exp_cfg: ExperimentConfig, seeds, variants=None,
 
     check_eval_settings(exp_cfg.eval_per_class * exp_cfg.num_classes,
                         exp_cfg.k_list, exp_cfg.histogram_bins)
-    seeds, variants = list(seeds), list(variants or ABLATION_VARIANTS)
+    seeds = list(seeds)
     if not seeds:
         raise InvalidInputError("the number of seeds must lie in [1, inf), got 0")
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    executor = ProcessPoolExecutor(max(1, min(cpus, len(seeds) * len(variants))),
+    executor = ProcessPoolExecutor(max(1, min(cpus, len(seeds) * len(ABLATION_VARIANTS))),
                                    mp_context=multiprocessing.get_context("fork"),
                                    initializer=_one_blas_thread)
     try:
@@ -207,8 +207,9 @@ def run_matrix(exp_cfg: ExperimentConfig, seeds, variants=None,
             train_ds, eval_ds = split_clean_holdout(
                 generate(exp_cfg.synthetic_spec(), RngState(seed)), exp_cfg.eval_per_class)
             futures += [(variant, executor.submit(run_variant, exp_cfg, variant, seed,
-                                                  train_ds, eval_ds)) for variant in variants]
-        outcomes: dict[str, list[VariantOutcome]] = {v: [] for v in variants}
+                                                  train_ds, eval_ds))
+                        for variant in ABLATION_VARIANTS]
+        outcomes: dict[str, list[VariantOutcome]] = {v: [] for v in ABLATION_VARIANTS}
         for variant, future in futures:
             outcome = future.result()
             outcomes[variant].append(outcome)
@@ -227,9 +228,8 @@ def _primary_r1(outcome: VariantOutcome) -> float:
 def ablation_table(outcomes: dict[str, list[VariantOutcome]]) -> dict:
     """Aggregate means plus the per-seed win/loss vote against the baseline
     on held-out text-to-image R@1."""
-    table: dict = {"rows": {}, "wins_vs_baseline": {}, "seeds": []}
-    baseline = outcomes.get("baseline", [])
-    table["seeds"] = [o.seed for o in baseline] or [o.seed for o in next(iter(outcomes.values()))]
+    baseline = outcomes["baseline"]
+    table: dict = {"rows": {}, "wins_vs_baseline": {}, "seeds": [o.seed for o in baseline]}
     for variant, runs in outcomes.items():
         ks = sorted(runs[0].t2i_recall)
         row = {
@@ -241,7 +241,7 @@ def ablation_table(outcomes: dict[str, list[VariantOutcome]]) -> dict:
             "per_seed": [r.to_dict() for r in runs],
         }
         table["rows"][variant] = row
-        if baseline and variant != "baseline":
+        if variant != "baseline":
             wins = sum(_primary_r1(r) > _primary_r1(b) for r, b in zip(runs, baseline))
             losses = sum(_primary_r1(r) < _primary_r1(b) for r, b in zip(runs, baseline))
             table["wins_vs_baseline"][variant] = {

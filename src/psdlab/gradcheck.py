@@ -205,7 +205,7 @@ def check_alpha_one_reduction(seed: int, instances: int) -> CheckReport:
     return CheckReport("alpha_one_reduction", instances, worst, worst < 1e-12)
 
 
-def run_all(seed: int = 0, instances: int = 100) -> list[CheckReport]:
+def run_all(seed: int, instances: int) -> list[CheckReport]:
     return [
         check_info_nce(seed, instances),
         check_psd_loss(seed, instances),

@@ -45,7 +45,8 @@ chunking never changes a word, a value or the stream's position.
 ``derive_seed`` keys independent streams with the same mix.
 
 Everything here is a pure function or a frozen value over immutable inputs
-except RngState, which is single-owner mutable state.
+except RngState, which is single-owner mutable state, and ``exp_both_axes``,
+which overwrites its argument with the exponentials.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ _BAND_ROWS = 64
 RNG_CHUNK = 1 << 15
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
+def as_matrix(a, name: str) -> np.ndarray:
     """Validate ``a`` as a finite 2-D float64 array and return it C-contiguous."""
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2:

@@ -200,6 +200,12 @@ class TestSubset:
         np.testing.assert_array_equal(
             sub.text_features[sub.pairing[0]], ds.text_features[ds.pairing[keep[0]]])
 
+    def test_subset_shares_no_memory_with_its_source(self):
+        ds = generate(small_spec(captions_per_image=2), RngState(15))
+        sub = take_subset(ds, np.arange(0, 100, 3))
+        for name in ("image_features", "text_features", "pairing", "class_labels", "corrupted"):
+            assert not np.shares_memory(getattr(sub, name), getattr(ds, name)), name
+
 
 class TestPairsFile:
     def test_roundtrip_bit_exact(self, tmp_path):

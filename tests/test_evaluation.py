@@ -181,9 +181,9 @@ class TestLinearProbe:
         b = rng.normals(40, 2) - np.array([4.0, 4.0])
         x = np.vstack([a, b])
         y = np.array([0] * 40 + [1] * 40)
-        result = linear_probe(x, y, x, y, max_iters=1000)
+        result = linear_probe(x, y, x, y)
         assert result.train_accuracy == 100.0
-        assert result.iterations <= 1000
+        assert result.iterations <= ev.PROBE_MAX_ITERS
 
     def test_holdout_accuracy_on_gaussian_blobs(self):
         rng = RngState(6)
@@ -206,7 +206,7 @@ class TestLinearProbe:
             bad[0] = -1
             labels = (bad, y) if side == "train" else (y, bad)
             with pytest.raises(InvalidInputError):
-                linear_probe(x, labels[0], x, labels[1], max_iters=5)
+                linear_probe(x, labels[0], x, labels[1])
 
     def test_empty_split_rejected(self):
         x = RngState(9).normals(6, 3)
@@ -214,7 +214,7 @@ class TestLinearProbe:
         empty_x, empty_y = np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
         for args in ((empty_x, empty_y, x, y), (x, y, empty_x, empty_y)):
             with pytest.raises(InvalidInputError):
-                linear_probe(*args, max_iters=5)
+                linear_probe(*args)
 
     def test_loss_monotone_over_iterations(self):
         # the line search, along the L-BFGS direction or the gradient, only
@@ -233,7 +233,7 @@ class TestLinearProbe:
         original = ev.probe_loss_and_grad
         ev.probe_loss_and_grad = spy
         try:
-            linear_probe(x, y, x, y, max_iters=50)
+            linear_probe(x, y, x, y)
         finally:
             ev.probe_loss_and_grad = original
         # track the accepted-iterate sequence: it is embedded in the call
@@ -259,7 +259,7 @@ class TestLinearProbe:
         if path == "fallback":
             # +grad ascends, so every step falls back to minus the gradient.
             monkeypatch.setattr(ev, "_lbfgs_direction", lambda grad, *hist: grad.copy())
-        result = linear_probe(x, y, x, y, max_iters=50)
+        result = linear_probe(x, y, x, y)
         assert result.iterations > 0
         assert result.line_search_fallbacks == (result.iterations if path == "fallback" else 0)
         assert len(points) == len(set(points))
@@ -313,8 +313,8 @@ class TestLinearProbe:
             return loss, grad
 
         monkeypatch.setattr(ev, "probe_loss_and_grad", spy)
-        result = linear_probe(x, y, x, y, max_iters=1000)
-        assert result.iterations < 1000
+        result = linear_probe(x, y, x, y)
+        assert result.iterations < ev.PROBE_MAX_ITERS
         assert np.abs(grads[-1]).max() < 1e-7
 
 

@@ -3,8 +3,10 @@ soft targets with dynamic partitions beat the InfoNCE baseline. Also the
 worker pool behind ``run_matrix``, at tiny sizes: it gives what training
 each (seed, variant) pair in turn gives, a worker's error reaches the CLI,
 and every worker runs BLAS on one thread. And the harness's two pure
-parts: the clean holdout split and the ablation table."""
+parts: the clean holdout split, whose bytes are pinned on the noise preset,
+and the ablation table."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -12,9 +14,10 @@ import pytest
 
 from psdlab import experiments
 from psdlab.cli import main
-from psdlab.data import SyntheticSpec, generate
+from psdlab.data import SyntheticSpec, generate, save_pairs
 from psdlab.errors import DivergenceError, InvalidInputError
 from psdlab.experiments import (
+    ABLATION_VARIANTS,
     OPENBLAS_SET_THREADS,
     VariantOutcome,
     ablation_table,
@@ -33,8 +36,7 @@ TINY = {"samples_per_class": 60, "eval_per_class": 10, "batch_size": 64, "epochs
 def test_swapped_dynamic_beats_baseline_on_noise_preset():
     # The preset unchanged (30 epochs): shorter runs shrink the margin toward
     # noise, e.g. to 2.25 points at 15 epochs and to a loss at 10 on this seed.
-    outcomes = run_matrix(noise_experiment_config(), [0],
-                          variants=["baseline", "swapped_dynamic"])
+    outcomes = run_matrix(noise_experiment_config(), [0])
     baseline = outcomes["baseline"][0].t2i_recall[1]
     swapped = outcomes["swapped_dynamic"][0].t2i_recall[1]
     assert swapped > baseline, (swapped, baseline)
@@ -48,16 +50,17 @@ def tiny_config():
 
 
 def test_pool_equals_serial_loop():
-    cfg, seeds, variants = tiny_config(), [3, 4], ["baseline", "swapped_dynamic"]
+    cfg, seeds = tiny_config(), [3, 4]
     seen = []
-    pooled = run_matrix(cfg, seeds, variants=variants, progress=seen.append)
-    serial = {v: [] for v in variants}
+    pooled = run_matrix(cfg, seeds, progress=seen.append)
+    serial = {v: [] for v in ABLATION_VARIANTS}
     for seed in seeds:
         train_ds, eval_ds = split_clean_holdout(generate(cfg.synthetic_spec(), RngState(seed)),
                                                 cfg.eval_per_class)
-        for variant in variants:
+        for variant in ABLATION_VARIANTS:
             serial[variant].append(run_variant(cfg, variant, seed, train_ds, eval_ds))
-    assert [(o.seed, o.variant) for o in seen] == [(s, v) for s in seeds for v in variants]
+    assert [(o.seed, o.variant) for o in seen] == [(s, v) for s in seeds
+                                                   for v in ABLATION_VARIANTS]
     assert json.dumps(ablation_table(pooled), sort_keys=True) == \
         json.dumps(ablation_table(serial), sort_keys=True)
 
@@ -86,10 +89,10 @@ def test_workers_run_blas_on_one_thread(monkeypatch):
     monkeypatch.setattr(experiments, "run_variant", _blas_threads)
     experiments._openblas_call(OPENBLAS_SET_THREADS, 2, restype=None)  # a threaded caller
     try:
-        outcomes = run_matrix(tiny_config(), [0, 1], variants=["baseline", "swapped_dynamic"])
+        outcomes = run_matrix(tiny_config(), [0, 1])
     finally:
         experiments._openblas_call(OPENBLAS_SET_THREADS, threads, restype=None)
-    assert outcomes == {"baseline": [1, 1], "swapped_dynamic": [1, 1]}
+    assert outcomes == {v: [1, 1] for v in ABLATION_VARIANTS}
 
 
 def noisy_pool():
@@ -111,6 +114,19 @@ def test_clean_holdout_holds_per_class_clean_images():
     assert train_ds.num_samples + eval_ds.num_samples == pool.num_samples
     assert rows(train_ds) | rows(eval_ds) == rows(pool)
     assert len(rows(pool)) == pool.num_samples
+
+
+def test_noise_preset_split_bytes(tmp_path):
+    # sha256 of the saved halves of seed 0's noise-preset pool, as ablate
+    # splits it: the train split of 2000 images and the clean holdout of 400.
+    cfg = noise_experiment_config()
+    halves = split_clean_holdout(generate(cfg.synthetic_spec(), RngState(0)), cfg.eval_per_class)
+    digests = []
+    for name, half in zip(("train", "holdout"), halves):
+        save_pairs(half, tmp_path / name)
+        digests.append(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
+    assert digests == ["7be2da45cfb046a49d70d494140344accf73450ec48fb397ec0ae0359fe1bec8",
+                       "e932c840285256f2a15a870d1d1d1f47f4367756cc40be29937cfd652deb2f5b"]
 
 
 def test_clean_holdout_needs_enough_clean_images():

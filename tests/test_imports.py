@@ -1,25 +1,27 @@
-"""No module imports a name that it never reads; no top-level definition
-of the package, nor any method, property or dataclass field of its classes,
-goes unread; no function of the package assigns a parameter or local that
-it never reads; and some call in the package, its tests or its benchmark
-sets each defaulted parameter of the package. The package's
-``__init__.py`` is exempt from the first: its imports are the public
-re-exports, and every one of them, and nothing else, is listed in
-``__all__`` and resolves on the package."""
+"""The package keeps nothing that only its tests use. No module, the
+package's ``__init__.py`` included, imports a name that it never reads; no
+top-level definition of the package, nor any method, property or dataclass
+field of its classes, goes unread by the package and its benchmark, and
+listing it in an ``__all__`` does not count as a read; no function of the
+package assigns a parameter or local that it never reads. Each defaulted
+parameter of the package is set by some call in the package or its
+benchmark, the tests not counted, and left to its default by some call in
+the package, its tests or its benchmark."""
 
 import ast
-import types
 from pathlib import Path
 
 import pytest
 
-import psdlab
-
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for folder in ("src/psdlab", "tests") for p in (ROOT / folder).glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(p for folder in ("src/psdlab", "tests") for p in (ROOT / folder).glob("*.py"))
 PACKAGE = sorted((ROOT / "src/psdlab").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def sources(paths) -> dict[str, str]:
+    return {f"{p.parent.name}/{p.name}": p.read_text(encoding="utf-8") for p in paths}
 
 
 def unread_imports(source: str) -> list[str]:
@@ -49,30 +51,6 @@ def test_every_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
 
 
-def export_gaps(source: str, module) -> tuple[list[str], list[str]]:
-    """For a package's ``__init__`` ``source`` and the imported ``module``:
-    the names of its ``__all__`` that the module does not define, and the
-    names its imports bind that ``__all__`` does not list."""
-    bound = [a.asname or a.name for node in ast.parse(source).body
-             if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-             for a in node.names]
-    return ([name for name in module.__all__ if not hasattr(module, name)],
-            [name for name in bound if name not in module.__all__])
-
-
-def test_scan_finds_a_half_removed_export():
-    source = "from .numkit import RngState, SoftTargets\n"
-    module = types.ModuleType("pkg")
-    module.__all__ = ["RngState", "softmax_xent"]
-    module.RngState = module.SoftTargets = object
-    assert export_gaps(source, module) == (["softmax_xent"], ["SoftTargets"])
-
-
-def test_every_export_resolves_and_every_import_is_exported():
-    source = (ROOT / "src/psdlab/__init__.py").read_text(encoding="utf-8")
-    assert export_gaps(source, psdlab) == ([], [])
-
-
 # Dataclasses whose fields are read through ``fields()`` and ``getattr``
 # only, which no static scan can follow.
 FIELDS_READ_BY_NAME = {"ExperimentConfig"}
@@ -88,13 +66,13 @@ def unread_definitions(package: dict[str, str], others: dict[str, str]) -> list[
     """The top-level functions and classes of the ``package`` sources (file
     name to source), and the methods, properties and dataclass fields of
     those classes, that no source of ``package`` or ``others`` names outside
-    the definition itself and no ``__all__`` of ``package`` lists, as
-    ``file:name`` or ``file:Class.name``. A function, class or method is
-    named by a read name or an attribute; a field by an attribute or a
-    keyword argument. Dunders are exempt: Python calls them. So are the
-    fields of ``FIELDS_READ_BY_NAME``."""
+    the definition itself, as ``file:name`` or ``file:Class.name``. A
+    function, class or method is named by a read name or an attribute; a
+    field by an attribute or a keyword argument. The names an ``__all__``
+    lists are strings, not reads. Dunders are exempt: Python calls them. So
+    are the fields of ``FIELDS_READ_BY_NAME``."""
     by_name, by_member = {"name", "attr"}, {"attr", "keyword"}
-    defined, exported, named = [], set(), []
+    defined, named = [], []
     for path, source in {**package, **others}.items():
         tree = ast.parse(source)
         for node in ast.walk(tree):
@@ -121,12 +99,8 @@ def unread_definitions(package: dict[str, str], others: dict[str, str]) -> list[
                                  item.lineno, item.end_lineno, by_member) for item in node.body
                                 if isinstance(item, ast.AnnAssign)
                                 and isinstance(item.target, ast.Name)]
-            elif (isinstance(node, ast.Assign)
-                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-                exported |= set(ast.literal_eval(node.value))
     return [f"{path}:{label}" for path, label, name, first, last, kinds in defined
-            if label not in exported
-            and not any(n == name and kind in kinds and not (p == path and first <= line <= last)
+            if not any(n == name and kind in kinds and not (p == path and first <= line <= last)
                         for p, n, line, kind in named)]
 
 
@@ -145,8 +119,10 @@ def test_scan_finds_an_unread_definition():
                         "def benched():\n"
                         "    return 3\n")}
     bench = {"run.py": "from a import benched\nprint(benched())\n"}
-    assert unread_definitions(package, bench) == ["a.py:unused", "a.py:Orphan"]
-    assert unread_definitions(package, {}) == ["a.py:unused", "a.py:Orphan", "a.py:benched"]
+    # `api` is listed in __all__, which reads nothing.
+    assert unread_definitions(package, bench) == ["a.py:api", "a.py:unused", "a.py:Orphan"]
+    assert unread_definitions(package, {}) == ["a.py:api", "a.py:unused", "a.py:Orphan",
+                                               "a.py:benched"]
 
 
 def test_scan_finds_an_unread_method_or_property():
@@ -176,7 +152,6 @@ def test_scan_finds_an_unread_method_or_property():
 
 def test_scan_finds_an_unread_dataclass_field():
     package = {"a.py": ("from dataclasses import dataclass\n"
-                        "__all__ = ['ExperimentConfig', 'build']\n"
                         "@dataclass(frozen=True)\n"
                         "class Spec:\n"
                         "    width: int\n"
@@ -189,7 +164,8 @@ def test_scan_finds_an_unread_dataclass_field():
                         "class Plain:\n"
                         "    size: int = 0\n"
                         "def build(label):\n"
-                        "    return Spec(width=label).depth + Plain.size\n")}
+                        "    return Spec(width=label).depth + Plain.size\n"
+                        "print(build, ExperimentConfig)\n")}
     bench = {"run.py": "from a import Spec\nprint(Spec(2, label='x'))\n"}
     # `label` is read as a name only, and `knob` through fields() alone.
     assert unread_definitions(package, {}) == ["a.py:Spec.label", "a.py:Spec.spare"]
@@ -197,9 +173,6 @@ def test_scan_finds_an_unread_dataclass_field():
 
 
 def test_every_definition_is_read():
-    def sources(paths):
-        return {f"{p.parent.name}/{p.name}": p.read_text(encoding="utf-8") for p in paths}
-
     assert unread_definitions(sources(PACKAGE), sources(BENCHMARK)) == []
 
 
@@ -267,21 +240,31 @@ def test_every_local_is_read(path):
     assert unread_locals(path.read_text(encoding="utf-8")) == []
 
 
-def unset_defaults(package: dict[str, str], others: dict[str, str]) -> list[str]:
-    """The defaulted parameters of the functions of the ``package`` sources
-    (file name to source) that no call in ``package`` or ``others`` sets, by
-    position or by keyword, as ``file:function.parameter``. A call matches
-    every function of its name, read as a name or an attribute; a call to a
-    class is a call to its ``__init__``, and a method's first parameter is
-    bound by the call itself. A call with ``*args`` or ``**kwargs`` sets
-    every parameter. A default that binds a name of the enclosing scope
-    (``spec=spec``) is a closure binding, not a knob, and is exempt."""
-    calls = {}  # name -> list of (positional count, keywords); None sets all
+def default_uses(package: dict[str, str],
+                 others: dict[str, str]) -> list[tuple[str, bool, bool]]:
+    """Each defaulted parameter of the functions of the ``package`` sources
+    (file name to source), as ``file:function.parameter``, with whether some
+    call in ``package`` or ``others`` sets it, by position or by keyword,
+    and whether some call leaves it to its default. A call matches every
+    function of its name, read as a name or an attribute; a name that
+    ``from ... import f as g`` binds stands for ``f``. A call to a class is
+    a call to its ``__init__``, and a method's first parameter is bound by
+    the call itself. A call with ``*args`` or ``**kwargs`` may do either,
+    so it counts as both for every parameter. A default that binds a name
+    of the enclosing scope (``spec=spec``) is a closure binding, not a
+    knob, and is exempt."""
+    calls = {}  # name -> list of (positional count, keywords); None spreads
     for source in {**package, **others}.values():
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        aliases = {a.asname: a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for a in node.names if a.asname}
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if isinstance(node.func, ast.Name):
+                name = aliases.get(node.func.id, node.func.id)
+            else:
+                name = getattr(node.func, "attr", None)
             spread = (any(isinstance(a, ast.Starred) for a in node.args)
                       or any(k.arg is None for k in node.keywords))
             calls.setdefault(name, []).append(
@@ -298,7 +281,7 @@ def unset_defaults(package: dict[str, str], others: dict[str, str]) -> list[str]
         return [(a.arg, i) for a, i, d in pairs
                 if not (isinstance(d, ast.Name) and d.id == a.arg)]
 
-    unset = []
+    uses = []
     for path, source in package.items():
         tree = ast.parse(source)
         owners = {id(item): node.name for node in ast.walk(tree)
@@ -312,10 +295,25 @@ def unset_defaults(package: dict[str, str], others: dict[str, str]) -> list[str]
             name = owner if method and node.name == "__init__" else node.name
             label = f"{owner}.{node.name}" if owner else node.name
             for param, index in defaulted(node, method):
-                if not any(c is None or param in c[1] or (index is not None and c[0] > index)
-                           for c in calls.get(name, [])):
-                    unset.append(f"{path}:{label}.{param}")
-    return unset
+                found = calls.get(name, [])
+                sets = [param in c[1] or (index is not None and c[0] > index)
+                        for c in found if c is not None]
+                spread = None in found
+                uses.append((f"{path}:{label}.{param}", spread or any(sets),
+                             spread or not all(sets)))
+    return uses
+
+
+def unset_defaults(package: dict[str, str], others: dict[str, str]) -> list[str]:
+    """The defaulted parameters of ``package`` that no call sets (see
+    ``default_uses``): a knob that nothing turns."""
+    return [label for label, is_set, _ in default_uses(package, others) if not is_set]
+
+
+def unused_defaults(package: dict[str, str], others: dict[str, str]) -> list[str]:
+    """The defaulted parameters of ``package`` that no call leaves to its
+    default (see ``default_uses``): a default that nothing relies on."""
+    return [label for label, _, is_left in default_uses(package, others) if not is_left]
 
 
 def test_scan_finds_a_default_no_call_sets():
@@ -338,17 +336,38 @@ def test_scan_finds_a_default_no_call_sets():
                         "    def make(k, width=4):\n"
                         "        return k * width\n"
                         "print(Probe(0.1).fit(1, 50), Probe.make(2, 8), spread(*[1, 2]))\n")}
-    tests = {"test_a.py": "from a import search\nsearch(len, 1, c2=0.5)\n"}
-    # Probe(0.1) sets l2, fit(1, 50) sets iters, make(2, 8) sets width.
-    assert unset_defaults(package, tests) == [
+    bench = {"run.py": "from a import search as find\nfind(len, 1, c2=0.5)\n"}
+    # Probe(0.1) sets l2, fit(1, 50) sets iters, make(2, 8) sets width, and
+    # find, which names search, sets c2.
+    assert unset_defaults(package, bench) == [
         "a.py:search.max_iter", "a.py:backtrack.steps", "a.py:Probe.__init__.history",
         "a.py:Probe.fit.tol"]
     assert "a.py:search.c2" in unset_defaults(package, {})
 
 
-def test_every_default_is_set_by_some_call():
-    def sources(paths):
-        return {f"{p.parent.name}/{p.name}": p.read_text(encoding="utf-8") for p in paths}
+def test_scan_finds_a_default_no_call_leaves():
+    package = {"a.py": ("def probe(x, iters=100, l2=0.0):\n"
+                        "    return x * iters + l2\n"
+                        "def spread(a, b=1):\n"
+                        "    return a + b\n"
+                        "def orphan(a, b=1):\n"
+                        "    return a - b\n"
+                        "class Table:\n"
+                        "    def __init__(self, rows, width=4):\n"
+                        "        self.rows, self.width = rows, width\n"
+                        "print(probe(1, 50, l2=0.5), spread(*[1, 2]), Table([], 8))\n")}
+    tests = {"test_a.py": "from a import probe as fit\nfit(2, iters=10, l2=0.5)\nfit(3, 20)\n"}
+    # Every call sets iters and width, fit(3, 20) leaves l2, the spread call
+    # may leave b, and no call reaches orphan.
+    assert unused_defaults(package, tests) == [
+        "a.py:probe.iters", "a.py:orphan.b", "a.py:Table.__init__.width"]
+    assert unused_defaults(package, {}) == [
+        "a.py:probe.iters", "a.py:probe.l2", "a.py:orphan.b", "a.py:Table.__init__.width"]
 
-    callers = sources([*sorted((ROOT / "tests").glob("*.py")), *BENCHMARK])
-    assert unset_defaults(sources(PACKAGE), callers) == []
+
+def test_every_default_is_set_by_some_call():
+    assert unset_defaults(sources(PACKAGE), sources(BENCHMARK)) == []
+
+
+def test_every_default_is_left_by_some_call():
+    assert unused_defaults(sources(PACKAGE), sources([*TESTS, *BENCHMARK])) == []

@@ -2,11 +2,13 @@
 config and dataset, whatever the BLAS thread count. Also the checkpoint
 files: they round-trip bit for bit, and a malformed trainer state fails
 ``psdlab eval`` with the file-format exit code. AdamW steps match the
-scalar oracle, and partitions follow their priorities."""
+scalar oracle, partitions follow their priorities, and the alpha schedule
+runs between its endpoints."""
 
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,9 +28,12 @@ from psdlab.errors import (
 from psdlab.model import EncoderSpec
 from psdlab.numkit import RngState
 from psdlab.trainer import (
+    SCHEDULE_KINDS,
+    AlphaSchedule,
     OptState,
     TrainConfig,
     adamw_step,
+    alpha_at,
     load_checkpoint,
     make_partition,
     save_checkpoint,
@@ -205,3 +210,56 @@ def test_partition_rejects_alpha_outside_the_unit_interval(alpha):
     # raise a bare ValueError or OverflowError before it runs.
     with pytest.raises(InvalidInputError, match="alpha must lie in"):
         make_partition(4, alpha, np.arange(4))
+
+
+SCHEDULES = [(kind, start, end) for kind in SCHEDULE_KINDS
+             for start, end in ((0.8, 0.2), (0.2, 0.8))]
+
+
+@pytest.mark.parametrize("kind, start, end", SCHEDULES)
+@pytest.mark.parametrize("total_steps", [1, 7, 40])
+def test_alpha_schedule_meets_its_endpoints_to_one_ulp(kind, start, end, total_steps):
+    # Not exactly: the rounded difference of the endpoints carries an error
+    # of up to an ulp of the larger one. A cosine 0.2 -> 0.8 starts at
+    # 0.19999999999999996, two ulps of 0.2 below it, and a linear
+    # 0.8 -> 0.2 ends there.
+    schedule = AlphaSchedule(total_steps, start, end, kind)
+    ulp = math.ulp(max(start, end))
+    assert abs(alpha_at(schedule, 0) - start) <= ulp
+    assert abs(alpha_at(schedule, total_steps) - end) <= ulp
+
+
+@pytest.mark.parametrize("kind, start, end", SCHEDULES)
+def test_alpha_schedule_midpoints(kind, start, end):
+    # Both kinds pass the mean of the endpoints halfway; a quarter of the
+    # way, the cosine has covered (1 - cos(pi / 4)) / 2 of the distance.
+    schedule = AlphaSchedule(40, start, end, kind)
+    quarter = (1.0 - math.cos(math.pi / 4)) / 2 if kind == "cosine" else 0.25
+    assert alpha_at(schedule, 20) == pytest.approx((start + end) / 2, abs=1e-15)
+    assert alpha_at(schedule, 10) == pytest.approx(start + quarter * (end - start), abs=1e-15)
+
+
+@pytest.mark.parametrize("total_steps, start, end, kind, message", [
+    (0, 0.8, 0.2, "cosine", "schedule needs at least one step"),
+    (10, 1.5, 0.2, "cosine", "alpha endpoints must lie in [0, 1], got 1.5"),
+    (10, 0.8, -0.1, "linear", "alpha endpoints must lie in [0, 1], got -0.1"),
+    (10, math.nan, 0.2, "linear", "alpha endpoints must lie in [0, 1], got nan"),
+    (10, 0.8, 0.2, "step", "schedule kind must be one of ('cosine', 'linear')"),
+])
+def test_alpha_schedule_rejects_a_bad_setting(total_steps, start, end, kind, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        AlphaSchedule(total_steps, start, end, kind)
+
+
+@pytest.mark.parametrize("t", [-1, 11])
+def test_alpha_at_rejects_a_step_outside_the_schedule(t):
+    with pytest.raises(InvalidInputError, match=re.escape(f"step {t} outside [0, 10]")):
+        alpha_at(AlphaSchedule(10, 0.8, 0.2, "linear"), t)
+
+
+def test_alpha_endpoint_outside_the_unit_interval_fails_train(tmp_path, caplog):
+    rc = main(["train", "--quiet", "--epochs", "1", "--set", "alpha_start=2",
+               "--out", str(tmp_path)])
+    assert rc == InvalidInputError.exit_code == 3
+    assert "alpha endpoints must lie in [0, 1], got 2.0" in caplog.text
+    assert not (tmp_path / "metrics.jsonl").exists()
