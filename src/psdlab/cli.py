@@ -1,10 +1,11 @@
 """Command-line entry point: generate | train | eval | gradcheck | ablate.
 
 Configuration precedence: built-in defaults < --config file < --set KEY=VALUE
-< dedicated flags. Every command echoes its resolved configuration into the
-output directory and is idempotent given identical inputs and seeds. Exit
-codes: 0 success, otherwise the failing error class's code (see errors.py);
-a failed gradcheck returns 1.
+< the dedicated flags --seed, --out (out_dir), --dataset (dataset_path) and
+--epochs; every other key is set with --set. Every command echoes its
+resolved configuration into the output directory and is idempotent given
+identical inputs and seeds. Exit codes: 0 success, otherwise the failing
+error class's code (see errors.py); a failed gradcheck returns 1.
 """
 
 from __future__ import annotations
@@ -31,15 +32,7 @@ from .experiments import (
     split_clean_holdout,
 )
 from .numkit import RngState
-from .trainer import (
-    PARTITION_MODES,
-    SCHEDULE_KINDS,
-    TARGET_MODES,
-    encode_pairs,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
+from .trainer import encode_pairs, load_checkpoint, save_checkpoint, train
 
 log = logging.getLogger("psdlab")
 HASH_READ = 1 << 18  # bytes per read when hashing a written file
@@ -62,8 +55,7 @@ def _resolve_config(args, base: ExperimentConfig | None = None) -> tuple[Experim
         key, raw = item.split("=", 1)
         set_key(cfg, key.strip(), raw)
     # The dedicated flags, each stored under its config key; not every command has each.
-    for key in ("seed", "out_dir", "dataset_path", "target_mode", "partition_mode",
-                "alpha_schedule", "epochs", "k_list"):
+    for key in ("seed", "out_dir", "dataset_path", "epochs"):
         value = getattr(args, key, None)
         if value is not None:
             set_key(cfg, key, str(value))
@@ -228,9 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--dataset", dest="dataset_path",
                    help="PSDD file (default: synthesize per config)")
-    p.add_argument("--target-mode", dest="target_mode", choices=TARGET_MODES)
-    p.add_argument("--partition-mode", dest="partition_mode", choices=PARTITION_MODES)
-    p.add_argument("--alpha-schedule", dest="alpha_schedule", choices=SCHEDULE_KINDS)
     p.add_argument("--epochs", type=int)
     p.set_defaults(func=cmd_train)
 
@@ -238,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("checkpoint", help="checkpoint directory from train")
     p.add_argument("dataset", help="PSDD dataset file")
-    p.add_argument("--klist", dest="k_list", help="comma-separated recall cutoffs, e.g. 1,5,10")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")

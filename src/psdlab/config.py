@@ -5,8 +5,11 @@ ignored. A ``#`` starts a comment anywhere on a line, so ``set_key`` rejects a
 string value that holds one: the resolved configuration, echoed into the
 output directory for provenance, then reads back as the same configuration.
 Every key has a default, unknown keys are rejected, and command line flags
-override file values. The data and training specs take every field whose name
-is also a key of ``ExperimentConfig`` from the key of that name.
+override file values. The data, encoder and training specs own the defaults
+of the keys they share with ``ExperimentConfig``: such a key defaults to its
+spec's attribute of the same name, and the spec takes its value back from
+the key by name. ``teacher_scale`` alone keeps a literal default, 0, which
+is how the file writes ``TrainConfig``'s ``None``.
 """
 
 from __future__ import annotations
@@ -45,43 +48,43 @@ class ExperimentConfig:
     """Flat bag of every experiment knob with its default."""
 
     # synthetic data
-    num_classes: int = 10
-    latent_dim: int = 16
-    image_dim: int = 64
-    text_dim: int = 48
-    samples_per_class: int = 200
-    feature_noise_sigma: float = 0.05
-    mismatch_rate: float = 0.0
-    captions_per_image: int = 1
+    num_classes: int = SyntheticSpec.num_classes
+    latent_dim: int = SyntheticSpec.latent_dim
+    image_dim: int = SyntheticSpec.image_dim
+    text_dim: int = SyntheticSpec.text_dim
+    samples_per_class: int = SyntheticSpec.samples_per_class
+    feature_noise_sigma: float = SyntheticSpec.feature_noise_sigma
+    mismatch_rate: float = SyntheticSpec.mismatch_rate
+    captions_per_image: int = SyntheticSpec.captions_per_image
     dataset_path: str = ""            # nonempty: load this PSDD file instead of generating
 
     # encoders
     embed_dim: int = 32
     image_hidden_dims: tuple[int, ...] = (64,)
     text_hidden_dims: tuple[int, ...] = (64,)
-    activation: str = "tanh"
+    activation: str = EncoderSpec.activation
 
     # training
-    batch_size: int = 256
-    epochs: int = 10
-    seed: int = 0
-    learning_rate: float = 1e-3
-    warmup_frac: float = 0.05
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    alpha_start: float = 0.8
-    alpha_end: float = 0.2
-    alpha_schedule: str = "cosine"
-    target_mode: str = "swapped"
-    partition_mode: str = "dynamic"
-    temperature_init: float = 0.07
+    batch_size: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.epochs
+    seed: int = TrainConfig.seed
+    learning_rate: float = TrainConfig.learning_rate
+    warmup_frac: float = TrainConfig.warmup_frac
+    weight_decay: float = TrainConfig.weight_decay
+    beta1: float = TrainConfig.beta1
+    beta2: float = TrainConfig.beta2
+    adam_eps: float = TrainConfig.adam_eps
+    alpha_start: float = TrainConfig.alpha_start
+    alpha_end: float = TrainConfig.alpha_end
+    alpha_schedule: str = TrainConfig.alpha_schedule
+    target_mode: str = TrainConfig.target_mode
+    partition_mode: str = TrainConfig.partition_mode
+    temperature_init: float = TrainConfig.temperature_init
     teacher_scale: float = 0.0        # in (0, 100]; 0 tracks the student (not for bootstrap)
-    eval_every: int = 0
+    eval_every: int = TrainConfig.eval_every
 
     # evaluation / experiments
-    k_list: tuple[int, ...] = (1, 5, 10)
+    k_list: tuple[int, ...] = TrainConfig.k_list
     histogram_bins: int = 50
     probe: bool = True
     probe_l2: float = PROBE_L2_DEFAULT

@@ -63,7 +63,7 @@ class SyntheticSpec:
         if self.num_classes < 2:
             raise InvalidInputError("at least 2 classes are required")
         if any(c > _MAX_COUNT for c in counts):
-            raise DimensionOverflowError(f"count exceeds {_MAX_COUNT}")
+            raise InvalidInputError(f"count exceeds {_MAX_COUNT}")
         if not (0.0 <= self.mismatch_rate <= 1.0):
             raise InvalidInputError(f"mismatch rate must lie in [0, 1], got {self.mismatch_rate}")
         if self.feature_noise_sigma < 0.0:

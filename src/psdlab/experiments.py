@@ -51,7 +51,6 @@ def noise_experiment_config() -> ExperimentConfig:
     cfg.samples_per_class = 240
     cfg.mismatch_rate = 0.25
     cfg.feature_noise_sigma = 0.5
-    cfg.eval_per_class = 40
     cfg.epochs = 30
     cfg.learning_rate = 1e-2
     cfg.teacher_scale = 15.0

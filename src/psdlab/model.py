@@ -55,7 +55,7 @@ class EncoderSpec:
         if any(d < 1 for d in dims):
             raise InvalidInputError(f"all encoder dimensions must be >= 1, got {dims}")
         if any(d > _MAX_DIM for d in dims):
-            raise DimensionOverflowError(f"encoder dimension exceeds {_MAX_DIM}")
+            raise InvalidInputError(f"encoder dimension exceeds {_MAX_DIM}")
         if self.activation not in _ACTIVATIONS:
             raise InvalidInputError(
                 f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}")
@@ -209,6 +209,8 @@ def load_params(path) -> ParamSet:
     off = _FRAMING.header.size
     _FRAMING.check_end(raw, path, off + 4 * n_hidden, exact=False)
     hidden = np.frombuffer(raw, "<u4", n_hidden, off)
+    if n_hidden and hidden.max() > _MAX_DIM:
+        raise DimensionOverflowError(f"{path}: hidden width exceeds {_MAX_DIM}")
     off += 4 * n_hidden
     spec = EncoderSpec(input_dim=input_dim, hidden_dims=hidden,
                        embed_dim=embed_dim, activation=_ACTIVATIONS[act_idx])

@@ -85,9 +85,14 @@ class AlphaSchedule:
 
 
 def alpha_at(schedule: AlphaSchedule, t: int) -> float:
-    """Scheduled alpha at step t, 0 <= t <= total_steps."""
+    """Scheduled alpha at step t, 0 <= t <= total_steps: exactly ``start`` at
+    0 and ``end`` at total_steps, which the formula can miss by an ulp."""
     if not 0 <= t <= schedule.total_steps:
         raise InvalidInputError(f"step {t} outside [0, {schedule.total_steps}]")
+    if t == 0:
+        return schedule.start
+    if t == schedule.total_steps:
+        return schedule.end
     frac = t / schedule.total_steps
     if schedule.kind == "cosine":
         return schedule.end + 0.5 * (schedule.start - schedule.end) * (1.0 + math.cos(math.pi * frac))

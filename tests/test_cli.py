@@ -60,7 +60,7 @@ def test_generate_succeeds(tmp_path):
     ["train", "--set", "target_mode=sideways"],
     ["generate", "--config", "/nonexistent/psdlab.cfg"],
     ["ablate", "--set", "k_list="],                      # no recall cutoff
-    ["eval", "checkpoint", "pairs.psdd", "--klist", ""],
+    ["eval", "checkpoint", "pairs.psdd", "--set", "k_list="],
     ["train", "--out", "runs/#3"],                       # would read back as runs/
     ["train", "--dataset", "runs/#3.psdd"],              # would read back as runs/
 ])
@@ -91,9 +91,34 @@ def test_out_of_range_value_exits_invalid_input_code(tmp_path):
     assert rc == InvalidInputError.exit_code == 3
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("generate", "samples_per_class=16777217"),
+    ("train", "embed_dim=16777217"),
+])
+def test_oversized_spec_value_exits_invalid_input_code(command, setting, tmp_path, caplog):
+    # A count past 2^24 from the configuration is an input error; only one
+    # read from a file header is a file-format error.
+    rc = main([command, "--quiet", "--set", setting, "--out", str(tmp_path)])
+    assert rc == InvalidInputError.exit_code == 3
+    assert "exceeds 16777216" in caplog.text
+    assert not (tmp_path / "dataset.psdd").exists()
+    assert not (tmp_path / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--target-mode"), ("train", "--partition-mode"),
+    ("train", "--alpha-schedule"), ("eval", "--klist")])
+def test_keys_are_set_with_set_alone(command, flag, capsys):
+    # A key has one spelling on the command line: --set, or for seed,
+    # out_dir, dataset_path and epochs a dedicated flag.
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert flag not in capsys.readouterr().out
+
+
 def test_bootstrap_targets_under_tracking_teacher_exit_invalid_input_code(tmp_path, caplog):
     # The default teacher_scale = 0 tracks the student's scale.
-    rc = main(["train", "--quiet", "--target-mode", "bootstrap", "--out", str(tmp_path)])
+    rc = main(["train", "--quiet", "--set", "target_mode=bootstrap", "--out", str(tmp_path)])
     assert rc == InvalidInputError.exit_code == 3
     assert "set teacher_scale" in caplog.text
 
@@ -157,7 +182,7 @@ def test_teacher_scale_outside_its_range_exits_invalid_input_code(teacher_scale,
                                                                   tmp_path, caplog):
     # Only 0 tracks the student's scale; a fixed scale lies in (0, 100], and
     # anything else fails before training starts, bootstrap targets included.
-    rc = main(["train", "--quiet", "--target-mode", target_mode,
+    rc = main(["train", "--quiet", "--set", f"target_mode={target_mode}",
                "--set", f"teacher_scale={teacher_scale}", "--out", str(tmp_path)])
     assert rc == InvalidInputError.exit_code == 3
     assert "teacher scale must lie in (0, 100]" in caplog.text

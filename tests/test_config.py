@@ -1,8 +1,11 @@
 """The config text format: what ``render_config`` writes,
 ``parse_config_text`` reads back as the same configuration. The specs built
-from a config take their fields by name, with the same defaults."""
+from a config take their fields by name, and the config states none of
+their defaults a second time."""
 
+import ast
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -54,15 +57,95 @@ def test_spec_fields_are_config_keys_with_the_same_defaults():
     encoders = {"image_encoder", "text_encoder"}
     assert {f.name for f in fields(SyntheticSpec)} <= keys
     assert {f.name for f in fields(TrainConfig)} - encoders <= keys
-    cfg = ExperimentConfig()
-    assert cfg.synthetic_spec() == SyntheticSpec()
-    tc = cfg.train_config()
-    assert tc == TrainConfig(image_encoder=tc.image_encoder, text_encoder=tc.text_encoder)
-    # Values away from the defaults reach the spec too.
+    # Values away from the defaults reach the spec.
     edited = edited_config()
     tc = edited.train_config()
     for name in {f.name for f in fields(TrainConfig)} & keys:
         assert getattr(tc, name) == getattr(edited, name), name
+
+
+SPECS = ("SyntheticSpec", "TrainConfig", "EncoderSpec")
+# The config file writes TrainConfig's teacher_scale of None as 0, so that
+# key cannot take the spec's default.
+LITERAL_DEFAULTS = {"teacher_scale"}
+
+
+def restated_defaults(sources: dict[str, str]) -> list[str]:
+    """Each default of the ``sources`` (file name to source) stated a second
+    time: an ``ExperimentConfig`` field named like a defaulted field of a
+    spec in ``SPECS`` whose default is not that spec's attribute of the same
+    name, as ``ExperimentConfig.field``, and an assignment of
+    ``noise_experiment_config`` that sets a key to its default, as
+    ``noise_experiment_config.key``. A default or an assigned value is read
+    as a literal, a module constant or a ``Class.field`` default."""
+    values, owners, config, assigns = {}, {}, [], []
+    for source in sources.values():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                values[node.targets[0].id] = node.value
+            if isinstance(node, ast.FunctionDef) and node.name == "noise_experiment_config":
+                assigns += [(n.targets[0].attr, n.value) for n in ast.walk(node)
+                            if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Attribute)]
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and item.value is not None:
+                    values[f"{node.name}.{item.target.id}"] = item.value
+                    if node.name in SPECS:
+                        owners.setdefault(item.target.id, set()).add(node.name)
+                    if node.name == "ExperimentConfig":
+                        config.append((item.target.id, item.value))
+
+    def value_of(node):
+        if isinstance(node, ast.Name):
+            return value_of(values[node.id])
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return value_of(values[f"{node.value.id}.{node.attr}"])
+        return ast.literal_eval(node)
+
+    found = [f"ExperimentConfig.{name}" for name, default in config
+             if name in owners and name not in LITERAL_DEFAULTS
+             and not (isinstance(default, ast.Attribute) and default.attr == name
+                      and isinstance(default.value, ast.Name) and default.value.id in owners[name])]
+    found += [f"noise_experiment_config.{key}" for key, value in assigns
+              if value_of(value) == value_of(values[f"ExperimentConfig.{key}"])]
+    return found
+
+
+def test_scan_finds_a_restated_default():
+    sources = {"spec.py": ("LR = 1e-3\n"
+                           "class TrainConfig:\n"
+                           "    encoder: int\n"
+                           "    epochs: int = 10\n"
+                           "    lr: float = LR\n"
+                           "    teacher_scale: float | None = None\n"
+                           "class EncoderSpec:\n"
+                           "    width: int = 64\n"),
+               "config.py": ("class ExperimentConfig:\n"
+                             "    encoder: int = 3\n"              # no spec default to take
+                             "    epochs: int = TrainConfig.epochs\n"
+                             "    lr: float = LR\n"                # restated through a constant
+                             "    width: int = TrainConfig.width\n"  # not the owner's
+                             "    teacher_scale: float = 0.0\n"
+                             "    bins: int = 50\n"
+                             "def noise_experiment_config():\n"
+                             "    cfg = ExperimentConfig()\n"
+                             "    cfg.epochs = 30\n"
+                             "    cfg.bins = 50\n"
+                             "    cfg.lr = 0.001\n"
+                             "    return cfg\n")}
+    assert restated_defaults(sources) == [
+        "ExperimentConfig.lr", "ExperimentConfig.width",
+        "noise_experiment_config.bins", "noise_experiment_config.lr"]
+
+
+def test_each_default_is_stated_once():
+    # A default restated in ExperimentConfig can drift from its spec's, and
+    # a preset that sets a default hides which keys it changes.
+    package = Path(__file__).resolve().parent.parent / "src/psdlab"
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
+    assert restated_defaults(sources) == []
 
 
 def test_line_without_equals_names_its_line():

@@ -4,6 +4,7 @@ import pytest
 from psdlab.errors import (
     BadMagicError,
     DegenerateInputError,
+    DimensionOverflowError,
     InvalidInputError,
     TrailingBytesError,
     TruncatedFileError,
@@ -245,3 +246,17 @@ class TestParamSerialization:
         path.write_bytes(raw[: len(raw) - 16])
         with pytest.raises(TruncatedFileError):
             load_params(path)
+
+    def test_hidden_width_overflow(self, tmp_path):
+        # A width read from the file is a format error; the same width given
+        # to EncoderSpec directly is an input error.
+        path = tmp_path / "enc.psdw"
+        save_params(self._params(), path)
+        raw = bytearray(path.read_bytes())
+        raw[24:28] = (1 << 30).to_bytes(4, "little")  # the one hidden width
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DimensionOverflowError, match="hidden width exceeds"):
+            load_params(path)
+        with pytest.raises(InvalidInputError) as info:
+            EncoderSpec(input_dim=5, hidden_dims=(1 << 30,), embed_dim=3)
+        assert not isinstance(info.value, DimensionOverflowError)

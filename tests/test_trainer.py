@@ -219,14 +219,19 @@ SCHEDULES = [(kind, start, end) for kind in SCHEDULE_KINDS
 @pytest.mark.parametrize("kind, start, end", SCHEDULES)
 @pytest.mark.parametrize("total_steps", [1, 7, 40])
 def test_alpha_schedule_meets_its_endpoints_to_one_ulp(kind, start, end, total_steps):
-    # Not exactly: the rounded difference of the endpoints carries an error
-    # of up to an ulp of the larger one. A cosine 0.2 -> 0.8 starts at
-    # 0.19999999999999996, two ulps of 0.2 below it, and a linear
-    # 0.8 -> 0.2 ends there.
+    # Exactly, within less than the one ulp of the larger endpoint that the
+    # formula alone can miss by: a cosine 0.2 -> 0.8 would start at
+    # 0.19999999999999996, and a linear 0.8 -> 0.2 would end there.
     schedule = AlphaSchedule(total_steps, start, end, kind)
-    ulp = math.ulp(max(start, end))
-    assert abs(alpha_at(schedule, 0) - start) <= ulp
-    assert abs(alpha_at(schedule, total_steps) - end) <= ulp
+    assert alpha_at(schedule, 0) == start
+    assert alpha_at(schedule, total_steps) == end
+
+
+def test_first_step_aligns_the_start_fraction_of_a_small_batch():
+    # floor(5 * 0.2) = 1 aligned row; 0.19999999999999996 would give none.
+    alpha = alpha_at(AlphaSchedule(30, 0.2, 0.8, "cosine"), 0)
+    plan = make_partition(5, alpha, np.arange(5))
+    assert plan.n - plan.unaligned_idx.size == 1
 
 
 @pytest.mark.parametrize("kind, start, end", SCHEDULES)
