@@ -2,10 +2,13 @@
 
 Configuration precedence: built-in defaults < --config file < --set KEY=VALUE
 < the dedicated flags --seed, --out (out_dir), --dataset (dataset_path) and
---epochs; every other key is set with --set. Every command echoes its
-resolved configuration into the output directory and is idempotent given
-identical inputs and seeds. Exit codes: 0 success, otherwise the failing
-error class's code (see errors.py); a failed gradcheck returns 1.
+--epochs; every other key is set with --set. Every command checks its
+resolved configuration with the data, encoder and training specs before it
+echoes it into the output directory, so a value that a spec rejects fails
+before anything is written, even one the command does not read. Every
+command is idempotent given identical inputs and seeds. Exit codes: 0
+success, otherwise the failing error class's code (see errors.py); a failed
+gradcheck returns 1.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ HASH_READ = 1 << 18  # bytes per read when hashing a written file
 
 
 def _resolve_config(args, base: ExperimentConfig | None = None) -> tuple[ExperimentConfig, Path]:
-    """The configuration from defaults, file, --set and flags, echoed into
-    its output directory, which is created and returned alongside it."""
+    """The configuration from defaults, file, --set and flags, checked by
+    the specs and echoed into its output directory, which is created and
+    returned alongside it."""
     cfg = base or ExperimentConfig()
     source_text = None
     if args.config:
@@ -59,6 +63,8 @@ def _resolve_config(args, base: ExperimentConfig | None = None) -> tuple[Experim
         value = getattr(args, key, None)
         if value is not None:
             set_key(cfg, key, str(value))
+    cfg.synthetic_spec()
+    cfg.train_config()
     out = Path(cfg.out_dir)
     echo_config(cfg, out, source_text)
     return cfg, out

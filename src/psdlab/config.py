@@ -5,11 +5,14 @@ ignored. A ``#`` starts a comment anywhere on a line, so ``set_key`` rejects a
 string value that holds one: the resolved configuration, echoed into the
 output directory for provenance, then reads back as the same configuration.
 Every key has a default, unknown keys are rejected, and command line flags
-override file values. The data, encoder and training specs own the defaults
-of the keys they share with ``ExperimentConfig``: such a key defaults to its
-spec's attribute of the same name, and the spec takes its value back from
-the key by name. ``teacher_scale`` alone keeps a literal default, 0, which
-is how the file writes ``TrainConfig``'s ``None``.
+override file values. ``set_key`` only parses: it turns the text into a
+value of the key's type or raises ConfigError. The specs judge the values:
+``synthetic_spec`` and ``train_config`` raise InvalidInputError for a value
+that their spec rejects. The data, encoder and training specs own the
+defaults of the keys they share with ``ExperimentConfig``: such a key
+defaults to its spec's attribute of the same name, and the spec takes its
+value back from the key by name. ``teacher_scale`` alone keeps a literal
+default, 0, which is how the file writes ``TrainConfig``'s ``None``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from pathlib import Path
 from .data import SyntheticSpec
 from .errors import ConfigError
 from .evaluation import PROBE_L2_DEFAULT
-from .model import _ACTIVATIONS, EncoderSpec
-from .trainer import PARTITION_MODES, SCHEDULE_KINDS, TARGET_MODES, TrainConfig
+from .model import EncoderSpec
+from .trainer import TrainConfig
 
 
 def _parse_bool(raw: str) -> bool:
@@ -110,8 +113,6 @@ class ExperimentConfig:
 
 
 _KEYS = {f.name for f in fields(ExperimentConfig)}
-_CHOICE_FIELDS = {"target_mode": TARGET_MODES, "partition_mode": PARTITION_MODES,
-                  "alpha_schedule": SCHEDULE_KINDS, "activation": _ACTIVATIONS}
 
 
 def set_key(cfg: ExperimentConfig, key: str, raw: str) -> None:
@@ -137,8 +138,6 @@ def set_key(cfg: ExperimentConfig, key: str, raw: str) -> None:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     if key == "k_list" and not value:
         raise ConfigError("k_list needs at least one recall cutoff")
-    if key in _CHOICE_FIELDS and value not in _CHOICE_FIELDS[key]:
-        raise ConfigError(f"{key} must be one of {_CHOICE_FIELDS[key]}, got {value!r}")
     setattr(cfg, key, value)
 
 

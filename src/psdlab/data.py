@@ -66,8 +66,9 @@ class SyntheticSpec:
             raise InvalidInputError(f"count exceeds {_MAX_COUNT}")
         if not (0.0 <= self.mismatch_rate <= 1.0):
             raise InvalidInputError(f"mismatch rate must lie in [0, 1], got {self.mismatch_rate}")
-        if self.feature_noise_sigma < 0.0:
-            raise InvalidInputError("feature noise sigma must be nonnegative")
+        if not 0.0 <= self.feature_noise_sigma < math.inf:  # written so that NaN fails
+            raise InvalidInputError(
+                f"feature noise sigma must lie in [0, inf), got {self.feature_noise_sigma}")
 
     @property
     def num_samples(self) -> int:

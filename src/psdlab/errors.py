@@ -25,13 +25,16 @@ class PsdError(Exception):
 
 
 class ConfigError(PsdError):
-    """Malformed configuration file, unknown key, or bad flag value."""
+    """Configuration text that cannot be read or parsed, or an unknown key:
+    exit 2. A value that parses but that its spec rejects is an
+    InvalidInputError, exit 3."""
 
     exit_code = 2
 
 
 class InvalidInputError(PsdError):
-    """Shape mismatch, non-finite input, or out-of-range argument."""
+    """Shape mismatch, non-finite input, or out-of-range argument, a
+    configured value that its spec rejects included: exit 3."""
 
     exit_code = 3
 
@@ -70,12 +73,6 @@ class TrailingBytesError(FileFormatError):
 
 class DimensionOverflowError(FileFormatError):
     """Header dimensions exceed sane bounds for a desk-scale dataset."""
-
-
-class NonFiniteGradientError(PsdError):
-    """Optimizer step aborted because a gradient contained NaN or Inf."""
-
-    exit_code = 6
 
 
 class DivergenceError(PsdError):

@@ -60,6 +60,8 @@ def noise_experiment_config() -> ExperimentConfig:
 def split_clean_holdout(ds: PairedDataset, per_class: int) -> tuple[PairedDataset, PairedDataset]:
     """Carve the first ``per_class`` uncorrupted images of every class into a
     held-out dataset; the rest (corrupted included) form the train split."""
+    if per_class < 1:
+        raise InvalidInputError(f"held-out images per class must be >= 1, got {per_class}")
     eval_idx = []
     for c in range(ds.num_classes):
         clean = np.flatnonzero((ds.class_labels == c) & ~ds.corrupted)
@@ -179,8 +181,9 @@ def run_matrix(exp_cfg: ExperimentConfig, seeds,
     submission order, so the result equals a serial run bit for bit. The
     first task to raise re-raises its error here, and the pool is shut down
     and joined before this returns either way. Evaluation settings that the
-    held-out sets cannot serve, and an empty ``seeds``, raise
-    InvalidInputError before any pool is drawn.
+    held-out sets cannot serve, an empty ``seeds``, and a task whose
+    ``TrainConfig`` its spec rejects raise InvalidInputError before any pool
+    is drawn.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -190,6 +193,9 @@ def run_matrix(exp_cfg: ExperimentConfig, seeds,
     seeds = list(seeds)
     if not seeds:
         raise InvalidInputError("the number of seeds must lie in [1, inf), got 0")
+    for seed in seeds:
+        for overrides in ABLATION_VARIANTS.values():
+            exp_cfg.train_config(seed=seed, **overrides)
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:

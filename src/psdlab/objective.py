@@ -63,8 +63,7 @@ class TemperatureParam:
 
     @classmethod
     def from_temperature(cls, tau: float) -> "TemperatureParam":
-        if not (math.isfinite(tau) and tau > 0.0):
-            raise InvalidInputError(f"temperature must be a positive real, got {tau}")
+        """For tau in (0, inf), which ``TrainConfig`` checks."""
         return cls(log_scale=math.log(1.0 / tau))
 
 

@@ -31,13 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import PairedDataset, select_captions
-from .errors import (
-    DegenerateInputError,
-    DivergenceError,
-    Framing,
-    InvalidInputError,
-    NonFiniteGradientError,
-)
+from .errors import DegenerateInputError, DivergenceError, Framing, InvalidInputError
 from .evaluation import check_eval_settings, retrieval_eval
 from .model import EncoderSpec, ParamSet, encode, encode_backward, init_params, load_params, save_params
 from .numkit import RngState, derive_seed
@@ -67,21 +61,13 @@ _STREAM_CAPTIONS = 5
 
 @dataclass(frozen=True)
 class AlphaSchedule:
-    """Aligned-fraction schedule over training steps."""
+    """Aligned-fraction schedule over at least one training step; its
+    endpoints and kind come from a ``TrainConfig``, which checks them."""
 
     total_steps: int
     start: float
     end: float
     kind: str
-
-    def __post_init__(self):
-        if self.total_steps < 1:
-            raise InvalidInputError("schedule needs at least one step")
-        if self.kind not in SCHEDULE_KINDS:
-            raise InvalidInputError(f"schedule kind must be one of {SCHEDULE_KINDS}")
-        for v in (self.start, self.end):
-            if not (0.0 <= v <= 1.0):
-                raise InvalidInputError(f"alpha endpoints must lie in [0, 1], got {v}")
 
 
 def alpha_at(schedule: AlphaSchedule, t: int) -> float:
@@ -161,12 +147,11 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, opt: OptState) -> np.ndarr
     lr*m_hat/(sqrt(v_hat) + eps).
     Updates ``params``, ``opt.m`` and ``opt.v`` in place through ``opt.work``,
     rounding the same operations in the same order as the formulas read, and
-    returns ``params``.
+    returns ``params``. A NaN or infinite gradient leaves NaN parameters,
+    which ``train``'s per-step health check reports.
     """
     if params.shape != (opt.size,) or grads.shape != (opt.size,):
         raise InvalidInputError("params/grads must match the optimizer size")
-    if not np.isfinite(grads).all():
-        raise NonFiniteGradientError(f"non-finite gradient at optimizer step {opt.step + 1}")
     opt.step += 1
     lr = opt.lr_at(opt.step)
     w, u = opt.work
@@ -223,7 +208,8 @@ class TrainConfig:
         for name, choices in (("target_mode", TARGET_MODES), ("partition_mode", PARTITION_MODES),
                               ("alpha_schedule", SCHEDULE_KINDS)):
             if getattr(self, name) not in choices:
-                raise InvalidInputError(f"{name.replace('_', ' ')} must be one of {choices}")
+                raise InvalidInputError(f"{name.replace('_', ' ')} must be one of {choices}, "
+                                        f"got {getattr(self, name)!r}")
         if self.image_encoder.embed_dim != self.text_encoder.embed_dim:
             raise InvalidInputError("both encoders must share the embedding dimension")
         # Written so that NaN, for which every comparison is false, fails.
@@ -234,7 +220,11 @@ class TrainConfig:
                 ("beta2", 0.0 <= self.beta2 < 1.0, "[0, 1)"),
                 ("adam_eps", 0.0 < self.adam_eps < math.inf, "(0, inf)"),
                 ("warmup_frac", 0.0 <= self.warmup_frac <= 1.0, "[0, 1]"),
-                ("eval_every", 0 <= self.eval_every, "[0, inf)")):
+                ("eval_every", 0 <= self.eval_every, "[0, inf)"),
+                ("seed", 0 <= self.seed < 1 << 64, "[0, 2^64)"),
+                ("alpha_start", 0.0 <= self.alpha_start <= 1.0, "[0, 1]"),
+                ("alpha_end", 0.0 <= self.alpha_end <= 1.0, "[0, 1]"),
+                ("temperature_init", 0.0 < self.temperature_init < math.inf, "(0, inf)")):
             if not ok:
                 raise InvalidInputError(f"{name.replace('_', ' ')} must lie in {bounds}, "
                                         f"got {getattr(self, name)}")

@@ -57,7 +57,7 @@ def test_generate_succeeds(tmp_path):
     ["generate", "--set", "samples_per_class"],          # --set without '='
     ["generate", "--set", "no_such_key=1"],
     ["generate", "--set", "samples_per_class=ten"],
-    ["train", "--set", "target_mode=sideways"],
+    ["train", "--set", "k_list=1,x"],
     ["generate", "--config", "/nonexistent/psdlab.cfg"],
     ["ablate", "--set", "k_list="],                      # no recall cutoff
     ["eval", "checkpoint", "pairs.psdd", "--set", "k_list="],
@@ -84,6 +84,29 @@ def test_dataset_flag_is_recorded_in_resolved_config(pairs_file, tmp_path):
     for name in files:
         assert (first / "checkpoint" / name).read_bytes() == \
             (second / "checkpoint" / name).read_bytes(), name
+
+
+def no_pool(*args):
+    raise AssertionError("a pool was drawn before the configuration was checked")
+
+
+@pytest.mark.parametrize("setting", [
+    ["--set", "samples_per_class=16777217"], ["--set", "embed_dim=16777217"],
+    ["--set", "alpha_start=2"], ["--set", "temperature_init=0"],
+    ["--set", "target_mode=sideways"], ["--set", "activation=bogus"], ["--seed", "-1"],
+], ids=" ".join)
+@pytest.mark.parametrize("command", [["generate"], ["train"], ["eval", "checkpoint", "pairs.psdd"],
+                                     ["gradcheck"], ["ablate"]], ids=lambda c: c[0])
+def test_spec_rejects_a_value_before_the_command_writes(command, setting, tmp_path, monkeypatch):
+    # Every command checks the whole configuration with the data, encoder
+    # and training specs, keys it does not read included, before it echoes
+    # the configuration, reads an input or draws a pool.
+    monkeypatch.setattr("psdlab.cli.generate", no_pool)
+    monkeypatch.setattr("psdlab.experiments.generate", no_pool)
+    out = tmp_path / "out"
+    assert main([*command, "--quiet", "--out", str(out), *setting]) == \
+        InvalidInputError.exit_code == 3
+    assert not out.exists()
 
 
 def test_out_of_range_value_exits_invalid_input_code(tmp_path):
@@ -267,13 +290,20 @@ def test_missing_file_exits_one(tmp_path):
 def test_ablate_rejects_eval_settings_before_training(setting, tmp_path, monkeypatch, caplog):
     # The preset's held-out set is 40 images x 10 classes, and an ablation
     # needs at least one seed to tabulate; no pool is drawn.
-    def no_pool(*args):
-        raise AssertionError("ablate drew a pool before checking its evaluation settings")
-
     monkeypatch.setattr("psdlab.experiments.generate", no_pool)
     rc = main(["ablate", "--quiet", "--set", setting, "--out", str(tmp_path)])
     assert rc == InvalidInputError.exit_code == 3
     assert "must lie in" in caplog.text
+    assert not (tmp_path / "ablation.json").exists()
+
+
+def test_ablate_rejects_a_variant_before_training(tmp_path, monkeypatch, caplog):
+    # teacher_scale = 0 tracks the student's scale, which the bootstrap
+    # variant cannot train with; no pool is drawn.
+    monkeypatch.setattr("psdlab.experiments.generate", no_pool)
+    rc = main(["ablate", "--quiet", "--set", "teacher_scale=0", "--out", str(tmp_path)])
+    assert rc == InvalidInputError.exit_code == 3
+    assert "set teacher_scale" in caplog.text
     assert not (tmp_path / "ablation.json").exists()
 
 

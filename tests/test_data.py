@@ -1,4 +1,6 @@
 import hashlib
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -314,6 +316,12 @@ class TestSpecValidation:
             small_spec(feature_noise_sigma=-0.1)
         with pytest.raises(InvalidInputError):
             small_spec(num_classes=1)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_noise_sigma(self, sigma):
+        message = f"feature noise sigma must lie in [0, inf), got {sigma}"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            small_spec(feature_noise_sigma=sigma)
 
     def test_pairing_cover_enforced(self):
         ds = generate(small_spec(), RngState(21))

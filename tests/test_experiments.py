@@ -129,6 +129,13 @@ def test_noise_preset_split_bytes(tmp_path):
                        "e932c840285256f2a15a870d1d1d1f47f4367756cc40be29937cfd652deb2f5b"]
 
 
+@pytest.mark.parametrize("per_class", [0, -1])
+def test_clean_holdout_needs_a_positive_count(per_class):
+    # clean[:-1] would hold out all but one clean image of every class.
+    with pytest.raises(InvalidInputError, match=f"must be >= 1, got {per_class}"):
+        split_clean_holdout(noisy_pool(), per_class)
+
+
 def test_clean_holdout_needs_enough_clean_images():
     pool = noisy_pool()
     short = int(min(np.count_nonzero((pool.class_labels == c) & ~pool.corrupted)

@@ -6,7 +6,8 @@ listing it in an ``__all__`` does not count as a read; no function of the
 package assigns a parameter or local that it never reads. Each defaulted
 parameter of the package is set by some call in the package or its
 benchmark, the tests not counted, and left to its default by some call in
-the package, its tests or its benchmark."""
+the package, its tests or its benchmark. No module of the package imports
+another module's underscore name."""
 
 import ast
 from pathlib import Path
@@ -49,6 +50,26 @@ def test_scan_finds_an_unread_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def underscore_imports(source: str) -> list[str]:
+    """The names that the ``from ... import`` statements of ``source`` take
+    from their module that start with ``_``; an alias does not count."""
+    return [a.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            for a in node.names if a.name.startswith("_")]
+
+
+def test_scan_finds_an_imported_underscore_name():
+    source = ("from .model import _ACTIVATIONS, EncoderSpec\n"
+              "from .numkit import RNG_CHUNK as _CHUNK, _count_true as count_true\n"
+              "import numpy as _np\n"
+              "print(_ACTIVATIONS, EncoderSpec, _CHUNK, count_true, _np)\n")
+    assert underscore_imports(source) == ["_ACTIVATIONS", "_count_true"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_module_imports_an_underscore_name(path):
+    assert underscore_imports(path.read_text(encoding="utf-8")) == []
 
 
 # Dataclasses whose fields are read through ``fields()`` and ``getattr``

@@ -69,10 +69,6 @@ class TestTemperature:
     def test_zero_untouched(self):
         assert clamp_scale(TemperatureParam(0.0)).log_scale == 0.0
 
-    def test_rejects_bad_temperature(self):
-        with pytest.raises(InvalidInputError):
-            TemperatureParam.from_temperature(0.0)
-
 
 class TestInfoNce:
     def test_single_pair_is_zero(self, rng):

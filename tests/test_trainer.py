@@ -244,16 +244,22 @@ def test_alpha_schedule_midpoints(kind, start, end):
     assert alpha_at(schedule, 10) == pytest.approx(start + quarter * (end - start), abs=1e-15)
 
 
-@pytest.mark.parametrize("total_steps, start, end, kind, message", [
-    (0, 0.8, 0.2, "cosine", "schedule needs at least one step"),
-    (10, 1.5, 0.2, "cosine", "alpha endpoints must lie in [0, 1], got 1.5"),
-    (10, 0.8, -0.1, "linear", "alpha endpoints must lie in [0, 1], got -0.1"),
-    (10, math.nan, 0.2, "linear", "alpha endpoints must lie in [0, 1], got nan"),
-    (10, 0.8, 0.2, "step", "schedule kind must be one of ('cosine', 'linear')"),
+@pytest.mark.parametrize("name, value, message", [
+    ("alpha_start", 1.5, "alpha start must lie in [0, 1], got 1.5"),
+    ("alpha_end", -0.1, "alpha end must lie in [0, 1], got -0.1"),
+    ("alpha_start", math.nan, "alpha start must lie in [0, 1], got nan"),
+    ("alpha_schedule", "step", "alpha schedule must be one of ('cosine', 'linear'), got 'step'"),
+    ("temperature_init", 0.0, "temperature init must lie in (0, inf), got 0.0"),
+    ("temperature_init", math.inf, "temperature init must lie in (0, inf), got inf"),
+    ("seed", -1, "seed must lie in [0, 2^64), got -1"),
+    ("seed", 1 << 64, f"seed must lie in [0, 2^64), got {1 << 64}"),
 ])
-def test_alpha_schedule_rejects_a_bad_setting(total_steps, start, end, kind, message):
+def test_train_config_rejects_a_bad_setting(name, value, message):
+    # The schedule, the temperature and the checkpoint's u64 seed take these
+    # values from the config unchecked.
+    encoder = EncoderSpec(12, (16,), 8)
     with pytest.raises(InvalidInputError, match=re.escape(message)):
-        AlphaSchedule(total_steps, start, end, kind)
+        TrainConfig(image_encoder=encoder, text_encoder=encoder, **{name: value})
 
 
 @pytest.mark.parametrize("t", [-1, 11])
@@ -266,5 +272,5 @@ def test_alpha_endpoint_outside_the_unit_interval_fails_train(tmp_path, caplog):
     rc = main(["train", "--quiet", "--epochs", "1", "--set", "alpha_start=2",
                "--out", str(tmp_path)])
     assert rc == InvalidInputError.exit_code == 3
-    assert "alpha endpoints must lie in [0, 1], got 2.0" in caplog.text
+    assert "alpha start must lie in [0, 1], got 2.0" in caplog.text
     assert not (tmp_path / "metrics.jsonl").exists()
