@@ -3,9 +3,9 @@
 Configuration precedence: built-in defaults < --config file < --set KEY=VALUE
 < the dedicated flags --seed, --out (out_dir), --dataset (dataset_path) and
 --epochs; every other key is set with --set. Every command checks its
-resolved configuration with the data, encoder and training specs before it
-echoes it into the output directory, so a value that a spec rejects fails
-before anything is written, even one the command does not read. Every
+resolved configuration with the specs and ``check_eval_keys`` before it
+echoes it into the output directory, so a value out of its key's range
+fails before anything is written, even one the command does not read. Every
 command is idempotent given identical inputs and seeds. Exit codes: 0
 success, otherwise the failing error class's code (see errors.py); a failed
 gradcheck returns 1.
@@ -43,8 +43,8 @@ HASH_READ = 1 << 18  # bytes per read when hashing a written file
 
 def _resolve_config(args, base: ExperimentConfig | None = None) -> tuple[ExperimentConfig, Path]:
     """The configuration from defaults, file, --set and flags, checked by
-    the specs and echoed into its output directory, which is created and
-    returned alongside it."""
+    the specs and ``check_eval_keys`` and echoed into its output directory,
+    which is created and returned alongside it."""
     cfg = base or ExperimentConfig()
     source_text = None
     if args.config:
@@ -65,6 +65,7 @@ def _resolve_config(args, base: ExperimentConfig | None = None) -> tuple[Experim
             set_key(cfg, key, str(value))
     cfg.synthetic_spec()
     cfg.train_config()
+    cfg.check_eval_keys()
     out = Path(cfg.out_dir)
     echo_config(cfg, out, source_text)
     return cfg, out
@@ -124,8 +125,7 @@ def cmd_eval(args) -> int:
     cfg, out = _resolve_config(args)
     image_params, text_params, temp, _state = load_checkpoint(args.checkpoint)
     ds = load_pairs(args.dataset)
-    check_eval_settings(ds.num_samples, cfg.k_list, cfg.histogram_bins,
-                        cfg.probe_l2 if cfg.probe else None)
+    check_eval_settings(ds.num_samples, cfg.k_list)
     img, txt = encode_pairs(image_params, text_params, ds)
     i2t, t2i, stats = score_eval(img, txt, cfg.k_list, cfg.histogram_bins)
     protos = class_prototypes(text_params, ds)

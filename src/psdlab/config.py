@@ -6,23 +6,25 @@ string value that holds one: the resolved configuration, echoed into the
 output directory for provenance, then reads back as the same configuration.
 Every key has a default, unknown keys are rejected, and command line flags
 override file values. ``set_key`` only parses: it turns the text into a
-value of the key's type or raises ConfigError. The specs judge the values:
-``synthetic_spec`` and ``train_config`` raise InvalidInputError for a value
-that their spec rejects. The data, encoder and training specs own the
-defaults of the keys they share with ``ExperimentConfig``: such a key
-defaults to its spec's attribute of the same name, and the spec takes its
-value back from the key by name. ``teacher_scale`` alone keeps a literal
-default, 0, which is how the file writes ``TrainConfig``'s ``None``.
+value of the key's type or raises ConfigError. Each ranged key has one
+judge, which raises InvalidInputError for a value out of range: the spec
+that ``synthetic_spec`` or ``train_config`` builds (``k_list`` too), or
+``check_eval_keys``; only K against the pairs ranked waits for the data.
+The specs own the defaults of the keys they share with ``ExperimentConfig``:
+such a key defaults to its spec's attribute of the same name, and the spec
+takes its value back from the key by name. ``teacher_scale`` alone keeps a
+literal default, 0, which is how the file writes ``TrainConfig``'s ``None``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import SyntheticSpec
-from .errors import ConfigError
-from .evaluation import PROBE_L2_DEFAULT
+from .errors import ConfigError, InvalidInputError
+from .evaluation import MAX_BINS, PROBE_L2_DEFAULT
 from .model import EncoderSpec
 from .trainer import TrainConfig
 
@@ -111,6 +113,16 @@ class ExperimentConfig:
         kwargs.update(overrides)
         return TrainConfig(**kwargs)
 
+    def check_eval_keys(self) -> None:
+        """Raise InvalidInputError for an evaluation key outside its range."""
+        for key, ok, bounds in (
+                ("histogram_bins", 1 <= self.histogram_bins <= MAX_BINS, f"[1, {MAX_BINS}]"),
+                ("probe_l2", 0.0 <= self.probe_l2 < math.inf, "[0, inf)"),  # so NaN fails
+                ("eval_per_class", 1 <= self.eval_per_class, "[1, inf)"),
+                ("ablate_seeds", 1 <= self.ablate_seeds, "[1, inf)")):
+            if not ok:
+                raise InvalidInputError(f"{key} must lie in {bounds}, got {getattr(self, key)}")
+
 
 _KEYS = {f.name for f in fields(ExperimentConfig)}
 
@@ -136,8 +148,6 @@ def set_key(cfg: ExperimentConfig, key: str, raw: str) -> None:
             value = raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    if key == "k_list" and not value:
-        raise ConfigError("k_list needs at least one recall cutoff")
     setattr(cfg, key, value)
 
 

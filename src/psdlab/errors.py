@@ -26,7 +26,7 @@ class PsdError(Exception):
 
 class ConfigError(PsdError):
     """Configuration text that cannot be read or parsed, or an unknown key:
-    exit 2. A value that parses but that its spec rejects is an
+    exit 2. A value that parses but lies outside its key's range is an
     InvalidInputError, exit 3."""
 
     exit_code = 2
@@ -34,7 +34,7 @@ class ConfigError(PsdError):
 
 class InvalidInputError(PsdError):
     """Shape mismatch, non-finite input, or out-of-range argument, a
-    configured value that its spec rejects included: exit 3."""
+    configured value outside its key's range included: exit 3."""
 
     exit_code = 3
 

@@ -118,17 +118,11 @@ def _retrieval_report(direction: str, ranks: np.ndarray, k_list) -> RetrievalRep
     return RetrievalReport(direction=direction, recall_at=recall, mean_rank=float(ranks.mean()))
 
 
-def check_eval_settings(n: int, k_list, bins, l2: float | None = None) -> None:
-    """Raise InvalidInputError unless every K of ``k_list`` lies in [1, n]
-    for an evaluated set of n pairs, ``bins`` in [1, MAX_BINS] and the
-    probe's ``l2`` in [0, inf); None skips any of them. Callers that train
-    or scan first check before they start."""
-    if bins is not None and not 1 <= bins <= MAX_BINS:
-        raise InvalidInputError(f"bins must lie in [1, {MAX_BINS}], got {bins}")
-    if k_list is not None and not all(1 <= int(k) <= n for k in k_list):
-        raise InvalidInputError(f"every K must lie in [1, {n}], got {list(k_list)}")
-    if l2 is not None and not 0.0 <= l2 < math.inf:  # written so that NaN fails
-        raise InvalidInputError(f"probe l2 must lie in [0, inf), got {l2}")
+def check_eval_settings(n: int, k_list) -> None:
+    """Raise InvalidInputError when a K of ``k_list`` (each >= 1, by
+    ``TrainConfig``) exceeds the n pairs ranked; callers check it up front."""
+    if not all(int(k) <= n for k in k_list):
+        raise InvalidInputError(f"k_list must not exceed the {n} pairs ranked, got {list(k_list)}")
 
 
 def equal_width_counts(values: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
@@ -211,8 +205,8 @@ def score_eval(image_emb, text_emb, k_list, bins
     n = v.shape[0]
     if n == 0:
         raise InvalidInputError("evaluation requires at least one image-text pair")
-    check_eval_settings(n, k_list, bins)
     if k_list is not None:
+        check_eval_settings(n, k_list)
         k_list = [int(k) for k in k_list]
         i2t_ranks = np.ones(n, dtype=np.int64)
         t2i_ranks = np.ones(n, dtype=np.int64)
@@ -385,9 +379,8 @@ def linear_probe(train_features, train_labels, test_features, test_labels,
     the search finds no step along the L-BFGS direction, it runs along minus
     the gradient (counted in the result); if even that cannot decrease the
     loss, optimization stops, which keeps the loss monotone over accepted
-    iterates. An ``l2`` outside [0, inf) raises InvalidInputError.
+    iterates.
     """
-    check_eval_settings(0, None, None, l2)
     x_tr = as_matrix(train_features, "train features")
     x_te = as_matrix(test_features, "test features")
     y_tr = np.asarray(train_labels, dtype=np.int64)

@@ -58,10 +58,8 @@ def noise_experiment_config() -> ExperimentConfig:
 
 
 def split_clean_holdout(ds: PairedDataset, per_class: int) -> tuple[PairedDataset, PairedDataset]:
-    """Carve the first ``per_class`` uncorrupted images of every class into a
-    held-out dataset; the rest (corrupted included) form the train split."""
-    if per_class < 1:
-        raise InvalidInputError(f"held-out images per class must be >= 1, got {per_class}")
+    """Carve the first ``per_class`` (>= 1) uncorrupted images of every
+    class into a held-out set; the rest (corrupted included) train."""
     eval_idx = []
     for c in range(ds.num_classes):
         clean = np.flatnonzero((ds.class_labels == c) & ~ds.corrupted)
@@ -180,19 +178,16 @@ def run_matrix(exp_cfg: ExperimentConfig, seeds,
     data. Outcomes are collected, and ``progress`` called, in seed-major
     submission order, so the result equals a serial run bit for bit. The
     first task to raise re-raises its error here, and the pool is shut down
-    and joined before this returns either way. Evaluation settings that the
-    held-out sets cannot serve, an empty ``seeds``, and a task whose
-    ``TrainConfig`` its spec rejects raise InvalidInputError before any pool
-    is drawn.
+    and joined before this returns either way. A K past the held-out size
+    and a task whose ``TrainConfig`` its spec rejects raise InvalidInputError
+    before any pool is drawn. The caller passes one or more ``seeds`` and an
+    ``exp_cfg`` whose ``check_eval_keys`` passes, as ``psdlab ablate`` does.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    check_eval_settings(exp_cfg.eval_per_class * exp_cfg.num_classes,
-                        exp_cfg.k_list, exp_cfg.histogram_bins)
+    check_eval_settings(exp_cfg.eval_per_class * exp_cfg.num_classes, exp_cfg.k_list)
     seeds = list(seeds)
-    if not seeds:
-        raise InvalidInputError("the number of seeds must lie in [1, inf), got 0")
     for seed in seeds:
         for overrides in ABLATION_VARIANTS.values():
             exp_cfg.train_config(seed=seed, **overrides)

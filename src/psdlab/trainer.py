@@ -210,6 +210,8 @@ class TrainConfig:
             if getattr(self, name) not in choices:
                 raise InvalidInputError(f"{name.replace('_', ' ')} must be one of {choices}, "
                                         f"got {getattr(self, name)!r}")
+        if not self.k_list or min(self.k_list) < 1:
+            raise InvalidInputError(f"k_list needs one or more K, each >= 1, got {self.k_list}")
         if self.image_encoder.embed_dim != self.text_encoder.embed_dim:
             raise InvalidInputError("both encoders must share the embedding dimension")
         # Written so that NaN, for which every comparison is false, fails.
@@ -296,7 +298,7 @@ def train(cfg: TrainConfig, ds: PairedDataset,
     if ds.text_features.shape[1] != cfg.text_encoder.input_dim:
         raise InvalidInputError("text encoder input dim does not match the dataset")
     if eval_ds is not None and cfg.eval_every > 0:
-        check_eval_settings(eval_ds.num_samples, cfg.k_list, None)
+        check_eval_settings(eval_ds.num_samples, cfg.k_list)
 
     image_params = init_params(cfg.image_encoder, RngState(derive_seed(cfg.seed, _STREAM_INIT_IMAGE)))
     text_params = init_params(cfg.text_encoder, RngState(derive_seed(cfg.seed, _STREAM_INIT_TEXT)))

@@ -4,12 +4,14 @@ or the next step's encode, with DivergenceError (code 6) before the objective
 sees its non-finite or degenerate state as invalid input (code 3)."""
 
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from psdlab.cli import main
-from psdlab.config import parse_config_text
+from psdlab.config import ExperimentConfig, parse_config_text
 from psdlab.data import PairedDataset, SyntheticSpec, generate, save_pairs
 from psdlab.errors import (
     BadMagicError,
@@ -59,8 +61,8 @@ def test_generate_succeeds(tmp_path):
     ["generate", "--set", "samples_per_class=ten"],
     ["train", "--set", "k_list=1,x"],
     ["generate", "--config", "/nonexistent/psdlab.cfg"],
-    ["ablate", "--set", "k_list="],                      # no recall cutoff
-    ["eval", "checkpoint", "pairs.psdd", "--set", "k_list="],
+    ["ablate", "--set", "probe=maybe"],                  # not a boolean
+    ["eval", "checkpoint", "pairs.psdd", "--set", "probe_l2=small"],
     ["train", "--out", "runs/#3"],                       # would read back as runs/
     ["train", "--dataset", "runs/#3.psdd"],              # would read back as runs/
 ])
@@ -94,19 +96,52 @@ def no_pool(*args):
     ["--set", "samples_per_class=16777217"], ["--set", "embed_dim=16777217"],
     ["--set", "alpha_start=2"], ["--set", "temperature_init=0"],
     ["--set", "target_mode=sideways"], ["--set", "activation=bogus"], ["--seed", "-1"],
+    ["--set", "histogram_bins=0"], ["--set", "histogram_bins=65537"],
+    ["--set", "probe_l2=-1"], ["--set", "probe_l2=nan"], ["--set", "eval_per_class=0"],
+    ["--set", "eval_every=1", "--set", "eval_per_class=-1"], ["--set", "ablate_seeds=0"],
+    ["--set", "k_list=0,5"], ["--set", "k_list="],
 ], ids=" ".join)
 @pytest.mark.parametrize("command", [["generate"], ["train"], ["eval", "checkpoint", "pairs.psdd"],
                                      ["gradcheck"], ["ablate"]], ids=lambda c: c[0])
 def test_spec_rejects_a_value_before_the_command_writes(command, setting, tmp_path, monkeypatch):
     # Every command checks the whole configuration with the data, encoder
-    # and training specs, keys it does not read included, before it echoes
-    # the configuration, reads an input or draws a pool.
+    # and training specs and the evaluation keys' check, keys it does not
+    # read included, before it echoes the configuration, reads an input or
+    # draws a pool.
     monkeypatch.setattr("psdlab.cli.generate", no_pool)
     monkeypatch.setattr("psdlab.experiments.generate", no_pool)
     out = tmp_path / "out"
     assert main([*command, "--quiet", "--out", str(out), *setting]) == \
         InvalidInputError.exit_code == 3
     assert not out.exists()
+
+
+# One value that each key's judge rejects; None marks a free-form key.
+REJECTED = {
+    "num_classes": "1", "latent_dim": "0", "image_dim": "0", "text_dim": "0",
+    "samples_per_class": "0", "feature_noise_sigma": "nan", "mismatch_rate": "1.5",
+    "captions_per_image": "0", "dataset_path": None,
+    "embed_dim": "0", "image_hidden_dims": "0", "text_hidden_dims": "0", "activation": "bogus",
+    "batch_size": "1", "epochs": "0", "seed": "-1", "learning_rate": "0", "warmup_frac": "2",
+    "weight_decay": "-1", "beta1": "1", "beta2": "1", "adam_eps": "0", "alpha_start": "2",
+    "alpha_end": "-1", "alpha_schedule": "step", "target_mode": "sideways",
+    "partition_mode": "sideways", "temperature_init": "0", "teacher_scale": "-1",
+    "eval_every": "-1", "k_list": "0,5", "histogram_bins": "0", "probe": None,
+    "probe_l2": "-1", "eval_per_class": "0", "ablate_seeds": "0", "out_dir": None,
+}
+
+
+def test_every_key_is_judged_before_the_command_writes(tmp_path, monkeypatch):
+    # A key added without a judge, or whose judge runs only after the echo,
+    # fails here.
+    assert set(REJECTED) == {f.name for f in fields(ExperimentConfig)}
+    monkeypatch.setattr("psdlab.cli.generate", no_pool)
+    out = tmp_path / "out"
+    for key, value in REJECTED.items():
+        if value is not None:
+            rc = main(["generate", "--quiet", "--out", str(out), "--set", f"{key}={value}"])
+            assert rc == InvalidInputError.exit_code, key
+            assert not out.exists(), key
 
 
 def test_out_of_range_value_exits_invalid_input_code(tmp_path):
@@ -286,14 +321,17 @@ def test_missing_file_exits_one(tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["histogram_bins=0", "histogram_bins=65537",
-                                     "k_list=1,5,401", "ablate_seeds=0", "ablate_seeds=-1"])
+                                     "k_list=1,5,401", "ablate_seeds=0", "ablate_seeds=-1",
+                                     "eval_per_class=-1"])
 def test_ablate_rejects_eval_settings_before_training(setting, tmp_path, monkeypatch, caplog):
     # The preset's held-out set is 40 images x 10 classes, and an ablation
-    # needs at least one seed to tabulate; no pool is drawn.
+    # needs at least one seed to tabulate; no pool is drawn. The message
+    # names the key and the value given.
     monkeypatch.setattr("psdlab.experiments.generate", no_pool)
     rc = main(["ablate", "--quiet", "--set", setting, "--out", str(tmp_path)])
     assert rc == InvalidInputError.exit_code == 3
-    assert "must lie in" in caplog.text
+    key, value = setting.split("=")
+    assert re.search(rf"{key} must .*, got \[?{value.replace(',', ', ')}", caplog.text)
     assert not (tmp_path / "ablation.json").exists()
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psdlab.evaluation as ev
+from psdlab.config import ExperimentConfig
 from psdlab.errors import InvalidInputError
 from psdlab.evaluation import (
     histogram_csv,
@@ -359,11 +360,12 @@ class TestSimilarityStats:
         assert stats.positive_counts.sum() == 1
 
     def test_bins_validation(self, rng):
+        # The histogram_bins key is held to the bins that equal_width_counts'
+        # margin covers, before any command scans; the most of them count.
+        for bins in (0, ev.MAX_BINS + 1):
+            with pytest.raises(InvalidInputError, match=f"histogram_bins must lie in .*got {bins}"):
+                ExperimentConfig(histogram_bins=bins).check_eval_keys()
         v, t = unit_batch(rng, 3, 3)
-        with pytest.raises(InvalidInputError):
-            similarity_stats(v, t, bins=0)
-        with pytest.raises(InvalidInputError, match="bins must lie in"):
-            similarity_stats(v, t, bins=ev.MAX_BINS + 1)
         assert similarity_stats(v, t, bins=ev.MAX_BINS).negative_counts.sum() == 6
 
     def test_empty_pair_set_rejected(self):

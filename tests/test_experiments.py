@@ -8,12 +8,14 @@ and the ablation table."""
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
 from psdlab import experiments
 from psdlab.cli import main
+from psdlab.config import ExperimentConfig
 from psdlab.data import SyntheticSpec, generate, save_pairs
 from psdlab.errors import DivergenceError, InvalidInputError
 from psdlab.experiments import (
@@ -131,9 +133,11 @@ def test_noise_preset_split_bytes(tmp_path):
 
 @pytest.mark.parametrize("per_class", [0, -1])
 def test_clean_holdout_needs_a_positive_count(per_class):
-    # clean[:-1] would hold out all but one clean image of every class.
-    with pytest.raises(InvalidInputError, match=f"must be >= 1, got {per_class}"):
-        split_clean_holdout(noisy_pool(), per_class)
+    # clean[:-1] would hold out all but one clean image of every class, so
+    # the eval_per_class key is checked before any pool is split.
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"eval_per_class must lie in [1, inf), got {per_class}")):
+        ExperimentConfig(eval_per_class=per_class).check_eval_keys()
 
 
 def test_clean_holdout_needs_enough_clean_images():

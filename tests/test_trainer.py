@@ -253,10 +253,12 @@ def test_alpha_schedule_midpoints(kind, start, end):
     ("temperature_init", math.inf, "temperature init must lie in (0, inf), got inf"),
     ("seed", -1, "seed must lie in [0, 2^64), got -1"),
     ("seed", 1 << 64, f"seed must lie in [0, 2^64), got {1 << 64}"),
+    ("k_list", (), "k_list needs one or more K, each >= 1, got ()"),
+    ("k_list", (0, 5), "k_list needs one or more K, each >= 1, got (0, 5)"),
 ])
 def test_train_config_rejects_a_bad_setting(name, value, message):
-    # The schedule, the temperature and the checkpoint's u64 seed take these
-    # values from the config unchecked.
+    # The schedule, the temperature, the checkpoint's u64 seed and the
+    # held-out recalls take these values from the config unchecked.
     encoder = EncoderSpec(12, (16,), 8)
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         TrainConfig(image_encoder=encoder, text_encoder=encoder, **{name: value})
