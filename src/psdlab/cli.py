@@ -5,7 +5,9 @@ Configuration precedence: built-in defaults < --config file < --set KEY=VALUE
 --epochs; every other key is set with --set. Every command checks its
 resolved configuration with the specs and ``check_eval_keys`` before it
 echoes it into the output directory, so a value out of its key's range
-fails before anything is written, even one the command does not read. Every
+fails before anything is written, even one the command does not read. With
+``eval_every`` > 0, ``train`` carves a clean holdout off its data, checks
+``k_list`` against it, and evaluates on it every ``eval_every`` epochs. Every
 command is idempotent given identical inputs and seeds. Exit codes: 0
 success, otherwise the failing error class's code (see errors.py); a failed
 gradcheck returns 1.
@@ -102,16 +104,34 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def held_out_evals(eval_ds, every: int, k_list):
+    """``train``'s ``after_epoch`` callback: after every ``every``-th epoch, a
+    ``kind = eval`` record of ``eval_ds``'s i2t and t2i recalls and mean ranks."""
+    def after_epoch(epoch, step, image_params, text_params):
+        if (epoch + 1) % every:
+            return None
+        img, txt = encode_pairs(image_params, text_params, eval_ds)
+        i2t, t2i, _ = score_eval(img, txt, k_list, None)
+        rec = {"step": step, "epoch": epoch, "kind": "eval"}
+        for tag, rep in (("i2t", i2t), ("t2i", t2i)):
+            rec.update({f"{tag}_r{k}": v for k, v in rep.recall_at.items()})
+            rec[f"{tag}_mnr"] = rep.mean_rank
+        return rec
+    return after_epoch
+
+
 def cmd_train(args) -> int:
     cfg, out = _resolve_config(args)
     ds = _load_or_generate(cfg)
-    eval_ds = None
+    after_epoch = None
     if cfg.eval_every > 0:
         ds, eval_ds = split_clean_holdout(ds, cfg.eval_per_class)
         log.info("carved %d clean held-out pairs", eval_ds.num_samples)
+        check_eval_settings(eval_ds.num_samples, cfg.k_list)
+        after_epoch = held_out_evals(eval_ds, cfg.eval_every, cfg.k_list)
     tc = cfg.train_config(image_input_dim=ds.image_features.shape[1],
                           text_input_dim=ds.text_features.shape[1])
-    result = train(tc, ds, eval_ds=eval_ds, metrics_path=out / "metrics.jsonl")
+    result = train(tc, ds, after_epoch=after_epoch, metrics_path=out / "metrics.jsonl")
     save_checkpoint(result, out / "checkpoint")
     last = result.step_records()[-1]
     print(f"steps: {last['step'] + 1}  final_loss: {last['loss']:.6f}  "
@@ -179,14 +199,13 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg, out = _resolve_config(args, base=noise_experiment_config())
-    seeds = [cfg.seed + i for i in range(cfg.ablate_seeds)]
 
     def progress(outcome):
         k = min(outcome.t2i_recall)
         log.info("seed %d %s: t2i_r%d %.2f zero_shot %.2f",
                  outcome.seed, outcome.variant, k, outcome.t2i_recall[k], outcome.zero_shot)
 
-    outcomes = run_matrix(cfg, seeds, progress=progress)
+    outcomes = run_matrix(cfg, progress=progress)
     table = ablation_table(outcomes)
     (out / "ablation.json").write_text(json.dumps(table, indent=2, sort_keys=True) + "\n",
                                        encoding="utf-8")

@@ -8,12 +8,13 @@ Every key has a default, unknown keys are rejected, and command line flags
 override file values. ``set_key`` only parses: it turns the text into a
 value of the key's type or raises ConfigError. Each ranged key has one
 judge, which raises InvalidInputError for a value out of range: the spec
-that ``synthetic_spec`` or ``train_config`` builds (``k_list`` too), or
-``check_eval_keys``; only K against the pairs ranked waits for the data.
-The specs own the defaults of the keys they share with ``ExperimentConfig``:
+that ``synthetic_spec`` or ``train_config`` builds, or ``check_eval_keys``
+for the keys that no spec reads, ``eval_every`` and ``k_list`` through
+``ablate_seeds``; only K against the pairs ranked waits for the data. The
+specs own the defaults of the keys they share with ``ExperimentConfig``:
 such a key defaults to its spec's attribute of the same name, and the spec
-takes its value back from the key by name. ``teacher_scale`` alone keeps a
-literal default, 0, which is how the file writes ``TrainConfig``'s ``None``.
+takes its value back from the key by name. The keys no spec has state their
+defaults here, and so does ``teacher_scale``, whose 0 writes ``None``.
 """
 
 from __future__ import annotations
@@ -86,10 +87,10 @@ class ExperimentConfig:
     partition_mode: str = TrainConfig.partition_mode
     temperature_init: float = TrainConfig.temperature_init
     teacher_scale: float = 0.0        # in (0, 100]; 0 tracks the student (not for bootstrap)
-    eval_every: int = TrainConfig.eval_every
+    eval_every: int = 0               # epochs between train's held-out evals, 0 = off
 
     # evaluation / experiments
-    k_list: tuple[int, ...] = TrainConfig.k_list
+    k_list: tuple[int, ...] = (1, 5, 10)  # recall cutoffs
     histogram_bins: int = 50
     probe: bool = True
     probe_l2: float = PROBE_L2_DEFAULT
@@ -114,8 +115,11 @@ class ExperimentConfig:
         return TrainConfig(**kwargs)
 
     def check_eval_keys(self) -> None:
-        """Raise InvalidInputError for an evaluation key outside its range."""
+        """Raise InvalidInputError when a key that no spec reads is out of range."""
+        if not self.k_list or min(self.k_list) < 1:
+            raise InvalidInputError(f"k_list needs one or more K, each >= 1, got {self.k_list}")
         for key, ok, bounds in (
+                ("eval_every", 0 <= self.eval_every, "[0, inf)"),
                 ("histogram_bins", 1 <= self.histogram_bins <= MAX_BINS, f"[1, {MAX_BINS}]"),
                 ("probe_l2", 0.0 <= self.probe_l2 < math.inf, "[0, inf)"),  # so NaN fails
                 ("eval_per_class", 1 <= self.eval_per_class, "[1, inf)"),

@@ -65,10 +65,10 @@ class SyntheticSpec:
         if any(c > _MAX_COUNT for c in counts):
             raise InvalidInputError(f"count exceeds {_MAX_COUNT}")
         if not (0.0 <= self.mismatch_rate <= 1.0):
-            raise InvalidInputError(f"mismatch rate must lie in [0, 1], got {self.mismatch_rate}")
+            raise InvalidInputError(f"mismatch_rate must lie in [0, 1], got {self.mismatch_rate}")
         if not 0.0 <= self.feature_noise_sigma < math.inf:  # written so that NaN fails
             raise InvalidInputError(
-                f"feature noise sigma must lie in [0, inf), got {self.feature_noise_sigma}")
+                f"feature_noise_sigma must lie in [0, inf), got {self.feature_noise_sigma}")
 
     @property
     def num_samples(self) -> int:

@@ -120,7 +120,7 @@ def _retrieval_report(direction: str, ranks: np.ndarray, k_list) -> RetrievalRep
 
 def check_eval_settings(n: int, k_list) -> None:
     """Raise InvalidInputError when a K of ``k_list`` (each >= 1, by
-    ``TrainConfig``) exceeds the n pairs ranked; callers check it up front."""
+    ``check_eval_keys``) exceeds the n pairs ranked; callers check it up front."""
     if not all(int(k) <= n for k in k_list):
         raise InvalidInputError(f"k_list must not exceed the {n} pairs ranked, got {list(k_list)}")
 

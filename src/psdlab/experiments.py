@@ -131,10 +131,7 @@ def evaluate_on_holdout(result: TrainResult, eval_ds: PairedDataset, k_list, bin
 
 def run_variant(exp_cfg: ExperimentConfig, variant: str, seed: int,
                 train_ds: PairedDataset, eval_ds: PairedDataset) -> VariantOutcome:
-    overrides = dict(ABLATION_VARIANTS[variant])
-    overrides["seed"] = seed
-    cfg = exp_cfg.train_config(**overrides)
-    result = train(cfg, train_ds)
+    result = train(exp_cfg.train_config(seed=seed, **ABLATION_VARIANTS[variant]), train_ds)
     return evaluate_on_holdout(result, eval_ds, exp_cfg.k_list,
                                exp_cfg.histogram_bins, variant, seed)
 
@@ -166,10 +163,9 @@ def _one_blas_thread() -> None:
     _openblas_call(OPENBLAS_SET_THREADS, 1, restype=None)
 
 
-def run_matrix(exp_cfg: ExperimentConfig, seeds,
-               progress=None) -> dict[str, list[VariantOutcome]]:
-    """Train every variant of ``ABLATION_VARIANTS`` on every seed's pool;
-    paired by construction.
+def run_matrix(exp_cfg: ExperimentConfig, progress=None) -> dict[str, list[VariantOutcome]]:
+    """Train every variant of ``ABLATION_VARIANTS`` on the pool of each of
+    the seeds ``seed``, ``seed + 1``, ... (``ablate_seeds`` of them); paired.
 
     Each (seed, variant) pair is one task on a pool of forked workers: as
     many as there are available CPUs, at most one per task, each with BLAS
@@ -178,16 +174,17 @@ def run_matrix(exp_cfg: ExperimentConfig, seeds,
     data. Outcomes are collected, and ``progress`` called, in seed-major
     submission order, so the result equals a serial run bit for bit. The
     first task to raise re-raises its error here, and the pool is shut down
-    and joined before this returns either way. A K past the held-out size
-    and a task whose ``TrainConfig`` its spec rejects raise InvalidInputError
-    before any pool is drawn. The caller passes one or more ``seeds`` and an
-    ``exp_cfg`` whose ``check_eval_keys`` passes, as ``psdlab ablate`` does.
+    and joined before this returns either way. An evaluation key that
+    ``check_eval_keys`` rejects, a K past the held-out size and a task whose
+    ``TrainConfig`` its spec rejects raise InvalidInputError before any pool
+    is drawn.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    exp_cfg.check_eval_keys()
     check_eval_settings(exp_cfg.eval_per_class * exp_cfg.num_classes, exp_cfg.k_list)
-    seeds = list(seeds)
+    seeds = [exp_cfg.seed + i for i in range(exp_cfg.ablate_seeds)]
     for seed in seeds:
         for overrides in ABLATION_VARIANTS.values():
             exp_cfg.train_config(seed=seed, **overrides)

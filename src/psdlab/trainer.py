@@ -1,5 +1,8 @@
 """Training loop: schedules, AdamW, batch partitioning, self-distillation.
 
+``train`` only trains: its result depends on its ``TrainConfig`` and data
+alone. Held-out evaluation is the caller's, through a per-epoch callback.
+
 Determinism: every random draw comes from a stream derived from
 (seed, stream label, epoch index) through a pure splitmix64 chain, so a run is
 bit-reproducible from its config alone and a checkpoint only needs to record
@@ -32,7 +35,6 @@ import numpy as np
 
 from .data import PairedDataset, select_captions
 from .errors import DegenerateInputError, DivergenceError, Framing, InvalidInputError
-from .evaluation import check_eval_settings, retrieval_eval
 from .model import EncoderSpec, ParamSet, encode, encode_backward, init_params, load_params, save_params
 from .numkit import RngState, derive_seed
 from .objective import (
@@ -177,7 +179,8 @@ def adamw_step(params: np.ndarray, grads: np.ndarray, opt: OptState) -> np.ndarr
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything one training run depends on."""
+    """Everything one training run depends on, and nothing that only
+    observes it. A bad value raises InvalidInputError naming its key."""
 
     image_encoder: EncoderSpec
     text_encoder: EncoderSpec
@@ -197,41 +200,33 @@ class TrainConfig:
     partition_mode: str = "dynamic"
     temperature_init: float = 0.07
     teacher_scale: float | None = None   # in (0, 100]; None tracks the student's (not bootstrap)
-    eval_every: int = 0                  # epochs between held-out evals, 0 = off
-    k_list: tuple[int, ...] = (1, 5, 10)  # recall cutoffs of the held-out evals
 
     def __post_init__(self):
-        if self.batch_size < 2:
-            raise InvalidInputError("batch size must be >= 2")
-        if self.epochs < 1:
-            raise InvalidInputError("epochs must be >= 1")
         for name, choices in (("target_mode", TARGET_MODES), ("partition_mode", PARTITION_MODES),
                               ("alpha_schedule", SCHEDULE_KINDS)):
             if getattr(self, name) not in choices:
-                raise InvalidInputError(f"{name.replace('_', ' ')} must be one of {choices}, "
+                raise InvalidInputError(f"{name} must be one of {choices}, "
                                         f"got {getattr(self, name)!r}")
-        if not self.k_list or min(self.k_list) < 1:
-            raise InvalidInputError(f"k_list needs one or more K, each >= 1, got {self.k_list}")
         if self.image_encoder.embed_dim != self.text_encoder.embed_dim:
             raise InvalidInputError("both encoders must share the embedding dimension")
         # Written so that NaN, for which every comparison is false, fails.
         for name, ok, bounds in (
+                ("batch_size", 2 <= self.batch_size, "[2, inf)"),
+                ("epochs", 1 <= self.epochs, "[1, inf)"),
                 ("learning_rate", 0.0 < self.learning_rate < math.inf, "(0, inf)"),
                 ("weight_decay", 0.0 <= self.weight_decay < math.inf, "[0, inf)"),
                 ("beta1", 0.0 <= self.beta1 < 1.0, "[0, 1)"),
                 ("beta2", 0.0 <= self.beta2 < 1.0, "[0, 1)"),
                 ("adam_eps", 0.0 < self.adam_eps < math.inf, "(0, inf)"),
                 ("warmup_frac", 0.0 <= self.warmup_frac <= 1.0, "[0, 1]"),
-                ("eval_every", 0 <= self.eval_every, "[0, inf)"),
                 ("seed", 0 <= self.seed < 1 << 64, "[0, 2^64)"),
                 ("alpha_start", 0.0 <= self.alpha_start <= 1.0, "[0, 1]"),
                 ("alpha_end", 0.0 <= self.alpha_end <= 1.0, "[0, 1]"),
                 ("temperature_init", 0.0 < self.temperature_init < math.inf, "(0, inf)")):
             if not ok:
-                raise InvalidInputError(f"{name.replace('_', ' ')} must lie in {bounds}, "
-                                        f"got {getattr(self, name)}")
+                raise InvalidInputError(f"{name} must lie in {bounds}, got {getattr(self, name)}")
         if self.teacher_scale is not None and not 0.0 < self.teacher_scale <= MAX_LOGIT_SCALE:
-            raise InvalidInputError(f"teacher scale must lie in (0, {MAX_LOGIT_SCALE:g}], "
+            raise InvalidInputError(f"teacher_scale must lie in (0, {MAX_LOGIT_SCALE:g}], "
                                     f"got {self.teacher_scale}")
         if self.target_mode == "bootstrap" and self.teacher_scale is None:
             raise InvalidInputError("bootstrap targets at the student's scale are its own "
@@ -261,22 +256,7 @@ def encode_pairs(image_params: ParamSet, text_params: ParamSet, ds: PairedDatase
     return img, txt
 
 
-def _eval_record(step: int, epoch: int, image_params, text_params,
-                 eval_ds: PairedDataset, k_list) -> dict:
-    img, txt = encode_pairs(image_params, text_params, eval_ds)
-    i2t, t2i = retrieval_eval(img, txt, k_list)
-    rec = {"step": step, "epoch": epoch, "kind": "eval"}
-    for rep in (i2t, t2i):
-        tag = "i2t" if rep.direction == "image_to_text" else "t2i"
-        for k, v in rep.recall_at.items():
-            rec[f"{tag}_r{k}"] = v
-        rec[f"{tag}_mnr"] = rep.mean_rank
-    return rec
-
-
-def train(cfg: TrainConfig, ds: PairedDataset,
-          eval_ds: PairedDataset | None = None,
-          metrics_path=None) -> TrainResult:
+def train(cfg: TrainConfig, ds: PairedDataset, after_epoch=None, metrics_path=None) -> TrainResult:
     """Run the full loop; returns final parameters and the metrics history.
 
     Per epoch the data order reshuffles and the partition priority refreshes
@@ -286,9 +266,9 @@ def train(cfg: TrainConfig, ds: PairedDataset,
     AdamW updates all parameters jointly, and the logit scale is re-clamped.
     A step that leaves a non-finite loss or parameter, or a logit scale that
     underflowed to 0, raises DivergenceError, and so does an encode after
-    step 0 that meets a zero or overflowing output norm. Recall cutoffs
-    that the held-out set cannot serve raise InvalidInputError before the
-    first step.
+    step 0 that meets a zero or overflowing output norm. After each epoch,
+    ``after_epoch(epoch, step, image_params, text_params)`` may read the
+    parameters; a dict it returns is emitted as one metrics record.
     """
     n = ds.num_samples
     if n < cfg.batch_size:
@@ -297,8 +277,6 @@ def train(cfg: TrainConfig, ds: PairedDataset,
         raise InvalidInputError("image encoder input dim does not match the dataset")
     if ds.text_features.shape[1] != cfg.text_encoder.input_dim:
         raise InvalidInputError("text encoder input dim does not match the dataset")
-    if eval_ds is not None and cfg.eval_every > 0:
-        check_eval_settings(eval_ds.num_samples, cfg.k_list)
 
     image_params = init_params(cfg.image_encoder, RngState(derive_seed(cfg.seed, _STREAM_INIT_IMAGE)))
     text_params = init_params(cfg.text_encoder, RngState(derive_seed(cfg.seed, _STREAM_INIT_TEXT)))
@@ -385,9 +363,10 @@ def train(cfg: TrainConfig, ds: PairedDataset,
                       "lr": opt.lr_at(opt.step), "scale": temp.scale})
                 step += 1
 
-            if eval_ds is not None and cfg.eval_every > 0 and (epoch + 1) % cfg.eval_every == 0:
-                emit(_eval_record(step, epoch, image_params, text_params,
-                                  eval_ds, cfg.k_list))
+            if after_epoch is not None:
+                rec = after_epoch(epoch, step, image_params, text_params)
+                if rec is not None:
+                    emit(rec)
     finally:
         if sink:
             sink.close()

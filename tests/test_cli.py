@@ -210,21 +210,21 @@ def test_diverged_run_exits_divergence_code(settings, tmp_path, caplog):
 
 
 @pytest.mark.parametrize("setting, message", [
-    ("learning_rate=-0.001", "learning rate must lie in (0, inf)"),
-    ("learning_rate=0", "learning rate must lie in (0, inf)"),
-    ("learning_rate=nan", "learning rate must lie in (0, inf)"),
-    ("learning_rate=inf", "learning rate must lie in (0, inf)"),
-    ("weight_decay=-5", "weight decay must lie in [0, inf)"),
-    ("weight_decay=nan", "weight decay must lie in [0, inf)"),
+    ("learning_rate=-0.001", "learning_rate must lie in (0, inf)"),
+    ("learning_rate=0", "learning_rate must lie in (0, inf)"),
+    ("learning_rate=nan", "learning_rate must lie in (0, inf)"),
+    ("learning_rate=inf", "learning_rate must lie in (0, inf)"),
+    ("weight_decay=-5", "weight_decay must lie in [0, inf)"),
+    ("weight_decay=nan", "weight_decay must lie in [0, inf)"),
     ("beta1=1.5", "beta1 must lie in [0, 1)"),
     ("beta1=1", "beta1 must lie in [0, 1)"),
     ("beta2=-0.1", "beta2 must lie in [0, 1)"),
     ("beta2=nan", "beta2 must lie in [0, 1)"),
-    ("adam_eps=-1", "adam eps must lie in (0, inf)"),
-    ("adam_eps=0", "adam eps must lie in (0, inf)"),
-    ("warmup_frac=2", "warmup frac must lie in [0, 1]"),
-    ("warmup_frac=nan", "warmup frac must lie in [0, 1]"),
-    ("eval_every=-1", "eval every must lie in [0, inf)"),
+    ("adam_eps=-1", "adam_eps must lie in (0, inf)"),
+    ("adam_eps=0", "adam_eps must lie in (0, inf)"),
+    ("warmup_frac=2", "warmup_frac must lie in [0, 1]"),
+    ("warmup_frac=nan", "warmup_frac must lie in [0, 1]"),
+    ("eval_every=-1", "eval_every must lie in [0, inf)"),
 ])
 def test_optimizer_setting_outside_its_range_exits_invalid_input_code(setting, message,
                                                                      tmp_path, caplog):
@@ -243,7 +243,7 @@ def test_teacher_scale_outside_its_range_exits_invalid_input_code(teacher_scale,
     rc = main(["train", "--quiet", "--set", f"target_mode={target_mode}",
                "--set", f"teacher_scale={teacher_scale}", "--out", str(tmp_path)])
     assert rc == InvalidInputError.exit_code == 3
-    assert "teacher scale must lie in (0, 100]" in caplog.text
+    assert "teacher_scale must lie in (0, 100]" in caplog.text
     assert not (tmp_path / "metrics.jsonl").exists()
 
 

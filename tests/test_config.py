@@ -1,17 +1,19 @@
 """The config text format: what ``render_config`` writes,
 ``parse_config_text`` reads back as the same configuration. The specs built
 from a config take their fields by name, and the config states none of
-their defaults a second time."""
+their defaults a second time. No evaluation key reaches the TrainConfig,
+and ``check_eval_keys`` judges each of them."""
 
 import ast
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from psdlab.config import ExperimentConfig, parse_config_text, render_config, set_key
 from psdlab.data import SyntheticSpec
-from psdlab.errors import ConfigError
+from psdlab.errors import ConfigError, InvalidInputError
 from psdlab.experiments import noise_experiment_config
 from psdlab.trainer import TrainConfig
 
@@ -62,6 +64,35 @@ def test_spec_fields_are_config_keys_with_the_same_defaults():
     tc = edited.train_config()
     for name in {f.name for f in fields(TrainConfig)} & keys:
         assert getattr(tc, name) == getattr(edited, name), name
+
+
+# The keys that evaluate or observe a run, and a valid value of each away
+# from its default.
+EVAL_KEYS = {"eval_every": 3, "k_list": (2,), "histogram_bins": 7, "probe": False,
+             "probe_l2": 0.5, "eval_per_class": 3, "ablate_seeds": 2}
+
+
+def test_evaluation_keys_leave_the_train_config_unchanged():
+    # Turning observation on, or changing what it measures, must never
+    # change what is trained: no evaluation key reaches the TrainConfig.
+    edited = replace(ExperimentConfig(), **EVAL_KEYS)
+    edited.check_eval_keys()
+    assert edited.train_config() == ExperimentConfig().train_config()
+    for key, value in EVAL_KEYS.items():
+        assert replace(ExperimentConfig(), **{key: value}).train_config() == \
+            ExperimentConfig().train_config(), key
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("k_list", (), "k_list needs one or more K, each >= 1, got ()"),
+    ("k_list", (0, 5), "k_list needs one or more K, each >= 1, got (0, 5)"),
+    ("eval_every", -1, "eval_every must lie in [0, inf), got -1"),
+])
+def test_check_eval_keys_rejects_a_bad_setting(name, value, message):
+    # The held-out recalls and train's eval cadence take these values from
+    # the config unchecked.
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        ExperimentConfig(**{name: value}).check_eval_keys()
 
 
 SPECS = ("SyntheticSpec", "TrainConfig", "EncoderSpec")

@@ -319,7 +319,7 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_rejects_non_finite_noise_sigma(self, sigma):
-        message = f"feature noise sigma must lie in [0, inf), got {sigma}"
+        message = f"feature_noise_sigma must lie in [0, inf), got {sigma}"
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             small_spec(feature_noise_sigma=sigma)
 

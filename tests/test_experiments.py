@@ -38,23 +38,27 @@ TINY = {"samples_per_class": 60, "eval_per_class": 10, "batch_size": 64, "epochs
 def test_swapped_dynamic_beats_baseline_on_noise_preset():
     # The preset unchanged (30 epochs): shorter runs shrink the margin toward
     # noise, e.g. to 2.25 points at 15 epochs and to a loss at 10 on this seed.
-    outcomes = run_matrix(noise_experiment_config(), [0])
+    # One seed, 0, not the preset's ten.
+    cfg = noise_experiment_config()
+    cfg.seed, cfg.ablate_seeds = 0, 1
+    outcomes = run_matrix(cfg)
     baseline = outcomes["baseline"][0].t2i_recall[1]
     swapped = outcomes["swapped_dynamic"][0].t2i_recall[1]
     assert swapped > baseline, (swapped, baseline)
 
 
-def tiny_config():
+def tiny_config(seed: int, ablate_seeds: int):
     cfg = noise_experiment_config()
     for key, value in TINY.items():
         setattr(cfg, key, value)
+    cfg.seed, cfg.ablate_seeds = seed, ablate_seeds
     return cfg
 
 
 def test_pool_equals_serial_loop():
-    cfg, seeds = tiny_config(), [3, 4]
+    cfg, seeds = tiny_config(3, 2), [3, 4]
     seen = []
-    pooled = run_matrix(cfg, seeds, progress=seen.append)
+    pooled = run_matrix(cfg, progress=seen.append)
     serial = {v: [] for v in ABLATION_VARIANTS}
     for seed in seeds:
         train_ds, eval_ds = split_clean_holdout(generate(cfg.synthetic_spec(), RngState(seed)),
@@ -91,10 +95,26 @@ def test_workers_run_blas_on_one_thread(monkeypatch):
     monkeypatch.setattr(experiments, "run_variant", _blas_threads)
     experiments._openblas_call(OPENBLAS_SET_THREADS, 2, restype=None)  # a threaded caller
     try:
-        outcomes = run_matrix(tiny_config(), [0, 1])
+        outcomes = run_matrix(tiny_config(0, 2))
     finally:
         experiments._openblas_call(OPENBLAS_SET_THREADS, threads, restype=None)
     assert outcomes == {v: [1, 1] for v in ABLATION_VARIANTS}
+
+
+def no_pool(*args):
+    raise AssertionError("a pool was drawn before the configuration was checked")
+
+
+@pytest.mark.parametrize("key, value", [("ablate_seeds", 0), ("histogram_bins", 0),
+                                        ("eval_every", -1)])
+def test_run_matrix_checks_the_evaluation_keys_before_any_pool(key, value, monkeypatch):
+    # A library caller gets the check that psdlab ablate makes: zero seeds
+    # would give empty rows that ablation_table cannot index.
+    monkeypatch.setattr(experiments, "generate", no_pool)
+    cfg = tiny_config(0, 1)
+    setattr(cfg, key, value)
+    with pytest.raises(InvalidInputError, match=f"{key} must lie in"):
+        run_matrix(cfg)
 
 
 def noisy_pool():

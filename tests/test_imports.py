@@ -7,7 +7,9 @@ package assigns a parameter or local that it never reads. Each defaulted
 parameter of the package is set by some call in the package or its
 benchmark, the tests not counted, and left to its default by some call in
 the package, its tests or its benchmark. No module of the package imports
-another module's underscore name."""
+another module's underscore name. The training core (``LOWER``) reaches no
+module that evaluates, configures or runs experiments (``UPPER``) through
+the package's import graph."""
 
 import ast
 from pathlib import Path
@@ -70,6 +72,78 @@ def test_scan_finds_an_imported_underscore_name():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_module_imports_an_underscore_name(path):
     assert underscore_imports(path.read_text(encoding="utf-8")) == []
+
+
+# The training core, and the modules above it that it must not import.
+LOWER = ("trainer", "objective", "model", "numkit", "data", "errors")
+UPPER = ("evaluation", "config", "experiments", "cli")
+
+
+def import_graph(package: dict[str, str]) -> dict[str, set[str]]:
+    """Each module of the ``package`` sources (file name to source) to the
+    modules of the package it imports, by relative or ``psdlab.`` import,
+    at module level or inside a function."""
+    modules = {Path(path).stem for path in package}
+    graph = {}
+    for path, source in package.items():
+        imported = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[1] for a in node.names
+                             if a.name.startswith("psdlab.")}
+            elif isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".")
+                if node.level == 0 and parts[0] == "psdlab":
+                    parts = parts[1:]
+                elif node.level == 0:
+                    continue
+                # ``from . import x`` and ``from psdlab import x`` import modules.
+                imported |= {parts[0]} if parts and parts[0] else {a.name for a in node.names}
+        graph[Path(path).stem] = imported & modules
+    return graph
+
+
+def layering_breaches(package: dict[str, str]) -> list[str]:
+    """Each ``low -> high`` where a module of ``LOWER`` reaches a module of
+    ``UPPER`` through the import graph of ``package``, directly or through
+    other modules."""
+    graph = import_graph(package)
+    breaches = []
+    for low in LOWER:
+        reached, stack = set(), [low]
+        while stack:
+            for module in graph.get(stack.pop(), ()):
+                if module not in reached:
+                    reached.add(module)
+                    stack.append(module)
+        breaches += [f"{low} -> {high}" for high in UPPER if high in reached]
+    return breaches
+
+
+def test_scan_finds_a_layering_breach():
+    package = {"psdlab/numkit.py": "import numpy as np\n",
+               "psdlab/data.py": "from .numkit import RngState\nfrom . import errors\n",
+               "psdlab/errors.py": "import os\n",
+               "psdlab/model.py": ("from . import numkit\n"
+                                   "def encode():\n"
+                                   "    from .evaluation import score_eval\n"),
+               "psdlab/trainer.py": "from .model import encode\nfrom .data import generate\n",
+               "psdlab/objective.py": "from psdlab.config import ExperimentConfig\n",
+               "psdlab/evaluation.py": "from .numkit import as_matrix\n",
+               "psdlab/config.py": "from .trainer import TrainConfig\n",
+               "psdlab/cli.py": "import psdlab.experiments\nfrom psdlab import config\n",
+               "psdlab/experiments.py": "from .trainer import train\n"}
+    # trainer and objective reach evaluation only through model's lazy import.
+    assert layering_breaches(package) == [
+        "trainer -> evaluation", "objective -> evaluation", "objective -> config",
+        "model -> evaluation"]
+    assert import_graph(package)["cli"] == {"experiments", "config"}
+
+
+def test_training_core_imports_nothing_above_it():
+    # train() trains; evaluating, configuring and running experiments are
+    # its callers' work.
+    assert layering_breaches(sources(PACKAGE)) == []
 
 
 # Dataclasses whose fields are read through ``fields()`` and ``getattr``

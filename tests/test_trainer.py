@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdlab.cli import main
+from psdlab.cli import held_out_evals, main
 from psdlab.data import SyntheticSpec, generate, save_pairs
 from psdlab.errors import (
     BadMagicError,
@@ -49,22 +49,26 @@ SPEC = SyntheticSpec(num_classes=4, latent_dim=6, image_dim=12, text_dim=10,
                      mismatch_rate=0.25, captions_per_image=2)
 
 
-def small_result(epochs: int = 3, eval_ds=None, **overrides):
+def small_result(epochs: int = 3, after_epoch=None):
     """Train a small swapped/dynamic run with 2 captions per image, so every
     random stream of the trainer is drawn."""
     cfg = TrainConfig(image_encoder=EncoderSpec(12, (16,), 8),
                       text_encoder=EncoderSpec(10, (16,), 8),
                       batch_size=32, epochs=epochs, seed=9, learning_rate=1e-2,
-                      target_mode="swapped", partition_mode="dynamic", **overrides)
-    return train(cfg, generate(SPEC, RngState(5)), eval_ds=eval_ds)
+                      target_mode="swapped", partition_mode="dynamic")
+    return train(cfg, generate(SPEC, RngState(5)), after_epoch=after_epoch)
+
+
+def small_run_bytes(result) -> bytes:
+    """The final parameters of a run, the logit scale included, as bytes."""
+    return (result.image_params.flatten().tobytes() + result.text_params.flatten().tobytes()
+            + np.float64(result.temperature.log_scale).tobytes())
 
 
 def small_run() -> tuple[bytes, list[dict]]:
     """The final-parameter bytes and the metrics history of small_result()."""
     result = small_result()
-    blob = (result.image_params.flatten().tobytes() + result.text_params.flatten().tobytes()
-            + np.float64(result.temperature.log_scale).tobytes())
-    return blob, result.history
+    return small_run_bytes(result), result.history
 
 
 class TestTrainDeterminism:
@@ -83,20 +87,21 @@ class TestTrainDeterminism:
 
 
 def test_held_out_evals_are_recorded_and_change_nothing():
+    # The callback that psdlab train passes: one record per eval_every
+    # epochs, each direction's fields named i2t_* or t2i_*.
     eval_ds = generate(SPEC, RngState(6))
-    observed = small_result(eval_ds=eval_ds, eval_every=1, k_list=(1, 3))
-    evals = [r for r in observed.history if r.get("kind") == "eval"]
-    assert [r["epoch"] for r in evals] == [0, 1, 2]
-    for r in evals:
-        assert {f"{d}_r{k}" for d in ("i2t", "t2i") for k in (1, 3)} <= r.keys()
-        assert "i2t_r10" not in r
-    # Observation never changes what is trained.
-    plain = small_result(eval_every=1, k_list=(1, 3))
-    assert observed.step_records() == plain.step_records() == plain.history
-    for name in ("image_params", "text_params"):
-        assert getattr(observed, name).flatten().tobytes() == \
-            getattr(plain, name).flatten().tobytes()
-    assert observed.temperature.log_scale == plain.temperature.log_scale
+    plain = small_result()
+    fields = {"step", "epoch", "kind"} | {f"{d}_{m}" for d in ("i2t", "t2i")
+                                          for m in ("r1", "r3", "mnr")}
+    for every, epochs in ((1, [0, 1, 2]), (2, [1])):
+        observed = small_result(after_epoch=held_out_evals(eval_ds, every, (1, 3)))
+        evals = [r for r in observed.history if r.get("kind") == "eval"]
+        assert [r["epoch"] for r in evals] == epochs
+        assert [r["step"] for r in evals] == [4 * (e + 1) for e in epochs]
+        assert all(r.keys() == fields for r in evals)
+        # Observation never changes what is trained.
+        assert json.dumps(observed.step_records()) == json.dumps(plain.history)
+        assert small_run_bytes(observed) == small_run_bytes(plain)
 
 
 def test_bootstrap_targets_need_a_fixed_teacher_scale():
@@ -245,20 +250,19 @@ def test_alpha_schedule_midpoints(kind, start, end):
 
 
 @pytest.mark.parametrize("name, value, message", [
-    ("alpha_start", 1.5, "alpha start must lie in [0, 1], got 1.5"),
-    ("alpha_end", -0.1, "alpha end must lie in [0, 1], got -0.1"),
-    ("alpha_start", math.nan, "alpha start must lie in [0, 1], got nan"),
-    ("alpha_schedule", "step", "alpha schedule must be one of ('cosine', 'linear'), got 'step'"),
-    ("temperature_init", 0.0, "temperature init must lie in (0, inf), got 0.0"),
-    ("temperature_init", math.inf, "temperature init must lie in (0, inf), got inf"),
+    ("alpha_start", 1.5, "alpha_start must lie in [0, 1], got 1.5"),
+    ("alpha_end", -0.1, "alpha_end must lie in [0, 1], got -0.1"),
+    ("alpha_start", math.nan, "alpha_start must lie in [0, 1], got nan"),
+    ("alpha_schedule", "step", "alpha_schedule must be one of ('cosine', 'linear'), got 'step'"),
+    ("temperature_init", 0.0, "temperature_init must lie in (0, inf), got 0.0"),
+    ("temperature_init", math.inf, "temperature_init must lie in (0, inf), got inf"),
     ("seed", -1, "seed must lie in [0, 2^64), got -1"),
     ("seed", 1 << 64, f"seed must lie in [0, 2^64), got {1 << 64}"),
-    ("k_list", (), "k_list needs one or more K, each >= 1, got ()"),
-    ("k_list", (0, 5), "k_list needs one or more K, each >= 1, got (0, 5)"),
 ])
 def test_train_config_rejects_a_bad_setting(name, value, message):
-    # The schedule, the temperature, the checkpoint's u64 seed and the
-    # held-out recalls take these values from the config unchecked.
+    # The schedule, the temperature and the checkpoint's u64 seed take these
+    # values from the config unchecked. Each message names the key as --set
+    # spells it.
     encoder = EncoderSpec(12, (16,), 8)
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         TrainConfig(image_encoder=encoder, text_encoder=encoder, **{name: value})
@@ -274,5 +278,5 @@ def test_alpha_endpoint_outside_the_unit_interval_fails_train(tmp_path, caplog):
     rc = main(["train", "--quiet", "--epochs", "1", "--set", "alpha_start=2",
                "--out", str(tmp_path)])
     assert rc == InvalidInputError.exit_code == 3
-    assert "alpha start must lie in [0, 1], got 2.0" in caplog.text
+    assert "alpha_start must lie in [0, 1], got 2.0" in caplog.text
     assert not (tmp_path / "metrics.jsonl").exists()
