@@ -2,10 +2,10 @@
 
 Configuration precedence: built-in defaults < --config file < --set KEY=VALUE
 < the dedicated flags --seed, --out (out_dir), --dataset (dataset_path) and
---epochs; every other key is set with --set. Every command checks its
-resolved configuration with the specs and ``check_eval_keys`` before it
-echoes it into the output directory, so a value out of its key's range
-fails before anything is written, even one the command does not read. With
+--epochs; every other key is set with --set. Every command judges its
+resolved configuration (``config``) before it echoes it into the output
+directory, so a value out of its key's range fails, naming the key, before
+anything is written, even one the command does not read. With
 ``eval_every`` > 0, ``train`` carves a clean holdout off its data, checks
 ``k_list`` against it, and evaluates on it every ``eval_every`` epochs. Every
 command is idempotent given identical inputs and seeds. Exit codes: 0

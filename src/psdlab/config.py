@@ -6,26 +6,24 @@ string value that holds one: the resolved configuration, echoed into the
 output directory for provenance, then reads back as the same configuration.
 Every key has a default, unknown keys are rejected, and command line flags
 override file values. ``set_key`` only parses: it turns the text into a
-value of the key's type or raises ConfigError. Each ranged key has one
-judge, which raises InvalidInputError for a value out of range: the spec
-that ``synthetic_spec`` or ``train_config`` builds, or ``check_eval_keys``
-for the keys that no spec reads, ``eval_every`` and ``k_list`` through
-``ablate_seeds``; only K against the pairs ranked waits for the data. The
-specs own the defaults of the keys they share with ``ExperimentConfig``:
-such a key defaults to its spec's attribute of the same name, and the spec
-takes its value back from the key by name. The keys no spec has state their
-defaults here, and so does ``teacher_scale``, whose 0 writes ``None``.
+value of the key's type or raises ConfigError. ``errors.check_ranges``
+judges it, naming the key, by the rows of the spec that ``synthetic_spec``
+or ``train_config`` builds, or of ``check_eval_keys`` for the keys no spec
+reads; only K against the pairs ranked waits for the data. The specs own
+the defaults of the keys they share with ``ExperimentConfig``: such a key
+defaults to its spec's attribute of the same name, and the spec takes its
+value back from the key by name. The keys no spec has state their defaults
+here, and so does ``teacher_scale``, whose 0 writes ``None``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import SyntheticSpec
-from .errors import ConfigError, InvalidInputError
-from .evaluation import MAX_BINS, PROBE_L2_DEFAULT
+from .errors import ConfigError, check_ranges, within
+from .evaluation import PROBE_L2_DEFAULT, SETTING_RANGES
 from .model import EncoderSpec
 from .trainer import TrainConfig
 
@@ -115,17 +113,11 @@ class ExperimentConfig:
         return TrainConfig(**kwargs)
 
     def check_eval_keys(self) -> None:
-        """Raise InvalidInputError when a key that no spec reads is out of range."""
-        if not self.k_list or min(self.k_list) < 1:
-            raise InvalidInputError(f"k_list needs one or more K, each >= 1, got {self.k_list}")
-        for key, ok, bounds in (
-                ("eval_every", 0 <= self.eval_every, "[0, inf)"),
-                ("histogram_bins", 1 <= self.histogram_bins <= MAX_BINS, f"[1, {MAX_BINS}]"),
-                ("probe_l2", 0.0 <= self.probe_l2 < math.inf, "[0, inf)"),  # so NaN fails
-                ("eval_per_class", 1 <= self.eval_per_class, "[1, inf)"),
-                ("ablate_seeds", 1 <= self.ablate_seeds, "[1, inf)")):
-            if not ok:
-                raise InvalidInputError(f"{key} must lie in {bounds}, got {getattr(self, key)}")
+        """Raise InvalidInputError naming the first key no spec reads that is out of range."""
+        check_ranges((("k_list", self.k_list, bool(self.k_list) and min(self.k_list) >= 1,
+                       "hold at least one K, each >= 1"),
+                      *(within(key, getattr(self, key), interval)
+                        for key, interval in SETTING_RANGES.items())))
 
 
 _KEYS = {f.name for f in fields(ExperimentConfig)}

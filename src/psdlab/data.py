@@ -31,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionOverflowError, Framing, InvalidInputError
+from .errors import MAX_COUNT, DimensionOverflowError, Framing, InvalidInputError, check_ranges, within
 from .numkit import RNG_CHUNK, RngState, as_matrix
 
 _FRAMING = Framing("dataset", b"PSDD", 1, "IIIII")
-_MAX_COUNT = 1 << 24
 
 # Latent geometry constants: class means are standard Gaussian, instances
 # spread around them at this scale. Feature noise is the spec'd sigma knob.
@@ -56,19 +55,11 @@ class SyntheticSpec:
     captions_per_image: int = 1
 
     def __post_init__(self):
-        counts = (self.num_classes, self.latent_dim, self.image_dim,
-                  self.text_dim, self.samples_per_class, self.captions_per_image)
-        if any(c < 1 for c in counts):
-            raise InvalidInputError(f"all counts must be >= 1, got {counts}")
-        if self.num_classes < 2:
-            raise InvalidInputError("at least 2 classes are required")
-        if any(c > _MAX_COUNT for c in counts):
-            raise InvalidInputError(f"count exceeds {_MAX_COUNT}")
-        if not (0.0 <= self.mismatch_rate <= 1.0):
-            raise InvalidInputError(f"mismatch_rate must lie in [0, 1], got {self.mismatch_rate}")
-        if not 0.0 <= self.feature_noise_sigma < math.inf:  # written so that NaN fails
-            raise InvalidInputError(
-                f"feature_noise_sigma must lie in [0, inf), got {self.feature_noise_sigma}")
+        count = f"[1, {MAX_COUNT}]"
+        check_ranges(within(key, getattr(self, key), interval) for key, interval in (
+            ("num_classes", f"[2, {MAX_COUNT}]"), ("latent_dim", count), ("image_dim", count),
+            ("text_dim", count), ("samples_per_class", count), ("feature_noise_sigma", "[0, inf)"),
+            ("mismatch_rate", "[0, 1]"), ("captions_per_image", count)))
 
     @property
     def num_samples(self) -> int:
@@ -207,8 +198,8 @@ def save_pairs(ds: PairedDataset, path) -> None:
 
 def load_pairs(path) -> PairedDataset:
     raw, (n, m, image_dim, text_dim, num_classes) = _FRAMING.read(path)
-    if max(n, m, image_dim, text_dim, num_classes) > _MAX_COUNT:
-        raise DimensionOverflowError(f"{path}: header count exceeds {_MAX_COUNT}")
+    if max(n, m, image_dim, text_dim, num_classes) > MAX_COUNT:
+        raise DimensionOverflowError(f"{path}: header count exceeds {MAX_COUNT}")
     sizes = (n * image_dim * 8, n * m * text_dim * 8, n * m * 4, n * 4, n)
     off = _FRAMING.header.size
     _FRAMING.check_end(raw, path, off + sum(sizes))

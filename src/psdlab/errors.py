@@ -4,7 +4,8 @@ binary files.
 Every error class carries a stable ``exit_code`` so the CLI can map failures
 to named nonzero process exit codes (0 is reserved for success). Errors
 pickle with their message and attributes intact, so one raised in an
-ablation worker reaches the CLI as it was raised.
+ablation worker reaches the CLI as it was raised. ``check_ranges`` judges
+every value held to a range or a set of choices, naming its key.
 
 The framing of the binary formats (PSDD, PSDW, PSDT) is four magic bytes, a
 u32 version, the rest of a fixed header, and a payload that ends the file.
@@ -16,6 +17,8 @@ import os
 import struct
 
 import numpy as np
+
+MAX_COUNT = 1 << 24  # the largest count or dimension a spec or file header may hold
 
 
 class PsdError(Exception):
@@ -90,6 +93,24 @@ class DivergenceError(PsdError):
         # An exception pickles as its class called on ``args``, which holds
         # only the message here; the step must come back as the step.
         return type(self), (self.step, *self.args)
+
+
+def check_ranges(rows) -> None:
+    """Raise InvalidInputError for the first of ``rows`` that fails: a row
+    is ``(key, value, ok, rule)``, ``ok`` written so that NaN fails, and the
+    message reads ``{key} must {rule}, got {value!r}``."""
+    for key, value, ok, rule in rows:
+        if not ok:
+            raise InvalidInputError(f"{key} must {rule}, got {value!r}")
+
+
+def within(key: str, value, interval: str) -> tuple:
+    """The row holding ``value`` to ``interval``, e.g. ``"[0, 1)"``: a square
+    bracket takes its end in, a round one leaves it out, and NaN fails."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    ok = (lo <= value if interval[0] == "[" else lo < value) and (
+        value <= hi if interval[-1] == "]" else value < hi)
+    return key, value, ok, f"lie in {interval}"
 
 
 class Framing:

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_ranges, within
 from .numkit import as_matrix
 
 PROBE_L2_DEFAULT = 1e-4
@@ -54,6 +54,10 @@ SCAN_ENTRIES = 1 << 18  # entries of S per scanned block: 2 MB of float64
 BIN_CHUNK = 1 << 15     # entries binned per pass: its four work arrays, 1 MB, stay in L2
 MAX_BINS = 1 << 16      # the most histogram bins equal_width_counts' margin covers
 EDGE_MARGIN = 2.0 ** -32  # scaled distance from a bin edge below which the edges decide
+# The range of each evaluation key, for ``check_eval_keys`` and for each
+# function that takes the setting as an argument.
+SETTING_RANGES = {"eval_every": "[0, inf)", "histogram_bins": f"[1, {MAX_BINS}]",
+                  "probe_l2": "[0, inf)", "eval_per_class": "[1, inf)", "ablate_seeds": "[1, inf)"}
 
 
 @dataclass(frozen=True)
@@ -121,8 +125,8 @@ def _retrieval_report(direction: str, ranks: np.ndarray, k_list) -> RetrievalRep
 def check_eval_settings(n: int, k_list) -> None:
     """Raise InvalidInputError when a K of ``k_list`` (each >= 1, by
     ``check_eval_keys``) exceeds the n pairs ranked; callers check it up front."""
-    if not all(int(k) <= n for k in k_list):
-        raise InvalidInputError(f"k_list must not exceed the {n} pairs ranked, got {list(k_list)}")
+    check_ranges([("k_list", list(k_list), all(int(k) <= n for k in k_list),
+                   f"not exceed the {n} pairs ranked")])
 
 
 def equal_width_counts(values: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
@@ -201,6 +205,8 @@ def score_eval(image_emb, text_emb, k_list, bins
     negative counts are those of all of S less those of the clipped partner
     scores, so they equal ``np.histogram`` of the clipped off-diagonal
     scores over ``np.linspace(-1, 1, bins + 1)`` exactly."""
+    if bins is not None:
+        check_ranges([within("histogram_bins", bins, SETTING_RANGES["histogram_bins"])])
     v, t = _unit_pairs(image_emb, text_emb)
     n = v.shape[0]
     if n == 0:
@@ -284,8 +290,8 @@ def zero_shot_top1(emb, prototypes, labels) -> float:
         raise InvalidInputError("embeddings and prototypes must share a dimension")
     if labels.shape != (v.shape[0],):
         raise InvalidInputError("one label per embedding row required")
-    if labels.size and (labels.min() < 0 or labels.max() >= p.shape[0]):
-        raise InvalidInputError(f"labels must lie in 0..{p.shape[0] - 1}")
+    check_ranges([within("labels", int(end), f"[0, {p.shape[0] - 1}]")
+                  for end in (labels.min(initial=0), labels.max(initial=0))])
     _check_unit_rows(v, "embeddings")
     preds = np.argmax(v @ p.T, axis=1)  # argmax takes the lowest tied index
     return float(100.0 * np.count_nonzero(preds == labels) / max(1, labels.size))
@@ -381,6 +387,7 @@ def linear_probe(train_features, train_labels, test_features, test_labels,
     loss, optimization stops, which keeps the loss monotone over accepted
     iterates.
     """
+    check_ranges([within("probe_l2", l2, SETTING_RANGES["probe_l2"])])
     x_tr = as_matrix(train_features, "train features")
     x_te = as_matrix(test_features, "test features")
     y_tr = np.asarray(train_labels, dtype=np.int64)

@@ -24,8 +24,8 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import PairedDataset, generate, take_subset
-from .errors import InvalidInputError
-from .evaluation import check_eval_settings, score_eval, zero_shot_top1
+from .errors import InvalidInputError, check_ranges, within
+from .evaluation import SETTING_RANGES, check_eval_settings, score_eval, zero_shot_top1
 from .model import ParamSet, encode
 from .numkit import RngState
 from .trainer import TrainResult, encode_pairs, train
@@ -60,6 +60,7 @@ def noise_experiment_config() -> ExperimentConfig:
 def split_clean_holdout(ds: PairedDataset, per_class: int) -> tuple[PairedDataset, PairedDataset]:
     """Carve the first ``per_class`` (>= 1) uncorrupted images of every
     class into a held-out set; the rest (corrupted included) train."""
+    check_ranges([within("eval_per_class", per_class, SETTING_RANGES["eval_per_class"])])
     eval_idx = []
     for c in range(ds.num_classes):
         clean = np.flatnonzero((ds.class_labels == c) & ~ds.corrupted)

@@ -32,12 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionOverflowError, Framing, InvalidInputError
+from .errors import MAX_COUNT, DimensionOverflowError, Framing, InvalidInputError, check_ranges, within
 from .numkit import RngState, as_matrix, unit_rows
 
 _FRAMING = Framing("parameter file", b"PSDW", 1, "IIII")
 _ACTIVATIONS = ("tanh", "relu")
-_MAX_DIM = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -51,14 +50,12 @@ class EncoderSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        dims = (self.input_dim, *self.hidden_dims, self.embed_dim)
-        if any(d < 1 for d in dims):
-            raise InvalidInputError(f"all encoder dimensions must be >= 1, got {dims}")
-        if any(d > _MAX_DIM for d in dims):
-            raise InvalidInputError(f"encoder dimension exceeds {_MAX_DIM}")
-        if self.activation not in _ACTIVATIONS:
-            raise InvalidInputError(
-                f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}")
+        dims = f"[1, {MAX_COUNT}]"
+        check_ranges((within("input_dim", self.input_dim, dims),
+                      *(within("hidden_dims", h, dims) for h in self.hidden_dims),
+                      within("embed_dim", self.embed_dim, dims),
+                      ("activation", self.activation, self.activation in _ACTIVATIONS,
+                       f"be one of {_ACTIVATIONS}")))
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -202,15 +199,15 @@ def save_params(params: ParamSet, path) -> None:
 
 def load_params(path) -> ParamSet:
     raw, (input_dim, embed_dim, act_idx, n_hidden) = _FRAMING.read(path)
-    if max(input_dim, embed_dim, n_hidden) > _MAX_DIM:
-        raise DimensionOverflowError(f"{path}: header dimension exceeds {_MAX_DIM}")
+    if max(input_dim, embed_dim, n_hidden) > MAX_COUNT:
+        raise DimensionOverflowError(f"{path}: header dimension exceeds {MAX_COUNT}")
     if act_idx >= len(_ACTIVATIONS):
         raise InvalidInputError(f"{path}: unknown activation code {act_idx}")
     off = _FRAMING.header.size
     _FRAMING.check_end(raw, path, off + 4 * n_hidden, exact=False)
     hidden = np.frombuffer(raw, "<u4", n_hidden, off)
-    if n_hidden and hidden.max() > _MAX_DIM:
-        raise DimensionOverflowError(f"{path}: hidden width exceeds {_MAX_DIM}")
+    if n_hidden and hidden.max() > MAX_COUNT:
+        raise DimensionOverflowError(f"{path}: hidden width exceeds {MAX_COUNT}")
     off += 4 * n_hidden
     spec = EncoderSpec(input_dim=input_dim, hidden_dims=hidden,
                        embed_dim=embed_dim, activation=_ACTIVATIONS[act_idx])

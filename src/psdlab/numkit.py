@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError, check_ranges
 
 _MASK64 = (1 << 64) - 1
 # splitmix64 constants: the counter increment (gamma) and the two finalizer
@@ -406,8 +406,7 @@ class RngState:
         first ``size`` accepted words of the stream, exactly as ``size``
         calls of ``randint`` would give.
         """
-        if not 0 < n <= _MASK64:
-            raise InvalidInputError(f"integer bound must lie in [1, 2**64), got {n}")
+        check_ranges([("integer bound", n, 0 < n <= _MASK64, "lie in [1, 2**64)")])
         out = self._words(size)
         rem = (_MASK64 + 1) % n
         if rem:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatchError, InvalidInputError
+from .errors import EmptyBatchError, InvalidInputError, check_ranges, within
 from .numkit import SoftTargets, contrastive_xent, exp_both_axes, increasing_rows, shared_exp_top
 
 MAX_LOGIT_SCALE = 100.0
@@ -126,8 +126,7 @@ class PartitionPlan:
         if self.n < 1:
             raise InvalidInputError(f"a plan covers at least one row, got n = {self.n}")
         rows = increasing_rows(np.sort(self.unaligned_idx), self.n, "unaligned rows")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise InvalidInputError(f"alpha must lie in [0, 1], got {self.alpha}")
+        check_ranges([within("alpha", self.alpha, "[0, 1]")])
         object.__setattr__(self, "unaligned_idx", rows)
 
 

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import PairedDataset, select_captions
-from .errors import DegenerateInputError, DivergenceError, Framing, InvalidInputError
+from .errors import DegenerateInputError, DivergenceError, Framing, InvalidInputError, check_ranges, within
 from .model import EncoderSpec, ParamSet, encode, encode_backward, init_params, load_params, save_params
 from .numkit import RngState, derive_seed
 from .objective import (
@@ -202,32 +202,23 @@ class TrainConfig:
     teacher_scale: float | None = None   # in (0, 100]; None tracks the student's (not bootstrap)
 
     def __post_init__(self):
-        for name, choices in (("target_mode", TARGET_MODES), ("partition_mode", PARTITION_MODES),
-                              ("alpha_schedule", SCHEDULE_KINDS)):
-            if getattr(self, name) not in choices:
-                raise InvalidInputError(f"{name} must be one of {choices}, "
-                                        f"got {getattr(self, name)!r}")
+        check_ranges((
+            *((key, getattr(self, key), getattr(self, key) in choices, f"be one of {choices}")
+              for key, choices in (("target_mode", TARGET_MODES),
+                                   ("partition_mode", PARTITION_MODES),
+                                   ("alpha_schedule", SCHEDULE_KINDS))),
+            *(within(key, getattr(self, key), interval) for key, interval in (
+                ("batch_size", "[2, inf)"), ("epochs", "[1, inf)"),
+                ("learning_rate", "(0, inf)"), ("weight_decay", "[0, inf)"),
+                ("beta1", "[0, 1)"), ("beta2", "[0, 1)"), ("adam_eps", "(0, inf)"),
+                ("warmup_frac", "[0, 1]"), ("alpha_start", "[0, 1]"), ("alpha_end", "[0, 1]"),
+                ("temperature_init", "(0, inf)"))),
+            ("seed", self.seed, 0 <= self.seed < 1 << 64, "lie in [0, 2^64)"),
+            ("teacher_scale", self.teacher_scale,
+             self.teacher_scale is None or 0.0 < self.teacher_scale <= MAX_LOGIT_SCALE,
+             f"lie in (0, {MAX_LOGIT_SCALE:g}]")))
         if self.image_encoder.embed_dim != self.text_encoder.embed_dim:
             raise InvalidInputError("both encoders must share the embedding dimension")
-        # Written so that NaN, for which every comparison is false, fails.
-        for name, ok, bounds in (
-                ("batch_size", 2 <= self.batch_size, "[2, inf)"),
-                ("epochs", 1 <= self.epochs, "[1, inf)"),
-                ("learning_rate", 0.0 < self.learning_rate < math.inf, "(0, inf)"),
-                ("weight_decay", 0.0 <= self.weight_decay < math.inf, "[0, inf)"),
-                ("beta1", 0.0 <= self.beta1 < 1.0, "[0, 1)"),
-                ("beta2", 0.0 <= self.beta2 < 1.0, "[0, 1)"),
-                ("adam_eps", 0.0 < self.adam_eps < math.inf, "(0, inf)"),
-                ("warmup_frac", 0.0 <= self.warmup_frac <= 1.0, "[0, 1]"),
-                ("seed", 0 <= self.seed < 1 << 64, "[0, 2^64)"),
-                ("alpha_start", 0.0 <= self.alpha_start <= 1.0, "[0, 1]"),
-                ("alpha_end", 0.0 <= self.alpha_end <= 1.0, "[0, 1]"),
-                ("temperature_init", 0.0 < self.temperature_init < math.inf, "(0, inf)")):
-            if not ok:
-                raise InvalidInputError(f"{name} must lie in {bounds}, got {getattr(self, name)}")
-        if self.teacher_scale is not None and not 0.0 < self.teacher_scale <= MAX_LOGIT_SCALE:
-            raise InvalidInputError(f"teacher_scale must lie in (0, {MAX_LOGIT_SCALE:g}], "
-                                    f"got {self.teacher_scale}")
         if self.target_mode == "bootstrap" and self.teacher_scale is None:
             raise InvalidInputError("bootstrap targets at the student's scale are its own "
                                     "posteriors and give no gradient: set teacher_scale")

@@ -131,17 +131,21 @@ REJECTED = {
 }
 
 
-def test_every_key_is_judged_before_the_command_writes(tmp_path, monkeypatch):
+def test_every_key_is_judged_before_the_command_writes(tmp_path, monkeypatch, caplog):
     # A key added without a judge, or whose judge runs only after the echo,
-    # fails here.
+    # fails here, and so does a rejection that does not name its key. The
+    # encoder spec judges both hidden-dims keys as its field hidden_dims.
     assert set(REJECTED) == {f.name for f in fields(ExperimentConfig)}
     monkeypatch.setattr("psdlab.cli.generate", no_pool)
     out = tmp_path / "out"
     for key, value in REJECTED.items():
         if value is not None:
+            caplog.clear()
             rc = main(["generate", "--quiet", "--out", str(out), "--set", f"{key}={value}"])
             assert rc == InvalidInputError.exit_code, key
             assert not out.exists(), key
+            named = "hidden_dims" if key.endswith("_hidden_dims") else key
+            assert caplog.records[-1].getMessage().startswith(f"{named} must "), caplog.text
 
 
 def test_out_of_range_value_exits_invalid_input_code(tmp_path):
@@ -158,7 +162,8 @@ def test_oversized_spec_value_exits_invalid_input_code(command, setting, tmp_pat
     # read from a file header is a file-format error.
     rc = main([command, "--quiet", "--set", setting, "--out", str(tmp_path)])
     assert rc == InvalidInputError.exit_code == 3
-    assert "exceeds 16777216" in caplog.text
+    key, value = setting.split("=")
+    assert f"{key} must lie in [1, 16777216], got {value}" in caplog.text
     assert not (tmp_path / "dataset.psdd").exists()
     assert not (tmp_path / "metrics.jsonl").exists()
 

@@ -84,8 +84,8 @@ def test_evaluation_keys_leave_the_train_config_unchanged():
 
 
 @pytest.mark.parametrize("name, value, message", [
-    ("k_list", (), "k_list needs one or more K, each >= 1, got ()"),
-    ("k_list", (0, 5), "k_list needs one or more K, each >= 1, got (0, 5)"),
+    ("k_list", (), "k_list must hold at least one K, each >= 1, got ()"),
+    ("k_list", (0, 5), "k_list must hold at least one K, each >= 1, got (0, 5)"),
     ("eval_every", -1, "eval_every must lie in [0, inf), got -1"),
 ])
 def test_check_eval_keys_rejects_a_bad_setting(name, value, message):

@@ -216,6 +216,10 @@ class TestLinearProbe:
         for args in ((empty_x, empty_y, x, y), (x, y, empty_x, empty_y)):
             with pytest.raises(InvalidInputError):
                 linear_probe(*args)
+        # So is an l2 outside the range of the probe_l2 key.
+        for l2 in (-1.0, math.nan):
+            with pytest.raises(InvalidInputError, match=f"probe_l2 must lie in .*got {l2}"):
+                linear_probe(x, y, x, y, l2=l2)
 
     def test_loss_monotone_over_iterations(self):
         # the line search, along the L-BFGS direction or the gradient, only
@@ -361,11 +365,15 @@ class TestSimilarityStats:
 
     def test_bins_validation(self, rng):
         # The histogram_bins key is held to the bins that equal_width_counts'
-        # margin covers, before any command scans; the most of them count.
-        for bins in (0, ev.MAX_BINS + 1):
-            with pytest.raises(InvalidInputError, match=f"histogram_bins must lie in .*got {bins}"):
-                ExperimentConfig(histogram_bins=bins).check_eval_keys()
+        # margin covers, before any command scans, and so is a library
+        # caller's bins; the most of them count.
         v, t = unit_batch(rng, 3, 3)
+        for bins in (0, ev.MAX_BINS + 1):
+            message = f"histogram_bins must lie in .*got {bins}"
+            with pytest.raises(InvalidInputError, match=message):
+                ExperimentConfig(histogram_bins=bins).check_eval_keys()
+            with pytest.raises(InvalidInputError, match=message):
+                similarity_stats(v, t, bins=bins)
         assert similarity_stats(v, t, bins=ev.MAX_BINS).negative_counts.sum() == 6
 
     def test_empty_pair_set_rejected(self):

@@ -154,10 +154,13 @@ def test_noise_preset_split_bytes(tmp_path):
 @pytest.mark.parametrize("per_class", [0, -1])
 def test_clean_holdout_needs_a_positive_count(per_class):
     # clean[:-1] would hold out all but one clean image of every class, so
-    # the eval_per_class key is checked before any pool is split.
-    with pytest.raises(InvalidInputError, match=re.escape(
-            f"eval_per_class must lie in [1, inf), got {per_class}")):
+    # the eval_per_class key is checked before any pool is split, and so is
+    # a library caller's count.
+    message = re.escape(f"eval_per_class must lie in [1, inf), got {per_class}")
+    with pytest.raises(InvalidInputError, match=message):
         ExperimentConfig(eval_per_class=per_class).check_eval_keys()
+    with pytest.raises(InvalidInputError, match=message):
+        split_clean_holdout(noisy_pool(), per_class)
 
 
 def test_clean_holdout_needs_enough_clean_images():
