@@ -3,14 +3,14 @@
 Configuration precedence: built-in defaults < --config file < --set KEY=VALUE
 < the dedicated flags --seed, --out (out_dir), --dataset (dataset_path) and
 --epochs; every other key is set with --set. Every command judges its
-resolved configuration (``config``) before it echoes it into the output
-directory, so a value out of its key's range fails, naming the key, before
-anything is written, even one the command does not read. With
-``eval_every`` > 0, ``train`` carves a clean holdout off its data, checks
-``k_list`` against it, and evaluates on it every ``eval_every`` epochs. Every
-command is idempotent given identical inputs and seeds. Exit codes: 0
-success, otherwise the failing error class's code (see errors.py); a failed
-gradcheck returns 1.
+resolved configuration (``config``), and ``gradcheck`` its ``--seeds``,
+before it echoes it into the output directory, so a value out of its key's
+range fails, naming the key, before anything is written, even one the
+command does not read. With ``eval_every`` > 0, ``train`` carves a clean
+holdout off its data, checks ``k_list`` against it, and evaluates on it
+every ``eval_every`` epochs. Every command is idempotent given identical
+inputs and seeds. Exit codes: 0 success, otherwise the failing error
+class's code (see errors.py); a failed gradcheck returns 1.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import gradcheck as gradcheck_mod
 from .config import ExperimentConfig, echo_config, parse_config_text, set_key
 from .data import generate, load_pairs, save_pairs
-from .errors import ConfigError, PsdError
+from .errors import ConfigError, PsdError, check_ranges, within
 from .evaluation import check_eval_settings, histogram_csv, linear_probe, score_eval, zero_shot_top1
 from .experiments import (
     ablation_table,
@@ -182,6 +182,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    check_ranges([within("seeds", args.seeds, "[1, inf)")])
     cfg, out = _resolve_config(args)
     reports = gradcheck_mod.run_all(seed=cfg.seed, instances=args.seeds)
     width = max(len(r.name) for r in reports)

@@ -20,8 +20,8 @@ Dataset file format (PSDD, version 1, all little-endian):
     u8           corrupted flags, n, each 0 or 1
 
 A file holds exactly these bytes, so loading and saving it again gives the
-same bytes. ``errors.Framing`` checks the framing: magic, version, lengths;
-the loader checks the content: counts within 2^24, K and the flag bytes.
+same bytes. ``errors.Framing`` checks the framing: magic, version, lengths
+and header counts in [0, 2^24]; the loader checks K and the flag bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_COUNT, DimensionOverflowError, Framing, InvalidInputError, check_ranges, within
+from .errors import MAX_COUNT, Framing, InvalidInputError, check_ranges, within
 from .numkit import RNG_CHUNK, RngState, as_matrix
 
 _FRAMING = Framing("dataset", b"PSDD", 1, "IIIII")
@@ -198,8 +198,8 @@ def save_pairs(ds: PairedDataset, path) -> None:
 
 def load_pairs(path) -> PairedDataset:
     raw, (n, m, image_dim, text_dim, num_classes) = _FRAMING.read(path)
-    if max(n, m, image_dim, text_dim, num_classes) > MAX_COUNT:
-        raise DimensionOverflowError(f"{path}: header count exceeds {MAX_COUNT}")
+    _FRAMING.check_counts(path, 0, n=n, m=m, image_dim=image_dim, text_dim=text_dim,
+                          num_classes=num_classes)
     sizes = (n * image_dim * 8, n * m * text_dim * 8, n * m * 4, n * 4, n)
     off = _FRAMING.header.size
     _FRAMING.check_end(raw, path, off + sum(sizes))

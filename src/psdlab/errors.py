@@ -1,16 +1,16 @@
 """Exception hierarchy shared across the package, and the framing of its
 binary files.
 
-Every error class carries a stable ``exit_code`` so the CLI can map failures
-to named nonzero process exit codes (0 is reserved for success). Errors
+One error class per exit code: the CLI exits with the failing class's
+``exit_code`` (0 is success), and its message says which check fired. Errors
 pickle with their message and attributes intact, so one raised in an
 ablation worker reaches the CLI as it was raised. ``check_ranges`` judges
 every value held to a range or a set of choices, naming its key.
 
 The framing of the binary formats (PSDD, PSDW, PSDT) is four magic bytes, a
 u32 version, the rest of a fixed header, and a payload that ends the file.
-One ``Framing`` per format writes it and checks it on reading, raising the
-``FileFormatError`` subclasses; each format checks only its content.
+One ``Framing`` per format writes and checks it, header counts included, and
+alone raises ``FileFormatError``; each format checks only its content.
 """
 
 import os
@@ -42,10 +42,6 @@ class InvalidInputError(PsdError):
     exit_code = 3
 
 
-class EmptyBatchError(InvalidInputError):
-    """An operation that requires at least one pair received none."""
-
-
 class DegenerateInputError(PsdError):
     """Numerically degenerate input, e.g. a zero row ahead of normalization."""
 
@@ -53,29 +49,9 @@ class DegenerateInputError(PsdError):
 
 
 class FileFormatError(PsdError):
-    """Base class for binary file format violations."""
+    """A binary file that fails its framing or a header count's range."""
 
     exit_code = 5
-
-
-class BadMagicError(FileFormatError):
-    """File does not start with the expected magic bytes."""
-
-
-class VersionMismatchError(FileFormatError):
-    """File carries an unsupported format version."""
-
-
-class TruncatedFileError(FileFormatError):
-    """Header promises more payload than the file contains."""
-
-
-class TrailingBytesError(FileFormatError):
-    """File holds bytes past the payload its header promises."""
-
-
-class DimensionOverflowError(FileFormatError):
-    """Header dimensions exceed sane bounds for a desk-scale dataset."""
 
 
 class DivergenceError(PsdError):
@@ -145,24 +121,33 @@ class Framing:
             raw = memoryview(buf)[pad:pad + size]
             raw = raw[:f.readinto(raw)]
         if raw[:4] != self.magic:
-            raise BadMagicError(f"{path}: not a {self.name}, expected magic {self.magic!r}")
+            raise FileFormatError(f"{path}: not a {self.name}, expected magic {self.magic!r}")
         version = int.from_bytes(raw[4:8], "little")
         if len(raw) >= 8 and version != self.version:
-            raise VersionMismatchError(
+            raise FileFormatError(
                 f"{path}: {self.name} version {version}, expected {self.version}")
         if len(raw) < self.header.size:
-            raise TruncatedFileError(f"{path}: {self.name} header incomplete, "
-                                     f"{len(raw)} of {self.header.size} bytes")
+            raise FileFormatError(f"{path}: {self.name} header incomplete, "
+                                  f"{len(raw)} of {self.header.size} bytes")
         return raw, self.header.unpack_from(raw)[2:]
 
+    def check_counts(self, path, least: int, **fields) -> None:
+        """FileFormatError unless every count of each header field, one count
+        or an array of them, lies in [``least``, ``MAX_COUNT``]."""
+        for field, counts in fields.items():
+            counts = np.atleast_1d(counts)
+            bad = counts[(counts < least) | (counts > MAX_COUNT)]
+            if bad.size:
+                raise FileFormatError(f"{path}: {self.name} header field {field} must lie in "
+                                      f"[{least}, {MAX_COUNT}], got {int(bad[0])}")
+
     def check_end(self, raw: memoryview, path, end: int, exact: bool = True) -> None:
-        """TruncatedFileError unless ``raw`` reaches ``end``, the offset past
-        what the header promises, and (``exact``) TrailingBytesError unless
-        it ends there."""
+        """FileFormatError unless ``raw`` reaches ``end``, the offset past
+        what the header promises, and (``exact``) ends there."""
         size = self.header.size
         if len(raw) < end:
-            raise TruncatedFileError(f"{path}: {self.name} payload holds {len(raw) - size} "
-                                     f"bytes, header promises {end - size}")
+            raise FileFormatError(f"{path}: {self.name} payload holds {len(raw) - size} "
+                                  f"bytes, header promises {end - size}")
         if exact and len(raw) > end:
-            raise TrailingBytesError(
+            raise FileFormatError(
                 f"{path}: {len(raw) - end} bytes follow the payload of the {self.name}")

@@ -28,7 +28,7 @@ from .errors import InvalidInputError, check_ranges, within
 from .evaluation import SETTING_RANGES, check_eval_settings, score_eval, zero_shot_top1
 from .model import ParamSet, encode
 from .numkit import RngState
-from .trainer import TrainResult, encode_pairs, train
+from .trainer import TrainConfig, TrainResult, encode_pairs, train
 
 ABLATION_VARIANTS = {
     "baseline": {"target_mode": "none"},
@@ -130,11 +130,10 @@ def evaluate_on_holdout(result: TrainResult, eval_ds: PairedDataset, k_list, bin
     )
 
 
-def run_variant(exp_cfg: ExperimentConfig, variant: str, seed: int,
-                train_ds: PairedDataset, eval_ds: PairedDataset) -> VariantOutcome:
-    result = train(exp_cfg.train_config(seed=seed, **ABLATION_VARIANTS[variant]), train_ds)
-    return evaluate_on_holdout(result, eval_ds, exp_cfg.k_list,
-                               exp_cfg.histogram_bins, variant, seed)
+def run_variant(cfg: TrainConfig, variant: str, train_ds: PairedDataset,
+                eval_ds: PairedDataset, k_list, bins: int) -> VariantOutcome:
+    """Train ``cfg`` as built and checked, and evaluate it on ``eval_ds``."""
+    return evaluate_on_holdout(train(cfg, train_ds), eval_ds, k_list, bins, variant, cfg.seed)
 
 
 # The thread-count setter under the names OpenBLAS builds export it by: the
@@ -168,9 +167,10 @@ def run_matrix(exp_cfg: ExperimentConfig, progress=None) -> dict[str, list[Varia
     """Train every variant of ``ABLATION_VARIANTS`` on the pool of each of
     the seeds ``seed``, ``seed + 1``, ... (``ablate_seeds`` of them); paired.
 
-    Each (seed, variant) pair is one task on a pool of forked workers: as
-    many as there are available CPUs, at most one per task, each with BLAS
-    on one thread. Each seed's pool is generated here and its tasks submitted
+    Each (seed, variant) pair is one task, its ``TrainConfig`` built and
+    checked here and trained as built, on a pool of forked workers: as many
+    as there are available CPUs, at most one per task, each with BLAS on one
+    thread. Each seed's pool is generated here and its tasks submitted
     at once, so the workers fork before this process holds every seed's
     data. Outcomes are collected, and ``progress`` called, in seed-major
     submission order, so the result equals a serial run bit for bit. The
@@ -185,28 +185,27 @@ def run_matrix(exp_cfg: ExperimentConfig, progress=None) -> dict[str, list[Varia
 
     exp_cfg.check_eval_keys()
     check_eval_settings(exp_cfg.eval_per_class * exp_cfg.num_classes, exp_cfg.k_list)
-    seeds = [exp_cfg.seed + i for i in range(exp_cfg.ablate_seeds)]
-    for seed in seeds:
-        for overrides in ABLATION_VARIANTS.values():
-            exp_cfg.train_config(seed=seed, **overrides)
+    tasks = {seed: {variant: exp_cfg.train_config(seed=seed, **overrides)
+                    for variant, overrides in ABLATION_VARIANTS.items()}
+             for seed in range(exp_cfg.seed, exp_cfg.seed + exp_cfg.ablate_seeds)}
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    executor = ProcessPoolExecutor(max(1, min(cpus, len(seeds) * len(ABLATION_VARIANTS))),
+    executor = ProcessPoolExecutor(max(1, min(cpus, len(tasks) * len(ABLATION_VARIANTS))),
                                    mp_context=multiprocessing.get_context("fork"),
                                    initializer=_one_blas_thread)
     try:
         futures = []
-        for seed in seeds:
+        for seed, configs in tasks.items():
             # The whole pool is dropped once split: the workers fork from this
             # process at the first submit, and every page it holds then counts
             # in each worker's resident set.
             train_ds, eval_ds = split_clean_holdout(
                 generate(exp_cfg.synthetic_spec(), RngState(seed)), exp_cfg.eval_per_class)
-            futures += [(variant, executor.submit(run_variant, exp_cfg, variant, seed,
-                                                  train_ds, eval_ds))
-                        for variant in ABLATION_VARIANTS]
+            futures += [(variant, executor.submit(run_variant, cfg, variant, train_ds, eval_ds,
+                                                  exp_cfg.k_list, exp_cfg.histogram_bins))
+                        for variant, cfg in configs.items()]
         outcomes: dict[str, list[VariantOutcome]] = {v: [] for v in ABLATION_VARIANTS}
         for variant, future in futures:
             outcome = future.result()

@@ -16,8 +16,8 @@ Parameter file format (PSDW, version 1, all little-endian):
     f64 * P      parameters in flattening order
 
 Nothing follows, so a load-save round trip is byte-exact. ``errors.Framing``
-checks the framing: magic, version, lengths; the loader checks the content:
-the dimensions, the activation code and the hidden widths.
+checks the framing: magic, version, lengths and header counts (H in
+[0, 2^24], every dimension in [1, 2^24]); the loader checks the activation.
 
 Flattening order: for each layer in input-to-output order, the weight matrix
 row-major then the bias vector. ``unflatten`` lays the layers over a flat
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_COUNT, DimensionOverflowError, Framing, InvalidInputError, check_ranges, within
+from .errors import MAX_COUNT, Framing, InvalidInputError, check_ranges, within
 from .numkit import RngState, as_matrix, unit_rows
 
 _FRAMING = Framing("parameter file", b"PSDW", 1, "IIII")
@@ -199,15 +199,14 @@ def save_params(params: ParamSet, path) -> None:
 
 def load_params(path) -> ParamSet:
     raw, (input_dim, embed_dim, act_idx, n_hidden) = _FRAMING.read(path)
-    if max(input_dim, embed_dim, n_hidden) > MAX_COUNT:
-        raise DimensionOverflowError(f"{path}: header dimension exceeds {MAX_COUNT}")
+    _FRAMING.check_counts(path, 1, input_dim=input_dim, embed_dim=embed_dim)
+    _FRAMING.check_counts(path, 0, n_hidden=n_hidden)
     if act_idx >= len(_ACTIVATIONS):
         raise InvalidInputError(f"{path}: unknown activation code {act_idx}")
     off = _FRAMING.header.size
     _FRAMING.check_end(raw, path, off + 4 * n_hidden, exact=False)
     hidden = np.frombuffer(raw, "<u4", n_hidden, off)
-    if n_hidden and hidden.max() > MAX_COUNT:
-        raise DimensionOverflowError(f"{path}: hidden width exceeds {MAX_COUNT}")
+    _FRAMING.check_counts(path, 1, hidden_dims=hidden)
     off += 4 * n_hidden
     spec = EncoderSpec(input_dim=input_dim, hidden_dims=hidden,
                        embed_dim=embed_dim, activation=_ACTIVATIONS[act_idx])

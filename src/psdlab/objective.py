@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatchError, InvalidInputError, check_ranges, within
+from .errors import InvalidInputError, check_ranges, within
 from .numkit import SoftTargets, contrastive_xent, exp_both_axes, increasing_rows, shared_exp_top
 
 MAX_LOGIT_SCALE = 100.0
@@ -159,7 +159,7 @@ def info_nce(batch: EmbeddingBatch, temp: TemperatureParam) -> LossGrad:
     """Bidirectional InfoNCE: row-wise cross entropy against the identity
     pairing, image-to-text plus text-to-image, each with mean reduction."""
     if batch.n == 0:
-        raise EmptyBatchError("info_nce requires at least one pair")
+        raise InvalidInputError("info_nce requires at least one pair")
     return _bidirectional_xent(batch, temp, np.full(batch.n, 1.0 / batch.n), None)
 
 
@@ -229,7 +229,7 @@ def psd_loss(batch: EmbeddingBatch, temp: TemperatureParam, plan: PartitionPlan,
     log-scale, never through the targets.
     """
     if batch.n == 0:
-        raise EmptyBatchError("psd_loss requires at least one pair")
+        raise InvalidInputError("psd_loss requires at least one pair")
     if plan.n != batch.n:
         raise InvalidInputError(f"plan covers {plan.n} rows but batch has {batch.n}")
     if not np.array_equal(targets.rows, plan.unaligned_idx):

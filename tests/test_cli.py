@@ -14,15 +14,11 @@ from psdlab.cli import main
 from psdlab.config import ExperimentConfig, parse_config_text
 from psdlab.data import PairedDataset, SyntheticSpec, generate, save_pairs
 from psdlab.errors import (
-    BadMagicError,
     ConfigError,
     DegenerateInputError,
-    DimensionOverflowError,
     DivergenceError,
+    FileFormatError,
     InvalidInputError,
-    TrailingBytesError,
-    TruncatedFileError,
-    VersionMismatchError,
 )
 from psdlab.numkit import RngState
 from psdlab.trainer import load_checkpoint
@@ -269,37 +265,51 @@ def test_wide_teacher_scale_trains_finite(teacher_scale, tmp_path):
     assert 0.0 < temp.scale < math.inf
 
 
-@pytest.mark.parametrize("offset, data, error, message", [
-    (0, b"XXXX", BadMagicError, "expected magic"),
-    (4, (7).to_bytes(4, "little"), VersionMismatchError, "version 7"),
-    (8, (1 << 30).to_bytes(4, "little"), DimensionOverflowError, "exceeds"),
+@pytest.mark.parametrize("offset, data, message", [
+    (0, b"XXXX", "expected magic"),
+    (4, (7).to_bytes(4, "little"), "version 7"),
+    (8, (1 << 30).to_bytes(4, "little"), "header field n must lie in [0, 16777216]"),
 ])
 def test_corrupt_header_exits_file_format_code(pairs_file, tmp_path, caplog,
-                                               offset, data, error, message):
-    assert train_on(patched(pairs_file, offset, data), tmp_path) == error.exit_code == 5
+                                               offset, data, message):
+    assert train_on(patched(pairs_file, offset, data), tmp_path) == FileFormatError.exit_code == 5
     assert message in caplog.text
+
+
+def test_zeroed_encoder_header_in_eval_exits_file_format_code(pairs_file, tmp_path, caplog):
+    # A PSDW dimension outside [1, 2^24] is the file's fault, not a setting's.
+    ckpt = tmp_path / "ckpt"
+    assert main(["train", "--quiet", "--set", "samples_per_class=30", "--set", "batch_size=64",
+                 "--epochs", "1", "--out", str(ckpt)]) == 0
+    encoder = patched(ckpt / "checkpoint" / "text_encoder.psdw", 12, (0).to_bytes(4, "little"))
+    rc = main(["eval", "--quiet", str(ckpt / "checkpoint"), str(pairs_file),
+               "--out", str(tmp_path / "eval")])
+    assert rc == FileFormatError.exit_code == 5
+    assert f"{encoder}: parameter file header field embed_dim must lie in [1, 16777216], got 0" \
+        in caplog.text
 
 
 def test_truncated_file_exits_file_format_code(pairs_file, tmp_path, caplog):
     pairs_file.write_bytes(pairs_file.read_bytes()[:-9])
-    assert train_on(pairs_file, tmp_path) == TruncatedFileError.exit_code == 5
-    assert "header promises" in caplog.text
+    assert train_on(pairs_file, tmp_path) == FileFormatError.exit_code == 5
+    assert "payload holds" in caplog.text and "header promises" in caplog.text
 
 
 def test_bytes_after_the_payload_exit_file_format_code(pairs_file, tmp_path, caplog):
     pairs_file.write_bytes(pairs_file.read_bytes() + b"\0" * 3)
-    assert train_on(pairs_file, tmp_path) == TrailingBytesError.exit_code == 5
+    assert train_on(pairs_file, tmp_path) == FileFormatError.exit_code == 5
     assert "3 bytes follow the payload" in caplog.text
 
 
-def test_truncated_file_in_eval_exits_file_format_code(pairs_file, tmp_path):
+def test_truncated_file_in_eval_exits_file_format_code(pairs_file, tmp_path, caplog):
     ckpt = tmp_path / "ckpt"
     assert main(["train", "--quiet", "--set", "samples_per_class=30", "--set", "batch_size=64",
                  "--epochs", "1", "--out", str(ckpt)]) == 0
     pairs_file.write_bytes(pairs_file.read_bytes()[:20])
     rc = main(["eval", "--quiet", str(ckpt / "checkpoint"), str(pairs_file),
                "--out", str(tmp_path / "eval")])
-    assert rc == TruncatedFileError.exit_code
+    assert rc == FileFormatError.exit_code
+    assert "dataset header incomplete, 20 of 28 bytes" in caplog.text
 
 
 @pytest.mark.parametrize("offset, data, message", [

@@ -16,14 +16,7 @@ from psdlab.data import (
     select_captions,
     take_subset,
 )
-from psdlab.errors import (
-    BadMagicError,
-    DimensionOverflowError,
-    InvalidInputError,
-    TrailingBytesError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from psdlab.errors import FileFormatError, InvalidInputError
 from psdlab.numkit import RngState
 
 
@@ -227,7 +220,7 @@ class TestPairsFile:
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(FileFormatError, match="not a dataset, expected magic"):
             load_pairs(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -236,7 +229,7 @@ class TestPairsFile:
         raw = bytearray(path.read_bytes())
         raw[4:8] = (7).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(FileFormatError, match="dataset version 7, expected 1"):
             load_pairs(path)
 
     def test_truncation(self, tmp_path):
@@ -244,7 +237,7 @@ class TestPairsFile:
         save_pairs(generate(small_spec(), RngState(19)), path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(FileFormatError, match="dataset payload holds"):
             load_pairs(path)
 
     def test_dimension_overflow(self, tmp_path):
@@ -253,7 +246,8 @@ class TestPairsFile:
         raw = bytearray(path.read_bytes())
         raw[8:12] = (1 << 30).to_bytes(4, "little")  # absurd n
         path.write_bytes(bytes(raw))
-        with pytest.raises(DimensionOverflowError):
+        with pytest.raises(FileFormatError, match=re.escape(
+                "dataset header field n must lie in [0, 16777216], got 1073741824")):
             load_pairs(path)
 
     def test_label_past_header_class_count(self, tmp_path):
@@ -281,7 +275,7 @@ class TestPairsFile:
         path = tmp_path / "pairs.psdd"
         save_pairs(generate(small_spec(), RngState(25)), path)
         path.write_bytes(path.read_bytes() + b"\0")
-        with pytest.raises(TrailingBytesError, match="1 bytes follow"):
+        with pytest.raises(FileFormatError, match="1 bytes follow the payload of the dataset"):
             load_pairs(path)
 
     def test_round_trip_of_a_fortran_order_pairing(self, tmp_path):

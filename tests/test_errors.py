@@ -1,10 +1,11 @@
-"""Every error class survives pickling with its message, exit code and
-attributes: an error raised in an ablation worker process crosses to the
-CLI that way. ``errors.check_ranges`` words every range and choice
-rejection, so each names its key, and no other module of the package words
-one itself."""
+"""The error classes map one to one onto the exit codes 1 to 6, and every
+one survives pickling with its message, exit code and attributes: an error
+raised in an ablation worker process crosses to the CLI that way.
+``errors.check_ranges`` words every range and choice rejection, so each
+names its key, and no other module of the package words one itself."""
 
 import ast
+import importlib
 import inspect
 import math
 import pickle
@@ -19,6 +20,22 @@ CLASSES = [c for _, c in inspect.getmembers(errors, inspect.isclass)
            if issubclass(c, errors.PsdError)]
 INSTANCES = ([c("something went wrong") for c in CLASSES if c is not errors.DivergenceError]
              + [errors.DivergenceError(17), errors.DivergenceError(17, "loss is nan at step 17")])
+
+
+PACKAGE = sorted((Path(__file__).resolve().parent.parent / "src/psdlab").glob("*.py"))
+
+
+def all_subclasses(cls) -> set:
+    return {cls}.union(*(all_subclasses(sub) for sub in cls.__subclasses__()))
+
+
+def test_one_class_per_exit_code():
+    # The CLI catches PsdError and exits with its code, so a second class
+    # for one code would only be a second name for the same outcome.
+    for path in PACKAGE:
+        importlib.import_module(f"psdlab.{path.stem}")
+    assert all_subclasses(errors.PsdError) == set(CLASSES)
+    assert sorted(c.exit_code for c in CLASSES) == [1, 2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("err", INSTANCES, ids=lambda e: f"{type(e).__name__}-{e}")
@@ -52,7 +69,6 @@ def test_first_failing_row_is_raised():
         errors.check_ranges(rows)
 
 
-PACKAGE = sorted((Path(__file__).resolve().parent.parent / "src/psdlab").glob("*.py"))
 RULE_WORDS = re.compile(r"must\s+(lie\s+in|be\s+one\s+of)\b")
 
 

@@ -1,8 +1,9 @@
 """The paper's central claim as a gate: under noisy correspondence, swapped
 soft targets with dynamic partitions beat the InfoNCE baseline. Also the
 worker pool behind ``run_matrix``, at tiny sizes: it gives what training
-each (seed, variant) pair in turn gives, a worker's error reaches the CLI,
-and every worker runs BLAS on one thread. And the harness's two pure
+each (seed, variant) pair in turn gives, each worker trains the config that
+``run_matrix`` built and checked, a worker's error reaches the CLI, and
+every worker runs BLAS on one thread. And the harness's two pure
 parts: the clean holdout split, whose bytes are pinned on the noise preset,
 and the ablation table."""
 
@@ -63,15 +64,28 @@ def test_pool_equals_serial_loop():
     for seed in seeds:
         train_ds, eval_ds = split_clean_holdout(generate(cfg.synthetic_spec(), RngState(seed)),
                                                 cfg.eval_per_class)
-        for variant in ABLATION_VARIANTS:
-            serial[variant].append(run_variant(cfg, variant, seed, train_ds, eval_ds))
+        for variant, overrides in ABLATION_VARIANTS.items():
+            serial[variant].append(run_variant(cfg.train_config(seed=seed, **overrides), variant,
+                                               train_ds, eval_ds, cfg.k_list, cfg.histogram_bins))
     assert [(o.seed, o.variant) for o in seen] == [(s, v) for s in seeds
                                                    for v in ABLATION_VARIANTS]
     assert json.dumps(ablation_table(pooled), sort_keys=True) == \
         json.dumps(ablation_table(serial), sort_keys=True)
 
 
-def _diverge(exp_cfg, variant, seed, train_ds, eval_ds):
+def _trained_config(cfg, variant, train_ds, eval_ds, k_list, bins):
+    return cfg
+
+
+def test_each_task_trains_the_config_run_matrix_built(monkeypatch):
+    monkeypatch.setattr(experiments, "run_variant", _trained_config)
+    cfg = tiny_config(3, 2)
+    assert run_matrix(cfg) == {variant: [cfg.train_config(seed=seed, **overrides)
+                                         for seed in (3, 4)]
+                               for variant, overrides in ABLATION_VARIANTS.items()}
+
+
+def _diverge(cfg, variant, train_ds, eval_ds, k_list, bins):
     raise DivergenceError(17)
 
 
@@ -84,7 +98,7 @@ def test_worker_error_exits_with_its_code(tmp_path, monkeypatch, caplog):
     assert not (tmp_path / "ablation.json").exists()
 
 
-def _blas_threads(exp_cfg, variant, seed, train_ds, eval_ds):
+def _blas_threads(cfg, variant, train_ds, eval_ds, k_list, bins):
     return experiments._openblas_call(OPENBLAS_GET_THREADS)
 
 

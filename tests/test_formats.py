@@ -1,10 +1,12 @@
 """The three binary formats (PSDD datasets, PSDW encoder parameters, PSDT
-trainer states) share one framing reader: the same five faults fail each
-loader with the same ``FileFormatError`` subclass, the version before any
-length. A scan keeps the framing checks from being forked again: each
-framing fault is raised at one site of the package."""
+trainer states) share one framing reader: each of five faults fails each
+loader with a ``FileFormatError`` whose message names the file, the format
+and the fault, the version before any length. A scan keeps the framing
+checks from being forked again: no module of the package but ``errors.py``
+raises ``FileFormatError``."""
 
 import ast
+import re
 import struct
 from pathlib import Path
 
@@ -13,13 +15,7 @@ import pytest
 
 from psdlab.cli import main
 from psdlab.data import SyntheticSpec, generate, load_pairs, save_pairs
-from psdlab.errors import (
-    BadMagicError,
-    FileFormatError,
-    TrailingBytesError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from psdlab.errors import FileFormatError
 from psdlab.model import EncoderSpec, init_params, load_params, save_params
 from psdlab.numkit import RngState
 from psdlab.trainer import TrainConfig, load_checkpoint, save_checkpoint, train
@@ -67,31 +63,37 @@ def with_version_2(raw: bytes, header_size: int) -> bytes:
 
 
 FORMATS = {
-    "psdd": (write_dataset, lambda raw: with_version_2(raw, 28)),
-    "psdw": (write_encoder, lambda raw: with_version_2(raw, 24)),
-    "psdt": (write_trainer_state, lambda raw: v1_trainer_state()),
+    "psdd": (write_dataset, lambda raw: with_version_2(raw, 28), "dataset"),
+    "psdw": (write_encoder, lambda raw: with_version_2(raw, 24), "parameter file"),
+    "psdt": (write_trainer_state, lambda raw: v1_trainer_state(), "trainer state"),
 }
 
+# Each fault, and the stem of the message that names it.
 FAULTS = {
-    "bad_magic": (lambda raw, other: b"XXXX" + raw[4:], BadMagicError),
-    "other_version": (lambda raw, other: other(raw), VersionMismatchError),
-    "header_cut": (lambda raw, other: raw[:12], TruncatedFileError),
-    "payload_cut": (lambda raw, other: raw[:-1], TruncatedFileError),
-    "trailing_bytes": (lambda raw, other: raw + b"\0", TrailingBytesError),
+    "bad_magic": (lambda raw, other: b"XXXX" + raw[4:], "expected magic"),
+    "other_version": (lambda raw, other: other(raw), r"version \d+, expected \d+"),
+    "header_cut": (lambda raw, other: raw[:12], "header incomplete"),
+    "payload_cut": (lambda raw, other: raw[:-1], "payload holds"),
+    "trailing_bytes": (lambda raw, other: raw + b"\0", "bytes follow the payload"),
 }
 
 
 @pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_each_fault_fails_each_format_with_its_error(tmp_path, fmt, fault):
-    write, other = FORMATS[fmt]
-    corrupt, error = FAULTS[fault]
+    write, other, name = FORMATS[fmt]
+    corrupt = FAULTS[fault][0]
     path, load = write(tmp_path)
     load()  # the intact file loads
     path.write_bytes(corrupt(path.read_bytes(), other))
-    with pytest.raises(error) as caught:
+    with pytest.raises(FileFormatError) as caught:
         load()
-    assert isinstance(caught.value, FileFormatError) and caught.value.exit_code == 5
+    message = str(caught.value)
+    # A trainer state is all header, so cutting its last byte cuts the header.
+    named = "header_cut" if (fmt, fault) == ("psdt", "payload_cut") else fault
+    assert [f for f, (_, stem) in FAULTS.items() if re.search(stem, message)] == [named]
+    assert message.startswith(f"{path}: ") and name in message
+    assert caught.value.exit_code == 5
 
 
 def test_eval_names_the_version_of_a_v1_trainer_state(tmp_path, caplog):
@@ -102,38 +104,34 @@ def test_eval_names_the_version_of_a_v1_trainer_state(tmp_path, caplog):
     (ckpt / "trainer_state.psdt").write_bytes(v1_trainer_state())
     pairs, _ = write_dataset(tmp_path)
     rc = main(["eval", "--quiet", str(ckpt), str(pairs), "--out", str(tmp_path / "eval")])
-    assert rc == VersionMismatchError.exit_code == 5
+    assert rc == FileFormatError.exit_code == 5
     assert "trainer state version 1, expected 2" in caplog.text
 
 
-FRAMING_FAULTS = ("BadMagicError", "VersionMismatchError", "TrailingBytesError")
-
-
-def raise_sites(sources: dict[str, str]) -> dict[str, list[str]]:
-    """Each framing fault's ``raise`` statements in the ``sources`` (file
-    name to source), as ``file:line``."""
-    sites = {name: [] for name in FRAMING_FAULTS}
+def file_fault_raises(sources: dict[str, str]) -> list[str]:
+    """The ``raise`` statements of ``FileFormatError`` in the ``sources``
+    (file name to source), as ``file:line``."""
+    sites = []
     for path, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                name = getattr(exc, "id", getattr(exc, "attr", None))
-                if name in sites:
-                    sites[name].append(f"{path}:{node.lineno}")
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "FileFormatError":
+                    sites.append(f"{path}:{node.lineno}")
     return sites
 
 
 def test_scan_finds_a_forked_framing_check():
-    source = ("def load(raw):\n"
-              "    if raw[:4] != b'PSDX':\n"
-              "        raise BadMagicError('magic')\n"
-              "    raise errors.TrailingBytesError\n")
-    assert raise_sites({"a.py": source, "b.py": source}) == {
-        "BadMagicError": ["a.py:3", "b.py:3"],
-        "VersionMismatchError": [],
-        "TrailingBytesError": ["a.py:4", "b.py:4"]}
+    # load_pairs with its own header check planted back, as it once had.
+    source = (ROOT / "src/psdlab/data.py").read_text(encoding="utf-8")
+    loader = "def load_pairs(path) -> PairedDataset:\n"
+    line = source[:source.index(loader)].count("\n") + 2
+    planted = source.replace(loader, loader + "    raise FileFormatError(f'{path}: n too big')\n"
+                                               "    raise errors.FileFormatError\n")
+    assert file_fault_raises({"data.py": planted}) == [f"data.py:{line}", f"data.py:{line + 1}"]
 
 
 def test_each_framing_fault_is_raised_at_one_site():
-    sites = raise_sites({p.name: p.read_text(encoding="utf-8") for p in PACKAGE})
-    assert all(len(found) == 1 for found in sites.values()), sites
+    # The one site is errors.Framing: no loader raises a file fault itself.
+    sites = file_fault_raises({p.name: p.read_text(encoding="utf-8") for p in PACKAGE})
+    assert sites and all(site.startswith("errors.py:") for site in sites), sites

@@ -1,15 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from psdlab.errors import (
-    BadMagicError,
-    DegenerateInputError,
-    DimensionOverflowError,
-    InvalidInputError,
-    TrailingBytesError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from psdlab.errors import DegenerateInputError, FileFormatError, InvalidInputError
 from psdlab.gradcheck import central_difference, check_encoder_backward, max_rel_error
 from psdlab.model import (
     EncoderSpec,
@@ -218,7 +212,7 @@ class TestParamSerialization:
         raw = bytearray(path.read_bytes())
         raw[:4] = b"NOPE"
         path.write_bytes(bytes(raw))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(FileFormatError, match="not a parameter file, expected magic"):
             load_params(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -227,7 +221,7 @@ class TestParamSerialization:
         raw = bytearray(path.read_bytes())
         raw[4:8] = (999).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(FileFormatError, match="parameter file version 999, expected 1"):
             load_params(path)
 
     def test_trailing_bytes(self, tmp_path):
@@ -236,7 +230,7 @@ class TestParamSerialization:
         path = tmp_path / "enc.psdw"
         save_params(self._params(), path)
         path.write_bytes(path.read_bytes() + b"\0" * 4)
-        with pytest.raises(TrailingBytesError, match="4 bytes follow the payload"):
+        with pytest.raises(FileFormatError, match="4 bytes follow the payload"):
             load_params(path)
 
     def test_truncation(self, tmp_path):
@@ -244,19 +238,37 @@ class TestParamSerialization:
         save_params(self._params(), path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 16])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(FileFormatError, match="parameter file payload holds"):
             load_params(path)
+
+    def _with_field(self, tmp_path, offset, value):
+        path = tmp_path / "enc.psdw"
+        save_params(self._params(), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + 4] = value.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        return path
 
     def test_hidden_width_overflow(self, tmp_path):
         # A width read from the file is a format error; the same width given
         # to EncoderSpec directly is an input error.
-        path = tmp_path / "enc.psdw"
-        save_params(self._params(), path)
-        raw = bytearray(path.read_bytes())
-        raw[24:28] = (1 << 30).to_bytes(4, "little")  # the one hidden width
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DimensionOverflowError, match="hidden width exceeds"):
+        path = self._with_field(tmp_path, 24, 1 << 30)  # the one hidden width
+        with pytest.raises(FileFormatError, match=re.escape(
+                "header field hidden_dims must lie in [1, 16777216], got 1073741824")):
             load_params(path)
-        with pytest.raises(InvalidInputError) as info:
+        with pytest.raises(InvalidInputError):
             EncoderSpec(input_dim=5, hidden_dims=(1 << 30,), embed_dim=3)
-        assert not isinstance(info.value, DimensionOverflowError)
+
+    @pytest.mark.parametrize("offset, field, value", [
+        (12, "embed_dim", 0), (8, "input_dim", 0), (8, "input_dim", 1 << 30),
+        (20, "n_hidden", 1 << 30), (24, "hidden_dims", 0),
+    ])
+    def test_header_count_out_of_range(self, tmp_path, offset, field, value):
+        # Every dimension of the header lies in [1, 2^24], the layer count in
+        # [0, 2^24]; the message names the file and the field.
+        path = self._with_field(tmp_path, offset, value)
+        least = 0 if field == "n_hidden" else 1
+        with pytest.raises(FileFormatError, match=re.escape(
+                f"{path}: parameter file header field {field} must lie in "
+                f"[{least}, 16777216], got {value}")):
+            load_params(path)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from psdlab.errors import EmptyBatchError, InvalidInputError
+from psdlab.errors import InvalidInputError
 from psdlab.gradcheck import central_difference, max_rel_error
 from psdlab.numkit import SHARED_EXP_SPAN, RngState, normalize_rows_l2
 from psdlab.objective import (
@@ -133,7 +133,7 @@ class TestInfoNce:
         assert a.loss == pytest.approx(b.loss, abs=1e-12)
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(EmptyBatchError):
+        with pytest.raises(InvalidInputError, match="info_nce requires at least one pair"):
             info_nce(EmbeddingBatch(np.zeros((0, 3)), np.zeros((0, 3))), TemperatureParam(1.0))
 
 

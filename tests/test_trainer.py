@@ -18,13 +18,7 @@ from hypothesis import strategies as st
 
 from psdlab.cli import held_out_evals, main
 from psdlab.data import SyntheticSpec, generate, save_pairs
-from psdlab.errors import (
-    BadMagicError,
-    InvalidInputError,
-    TrailingBytesError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from psdlab.errors import FileFormatError, InvalidInputError
 from psdlab.model import EncoderSpec
 from psdlab.numkit import RngState
 from psdlab.trainer import (
@@ -129,13 +123,14 @@ class TestCheckpoint:
             np.float64(result.temperature.log_scale).tobytes()
         assert state == {"seed": 9, "steps": len(result.step_records()), "epochs": 3}
 
-    @pytest.mark.parametrize("corrupt, error", [
-        (lambda raw: b"XXXX" + raw[4:], BadMagicError),
-        (lambda raw: raw[:20], TruncatedFileError),
-        (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:], VersionMismatchError),
-        (lambda raw: raw + b"\0" * 4, TrailingBytesError),
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda raw: b"XXXX" + raw[4:], "not a trainer state, expected magic"),
+        (lambda raw: raw[:20], "trainer state header incomplete, 20 of 40 bytes"),
+        (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:],
+         "trainer state version 1, expected 2"),
+        (lambda raw: raw + b"\0" * 4, "4 bytes follow the payload of the trainer state"),
     ], ids=["bad_magic", "truncated_header", "version_1", "trailing_bytes"])
-    def test_malformed_state_fails_eval(self, tmp_path, caplog, corrupt, error):
+    def test_malformed_state_fails_eval(self, tmp_path, caplog, corrupt, message):
         ckpt = tmp_path / "checkpoint"
         save_checkpoint(small_result(epochs=1), ckpt)
         state = ckpt / "trainer_state.psdt"
@@ -143,8 +138,8 @@ class TestCheckpoint:
         pairs = tmp_path / "pairs.psdd"
         save_pairs(generate(SPEC, RngState(5)), pairs)
         rc = main(["eval", "--quiet", str(ckpt), str(pairs), "--out", str(tmp_path / "eval")])
-        assert rc == error.exit_code == 5
-        assert "trainer state" in caplog.text
+        assert rc == FileFormatError.exit_code == 5
+        assert message in caplog.text
 
 
 class TestAdamW:
