@@ -4,13 +4,15 @@ Configuration precedence: built-in defaults < --config file < --set KEY=VALUE
 < the dedicated flags --seed, --out (out_dir), --dataset (dataset_path) and
 --epochs; every other key is set with --set. Every command judges its
 resolved configuration (``config``), and ``gradcheck`` its ``--seeds``,
-before it echoes it into the output directory, so a value out of its key's
-range fails, naming the key, before anything is written, even one the
-command does not read. With ``eval_every`` > 0, ``train`` carves a clean
-holdout off its data, checks ``k_list`` against it, and evaluates on it
-every ``eval_every`` epochs. Every command is idempotent given identical
-inputs and seeds. Exit codes: 0 success, otherwise the failing error
-class's code (see errors.py); a failed gradcheck returns 1.
+first, naming the key of a value out of range, even one it does not read.
+It writes nothing until its input files are read and the checks that wait
+for the data pass; then it echoes the configuration into its output
+directory, ``train`` before its first step and with the data's feature
+sizes. With ``eval_every`` > 0, ``train`` carves a clean holdout off its
+data, checks ``k_list`` against it, and evaluates on it every
+``eval_every`` epochs. Every command is idempotent given identical inputs
+and seeds. Exit codes: 0 success, otherwise the failing error class's code
+(see errors.py); a failed gradcheck returns 1.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ log = logging.getLogger("psdlab")
 HASH_READ = 1 << 18  # bytes per read when hashing a written file
 
 
-def _resolve_config(args, base: ExperimentConfig | None = None) -> tuple[ExperimentConfig, Path]:
+def _resolve_config(args, base: ExperimentConfig | None = None):
     """The configuration from defaults, file, --set and flags, checked by
-    the specs and ``check_eval_keys`` and echoed into its output directory,
-    which is created and returned alongside it."""
+    the specs and ``check_eval_keys``, and the config file's text (None
+    without --config) for ``echo_config``."""
     cfg = base or ExperimentConfig()
     source_text = None
     if args.config:
@@ -68,17 +70,7 @@ def _resolve_config(args, base: ExperimentConfig | None = None) -> tuple[Experim
     cfg.synthetic_spec()
     cfg.train_config()
     cfg.check_eval_keys()
-    out = Path(cfg.out_dir)
-    echo_config(cfg, out, source_text)
-    return cfg, out
-
-
-def _load_or_generate(cfg: ExperimentConfig):
-    if cfg.dataset_path:
-        log.info("loading dataset %s", cfg.dataset_path)
-        return load_pairs(cfg.dataset_path)
-    log.info("generating synthetic dataset (seed %d)", cfg.seed)
-    return generate(cfg.synthetic_spec(), RngState(cfg.seed))
+    return cfg, source_text
 
 
 def _file_sha256(path: Path) -> str:
@@ -91,9 +83,9 @@ def _file_sha256(path: Path) -> str:
 
 
 def cmd_generate(args) -> int:
-    cfg, out = _resolve_config(args)
+    cfg, source_text = _resolve_config(args)
     ds = generate(cfg.synthetic_spec(), RngState(cfg.seed))
-    path = out / "dataset.psdd"
+    path = echo_config(cfg, source_text) / "dataset.psdd"
     save_pairs(ds, path)
     corrupted = int(ds.corrupted.sum())
     print(f"dataset: {path}")
@@ -121,16 +113,23 @@ def held_out_evals(eval_ds, every: int, k_list):
 
 
 def cmd_train(args) -> int:
-    cfg, out = _resolve_config(args)
-    ds = _load_or_generate(cfg)
+    cfg, source_text = _resolve_config(args)
+    if cfg.dataset_path:
+        log.info("loading dataset %s", cfg.dataset_path)
+        ds = load_pairs(cfg.dataset_path)
+    else:
+        log.info("generating synthetic dataset (seed %d)", cfg.seed)
+        ds = generate(cfg.synthetic_spec(), RngState(cfg.seed))
+    cfg.image_dim, cfg.text_dim = ds.image_features.shape[1], ds.text_features.shape[1]
     after_epoch = None
     if cfg.eval_every > 0:
         ds, eval_ds = split_clean_holdout(ds, cfg.eval_per_class)
         log.info("carved %d clean held-out pairs", eval_ds.num_samples)
         check_eval_settings(eval_ds.num_samples, cfg.k_list)
         after_epoch = held_out_evals(eval_ds, cfg.eval_every, cfg.k_list)
-    tc = cfg.train_config(image_input_dim=ds.image_features.shape[1],
-                          text_input_dim=ds.text_features.shape[1])
+    tc = cfg.train_config()
+    tc.check_data(ds)
+    out = echo_config(cfg, source_text)
     result = train(tc, ds, after_epoch=after_epoch, metrics_path=out / "metrics.jsonl")
     save_checkpoint(result, out / "checkpoint")
     last = result.step_records()[-1]
@@ -142,7 +141,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, out = _resolve_config(args)
+    cfg, source_text = _resolve_config(args)
     image_params, text_params, temp, _state = load_checkpoint(args.checkpoint)
     ds = load_pairs(args.dataset)
     check_eval_settings(ds.num_samples, cfg.k_list)
@@ -166,6 +165,7 @@ def cmd_eval(args) -> int:
                              img[test_mask], ds.class_labels[test_mask],
                              l2=cfg.probe_l2)
         report["linear_probe"] = probe.to_dict()
+    out = echo_config(cfg, source_text)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                      encoding="utf-8")
     (out / "histogram_positive.csv").write_text(histogram_csv(stats, "positive"), encoding="utf-8")
@@ -183,7 +183,7 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     check_ranges([within("seeds", args.seeds, "[1, inf)")])
-    cfg, out = _resolve_config(args)
+    cfg, source_text = _resolve_config(args)
     reports = gradcheck_mod.run_all(seed=cfg.seed, instances=args.seeds)
     width = max(len(r.name) for r in reports)
     all_ok = True
@@ -192,14 +192,14 @@ def cmd_gradcheck(args) -> int:
         print(f"{r.name:<{width}}  instances: {r.instances:4d}  "
               f"worst_rel_err: {r.worst_rel_error:.3e}  {status}")
         all_ok &= r.passed
-    (out / "gradcheck.json").write_text(
+    (echo_config(cfg, source_text) / "gradcheck.json").write_text(
         json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
     return 0 if all_ok else 1
 
 
 def cmd_ablate(args) -> int:
-    cfg, out = _resolve_config(args, base=noise_experiment_config())
+    cfg, source_text = _resolve_config(args, base=noise_experiment_config())
 
     def progress(outcome):
         k = min(outcome.t2i_recall)
@@ -208,6 +208,7 @@ def cmd_ablate(args) -> int:
 
     outcomes = run_matrix(cfg, progress=progress)
     table = ablation_table(outcomes)
+    out = echo_config(cfg, source_text)
     (out / "ablation.json").write_text(json.dumps(table, indent=2, sort_keys=True) + "\n",
                                        encoding="utf-8")
     ks = sorted(int(k) for k in next(iter(table["rows"].values()))["t2i_r@k_mean"])
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--seed", type=int, help="base RNG seed (u64)")
         p.add_argument("--out", dest="out_dir", help="output directory")
-        p.add_argument("--quiet", action="store_true", help="errors only")
+        p.add_argument("--quiet", action="store_true", help="log errors only; results still print")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
 

@@ -9,11 +9,11 @@ override file values. ``set_key`` only parses: it turns the text into a
 value of the key's type or raises ConfigError. ``errors.check_ranges``
 judges it, naming the key, by the rows of the spec that ``synthetic_spec``
 or ``train_config`` builds, or of ``check_eval_keys`` for the keys no spec
-reads; only K against the pairs ranked waits for the data. The specs own
+reads; only K and the batch size against the data wait for it. The specs own
 the defaults of the keys they share with ``ExperimentConfig``: such a key
 defaults to its spec's attribute of the same name, and the spec takes its
-value back from the key by name. The keys no spec has state their defaults
-here, and so does ``teacher_scale``, whose 0 writes ``None``.
+value back from the key by name alone; other keys default here. A command
+echoes the configuration once it has read and checked every input.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class ExperimentConfig:
     target_mode: str = TrainConfig.target_mode
     partition_mode: str = TrainConfig.partition_mode
     temperature_init: float = TrainConfig.temperature_init
-    teacher_scale: float = 0.0        # in (0, 100]; 0 tracks the student (not for bootstrap)
+    teacher_scale: float = TrainConfig.teacher_scale
     eval_every: int = 0               # epochs between train's held-out evals, 0 = off
 
     # evaluation / experiments
@@ -100,15 +100,12 @@ class ExperimentConfig:
     def synthetic_spec(self) -> SyntheticSpec:
         return SyntheticSpec(**{f.name: getattr(self, f.name) for f in fields(SyntheticSpec)})
 
-    def train_config(self, image_input_dim: int | None = None,
-                     text_input_dim: int | None = None, **overrides) -> TrainConfig:
+    def train_config(self, **overrides) -> TrainConfig:
         kwargs = {f.name: getattr(self, f.name) for f in fields(TrainConfig) if f.name in _KEYS}
-        for side, input_dim in (("image", image_input_dim), ("text", text_input_dim)):
+        for side in ("image", "text"):
             kwargs[f"{side}_encoder"] = EncoderSpec(
-                input_dim=input_dim or getattr(self, f"{side}_dim"),
-                hidden_dims=getattr(self, f"{side}_hidden_dims"),
-                embed_dim=self.embed_dim, activation=self.activation)
-        kwargs["teacher_scale"] = None if self.teacher_scale == 0.0 else self.teacher_scale
+                input_dim=getattr(self, f"{side}_dim"), embed_dim=self.embed_dim,
+                hidden_dims=getattr(self, f"{side}_hidden_dims"), activation=self.activation)
         kwargs.update(overrides)
         return TrainConfig(**kwargs)
 
@@ -177,11 +174,12 @@ def render_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def echo_config(cfg: ExperimentConfig, out_dir, source_text: str | None) -> None:
-    """Write the resolved config (and the verbatim input, when given) to the
-    output directory."""
-    out = Path(out_dir)
+def echo_config(cfg: ExperimentConfig, source_text: str | None) -> Path:
+    """Write the resolved config (and the verbatim input, when given) to its
+    output directory ``out_dir``, created if need be, and return that."""
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved.txt").write_text(render_config(cfg), encoding="utf-8")
     if source_text is not None:
         (out / "config.input.txt").write_text(source_text, encoding="utf-8")
+    return out

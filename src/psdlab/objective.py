@@ -28,9 +28,9 @@ the global max serves both directions and both target kinds
 every logit to lie within 600 of the largest, because a target scales single exponentials by
 reciprocal sums and one that underflowed could have led its row; a wider
 matrix raises InvalidInputError. For unit-norm embeddings every logit lies
-within 2 * scale of the largest, and both the student's scale and a fixed
-teacher's lie in (0, MAX_LOGIT_SCALE] = (0, 100], so no logit matrix of a
-training run spans more than 200.
+within 2 * scale of the largest; a fixed teacher's scale lies in (0, 100]
+and the student's, clamped at log 100, is 100.00000000000004, three ulps
+above 100, so a training run's logits span about 200, well under 600.
 
 Gradient convention: embeddings are treated as free variables (the losses are
 smooth functions of the raw matrix entries), so every gradient can be checked
@@ -178,8 +178,7 @@ def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: Parti
     if v.shape[0] != plan.n:
         raise InvalidInputError(
             f"teacher matrices cover {v.shape[0]} rows but plan covers {plan.n}")
-    if not (math.isfinite(teacher_scale) and teacher_scale > 0.0):
-        raise InvalidInputError(f"teacher scale must be positive, got {teacher_scale}")
+    check_ranges([within("teacher_scale", teacher_scale, "(0, inf)")])
     e = (teacher_scale * v) @ t.T  # the logits S, exponentiated in place below
     # One E = exp(S - max S), with row sums R and column sums C, serves both
     # directions. A swapped image row is P(image u | text j) = E[u, j] / C_j

@@ -199,7 +199,7 @@ class TrainConfig:
     target_mode: str = "swapped"
     partition_mode: str = "dynamic"
     temperature_init: float = 0.07
-    teacher_scale: float | None = None   # in (0, 100]; None tracks the student's (not bootstrap)
+    teacher_scale: float = 0.0   # in [0, 100]; 0 tracks the student's scale (not bootstrap)
 
     def __post_init__(self):
         check_ranges((
@@ -212,16 +212,22 @@ class TrainConfig:
                 ("learning_rate", "(0, inf)"), ("weight_decay", "[0, inf)"),
                 ("beta1", "[0, 1)"), ("beta2", "[0, 1)"), ("adam_eps", "(0, inf)"),
                 ("warmup_frac", "[0, 1]"), ("alpha_start", "[0, 1]"), ("alpha_end", "[0, 1]"),
-                ("temperature_init", "(0, inf)"))),
-            ("seed", self.seed, 0 <= self.seed < 1 << 64, "lie in [0, 2^64)"),
-            ("teacher_scale", self.teacher_scale,
-             self.teacher_scale is None or 0.0 < self.teacher_scale <= MAX_LOGIT_SCALE,
-             f"lie in (0, {MAX_LOGIT_SCALE:g}]")))
+                ("temperature_init", "(0, inf)"), ("teacher_scale", f"[0, {MAX_LOGIT_SCALE:g}]"))),
+            ("seed", self.seed, 0 <= self.seed < 1 << 64, "lie in [0, 2^64)")))
         if self.image_encoder.embed_dim != self.text_encoder.embed_dim:
             raise InvalidInputError("both encoders must share the embedding dimension")
-        if self.target_mode == "bootstrap" and self.teacher_scale is None:
+        if self.target_mode == "bootstrap" and self.teacher_scale == 0.0:
             raise InvalidInputError("bootstrap targets at the student's scale are its own "
                                     "posteriors and give no gradient: set teacher_scale")
+
+    def check_data(self, ds: PairedDataset) -> None:
+        """InvalidInputError unless ``ds`` fills a batch and feeds both encoders."""
+        if ds.num_samples < self.batch_size:
+            raise InvalidInputError(f"dataset has {ds.num_samples} rows, "
+                                    f"batch size is {self.batch_size}")
+        for side, spec in (("image", self.image_encoder), ("text", self.text_encoder)):
+            if getattr(ds, f"{side}_features").shape[1] != spec.input_dim:
+                raise InvalidInputError(f"{side} encoder input dim does not match the dataset")
 
 
 @dataclass
@@ -261,13 +267,8 @@ def train(cfg: TrainConfig, ds: PairedDataset, after_epoch=None, metrics_path=No
     ``after_epoch(epoch, step, image_params, text_params)`` may read the
     parameters; a dict it returns is emitted as one metrics record.
     """
+    cfg.check_data(ds)
     n = ds.num_samples
-    if n < cfg.batch_size:
-        raise InvalidInputError(f"dataset has {n} rows, batch size is {cfg.batch_size}")
-    if ds.image_features.shape[1] != cfg.image_encoder.input_dim:
-        raise InvalidInputError("image encoder input dim does not match the dataset")
-    if ds.text_features.shape[1] != cfg.text_encoder.input_dim:
-        raise InvalidInputError("text encoder input dim does not match the dataset")
 
     image_params = init_params(cfg.image_encoder, RngState(derive_seed(cfg.seed, _STREAM_INIT_IMAGE)))
     text_params = init_params(cfg.text_encoder, RngState(derive_seed(cfg.seed, _STREAM_INIT_TEXT)))
@@ -332,9 +333,8 @@ def train(cfg: TrainConfig, ds: PairedDataset, after_epoch=None, metrics_path=No
                 else:
                     alpha = alpha_at(schedule, step)
                     plan = make_partition(cfg.batch_size, alpha, priority=priority[idx])
-                    teacher_scale = temp.scale if cfg.teacher_scale is None else cfg.teacher_scale
                     build = soft_targets_swapped if cfg.target_mode == "swapped" else soft_targets_bootstrap
-                    targets = build(emb_img, emb_txt, teacher_scale, plan)
+                    targets = build(emb_img, emb_txt, cfg.teacher_scale or temp.scale, plan)
                     lg = psd_loss(batch, temp, plan, targets)
 
                 encode_backward(cache_img, lg.d_image, out=grad_img)

@@ -71,11 +71,15 @@ def test_malformed_configuration_exits_config_code(argv, tmp_path, monkeypatch):
 
 def test_dataset_flag_is_recorded_in_resolved_config(pairs_file, tmp_path):
     # --dataset sets dataset_path, so the echoed configuration names the
-    # file, and a run from it trains on that file to the same checkpoint.
+    # file and records its feature sizes, which the encoders were built
+    # for, and a run from it trains on that file to the same checkpoint.
     first, second = tmp_path / "first", tmp_path / "second"
     assert train_on(pairs_file, tmp_path, "--out", str(first)) == 0
     resolved = first / "config.resolved.txt"
-    assert parse_config_text(resolved.read_text(encoding="utf-8")).dataset_path == str(pairs_file)
+    recorded = parse_config_text(resolved.read_text(encoding="utf-8"))
+    assert recorded.dataset_path == str(pairs_file)
+    assert (recorded.image_dim, recorded.text_dim) == (4, 4) != \
+        (ExperimentConfig.image_dim, ExperimentConfig.text_dim)
     assert main(["train", "--quiet", "--config", str(resolved), "--out", str(second)]) == 0
     files = sorted(p.name for p in (first / "checkpoint").iterdir())
     assert files == sorted(p.name for p in (second / "checkpoint").iterdir())
@@ -208,6 +212,9 @@ def test_diverged_run_exits_divergence_code(settings, tmp_path, caplog):
         argv += ["--set", setting]
     assert main(argv) == DivergenceError.exit_code == 6
     assert "training diverged at step" in caplog.text
+    # The configuration was written before the first step, beside the
+    # partial metrics.
+    assert (tmp_path / "config.resolved.txt").is_file() and (tmp_path / "metrics.jsonl").is_file()
 
 
 @pytest.mark.parametrize("setting, message", [
@@ -239,12 +246,13 @@ def test_optimizer_setting_outside_its_range_exits_invalid_input_code(setting, m
 @pytest.mark.parametrize("teacher_scale", ["-5", "nan", "inf", "1000"])
 def test_teacher_scale_outside_its_range_exits_invalid_input_code(teacher_scale, target_mode,
                                                                   tmp_path, caplog):
-    # Only 0 tracks the student's scale; a fixed scale lies in (0, 100], and
-    # anything else fails before training starts, bootstrap targets included.
+    # 0 tracks the student's scale and a fixed scale lies in (0, 100], so
+    # the key lies in [0, 100]; anything else fails before training starts,
+    # bootstrap targets included.
     rc = main(["train", "--quiet", "--set", f"target_mode={target_mode}",
                "--set", f"teacher_scale={teacher_scale}", "--out", str(tmp_path)])
     assert rc == InvalidInputError.exit_code == 3
-    assert "teacher_scale must lie in (0, 100]" in caplog.text
+    assert "teacher_scale must lie in [0, 100]" in caplog.text
     assert not (tmp_path / "metrics.jsonl").exists()
 
 
@@ -274,6 +282,7 @@ def test_corrupt_header_exits_file_format_code(pairs_file, tmp_path, caplog,
                                                offset, data, message):
     assert train_on(patched(pairs_file, offset, data), tmp_path) == FileFormatError.exit_code == 5
     assert message in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 def test_zeroed_encoder_header_in_eval_exits_file_format_code(pairs_file, tmp_path, caplog):
@@ -287,18 +296,21 @@ def test_zeroed_encoder_header_in_eval_exits_file_format_code(pairs_file, tmp_pa
     assert rc == FileFormatError.exit_code == 5
     assert f"{encoder}: parameter file header field embed_dim must lie in [1, 16777216], got 0" \
         in caplog.text
+    assert not (tmp_path / "eval").exists()
 
 
 def test_truncated_file_exits_file_format_code(pairs_file, tmp_path, caplog):
     pairs_file.write_bytes(pairs_file.read_bytes()[:-9])
     assert train_on(pairs_file, tmp_path) == FileFormatError.exit_code == 5
     assert "payload holds" in caplog.text and "header promises" in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 def test_bytes_after_the_payload_exit_file_format_code(pairs_file, tmp_path, caplog):
     pairs_file.write_bytes(pairs_file.read_bytes() + b"\0" * 3)
     assert train_on(pairs_file, tmp_path) == FileFormatError.exit_code == 5
     assert "3 bytes follow the payload" in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 def test_truncated_file_in_eval_exits_file_format_code(pairs_file, tmp_path, caplog):
@@ -310,6 +322,7 @@ def test_truncated_file_in_eval_exits_file_format_code(pairs_file, tmp_path, cap
                "--out", str(tmp_path / "eval")])
     assert rc == FileFormatError.exit_code
     assert "dataset header incomplete, 20 of 28 bytes" in caplog.text
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("offset, data, message", [
@@ -329,10 +342,37 @@ def test_contradictory_payload_in_eval_exits_invalid_input_code(pairs_file, tmp_
                "--out", str(tmp_path / "eval")])
     assert rc == InvalidInputError.exit_code == 3
     assert message in caplog.text
+    assert not (tmp_path / "eval").exists()
 
 
 def test_missing_file_exits_one(tmp_path):
     assert train_on(tmp_path / "absent.psdd", tmp_path) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_dataset_smaller_than_a_batch_exits_invalid_input_code_before_writing(pairs_file,
+                                                                             tmp_path, caplog):
+    # The file holds 20 pairs.
+    assert train_on(pairs_file, tmp_path, "--set", "batch_size=32") == InvalidInputError.exit_code
+    assert "dataset has 20 rows, batch size is 32" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_checkpoint_in_eval_exits_one(pairs_file, tmp_path):
+    rc = main(["eval", "--quiet", str(tmp_path / "absent"), str(pairs_file),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    assert not (tmp_path / "eval").exists()
+
+
+def test_generator_rule_exits_invalid_input_code_before_writing(tmp_path, caplog):
+    # floor(0.015 * 100) = 1 corrupted pair cannot be swapped with another.
+    out = tmp_path / "out"
+    rc = main(["generate", "--quiet", "--set", "samples_per_class=10",
+               "--set", "mismatch_rate=0.015", "--out", str(out)])
+    assert rc == InvalidInputError.exit_code == 3
+    assert "floor(eta*n) == 1" in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting", ["histogram_bins=0", "histogram_bins=65537",
@@ -343,21 +383,23 @@ def test_ablate_rejects_eval_settings_before_training(setting, tmp_path, monkeyp
     # needs at least one seed to tabulate; no pool is drawn. The message
     # names the key and the value given.
     monkeypatch.setattr("psdlab.experiments.generate", no_pool)
-    rc = main(["ablate", "--quiet", "--set", setting, "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    rc = main(["ablate", "--quiet", "--set", setting, "--out", str(out)])
     assert rc == InvalidInputError.exit_code == 3
     key, value = setting.split("=")
     assert re.search(rf"{key} must .*, got \[?{value.replace(',', ', ')}", caplog.text)
-    assert not (tmp_path / "ablation.json").exists()
+    assert not out.exists()
 
 
 def test_ablate_rejects_a_variant_before_training(tmp_path, monkeypatch, caplog):
     # teacher_scale = 0 tracks the student's scale, which the bootstrap
     # variant cannot train with; no pool is drawn.
     monkeypatch.setattr("psdlab.experiments.generate", no_pool)
-    rc = main(["ablate", "--quiet", "--set", "teacher_scale=0", "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    rc = main(["ablate", "--quiet", "--set", "teacher_scale=0", "--out", str(out)])
     assert rc == InvalidInputError.exit_code == 3
     assert "set teacher_scale" in caplog.text
-    assert not (tmp_path / "ablation.json").exists()
+    assert not out.exists()
 
 
 def test_train_rejects_recall_cutoff_past_the_holdout_before_a_step(pairs_file, tmp_path):
@@ -365,7 +407,7 @@ def test_train_rejects_recall_cutoff_past_the_holdout_before_a_step(pairs_file, 
     rc = train_on(pairs_file, tmp_path, "--set", "eval_every=1", "--set", "eval_per_class=2",
                   "--set", "k_list=1,5")
     assert rc == InvalidInputError.exit_code == 3
-    assert not (tmp_path / "out" / "metrics.jsonl").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("setting", ["histogram_bins=10000000", "k_list=1,21",
@@ -381,4 +423,4 @@ def test_eval_rejects_settings_before_writing(setting, pairs_file, tmp_path, mon
     rc = main(["eval", "--quiet", str(ckpt / "out" / "checkpoint"), str(pairs_file),
                "--set", setting, "--out", str(tmp_path / "eval")])
     assert rc == InvalidInputError.exit_code == 3
-    assert not (tmp_path / "eval" / "report.json").exists()
+    assert not (tmp_path / "eval").exists()

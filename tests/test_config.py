@@ -6,7 +6,7 @@ and ``check_eval_keys`` judges each of them."""
 
 import ast
 import re
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
@@ -95,10 +95,17 @@ def test_check_eval_keys_rejects_a_bad_setting(name, value, message):
         ExperimentConfig(**{name: value}).check_eval_keys()
 
 
+def test_shared_keys_take_their_spec_default():
+    # A key that a spec also has means the same value in both, so the
+    # config file writes the spec's default as the key's.
+    keys = {f.name for f in fields(ExperimentConfig)}
+    for spec in (TrainConfig, SyntheticSpec):
+        for f in fields(spec):
+            if f.name in keys and f.default is not MISSING:
+                assert getattr(ExperimentConfig(), f.name) == f.default, f"{spec.__name__}.{f.name}"
+
+
 SPECS = ("SyntheticSpec", "TrainConfig", "EncoderSpec")
-# The config file writes TrainConfig's teacher_scale of None as 0, so that
-# key cannot take the spec's default.
-LITERAL_DEFAULTS = {"teacher_scale"}
 
 
 def restated_defaults(sources: dict[str, str]) -> list[str]:
@@ -136,7 +143,7 @@ def restated_defaults(sources: dict[str, str]) -> list[str]:
         return ast.literal_eval(node)
 
     found = [f"ExperimentConfig.{name}" for name, default in config
-             if name in owners and name not in LITERAL_DEFAULTS
+             if name in owners
              and not (isinstance(default, ast.Attribute) and default.attr == name
                       and isinstance(default.value, ast.Name) and default.value.id in owners[name])]
     found += [f"noise_experiment_config.{key}" for key, value in assigns
@@ -150,7 +157,6 @@ def test_scan_finds_a_restated_default():
                            "    encoder: int\n"
                            "    epochs: int = 10\n"
                            "    lr: float = LR\n"
-                           "    teacher_scale: float | None = None\n"
                            "class EncoderSpec:\n"
                            "    width: int = 64\n"),
                "config.py": ("class ExperimentConfig:\n"
@@ -158,7 +164,6 @@ def test_scan_finds_a_restated_default():
                              "    epochs: int = TrainConfig.epochs\n"
                              "    lr: float = LR\n"                # restated through a constant
                              "    width: int = TrainConfig.width\n"  # not the owner's
-                             "    teacher_scale: float = 0.0\n"
                              "    bins: int = 50\n"
                              "def noise_experiment_config():\n"
                              "    cfg = ExperimentConfig()\n"

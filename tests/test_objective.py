@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -317,6 +318,12 @@ class TestSoftTargets:
         for bad_v, bad_t in ((v[0], t[0]), (v[None], t[None]), (v, t[:, :2]), (v[:3], t[:3])):
             with pytest.raises(InvalidInputError, match="teacher matrices"):
                 soft_targets_swapped(bad_v, bad_t, 5.0, plan)
+        # The scale has no cap here: the clamped student's is 3 ulps above 100.
+        for scale in (0.0, -1.0, math.nan, math.inf):
+            for build in (soft_targets_swapped, soft_targets_bootstrap):
+                with pytest.raises(InvalidInputError, match=re.escape(
+                        f"teacher_scale must lie in (0, inf), got {scale!r}")):
+                    build(v, t, scale, plan)
 
     @pytest.mark.parametrize("rows", [[[math.nan, math.nan]], [[0.5, math.nan]],
                                       [[math.inf, 0.5]], [[-math.inf, 1.0]]])
