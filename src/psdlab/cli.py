@@ -29,7 +29,7 @@ import numpy as np
 from . import gradcheck as gradcheck_mod
 from .config import ExperimentConfig, echo_config, parse_config_text, set_key
 from .data import generate, load_pairs, save_pairs
-from .errors import ConfigError, PsdError, check_ranges, within
+from .errors import ConfigError, InvalidInputError, PsdError, check_ranges, within
 from .evaluation import check_eval_settings, histogram_csv, linear_probe, score_eval, zero_shot_top1
 from .experiments import (
     ablation_table,
@@ -117,10 +117,14 @@ def cmd_train(args) -> int:
     if cfg.dataset_path:
         log.info("loading dataset %s", cfg.dataset_path)
         ds = load_pairs(cfg.dataset_path)
+        cfg.image_dim, cfg.text_dim = ds.image_features.shape[1], ds.text_features.shape[1]
+        try:
+            cfg.synthetic_spec()  # judges the file's feature sizes as image_dim and text_dim
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{cfg.dataset_path}: {exc}") from exc
     else:
         log.info("generating synthetic dataset (seed %d)", cfg.seed)
         ds = generate(cfg.synthetic_spec(), RngState(cfg.seed))
-    cfg.image_dim, cfg.text_dim = ds.image_features.shape[1], ds.text_features.shape[1]
     after_epoch = None
     if cfg.eval_every > 0:
         ds, eval_ds = split_clean_holdout(ds, cfg.eval_per_class)

@@ -1,6 +1,6 @@
 """Paired-seed experiment harness: noise-robustness and ablation matrices.
 
-Protocol: one synthetic pool is generated per seed; a class-balanced slice of
+Protocol: each seed draws one synthetic pool; a class-balanced slice of
 uncorrupted images is carved off as a clean held-out retrieval set (it shares
 the pool's latent structure but never trains), and every loss variant trains
 on the identical remaining split with the identical parameter init and batch
@@ -8,9 +8,11 @@ order, so per-seed comparisons isolate the objective.
 
 The (seed, variant) trainings are independent, so ``run_matrix`` runs them on
 a pool of forked worker processes, one per available CPU and at most one per
-training, each with BLAS pinned to one thread. A run's numbers do not depend
-on the BLAS thread count, so the outcomes equal those of training every pair
-in turn in one process, bit for bit.
+training, each with BLAS pinned to one thread. Each task generates and splits
+its seed's pool in its worker: generation is seeded, so every variant of a
+seed gets the same bytes, and the calling process holds no data. A run's
+numbers do not depend on the BLAS thread count, so the outcomes equal those
+of training every pair in turn in one process, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import PairedDataset, generate, take_subset
+from .data import PairedDataset, SyntheticSpec, generate, take_subset
 from .errors import InvalidInputError, check_ranges, within
 from .evaluation import SETTING_RANGES, check_eval_settings, score_eval, zero_shot_top1
 from .model import ParamSet, encode
@@ -136,6 +138,15 @@ def run_variant(cfg: TrainConfig, variant: str, train_ds: PairedDataset,
     return evaluate_on_holdout(train(cfg, train_ds), eval_ds, k_list, bins, variant, cfg.seed)
 
 
+def _run_task(cfg: TrainConfig, variant: str, spec: SyntheticSpec, per_class: int, k_list,
+              bins: int) -> VariantOutcome:
+    """One ``run_matrix`` task, in its worker: generate seed ``cfg.seed``'s
+    pool from ``spec``, carve its clean holdout of ``per_class`` images per
+    class and ``run_variant`` on the two halves."""
+    train_ds, eval_ds = split_clean_holdout(generate(spec, RngState(cfg.seed)), per_class)
+    return run_variant(cfg, variant, train_ds, eval_ds, k_list, bins)
+
+
 # The thread-count setter under the names OpenBLAS builds export it by: the
 # numpy wheels' 64-bit-integer build, other 64-bit builds, the plain build.
 OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
@@ -170,42 +181,38 @@ def run_matrix(exp_cfg: ExperimentConfig, progress=None) -> dict[str, list[Varia
     Each (seed, variant) pair is one task, its ``TrainConfig`` built and
     checked here and trained as built, on a pool of forked workers: as many
     as there are available CPUs, at most one per task, each with BLAS on one
-    thread. Each seed's pool is generated here and its tasks submitted
-    at once, so the workers fork before this process holds every seed's
-    data. Outcomes are collected, and ``progress`` called, in seed-major
-    submission order, so the result equals a serial run bit for bit. The
-    first task to raise re-raises its error here, and the pool is shut down
+    thread. A task carries its config, variant and the run's data and
+    evaluation settings, and its worker generates and splits the seed's pool
+    (``_run_task``), so this process builds no data and its memory does not
+    grow with the seeds. Outcomes are collected, and ``progress`` called, in
+    seed-major submission order, so the result equals a serial run bit for
+    bit. The first task to raise, say on a holdout that its pool's clean
+    images cannot fill, re-raises its error here, and the pool is shut down
     and joined before this returns either way. An evaluation key that
     ``check_eval_keys`` rejects, a K past the held-out size and a task whose
-    ``TrainConfig`` its spec rejects raise InvalidInputError before any pool
-    is drawn.
+    ``TrainConfig`` or ``SyntheticSpec`` its spec rejects raise
+    InvalidInputError before any pool is drawn.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     exp_cfg.check_eval_keys()
     check_eval_settings(exp_cfg.eval_per_class * exp_cfg.num_classes, exp_cfg.k_list)
-    tasks = {seed: {variant: exp_cfg.train_config(seed=seed, **overrides)
-                    for variant, overrides in ABLATION_VARIANTS.items()}
-             for seed in range(exp_cfg.seed, exp_cfg.seed + exp_cfg.ablate_seeds)}
+    spec = exp_cfg.synthetic_spec()
+    tasks = [(variant, exp_cfg.train_config(seed=seed, **overrides))
+             for seed in range(exp_cfg.seed, exp_cfg.seed + exp_cfg.ablate_seeds)
+             for variant, overrides in ABLATION_VARIANTS.items()]
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    executor = ProcessPoolExecutor(max(1, min(cpus, len(tasks) * len(ABLATION_VARIANTS))),
+    executor = ProcessPoolExecutor(max(1, min(cpus, len(tasks))),
                                    mp_context=multiprocessing.get_context("fork"),
                                    initializer=_one_blas_thread)
     try:
-        futures = []
-        for seed, configs in tasks.items():
-            # The whole pool is dropped once split: the workers fork from this
-            # process at the first submit, and every page it holds then counts
-            # in each worker's resident set.
-            train_ds, eval_ds = split_clean_holdout(
-                generate(exp_cfg.synthetic_spec(), RngState(seed)), exp_cfg.eval_per_class)
-            futures += [(variant, executor.submit(run_variant, cfg, variant, train_ds, eval_ds,
-                                                  exp_cfg.k_list, exp_cfg.histogram_bins))
-                        for variant, cfg in configs.items()]
+        futures = [(variant, executor.submit(_run_task, cfg, variant, spec, exp_cfg.eval_per_class,
+                                             exp_cfg.k_list, exp_cfg.histogram_bins))
+                   for variant, cfg in tasks]
         outcomes: dict[str, list[VariantOutcome]] = {v: [] for v in ABLATION_VARIANTS}
         for variant, future in futures:
             outcome = future.result()

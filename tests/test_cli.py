@@ -12,7 +12,7 @@ import pytest
 
 from psdlab.cli import main
 from psdlab.config import ExperimentConfig, parse_config_text
-from psdlab.data import PairedDataset, SyntheticSpec, generate, save_pairs
+from psdlab.data import PairedDataset, SyntheticSpec, generate, load_pairs, save_pairs
 from psdlab.errors import (
     ConfigError,
     DegenerateInputError,
@@ -88,7 +88,7 @@ def test_dataset_flag_is_recorded_in_resolved_config(pairs_file, tmp_path):
             (second / "checkpoint" / name).read_bytes(), name
 
 
-def no_pool(*args):
+def no_pool(*args, **kwargs):
     raise AssertionError("a pool was drawn before the configuration was checked")
 
 
@@ -109,7 +109,7 @@ def test_spec_rejects_a_value_before_the_command_writes(command, setting, tmp_pa
     # read included, before it echoes the configuration, reads an input or
     # draws a pool.
     monkeypatch.setattr("psdlab.cli.generate", no_pool)
-    monkeypatch.setattr("psdlab.experiments.generate", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     out = tmp_path / "out"
     assert main([*command, "--quiet", "--out", str(out), *setting]) == \
         InvalidInputError.exit_code == 3
@@ -350,6 +350,23 @@ def test_missing_file_exits_one(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("side", ["image", "text"])
+def test_dataset_without_feature_columns_exits_invalid_input_code_before_writing(
+        side, pairs_file, tmp_path, caplog):
+    # A PSDD header may hold a zero feature size, and train copies the
+    # file's sizes into image_dim and text_dim: the message names the file
+    # and the key.
+    ds = load_pairs(pairs_file)
+    features = {"image": ds.image_features, "text": ds.text_features}
+    features[side] = features[side][:, :0]
+    path = tmp_path / "empty_columns.psdd"
+    save_pairs(PairedDataset(features["image"], features["text"], ds.pairing,
+                             ds.class_labels, ds.corrupted), path)
+    assert train_on(path, tmp_path) == InvalidInputError.exit_code == 3
+    assert f"{path}: {side}_dim must lie in [1, 16777216], got 0" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 def test_dataset_smaller_than_a_batch_exits_invalid_input_code_before_writing(pairs_file,
                                                                              tmp_path, caplog):
     # The file holds 20 pairs.
@@ -382,7 +399,7 @@ def test_ablate_rejects_eval_settings_before_training(setting, tmp_path, monkeyp
     # The preset's held-out set is 40 images x 10 classes, and an ablation
     # needs at least one seed to tabulate; no pool is drawn. The message
     # names the key and the value given.
-    monkeypatch.setattr("psdlab.experiments.generate", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     out = tmp_path / "out"
     rc = main(["ablate", "--quiet", "--set", setting, "--out", str(out)])
     assert rc == InvalidInputError.exit_code == 3
@@ -394,11 +411,22 @@ def test_ablate_rejects_eval_settings_before_training(setting, tmp_path, monkeyp
 def test_ablate_rejects_a_variant_before_training(tmp_path, monkeypatch, caplog):
     # teacher_scale = 0 tracks the student's scale, which the bootstrap
     # variant cannot train with; no pool is drawn.
-    monkeypatch.setattr("psdlab.experiments.generate", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     out = tmp_path / "out"
     rc = main(["ablate", "--quiet", "--set", "teacher_scale=0", "--out", str(out)])
     assert rc == InvalidInputError.exit_code == 3
     assert "set teacher_scale" in caplog.text
+    assert not out.exists()
+
+
+def test_ablate_holdout_past_the_clean_images_exits_invalid_input_code(tmp_path, caplog):
+    # The preset's pool holds about 180 clean images per class. The worker
+    # that generates and splits a seed's pool raises, and the CLI exits with
+    # the split's message before it writes.
+    out = tmp_path / "out"
+    rc = main(["ablate", "--quiet", "--set", "eval_per_class=200", "--out", str(out)])
+    assert rc == InvalidInputError.exit_code == 3
+    assert re.search(r"class \d+ has only \d+ uncorrupted images, need 200", caplog.text)
     assert not out.exists()
 
 

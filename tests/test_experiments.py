@@ -2,14 +2,16 @@
 soft targets with dynamic partitions beat the InfoNCE baseline. Also the
 worker pool behind ``run_matrix``, at tiny sizes: it gives what training
 each (seed, variant) pair in turn gives, each worker trains the config that
-``run_matrix`` built and checked, a worker's error reaches the CLI, and
-every worker runs BLAS on one thread. And the harness's two pure
-parts: the clean holdout split, whose bytes are pinned on the noise preset,
-and the ablation table."""
+``run_matrix`` built and checked, only the workers build data, a worker's
+error reaches the CLI, and every worker runs BLAS on one thread. And the
+harness's two pure parts: the clean holdout split, whose bytes are pinned on
+the noise preset, and the ablation table."""
 
 import hashlib
 import json
+import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import pytest
 from psdlab import experiments
 from psdlab.cli import main
 from psdlab.config import ExperimentConfig
-from psdlab.data import SyntheticSpec, generate, save_pairs
+from psdlab.data import PairedDataset, SyntheticSpec, generate, save_pairs
 from psdlab.errors import DivergenceError, InvalidInputError
 from psdlab.experiments import (
     ABLATION_VARIANTS,
@@ -85,6 +87,32 @@ def test_each_task_trains_the_config_run_matrix_built(monkeypatch):
                                for variant, overrides in ABLATION_VARIANTS.items()}
 
 
+def test_only_the_workers_build_data(tmp_path, monkeypatch):
+    # Each task generates its seed's pool in its worker, once; the calling
+    # process generates none and hands the pool no dataset.
+    pids = tmp_path / "pids"
+    real_generate, real_submit = experiments.generate, ProcessPoolExecutor.submit
+    submitted = []
+
+    def generate_in(spec, rng):
+        with open(pids, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        return real_generate(spec, rng)
+
+    def recorded_submit(self, fn, *args):
+        submitted.extend(args)
+        return real_submit(self, fn, *args)
+
+    monkeypatch.setattr(experiments, "generate", generate_in)
+    monkeypatch.setattr(experiments, "run_variant", _trained_config)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded_submit)
+    run_matrix(tiny_config(3, 2))
+    callers = pids.read_text(encoding="utf-8").split()
+    assert len(callers) == 2 * len(ABLATION_VARIANTS)
+    assert str(os.getpid()) not in callers
+    assert submitted and not any(isinstance(arg, PairedDataset) for arg in submitted)
+
+
 def _diverge(cfg, variant, train_ds, eval_ds, k_list, bins):
     raise DivergenceError(17)
 
@@ -115,7 +143,7 @@ def test_workers_run_blas_on_one_thread(monkeypatch):
     assert outcomes == {v: [1, 1] for v in ABLATION_VARIANTS}
 
 
-def no_pool(*args):
+def no_pool(*args, **kwargs):
     raise AssertionError("a pool was drawn before the configuration was checked")
 
 
@@ -124,7 +152,7 @@ def no_pool(*args):
 def test_run_matrix_checks_the_evaluation_keys_before_any_pool(key, value, monkeypatch):
     # A library caller gets the check that psdlab ablate makes: zero seeds
     # would give empty rows that ablation_table cannot index.
-    monkeypatch.setattr(experiments, "generate", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     cfg = tiny_config(0, 1)
     setattr(cfg, key, value)
     with pytest.raises(InvalidInputError, match=f"{key} must lie in"):
