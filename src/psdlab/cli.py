@@ -149,9 +149,17 @@ def cmd_eval(args) -> int:
     image_params, text_params, temp, _state = load_checkpoint(args.checkpoint)
     ds = load_pairs(args.dataset)
     check_eval_settings(ds.num_samples, cfg.k_list)
-    img, txt = encode_pairs(image_params, text_params, ds)
+    try:
+        for side, params, features in (("image", image_params, ds.image_features),
+                                       ("text", text_params, ds.text_features)):
+            if features.shape[1] != params.spec.input_dim:
+                raise InvalidInputError(f"{side} features have {features.shape[1]} columns, "
+                                        f"the {side} encoder expects {params.spec.input_dim}")
+        img, txt = encode_pairs(image_params, text_params, ds)
+        protos = class_prototypes(text_params, ds)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{args.dataset}: {exc}") from exc
     i2t, t2i, stats = score_eval(img, txt, cfg.k_list, cfg.histogram_bins)
-    protos = class_prototypes(text_params, ds)
     zs = zero_shot_top1(img, protos, ds.class_labels)
     report = {
         "checkpoint": str(args.checkpoint),

@@ -6,13 +6,12 @@ the pool's latent structure but never trains), and every loss variant trains
 on the identical remaining split with the identical parameter init and batch
 order, so per-seed comparisons isolate the objective.
 
-The (seed, variant) trainings are independent, so ``run_matrix`` runs them on
-a pool of forked worker processes, one per available CPU and at most one per
-training, each with BLAS pinned to one thread. Each task generates and splits
-its seed's pool in its worker: generation is seeded, so every variant of a
-seed gets the same bytes, and the calling process holds no data. A run's
-numbers do not depend on the BLAS thread count, so the outcomes equal those
-of training every pair in turn in one process, bit for bit.
+The (seed, variant) trainings are independent, so ``run_matrix`` maps the one
+task function, ``run_variant``, over a pool of forked workers. Each task
+generates its seed's pool in its worker; generation is seeded, so every
+variant of a seed gets the same bytes. A run's numbers do not depend on the
+BLAS thread count, so the outcomes equal those of training every pair in turn
+in one process, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 import ctypes
 import os
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -132,19 +132,13 @@ def evaluate_on_holdout(result: TrainResult, eval_ds: PairedDataset, k_list, bin
     )
 
 
-def run_variant(cfg: TrainConfig, variant: str, train_ds: PairedDataset,
-                eval_ds: PairedDataset, k_list, bins: int) -> VariantOutcome:
-    """Train ``cfg`` as built and checked, and evaluate it on ``eval_ds``."""
-    return evaluate_on_holdout(train(cfg, train_ds), eval_ds, k_list, bins, variant, cfg.seed)
-
-
-def _run_task(cfg: TrainConfig, variant: str, spec: SyntheticSpec, per_class: int, k_list,
-              bins: int) -> VariantOutcome:
-    """One ``run_matrix`` task, in its worker: generate seed ``cfg.seed``'s
-    pool from ``spec``, carve its clean holdout of ``per_class`` images per
-    class and ``run_variant`` on the two halves."""
+def run_variant(cfg: TrainConfig, variant: str, spec: SyntheticSpec, per_class: int, k_list,
+                bins: int) -> VariantOutcome:
+    """One ablation task: generate seed ``cfg.seed``'s pool from ``spec``,
+    carve its clean holdout of ``per_class`` images per class, train ``cfg``
+    as built and checked on the rest and evaluate it on the holdout."""
     train_ds, eval_ds = split_clean_holdout(generate(spec, RngState(cfg.seed)), per_class)
-    return run_variant(cfg, variant, train_ds, eval_ds, k_list, bins)
+    return evaluate_on_holdout(train(cfg, train_ds), eval_ds, k_list, bins, variant, cfg.seed)
 
 
 # The thread-count setter under the names OpenBLAS builds export it by: the
@@ -178,17 +172,16 @@ def run_matrix(exp_cfg: ExperimentConfig, progress=None) -> dict[str, list[Varia
     """Train every variant of ``ABLATION_VARIANTS`` on the pool of each of
     the seeds ``seed``, ``seed + 1``, ... (``ablate_seeds`` of them); paired.
 
-    Each (seed, variant) pair is one task, its ``TrainConfig`` built and
-    checked here and trained as built, on a pool of forked workers: as many
-    as there are available CPUs, at most one per task, each with BLAS on one
-    thread. A task carries its config, variant and the run's data and
-    evaluation settings, and its worker generates and splits the seed's pool
-    (``_run_task``), so this process builds no data and its memory does not
-    grow with the seeds. Outcomes are collected, and ``progress`` called, in
-    seed-major submission order, so the result equals a serial run bit for
-    bit. The first task to raise, say on a holdout that its pool's clean
-    images cannot fill, re-raises its error here, and the pool is shut down
-    and joined before this returns either way. An evaluation key that
+    Each (seed, variant) pair is one ``run_variant`` task, its
+    ``TrainConfig`` built and checked here. ``ProcessPoolExecutor.map`` runs
+    the tasks on forked workers, as many as there are available CPUs and at
+    most one per task, each with BLAS on one thread. A worker builds its
+    seed's data, so this process holds none and its memory does not grow
+    with the seeds. Outcomes, and ``progress`` calls, come in seed-major
+    order, so the result equals a serial run bit for bit. A raise, a task's
+    (say on a holdout that its pool's clean images cannot fill) or
+    ``progress``'s, reaches the caller after the tasks not yet started are
+    cancelled and the pool is joined. An evaluation key that
     ``check_eval_keys`` rejects, a K past the held-out size and a task whose
     ``TrainConfig`` or ``SyntheticSpec`` its spec rejects raise
     InvalidInputError before any pool is drawn.
@@ -199,23 +192,21 @@ def run_matrix(exp_cfg: ExperimentConfig, progress=None) -> dict[str, list[Varia
     exp_cfg.check_eval_keys()
     check_eval_settings(exp_cfg.eval_per_class * exp_cfg.num_classes, exp_cfg.k_list)
     spec = exp_cfg.synthetic_spec()
-    tasks = [(variant, exp_cfg.train_config(seed=seed, **overrides))
-             for seed in range(exp_cfg.seed, exp_cfg.seed + exp_cfg.ablate_seeds)
-             for variant, overrides in ABLATION_VARIANTS.items()]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    executor = ProcessPoolExecutor(max(1, min(cpus, len(tasks))),
+    seeds = range(exp_cfg.seed, exp_cfg.seed + exp_cfg.ablate_seeds)
+    cfgs = [exp_cfg.train_config(seed=seed, **overrides)
+            for seed in seeds for overrides in ABLATION_VARIANTS.values()]
+    variants = list(ABLATION_VARIANTS) * len(seeds)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    executor = ProcessPoolExecutor(min(cpus, len(cfgs)),
                                    mp_context=multiprocessing.get_context("fork"),
                                    initializer=_one_blas_thread)
+    outcomes: dict[str, list[VariantOutcome]] = {v: [] for v in ABLATION_VARIANTS}
     try:
-        futures = [(variant, executor.submit(_run_task, cfg, variant, spec, exp_cfg.eval_per_class,
-                                             exp_cfg.k_list, exp_cfg.histogram_bins))
-                   for variant, cfg in tasks]
-        outcomes: dict[str, list[VariantOutcome]] = {v: [] for v in ABLATION_VARIANTS}
-        for variant, future in futures:
-            outcome = future.result()
+        results = executor.map(run_variant, cfgs, variants, repeat(spec),
+                               repeat(exp_cfg.eval_per_class), repeat(exp_cfg.k_list),
+                               repeat(exp_cfg.histogram_bins))
+        for variant, outcome in zip(variants, results):
             outcomes[variant].append(outcome)
             if progress:
                 progress(outcome)

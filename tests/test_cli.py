@@ -375,6 +375,41 @@ def test_dataset_smaller_than_a_batch_exits_invalid_input_code_before_writing(pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("side, width", [("image", 3), ("text", 2)])
+def test_eval_names_the_dataset_whose_width_the_encoder_rejects(side, width, pairs_file,
+                                                                tmp_path, caplog):
+    # The checkpoint's encoders take pairs_file's 4 image and 4 text columns.
+    ckpt = tmp_path / "ckpt"
+    assert train_on(pairs_file, ckpt) == 0
+    ds = load_pairs(pairs_file)
+    features = {"image": ds.image_features, "text": ds.text_features}
+    features[side] = features[side][:, :width]
+    path = tmp_path / "narrow.psdd"
+    save_pairs(PairedDataset(features["image"], features["text"], ds.pairing,
+                             ds.class_labels, ds.corrupted), path)
+    rc = main(["eval", "--quiet", str(ckpt / "out" / "checkpoint"), str(path),
+               "--out", str(tmp_path / "eval")])
+    assert rc == InvalidInputError.exit_code == 3
+    assert f"{path}: {side} features have {width} columns, the {side} encoder expects 4" \
+        in caplog.text
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_names_the_dataset_without_clean_images(pairs_file, tmp_path, caplog):
+    # Every pair corrupted: no class has a clean caption for its prototype.
+    ckpt = tmp_path / "ckpt"
+    assert train_on(pairs_file, ckpt) == 0
+    spec = SyntheticSpec(num_classes=2, latent_dim=3, image_dim=4, text_dim=4,
+                         samples_per_class=10, mismatch_rate=1.0)
+    path = tmp_path / "corrupted.psdd"
+    save_pairs(generate(spec, RngState(0)), path)
+    rc = main(["eval", "--quiet", str(ckpt / "out" / "checkpoint"), str(path),
+               "--out", str(tmp_path / "eval")])
+    assert rc == InvalidInputError.exit_code == 3
+    assert f"{path}: class 0 has no uncorrupted images for a prototype" in caplog.text
+    assert not (tmp_path / "eval").exists()
+
+
 def test_missing_checkpoint_in_eval_exits_one(pairs_file, tmp_path):
     rc = main(["eval", "--quiet", str(tmp_path / "absent"), str(pairs_file),
                "--out", str(tmp_path / "eval")])

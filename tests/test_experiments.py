@@ -1,17 +1,18 @@
 """The paper's central claim as a gate: under noisy correspondence, swapped
 soft targets with dynamic partitions beat the InfoNCE baseline. Also the
-worker pool behind ``run_matrix``, at tiny sizes: it gives what training
-each (seed, variant) pair in turn gives, each worker trains the config that
-``run_matrix`` built and checked, only the workers build data, a worker's
-error reaches the CLI, and every worker runs BLAS on one thread. And the
-harness's two pure parts: the clean holdout split, whose bytes are pinned on
-the noise preset, and the ablation table."""
+worker pool behind ``run_matrix``, at tiny sizes: it gives what calling
+``run_variant`` for each (seed, variant) pair in turn gives, each worker
+trains the config that ``run_matrix`` built and checked, only the workers
+build data, a worker's error reaches the CLI, a failed run leaves no worker
+running, every worker runs BLAS on one thread, and ``ablate``'s table bytes
+are pinned. And the harness's two pure parts: the clean holdout split, whose
+bytes are pinned on the noise preset, and the ablation table."""
 
 import hashlib
 import json
+import multiprocessing
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from psdlab.numkit import RngState
 OPENBLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
                         "openblas_get_num_threads")
 TINY = {"samples_per_class": 60, "eval_per_class": 10, "batch_size": 64, "epochs": 2}
+TINY_SETS = [a for key, value in TINY.items() for a in ("--set", f"{key}={value}")]
 
 
 def test_swapped_dynamic_beats_baseline_on_noise_preset():
@@ -64,18 +66,17 @@ def test_pool_equals_serial_loop():
     pooled = run_matrix(cfg, progress=seen.append)
     serial = {v: [] for v in ABLATION_VARIANTS}
     for seed in seeds:
-        train_ds, eval_ds = split_clean_holdout(generate(cfg.synthetic_spec(), RngState(seed)),
-                                                cfg.eval_per_class)
         for variant, overrides in ABLATION_VARIANTS.items():
             serial[variant].append(run_variant(cfg.train_config(seed=seed, **overrides), variant,
-                                               train_ds, eval_ds, cfg.k_list, cfg.histogram_bins))
+                                               cfg.synthetic_spec(), cfg.eval_per_class,
+                                               cfg.k_list, cfg.histogram_bins))
     assert [(o.seed, o.variant) for o in seen] == [(s, v) for s in seeds
                                                    for v in ABLATION_VARIANTS]
     assert json.dumps(ablation_table(pooled), sort_keys=True) == \
         json.dumps(ablation_table(serial), sort_keys=True)
 
 
-def _trained_config(cfg, variant, train_ds, eval_ds, k_list, bins):
+def _trained_config(cfg, variant, spec, per_class, k_list, bins):
     return cfg
 
 
@@ -89,44 +90,57 @@ def test_each_task_trains_the_config_run_matrix_built(monkeypatch):
 
 def test_only_the_workers_build_data(tmp_path, monkeypatch):
     # Each task generates its seed's pool in its worker, once; the calling
-    # process generates none and hands the pool no dataset.
+    # process generates none and hands the pool no dataset: a PairedDataset
+    # cannot be pickled here, and every task's arguments are.
     pids = tmp_path / "pids"
-    real_generate, real_submit = experiments.generate, ProcessPoolExecutor.submit
-    submitted = []
+    real_generate = experiments.generate
 
     def generate_in(spec, rng):
         with open(pids, "a", encoding="utf-8") as f:
             f.write(f"{os.getpid()}\n")
         return real_generate(spec, rng)
 
-    def recorded_submit(self, fn, *args):
-        submitted.extend(args)
-        return real_submit(self, fn, *args)
+    def unpicklable(self, protocol):
+        raise AssertionError("a PairedDataset was pickled")
 
     monkeypatch.setattr(experiments, "generate", generate_in)
-    monkeypatch.setattr(experiments, "run_variant", _trained_config)
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded_submit)
+    monkeypatch.setattr(experiments, "train", lambda cfg, ds: cfg)
+    monkeypatch.setattr(experiments, "evaluate_on_holdout", lambda result, *args: result)
+    monkeypatch.setattr(PairedDataset, "__reduce_ex__", unpicklable)
     run_matrix(tiny_config(3, 2))
     callers = pids.read_text(encoding="utf-8").split()
     assert len(callers) == 2 * len(ABLATION_VARIANTS)
     assert str(os.getpid()) not in callers
-    assert submitted and not any(isinstance(arg, PairedDataset) for arg in submitted)
 
 
-def _diverge(cfg, variant, train_ds, eval_ds, k_list, bins):
+def _diverge(cfg, variant, spec, per_class, k_list, bins):
     raise DivergenceError(17)
 
 
 def test_worker_error_exits_with_its_code(tmp_path, monkeypatch, caplog):
     monkeypatch.setattr(experiments, "run_variant", _diverge)
-    sizes = [a for key, value in TINY.items() for a in ("--set", f"{key}={value}")]
-    rc = main(["ablate", "--quiet", "--set", "ablate_seeds=2", *sizes, "--out", str(tmp_path)])
+    rc = main(["ablate", "--quiet", "--set", "ablate_seeds=2", *TINY_SETS, "--out", str(tmp_path)])
     assert rc == DivergenceError.exit_code == 6
     assert [m for m in caplog.messages if "non-finite" in m] == ["non-finite loss at step 17"]
     assert not (tmp_path / "ablation.json").exists()
 
 
-def _blas_threads(cfg, variant, train_ds, eval_ds, k_list, bins):
+def _stop(outcome):
+    raise RuntimeError("stop")
+
+
+@pytest.mark.parametrize("task, progress, error", [(_diverge, None, DivergenceError),
+                                                   (_trained_config, _stop, RuntimeError)])
+def test_a_failed_ablation_leaves_no_worker_running(task, progress, error, monkeypatch):
+    # A task that raises, or a progress callback that raises on the first
+    # outcome: the error reaches the caller and the pool is joined.
+    monkeypatch.setattr(experiments, "run_variant", task)
+    with pytest.raises(error):
+        run_matrix(tiny_config(0, 2), progress=progress)
+    assert multiprocessing.active_children() == []
+
+
+def _blas_threads(cfg, variant, spec, per_class, k_list, bins):
     return experiments._openblas_call(OPENBLAS_GET_THREADS)
 
 
@@ -191,6 +205,18 @@ def test_noise_preset_split_bytes(tmp_path):
         digests.append(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
     assert digests == ["7be2da45cfb046a49d70d494140344accf73450ec48fb397ec0ae0359fe1bec8",
                        "e932c840285256f2a15a870d1d1d1f47f4367756cc40be29937cfd652deb2f5b"]
+
+
+def test_tiny_ablation_bytes(tmp_path):
+    # sha256 of the ablation.json that psdlab ablate --seed 3 --set
+    # ablate_seeds=2 writes at TINY sizes: the pool, the paired trainings and
+    # the table, end to end. Like GOLDEN_DATASETS, it depends on the OpenBLAS
+    # build that numpy bundles, whose kernels set the last bits of every
+    # matmul; it was taken with OpenBLAS 0.3.31 (DYNAMIC_ARCH, Haswell kernels).
+    assert main(["ablate", "--quiet", "--seed", "3", "--set", "ablate_seeds=2", *TINY_SETS,
+                 "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "ablation.json").read_bytes()).hexdigest() == \
+        "6690849f183db29b5d24cf909ebba3bee39005c997f95405137f9fc429f6a2b5"
 
 
 @pytest.mark.parametrize("per_class", [0, -1])
