@@ -13,12 +13,20 @@ data, checks ``k_list`` against it, and evaluates on it every
 ``eval_every`` epochs. Every command is idempotent given identical inputs
 and seeds. Exit codes: 0 success, otherwise the failing error class's code
 (see errors.py); a failed gradcheck returns 1.
+
+Each command writes each result once, into ``--out``:
+
+    generate   config.resolved.txt, dataset.psdd (its sha256 is printed)
+    train      config.resolved.txt, metrics.jsonl, checkpoint/ (image_encoder.psdw,
+               text_encoder.psdw, trainer_state.psdt)
+    eval       config.resolved.txt, report.json (histograms under "similarity")
+    gradcheck  config.resolved.txt, gradcheck.json
+    ablate     config.resolved.txt, ablation.json
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import sys
@@ -30,7 +38,7 @@ from . import gradcheck as gradcheck_mod
 from .config import ExperimentConfig, echo_config, parse_config_text, set_key
 from .data import generate, load_pairs, save_pairs
 from .errors import ConfigError, InvalidInputError, PsdError, check_ranges, within
-from .evaluation import check_eval_settings, histogram_csv, linear_probe, score_eval, zero_shot_top1
+from .evaluation import check_eval_settings, linear_probe, score_eval, zero_shot_top1
 from .experiments import (
     ablation_table,
     class_prototypes,
@@ -42,21 +50,17 @@ from .numkit import RngState
 from .trainer import encode_pairs, load_checkpoint, save_checkpoint, train
 
 log = logging.getLogger("psdlab")
-HASH_READ = 1 << 18  # bytes per read when hashing a written file
 
 
 def _resolve_config(args, base: ExperimentConfig | None = None):
     """The configuration from defaults, file, --set and flags, checked by
-    the specs and ``check_eval_keys``, and the config file's text (None
-    without --config) for ``echo_config``."""
+    the specs and ``check_eval_keys``."""
     cfg = base or ExperimentConfig()
-    source_text = None
     if args.config:
         try:
-            source_text = Path(args.config).read_text(encoding="utf-8")
+            cfg = parse_config_text(Path(args.config).read_text(encoding="utf-8"), cfg)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        cfg = parse_config_text(source_text, cfg)
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -70,29 +74,20 @@ def _resolve_config(args, base: ExperimentConfig | None = None):
     cfg.synthetic_spec()
     cfg.train_config()
     cfg.check_eval_keys()
-    return cfg, source_text
-
-
-def _file_sha256(path: Path) -> str:
-    """The sha256 of a file, read ``HASH_READ`` bytes at a time."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        while block := f.read(HASH_READ):
-            digest.update(block)
-    return digest.hexdigest()
+    return cfg
 
 
 def cmd_generate(args) -> int:
-    cfg, source_text = _resolve_config(args)
+    cfg = _resolve_config(args)
     ds = generate(cfg.synthetic_spec(), RngState(cfg.seed))
-    path = echo_config(cfg, source_text) / "dataset.psdd"
-    save_pairs(ds, path)
+    path = echo_config(cfg) / "dataset.psdd"
+    digest = save_pairs(ds, path)
     corrupted = int(ds.corrupted.sum())
     print(f"dataset: {path}")
     print(f"n: {ds.num_samples}  classes: {ds.num_classes}  "
           f"captions_per_image: {ds.captions_per_image}")
     print(f"eta: {cfg.mismatch_rate}  corrupted: {corrupted}")
-    print(f"sha256: {_file_sha256(path)}")
+    print(f"sha256: {digest}")
     return 0
 
 
@@ -113,7 +108,7 @@ def held_out_evals(eval_ds, every: int, k_list):
 
 
 def cmd_train(args) -> int:
-    cfg, source_text = _resolve_config(args)
+    cfg = _resolve_config(args)
     if cfg.dataset_path:
         log.info("loading dataset %s", cfg.dataset_path)
         ds = load_pairs(cfg.dataset_path)
@@ -133,7 +128,7 @@ def cmd_train(args) -> int:
         after_epoch = held_out_evals(eval_ds, cfg.eval_every, cfg.k_list)
     tc = cfg.train_config()
     tc.check_data(ds)
-    out = echo_config(cfg, source_text)
+    out = echo_config(cfg)
     result = train(tc, ds, after_epoch=after_epoch, metrics_path=out / "metrics.jsonl")
     save_checkpoint(result, out / "checkpoint")
     last = result.step_records()[-1]
@@ -145,7 +140,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, source_text = _resolve_config(args)
+    cfg = _resolve_config(args)
     image_params, text_params, temp, _state = load_checkpoint(args.checkpoint)
     ds = load_pairs(args.dataset)
     check_eval_settings(ds.num_samples, cfg.k_list)
@@ -157,6 +152,11 @@ def cmd_eval(args) -> int:
                                         f"the {side} encoder expects {params.spec.input_dim}")
         img, txt = encode_pairs(image_params, text_params, ds)
         protos = class_prototypes(text_params, ds)
+        if cfg.probe:
+            test_mask = (np.arange(ds.num_samples) % 5 == 0)
+            probe = linear_probe(img[~test_mask], ds.class_labels[~test_mask],
+                                 img[test_mask], ds.class_labels[test_mask],
+                                 l2=cfg.probe_l2)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{args.dataset}: {exc}") from exc
     i2t, t2i, stats = score_eval(img, txt, cfg.k_list, cfg.histogram_bins)
@@ -172,16 +172,10 @@ def cmd_eval(args) -> int:
         "similarity": stats.to_dict(),
     }
     if cfg.probe:
-        test_mask = (np.arange(ds.num_samples) % 5 == 0)
-        probe = linear_probe(img[~test_mask], ds.class_labels[~test_mask],
-                             img[test_mask], ds.class_labels[test_mask],
-                             l2=cfg.probe_l2)
         report["linear_probe"] = probe.to_dict()
-    out = echo_config(cfg, source_text)
+    out = echo_config(cfg)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                      encoding="utf-8")
-    (out / "histogram_positive.csv").write_text(histogram_csv(stats, "positive"), encoding="utf-8")
-    (out / "histogram_negative.csv").write_text(histogram_csv(stats, "negative"), encoding="utf-8")
     ks = sorted(t2i.recall_at)
     print("  ".join([f"t2i_r{k}: {t2i.recall_at[k]:.2f}" for k in ks]))
     print("  ".join([f"i2t_r{k}: {i2t.recall_at[k]:.2f}" for k in ks]))
@@ -195,7 +189,7 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     check_ranges([within("seeds", args.seeds, "[1, inf)")])
-    cfg, source_text = _resolve_config(args)
+    cfg = _resolve_config(args)
     reports = gradcheck_mod.run_all(seed=cfg.seed, instances=args.seeds)
     width = max(len(r.name) for r in reports)
     all_ok = True
@@ -204,14 +198,14 @@ def cmd_gradcheck(args) -> int:
         print(f"{r.name:<{width}}  instances: {r.instances:4d}  "
               f"worst_rel_err: {r.worst_rel_error:.3e}  {status}")
         all_ok &= r.passed
-    (echo_config(cfg, source_text) / "gradcheck.json").write_text(
+    (echo_config(cfg) / "gradcheck.json").write_text(
         json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
     return 0 if all_ok else 1
 
 
 def cmd_ablate(args) -> int:
-    cfg, source_text = _resolve_config(args, base=noise_experiment_config())
+    cfg = _resolve_config(args, base=noise_experiment_config())
 
     def progress(outcome):
         k = min(outcome.t2i_recall)
@@ -220,7 +214,7 @@ def cmd_ablate(args) -> int:
 
     outcomes = run_matrix(cfg, progress=progress)
     table = ablation_table(outcomes)
-    out = echo_config(cfg, source_text)
+    out = echo_config(cfg)
     (out / "ablation.json").write_text(json.dumps(table, indent=2, sort_keys=True) + "\n",
                                        encoding="utf-8")
     ks = sorted(int(k) for k in next(iter(table["rows"].values()))["t2i_r@k_mean"])

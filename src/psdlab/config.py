@@ -174,12 +174,10 @@ def render_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def echo_config(cfg: ExperimentConfig, source_text: str | None) -> Path:
-    """Write the resolved config (and the verbatim input, when given) to its
-    output directory ``out_dir``, created if need be, and return that."""
+def echo_config(cfg: ExperimentConfig) -> Path:
+    """Write the resolved config as ``config.resolved.txt`` into its output
+    directory ``out_dir``, created if need be, and return that directory."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved.txt").write_text(render_config(cfg), encoding="utf-8")
-    if source_text is not None:
-        (out / "config.input.txt").write_text(source_text, encoding="utf-8")
     return out

@@ -21,7 +21,8 @@ Dataset file format (PSDD, version 1, all little-endian):
 
 A file holds exactly these bytes, so loading and saving it again gives the
 same bytes. ``errors.Framing`` checks the framing: magic, version, lengths
-and header counts in [0, 2^24]; the loader checks K and the flag bytes.
+and header counts in [0, 2^24], m at least 1 when n is not 0; the loader
+checks K and the flag bytes.
 """
 
 from __future__ import annotations
@@ -188,18 +189,20 @@ def take_subset(ds: PairedDataset, image_idx: np.ndarray) -> PairedDataset:
     )
 
 
-def save_pairs(ds: PairedDataset, path) -> None:
+def save_pairs(ds: PairedDataset, path) -> str:
+    """Write ``ds`` to ``path`` as a PSDD file; return the file's hex sha256."""
     header = (ds.num_samples, ds.captions_per_image, ds.image_features.shape[1],
               ds.text_features.shape[1], ds.num_classes)
     columns = ((ds.image_features, "<f8"), (ds.text_features, "<f8"), (ds.pairing, "<u4"),
                (ds.class_labels, "<u4"), (ds.corrupted, "<u1"))
-    _FRAMING.write(path, header, [np.ascontiguousarray(a, dtype) for a, dtype in columns])
+    return _FRAMING.write(path, header, [np.ascontiguousarray(a, dtype) for a, dtype in columns])
 
 
 def load_pairs(path) -> PairedDataset:
     raw, (n, m, image_dim, text_dim, num_classes) = _FRAMING.read(path)
     _FRAMING.check_counts(path, 0, n=n, m=m, image_dim=image_dim, text_dim=text_dim,
                           num_classes=num_classes)
+    _FRAMING.check_counts(path, min(n, 1), m=m)  # every image owns a caption
     sizes = (n * image_dim * 8, n * m * text_dim * 8, n * m * 4, n * 4, n)
     off = _FRAMING.header.size
     _FRAMING.check_end(raw, path, off + sum(sizes))

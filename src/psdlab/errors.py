@@ -13,6 +13,7 @@ One ``Framing`` per format writes and checks it, header counts included, and
 alone raises ``FileFormatError``; each format checks only its content.
 """
 
+import hashlib
 import os
 import struct
 
@@ -98,13 +99,16 @@ class Framing:
         self.name, self.magic, self.version = name, magic, version
         self.header = struct.Struct("<4sI" + fields)
 
-    def write(self, path, fields: tuple, parts=()) -> None:
+    def write(self, path, fields: tuple, parts=()) -> str:
         """Write the header holding ``fields``, then each part, bytes or a
-        C-contiguous array."""
+        C-contiguous array, and return the hex sha256 of the bytes written,
+        hashed as they are written."""
+        digest = hashlib.sha256()
         with open(path, "wb") as f:
-            f.write(self.header.pack(self.magic, self.version, *fields))
-            for part in parts:
-                f.write(part)
+            for block in (self.header.pack(self.magic, self.version, *fields), *parts):
+                digest.update(block)
+                f.write(block)
+        return digest.hexdigest()
 
     def read(self, path) -> tuple[memoryview, tuple]:
         """The file's bytes and its header fields after magic and version,

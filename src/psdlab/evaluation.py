@@ -450,11 +450,3 @@ def similarity_stats(image_emb, text_emb, bins: int) -> SimilarityStats:
     """Diagonal (positive) vs off-diagonal (negative) dot products with
     equal-width histograms over [-1, 1]."""
     return score_eval(image_emb, text_emb, None, bins)[2]
-
-
-def histogram_csv(stats: SimilarityStats, which: str) -> str:
-    """Two-column CSV (bin_center, count) for one of the two histograms."""
-    counts = stats.positive_counts if which == "positive" else stats.negative_counts
-    lines = ["bin_center,count"]
-    lines += [f"{float(c)!r},{int(k)}" for c, k in zip(stats.bin_centers, counts)]
-    return "\n".join(lines) + "\n"

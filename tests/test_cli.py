@@ -3,6 +3,7 @@
 or the next step's encode, with DivergenceError (code 6) before the objective
 sees its non-finite or degenerate state as invalid input (code 3)."""
 
+import hashlib
 import math
 import re
 from dataclasses import fields
@@ -12,7 +13,7 @@ import pytest
 
 from psdlab.cli import main
 from psdlab.config import ExperimentConfig, parse_config_text
-from psdlab.data import PairedDataset, SyntheticSpec, generate, load_pairs, save_pairs
+from psdlab.data import PairedDataset, SyntheticSpec, generate, load_pairs, save_pairs, take_subset
 from psdlab.errors import (
     ConfigError,
     DegenerateInputError,
@@ -45,10 +46,54 @@ def train_on(path, tmp_path, *extra):
                  "--set", "batch_size=4", "--epochs", "1", *extra])
 
 
-def test_generate_succeeds(tmp_path):
+def test_generate_succeeds(tmp_path, capsys):
+    # The printed digest is taken as the file is written, not read back.
     assert main(["generate", "--quiet", "--set", "samples_per_class=5",
                  "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "dataset.psdd").is_file()
+    printed = capsys.readouterr().out.split("sha256:", 1)[1].split()[0]
+    assert printed == hashlib.sha256((tmp_path / "dataset.psdd").read_bytes()).hexdigest()
+
+
+def test_each_command_writes_exactly_its_files(tmp_path):
+    # Each result is written once: config.resolved.txt is the one record of
+    # the configuration, report.json the one record of eval's histograms.
+    # The configuration is small enough for every command, ablate's preset included.
+    config = tmp_path / "tiny.cfg"
+    config.write_text("samples_per_class = 60\neval_per_class = 10\nbatch_size = 64\n"
+                      "epochs = 2\nablate_seeds = 1\n", encoding="utf-8")
+    gen, trained = tmp_path / "generate", tmp_path / "train"
+    expected = {
+        "generate": ["config.resolved.txt", "dataset.psdd"],
+        "train": ["checkpoint/image_encoder.psdw", "checkpoint/text_encoder.psdw",
+                  "checkpoint/trainer_state.psdt", "config.resolved.txt", "metrics.jsonl"],
+        "eval": ["config.resolved.txt", "report.json"],
+        "gradcheck": ["config.resolved.txt", "gradcheck.json"],
+        "ablate": ["ablation.json", "config.resolved.txt"],
+    }
+    operands = {"eval": [str(trained / "checkpoint"), str(gen / "dataset.psdd")],
+                "gradcheck": ["--seeds", "2"]}
+    for command, files in expected.items():
+        out = tmp_path / command
+        assert main([command, "--quiet", "--config", str(config), "--out", str(out),
+                     *operands.get(command, [])]) == 0, command
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) \
+            == files, command
+
+
+def test_eval_report_bytes(tmp_path, monkeypatch):
+    # Pins report.json end to end: the dataset, the training, every
+    # evaluation kernel and the report's layout. Like GOLDEN_DATASETS it
+    # depends on the OpenBLAS build that numpy bundles, whose kernels set the
+    # last bits of every matmul; it was taken with OpenBLAS 0.3.31. The report
+    # names its inputs, so the paths are relative.
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--quiet", "--seed", "3", "--set", "samples_per_class=20",
+                 "--out", "g"]) == 0
+    assert main(["train", "--quiet", "--seed", "3", "--set", "samples_per_class=20",
+                 "--set", "batch_size=16", "--epochs", "2", "--out", "t"]) == 0
+    assert main(["eval", "--quiet", "t/checkpoint", "g/dataset.psdd", "--out", "e"]) == 0
+    assert hashlib.sha256((tmp_path / "e" / "report.json").read_bytes()).hexdigest() == \
+        "90e4c68e13ffc9c84ea440c1c26d15ddb0250963910d1fb6736d6ae1eabed327"
 
 
 @pytest.mark.parametrize("argv", [
@@ -407,6 +452,45 @@ def test_eval_names_the_dataset_without_clean_images(pairs_file, tmp_path, caplo
                "--out", str(tmp_path / "eval")])
     assert rc == InvalidInputError.exit_code == 3
     assert f"{path}: class 0 has no uncorrupted images for a prototype" in caplog.text
+    assert not (tmp_path / "eval").exists()
+
+
+def test_images_without_captions_exit_file_format_code(pairs_file, tmp_path, caplog):
+    # pairs_file's 20 images with no caption each, header m = 0: train and
+    # eval used to fail on the first caption they took, eval with a traceback.
+    ckpt = tmp_path / "ckpt"
+    assert train_on(pairs_file, ckpt) == 0
+    ds = load_pairs(pairs_file)
+    path = tmp_path / "captionless.psdd"
+    save_pairs(PairedDataset(ds.image_features, ds.text_features[:0], ds.pairing[:, :0],
+                             ds.class_labels, ds.corrupted), path)
+    message = f"{path}: dataset header field m must lie in [1, 16777216], got 0"
+    assert train_on(path, tmp_path) == FileFormatError.exit_code == 5
+    assert message in caplog.text
+    caplog.clear()
+    rc = main(["eval", "--quiet", str(ckpt / "out" / "checkpoint"), str(path),
+               "--out", str(tmp_path / "eval")])
+    assert rc == FileFormatError.exit_code
+    assert message in caplog.text
+    assert not (tmp_path / "out").exists() and not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("images, settings, message", [
+    (np.arange(10), [], "linear probe requires at least 2 classes"),
+    (np.arange(1), ["--set", "k_list=1"], "linear probe requires a nonempty train and test set"),
+], ids=["one_class", "one_image"])
+def test_eval_names_the_dataset_the_probe_rejects(images, settings, message, pairs_file,
+                                                  tmp_path, caplog):
+    # pairs_file's first 10 images are class 0; one image leaves the probe's
+    # train split (every fifth image is a test image) empty.
+    ckpt = tmp_path / "ckpt"
+    assert train_on(pairs_file, ckpt) == 0
+    path = tmp_path / "subset.psdd"
+    save_pairs(take_subset(load_pairs(pairs_file), images), path)
+    rc = main(["eval", "--quiet", str(ckpt / "out" / "checkpoint"), str(path), *settings,
+               "--out", str(tmp_path / "eval")])
+    assert rc == InvalidInputError.exit_code == 3
+    assert f"{path}: {message}" in caplog.text
     assert not (tmp_path / "eval").exists()
 
 

@@ -129,7 +129,7 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("kw, seed, digest", GOLDEN_DATASETS)
     def test_dataset_bytes(self, tmp_path, kw, seed, digest):
         path = tmp_path / "pairs.psdd"
-        save_pairs(generate(SyntheticSpec(**kw), RngState(seed)), path)
+        assert save_pairs(generate(SyntheticSpec(**kw), RngState(seed)), path) == digest
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
@@ -249,6 +249,23 @@ class TestPairsFile:
         with pytest.raises(FileFormatError, match=re.escape(
                 "dataset header field n must lie in [0, 16777216], got 1073741824")):
             load_pairs(path)
+
+    def test_images_without_captions(self, tmp_path):
+        # m = 0 under n > 0 images used to load, and then broke every reader
+        # that takes an image's first caption; without images it is empty.
+        ds = generate(small_spec(), RngState(21))
+        path = tmp_path / "pairs.psdd"
+        save_pairs(PairedDataset(ds.image_features, ds.text_features[:0], ds.pairing[:, :0],
+                                 ds.class_labels, ds.corrupted), path)
+        with pytest.raises(FileFormatError, match=re.escape(
+                f"{path}: dataset header field m must lie in [1, 16777216], got 0")):
+            load_pairs(path)
+        empty = take_subset(ds, np.arange(0))
+        for m in (0, 2):
+            save_pairs(PairedDataset(empty.image_features, empty.text_features,
+                                     empty.pairing.reshape(0, m), empty.class_labels,
+                                     empty.corrupted), path)
+            assert load_pairs(path).pairing.shape == (0, m)
 
     def test_label_past_header_class_count(self, tmp_path):
         path = tmp_path / "pairs.psdd"

@@ -10,7 +10,6 @@ import psdlab.evaluation as ev
 from psdlab.config import ExperimentConfig
 from psdlab.errors import InvalidInputError
 from psdlab.evaluation import (
-    histogram_csv,
     linear_probe,
     probe_loss_and_grad,
     retrieval_eval,
@@ -383,16 +382,6 @@ class TestSimilarityStats:
             retrieval_eval(z, z, [])
         with pytest.raises(InvalidInputError):
             similarity_stats(z, z, bins=4)
-
-    def test_csv_shape(self, rng):
-        v, t = unit_batch(rng, 5, 4)
-        stats = similarity_stats(v, t, bins=4)
-        csv = histogram_csv(stats, "positive")
-        lines = csv.strip().splitlines()
-        assert lines[0] == "bin_center,count"
-        assert len(lines) == 5
-        total = sum(int(line.split(",")[1]) for line in lines[1:])
-        assert total == 5
 
 
 def test_oracle_edges_are_the_package_edges():
