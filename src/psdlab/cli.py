@@ -113,21 +113,23 @@ def cmd_train(args) -> int:
         log.info("loading dataset %s", cfg.dataset_path)
         ds = load_pairs(cfg.dataset_path)
         cfg.image_dim, cfg.text_dim = ds.image_features.shape[1], ds.text_features.shape[1]
-        try:
-            cfg.synthetic_spec()  # judges the file's feature sizes as image_dim and text_dim
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{cfg.dataset_path}: {exc}") from exc
     else:
         log.info("generating synthetic dataset (seed %d)", cfg.seed)
         ds = generate(cfg.synthetic_spec(), RngState(cfg.seed))
     after_epoch = None
-    if cfg.eval_every > 0:
-        ds, eval_ds = split_clean_holdout(ds, cfg.eval_per_class)
-        log.info("carved %d clean held-out pairs", eval_ds.num_samples)
-        check_eval_settings(eval_ds.num_samples, cfg.k_list)
-        after_epoch = held_out_evals(eval_ds, cfg.eval_every, cfg.k_list)
-    tc = cfg.train_config()
-    tc.check_data(ds)
+    try:  # a fault of the data read from a file names the file
+        cfg.synthetic_spec()  # judges a file's feature sizes as image_dim and text_dim
+        tc = cfg.train_config()
+        if cfg.eval_every > 0:
+            ds, eval_ds = split_clean_holdout(ds, cfg.eval_per_class)
+            log.info("carved %d clean held-out pairs", eval_ds.num_samples)
+            check_eval_settings(eval_ds.num_samples, cfg.k_list)
+            after_epoch = held_out_evals(eval_ds, cfg.eval_every, cfg.k_list)
+        tc.check_data(ds)
+    except InvalidInputError as exc:
+        if not cfg.dataset_path:
+            raise
+        raise InvalidInputError(f"{cfg.dataset_path}: {exc}") from exc
     out = echo_config(cfg)
     result = train(tc, ds, after_epoch=after_epoch, metrics_path=out / "metrics.jsonl")
     save_checkpoint(result, out / "checkpoint")

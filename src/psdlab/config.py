@@ -66,7 +66,6 @@ class ExperimentConfig:
     embed_dim: int = 32
     image_hidden_dims: tuple[int, ...] = (64,)
     text_hidden_dims: tuple[int, ...] = (64,)
-    activation: str = EncoderSpec.activation
 
     # training
     batch_size: int = TrainConfig.batch_size
@@ -105,7 +104,7 @@ class ExperimentConfig:
         for side in ("image", "text"):
             kwargs[f"{side}_encoder"] = EncoderSpec(
                 input_dim=getattr(self, f"{side}_dim"), embed_dim=self.embed_dim,
-                hidden_dims=getattr(self, f"{side}_hidden_dims"), activation=self.activation)
+                hidden_dims=getattr(self, f"{side}_hidden_dims"))
         kwargs.update(overrides)
         return TrainConfig(**kwargs)
 

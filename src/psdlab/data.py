@@ -84,8 +84,10 @@ class PairedDataset:
         self.class_labels = np.asarray(self.class_labels, dtype=np.int64)
         self.corrupted = np.asarray(self.corrupted, dtype=bool)
         n = self.image_features.shape[0]
-        if self.pairing.ndim != 2 or self.pairing.shape[0] != n:
-            raise InvalidInputError("pairing must be (n, m)")
+        if (self.pairing.ndim != 2 or self.pairing.shape[0] != n
+                or n > 0 and self.pairing.shape[1] == 0):
+            raise InvalidInputError(f"pairing must be (n, m) with m >= 1 when n > 0, "
+                                    f"got shape {self.pairing.shape}")
         if self.class_labels.shape != (n,) or self.corrupted.shape != (n,):
             raise InvalidInputError("labels and corruption flags must have one entry per image")
         cover = np.sort(self.pairing.ravel())

@@ -63,6 +63,8 @@ def split_clean_holdout(ds: PairedDataset, per_class: int) -> tuple[PairedDatase
     """Carve the first ``per_class`` (>= 1) uncorrupted images of every
     class into a held-out set; the rest (corrupted included) train."""
     check_ranges([within("eval_per_class", per_class, SETTING_RANGES["eval_per_class"])])
+    if ds.num_classes == 0:
+        raise InvalidInputError("the dataset has no class to hold images out of")
     eval_idx = []
     for c in range(ds.num_classes):
         clean = np.flatnonzero((ds.class_labels == c) & ~ds.corrupted)

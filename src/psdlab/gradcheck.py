@@ -124,24 +124,22 @@ def check_psd_loss(seed: int, instances: int) -> CheckReport:
     return CheckReport("psd_loss", instances, worst, worst < REL_TOL)
 
 
-def _random_spec(rng: RngState, activation: str, hidden: bool) -> EncoderSpec:
+def _random_spec(rng: RngState, hidden: bool) -> EncoderSpec:
     din = 2 + rng.randint(7)
     dout = 2 + rng.randint(7)
     dims = (2 + rng.randint(5), 2 + rng.randint(5)) if hidden else ()
-    return EncoderSpec(input_dim=din, hidden_dims=dims, embed_dim=dout,
-                       activation=activation)
+    return EncoderSpec(input_dim=din, hidden_dims=dims, embed_dim=dout)
 
 
 def check_encoder_backward(seed: int, instances: int) -> CheckReport:
     """FD check of the scalar probe <upstream, encode(x)> against the
     analytic parameter and input gradients, the latter formed here as
-    d_z0 @ W0^T from ``encode_backward``'s d_z0. relu instances resample
-    until all pre-activations sit away from the kink."""
+    d_z0 @ W0^T from ``encode_backward``'s d_z0. Each instance resamples
+    until no output row's norm is below 1e-2."""
     rng = RngState(seed)
     worst = 0.0
     for k in range(instances):
-        activation = "tanh" if k % 2 == 0 else "relu"
-        spec = _random_spec(rng, activation, hidden=k % 4 < 2)
+        spec = _random_spec(rng, hidden=k % 4 < 2)
         rows = 1 + rng.randint(4)
         for _ in range(200):
             params = init_params(spec, RngState(rng.next_u64()))
@@ -150,11 +148,10 @@ def check_encoder_backward(seed: int, instances: int) -> CheckReport:
                 _, cache = encode(params, x)
             except DegenerateInputError:
                 continue
-            margin = min((np.abs(z).min() for z in cache.pre_activations), default=1.0)
-            if cache.norms.min() > 1e-2 and (activation == "tanh" or margin > 1e-3):
+            if cache.norms.min() > 1e-2:
                 break
         else:
-            raise DegenerateInputError("could not sample a well-conditioned relu instance")
+            raise DegenerateInputError("could not sample a well-conditioned encoder instance")
         upstream = rng.normals(rows, spec.embed_dim)
         grads, d_z0 = encode_backward(cache, upstream)
         d_x = d_z0 @ params.weights[0].T

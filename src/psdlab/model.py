@@ -1,4 +1,4 @@
-"""Small MLP encoders with unit-norm outputs and hand-derived backprop.
+"""Small tanh MLP encoders with unit-norm outputs and hand-derived backprop.
 
 These stand in for large vision/text backbones at desk scale: the training
 mechanics being verified are architecture-agnostic, and exact analytic
@@ -10,14 +10,14 @@ Parameter file format (PSDW, version 1, all little-endian):
     u32          format version (1)
     u32          input_dim
     u32          embed_dim
-    u32          activation (0 = tanh, 1 = relu)
+    u32          activation code (0 = tanh, the only code)
     u32          number of hidden layers H
     u32 * H      hidden layer widths
     f64 * P      parameters in flattening order
 
 Nothing follows, so a load-save round trip is byte-exact. ``errors.Framing``
 checks the framing: magic, version, lengths and header counts (H in
-[0, 2^24], every dimension in [1, 2^24]); the loader checks the activation.
+[0, 2^24], every dimension in [1, 2^24]); the loader checks the activation code.
 
 Flattening order: for each layer in input-to-output order, the weight matrix
 row-major then the bias vector. ``unflatten`` lays the layers over a flat
@@ -36,26 +36,24 @@ from .errors import MAX_COUNT, Framing, InvalidInputError, check_ranges, within
 from .numkit import RngState, as_matrix, unit_rows
 
 _FRAMING = Framing("parameter file", b"PSDW", 1, "IIII")
-_ACTIVATIONS = ("tanh", "relu")
+_TANH = 0  # the PSDW activation code; every hidden layer is tanh
 
 
 @dataclass(frozen=True)
 class EncoderSpec:
-    """Layer layout of one encoder; empty hidden_dims means a linear map."""
+    """Layer layout of one encoder: tanh hidden layers, then a linear output
+    layer; empty hidden_dims means a linear map."""
 
     input_dim: int
     hidden_dims: tuple[int, ...]
     embed_dim: int
-    activation: str = "tanh"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         dims = f"[1, {MAX_COUNT}]"
         check_ranges((within("input_dim", self.input_dim, dims),
                       *(within("hidden_dims", h, dims) for h in self.hidden_dims),
-                      within("embed_dim", self.embed_dim, dims),
-                      ("activation", self.activation, self.activation in _ACTIVATIONS,
-                       f"be one of {_ACTIVATIONS}")))
+                      within("embed_dim", self.embed_dim, dims)))
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -105,7 +103,6 @@ class ForwardCache:
 
     params: ParamSet
     x: np.ndarray
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
     norms: np.ndarray
     embeddings: np.ndarray
@@ -120,12 +117,8 @@ def init_params(spec: EncoderSpec, rng: RngState) -> ParamSet:
     return ParamSet(spec=spec, weights=weights, biases=biases)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.tanh(z) if kind == "tanh" else np.maximum(z, 0.0)
-
-
 def encode(params: ParamSet, x) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass: hidden layers with activation, linear output layer,
+    """Forward pass: tanh hidden layers, linear output layer,
     then row-wise l2 normalization (``unit_rows``, which rejects a row whose
     norm is below 1e-12 or not finite). Output rows have unit norm."""
     spec = params.spec
@@ -134,19 +127,16 @@ def encode(params: ParamSet, x) -> tuple[np.ndarray, ForwardCache]:
         raise InvalidInputError(
             f"input has {x.shape[1]} columns, encoder expects {spec.input_dim}")
     a = x
-    pre_acts, acts = [], []
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w
-        z += b
-        if i < len(params.weights) - 1:
-            pre_acts.append(z)
-            a = _activate(z, spec.activation)
-            acts.append(a)
-        else:
-            pre_norm = z
-    emb, norms = unit_rows(pre_norm)
-    cache = ForwardCache(params=params, x=x, pre_activations=pre_acts,
-                         activations=acts, norms=norms, embeddings=emb)
+    acts = []
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        a = a @ w
+        a += b
+        np.tanh(a, out=a)
+        acts.append(a)
+    z = a @ params.weights[-1]
+    z += params.biases[-1]
+    emb, norms = unit_rows(z)
+    cache = ForwardCache(params=params, x=x, activations=acts, norms=norms, embeddings=emb)
     return emb, cache
 
 
@@ -183,17 +173,13 @@ def encode_backward(cache: ForwardCache, d_emb, out: ParamSet | None = None
         delta.sum(axis=0, out=out.biases[i])
         if i > 0:
             delta = delta @ params.weights[i].T
-            if spec.activation == "tanh":
-                delta *= 1.0 - cache.activations[i - 1] ** 2
-            else:
-                delta *= cache.pre_activations[i - 1] > 0.0
+            delta *= 1.0 - cache.activations[i - 1] ** 2
     return out, delta
 
 
 def save_params(params: ParamSet, path) -> None:
     spec = params.spec
-    _FRAMING.write(path, (spec.input_dim, spec.embed_dim, _ACTIVATIONS.index(spec.activation),
-                          len(spec.hidden_dims)),
+    _FRAMING.write(path, (spec.input_dim, spec.embed_dim, _TANH, len(spec.hidden_dims)),
                    (np.array(spec.hidden_dims, "<u4"), params.flatten().astype("<f8")))
 
 
@@ -201,15 +187,14 @@ def load_params(path) -> ParamSet:
     raw, (input_dim, embed_dim, act_idx, n_hidden) = _FRAMING.read(path)
     _FRAMING.check_counts(path, 1, input_dim=input_dim, embed_dim=embed_dim)
     _FRAMING.check_counts(path, 0, n_hidden=n_hidden)
-    if act_idx >= len(_ACTIVATIONS):
+    if act_idx != _TANH:
         raise InvalidInputError(f"{path}: unknown activation code {act_idx}")
     off = _FRAMING.header.size
     _FRAMING.check_end(raw, path, off + 4 * n_hidden, exact=False)
     hidden = np.frombuffer(raw, "<u4", n_hidden, off)
     _FRAMING.check_counts(path, 1, hidden_dims=hidden)
     off += 4 * n_hidden
-    spec = EncoderSpec(input_dim=input_dim, hidden_dims=hidden,
-                       embed_dim=embed_dim, activation=_ACTIVATIONS[act_idx])
+    spec = EncoderSpec(input_dim=input_dim, hidden_dims=hidden, embed_dim=embed_dim)
     _FRAMING.check_end(raw, path, off + spec.num_params * 8)
     vec = np.frombuffer(raw, dtype="<f8", count=spec.num_params, offset=off).astype(np.float64)
     return ParamSet.unflatten(spec, vec)

@@ -382,10 +382,15 @@ def save_checkpoint(result: TrainResult, out_dir) -> None:
 
 def load_checkpoint(out_dir) -> tuple[ParamSet, ParamSet, TemperatureParam, dict]:
     """Read back both encoders, the temperature, and the run counters
-    ``{seed, steps, epochs}``."""
+    ``{seed, steps, epochs}``; encoders that embed into two dimensions are
+    an InvalidInputError naming ``out_dir``."""
     out = Path(out_dir)
     image_params = load_params(out / "image_encoder.psdw")
     text_params = load_params(out / "text_encoder.psdw")
+    image_dim, text_dim = image_params.spec.embed_dim, text_params.spec.embed_dim
+    if image_dim != text_dim:  # TrainConfig's rule, named by the checkpoint here
+        raise InvalidInputError(f"{out}: both encoders must share the embedding dimension, "
+                                f"got image {image_dim} and text {text_dim}")
     path = out / "trainer_state.psdt"
     raw, (seed, steps, epochs, log_scale) = _STATE_FRAMING.read(path)
     _STATE_FRAMING.check_end(raw, path, _STATE_FRAMING.header.size)

@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -50,3 +51,14 @@ def python_with_blas_threads(code: str, threads: int) -> str:
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     return proc.stdout
+
+
+def save_captionless_pairs(ds, path) -> None:
+    """Write ``ds``'s images to a PSDD file whose header says m = 0 and that
+    holds no caption: a file ``PairedDataset`` cannot build when ``ds`` has
+    images. The layout is the one ``save_pairs`` writes."""
+    header = struct.pack("<4sIIIIII", b"PSDD", 1, ds.num_samples, 0,
+                         ds.image_features.shape[1], ds.text_features.shape[1], ds.num_classes)
+    path.write_bytes(header + ds.image_features.astype("<f8").tobytes()
+                     + ds.class_labels.astype("<u4").tobytes()
+                     + ds.corrupted.astype("<u1").tobytes())

@@ -24,6 +24,8 @@ from psdlab.errors import (
 from psdlab.numkit import RngState
 from psdlab.trainer import load_checkpoint
 
+from conftest import save_captionless_pairs
+
 
 @pytest.fixture
 def pairs_file(tmp_path):
@@ -140,7 +142,7 @@ def no_pool(*args, **kwargs):
 @pytest.mark.parametrize("setting", [
     ["--set", "samples_per_class=16777217"], ["--set", "embed_dim=16777217"],
     ["--set", "alpha_start=2"], ["--set", "temperature_init=0"],
-    ["--set", "target_mode=sideways"], ["--set", "activation=bogus"], ["--seed", "-1"],
+    ["--set", "target_mode=sideways"], ["--seed", "-1"],
     ["--set", "histogram_bins=0"], ["--set", "histogram_bins=65537"],
     ["--set", "probe_l2=-1"], ["--set", "probe_l2=nan"], ["--set", "eval_per_class=0"],
     ["--set", "eval_every=1", "--set", "eval_per_class=-1"], ["--set", "ablate_seeds=0"],
@@ -166,7 +168,7 @@ REJECTED = {
     "num_classes": "1", "latent_dim": "0", "image_dim": "0", "text_dim": "0",
     "samples_per_class": "0", "feature_noise_sigma": "nan", "mismatch_rate": "1.5",
     "captions_per_image": "0", "dataset_path": None,
-    "embed_dim": "0", "image_hidden_dims": "0", "text_hidden_dims": "0", "activation": "bogus",
+    "embed_dim": "0", "image_hidden_dims": "0", "text_hidden_dims": "0",
     "batch_size": "1", "epochs": "0", "seed": "-1", "learning_rate": "0", "warmup_frac": "2",
     "weight_decay": "-1", "beta1": "1", "beta2": "1", "adam_eps": "0", "alpha_start": "2",
     "alpha_end": "-1", "alpha_schedule": "step", "target_mode": "sideways",
@@ -246,7 +248,6 @@ def test_zero_inputs_exit_degenerate_code(tmp_path):
 
 @pytest.mark.parametrize("settings", [
     ["learning_rate=1e3"],                              # the logit scale underflows to 0
-    ["learning_rate=1e3", "activation=relu", "learning_rate=1e300"],
     ["learning_rate=1", "weight_decay=1e300"],          # parameters overflow, scale stays > 0
     ["learning_rate=1", "weight_decay=1e308"],          # finite parameters, the encode overflows
 ])
@@ -341,6 +342,35 @@ def test_zeroed_encoder_header_in_eval_exits_file_format_code(pairs_file, tmp_pa
     assert rc == FileFormatError.exit_code == 5
     assert f"{encoder}: parameter file header field embed_dim must lie in [1, 16777216], got 0" \
         in caplog.text
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_rejects_a_relu_encoder_file(pairs_file, tmp_path, caplog):
+    # Activation code 1 is what a relu encoder wrote before tanh became the
+    # only nonlinearity.
+    ckpt = tmp_path / "ckpt"
+    assert train_on(pairs_file, ckpt) == 0
+    encoder = patched(ckpt / "out" / "checkpoint" / "image_encoder.psdw", 16,
+                      (1).to_bytes(4, "little"))
+    rc = main(["eval", "--quiet", str(ckpt / "out" / "checkpoint"), str(pairs_file),
+               "--out", str(tmp_path / "eval")])
+    assert rc == InvalidInputError.exit_code == 3
+    assert f"{encoder}: unknown activation code 1" in caplog.text
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_rejects_encoders_of_two_embedding_sizes(pairs_file, tmp_path, caplog):
+    # Each encoder file is whole; only together do they contradict, and
+    # the message names the checkpoint before anything is encoded.
+    for dim in (16, 32):
+        assert train_on(pairs_file, tmp_path / str(dim), "--set", f"embed_dim={dim}") == 0
+    ckpt = tmp_path / "16" / "out" / "checkpoint"
+    (ckpt / "text_encoder.psdw").write_bytes(
+        (tmp_path / "32" / "out" / "checkpoint" / "text_encoder.psdw").read_bytes())
+    rc = main(["eval", "--quiet", str(ckpt), str(pairs_file), "--out", str(tmp_path / "eval")])
+    assert rc == InvalidInputError.exit_code == 3
+    assert (f"{ckpt}: both encoders must share the embedding dimension, "
+            f"got image 16 and text 32") in caplog.text
     assert not (tmp_path / "eval").exists()
 
 
@@ -462,8 +492,7 @@ def test_images_without_captions_exit_file_format_code(pairs_file, tmp_path, cap
     assert train_on(pairs_file, ckpt) == 0
     ds = load_pairs(pairs_file)
     path = tmp_path / "captionless.psdd"
-    save_pairs(PairedDataset(ds.image_features, ds.text_features[:0], ds.pairing[:, :0],
-                             ds.class_labels, ds.corrupted), path)
+    save_captionless_pairs(ds, path)
     message = f"{path}: dataset header field m must lie in [1, 16777216], got 0"
     assert train_on(path, tmp_path) == FileFormatError.exit_code == 5
     assert message in caplog.text
@@ -547,6 +576,22 @@ def test_ablate_holdout_past_the_clean_images_exits_invalid_input_code(tmp_path,
     assert rc == InvalidInputError.exit_code == 3
     assert re.search(r"class \d+ has only \d+ uncorrupted images, need 200", caplog.text)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("images, per_class, message", [
+    (np.arange(0), 1, "the dataset has no class to hold images out of"),
+    (np.arange(20), 11, "class 0 has only 10 uncorrupted images, need 11"),
+], ids=["empty", "few_clean"])
+def test_train_names_the_dataset_its_holdout_rejects(images, per_class, message, pairs_file,
+                                                     tmp_path, caplog):
+    # pairs_file holds 10 clean images per class; an empty file loads, but
+    # has no class to carve a holdout from.
+    path = tmp_path / "subset.psdd"
+    save_pairs(take_subset(load_pairs(pairs_file), images), path)
+    rc = train_on(path, tmp_path, "--set", "eval_every=1", "--set", f"eval_per_class={per_class}")
+    assert rc == InvalidInputError.exit_code == 3
+    assert f"{path}: {message}" in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_rejects_recall_cutoff_past_the_holdout_before_a_step(pairs_file, tmp_path):

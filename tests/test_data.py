@@ -19,6 +19,8 @@ from psdlab.data import (
 from psdlab.errors import FileFormatError, InvalidInputError
 from psdlab.numkit import RngState
 
+from conftest import save_captionless_pairs
+
 
 def replay_generator_internals(spec: SyntheticSpec, seed: int):
     """Re-derive the latent structure a generate(spec, RngState(seed)) call
@@ -255,8 +257,7 @@ class TestPairsFile:
         # that takes an image's first caption; without images it is empty.
         ds = generate(small_spec(), RngState(21))
         path = tmp_path / "pairs.psdd"
-        save_pairs(PairedDataset(ds.image_features, ds.text_features[:0], ds.pairing[:, :0],
-                                 ds.class_labels, ds.corrupted), path)
+        save_captionless_pairs(ds, path)
         with pytest.raises(FileFormatError, match=re.escape(
                 f"{path}: dataset header field m must lie in [1, 16777216], got 0")):
             load_pairs(path)
@@ -341,3 +342,16 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             PairedDataset(image_features=ds.image_features, text_features=ds.text_features,
                           pairing=bad, class_labels=ds.class_labels, corrupted=ds.corrupted)
+
+    def test_images_need_a_caption_each(self):
+        # An (n, 0) pairing covers zero caption rows, so the cover check
+        # passes it; without images it is the empty dataset.
+        ds = generate(small_spec(), RngState(21))
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "pairing must be (n, m) with m >= 1 when n > 0, got shape (100, 0)")):
+            PairedDataset(ds.image_features, ds.text_features[:0], ds.pairing[:, :0],
+                          ds.class_labels, ds.corrupted)
+        empty = take_subset(ds, np.arange(0))
+        assert PairedDataset(empty.image_features, empty.text_features,
+                             empty.pairing.reshape(0, 0), empty.class_labels,
+                             empty.corrupted).num_samples == 0

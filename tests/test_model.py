@@ -65,7 +65,7 @@ class TestSpecAndParams:
         with pytest.raises(InvalidInputError):
             EncoderSpec(input_dim=0, hidden_dims=(), embed_dim=4)
         with pytest.raises(InvalidInputError):
-            EncoderSpec(input_dim=3, hidden_dims=(), embed_dim=4, activation="gelu")
+            EncoderSpec(input_dim=3, hidden_dims=(0,), embed_dim=4)
 
 
 class TestEncode:
@@ -137,7 +137,7 @@ class TestEncodeBackward:
         np.testing.assert_allclose(grads.flatten(), 0.0, atol=1e-14)
 
     def test_finite_differences_random_mlp(self, rng):
-        spec = EncoderSpec(input_dim=4, hidden_dims=(5, 3), embed_dim=4, activation="tanh")
+        spec = EncoderSpec(input_dim=4, hidden_dims=(5, 3), embed_dim=4)
         params = init_params(spec, RngState(10))
         x = rng.normals(3, 4)
         upstream = rng.normals(3, 4)
@@ -154,14 +154,11 @@ class TestEncodeBackward:
         numeric = central_difference(probe, np.concatenate([params.flatten(), x.ravel()]))
         assert max_rel_error(analytic, numeric) < 1e-5
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_out_receives_the_gradients(self, activation):
+    def test_out_receives_the_gradients(self):
         # Gradients written through out= into views of one flat buffer equal
         # a fresh ParamSet's bit for bit, and out itself is returned.
-        spec = EncoderSpec(input_dim=4, hidden_dims=(5, 3), embed_dim=3, activation=activation)
+        spec = EncoderSpec(input_dim=4, hidden_dims=(5, 3), embed_dim=3)
         params = init_params(spec, RngState(6))
-        for b in params.biases:
-            b += 0.3  # keeps relu layers away from all-zero rows
         _, cache = encode(params, RngState(7).normals(6, 4))
         upstream = RngState(8).normals(6, 3)
         fresh, d_z0 = encode_backward(cache, upstream)
@@ -195,7 +192,7 @@ class TestEncodeBackward:
 
 class TestParamSerialization:
     def _params(self):
-        spec = EncoderSpec(input_dim=5, hidden_dims=(4,), embed_dim=3, activation="relu")
+        spec = EncoderSpec(input_dim=5, hidden_dims=(4,), embed_dim=3)
         return init_params(spec, RngState(21))
 
     def test_roundtrip(self, tmp_path):
@@ -248,6 +245,17 @@ class TestParamSerialization:
         raw[offset:offset + 4] = value.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         return path
+
+    def test_activation_word_holds_the_tanh_code_alone(self, tmp_path):
+        # Hidden layers are tanh, code 0; code 1 is what a relu encoder
+        # wrote before tanh became the only nonlinearity.
+        path = tmp_path / "enc.psdw"
+        save_params(self._params(), path)
+        assert path.read_bytes()[16:20] == bytes(4)
+        path = self._with_field(tmp_path, 16, 1)
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{path}: unknown activation code 1")):
+            load_params(path)
 
     def test_hidden_width_overflow(self, tmp_path):
         # A width read from the file is a format error; the same width given
