@@ -19,7 +19,8 @@ Each command writes each result once, into ``--out``:
     generate   config.resolved.txt, dataset.psdd (its sha256 is printed)
     train      config.resolved.txt, metrics.jsonl, checkpoint/ (image_encoder.psdw,
                text_encoder.psdw, trainer_state.psdt)
-    eval       config.resolved.txt, report.json (histograms under "similarity")
+    eval       config.resolved.txt, report.json (histograms under "similarity",
+               the linear probe under "linear_probe")
     gradcheck  config.resolved.txt, gradcheck.json
     ablate     config.resolved.txt, ablation.json
 """
@@ -145,8 +146,8 @@ def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     image_params, text_params, temp, _state = load_checkpoint(args.checkpoint)
     ds = load_pairs(args.dataset)
-    check_eval_settings(ds.num_samples, cfg.k_list)
-    try:
+    try:  # every fault of the dataset names the file
+        check_eval_settings(ds.num_samples, cfg.k_list)
         for side, params, features in (("image", image_params, ds.image_features),
                                        ("text", text_params, ds.text_features)):
             if features.shape[1] != params.spec.input_dim:
@@ -154,15 +155,13 @@ def cmd_eval(args) -> int:
                                         f"the {side} encoder expects {params.spec.input_dim}")
         img, txt = encode_pairs(image_params, text_params, ds)
         protos = class_prototypes(text_params, ds)
-        if cfg.probe:
-            test_mask = (np.arange(ds.num_samples) % 5 == 0)
-            probe = linear_probe(img[~test_mask], ds.class_labels[~test_mask],
-                                 img[test_mask], ds.class_labels[test_mask],
-                                 l2=cfg.probe_l2)
+        test_mask = (np.arange(ds.num_samples) % 5 == 0)
+        probe = linear_probe(img[~test_mask], ds.class_labels[~test_mask],
+                             img[test_mask], ds.class_labels[test_mask], l2=cfg.probe_l2)
+        i2t, t2i, stats = score_eval(img, txt, cfg.k_list, cfg.histogram_bins)
+        zs = zero_shot_top1(img, protos, ds.class_labels)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{args.dataset}: {exc}") from exc
-    i2t, t2i, stats = score_eval(img, txt, cfg.k_list, cfg.histogram_bins)
-    zs = zero_shot_top1(img, protos, ds.class_labels)
     report = {
         "checkpoint": str(args.checkpoint),
         "dataset": str(args.dataset),
@@ -172,9 +171,8 @@ def cmd_eval(args) -> int:
         "text_to_image": t2i.to_dict(),
         "zero_shot_top1": zs,
         "similarity": stats.to_dict(),
+        "linear_probe": probe.to_dict(),
     }
-    if cfg.probe:
-        report["linear_probe"] = probe.to_dict()
     out = echo_config(cfg)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                      encoding="utf-8")
@@ -183,8 +181,7 @@ def cmd_eval(args) -> int:
     print("  ".join([f"i2t_r{k}: {i2t.recall_at[k]:.2f}" for k in ks]))
     print(f"t2i_mnr: {t2i.mean_rank:.3f}  i2t_mnr: {i2t.mean_rank:.3f}")
     print(f"zero_shot_top1: {zs:.2f}")
-    if cfg.probe:
-        print(f"linear_probe: {report['linear_probe']['accuracy']:.2f}")
+    print(f"linear_probe: {probe.accuracy:.2f}")
     print(f"report: {out / 'report.json'}")
     return 0
 

@@ -28,15 +28,6 @@ from .model import EncoderSpec
 from .trainer import TrainConfig
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
-
-
 def _parse_int_list(raw: str) -> tuple[int, ...]:
     raw = raw.strip()
     if not raw:
@@ -89,7 +80,6 @@ class ExperimentConfig:
     # evaluation / experiments
     k_list: tuple[int, ...] = (1, 5, 10)  # recall cutoffs
     histogram_bins: int = 50
-    probe: bool = True
     probe_l2: float = PROBE_L2_DEFAULT
     eval_per_class: int = 40          # clean held-out images per class for experiments
     ablate_seeds: int = 10
@@ -112,8 +102,10 @@ class ExperimentConfig:
         """Raise InvalidInputError naming the first key no spec reads that is out of range."""
         check_ranges((("k_list", self.k_list, bool(self.k_list) and min(self.k_list) >= 1,
                        "hold at least one K, each >= 1"),
+                      within("eval_every", self.eval_every, "[0, inf)"),
                       *(within(key, getattr(self, key), interval)
-                        for key, interval in SETTING_RANGES.items())))
+                        for key, interval in SETTING_RANGES.items()),
+                      within("ablate_seeds", self.ablate_seeds, "[1, inf)")))
 
 
 _KEYS = {f.name for f in fields(ExperimentConfig)}
@@ -128,8 +120,6 @@ def set_key(cfg: ExperimentConfig, key: str, raw: str) -> None:
     try:
         if isinstance(default, tuple):
             value: object = _parse_int_list(raw)
-        elif isinstance(default, bool):
-            value = _parse_bool(raw)
         elif isinstance(default, int):
             value = int(raw)
         elif isinstance(default, float):
@@ -163,8 +153,6 @@ def render_config(cfg: ExperimentConfig) -> str:
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
             rendered = ",".join(str(x) for x in value)
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
         elif isinstance(value, float):
             rendered = repr(value)
         else:

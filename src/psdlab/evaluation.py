@@ -54,10 +54,10 @@ SCAN_ENTRIES = 1 << 18  # entries of S per scanned block: 2 MB of float64
 BIN_CHUNK = 1 << 15     # entries binned per pass: its four work arrays, 1 MB, stay in L2
 MAX_BINS = 1 << 16      # the most histogram bins equal_width_counts' margin covers
 EDGE_MARGIN = 2.0 ** -32  # scaled distance from a bin edge below which the edges decide
-# The range of each evaluation key, for ``check_eval_keys`` and for each
-# function that takes the setting as an argument.
-SETTING_RANGES = {"eval_every": "[0, inf)", "histogram_bins": f"[1, {MAX_BINS}]",
-                  "probe_l2": "[0, inf)", "eval_per_class": "[1, inf)", "ablate_seeds": "[1, inf)"}
+# The range of each evaluation setting a function takes as an argument, for
+# that function and for ``check_eval_keys``.
+SETTING_RANGES = {"histogram_bins": f"[1, {MAX_BINS}]", "probe_l2": "[0, inf)",
+                  "eval_per_class": "[1, inf)"}
 
 
 @dataclass(frozen=True)

@@ -221,13 +221,10 @@ class TrainConfig:
                                     "posteriors and give no gradient: set teacher_scale")
 
     def check_data(self, ds: PairedDataset) -> None:
-        """InvalidInputError unless ``ds`` fills a batch and feeds both encoders."""
+        """InvalidInputError unless ``ds`` fills a batch; ``encode`` judges its widths."""
         if ds.num_samples < self.batch_size:
             raise InvalidInputError(f"dataset has {ds.num_samples} rows, "
                                     f"batch size is {self.batch_size}")
-        for side, spec in (("image", self.image_encoder), ("text", self.text_encoder)):
-            if getattr(ds, f"{side}_features").shape[1] != spec.input_dim:
-                raise InvalidInputError(f"{side} encoder input dim does not match the dataset")
 
 
 @dataclass

@@ -104,7 +104,7 @@ def test_eval_report_bytes(tmp_path, monkeypatch):
     ["generate", "--set", "samples_per_class=ten"],
     ["train", "--set", "k_list=1,x"],
     ["generate", "--config", "/nonexistent/psdlab.cfg"],
-    ["ablate", "--set", "probe=maybe"],                  # not a boolean
+    ["ablate", "--set", "ablate_seeds=three"],           # not an integer
     ["eval", "checkpoint", "pairs.psdd", "--set", "probe_l2=small"],
     ["train", "--out", "runs/#3"],                       # would read back as runs/
     ["train", "--dataset", "runs/#3.psdd"],              # would read back as runs/
@@ -173,8 +173,8 @@ REJECTED = {
     "weight_decay": "-1", "beta1": "1", "beta2": "1", "adam_eps": "0", "alpha_start": "2",
     "alpha_end": "-1", "alpha_schedule": "step", "target_mode": "sideways",
     "partition_mode": "sideways", "temperature_init": "0", "teacher_scale": "-1",
-    "eval_every": "-1", "k_list": "0,5", "histogram_bins": "0", "probe": None,
-    "probe_l2": "-1", "eval_per_class": "0", "ablate_seeds": "0", "out_dir": None,
+    "eval_every": "-1", "k_list": "0,5", "histogram_bins": "0", "probe_l2": "-1",
+    "eval_per_class": "0", "ablate_seeds": "0", "out_dir": None,
 }
 
 
@@ -246,18 +246,23 @@ def test_zero_inputs_exit_degenerate_code(tmp_path):
     assert rc == DegenerateInputError.exit_code == 4
 
 
-@pytest.mark.parametrize("settings", [
-    ["learning_rate=1e3"],                              # the logit scale underflows to 0
-    ["learning_rate=1", "weight_decay=1e300"],          # parameters overflow, scale stays > 0
-    ["learning_rate=1", "weight_decay=1e308"],          # finite parameters, the encode overflows
-])
+@pytest.mark.parametrize("settings, route", [
+    # The logit scale underflows to 0; the step's health check stops the run.
+    (["learning_rate=1e3"], "logit scale 0.0, 0 non-finite parameters"),
+    # Parameters and scale overflow; the step's health check stops the run.
+    (["learning_rate=1e200", "weight_decay=1e200"], "logit scale nan, 11457 non-finite parameters"),
+    # Finite parameters, the next step's encode overflows.
+    (["learning_rate=1", "weight_decay=1e308"], "step 1: row 0 has norm inf"),
+], ids=["settings0", "settings1", "settings2"])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_diverged_run_exits_divergence_code(settings, tmp_path, caplog):
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_diverged_run_exits_divergence_code(settings, route, tmp_path, caplog):
     argv = ["train", "--quiet", "--epochs", "2", "--out", str(tmp_path)]
     for setting in settings:
         argv += ["--set", setting]
     assert main(argv) == DivergenceError.exit_code == 6
     assert "training diverged at step" in caplog.text
+    assert route in caplog.text
     # The configuration was written before the first step, beside the
     # partial metrics.
     assert (tmp_path / "config.resolved.txt").is_file() and (tmp_path / "metrics.jsonl").is_file()
@@ -520,6 +525,20 @@ def test_eval_names_the_dataset_the_probe_rejects(images, settings, message, pai
                "--out", str(tmp_path / "eval")])
     assert rc == InvalidInputError.exit_code == 3
     assert f"{path}: {message}" in caplog.text
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("images", [0, 4])
+def test_eval_names_the_dataset_with_fewer_pairs_than_a_k(images, pairs_file, tmp_path, caplog):
+    # The default k_list (1, 5, 10) ranks more pairs than the file holds.
+    ckpt = tmp_path / "ckpt"
+    assert train_on(pairs_file, ckpt) == 0
+    path = tmp_path / "subset.psdd"
+    save_pairs(take_subset(load_pairs(pairs_file), np.arange(images)), path)
+    rc = main(["eval", "--quiet", str(ckpt / "out" / "checkpoint"), str(path),
+               "--out", str(tmp_path / "eval")])
+    assert rc == InvalidInputError.exit_code == 3
+    assert f"{path}: k_list must not exceed the {images} pairs ranked" in caplog.text
     assert not (tmp_path / "eval").exists()
 
 

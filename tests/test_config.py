@@ -20,12 +20,11 @@ from psdlab.trainer import TrainConfig
 
 def edited_config() -> ExperimentConfig:
     """Every value kind away from its default: an empty and a long list,
-    a false bool, floats that need every digit, and strings."""
+    floats that need every digit, and strings."""
     cfg = ExperimentConfig()
     cfg.image_hidden_dims = ()
     cfg.text_hidden_dims = (128, 64, 32)
     cfg.k_list = (1, 3)
-    cfg.probe = False
     cfg.learning_rate = 0.1 + 0.2
     cfg.feature_noise_sigma = 1e-300
     cfg.target_mode = "bootstrap"
@@ -68,8 +67,8 @@ def test_spec_fields_are_config_keys_with_the_same_defaults():
 
 # The keys that evaluate or observe a run, and a valid value of each away
 # from its default.
-EVAL_KEYS = {"eval_every": 3, "k_list": (2,), "histogram_bins": 7, "probe": False,
-             "probe_l2": 0.5, "eval_per_class": 3, "ablate_seeds": 2}
+EVAL_KEYS = {"eval_every": 3, "k_list": (2,), "histogram_bins": 7, "probe_l2": 0.5,
+             "eval_per_class": 3, "ablate_seeds": 2}
 
 
 def test_evaluation_keys_leave_the_train_config_unchanged():
@@ -194,14 +193,7 @@ def test_blank_and_comment_lines_skipped():
     assert parse_config_text(text) == ExperimentConfig(seed=7)
 
 
-@pytest.mark.parametrize("raw, value", [
-    *((raw, True) for raw in ("true", "TRUE", "1", "yes", "Yes", "on", "oN")),
-    *((raw, False) for raw in ("false", "False", "0", "no", "NO", "off", "Off"))])
-def test_bool_key_spellings(raw, value):
-    assert parse_config_text(f"probe = {raw}\n").probe is value
-
-
-@pytest.mark.parametrize("text", ["probe = maybe\n", "epochs = 1.5\n"])
+@pytest.mark.parametrize("text", ["ablate_seeds = three\n", "epochs = 1.5\n"])
 def test_value_of_the_wrong_kind_rejected(text):
     with pytest.raises(ConfigError):
         parse_config_text(text)

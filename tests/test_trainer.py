@@ -110,6 +110,21 @@ def test_bootstrap_targets_need_a_fixed_teacher_scale():
     TrainConfig(image_encoder=encoder, text_encoder=encoder, target_mode="swapped")
 
 
+@pytest.mark.parametrize("side, expects, has", [("image", 11, 12), ("text", 9, 10)])
+def test_data_of_another_width_fails_in_the_first_encode(side, expects, has, tmp_path):
+    # SPEC's data has 12 image and 10 text columns. ``encode`` is the one
+    # judge of the widths: the run stops at step 0, before any update.
+    encoders = {"image_encoder": EncoderSpec(12, (16,), 8),
+                "text_encoder": EncoderSpec(10, (16,), 8)}
+    encoders[f"{side}_encoder"] = EncoderSpec(expects, (16,), 8)
+    metrics = tmp_path / "metrics.jsonl"
+    with pytest.raises(InvalidInputError,
+                       match=f"^input has {has} columns, encoder expects {expects}$"):
+        train(TrainConfig(**encoders, batch_size=32, epochs=1), generate(SPEC, RngState(5)),
+              metrics_path=metrics)
+    assert metrics.read_text(encoding="utf-8") == ""
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         result = small_result()
