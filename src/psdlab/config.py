@@ -5,20 +5,23 @@ ignored. A ``#`` starts a comment anywhere on a line, so ``set_key`` rejects a
 string value that holds one: the resolved configuration, echoed into the
 output directory for provenance, then reads back as the same configuration.
 Every key has a default, unknown keys are rejected, and command line flags
-override file values. ``set_key`` only parses: it turns the text into a
-value of the key's type or raises ConfigError. ``errors.check_ranges``
-judges it, naming the key, by the rows of the spec that ``synthetic_spec``
-or ``train_config`` builds, or of ``check_eval_keys`` for the keys no spec
-reads; only K and the batch size against the data wait for it. The specs own
-the defaults of the keys they share with ``ExperimentConfig``: such a key
-defaults to its spec's attribute of the same name, and the spec takes its
-value back from the key by name alone; other keys default here. A command
-echoes the configuration once it has read and checked every input.
+override file values. A command echoes the configuration once it has read and
+checked every input.
+
+A key that a spec reads is declared once, by the spec: each defaulted field
+of ``SyntheticSpec`` and ``TrainConfig`` is a key of the same name, type and
+default, and ``synthetic_spec`` and ``train_config`` hand the values back by
+name. Only the keys that no spec holds are declared here. ``set_key`` only
+parses: it turns the text into a value of the key's type or raises
+ConfigError. ``errors.check_ranges`` judges it, naming the key, by the rows
+of the spec that owns the key, or of ``check_eval_keys`` for the rest. Only
+the rules that need the data wait for it: ``k_list`` and ``batch_size``
+against its size, and ``eval_per_class`` against its clean-image counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, fields, make_dataclass
 from pathlib import Path
 
 from .data import SyntheticSpec
@@ -38,53 +41,9 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {raw!r}") from exc
 
 
-@dataclass
-class ExperimentConfig:
-    """Flat bag of every experiment knob with its default."""
-
-    # synthetic data
-    num_classes: int = SyntheticSpec.num_classes
-    latent_dim: int = SyntheticSpec.latent_dim
-    image_dim: int = SyntheticSpec.image_dim
-    text_dim: int = SyntheticSpec.text_dim
-    samples_per_class: int = SyntheticSpec.samples_per_class
-    feature_noise_sigma: float = SyntheticSpec.feature_noise_sigma
-    mismatch_rate: float = SyntheticSpec.mismatch_rate
-    captions_per_image: int = SyntheticSpec.captions_per_image
-    dataset_path: str = ""            # nonempty: load this PSDD file instead of generating
-
-    # encoders
-    embed_dim: int = 32
-    image_hidden_dims: tuple[int, ...] = (64,)
-    text_hidden_dims: tuple[int, ...] = (64,)
-
-    # training
-    batch_size: int = TrainConfig.batch_size
-    epochs: int = TrainConfig.epochs
-    seed: int = TrainConfig.seed
-    learning_rate: float = TrainConfig.learning_rate
-    warmup_frac: float = TrainConfig.warmup_frac
-    weight_decay: float = TrainConfig.weight_decay
-    beta1: float = TrainConfig.beta1
-    beta2: float = TrainConfig.beta2
-    adam_eps: float = TrainConfig.adam_eps
-    alpha_start: float = TrainConfig.alpha_start
-    alpha_end: float = TrainConfig.alpha_end
-    alpha_schedule: str = TrainConfig.alpha_schedule
-    target_mode: str = TrainConfig.target_mode
-    partition_mode: str = TrainConfig.partition_mode
-    temperature_init: float = TrainConfig.temperature_init
-    teacher_scale: float = TrainConfig.teacher_scale
-    eval_every: int = 0               # epochs between train's held-out evals, 0 = off
-
-    # evaluation / experiments
-    k_list: tuple[int, ...] = (1, 5, 10)  # recall cutoffs
-    histogram_bins: int = 50
-    probe_l2: float = PROBE_L2_DEFAULT
-    eval_per_class: int = 40          # clean held-out images per class for experiments
-    ablate_seeds: int = 10
-
-    out_dir: str = "out"
+class _Specs:
+    """The specs that ``ExperimentConfig`` builds from its keys, and the
+    check of the keys that no spec reads."""
 
     def synthetic_spec(self) -> SyntheticSpec:
         return SyntheticSpec(**{f.name: getattr(self, f.name) for f in fields(SyntheticSpec)})
@@ -103,9 +62,37 @@ class ExperimentConfig:
         check_ranges((("k_list", self.k_list, bool(self.k_list) and min(self.k_list) >= 1,
                        "hold at least one K, each >= 1"),
                       within("eval_every", self.eval_every, "[0, inf)"),
+                      ("eval_every", self.eval_every, self.eval_every <= max(self.epochs, 0),
+                       f"not exceed epochs = {self.epochs}"),
                       *(within(key, getattr(self, key), interval)
                         for key, interval in SETTING_RANGES.items()),
                       within("ablate_seeds", self.ablate_seeds, "[1, inf)")))
+
+
+def _spec_keys(spec) -> list[tuple[str, str, object]]:
+    """The name, type and default of each defaulted field of ``spec``."""
+    return [(f.name, f.type, f.default) for f in fields(spec) if f.default is not MISSING]
+
+
+ExperimentConfig = make_dataclass("ExperimentConfig", [
+    *_spec_keys(SyntheticSpec),
+    ("dataset_path", "str", ""),      # nonempty: load this PSDD file instead of generating
+    ("embed_dim", "int", 32),
+    ("image_hidden_dims", "tuple[int, ...]", (64,)),
+    ("text_hidden_dims", "tuple[int, ...]", (64,)),
+    *_spec_keys(TrainConfig),
+    # Epochs between train's held-out evals, 0 = off. Above 0, train also
+    # carves the holdout off its training data.
+    ("eval_every", "int", 0),
+    ("k_list", "tuple[int, ...]", (1, 5, 10)),  # recall cutoffs
+    ("histogram_bins", "int", 50),
+    ("probe_l2", "float", PROBE_L2_DEFAULT),
+    ("eval_per_class", "int", 40),    # clean held-out images per class
+    ("ablate_seeds", "int", 10),
+    ("out_dir", "str", "out"),
+], bases=(_Specs,), namespace={
+    "__module__": __name__,
+    "__doc__": "Every experiment knob with its default, in the order render_config writes them."})
 
 
 _KEYS = {f.name for f in fields(ExperimentConfig)}

@@ -44,7 +44,8 @@ LATENT_SPREAD = 0.5
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Knobs for one synthetic paired dataset."""
+    """Knobs for one synthetic paired dataset. A bad value raises
+    InvalidInputError naming its key."""
 
     num_classes: int = 10
     latent_dim: int = 16
@@ -57,10 +58,14 @@ class SyntheticSpec:
 
     def __post_init__(self):
         count = f"[1, {MAX_COUNT}]"
-        check_ranges(within(key, getattr(self, key), interval) for key, interval in (
+        corrupt = self.mismatch_rate * self.num_samples
+        check_ranges((*(within(key, getattr(self, key), interval) for key, interval in (
             ("num_classes", f"[2, {MAX_COUNT}]"), ("latent_dim", count), ("image_dim", count),
             ("text_dim", count), ("samples_per_class", count), ("feature_noise_sigma", "[0, inf)"),
-            ("mismatch_rate", "[0, 1]"), ("captions_per_image", count)))
+            ("mismatch_rate", "[0, 1]"), ("captions_per_image", count))),
+            ("mismatch_rate", self.mismatch_rate, corrupt < 1 or corrupt >= 2,
+             f"corrupt 0 or at least 2 of the {self.num_samples} images (one cannot swap captions "
+             "alone)")))
 
     @property
     def num_samples(self) -> int:
@@ -133,15 +138,13 @@ def generate(spec: SyntheticSpec, rng: RngState) -> PairedDataset:
         7. corruption permutation of 0..n-1
 
     Corruption: the first floor(eta*n) entries of the permutation form the
-    corrupted set; caption groups rotate one position along that list, so
-    every corrupted image owns captions generated for another corrupted image.
+    corrupted set (``SyntheticSpec`` holds their count away from 1); caption
+    groups rotate one position along that list, so every corrupted image owns
+    captions generated for another corrupted image.
     """
     n = spec.num_samples
     m = spec.captions_per_image
     n_corrupt = math.floor(spec.mismatch_rate * n)
-    if n_corrupt == 1:
-        raise InvalidInputError(
-            "floor(eta*n) == 1: a single swap cannot avoid self-pairing; use 0 or >= 2")
 
     means = rng.normals(spec.num_classes, spec.latent_dim)
     proj_image = rng.normals(spec.latent_dim, spec.image_dim) / np.sqrt(spec.latent_dim)

@@ -69,8 +69,8 @@ def split_clean_holdout(ds: PairedDataset, per_class: int) -> tuple[PairedDatase
     for c in range(ds.num_classes):
         clean = np.flatnonzero((ds.class_labels == c) & ~ds.corrupted)
         if clean.size < per_class:
-            raise InvalidInputError(
-                f"class {c} has only {clean.size} uncorrupted images, need {per_class}")
+            raise InvalidInputError(f"class {c} has only {clean.size} uncorrupted images, "
+                                    f"eval_per_class needs {per_class}")
         eval_idx.append(clean[:per_class])
     eval_idx = np.concatenate(eval_idx)
     mask = np.ones(ds.num_samples, dtype=bool)

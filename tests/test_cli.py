@@ -555,17 +555,18 @@ def test_generator_rule_exits_invalid_input_code_before_writing(tmp_path, caplog
     rc = main(["generate", "--quiet", "--set", "samples_per_class=10",
                "--set", "mismatch_rate=0.015", "--out", str(out)])
     assert rc == InvalidInputError.exit_code == 3
-    assert "floor(eta*n) == 1" in caplog.text
+    assert "mismatch_rate must corrupt 0 or at least 2 of the 100 images" in caplog.text
     assert not out.exists()
 
 
 @pytest.mark.parametrize("setting", ["histogram_bins=0", "histogram_bins=65537",
                                      "k_list=1,5,401", "ablate_seeds=0", "ablate_seeds=-1",
-                                     "eval_per_class=-1"])
+                                     "eval_per_class=-1", "mismatch_rate=0.0005"])
 def test_ablate_rejects_eval_settings_before_training(setting, tmp_path, monkeypatch, caplog):
-    # The preset's held-out set is 40 images x 10 classes, and an ablation
-    # needs at least one seed to tabulate; no pool is drawn. The message
-    # names the key and the value given.
+    # The preset's held-out set is 40 images x 10 classes, an ablation needs
+    # at least one seed to tabulate, and floor(0.0005 * 2400) = 1 corrupted
+    # image has no other to swap captions with; no pool is drawn. The
+    # message names the key and the value given.
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     out = tmp_path / "out"
     rc = main(["ablate", "--quiet", "--set", setting, "--out", str(out)])
@@ -593,13 +594,14 @@ def test_ablate_holdout_past_the_clean_images_exits_invalid_input_code(tmp_path,
     out = tmp_path / "out"
     rc = main(["ablate", "--quiet", "--set", "eval_per_class=200", "--out", str(out)])
     assert rc == InvalidInputError.exit_code == 3
-    assert re.search(r"class \d+ has only \d+ uncorrupted images, need 200", caplog.text)
+    assert re.search(r"class \d+ has only \d+ uncorrupted images, eval_per_class needs 200",
+                     caplog.text)
     assert not out.exists()
 
 
 @pytest.mark.parametrize("images, per_class, message", [
     (np.arange(0), 1, "the dataset has no class to hold images out of"),
-    (np.arange(20), 11, "class 0 has only 10 uncorrupted images, need 11"),
+    (np.arange(20), 11, "class 0 has only 10 uncorrupted images, eval_per_class needs 11"),
 ], ids=["empty", "few_clean"])
 def test_train_names_the_dataset_its_holdout_rejects(images, per_class, message, pairs_file,
                                                      tmp_path, caplog):

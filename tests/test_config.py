@@ -1,8 +1,8 @@
-"""The config text format: what ``render_config`` writes,
-``parse_config_text`` reads back as the same configuration. The specs built
-from a config take their fields by name, and the config states none of
-their defaults a second time. No evaluation key reaches the TrainConfig,
-and ``check_eval_keys`` judges each of them."""
+"""The config text format: what ``render_config`` writes, each key in a
+fixed order, ``parse_config_text`` reads back as the same configuration.
+The specs built from a config take their fields by name, and the noise
+preset sets no key to its default. No evaluation key reaches the
+TrainConfig, and ``check_eval_keys`` judges each of them."""
 
 import ast
 import re
@@ -34,12 +34,43 @@ def edited_config() -> ExperimentConfig:
     return cfg
 
 
-@pytest.mark.parametrize("make", [ExperimentConfig, noise_experiment_config, edited_config],
-                         ids=["default", "noise_preset", "edited"])
-def test_render_then_parse_is_identity(make):
+# render_config's lines for ExperimentConfig(), in order: the keys of
+# SyntheticSpec, dataset_path and the encoder keys, the keys of TrainConfig,
+# then the evaluation keys and out_dir.
+DEFAULT_RENDER = (
+    "num_classes = 10", "latent_dim = 16", "image_dim = 64", "text_dim = 48",
+    "samples_per_class = 200", "feature_noise_sigma = 0.05", "mismatch_rate = 0.0",
+    "captions_per_image = 1",
+    "dataset_path = ", "embed_dim = 32", "image_hidden_dims = 64", "text_hidden_dims = 64",
+    "batch_size = 256", "epochs = 10", "seed = 0", "learning_rate = 0.001",
+    "warmup_frac = 0.05", "weight_decay = 0.01", "beta1 = 0.9", "beta2 = 0.999",
+    "adam_eps = 1e-08", "alpha_start = 0.8", "alpha_end = 0.2", "alpha_schedule = cosine",
+    "target_mode = swapped", "partition_mode = dynamic", "temperature_init = 0.07",
+    "teacher_scale = 0.0",
+    "eval_every = 0", "k_list = 1,5,10", "histogram_bins = 50", "probe_l2 = 0.0001",
+    "eval_per_class = 40", "ablate_seeds = 10", "out_dir = out",
+)
+
+
+@pytest.mark.parametrize("make, changed", [
+    (ExperimentConfig, {}),
+    (noise_experiment_config, {
+        "samples_per_class": "240", "feature_noise_sigma": "0.5", "mismatch_rate": "0.25",
+        "epochs": "30", "learning_rate": "0.01", "teacher_scale": "15.0"}),
+    (edited_config, {
+        "feature_noise_sigma": "1e-300", "dataset_path": "data/pairs.psdd",
+        "image_hidden_dims": "", "text_hidden_dims": "128,64,32",
+        "seed": "18446744073709551615", "learning_rate": "0.30000000000000004",
+        "target_mode": "bootstrap", "teacher_scale": "15.0", "k_list": "1,3"}),
+], ids=["default", "noise_preset", "edited"])
+def test_render_then_parse_is_identity(make, changed):
     cfg = make()
     text = render_config(cfg)
     assert parse_config_text(text) == cfg
+    # Reading the text back cannot see the order of the keys, which every
+    # config.resolved.txt keeps.
+    lines = (line.split(" = ") for line in DEFAULT_RENDER)
+    assert text == "".join(f"{key} = {changed.get(key, value)}\n" for key, value in lines)
 
 
 @pytest.mark.parametrize("key", ["out_dir", "dataset_path"])
@@ -86,10 +117,11 @@ def test_evaluation_keys_leave_the_train_config_unchanged():
     ("k_list", (), "k_list must hold at least one K, each >= 1, got ()"),
     ("k_list", (0, 5), "k_list must hold at least one K, each >= 1, got (0, 5)"),
     ("eval_every", -1, "eval_every must lie in [0, inf), got -1"),
+    ("eval_every", 11, "eval_every must not exceed epochs = 10, got 11"),
 ])
 def test_check_eval_keys_rejects_a_bad_setting(name, value, message):
     # The held-out recalls and train's eval cadence take these values from
-    # the config unchecked.
+    # the config unchecked; an eval cadence past the last epoch never evaluates.
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         ExperimentConfig(**{name: value}).check_eval_keys()
 
@@ -104,83 +136,41 @@ def test_shared_keys_take_their_spec_default():
                 assert getattr(ExperimentConfig(), f.name) == f.default, f"{spec.__name__}.{f.name}"
 
 
-SPECS = ("SyntheticSpec", "TrainConfig", "EncoderSpec")
-
-
-def restated_defaults(sources: dict[str, str]) -> list[str]:
-    """Each default of the ``sources`` (file name to source) stated a second
-    time: an ``ExperimentConfig`` field named like a defaulted field of a
-    spec in ``SPECS`` whose default is not that spec's attribute of the same
-    name, as ``ExperimentConfig.field``, and an assignment of
-    ``noise_experiment_config`` that sets a key to its default, as
-    ``noise_experiment_config.key``. A default or an assigned value is read
-    as a literal, a module constant or a ``Class.field`` default."""
-    values, owners, config, assigns = {}, {}, [], []
-    for source in sources.values():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-                values[node.targets[0].id] = node.value
-            if isinstance(node, ast.FunctionDef) and node.name == "noise_experiment_config":
-                assigns += [(n.targets[0].attr, n.value) for n in ast.walk(node)
-                            if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Attribute)]
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and item.value is not None:
-                    values[f"{node.name}.{item.target.id}"] = item.value
-                    if node.name in SPECS:
-                        owners.setdefault(item.target.id, set()).add(node.name)
-                    if node.name == "ExperimentConfig":
-                        config.append((item.target.id, item.value))
-
-    def value_of(node):
-        if isinstance(node, ast.Name):
-            return value_of(values[node.id])
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            return value_of(values[f"{node.value.id}.{node.attr}"])
-        return ast.literal_eval(node)
-
-    found = [f"ExperimentConfig.{name}" for name, default in config
-             if name in owners
-             and not (isinstance(default, ast.Attribute) and default.attr == name
-                      and isinstance(default.value, ast.Name) and default.value.id in owners[name])]
-    found += [f"noise_experiment_config.{key}" for key, value in assigns
-              if value_of(value) == value_of(values[f"ExperimentConfig.{key}"])]
-    return found
+def preset_defaults(source: str) -> list[str]:
+    """Each key that ``noise_experiment_config`` in ``source`` sets to the
+    key's default, as ``noise_experiment_config.key``. An assigned value is
+    read as a literal or a module constant of ``source``, the default from
+    ``ExperimentConfig`` itself."""
+    tree = ast.parse(source)
+    constants = {node.targets[0].id: node.value for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    assigns = [(n.targets[0].attr, n.value) for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "noise_experiment_config"
+               for n in ast.walk(node)
+               if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Attribute)]
+    return [f"noise_experiment_config.{key}" for key, value in assigns
+            if ast.literal_eval(constants.get(getattr(value, "id", None), value))
+            == getattr(ExperimentConfig, key)]
 
 
 def test_scan_finds_a_restated_default():
-    sources = {"spec.py": ("LR = 1e-3\n"
-                           "class TrainConfig:\n"
-                           "    encoder: int\n"
-                           "    epochs: int = 10\n"
-                           "    lr: float = LR\n"
-                           "class EncoderSpec:\n"
-                           "    width: int = 64\n"),
-               "config.py": ("class ExperimentConfig:\n"
-                             "    encoder: int = 3\n"              # no spec default to take
-                             "    epochs: int = TrainConfig.epochs\n"
-                             "    lr: float = LR\n"                # restated through a constant
-                             "    width: int = TrainConfig.width\n"  # not the owner's
-                             "    bins: int = 50\n"
-                             "def noise_experiment_config():\n"
-                             "    cfg = ExperimentConfig()\n"
-                             "    cfg.epochs = 30\n"
-                             "    cfg.bins = 50\n"
-                             "    cfg.lr = 0.001\n"
-                             "    return cfg\n")}
-    assert restated_defaults(sources) == [
-        "ExperimentConfig.lr", "ExperimentConfig.width",
-        "noise_experiment_config.bins", "noise_experiment_config.lr"]
+    source = ("BINS = 50\n"
+              "def noise_experiment_config():\n"
+              "    cfg = ExperimentConfig()\n"
+              "    cfg.epochs = 30\n"
+              "    cfg.histogram_bins = BINS\n"       # restated through a constant
+              "    cfg.learning_rate = 0.001\n"
+              "    cfg.k_list = (1, 5)\n"
+              "    return cfg\n")
+    assert preset_defaults(source) == ["noise_experiment_config.histogram_bins",
+                                       "noise_experiment_config.learning_rate"]
 
 
 def test_each_default_is_stated_once():
-    # A default restated in ExperimentConfig can drift from its spec's, and
-    # a preset that sets a default hides which keys it changes.
+    # A preset that sets a default hides which keys it changes.
     package = Path(__file__).resolve().parent.parent / "src/psdlab"
-    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
-    assert restated_defaults(sources) == []
+    assert [key for path in sorted(package.glob("*.py"))
+            for key in preset_defaults(path.read_text(encoding="utf-8"))] == []
 
 
 def test_line_without_equals_names_its_line():

@@ -54,9 +54,9 @@ class TestGenerate:
         assert int(ds.corrupted.sum()) == 50
 
     def test_single_swap_rejected(self):
-        spec = small_spec(num_classes=2, samples_per_class=5, mismatch_rate=0.1)
-        with pytest.raises(InvalidInputError):
-            generate(spec, RngState(3))  # floor(0.1 * 10) == 1
+        # floor(0.1 * 10) == 1: the spec names the key before any draw.
+        with pytest.raises(InvalidInputError, match="mismatch_rate must corrupt 0 or at least 2"):
+            small_spec(num_classes=2, samples_per_class=5, mismatch_rate=0.1)
 
     def test_corrupted_pairs_are_cross_image(self):
         ds = generate(small_spec(mismatch_rate=0.3), RngState(4))

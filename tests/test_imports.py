@@ -146,11 +146,6 @@ def test_training_core_imports_nothing_above_it():
     assert layering_breaches(sources(PACKAGE)) == []
 
 
-# Dataclasses whose fields are read through ``fields()`` and ``getattr``
-# only, which no static scan can follow.
-FIELDS_READ_BY_NAME = {"ExperimentConfig"}
-
-
 def is_dataclass(node: ast.ClassDef) -> bool:
     return any(isinstance(d, ast.Name) and d.id == "dataclass"
                or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
@@ -164,8 +159,7 @@ def unread_definitions(package: dict[str, str], others: dict[str, str]) -> list[
     the definition itself, as ``file:name`` or ``file:Class.name``. A
     function, class or method is named by a read name or an attribute; a
     field by an attribute or a keyword argument. The names an ``__all__``
-    lists are strings, not reads. Dunders are exempt: Python calls them. So
-    are the fields of ``FIELDS_READ_BY_NAME``."""
+    lists are strings, not reads. Dunders are exempt: Python calls them."""
     by_name, by_member = {"name", "attr"}, {"attr", "keyword"}
     defined, named = [], []
     for path, source in {**package, **others}.items():
@@ -189,7 +183,7 @@ def unread_definitions(package: dict[str, str], others: dict[str, str]) -> list[
                              item.end_lineno, by_name) for item in node.body
                             if isinstance(item, functions)
                             and not (item.name.startswith("__") and item.name.endswith("__"))]
-                if is_dataclass(node) and node.name not in FIELDS_READ_BY_NAME:
+                if is_dataclass(node):
                     defined += [(path, f"{node.name}.{item.target.id}", item.target.id,
                                  item.lineno, item.end_lineno, by_member) for item in node.body
                                 if isinstance(item, ast.AnnAssign)
@@ -253,16 +247,13 @@ def test_scan_finds_an_unread_dataclass_field():
                         "    depth: int = 1\n"
                         "    label: str = ''\n"
                         "    spare: int = 0\n"
-                        "@dataclass\n"
-                        "class ExperimentConfig:\n"
-                        "    knob: int = 0\n"
                         "class Plain:\n"
                         "    size: int = 0\n"
                         "def build(label):\n"
                         "    return Spec(width=label).depth + Plain.size\n"
-                        "print(build, ExperimentConfig)\n")}
+                        "print(build)\n")}
     bench = {"run.py": "from a import Spec\nprint(Spec(2, label='x'))\n"}
-    # `label` is read as a name only, and `knob` through fields() alone.
+    # `label` is read as a name only.
     assert unread_definitions(package, {}) == ["a.py:Spec.label", "a.py:Spec.spare"]
     assert unread_definitions(package, bench) == ["a.py:Spec.spare"]
 
