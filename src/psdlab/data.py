@@ -21,8 +21,10 @@ Dataset file format (PSDD, version 1, all little-endian):
 
 A file holds exactly these bytes, so loading and saving it again gives the
 same bytes. ``errors.Framing`` checks the framing: magic, version, lengths
-and header counts in [0, 2^24], m at least 1 when n is not 0; the loader
-checks K and the flag bytes.
+and header counts in [0, 2^24], m at least 1 when n is not 0. The loader
+checks the content: K, the flag bytes, and what ``PairedDataset`` checks
+(finite features, a pairing that holds each caption row once); every
+content fault names the file.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import MAX_COUNT, Framing, InvalidInputError, check_ranges, within
 from .numkit import RNG_CHUNK, RngState, as_matrix
 
-_FRAMING = Framing("dataset", b"PSDD", 1, "IIIII")
+_FRAMING = Framing("dataset", b"PSDD", 1, "IIIII", ("<f8", "<f8", "<u4", "<u4", "<u1"))
 
 # Latent geometry constants: class means are standard Gaussian, instances
 # spread around them at this scale. Feature noise is the spec'd sigma knob.
@@ -198,9 +200,8 @@ def save_pairs(ds: PairedDataset, path) -> str:
     """Write ``ds`` to ``path`` as a PSDD file; return the file's hex sha256."""
     header = (ds.num_samples, ds.captions_per_image, ds.image_features.shape[1],
               ds.text_features.shape[1], ds.num_classes)
-    columns = ((ds.image_features, "<f8"), (ds.text_features, "<f8"), (ds.pairing, "<u4"),
-               (ds.class_labels, "<u4"), (ds.corrupted, "<u1"))
-    return _FRAMING.write(path, header, [np.ascontiguousarray(a, dtype) for a, dtype in columns])
+    return _FRAMING.write(path, header, (ds.image_features, ds.text_features, ds.pairing,
+                                         ds.class_labels, ds.corrupted))
 
 
 def load_pairs(path) -> PairedDataset:
@@ -208,27 +209,20 @@ def load_pairs(path) -> PairedDataset:
     _FRAMING.check_counts(path, 0, n=n, m=m, image_dim=image_dim, text_dim=text_dim,
                           num_classes=num_classes)
     _FRAMING.check_counts(path, min(n, 1), m=m)  # every image owns a caption
-    sizes = (n * image_dim * 8, n * m * text_dim * 8, n * m * 4, n * 4, n)
-    off = _FRAMING.header.size
-    _FRAMING.check_end(raw, path, off + sum(sizes))
-    image_features = np.frombuffer(raw, "<f8", n * image_dim, off).reshape(n, image_dim)
-    off += sizes[0]
-    text_features = np.frombuffer(raw, "<f8", n * m * text_dim, off).reshape(n * m, text_dim)
-    off += sizes[1]
-    pairing = np.frombuffer(raw, "<u4", n * m, off).astype(np.int64).reshape(n, m)
-    off += sizes[2]
-    labels = np.frombuffer(raw, "<u4", n, off).astype(np.int64)
-    classes = int(labels.max()) + 1 if n else 0
-    if classes > num_classes:
-        raise InvalidInputError(
-            f"{path}: class label {classes - 1} outside the header's {num_classes} classes")
-    if classes < num_classes:
-        raise InvalidInputError(
-            f"{path}: header promises {num_classes} classes, labels use {classes}")
-    off += sizes[3]
-    flags = np.frombuffer(raw, "<u1", n, off)
-    if n and flags.max() > 1:
-        raise InvalidInputError(f"{path}: corrupted flag byte {flags.max()}, expected 0 or 1")
-    corrupted = flags.astype(bool)
-    return PairedDataset(image_features=image_features, text_features=text_features,
-                         pairing=pairing, class_labels=labels, corrupted=corrupted)
+    image_features, text_features, pairing, labels, flags = _FRAMING.payload(
+        raw, path, (n * image_dim, n * m * text_dim, n * m, n, n))
+    try:  # every fault of the content names the file
+        classes = int(labels.max()) + 1 if n else 0
+        if classes > num_classes:
+            raise InvalidInputError(
+                f"class label {classes - 1} outside the header's {num_classes} classes")
+        if classes < num_classes:
+            raise InvalidInputError(f"header promises {num_classes} classes, labels use {classes}")
+        if n and flags.max() > 1:
+            raise InvalidInputError(f"corrupted flag byte {flags.max()}, expected 0 or 1")
+        return PairedDataset(image_features=image_features.reshape(n, image_dim),
+                             text_features=text_features.reshape(n * m, text_dim),
+                             pairing=pairing.reshape(n, m), class_labels=labels,
+                             corrupted=flags)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc

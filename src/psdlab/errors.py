@@ -7,13 +7,15 @@ pickle with their message and attributes intact, so one raised in an
 ablation worker reaches the CLI as it was raised. ``check_ranges`` judges
 every value held to a range or a set of choices, naming its key.
 
-The framing of the binary formats (PSDD, PSDW, PSDT) is four magic bytes, a
-u32 version, the rest of a fixed header, and a payload that ends the file.
-One ``Framing`` per format writes and checks it, header counts included, and
-alone raises ``FileFormatError``; each format checks only its content.
+A binary format (PSDD, PSDW, PSDT) is four magic bytes, a u32 version, the
+rest of a fixed header, and payload columns that end the file. Each is
+declared once, as a ``Framing``, which alone writes, measures and slices its
+files and raises ``FileFormatError``; a loader judges only the content, and
+names the file in every fault it finds there.
 """
 
 import hashlib
+import itertools
 import os
 import struct
 
@@ -91,21 +93,24 @@ def within(key: str, value, interval: str) -> tuple:
 
 
 class Framing:
-    """One binary format's frame: its magic, its version and the struct codes
-    of its fixed header's fields after those two, all little-endian. ``name``
-    says in messages which kind of file failed."""
+    """One binary format, declared once: its magic, its version, the struct
+    codes of its fixed header's fields after those two, and the dtypes of its
+    payload's columns in file order, all little-endian. ``name`` says in
+    messages which kind of file failed."""
 
-    def __init__(self, name: str, magic: bytes, version: int, fields: str):
+    def __init__(self, name: str, magic: bytes, version: int, fields: str, columns=()):
         self.name, self.magic, self.version = name, magic, version
         self.header = struct.Struct("<4sI" + fields)
+        self.columns = tuple(np.dtype(c) for c in columns)
 
-    def write(self, path, fields: tuple, parts=()) -> str:
-        """Write the header holding ``fields``, then each part, bytes or a
-        C-contiguous array, and return the hex sha256 of the bytes written,
-        hashed as they are written."""
+    def write(self, path, fields: tuple, columns=()) -> str:
+        """Write the header holding ``fields``, then each of ``columns``, an
+        array cast to its column's dtype and laid out in C order, and return
+        the hex sha256 of the bytes written, hashed as they are written."""
+        blocks = (np.ascontiguousarray(a, t) for a, t in zip(columns, self.columns, strict=True))
         digest = hashlib.sha256()
         with open(path, "wb") as f:
-            for block in (self.header.pack(self.magic, self.version, *fields), *parts):
+            for block in (self.header.pack(self.magic, self.version, *fields), *blocks):
                 digest.update(block)
                 f.write(block)
         return digest.hexdigest()
@@ -116,7 +121,7 @@ class Framing:
         belongs to the version), then the header's length.
 
         The bytes are read once into a writable buffer placed so that the
-        payload starts 8-byte aligned: a format's arrays can be views into
+        payload starts 8-byte aligned: ``payload``'s columns are views into
         it, never a second copy of the file."""
         with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
@@ -145,13 +150,18 @@ class Framing:
                 raise FileFormatError(f"{path}: {self.name} header field {field} must lie in "
                                       f"[{least}, {MAX_COUNT}], got {int(bad[0])}")
 
-    def check_end(self, raw: memoryview, path, end: int, exact: bool = True) -> None:
-        """FileFormatError unless ``raw`` reaches ``end``, the offset past
-        what the header promises, and (``exact``) ends there."""
-        size = self.header.size
+    def payload(self, raw: memoryview, path, counts=(), exact: bool = True) -> list[np.ndarray]:
+        """The first ``len(counts)`` columns of ``raw`` from ``read``, each as a
+        flat view of its count of items, or FileFormatError unless ``raw``
+        holds them all and (``exact``) ends there."""
+        sizes = [count * dtype.itemsize for count, dtype in zip(counts, self.columns)]
+        offsets = list(itertools.accumulate(sizes, initial=self.header.size))
+        start, end = offsets[0], offsets[-1]
         if len(raw) < end:
-            raise FileFormatError(f"{path}: {self.name} payload holds {len(raw) - size} "
-                                  f"bytes, header promises {end - size}")
+            raise FileFormatError(f"{path}: {self.name} payload holds {len(raw) - start} "
+                                  f"bytes, header promises {end - start}")
         if exact and len(raw) > end:
             raise FileFormatError(
                 f"{path}: {len(raw) - end} bytes follow the payload of the {self.name}")
+        return [np.frombuffer(raw, dtype, count, offset)
+                for count, dtype, offset in zip(counts, self.columns, offsets)]

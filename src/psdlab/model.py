@@ -17,7 +17,9 @@ Parameter file format (PSDW, version 1, all little-endian):
 
 Nothing follows, so a load-save round trip is byte-exact. ``errors.Framing``
 checks the framing: magic, version, lengths and header counts (H in
-[0, 2^24], every dimension in [1, 2^24]); the loader checks the activation code.
+[0, 2^24], every dimension in [1, 2^24]). The loader checks the content, the
+activation code and that every parameter is finite; every content fault
+names the file.
 
 Flattening order: for each layer in input-to-output order, the weight matrix
 row-major then the bias vector. ``unflatten`` lays the layers over a flat
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import MAX_COUNT, Framing, InvalidInputError, check_ranges, within
 from .numkit import RngState, as_matrix, unit_rows
 
-_FRAMING = Framing("parameter file", b"PSDW", 1, "IIII")
+_FRAMING = Framing("parameter file", b"PSDW", 1, "IIII", ("<u4", "<f8"))
 _TANH = 0  # the PSDW activation code; every hidden layer is tanh
 
 
@@ -180,7 +182,7 @@ def encode_backward(cache: ForwardCache, d_emb, out: ParamSet | None = None
 def save_params(params: ParamSet, path) -> None:
     spec = params.spec
     _FRAMING.write(path, (spec.input_dim, spec.embed_dim, _TANH, len(spec.hidden_dims)),
-                   (np.array(spec.hidden_dims, "<u4"), params.flatten().astype("<f8")))
+                   (spec.hidden_dims, params.flatten()))
 
 
 def load_params(path) -> ParamSet:
@@ -189,12 +191,11 @@ def load_params(path) -> ParamSet:
     _FRAMING.check_counts(path, 0, n_hidden=n_hidden)
     if act_idx != _TANH:
         raise InvalidInputError(f"{path}: unknown activation code {act_idx}")
-    off = _FRAMING.header.size
-    _FRAMING.check_end(raw, path, off + 4 * n_hidden, exact=False)
-    hidden = np.frombuffer(raw, "<u4", n_hidden, off)
+    hidden, = _FRAMING.payload(raw, path, (n_hidden,), exact=False)
     _FRAMING.check_counts(path, 1, hidden_dims=hidden)
-    off += 4 * n_hidden
     spec = EncoderSpec(input_dim=input_dim, hidden_dims=hidden, embed_dim=embed_dim)
-    _FRAMING.check_end(raw, path, off + spec.num_params * 8)
-    vec = np.frombuffer(raw, dtype="<f8", count=spec.num_params, offset=off).astype(np.float64)
-    return ParamSet.unflatten(spec, vec)
+    _, vec = _FRAMING.payload(raw, path, (n_hidden, spec.num_params))
+    bad = int((~np.isfinite(vec)).sum())
+    if bad:  # training stops before it could write one
+        raise InvalidInputError(f"{path}: {bad} of {vec.size} parameters are not finite")
+    return ParamSet.unflatten(spec, vec.astype(np.float64))  # aligned: odd H puts vec 4 bytes off

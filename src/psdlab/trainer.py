@@ -17,7 +17,9 @@ Trainer state file format (PSDT, version 2, little-endian):
     f64         temperature log-scale
 
 Nothing follows, so a load-save round trip is byte-exact. ``errors.Framing``
-checks the framing: magic, version (before any length), and the length.
+checks the framing: magic, version (before any length), and the length. The
+loader holds the content to what training can write, a log-scale that is
+finite and at most log(MAX_LOGIT_SCALE), and a fault names the file.
 
 Optimizer moments are not stored: there is no resume path, and evaluation
 reads only the encoders and the temperature. Version 1 stored them after
@@ -390,6 +392,8 @@ def load_checkpoint(out_dir) -> tuple[ParamSet, ParamSet, TemperatureParam, dict
                                 f"got image {image_dim} and text {text_dim}")
     path = out / "trainer_state.psdt"
     raw, (seed, steps, epochs, log_scale) = _STATE_FRAMING.read(path)
-    _STATE_FRAMING.check_end(raw, path, _STATE_FRAMING.header.size)
+    _STATE_FRAMING.payload(raw, path)
+    check_ranges([within(f"{path}: temperature log-scale", log_scale,
+                         f"(-inf, {math.log(MAX_LOGIT_SCALE)!r}]")])
     state = {"seed": seed, "steps": steps, "epochs": epochs}
     return image_params, text_params, TemperatureParam(log_scale=log_scale), state

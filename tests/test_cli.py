@@ -21,7 +21,9 @@ from psdlab.errors import (
     FileFormatError,
     InvalidInputError,
 )
+from psdlab.model import load_params
 from psdlab.numkit import RngState
+from psdlab.objective import MAX_LOGIT_SCALE
 from psdlab.trainer import load_checkpoint
 
 from conftest import save_captionless_pairs
@@ -364,6 +366,44 @@ def test_eval_rejects_a_relu_encoder_file(pairs_file, tmp_path, caplog):
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_eval_rejects_an_encoder_file_with_a_non_finite_parameter(value, pairs_file, tmp_path,
+                                                                  caplog):
+    # Training never writes one: its per-step health check stops the run.
+    ckpt = tmp_path / "ckpt"
+    assert train_on(pairs_file, ckpt) == 0
+    encoder = ckpt / "out" / "checkpoint" / "text_encoder.psdw"
+    count = load_params(encoder).spec.num_params
+    patched(encoder, encoder.stat().st_size - 8, np.float64(value).tobytes())
+    rc = main(["eval", "--quiet", str(ckpt / "out" / "checkpoint"), str(pairs_file),
+               "--out", str(tmp_path / "eval")])
+    assert rc == InvalidInputError.exit_code == 3
+    assert caplog.records[-1].getMessage() == \
+        f"{encoder}: 1 of {count} parameters are not finite"
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("log_scale", [
+    math.nan, math.inf, 1000.0, math.nextafter(math.log(MAX_LOGIT_SCALE), math.inf),
+], ids=["nan", "inf", "1000", "past_the_clamp"])
+def test_eval_rejects_a_log_scale_training_cannot_write(log_scale, pairs_file, tmp_path,
+                                                        caplog):
+    # Training clamps the log-scale at log(MAX_LOGIT_SCALE). A NaN one used
+    # to write "temperature_scale": NaN into report.json, which is not JSON,
+    # and 1000 overflowed in the scale's exp with a traceback.
+    ckpt = tmp_path / "ckpt"
+    assert train_on(pairs_file, ckpt) == 0
+    state = patched(ckpt / "out" / "checkpoint" / "trainer_state.psdt", 32,
+                    np.float64(log_scale).tobytes())  # after the 4s I Q Q Q header fields
+    rc = main(["eval", "--quiet", str(ckpt / "out" / "checkpoint"), str(pairs_file),
+               "--out", str(tmp_path / "eval")])
+    assert rc == InvalidInputError.exit_code == 3
+    assert caplog.records[-1].getMessage() == (
+        f"{state}: temperature log-scale must lie in (-inf, {math.log(MAX_LOGIT_SCALE)!r}], "
+        f"got {log_scale!r}")
+    assert not (tmp_path / "eval").exists()
+
+
 def test_eval_rejects_encoders_of_two_embedding_sizes(pairs_file, tmp_path, caplog):
     # Each encoder file is whole; only together do they contradict, and
     # the message names the checkpoint before anything is encoded.
@@ -405,15 +445,24 @@ def test_truncated_file_in_eval_exits_file_format_code(pairs_file, tmp_path, cap
     assert not (tmp_path / "eval").exists()
 
 
+# pairs_file's first image feature, and its second pairing entry: the
+# header is 28 bytes, then 20 x 4 image and 20 x 4 text features.
+NAN_FEATURE = (28, np.float64(np.nan).tobytes(), "image features contains NaN or Inf")
+TWICE_OWNED = (1312, (0).to_bytes(4, "little"),
+               "pairing must cover every caption row exactly once")
+
+
 @pytest.mark.parametrize("offset, data, message", [
     (24, (1).to_bytes(4, "little"), "outside the header's 1 classes"),
     (-1, b"\x07", "flag byte 7"),
     (24, (3).to_bytes(4, "little"), "header promises 3 classes, labels use 2"),
+    NAN_FEATURE,
+    TWICE_OWNED,
 ])
 def test_contradictory_payload_in_eval_exits_invalid_input_code(pairs_file, tmp_path, caplog,
                                                                 offset, data, message):
-    # A header class count below or above the labels', or a corrupted flag
-    # byte past 1.
+    # A header class count below or above the labels', a corrupted flag
+    # byte past 1, a NaN feature, or caption row 0 owned by images 0 and 1.
     ckpt = tmp_path / "ckpt"
     assert main(["train", "--quiet", "--set", "samples_per_class=30", "--set", "batch_size=64",
                  "--epochs", "1", "--out", str(ckpt)]) == 0
@@ -421,8 +470,16 @@ def test_contradictory_payload_in_eval_exits_invalid_input_code(pairs_file, tmp_
     rc = main(["eval", "--quiet", str(ckpt / "checkpoint"), str(path),
                "--out", str(tmp_path / "eval")])
     assert rc == InvalidInputError.exit_code == 3
-    assert message in caplog.text
+    logged = caplog.records[-1].getMessage()
+    assert message in logged and logged.startswith(f"{path}: ") and logged.count(str(path)) == 1
     assert not (tmp_path / "eval").exists()
+
+
+def test_train_names_the_dataset_whose_content_is_faulty(pairs_file, tmp_path, caplog):
+    path = patched(pairs_file, *NAN_FEATURE[:2])
+    assert train_on(path, tmp_path) == InvalidInputError.exit_code == 3
+    assert caplog.records[-1].getMessage() == f"{path}: {NAN_FEATURE[2]}"
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_file_exits_one(tmp_path):

@@ -1,9 +1,9 @@
 """The three binary formats (PSDD datasets, PSDW encoder parameters, PSDT
 trainer states) share one framing reader: each of five faults fails each
 loader with a ``FileFormatError`` whose message names the file, the format
-and the fault, the version before any length. A scan keeps the framing
-checks from being forked again: no module of the package but ``errors.py``
-raises ``FileFormatError``."""
+and the fault, the version before any length. Two scans keep the framing
+from being forked again: no module of the package but ``errors.py`` raises
+``FileFormatError`` or slices a payload with ``np.frombuffer``."""
 
 import ast
 import re
@@ -134,4 +134,28 @@ def test_scan_finds_a_forked_framing_check():
 def test_each_framing_fault_is_raised_at_one_site():
     # The one site is errors.Framing: no loader raises a file fault itself.
     sites = file_fault_raises({p.name: p.read_text(encoding="utf-8") for p in PACKAGE})
+    assert sites and all(site.startswith("errors.py:") for site in sites), sites
+
+
+def payload_slices(sources: dict[str, str]) -> list[str]:
+    """The calls of ``frombuffer`` in the ``sources`` (file name to source),
+    as ``file:line``."""
+    return [f"{path}:{node.lineno}" for path, source in sources.items()
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "frombuffer"]
+
+
+def test_scan_finds_a_forked_payload_slice():
+    # load_pairs with its own offset arithmetic planted back, as it once had.
+    source = (ROOT / "src/psdlab/data.py").read_text(encoding="utf-8")
+    loader = "def load_pairs(path) -> PairedDataset:\n"
+    line = source[:source.index(loader)].count("\n") + 2
+    planted = source.replace(loader, loader + "    labels = np.frombuffer(raw, '<u4', n, off)\n"
+                                               "    flags = frombuffer(raw, '<u1', n, off + n)\n")
+    assert payload_slices({"data.py": planted}) == [f"data.py:{line}", f"data.py:{line + 1}"]
+
+
+def test_each_payload_is_sliced_at_one_site():
+    # The one site is errors.Framing.payload: no loader computes an offset.
+    sites = payload_slices({p.name: p.read_text(encoding="utf-8") for p in PACKAGE})
     assert sites and all(site.startswith("errors.py:") for site in sites), sites

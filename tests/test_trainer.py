@@ -21,6 +21,7 @@ from psdlab.data import SyntheticSpec, generate, save_pairs
 from psdlab.errors import FileFormatError, InvalidInputError
 from psdlab.model import EncoderSpec
 from psdlab.numkit import RngState
+from psdlab.objective import TemperatureParam, clamp_scale
 from psdlab.trainer import (
     SCHEDULE_KINDS,
     AlphaSchedule,
@@ -137,6 +138,13 @@ class TestCheckpoint:
         assert np.float64(temp.log_scale).tobytes() == \
             np.float64(result.temperature.log_scale).tobytes()
         assert state == {"seed": 9, "steps": len(result.step_records()), "epochs": 3}
+
+    def test_log_scale_at_the_clamp_loads(self, tmp_path):
+        # The largest log-scale training writes is the bound load_checkpoint holds.
+        result = small_result(epochs=1)
+        result.temperature = clamp_scale(TemperatureParam(log_scale=10.0))
+        save_checkpoint(result, tmp_path)
+        assert load_checkpoint(tmp_path)[2] == result.temperature
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda raw: b"XXXX" + raw[4:], "not a trainer state, expected magic"),
