@@ -1,9 +1,10 @@
 """Plain-text experiment configuration.
 
 Format: one ``key = value`` pair per line; blank lines and ``#`` comments are
-ignored. A ``#`` starts a comment anywhere on a line, so ``set_key`` rejects a
-string value that holds one: the resolved configuration, echoed into the
-output directory for provenance, then reads back as the same configuration.
+ignored. A ``#`` starts a comment anywhere on a line, and every break that
+``str.splitlines`` splits on ends one, so ``set_key`` rejects a string value
+that holds either: the resolved configuration, echoed into the output
+directory for provenance, then reads back as the same configuration.
 Every key has a default, unknown keys are rejected, and command line flags
 override file values. A command echoes the configuration once it has read and
 checked every input.
@@ -11,7 +12,8 @@ checked every input.
 A key that a spec reads is declared once, by the spec: each defaulted field
 of ``SyntheticSpec`` and ``TrainConfig`` is a key of the same name, type and
 default, and ``synthetic_spec`` and ``train_config`` hand the values back by
-name. Only the keys that no spec holds are declared here. ``set_key`` only
+name. A ``ClassVar`` of a spec is a constant, not a field, so it is no key.
+Only the keys that no spec holds are declared here. ``set_key`` only
 parses: it turns the text into a value of the key's type or raises
 ConfigError. ``errors.check_ranges`` judges it, naming the key, by the rows
 of the spec that owns the key, or of ``check_eval_keys`` for the rest. Only
@@ -114,6 +116,8 @@ def set_key(cfg: ExperimentConfig, key: str, raw: str) -> None:
         else:
             if "#" in raw:
                 raise ConfigError(f"{key} cannot hold '#', which starts a comment: {raw!r}")
+            if len(raw.splitlines()) > 1:
+                raise ConfigError(f"{key} cannot hold a line break: {raw!r}")
             value = raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc

@@ -61,10 +61,14 @@ class SyntheticSpec:
     def __post_init__(self):
         count = f"[1, {MAX_COUNT}]"
         corrupt = self.mismatch_rate * self.num_samples
+        # No normal the stream draws exceeds sqrt(-2 ln 2^-53) ~ 8.57 in size,
+        # so noise at sigma <= 1e307 stays under 8.6e307 and every feature
+        # finite (the largest double is 1.8e308).
         check_ranges((*(within(key, getattr(self, key), interval) for key, interval in (
             ("num_classes", f"[2, {MAX_COUNT}]"), ("latent_dim", count), ("image_dim", count),
-            ("text_dim", count), ("samples_per_class", count), ("feature_noise_sigma", "[0, inf)"),
-            ("mismatch_rate", "[0, 1]"), ("captions_per_image", count))),
+            ("text_dim", count), ("samples_per_class", count),
+            ("feature_noise_sigma", "[0, 1e307]"), ("mismatch_rate", "[0, 1]"),
+            ("captions_per_image", count))),
             ("mismatch_rate", self.mismatch_rate, corrupt < 1 or corrupt >= 2,
              f"corrupt 0 or at least 2 of the {self.num_samples} images (one cannot swap captions "
              "alone)")))

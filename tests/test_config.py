@@ -6,10 +6,13 @@ TrainConfig, and ``check_eval_keys`` judges each of them."""
 
 import ast
 import re
+import struct
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdlab.config import ExperimentConfig, parse_config_text, render_config, set_key
 from psdlab.data import SyntheticSpec
@@ -43,8 +46,7 @@ DEFAULT_RENDER = (
     "captions_per_image = 1",
     "dataset_path = ", "embed_dim = 32", "image_hidden_dims = 64", "text_hidden_dims = 64",
     "batch_size = 256", "epochs = 10", "seed = 0", "learning_rate = 0.001",
-    "warmup_frac = 0.05", "weight_decay = 0.01", "beta1 = 0.9", "beta2 = 0.999",
-    "adam_eps = 1e-08", "alpha_start = 0.8", "alpha_end = 0.2", "alpha_schedule = cosine",
+    "weight_decay = 0.01", "alpha_start = 0.8", "alpha_end = 0.2",
     "target_mode = swapped", "partition_mode = dynamic", "temperature_init = 0.07",
     "teacher_scale = 0.0",
     "eval_every = 0", "k_list = 1,5,10", "histogram_bins = 50", "probe_l2 = 0.0001",
@@ -80,6 +82,54 @@ def test_string_holding_comment_mark_rejected(key):
     with pytest.raises(ConfigError, match="#"):
         set_key(cfg, key, "runs/#3")
     assert cfg == ExperimentConfig()
+
+
+# Each break that str.splitlines splits on, and so parse_config_text too.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("mark", LINE_BREAKS)
+@pytest.mark.parametrize("key", ["out_dir", "dataset_path"])
+def test_string_holding_a_line_break_rejected(key, mark):
+    # "nl\nout" would be written over two lines, the second no 'key = value'.
+    cfg = ExperimentConfig()
+    with pytest.raises(ConfigError, match=f"{key} cannot hold a line break"):
+        set_key(cfg, key, f"nl{mark}out")
+    assert cfg == ExperimentConfig()
+
+
+def raw_values(key: str):
+    """Text for ``key`` in the kind of its default: an int, a float written
+    by repr (NaN, infinities and -0.0 included), a comma-separated int list,
+    or any string, line breaks and '#' drawn often."""
+    default = getattr(ExperimentConfig, key)
+    if isinstance(default, tuple):
+        return st.lists(st.integers(), max_size=4).map(lambda xs: ",".join(map(str, xs)))
+    if isinstance(default, int):
+        return st.integers().map(str)
+    if isinstance(default, float):
+        return st.floats().map(repr)
+    return st.text() | st.text(alphabet=" a=#\t" + "".join(LINE_BREAKS))
+
+
+def bitwise(cfg: ExperimentConfig) -> list:
+    """Each value of ``cfg``, a float as its bytes, so that NaN equals NaN."""
+    return [struct.pack("<d", v) if isinstance(v, float) else v
+            for v in (getattr(cfg, f.name) for f in fields(ExperimentConfig))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_what_set_key_accepts_reads_back_bit_for_bit(data):
+    cfg = ExperimentConfig()
+    for key in data.draw(st.lists(st.sampled_from([f.name for f in fields(ExperimentConfig)]),
+                                  min_size=1, max_size=6, unique=True)):
+        try:
+            set_key(cfg, key, data.draw(raw_values(key), label=key))
+        except ConfigError:
+            continue  # only what set_key accepts is written out
+    assert bitwise(parse_config_text(render_config(cfg))) == bitwise(cfg)
 
 
 def test_spec_fields_are_config_keys_with_the_same_defaults():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -331,9 +332,16 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_rejects_non_finite_noise_sigma(self, sigma):
-        message = f"feature_noise_sigma must lie in [0, inf), got {sigma}"
+        message = f"feature_noise_sigma must lie in [0, 1e307], got {sigma}"
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             small_spec(feature_noise_sigma=sigma)
+
+    def test_noise_at_its_bound_keeps_every_feature_finite(self):
+        # The largest normal the stream can draw, times the bound, is finite.
+        assert 1e307 * math.sqrt(-2.0 * math.log(2.0**-53)) < sys.float_info.max
+        ds = generate(small_spec(feature_noise_sigma=1e307), RngState(0))
+        for features in (ds.image_features, ds.text_features):
+            assert np.isfinite(features).all() and np.abs(features).max() > 1e307
 
     def test_pairing_cover_enforced(self):
         ds = generate(small_spec(), RngState(21))

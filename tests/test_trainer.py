@@ -23,7 +23,6 @@ from psdlab.model import EncoderSpec
 from psdlab.numkit import RngState
 from psdlab.objective import TemperatureParam, clamp_scale
 from psdlab.trainer import (
-    SCHEDULE_KINDS,
     AlphaSchedule,
     OptState,
     TrainConfig,
@@ -235,8 +234,7 @@ def test_partition_rejects_alpha_outside_the_unit_interval(alpha):
         make_partition(4, alpha, np.arange(4))
 
 
-SCHEDULES = [(kind, start, end) for kind in SCHEDULE_KINDS
-             for start, end in ((0.8, 0.2), (0.2, 0.8))]
+SCHEDULES = [("cosine", start, end) for start, end in ((0.8, 0.2), (0.2, 0.8))]
 
 
 @pytest.mark.parametrize("kind, start, end", SCHEDULES)
@@ -244,7 +242,7 @@ SCHEDULES = [(kind, start, end) for kind in SCHEDULE_KINDS
 def test_alpha_schedule_meets_its_endpoints_to_one_ulp(kind, start, end, total_steps):
     # Exactly, within less than the one ulp of the larger endpoint that the
     # formula alone can miss by: a cosine 0.2 -> 0.8 would start at
-    # 0.19999999999999996, and a linear 0.8 -> 0.2 would end there.
+    # 0.19999999999999996.
     schedule = AlphaSchedule(total_steps, start, end, kind)
     assert alpha_at(schedule, 0) == start
     assert alpha_at(schedule, total_steps) == end
@@ -259,10 +257,10 @@ def test_first_step_aligns_the_start_fraction_of_a_small_batch():
 
 @pytest.mark.parametrize("kind, start, end", SCHEDULES)
 def test_alpha_schedule_midpoints(kind, start, end):
-    # Both kinds pass the mean of the endpoints halfway; a quarter of the
-    # way, the cosine has covered (1 - cos(pi / 4)) / 2 of the distance.
+    # The cosine passes the mean of the endpoints halfway; a quarter of the
+    # way, it has covered (1 - cos(pi / 4)) / 2 of the distance.
     schedule = AlphaSchedule(40, start, end, kind)
-    quarter = (1.0 - math.cos(math.pi / 4)) / 2 if kind == "cosine" else 0.25
+    quarter = (1.0 - math.cos(math.pi / 4)) / 2
     assert alpha_at(schedule, 20) == pytest.approx((start + end) / 2, abs=1e-15)
     assert alpha_at(schedule, 10) == pytest.approx(start + quarter * (end - start), abs=1e-15)
 
@@ -271,7 +269,6 @@ def test_alpha_schedule_midpoints(kind, start, end):
     ("alpha_start", 1.5, "alpha_start must lie in [0, 1], got 1.5"),
     ("alpha_end", -0.1, "alpha_end must lie in [0, 1], got -0.1"),
     ("alpha_start", math.nan, "alpha_start must lie in [0, 1], got nan"),
-    ("alpha_schedule", "step", "alpha_schedule must be one of ('cosine', 'linear'), got 'step'"),
     ("temperature_init", 0.0, "temperature_init must lie in (0, inf), got 0.0"),
     ("temperature_init", math.inf, "temperature_init must lie in (0, inf), got inf"),
     ("seed", -1, "seed must lie in [0, 2^64), got -1"),
@@ -289,7 +286,14 @@ def test_train_config_rejects_a_bad_setting(name, value, message):
 @pytest.mark.parametrize("t", [-1, 11])
 def test_alpha_at_rejects_a_step_outside_the_schedule(t):
     with pytest.raises(InvalidInputError, match=re.escape(f"step {t} outside [0, 10]")):
-        alpha_at(AlphaSchedule(10, 0.8, 0.2, "linear"), t)
+        alpha_at(AlphaSchedule(10, 0.8, 0.2, "cosine"), t)
+
+
+@pytest.mark.parametrize("kind", ["linear", "step", ""])
+def test_alpha_schedule_has_the_cosine_alone(kind):
+    # The cosine is the one schedule; asking for another must not get it.
+    with pytest.raises(InvalidInputError, match=re.escape(f"kind must be 'cosine', got {kind!r}")):
+        AlphaSchedule(10, 0.8, 0.2, kind)
 
 
 def test_alpha_endpoint_outside_the_unit_interval_fails_train(tmp_path, caplog):
