@@ -60,7 +60,7 @@ def _resolve_config(args, base: ExperimentConfig | None = None):
     if args.config:
         try:
             cfg = parse_config_text(Path(args.config).read_text(encoding="utf-8"), cfg)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
     for item in args.set or []:
         if "=" not in item:

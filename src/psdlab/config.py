@@ -3,8 +3,8 @@
 Format: one ``key = value`` pair per line; blank lines and ``#`` comments are
 ignored. A ``#`` starts a comment anywhere on a line, and every break that
 ``str.splitlines`` splits on ends one, so ``set_key`` rejects a string value
-that holds either: the resolved configuration, echoed into the output
-directory for provenance, then reads back as the same configuration.
+that holds either, or a surrogate, which UTF-8 cannot encode: the resolved
+configuration, echoed as UTF-8 into the output directory, reads back the same.
 Every key has a default, unknown keys are rejected, and command line flags
 override file values. A command echoes the configuration once it has read and
 checked every input.
@@ -118,6 +118,8 @@ def set_key(cfg: ExperimentConfig, key: str, raw: str) -> None:
                 raise ConfigError(f"{key} cannot hold '#', which starts a comment: {raw!r}")
             if len(raw.splitlines()) > 1:
                 raise ConfigError(f"{key} cannot hold a line break: {raw!r}")
+            if any("\ud800" <= c <= "\udfff" for c in raw):  # e.g. an argv byte not in UTF-8
+                raise ConfigError(f"{key} must be UTF-8 text, got {raw!r}")
             value = raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc

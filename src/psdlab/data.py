@@ -3,19 +3,19 @@
 Each class draws a latent mean; each image draws a latent around its class
 mean; image and caption features are independent random projections of the
 same latent plus independent feature noise, which creates genuine cross-modal
-many-to-many similarity structure. Corruption reassigns whole caption groups
+many-to-many similarity structure. Corruption moves whole caption blocks
 among a chosen subset of images via a cyclic shift, so every corrupted image
 carries captions generated for a different image (never its own) and the
 corrupted count is exact.
 
-Dataset file format (PSDD, version 1, all little-endian):
+Dataset file format (PSDD, version 2, all little-endian):
 
     bytes 0..3   magic b"PSDD"
-    u32          format version (1)
+    u32          format version (2)
     u32          n (images), m (captions per image), image_dim, text_dim, K
     f64          image features, n * image_dim row-major
-    f64          text features, (n*m) * text_dim row-major
-    u32          pairing table, n * m (caption row indices per image)
+    f64          text features, (n*m) * text_dim row-major; image i's
+                 captions are rows i*m .. i*m+m-1
     u32          class labels, n, the largest K - 1 (K = 0 when n = 0)
     u8           corrupted flags, n, each 0 or 1
 
@@ -23,8 +23,8 @@ A file holds exactly these bytes, so loading and saving it again gives the
 same bytes. ``errors.Framing`` checks the framing: magic, version, lengths
 and header counts in [0, 2^24], m at least 1 when n is not 0. The loader
 checks the content: K, the flag bytes, and what ``PairedDataset`` checks
-(finite features, a pairing that holds each caption row once); every
-content fault names the file.
+(finite features); every content fault names the file. A version-1 file (it
+held a table of each image's caption rows) is refused: generate it again.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import MAX_COUNT, Framing, InvalidInputError, check_ranges, within
 from .numkit import RNG_CHUNK, RngState, as_matrix
 
-_FRAMING = Framing("dataset", b"PSDD", 1, "IIIII", ("<f8", "<f8", "<u4", "<u4", "<u1"))
+_FRAMING = Framing("dataset", b"PSDD", 2, "IIIII", ("<f8", "<f8", "<u4", "<u1"))
 
 # Latent geometry constants: class means are standard Gaussian, instances
 # spread around them at this scale. Feature noise is the spec'd sigma knob.
@@ -69,6 +69,8 @@ class SyntheticSpec:
             ("text_dim", count), ("samples_per_class", count),
             ("feature_noise_sigma", "[0, 1e307]"), ("mismatch_rate", "[0, 1]"),
             ("captions_per_image", count))),
+            # A PSDD header holds n up to MAX_COUNT: a larger pool could not be read back.
+            within("num_classes * samples_per_class", self.num_samples, count),
             ("mismatch_rate", self.mismatch_rate, corrupt < 1 or corrupt >= 2,
              f"corrupt 0 or at least 2 of the {self.num_samples} images (one cannot swap captions "
              "alone)")))
@@ -80,38 +82,32 @@ class SyntheticSpec:
 
 @dataclass
 class PairedDataset:
-    """Images, caption pools, ownership table, and ground-truth provenance."""
+    """Images, their caption blocks, and ground-truth provenance.
+
+    Image i owns the ``captions_per_image`` (m) text rows i*m .. i*m+m-1, so
+    the text rows number exactly n*m, and m is at least 1 when n > 0."""
 
     image_features: np.ndarray      # (n, image_dim)
     text_features: np.ndarray       # (n*m, text_dim)
-    pairing: np.ndarray             # (n, m) caption row indices owned per image
+    captions_per_image: int         # m
     class_labels: np.ndarray        # (n,)
     corrupted: np.ndarray           # (n,) bool, captions came from another image
 
     def __post_init__(self):
         self.image_features = as_matrix(self.image_features, "image features")
         self.text_features = as_matrix(self.text_features, "text features")
-        self.pairing = np.asarray(self.pairing, dtype=np.int64)
         self.class_labels = np.asarray(self.class_labels, dtype=np.int64)
         self.corrupted = np.asarray(self.corrupted, dtype=bool)
-        n = self.image_features.shape[0]
-        if (self.pairing.ndim != 2 or self.pairing.shape[0] != n
-                or n > 0 and self.pairing.shape[1] == 0):
-            raise InvalidInputError(f"pairing must be (n, m) with m >= 1 when n > 0, "
-                                    f"got shape {self.pairing.shape}")
+        n, m = self.num_samples, self.captions_per_image
+        if m < min(n, 1) or self.text_features.shape[0] != n * m:
+            raise InvalidInputError(f"text rows must number n*m with m >= 1 when n > 0, got "
+                                    f"{self.text_features.shape[0]} rows for n={n}, m={m}")
         if self.class_labels.shape != (n,) or self.corrupted.shape != (n,):
             raise InvalidInputError("labels and corruption flags must have one entry per image")
-        cover = np.sort(self.pairing.ravel())
-        if not np.array_equal(cover, np.arange(self.text_features.shape[0], dtype=np.int64)):
-            raise InvalidInputError("pairing must cover every caption row exactly once")
 
     @property
     def num_samples(self) -> int:
         return self.image_features.shape[0]
-
-    @property
-    def captions_per_image(self) -> int:
-        return self.pairing.shape[1]
 
     @property
     def num_classes(self) -> int:
@@ -145,7 +141,7 @@ def generate(spec: SyntheticSpec, rng: RngState) -> PairedDataset:
 
     Corruption: the first floor(eta*n) entries of the permutation form the
     corrupted set (``SyntheticSpec`` holds their count away from 1); caption
-    groups rotate one position along that list, so every corrupted image owns
+    blocks rotate one position along that list, so every corrupted image owns
     captions generated for another corrupted image.
     """
     n = spec.num_samples
@@ -166,35 +162,33 @@ def generate(spec: SyntheticSpec, rng: RngState) -> PairedDataset:
         text_features = np.repeat(text_features, m, axis=0)
     text_features = _plus_noise(text_features, sigma, rng)
 
-    pairing = np.arange(n * m, dtype=np.int64).reshape(n, m)
     corrupted = np.zeros(n, dtype=bool)
     perm = rng.permutation(n)
     if n_corrupt >= 2:
         cycle = perm[:n_corrupt]
-        source = np.roll(cycle, -1)  # image cycle[j] takes the captions of cycle[j+1]
-        pairing[cycle] = pairing[source]
+        blocks = text_features.reshape(n, m * spec.text_dim)  # a view: image i's captions
+        blocks[cycle] = blocks[np.roll(cycle, -1)]  # image cycle[j] takes those of cycle[j+1]
         corrupted[cycle] = True
 
     return PairedDataset(image_features=image_features, text_features=text_features,
-                         pairing=pairing, class_labels=labels, corrupted=corrupted)
+                         captions_per_image=m, class_labels=labels, corrupted=corrupted)
 
 
 def select_captions(ds: PairedDataset, rng: RngState) -> np.ndarray:
-    """One caption row index per image, uniform over its candidates."""
-    slots = rng.integers(ds.captions_per_image, ds.num_samples)
-    return ds.pairing[np.arange(ds.num_samples), slots]
+    """One caption row per image, uniform over its own block: i*m + slot."""
+    m = ds.captions_per_image
+    slots = rng.integers(m, ds.num_samples).astype(np.int64)  # uint64 + int64 would be float
+    return np.arange(ds.num_samples, dtype=np.int64) * m + slots
 
 
 def take_subset(ds: PairedDataset, image_idx: np.ndarray) -> PairedDataset:
     """New dataset holding only the given images and the captions they own."""
     image_idx = np.asarray(image_idx, dtype=np.int64)
-    cap_rows = ds.pairing[image_idx].ravel()
-    remap = np.full(ds.text_features.shape[0], -1, dtype=np.int64)
-    remap[cap_rows] = np.arange(cap_rows.size, dtype=np.int64)
+    m = ds.captions_per_image
     return PairedDataset(
         image_features=ds.image_features[image_idx],
-        text_features=ds.text_features[cap_rows],
-        pairing=remap[ds.pairing[image_idx]],
+        text_features=ds.text_features[(image_idx[:, None] * m + np.arange(m)).ravel()],
+        captions_per_image=m,
         class_labels=ds.class_labels[image_idx],
         corrupted=ds.corrupted[image_idx],
     )
@@ -204,8 +198,8 @@ def save_pairs(ds: PairedDataset, path) -> str:
     """Write ``ds`` to ``path`` as a PSDD file; return the file's hex sha256."""
     header = (ds.num_samples, ds.captions_per_image, ds.image_features.shape[1],
               ds.text_features.shape[1], ds.num_classes)
-    return _FRAMING.write(path, header, (ds.image_features, ds.text_features, ds.pairing,
-                                         ds.class_labels, ds.corrupted))
+    return _FRAMING.write(path, header, (ds.image_features, ds.text_features, ds.class_labels,
+                                         ds.corrupted))
 
 
 def load_pairs(path) -> PairedDataset:
@@ -213,8 +207,8 @@ def load_pairs(path) -> PairedDataset:
     _FRAMING.check_counts(path, 0, n=n, m=m, image_dim=image_dim, text_dim=text_dim,
                           num_classes=num_classes)
     _FRAMING.check_counts(path, min(n, 1), m=m)  # every image owns a caption
-    image_features, text_features, pairing, labels, flags = _FRAMING.payload(
-        raw, path, (n * image_dim, n * m * text_dim, n * m, n, n))
+    image_features, text_features, labels, flags = _FRAMING.payload(
+        raw, path, (n * image_dim, n * m * text_dim, n, n))
     try:  # every fault of the content names the file
         classes = int(labels.max()) + 1 if n else 0
         if classes > num_classes:
@@ -226,7 +220,6 @@ def load_pairs(path) -> PairedDataset:
             raise InvalidInputError(f"corrupted flag byte {flags.max()}, expected 0 or 1")
         return PairedDataset(image_features=image_features.reshape(n, image_dim),
                              text_features=text_features.reshape(n * m, text_dim),
-                             pairing=pairing.reshape(n, m), class_labels=labels,
-                             corrupted=flags)
+                             captions_per_image=m, class_labels=labels, corrupted=flags)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc

@@ -88,7 +88,7 @@ def class_prototypes(text_params: ParamSet, ds: PairedDataset) -> np.ndarray:
         rows = np.flatnonzero((ds.class_labels == c) & ~ds.corrupted)
         if rows.size == 0:
             raise InvalidInputError(f"class {c} has no uncorrupted images for a prototype")
-        means.append(ds.text_features[ds.pairing[rows, 0]].mean(axis=0))
+        means.append(ds.text_features[rows * ds.captions_per_image].mean(axis=0))
     protos, _ = encode(text_params, np.stack(means))
     return protos
 

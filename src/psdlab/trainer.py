@@ -255,7 +255,8 @@ def encode_pairs(image_params: ParamSet, text_params: ParamSet, ds: PairedDatase
     """Embed a dataset's images and each image's caption in slot 0."""
     # Each forward cache is dropped as soon as its embeddings exist.
     img = encode(image_params, ds.image_features)[0]
-    txt = encode(text_params, ds.text_features[ds.pairing[:, 0]])[0]
+    slot0 = np.arange(ds.num_samples) * ds.captions_per_image  # image i's first row, i*m
+    txt = encode(text_params, ds.text_features[slot0])[0]
     return img, txt
 
 

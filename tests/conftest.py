@@ -57,7 +57,7 @@ def save_captionless_pairs(ds, path) -> None:
     """Write ``ds``'s images to a PSDD file whose header says m = 0 and that
     holds no caption: a file ``PairedDataset`` cannot build when ``ds`` has
     images. The layout is the one ``save_pairs`` writes."""
-    header = struct.pack("<4sIIIIII", b"PSDD", 1, ds.num_samples, 0,
+    header = struct.pack("<4sIIIIII", b"PSDD", 2, ds.num_samples, 0,
                          ds.image_features.shape[1], ds.text_features.shape[1], ds.num_classes)
     path.write_bytes(header + ds.image_features.astype("<f8").tobytes()
                      + ds.class_labels.astype("<u4").tobytes()

@@ -2,10 +2,14 @@ import hashlib
 import math
 import re
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdlab.data import (
     LATENT_SPREAD,
@@ -36,6 +40,19 @@ def replay_generator_internals(spec: SyntheticSpec, seed: int):
     return means, proj_image, proj_text, latents
 
 
+def caption_sources(spec: SyntheticSpec, seed: int):
+    """(generate(spec, RngState(seed)), for each image the image whose latent
+    made its caption block). ``spec`` must be noiseless: then caption rows
+    equal their latent's projection bit for bit."""
+    ds = generate(spec, RngState(seed))
+    _, _, proj_text, latents = replay_generator_internals(spec, seed)
+    owner = {row.tobytes(): i for i, row in enumerate(latents @ proj_text)}
+    m = spec.captions_per_image
+    sources = np.array([owner[ds.text_features[i * m].tobytes()] for i in range(ds.num_samples)])
+    np.testing.assert_array_equal(ds.text_features, np.repeat(ds.text_features[::m], m, axis=0))
+    return ds, sources
+
+
 def small_spec(**kw):
     base = dict(num_classes=4, latent_dim=6, image_dim=10, text_dim=8,
                 samples_per_class=25, feature_noise_sigma=0.05,
@@ -46,9 +63,9 @@ def small_spec(**kw):
 
 class TestGenerate:
     def test_clean_dataset_has_no_corruption(self):
-        ds = generate(small_spec(), RngState(1))
+        ds, sources = caption_sources(small_spec(feature_noise_sigma=0.0), 1)
         assert not ds.corrupted.any()
-        np.testing.assert_array_equal(ds.pairing[:, 0], np.arange(100) * 2)
+        np.testing.assert_array_equal(sources, np.arange(100))
 
     def test_exact_corruption_count(self):
         ds = generate(small_spec(mismatch_rate=0.5), RngState(2))
@@ -60,20 +77,19 @@ class TestGenerate:
             small_spec(num_classes=2, samples_per_class=5, mismatch_rate=0.1)
 
     def test_corrupted_pairs_are_cross_image(self):
-        ds = generate(small_spec(mismatch_rate=0.3), RngState(4))
-        own = np.arange(100)[:, None] * 2 + np.arange(2)[None, :]
-        swapped = (ds.pairing != own).any(axis=1)
-        np.testing.assert_array_equal(swapped, ds.corrupted)
+        # Noise is drawn whatever sigma is, so sigma = 0 corrupts the same images.
+        ds, sources = caption_sources(small_spec(feature_noise_sigma=0.0, mismatch_rate=0.3), 4)
+        np.testing.assert_array_equal(sources != np.arange(100), ds.corrupted)
+        np.testing.assert_array_equal(ds.corrupted[sources], ds.corrupted)
 
     def test_corrupted_class_mismatch_fraction(self):
         # cyclic shift pairs each corrupted image with a random other corrupted
         # image, so the caption's class differs with probability ~ 1 - 1/K
         spec = SyntheticSpec(num_classes=10, latent_dim=4, image_dim=6, text_dim=6,
-                             samples_per_class=100, mismatch_rate=0.3)
-        ds = generate(spec, RngState(5))
+                             samples_per_class=100, mismatch_rate=0.3, feature_noise_sigma=0.0)
+        ds, sources = caption_sources(spec, 5)
         corrupted = np.flatnonzero(ds.corrupted)
-        source_image = ds.pairing[corrupted, 0]  # m == 1: caption row == source image
-        frac = np.mean(ds.class_labels[source_image] != ds.class_labels[corrupted])
+        frac = np.mean(ds.class_labels[sources[corrupted]] != ds.class_labels[corrupted])
         assert abs(frac - 0.9) < 0.05
 
     def test_reproducible(self):
@@ -81,7 +97,6 @@ class TestGenerate:
         b = generate(small_spec(mismatch_rate=0.2), RngState(6))
         np.testing.assert_array_equal(a.image_features, b.image_features)
         np.testing.assert_array_equal(a.text_features, b.text_features)
-        np.testing.assert_array_equal(a.pairing, b.pairing)
         np.testing.assert_array_equal(a.corrupted, b.corrupted)
 
     def test_noiseless_nearest_neighbor_recovers_pairing(self):
@@ -104,12 +119,12 @@ class TestGenerate:
 GOLDEN_DATASETS = [
     # 2000 images x 5 captions: 480000 caption normals, many stream chunks.
     (dict(num_classes=4, samples_per_class=500, captions_per_image=5, mismatch_rate=0.2), 7,
-     "f7334bb6c5cc2753124cb2ec99f280185d7694c06782c6ea080b45351a17c720"),
+     "16d2317c33d13ce3449b0b6a25051edf1bfb3fe13b19d1153eaa595b77617dcb"),
     # n m d = 21 * 3 * 5 = 315 caption normals, an odd count, as is every block.
     (dict(num_classes=3, samples_per_class=7, latent_dim=3, image_dim=7, text_dim=5,
           captions_per_image=3, mismatch_rate=0.3), 11,
-     "b9818153ef74b69ad29aeffc2461a2d415f4ca638a88d67c2817190d7234bd02"),
-    ({}, 0, "ebacb3b89c74aa4c8a5c9e12134fbea1e5b52c8f86bf01ddc902a25db593c9ba"),
+     "2c8bff62df77b56e6775ab5b88b453c1148891f69fe902f4ebfb3a2eb7e4167b"),
+    ({}, 0, "7d1bc90cfba77532a82b2fbfced99c2b5f0c0fc4c38e2742022e457a5330d97a"),
 ]
 
 
@@ -124,8 +139,8 @@ def traced_peak(fn):
 
 
 def dataset_bytes(ds: PairedDataset) -> int:
-    return sum(a.nbytes for a in (ds.image_features, ds.text_features, ds.pairing,
-                                  ds.class_labels, ds.corrupted))
+    return sum(a.nbytes for a in (ds.image_features, ds.text_features, ds.class_labels,
+                                  ds.corrupted))
 
 
 class TestGoldenBytes:
@@ -174,7 +189,7 @@ class TestSelectCaptions:
         draws = 250
         for _ in range(draws):
             rows = select_captions(ds, rng)
-            slots = rows - ds.pairing[:, 0]
+            slots = rows - np.arange(ds.num_samples) * 5
             for s in range(5):
                 counts[s] += np.count_nonzero(slots == s)
         freqs = counts / (draws * ds.num_samples)
@@ -183,8 +198,8 @@ class TestSelectCaptions:
     def test_selected_rows_belong_to_image(self):
         ds = generate(small_spec(captions_per_image=3, mismatch_rate=0.2), RngState(13))
         rows = select_captions(ds, RngState(14))
-        for i, row in enumerate(rows):
-            assert row in ds.pairing[i]
+        assert rows.dtype == np.int64  # uint64 slots plus int64 rows would be float64
+        np.testing.assert_array_equal(rows // 3, np.arange(ds.num_samples))
 
 
 class TestSubset:
@@ -195,14 +210,50 @@ class TestSubset:
         assert sub.num_samples == keep.size
         np.testing.assert_array_equal(sub.class_labels, ds.class_labels[keep])
         np.testing.assert_array_equal(sub.corrupted, ds.corrupted[keep])
-        np.testing.assert_array_equal(
-            sub.text_features[sub.pairing[0]], ds.text_features[ds.pairing[keep[0]]])
+        np.testing.assert_array_equal(sub.text_features.reshape(keep.size, 2, -1),
+                                      ds.text_features.reshape(100, 2, -1)[keep])
 
     def test_subset_shares_no_memory_with_its_source(self):
         ds = generate(small_spec(captions_per_image=2), RngState(15))
         sub = take_subset(ds, np.arange(0, 100, 3))
-        for name in ("image_features", "text_features", "pairing", "class_labels", "corrupted"):
+        for name in ("image_features", "text_features", "class_labels", "corrupted"):
             assert not np.shares_memory(getattr(sub, name), getattr(ds, name)), name
+
+
+@st.composite
+def pools(draw):
+    """A small dataset, corrupted or not, and a list of its images to keep,
+    in any order and possibly repeated."""
+    n_classes, per_class = draw(st.integers(2, 3)), draw(st.integers(1, 5))
+    n = n_classes * per_class
+    corrupt = draw(st.sampled_from([0, *range(2, n + 1)]))
+    spec = SyntheticSpec(num_classes=n_classes, samples_per_class=per_class,
+                         latent_dim=draw(st.integers(1, 3)), image_dim=draw(st.integers(1, 3)),
+                         text_dim=draw(st.integers(1, 3)), mismatch_rate=(corrupt + 0.5) / n
+                         if corrupt < n else 1.0, captions_per_image=draw(st.integers(1, 4)))
+    ds = generate(spec, RngState(draw(st.integers(0, 2**32 - 1))))
+    return ds, draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pools(), st.integers(0, 2**32 - 1))
+def test_caption_blocks_survive_subset_save_and_load(pool, seed):
+    ds, keep = pool
+    m, text_dim = ds.captions_per_image, ds.text_features.shape[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "subset.psdd"
+        save_pairs(take_subset(ds, keep), path)
+        back = load_pairs(path)
+    assert back.captions_per_image == m
+    np.testing.assert_array_equal(back.text_features.reshape(len(keep), m, text_dim),
+                                  ds.text_features.reshape(ds.num_samples, m, text_dim)[keep])
+    np.testing.assert_array_equal(back.image_features, ds.image_features[keep])
+    np.testing.assert_array_equal(back.class_labels, ds.class_labels[keep])
+    np.testing.assert_array_equal(back.corrupted, ds.corrupted[keep])
+    for pairs in (ds, back) if keep else (ds,):
+        rows = select_captions(pairs, RngState(seed))
+        assert rows.dtype == np.int64
+        np.testing.assert_array_equal(rows // m, np.arange(pairs.num_samples))
 
 
 class TestPairsFile:
@@ -213,7 +264,7 @@ class TestPairsFile:
         back = load_pairs(path)
         np.testing.assert_array_equal(back.image_features, ds.image_features)
         np.testing.assert_array_equal(back.text_features, ds.text_features)
-        np.testing.assert_array_equal(back.pairing, ds.pairing)
+        assert back.captions_per_image == ds.captions_per_image
         np.testing.assert_array_equal(back.class_labels, ds.class_labels)
         np.testing.assert_array_equal(back.corrupted, ds.corrupted)
 
@@ -232,7 +283,7 @@ class TestPairsFile:
         raw = bytearray(path.read_bytes())
         raw[4:8] = (7).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
-        with pytest.raises(FileFormatError, match="dataset version 7, expected 1"):
+        with pytest.raises(FileFormatError, match="dataset version 7, expected 2"):
             load_pairs(path)
 
     def test_truncation(self, tmp_path):
@@ -264,10 +315,9 @@ class TestPairsFile:
             load_pairs(path)
         empty = take_subset(ds, np.arange(0))
         for m in (0, 2):
-            save_pairs(PairedDataset(empty.image_features, empty.text_features,
-                                     empty.pairing.reshape(0, m), empty.class_labels,
-                                     empty.corrupted), path)
-            assert load_pairs(path).pairing.shape == (0, m)
+            save_pairs(PairedDataset(empty.image_features, empty.text_features, m,
+                                     empty.class_labels, empty.corrupted), path)
+            assert load_pairs(path).captions_per_image == m
 
     def test_label_past_header_class_count(self, tmp_path):
         path = tmp_path / "pairs.psdd"
@@ -297,14 +347,6 @@ class TestPairsFile:
         with pytest.raises(FileFormatError, match="1 bytes follow the payload of the dataset"):
             load_pairs(path)
 
-    def test_round_trip_of_a_fortran_order_pairing(self, tmp_path):
-        # The pairing table is written row-major whatever its memory layout.
-        ds = generate(small_spec(captions_per_image=3), RngState(27))
-        ds.pairing = np.asfortranarray(ds.pairing)
-        path = tmp_path / "pairs.psdd"
-        save_pairs(ds, path)
-        np.testing.assert_array_equal(load_pairs(path).pairing, ds.pairing)
-
     def test_load_then_save_gives_the_same_bytes(self, tmp_path):
         path, again = tmp_path / "pairs.psdd", tmp_path / "again.psdd"
         save_pairs(generate(small_spec(mismatch_rate=0.2), RngState(26)), path)
@@ -330,6 +372,12 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             small_spec(num_classes=1)
 
+    def test_pool_past_what_a_file_holds_rejected(self):
+        # Each count lies in its range, their product n = 2^24 + 2 does not.
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "num_classes * samples_per_class must lie in [1, 16777216], got 16777218")):
+            SyntheticSpec(num_classes=2, samples_per_class=2**23 + 1)
+
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_rejects_non_finite_noise_sigma(self, sigma):
         message = f"feature_noise_sigma must lie in [0, 1e307], got {sigma}"
@@ -343,23 +391,22 @@ class TestSpecValidation:
         for features in (ds.image_features, ds.text_features):
             assert np.isfinite(features).all() and np.abs(features).max() > 1e307
 
-    def test_pairing_cover_enforced(self):
-        ds = generate(small_spec(), RngState(21))
-        bad = ds.pairing.copy()
-        bad[0, 0] = bad[1, 0]
-        with pytest.raises(InvalidInputError):
-            PairedDataset(image_features=ds.image_features, text_features=ds.text_features,
-                          pairing=bad, class_labels=ds.class_labels, corrupted=ds.corrupted)
+    @pytest.mark.parametrize("rows, m", [(199, 2), (201, 2), (200, 1), (200, 3)])
+    def test_text_rows_must_number_n_times_m(self, rows, m):
+        ds = generate(small_spec(), RngState(21))  # 100 images x 2 captions
+        text = np.resize(ds.text_features, (rows, ds.text_features.shape[1]))
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"text rows must number n*m with m >= 1 when n > 0, got {rows} rows for "
+                f"n=100, m={m}")):
+            PairedDataset(ds.image_features, text, m, ds.class_labels, ds.corrupted)
 
     def test_images_need_a_caption_each(self):
-        # An (n, 0) pairing covers zero caption rows, so the cover check
-        # passes it; without images it is the empty dataset.
+        # Zero text rows are n*m for m = 0; without images it is the empty dataset.
         ds = generate(small_spec(), RngState(21))
         with pytest.raises(InvalidInputError, match=re.escape(
-                "pairing must be (n, m) with m >= 1 when n > 0, got shape (100, 0)")):
-            PairedDataset(ds.image_features, ds.text_features[:0], ds.pairing[:, :0],
-                          ds.class_labels, ds.corrupted)
+                "text rows must number n*m with m >= 1 when n > 0, got 0 rows for n=100, m=0")):
+            PairedDataset(ds.image_features, ds.text_features[:0], 0, ds.class_labels,
+                          ds.corrupted)
         empty = take_subset(ds, np.arange(0))
-        assert PairedDataset(empty.image_features, empty.text_features,
-                             empty.pairing.reshape(0, 0), empty.class_labels,
+        assert PairedDataset(empty.image_features, empty.text_features, 0, empty.class_labels,
                              empty.corrupted).num_samples == 0

@@ -203,8 +203,8 @@ def test_noise_preset_split_bytes(tmp_path):
     for name, half in zip(("train", "holdout"), halves):
         save_pairs(half, tmp_path / name)
         digests.append(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
-    assert digests == ["7be2da45cfb046a49d70d494140344accf73450ec48fb397ec0ae0359fe1bec8",
-                       "e932c840285256f2a15a870d1d1d1f47f4367756cc40be29937cfd652deb2f5b"]
+    assert digests == ["6ee361e6fa88f0214556cd5dbf5cd2e7ec43762704f9d077dbfac36f1f3819be",
+                       "62dea6252fc109d1225b2659033f82d52f5ec3b6fd813e949ddf1dd63458e484"]
 
 
 def test_tiny_ablation_bytes(tmp_path):

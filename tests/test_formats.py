@@ -57,13 +57,23 @@ def v1_trainer_state(params: int = 100) -> bytes:
     return header + np.zeros(2 * params).tobytes()
 
 
+def v1_dataset(raw: bytes) -> bytes:
+    """``raw``, a version-2 dataset, as version 1: the same header, and a
+    u32 table of each image's caption rows between the text features and
+    the labels, n*m entries."""
+    n, m, image_dim, text_dim = struct.unpack_from("<IIII", raw, 8)
+    end = 28 + 8 * n * (image_dim + m * text_dim)
+    return (raw[:4] + (1).to_bytes(4, "little") + raw[8:end]
+            + np.arange(n * m, dtype="<u4").tobytes() + raw[end:])
+
+
 def with_version_2(raw: bytes, header_size: int) -> bytes:
     """``raw`` as a version 2 whose header gained a u32 field."""
     return raw[:4] + (2).to_bytes(4, "little") + raw[8:header_size] + b"\0" * 4 + raw[header_size:]
 
 
 FORMATS = {
-    "psdd": (write_dataset, lambda raw: with_version_2(raw, 28), "dataset"),
+    "psdd": (write_dataset, v1_dataset, "dataset"),
     "psdw": (write_encoder, lambda raw: with_version_2(raw, 24), "parameter file"),
     "psdt": (write_trainer_state, lambda raw: v1_trainer_state(), "trainer state"),
 }
@@ -106,6 +116,17 @@ def test_eval_names_the_version_of_a_v1_trainer_state(tmp_path, caplog):
     rc = main(["eval", "--quiet", str(ckpt), str(pairs), "--out", str(tmp_path / "eval")])
     assert rc == FileFormatError.exit_code == 5
     assert "trainer state version 1, expected 2" in caplog.text
+
+
+def test_train_names_the_version_of_a_v1_dataset(tmp_path, caplog):
+    # A v1 dataset is n*m*4 bytes longer than its v2 payload, and must fail
+    # as version 1, not as trailing bytes; there is no conversion.
+    path, _ = write_dataset(tmp_path)
+    path.write_bytes(v1_dataset(path.read_bytes()))
+    rc = main(["train", "--quiet", "--dataset", str(path), "--out", str(tmp_path / "out")])
+    assert rc == FileFormatError.exit_code == 5
+    assert f"{path}: dataset version 1, expected 2" in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 def file_fault_raises(sources: dict[str, str]) -> list[str]:
