@@ -10,9 +10,10 @@ for the data pass; then it echoes the configuration into its output
 directory, ``train`` before its first step and with the data's feature
 sizes. With ``eval_every`` > 0, ``train`` carves a clean holdout off its
 data, checks ``k_list`` against it, and evaluates on it every
-``eval_every`` epochs. Every command is idempotent given identical inputs
-and seeds. Exit codes: 0 success, otherwise the failing error class's code
-(see errors.py); a failed gradcheck returns 1.
+``eval_every`` epochs. ``train``'s ``experiments.MetricsLog`` writes each
+record into metrics.jsonl as the run makes it. Every command is idempotent
+given identical inputs and seeds. Exit codes: 0 success, otherwise the
+failing error class's code (see errors.py); a failed gradcheck returns 1.
 
 Each command writes each result once, into ``--out``:
 
@@ -41,6 +42,7 @@ from .data import generate, load_pairs, save_pairs
 from .errors import ConfigError, InvalidInputError, PsdError, check_ranges, within
 from .evaluation import check_eval_settings, linear_probe, score_eval, zero_shot_top1
 from .experiments import (
+    MetricsLog,
     ablation_table,
     class_prototypes,
     noise_experiment_config,
@@ -92,22 +94,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def held_out_evals(eval_ds, every: int, k_list):
-    """``train``'s ``after_epoch`` callback: after every ``every``-th epoch, a
-    ``kind = eval`` record of ``eval_ds``'s i2t and t2i recalls and mean ranks."""
-    def after_epoch(epoch, step, image_params, text_params):
-        if (epoch + 1) % every:
-            return None
-        img, txt = encode_pairs(image_params, text_params, eval_ds)
-        i2t, t2i, _ = score_eval(img, txt, k_list, None)
-        rec = {"step": step, "epoch": epoch, "kind": "eval"}
-        for tag, rep in (("i2t", i2t), ("t2i", t2i)):
-            rec.update({f"{tag}_r{k}": v for k, v in rep.recall_at.items()})
-            rec[f"{tag}_mnr"] = rep.mean_rank
-        return rec
-    return after_epoch
-
-
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     if cfg.dataset_path:
@@ -117,7 +103,7 @@ def cmd_train(args) -> int:
     else:
         log.info("generating synthetic dataset (seed %d)", cfg.seed)
         ds = generate(cfg.synthetic_spec(), RngState(cfg.seed))
-    after_epoch = None
+    eval_ds = None
     try:  # a fault of the data read from a file names the file
         cfg.synthetic_spec()  # judges a file's feature sizes as image_dim and text_dim
         tc = cfg.train_config()
@@ -125,16 +111,16 @@ def cmd_train(args) -> int:
             ds, eval_ds = split_clean_holdout(ds, cfg.eval_per_class)
             log.info("carved %d clean held-out pairs", eval_ds.num_samples)
             check_eval_settings(eval_ds.num_samples, cfg.k_list)
-            after_epoch = held_out_evals(eval_ds, cfg.eval_every, cfg.k_list)
         tc.check_data(ds)
     except InvalidInputError as exc:
         if not cfg.dataset_path:
             raise
         raise InvalidInputError(f"{cfg.dataset_path}: {exc}") from exc
     out = echo_config(cfg)
-    result = train(tc, ds, after_epoch=after_epoch, metrics_path=out / "metrics.jsonl")
+    with open(out / "metrics.jsonl", "w", encoding="utf-8") as sink:
+        result = train(tc, ds, MetricsLog(sink, eval_ds, cfg.eval_every, cfg.k_list))
     save_checkpoint(result, out / "checkpoint")
-    last = result.step_records()[-1]
+    last = result.history[-1]
     print(f"steps: {last['step'] + 1}  final_loss: {last['loss']:.6f}  "
           f"final_scale: {last['scale']:.4f}")
     print(f"metrics: {out / 'metrics.jsonl'}")

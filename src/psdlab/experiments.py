@@ -4,7 +4,8 @@ Protocol: each seed draws one synthetic pool; a class-balanced slice of
 uncorrupted images is carved off as a clean held-out retrieval set (it shares
 the pool's latent structure but never trains), and every loss variant trains
 on the identical remaining split with the identical parameter init and batch
-order, so per-seed comparisons isolate the objective.
+order, so per-seed comparisons isolate the objective. ``psdlab train``'s
+``MetricsLog`` scores such a holdout as the run goes.
 
 The (seed, variant) trainings are independent, so ``run_matrix`` maps the one
 task function, ``run_variant``, over a pool of forked workers. Each task
@@ -17,6 +18,7 @@ in one process, bit for bit.
 from __future__ import annotations
 
 import ctypes
+import json
 import os
 from dataclasses import asdict, dataclass
 from itertools import repeat
@@ -130,8 +132,31 @@ def evaluate_on_holdout(result: TrainResult, eval_ds: PairedDataset, k_list, bin
         zero_shot=zs,
         positive_sim_mean=float(stats.positive_scores.mean()),
         negative_sim_mean=stats.negative_mean,
-        final_loss=float(result.step_records()[-1]["loss"]),
+        final_loss=float(result.history[-1]["loss"]),
     )
+
+
+class MetricsLog:
+    """``train``'s observer in ``psdlab train``: each record goes to the text
+    file ``sink`` as one JSON line as soon as it exists, and after every
+    ``eval_every``-th epoch (never without ``eval_ds``) so does a ``kind =
+    eval`` record of ``eval_ds``'s i2t and t2i recalls and mean ranks."""
+
+    def __init__(self, sink, eval_ds: PairedDataset | None, eval_every: int, k_list):
+        self.sink, self.eval_ds, self.eval_every, self.k_list = sink, eval_ds, eval_every, k_list
+
+    def step(self, rec: dict) -> None:
+        self.sink.write(json.dumps(rec, sort_keys=True) + "\n")
+
+    def epoch(self, epoch: int, step: int, image_params: ParamSet, text_params: ParamSet) -> None:
+        if self.eval_ds is not None and (epoch + 1) % self.eval_every == 0:
+            img, txt = encode_pairs(image_params, text_params, self.eval_ds)
+            i2t, t2i, _ = score_eval(img, txt, self.k_list, None)
+            rec = {"step": step, "epoch": epoch, "kind": "eval"}
+            for tag, rep in (("i2t", i2t), ("t2i", t2i)):
+                rec.update({f"{tag}_r{k}": v for k, v in rep.recall_at.items()})
+                rec[f"{tag}_mnr"] = rep.mean_rank
+            self.step(rec)
 
 
 def run_variant(cfg: TrainConfig, variant: str, spec: SyntheticSpec, per_class: int, k_list,

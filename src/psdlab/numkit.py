@@ -265,8 +265,15 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
 
 def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row of a 2-D array scaled to unit Euclidean norm, and the norms; a
-    row whose norm is below 1e-12 or not finite raises DegenerateInputError."""
-    norms = np.sqrt((m * m).sum(axis=1))
+    row whose norm is below 1e-12 or not finite raises DegenerateInputError.
+    A finite row whose squares overflow takes its norm as max|x| * sqrt(sum
+    (x / max|x|)^2), every other row the plain sqrt(sum x^2)."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((m * m).sum(axis=1))
+    for i in np.flatnonzero(norms == np.inf):
+        peak = np.abs(m[i]).max()  # inf when the row holds inf: its norm stays inf
+        if peak < np.inf:
+            norms[i] = peak * np.sqrt(np.square(m[i] / peak).sum())
     bad = np.flatnonzero(~((norms >= 1e-12) & (norms < np.inf)))  # NaN fails too
     if bad.size:
         raise DegenerateInputError(

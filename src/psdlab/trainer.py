@@ -1,7 +1,8 @@
 """Training loop: schedules, AdamW, batch partitioning, self-distillation.
 
-``train`` only trains: its result depends on its ``TrainConfig`` and data
-alone. Held-out evaluation is the caller's, through a per-epoch callback.
+``train`` only trains and opens no file: its result depends on its
+``TrainConfig`` and data alone. Held-out evaluation and the metrics file
+are the caller's, through one observer.
 
 Determinism: every random draw comes from a stream derived from
 (seed, stream label, epoch index) through a pure splitmix64 chain, so a run is
@@ -28,7 +29,6 @@ the header; such a file fails as version 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -238,7 +238,7 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    """Final state plus the full metrics history of one run."""
+    """Final state plus every step's record, in step order."""
 
     image_params: ParamSet
     text_params: ParamSet
@@ -246,9 +246,6 @@ class TrainResult:
     history: list[dict]
     config: TrainConfig
     opt: OptState
-
-    def step_records(self) -> list[dict]:
-        return [r for r in self.history if "loss" in r]
 
 
 def encode_pairs(image_params: ParamSet, text_params: ParamSet, ds: PairedDataset):
@@ -260,8 +257,8 @@ def encode_pairs(image_params: ParamSet, text_params: ParamSet, ds: PairedDatase
     return img, txt
 
 
-def train(cfg: TrainConfig, ds: PairedDataset, after_epoch=None, metrics_path=None) -> TrainResult:
-    """Run the full loop; returns final parameters and the metrics history.
+def train(cfg: TrainConfig, ds: PairedDataset, observer=None) -> TrainResult:
+    """Run the full loop; returns final parameters and every step's record.
 
     Per epoch the data order reshuffles and the partition priority refreshes
     (dynamic mode only); per step one caption per image is active, both
@@ -270,9 +267,9 @@ def train(cfg: TrainConfig, ds: PairedDataset, after_epoch=None, metrics_path=No
     AdamW updates all parameters jointly, and the logit scale is re-clamped.
     A step that leaves a non-finite loss or parameter, or a logit scale that
     underflowed to 0, raises DivergenceError, and so does an encode after
-    step 0 that meets a zero or overflowing output norm. After each epoch,
-    ``after_epoch(epoch, step, image_params, text_params)`` may read the
-    parameters; a dict it returns is emitted as one metrics record.
+    step 0 that meets a zero or overflowing output norm. An ``observer``'s
+    ``step(record)`` gets each step's record as soon as it exists, and its
+    ``epoch(epoch, step, image_params, text_params)`` runs after each epoch.
     """
     cfg.check_data(ds)
     n = ds.num_samples
@@ -305,69 +302,58 @@ def train(cfg: TrainConfig, ds: PairedDataset, after_epoch=None, metrics_path=No
                    eps=cfg.adam_eps, decay_mask=decay_mask)
 
     history: list[dict] = []
-    sink = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
+    step = 0
+    for epoch in range(cfg.epochs):
+        order = RngState(derive_seed(cfg.seed, _STREAM_DATA_ORDER, epoch)).permutation(n)
+        # A static partition keeps epoch 0's priority throughout.
+        tag = epoch if cfg.partition_mode == "dynamic" else 0
+        priority = RngState(derive_seed(cfg.seed, _STREAM_PARTITION, tag)).permutation(n)
+        captions = select_captions(ds, RngState(derive_seed(cfg.seed, _STREAM_CAPTIONS, epoch)))
 
-    def emit(rec: dict) -> None:
-        history.append(rec)
-        if sink:
-            sink.write(json.dumps(rec, sort_keys=True) + "\n")
+        for b in range(steps_per_epoch):
+            idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            x_img = ds.image_features[idx]
+            x_txt = ds.text_features[captions[idx]]
+            try:
+                emb_img, cache_img = encode(image_params, x_img)
+                emb_txt, cache_txt = encode(text_params, x_txt)
+            except DegenerateInputError as exc:
+                if step == 0:
+                    raise  # the data's fault: no update has run yet
+                raise DivergenceError(step, f"training diverged at step {step}: {exc}") from exc
+            batch = EmbeddingBatch(emb_img, emb_txt)
 
-    try:
-        step = 0
-        for epoch in range(cfg.epochs):
-            order = RngState(derive_seed(cfg.seed, _STREAM_DATA_ORDER, epoch)).permutation(n)
-            # A static partition keeps epoch 0's priority throughout.
-            tag = epoch if cfg.partition_mode == "dynamic" else 0
-            priority = RngState(derive_seed(cfg.seed, _STREAM_PARTITION, tag)).permutation(n)
-            captions = select_captions(ds, RngState(derive_seed(cfg.seed, _STREAM_CAPTIONS, epoch)))
+            if cfg.target_mode == "none":
+                alpha = 1.0
+                lg = info_nce(batch, temp)
+            else:
+                alpha = alpha_at(schedule, step)
+                plan = make_partition(cfg.batch_size, alpha, priority=priority[idx])
+                build = soft_targets_swapped if cfg.target_mode == "swapped" else soft_targets_bootstrap
+                targets = build(emb_img, emb_txt, cfg.teacher_scale or temp.scale, plan)
+                lg = psd_loss(batch, temp, plan, targets)
 
-            for b in range(steps_per_epoch):
-                idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-                x_img = ds.image_features[idx]
-                x_txt = ds.text_features[captions[idx]]
-                try:
-                    emb_img, cache_img = encode(image_params, x_img)
-                    emb_txt, cache_txt = encode(text_params, x_txt)
-                except DegenerateInputError as exc:
-                    if step == 0:
-                        raise  # the data's fault: no update has run yet
-                    raise DivergenceError(step, f"training diverged at step {step}: {exc}") from exc
-                batch = EmbeddingBatch(emb_img, emb_txt)
+            encode_backward(cache_img, lg.d_image, out=grad_img)
+            encode_backward(cache_txt, lg.d_text, out=grad_txt)
+            grads[-1] = lg.d_log_scale
+            adamw_step(flat, grads, opt)
+            temp = clamp_scale(TemperatureParam(log_scale=float(flat[-1])))
+            flat[-1] = temp.log_scale
+            # One O(parameters) health check per step. A logit scale that
+            # underflowed to 0 has a finite log, so it is tested apart.
+            if not (math.isfinite(lg.loss) and np.isfinite(flat).all() and temp.scale > 0.0):
+                raise DivergenceError(step, (
+                    f"training diverged at step {step}: loss {lg.loss}, logit scale "
+                    f"{temp.scale}, {int((~np.isfinite(flat)).sum())} non-finite parameters"))
 
-                if cfg.target_mode == "none":
-                    alpha = 1.0
-                    lg = info_nce(batch, temp)
-                else:
-                    alpha = alpha_at(schedule, step)
-                    plan = make_partition(cfg.batch_size, alpha, priority=priority[idx])
-                    build = soft_targets_swapped if cfg.target_mode == "swapped" else soft_targets_bootstrap
-                    targets = build(emb_img, emb_txt, cfg.teacher_scale or temp.scale, plan)
-                    lg = psd_loss(batch, temp, plan, targets)
+            history.append({"step": step, "epoch": epoch, "alpha": alpha, "loss": lg.loss,
+                            "lr": opt.lr_at(opt.step), "scale": temp.scale})
+            if observer is not None:
+                observer.step(history[-1])
+            step += 1
 
-                encode_backward(cache_img, lg.d_image, out=grad_img)
-                encode_backward(cache_txt, lg.d_text, out=grad_txt)
-                grads[-1] = lg.d_log_scale
-                adamw_step(flat, grads, opt)
-                temp = clamp_scale(TemperatureParam(log_scale=float(flat[-1])))
-                flat[-1] = temp.log_scale
-                # One O(parameters) health check per step. A logit scale that
-                # underflowed to 0 has a finite log, so it is tested apart.
-                if not (math.isfinite(lg.loss) and np.isfinite(flat).all() and temp.scale > 0.0):
-                    raise DivergenceError(step, (
-                        f"training diverged at step {step}: loss {lg.loss}, logit scale "
-                        f"{temp.scale}, {int((~np.isfinite(flat)).sum())} non-finite parameters"))
-
-                emit({"step": step, "epoch": epoch, "alpha": alpha, "loss": lg.loss,
-                      "lr": opt.lr_at(opt.step), "scale": temp.scale})
-                step += 1
-
-            if after_epoch is not None:
-                rec = after_epoch(epoch, step, image_params, text_params)
-                if rec is not None:
-                    emit(rec)
-    finally:
-        if sink:
-            sink.close()
+        if observer is not None:
+            observer.epoch(epoch, step, image_params, text_params)
 
     return TrainResult(image_params=image_params, text_params=text_params,
                        temperature=temp, history=history, config=cfg, opt=opt)
@@ -383,7 +369,7 @@ def save_checkpoint(result: TrainResult, out_dir) -> None:
     save_params(result.image_params, out / "image_encoder.psdw")
     save_params(result.text_params, out / "text_encoder.psdw")
     _STATE_FRAMING.write(out / "trainer_state.psdt",
-                         (result.config.seed, len(result.step_records()), result.config.epochs,
+                         (result.config.seed, len(result.history), result.config.epochs,
                           result.temperature.log_scale))
 
 

@@ -4,6 +4,7 @@ or the next step's encode, with DivergenceError (code 6) before the objective
 sees its non-finite or degenerate state as invalid input (code 3)."""
 
 import hashlib
+import json
 import math
 import re
 from dataclasses import fields
@@ -100,27 +101,35 @@ def test_eval_report_bytes(tmp_path, monkeypatch):
         "90e4c68e13ffc9c84ea440c1c26d15ddb0250963910d1fb6736d6ae1eabed327"
 
 
-def test_multi_caption_corrupted_train_bytes(tmp_path):
+@pytest.mark.parametrize("eval_every, expected", [
+    (0, {"checkpoint/image_encoder.psdw":
+             "eb3de2acea99e4d311988fb6e132186454096ac5a51a278d18464b40b499fd08",
+         "checkpoint/text_encoder.psdw":
+             "161c5973f0602549069bdfa7a99252a676d77895eee40e02d961346749a75479",
+         "checkpoint/trainer_state.psdt":
+             "1421a185d0fbf6a87785a283df4537191bbf55949437912fdce5de49bbc7d10a",
+         "metrics.jsonl": "b958b3a4fe973c8d9283ae5c7311b510864605b183ddc967bf130e5fb8448831"}),
+    (1, {"checkpoint/image_encoder.psdw":
+             "70bdb0f62853d33be26cf01acc23e89be1fedf9e79f35a87492b31b582bbe084",
+         "checkpoint/text_encoder.psdw":
+             "fca77d227be7fc683a07b26398e423ad4bbf14a87571843a7be727fbc031317b",
+         "checkpoint/trainer_state.psdt":
+             "b87c6da12e28f564ec31aa7c55361084273eb31abb411838bc0422dab2d45fe6",
+         "metrics.jsonl": "965c969b29d362dde9b7778587d9387163b0710348a1775d83b401feb23c3eda"}),
+], ids=["eval_every_0", "eval_every_1"])
+def test_multi_caption_corrupted_train_bytes(eval_every, expected, tmp_path):
     # Pins train end to end where an image owns several captions and a
     # fifth of the images hold another's: the pool's caption blocks, each
-    # epoch's caption choice, the clean holdout and its evals. Like
-    # test_eval_report_bytes it was taken with OpenBLAS 0.3.31.
+    # epoch's caption choice and, with eval_every = 1, the clean holdout and
+    # its evals; with 0 the run trains on the whole pool and logs steps
+    # only. Like test_eval_report_bytes it was taken with OpenBLAS 0.3.31.
     assert main(["train", "--quiet", "--seed", "5", "--set", "samples_per_class=20",
                  "--set", "captions_per_image=3", "--set", "mismatch_rate=0.2",
-                 "--set", "eval_every=1", "--set", "eval_per_class=4", "--set", "batch_size=16",
-                 "--epochs", "2", "--out", str(tmp_path)]) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in (
-        "checkpoint/image_encoder.psdw", "checkpoint/text_encoder.psdw",
-        "checkpoint/trainer_state.psdt", "metrics.jsonl")}
-    assert digests == {
-        "checkpoint/image_encoder.psdw":
-            "70bdb0f62853d33be26cf01acc23e89be1fedf9e79f35a87492b31b582bbe084",
-        "checkpoint/text_encoder.psdw":
-            "fca77d227be7fc683a07b26398e423ad4bbf14a87571843a7be727fbc031317b",
-        "checkpoint/trainer_state.psdt":
-            "b87c6da12e28f564ec31aa7c55361084273eb31abb411838bc0422dab2d45fe6",
-        "metrics.jsonl": "965c969b29d362dde9b7778587d9387163b0710348a1775d83b401feb23c3eda",
-    }
+                 "--set", f"eval_every={eval_every}", "--set", "eval_per_class=4",
+                 "--set", "batch_size=16", "--epochs", "2", "--out", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in expected}
+    assert digests == expected
 
 
 @pytest.mark.parametrize("argv", [
@@ -333,6 +342,25 @@ def test_zero_inputs_exit_degenerate_code(tmp_path):
     assert rc == DegenerateInputError.exit_code == 4
 
 
+@pytest.mark.parametrize("fill, rc", [
+    pytest.param(1e200, 0, id="squares_overflow"),
+    pytest.param(1.7e308, DegenerateInputError.exit_code, id="entries_overflow",
+                 marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
+])
+def test_huge_inputs_train_unless_an_embedding_overflows(fill, rc, tmp_path, caplog):
+    # A linear image encoder maps features of 1e200 to finite embeddings
+    # whose squares overflow; they normalize and the run trains. At 1.7e308
+    # an embedding entry itself overflows, and the first encode stops the run.
+    spec = SyntheticSpec(num_classes=2, latent_dim=3, image_dim=4, text_dim=4,
+                         samples_per_class=10)
+    ds = generate(spec, RngState(0))
+    path = tmp_path / "huge.psdd"
+    save_pairs(PairedDataset(np.full_like(ds.image_features, fill), ds.text_features,
+                             ds.captions_per_image, ds.class_labels, ds.corrupted), path)
+    assert train_on(path, tmp_path, "--set", "image_hidden_dims=") == rc
+    assert ("row 0 has norm inf" in caplog.text) == (rc != 0)
+
+
 @pytest.mark.parametrize("settings, route", [
     # The logit scale underflows to 0; the step's health check stops the run.
     (["learning_rate=1e3"], "logit scale 0.0, 0 non-finite parameters"),
@@ -350,9 +378,15 @@ def test_diverged_run_exits_divergence_code(settings, route, tmp_path, caplog):
     assert main(argv) == DivergenceError.exit_code == 6
     assert "training diverged at step" in caplog.text
     assert route in caplog.text
-    # The configuration was written before the first step, beside the
-    # partial metrics.
-    assert (tmp_path / "config.resolved.txt").is_file() and (tmp_path / "metrics.jsonl").is_file()
+    # The configuration was written before the first step. metrics.jsonl
+    # fills as the run goes: it holds the record of every step before the
+    # one that diverged, and nothing else.
+    assert (tmp_path / "config.resolved.txt").is_file()
+    k = int(re.search(r"training diverged at step (\d+)", caplog.text).group(1))
+    records = [json.loads(line)
+               for line in (tmp_path / "metrics.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [r["step"] for r in records] == list(range(k))
+    assert all(r.keys() == {"step", "epoch", "alpha", "loss", "lr", "scale"} for r in records)
 
 
 @pytest.mark.parametrize("setting, message", [

@@ -95,14 +95,21 @@ class TestEncode:
         with pytest.raises(DegenerateInputError, match="row 0"):
             encode(params, [[0.0, 0.0, 0.0]])
 
+    def test_overflowing_squares_normalize_exactly(self):
+        # Row 1 maps to 1e200, whose square overflows, though its norm is
+        # finite; row 0 maps to 1e140. Both embed as the first unit vector.
+        spec = EncoderSpec(input_dim=3, hidden_dims=(), embed_dim=3)
+        params = ParamSet(spec=spec, weights=[1e200 * np.eye(3)], biases=[np.zeros(3)])
+        emb, _ = encode(params, [[1e-60, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(emb, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_row_rejected(self):
-        # Row 1 maps to 1e200, whose square overflows: its norm is inf, and
-        # dividing by it would return a zero embedding. Row 0 maps to 1e140.
+    def test_inf_row_still_rejected(self):
+        # Row 1 maps to 1e310, past the largest double: its norm is inf.
         spec = EncoderSpec(input_dim=3, hidden_dims=(), embed_dim=3)
         params = ParamSet(spec=spec, weights=[1e200 * np.eye(3)], biases=[np.zeros(3)])
         with pytest.raises(DegenerateInputError, match="row 1 has norm inf"):
-            encode(params, [[1e-60, 0.0, 0.0], [1.0, 0.0, 0.0]])
+            encode(params, [[1e-60, 0.0, 0.0], [1e110, 0.0, 0.0]])
 
     def test_input_width_checked(self):
         spec = EncoderSpec(input_dim=3, hidden_dims=(), embed_dim=2)

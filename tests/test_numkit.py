@@ -18,6 +18,7 @@ from psdlab.numkit import (
     exp_both_axes,
     normalize_rows_l2,
     shared_exp_top,
+    unit_rows,
 )
 
 from oracles import (
@@ -360,10 +361,19 @@ class TestNormalizeRows:
         with pytest.raises(DegenerateInputError, match="row 1"):
             normalize_rows_l2([[1.0, 0.0], [0.0, 0.0]])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_row_rejected(self):
-        with pytest.raises(DegenerateInputError, match="row 1 has norm inf"):
-            normalize_rows_l2([[1.0, 0.0], [1e200, 1e200]])
+    def test_overflowing_squares_normalize_exactly(self):
+        # 1e200 squared overflows, but the row's norm is finite: it is taken
+        # through the row's largest entry, without a warning, and the other
+        # row keeps the plain norm.
+        rows, norms = unit_rows(np.array([[1e200, 1e200], [3.0, 4.0]]))
+        np.testing.assert_array_equal(rows, normalize_rows_l2([[1.0, 1.0], [3.0, 4.0]]))
+        np.testing.assert_array_equal(norms, [1e200 * math.sqrt(2.0), 5.0])
+        assert abs(rows[0, 0] - 2.0 ** -0.5) <= math.ulp(2.0 ** -0.5)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_inf_or_nan_row_still_rejected(self, bad):
+        with pytest.raises(DegenerateInputError, match=f"row 1 has norm {abs(bad)}"):
+            unit_rows(np.array([[1.0, 0.0], [1e200, bad]]))
 
     def test_unit_norms(self, rng):
         out = normalize_rows_l2(100.0 * rng.normals(20, 7))

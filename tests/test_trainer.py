@@ -6,6 +6,7 @@ scalar oracle, partitions follow their priorities, and the alpha schedule
 runs between its endpoints."""
 
 import hashlib
+import io
 import json
 import math
 import re
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdlab.cli import held_out_evals, main
+from psdlab.cli import main
 from psdlab.data import SyntheticSpec, generate, save_pairs
 from psdlab.errors import FileFormatError, InvalidInputError
+from psdlab.experiments import MetricsLog
 from psdlab.model import EncoderSpec
 from psdlab.numkit import RngState
 from psdlab.objective import TemperatureParam, clamp_scale
@@ -43,14 +45,14 @@ SPEC = SyntheticSpec(num_classes=4, latent_dim=6, image_dim=12, text_dim=10,
                      mismatch_rate=0.25, captions_per_image=2)
 
 
-def small_result(epochs: int = 3, after_epoch=None):
+def small_result(epochs: int = 3, observer=None):
     """Train a small swapped/dynamic run with 2 captions per image, so every
     random stream of the trainer is drawn."""
     cfg = TrainConfig(image_encoder=EncoderSpec(12, (16,), 8),
                       text_encoder=EncoderSpec(10, (16,), 8),
                       batch_size=32, epochs=epochs, seed=9, learning_rate=1e-2,
                       target_mode="swapped", partition_mode="dynamic")
-    return train(cfg, generate(SPEC, RngState(5)), after_epoch=after_epoch)
+    return train(cfg, generate(SPEC, RngState(5)), observer)
 
 
 def small_run_bytes(result) -> bytes:
@@ -81,20 +83,29 @@ class TestTrainDeterminism:
 
 
 def test_held_out_evals_are_recorded_and_change_nothing():
-    # The callback that psdlab train passes: one record per eval_every
-    # epochs, each direction's fields named i2t_* or t2i_*.
+    # The observer that psdlab train passes: every step record as it is
+    # made, and one eval record per eval_every epochs, each direction's
+    # fields named i2t_* or t2i_*.
     eval_ds = generate(SPEC, RngState(6))
     plain = small_result()
     fields = {"step", "epoch", "kind"} | {f"{d}_{m}" for d in ("i2t", "t2i")
                                           for m in ("r1", "r3", "mnr")}
     for every, epochs in ((1, [0, 1, 2]), (2, [1])):
-        observed = small_result(after_epoch=held_out_evals(eval_ds, every, (1, 3)))
-        evals = [r for r in observed.history if r.get("kind") == "eval"]
+        sink = io.StringIO()
+        observed = small_result(observer=MetricsLog(sink, eval_ds, every, (1, 3)))
+        records = [json.loads(line) for line in sink.getvalue().splitlines()]
+        evals = [r for r in records if r.get("kind") == "eval"]
         assert [r["epoch"] for r in evals] == epochs
         assert [r["step"] for r in evals] == [4 * (e + 1) for e in epochs]
         assert all(r.keys() == fields for r in evals)
+        # Each eval directly follows its epoch's last step record.
+        assert all(records[i - 1]["step"] + 1 == r["step"]
+                   for i, r in enumerate(records) if r.get("kind") == "eval")
         # Observation never changes what is trained.
-        assert json.dumps(observed.step_records()) == json.dumps(plain.history)
+        steps = [r for r in records if "kind" not in r]
+        logged, kept, unobserved = (json.dumps(h, sort_keys=True)
+                                    for h in (steps, observed.history, plain.history))
+        assert logged == kept == unobserved
         assert small_run_bytes(observed) == small_run_bytes(plain)
 
 
@@ -111,18 +122,26 @@ def test_bootstrap_targets_need_a_fixed_teacher_scale():
 
 
 @pytest.mark.parametrize("side, expects, has", [("image", 11, 12), ("text", 9, 10)])
-def test_data_of_another_width_fails_in_the_first_encode(side, expects, has, tmp_path):
+def test_data_of_another_width_fails_in_the_first_encode(side, expects, has):
     # SPEC's data has 12 image and 10 text columns. ``encode`` is the one
     # judge of the widths: the run stops at step 0, before any update.
     encoders = {"image_encoder": EncoderSpec(12, (16,), 8),
                 "text_encoder": EncoderSpec(10, (16,), 8)}
     encoders[f"{side}_encoder"] = EncoderSpec(expects, (16,), 8)
-    metrics = tmp_path / "metrics.jsonl"
+    seen = []
+
+    class Recorder:
+        def step(self, rec):
+            seen.append(rec)
+
+        def epoch(self, *args):
+            seen.append(args)
+
     with pytest.raises(InvalidInputError,
                        match=f"^input has {has} columns, encoder expects {expects}$"):
         train(TrainConfig(**encoders, batch_size=32, epochs=1), generate(SPEC, RngState(5)),
-              metrics_path=metrics)
-    assert metrics.read_text(encoding="utf-8") == ""
+              Recorder())
+    assert seen == []
 
 
 class TestCheckpoint:
@@ -136,7 +155,7 @@ class TestCheckpoint:
         assert text_params.spec == result.text_params.spec
         assert np.float64(temp.log_scale).tobytes() == \
             np.float64(result.temperature.log_scale).tobytes()
-        assert state == {"seed": 9, "steps": len(result.step_records()), "epochs": 3}
+        assert state == {"seed": 9, "steps": len(result.history), "epochs": 3}
 
     def test_log_scale_at_the_clamp_loads(self, tmp_path):
         # The largest log-scale training writes is the bound load_checkpoint holds.
