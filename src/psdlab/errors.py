@@ -58,9 +58,9 @@ class FileFormatError(PsdError):
 
 
 class DivergenceError(PsdError):
-    """Training diverged: a non-finite loss or parameter, a logit scale that
-    underflowed to 0, or an encoder output whose norm is zero or overflows
-    after the first update. Carries the offending step."""
+    """Training diverged: a non-finite loss or parameter, a logit scale below
+    its range (``objective.LOG_SCALE_RANGE``), or an encoder output whose norm
+    is zero or overflows after the first update. Carries the offending step."""
 
     exit_code = 6
 

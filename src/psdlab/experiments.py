@@ -210,8 +210,8 @@ def run_matrix(exp_cfg: ExperimentConfig, progress=None) -> dict[str, list[Varia
     ``progress``'s, reaches the caller after the tasks not yet started are
     cancelled and the pool is joined. An evaluation key that
     ``check_eval_keys`` rejects, a K past the held-out size and a task whose
-    ``TrainConfig`` or ``SyntheticSpec`` its spec rejects raise
-    InvalidInputError before any pool is drawn.
+    ``TrainConfig`` (named by its variant) or ``SyntheticSpec`` its spec
+    rejects raise InvalidInputError before any pool is drawn.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -220,8 +220,13 @@ def run_matrix(exp_cfg: ExperimentConfig, progress=None) -> dict[str, list[Varia
     check_eval_settings(exp_cfg.eval_per_class * exp_cfg.num_classes, exp_cfg.k_list)
     spec = exp_cfg.synthetic_spec()
     seeds = range(exp_cfg.seed, exp_cfg.seed + exp_cfg.ablate_seeds)
-    cfgs = [exp_cfg.train_config(seed=seed, **overrides)
-            for seed in seeds for overrides in ABLATION_VARIANTS.values()]
+    cfgs = []
+    for seed in seeds:
+        for variant, overrides in ABLATION_VARIANTS.items():
+            try:
+                cfgs.append(exp_cfg.train_config(seed=seed, **overrides))
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"{variant}: {exc}") from exc
     variants = list(ABLATION_VARIANTS) * len(seeds)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)

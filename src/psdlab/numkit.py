@@ -30,10 +30,9 @@ underflows. Hence a span rule on every entry: the whole matrix must lie
 within ``SHARED_EXP_SPAN`` = 600 of its max, which keeps every exponential
 at or above exp(-600), a normal double, so each product and sum keeps its
 rounding bound; ``shared_exp_top`` raises InvalidInputError for a wider
-matrix. The package forms such matrices from unit-norm rows at a fixed
-teacher's scale of at most ``objective.MAX_LOGIT_SCALE`` = 100, or at the
-student's clamped exp(log 100), three ulps above 100, so they span about
-200, well under 600.
+matrix. The package forms such matrices from unit-norm rows at a scale in
+``objective.LOG_SCALE_RANGE``, at most exp(log 100), three ulps above 100,
+so they span about 200, well under 600.
 
 The PRNG is counter-based (Salmon et al. 2011): word k of a stream is the
 splitmix64 finalizer (Steele et al. 2014) applied to seed + k * gamma, so a

@@ -28,9 +28,9 @@ the global max serves both directions and both target kinds
 every logit to lie within 600 of the largest, because a target scales single exponentials by
 reciprocal sums and one that underflowed could have led its row; a wider
 matrix raises InvalidInputError. For unit-norm embeddings every logit lies
-within 2 * scale of the largest; a fixed teacher's scale lies in (0, 100]
-and the student's, clamped at log 100, is 100.00000000000004, three ulps
-above 100, so a training run's logits span about 200, well under 600.
+within 2 * scale of the largest; every scale lies in ``LOG_SCALE_RANGE``,
+at most exp(log 100) = 100.00000000000004, three ulps above 100, so a
+training run's logits span about 200, well under 600.
 
 Gradient convention: embeddings are treated as free variables (the losses are
 smooth functions of the raw matrix entries), so every gradient can be checked
@@ -49,6 +49,9 @@ from .errors import InvalidInputError, check_ranges, within
 from .numkit import SoftTargets, contrastive_xent, exp_both_axes, increasing_rows, shared_exp_top
 
 MAX_LOGIT_SCALE = 100.0
+# The logit scale's one range, [1/100, 100], held in log space, where the clamp works:
+# the floor is the cap's reciprocal; at scale 1/100, unit-norm logits span 0.02, chance.
+LOG_SCALE_RANGE = (-math.log(MAX_LOGIT_SCALE), math.log(MAX_LOGIT_SCALE))
 
 
 @dataclass(frozen=True)
@@ -63,15 +66,14 @@ class TemperatureParam:
 
     @classmethod
     def from_temperature(cls, tau: float) -> "TemperatureParam":
-        """For tau in (0, inf), which ``TrainConfig`` checks."""
+        """For tau in [1/100, 100], the scale's range, which ``TrainConfig`` checks."""
         return cls(log_scale=math.log(1.0 / tau))
 
 
 def clamp_scale(temp: TemperatureParam) -> TemperatureParam:
-    """Cap the logit scale at 100; values at or below are untouched."""
-    limit = math.log(MAX_LOGIT_SCALE)
-    if temp.log_scale > limit:
-        return TemperatureParam(log_scale=limit)
+    """Cap the log-scale at ``LOG_SCALE_RANGE``'s top (CLIP's 100); ``train`` judges the floor."""
+    if temp.log_scale > LOG_SCALE_RANGE[1]:
+        return TemperatureParam(log_scale=LOG_SCALE_RANGE[1])
     return temp
 
 

@@ -19,8 +19,8 @@ Trainer state file format (PSDT, version 2, little-endian):
 
 Nothing follows, so a load-save round trip is byte-exact. ``errors.Framing``
 checks the framing: magic, version (before any length), and the length. The
-loader holds the content to what training can write, a log-scale that is
-finite and at most log(MAX_LOGIT_SCALE), and a fault names the file.
+loader holds the content to what training can write, a log-scale in
+``objective.LOG_SCALE_RANGE``, and a fault names the file.
 
 Optimizer moments are not stored: there is no resume path, and evaluation
 reads only the encoders and the temperature. Version 1 stored them after
@@ -41,7 +41,7 @@ from .errors import DegenerateInputError, DivergenceError, Framing, InvalidInput
 from .model import EncoderSpec, ParamSet, encode, encode_backward, init_params, load_params, save_params
 from .numkit import RngState, derive_seed
 from .objective import (
-    MAX_LOGIT_SCALE,
+    LOG_SCALE_RANGE,
     EmbeddingBatch,
     PartitionPlan,
     TemperatureParam,
@@ -54,6 +54,7 @@ from .objective import (
 
 TARGET_MODES = ("swapped", "bootstrap", "none")
 PARTITION_MODES = ("dynamic", "static")
+_SCALES = "[{:g}, {:g}]".format(*map(math.exp, LOG_SCALE_RANGE))  # the scale's, and tau's, range
 
 # Stream labels for derive_seed; fixed so runs stay reproducible across versions.
 _STREAM_INIT_IMAGE = 1
@@ -210,7 +211,7 @@ class TrainConfig:
     target_mode: str = "swapped"
     partition_mode: str = "dynamic"
     temperature_init: float = 0.07
-    teacher_scale: float = 0.0   # in [0, 100]; 0 tracks the student's scale (not bootstrap)
+    teacher_scale: float = 0.0   # 0 or in [0.01, 100]; 0 tracks the student's scale (not bootstrap)
 
     def __post_init__(self):
         check_ranges((
@@ -221,13 +222,15 @@ class TrainConfig:
                 ("batch_size", "[2, inf)"), ("epochs", "[1, inf)"),
                 ("learning_rate", "(0, inf)"), ("weight_decay", "[0, inf)"),
                 ("alpha_start", "[0, 1]"), ("alpha_end", "[0, 1]"),
-                ("temperature_init", "(0, inf)"), ("teacher_scale", f"[0, {MAX_LOGIT_SCALE:g}]"))),
+                ("temperature_init", _SCALES))),
+            ("teacher_scale", self.teacher_scale, self.teacher_scale == 0.0 or within(
+                "teacher_scale", self.teacher_scale, _SCALES)[2], f"be 0 or lie in {_SCALES}"),
             ("seed", self.seed, 0 <= self.seed < 1 << 64, "lie in [0, 2^64)")))
         if self.image_encoder.embed_dim != self.text_encoder.embed_dim:
             raise InvalidInputError("both encoders must share the embedding dimension")
         if self.target_mode == "bootstrap" and self.teacher_scale == 0.0:
-            raise InvalidInputError("bootstrap targets at the student's scale are its own "
-                                    "posteriors and give no gradient: set teacher_scale")
+            raise InvalidInputError("bootstrap targets at the student's scale are its own posteriors"
+                                    f" and give no gradient: set teacher_scale in {_SCALES}")
 
     def check_data(self, ds: PairedDataset) -> None:
         """InvalidInputError unless ``ds`` fills a batch; ``encode`` judges its widths."""
@@ -265,8 +268,8 @@ def train(cfg: TrainConfig, ds: PairedDataset, observer=None) -> TrainResult:
     modalities are encoded once, soft targets are built from those same
     embeddings as detached constants, the partitioned loss is backpropagated,
     AdamW updates all parameters jointly, and the logit scale is re-clamped.
-    A step that leaves a non-finite loss or parameter, or a logit scale that
-    underflowed to 0, raises DivergenceError, and so does an encode after
+    A step that leaves a non-finite loss or parameter, or a logit scale below
+    its range [0.01, 100], raises DivergenceError, and so does an encode after
     step 0 that meets a zero or overflowing output norm. An ``observer``'s
     ``step(record)`` gets each step's record as soon as it exists, and its
     ``epoch(epoch, step, image_params, text_params)`` runs after each epoch.
@@ -339,12 +342,12 @@ def train(cfg: TrainConfig, ds: PairedDataset, observer=None) -> TrainResult:
             adamw_step(flat, grads, opt)
             temp = clamp_scale(TemperatureParam(log_scale=float(flat[-1])))
             flat[-1] = temp.log_scale
-            # One O(parameters) health check per step. A logit scale that
-            # underflowed to 0 has a finite log, so it is tested apart.
-            if not (math.isfinite(lg.loss) and np.isfinite(flat).all() and temp.scale > 0.0):
+            low = temp.log_scale < LOG_SCALE_RANGE[0]  # the floor covers underflow to 0
+            if low or not (math.isfinite(lg.loss) and np.isfinite(flat).all()):
                 raise DivergenceError(step, (
                     f"training diverged at step {step}: loss {lg.loss}, logit scale "
-                    f"{temp.scale}, {int((~np.isfinite(flat)).sum())} non-finite parameters"))
+                    f"{temp.scale}, {int((~np.isfinite(flat)).sum())} non-finite parameters"
+                    + (f"; the scale fell below its range {_SCALES}" if low else "")))
 
             history.append({"step": step, "epoch": epoch, "alpha": alpha, "loss": lg.loss,
                             "lr": opt.lr_at(opt.step), "scale": temp.scale})
@@ -388,6 +391,6 @@ def load_checkpoint(out_dir) -> tuple[ParamSet, ParamSet, TemperatureParam, dict
     raw, (seed, steps, epochs, log_scale) = _STATE_FRAMING.read(path)
     _STATE_FRAMING.payload(raw, path)
     check_ranges([within(f"{path}: temperature log-scale", log_scale,
-                         f"(-inf, {math.log(MAX_LOGIT_SCALE)!r}]")])
+                         "[{!r}, {!r}]".format(*LOG_SCALE_RANGE))])
     state = {"seed": seed, "steps": steps, "epochs": epochs}
     return image_params, text_params, TemperatureParam(log_scale=log_scale), state

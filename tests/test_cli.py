@@ -361,22 +361,29 @@ def test_huge_inputs_train_unless_an_embedding_overflows(fill, rc, tmp_path, cap
     assert ("row 0 has norm inf" in caplog.text) == (rc != 0)
 
 
-@pytest.mark.parametrize("settings, route", [
+@pytest.mark.parametrize("settings, step, route", [
     # The logit scale underflows to 0; the step's health check stops the run.
-    (["learning_rate=1e3"], "logit scale 0.0, 0 non-finite parameters"),
+    (["learning_rate=1e3"], 0,
+     "logit scale 0.0, 0 non-finite parameters; the scale fell below its range [0.01, 100]"),
     # Parameters and scale overflow; the step's health check stops the run.
-    (["learning_rate=1e200", "weight_decay=1e200"], "logit scale nan, 11457 non-finite parameters"),
+    (["learning_rate=1e200", "weight_decay=1e200"], 0,
+     "logit scale nan, 11457 non-finite parameters"),
     # Finite parameters, the next step's encode overflows.
-    (["learning_rate=1", "weight_decay=1e308"], "step 1: row 0 has norm inf"),
-], ids=["settings0", "settings1", "settings2"])
+    (["learning_rate=1", "weight_decay=1e308"], 1, "step 1: row 0 has norm inf"),
+    # The scale collapses (5.26, 0.90, 0.12, 0.025, 0.0066) with every
+    # parameter finite; below 0.01 the logits span under 0.02 and the loss
+    # sits at chance, so the health check stops the run at the floor.
+    (["epochs=3", "learning_rate=3", "samples_per_class=60", "batch_size=32"], 4,
+     "0 non-finite parameters; the scale fell below its range [0.01, 100]"),
+], ids=["settings0", "settings1", "settings2", "scale_collapse"])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_diverged_run_exits_divergence_code(settings, route, tmp_path, caplog):
-    argv = ["train", "--quiet", "--epochs", "2", "--out", str(tmp_path)]
+def test_diverged_run_exits_divergence_code(settings, step, route, tmp_path, caplog):
+    argv = ["train", "--quiet", "--out", str(tmp_path), "--set", "epochs=2"]
     for setting in settings:
         argv += ["--set", setting]
     assert main(argv) == DivergenceError.exit_code == 6
-    assert "training diverged at step" in caplog.text
+    assert f"training diverged at step {step}: " in caplog.text
     assert route in caplog.text
     # The configuration was written before the first step. metrics.jsonl
     # fills as the run goes: it holds the record of every step before the
@@ -407,17 +414,29 @@ def test_optimizer_setting_outside_its_range_exits_invalid_input_code(setting, m
 
 
 @pytest.mark.parametrize("target_mode", ["swapped", "bootstrap"])
-@pytest.mark.parametrize("teacher_scale", ["-5", "nan", "inf", "1000"])
+@pytest.mark.parametrize("teacher_scale", ["-5", "nan", "inf", "1000", "0.005"])
 def test_teacher_scale_outside_its_range_exits_invalid_input_code(teacher_scale, target_mode,
                                                                   tmp_path, caplog):
-    # 0 tracks the student's scale and a fixed scale lies in (0, 100], so
-    # the key lies in [0, 100]; anything else fails before training starts,
+    # 0 tracks the student's scale and a fixed scale lies in the scale's
+    # range, [0.01, 100]; anything else fails before training starts,
     # bootstrap targets included.
     rc = main(["train", "--quiet", "--set", f"target_mode={target_mode}",
                "--set", f"teacher_scale={teacher_scale}", "--out", str(tmp_path)])
     assert rc == InvalidInputError.exit_code == 3
-    assert "teacher_scale must lie in [0, 100]" in caplog.text
+    assert "teacher_scale must be 0 or lie in [0.01, 100]" in caplog.text
     assert not (tmp_path / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize("tau", ["0.0099", "100.5", "0.001", "1000"])
+def test_temperature_outside_the_scale_range_exits_invalid_input_code(tau, tmp_path, caplog):
+    # tau = 1/scale, so tau's range is the scale's, [0.01, 100]. At 1000 a
+    # run used to train at scale 0.001, at chance; at 0.001 the scale was
+    # clamped to 100 while config.resolved.txt still recorded 0.001.
+    out = tmp_path / "out"
+    rc = main(["train", "--quiet", "--set", f"temperature_init={tau}", "--out", str(out)])
+    assert rc == InvalidInputError.exit_code == 3
+    assert f"temperature_init must lie in [0.01, 100], got {float(tau)!r}" in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("teacher_scale", [100, 100.5, 1000])
@@ -495,12 +514,13 @@ def test_eval_rejects_an_encoder_file_with_a_non_finite_parameter(value, pairs_f
 
 
 @pytest.mark.parametrize("log_scale", [
-    math.nan, math.inf, 1000.0, math.nextafter(math.log(MAX_LOGIT_SCALE), math.inf),
-], ids=["nan", "inf", "1000", "past_the_clamp"])
+    math.nan, math.inf, 1000.0, math.nextafter(math.log(MAX_LOGIT_SCALE), math.inf), -5.0,
+], ids=["nan", "inf", "1000", "past_the_clamp", "below_the_floor"])
 def test_eval_rejects_a_log_scale_training_cannot_write(log_scale, pairs_file, tmp_path,
                                                         caplog):
-    # Training clamps the log-scale at log(MAX_LOGIT_SCALE). A NaN one used
-    # to write "temperature_scale": NaN into report.json, which is not JSON,
+    # Training clamps the log-scale at log(MAX_LOGIT_SCALE) and stops a run
+    # whose log-scale falls below -log(MAX_LOGIT_SCALE). A NaN one used to
+    # write "temperature_scale": NaN into report.json, which is not JSON,
     # and 1000 overflowed in the scale's exp with a traceback.
     ckpt = tmp_path / "ckpt"
     assert train_on(pairs_file, ckpt) == 0
@@ -510,8 +530,8 @@ def test_eval_rejects_a_log_scale_training_cannot_write(log_scale, pairs_file, t
                "--out", str(tmp_path / "eval")])
     assert rc == InvalidInputError.exit_code == 3
     assert caplog.records[-1].getMessage() == (
-        f"{state}: temperature log-scale must lie in (-inf, {math.log(MAX_LOGIT_SCALE)!r}], "
-        f"got {log_scale!r}")
+        f"{state}: temperature log-scale must lie in "
+        f"[{-math.log(MAX_LOGIT_SCALE)!r}, {math.log(MAX_LOGIT_SCALE)!r}], got {log_scale!r}")
     assert not (tmp_path / "eval").exists()
 
 
@@ -742,12 +762,14 @@ def test_ablate_rejects_eval_settings_before_training(setting, tmp_path, monkeyp
 
 def test_ablate_rejects_a_variant_before_training(tmp_path, monkeypatch, caplog):
     # teacher_scale = 0 tracks the student's scale, which the bootstrap
-    # variant cannot train with; no pool is drawn.
+    # variant cannot train with; the message names that variant, and no
+    # pool is drawn.
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     out = tmp_path / "out"
     rc = main(["ablate", "--quiet", "--set", "teacher_scale=0", "--out", str(out)])
     assert rc == InvalidInputError.exit_code == 3
-    assert "set teacher_scale" in caplog.text
+    assert "bootstrap_static: bootstrap targets at the student's scale" in caplog.text
+    assert "set teacher_scale in [0.01, 100]" in caplog.text
     assert not out.exists()
 
 

@@ -23,7 +23,7 @@ from psdlab.errors import FileFormatError, InvalidInputError
 from psdlab.experiments import MetricsLog
 from psdlab.model import EncoderSpec
 from psdlab.numkit import RngState
-from psdlab.objective import TemperatureParam, clamp_scale
+from psdlab.objective import LOG_SCALE_RANGE, MAX_LOGIT_SCALE, TemperatureParam, clamp_scale
 from psdlab.trainer import (
     AlphaSchedule,
     OptState,
@@ -164,6 +164,13 @@ class TestCheckpoint:
         save_checkpoint(result, tmp_path)
         assert load_checkpoint(tmp_path)[2] == result.temperature
 
+    def test_log_scale_at_the_floor_loads(self, tmp_path):
+        # The smallest log-scale a run keeps, -log 100, is the loader's floor.
+        result = small_result(epochs=1)
+        result.temperature = TemperatureParam(log_scale=-math.log(MAX_LOGIT_SCALE))
+        save_checkpoint(result, tmp_path)
+        assert load_checkpoint(tmp_path)[2] == result.temperature
+
     @pytest.mark.parametrize("corrupt, message", [
         (lambda raw: b"XXXX" + raw[4:], "not a trainer state, expected magic"),
         (lambda raw: raw[:20], "trainer state header incomplete, 20 of 40 bytes"),
@@ -288,8 +295,10 @@ def test_alpha_schedule_midpoints(kind, start, end):
     ("alpha_start", 1.5, "alpha_start must lie in [0, 1], got 1.5"),
     ("alpha_end", -0.1, "alpha_end must lie in [0, 1], got -0.1"),
     ("alpha_start", math.nan, "alpha_start must lie in [0, 1], got nan"),
-    ("temperature_init", 0.0, "temperature_init must lie in (0, inf), got 0.0"),
-    ("temperature_init", math.inf, "temperature_init must lie in (0, inf), got inf"),
+    ("temperature_init", 0.0, "temperature_init must lie in [0.01, 100], got 0.0"),
+    ("temperature_init", math.inf, "temperature_init must lie in [0.01, 100], got inf"),
+    ("temperature_init", 0.0099, "temperature_init must lie in [0.01, 100], got 0.0099"),
+    ("teacher_scale", 0.005, "teacher_scale must be 0 or lie in [0.01, 100], got 0.005"),
     ("seed", -1, "seed must lie in [0, 2^64), got -1"),
     ("seed", 1 << 64, f"seed must lie in [0, 2^64), got {1 << 64}"),
 ])
@@ -300,6 +309,26 @@ def test_train_config_rejects_a_bad_setting(name, value, message):
     encoder = EncoderSpec(12, (16,), 8)
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         TrainConfig(image_encoder=encoder, text_encoder=encoder, **{name: value})
+
+
+@pytest.mark.parametrize("tau, log_scale", [(0.01, math.log(100.0)), (100.0, -4.605170185988091)])
+def test_temperature_at_either_end_of_the_range_starts_inside_it(tau, log_scale):
+    # tau = 1/scale, so tau's range is the scale's, [0.01, 100]. The floor
+    # is judged in log space: its own scale, exp(-log 100), is under 0.01.
+    encoder = EncoderSpec(12, (16,), 8)
+    TrainConfig(image_encoder=encoder, text_encoder=encoder, temperature_init=tau)
+    temp = clamp_scale(TemperatureParam.from_temperature(tau))
+    assert temp.log_scale == log_scale
+    assert LOG_SCALE_RANGE[0] <= temp.log_scale <= LOG_SCALE_RANGE[1]
+    assert math.exp(LOG_SCALE_RANGE[0]) == 0.009999999999999995
+
+
+@pytest.mark.parametrize("teacher_scale", [0.0, 0.01])
+def test_teacher_scale_is_zero_or_in_the_scale_range(teacher_scale):
+    # 0 tracks the student's scale; a fixed teacher's scale lies in [0.01, 100].
+    encoder = EncoderSpec(12, (16,), 8)
+    cfg = TrainConfig(image_encoder=encoder, text_encoder=encoder, teacher_scale=teacher_scale)
+    assert cfg.teacher_scale == teacher_scale
 
 
 @pytest.mark.parametrize("t", [-1, 11])
