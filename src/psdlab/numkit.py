@@ -11,12 +11,12 @@ One cross-entropy kernel, ``contrastive_xent``, with two target kinds: a
 hard target is one-hot, a soft target is a distribution. It takes the rows
 and the columns of a square logit matrix L = scaled_v t^T given by its two
 factors, with its diagonal as the hard targets, and returns the gradients in
-the factors; InfoNCE and the PSD loss call it. Its soft targets arrive as
-one ``SoftTargets``, which checks them and makes each a distribution, held
-as factors of one exponential, an n x n block with one scale per row and one
-per column: no target row is gathered, and the weighted targets are
-subtracted from the gradient block a band of rows at a time, so the block's
-two products with the factors carry them.
+the factors; InfoNCE and the PSD loss call it. The caller names the soft
+rows; ``SoftTargets`` holds a target for every row, checked and made a
+distribution, as factors of one exponential, an n x n block with one scale
+per row and one per column: no target row is gathered, and the weighted
+targets are subtracted from the gradient block a band of rows at a time, so
+the block's two products with the factors carry them.
 
 Both axes of a square matrix take their log-sum-exps from one exponential
 under the global max, ``exp_both_axes`` (``contrastive_xent`` and the
@@ -121,29 +121,28 @@ def exp_both_axes(x: np.ndarray, top: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SoftTargets:
-    """Teacher-produced alignment distributions for the unaligned rows of a
-    batch of n pairs, held as factors of the teacher's exponential.
+    """Teacher-produced alignment distributions for every row of a batch of
+    n pairs, held as factors of the teacher's exponential.
 
-    The target of image rows[u] over the batch's texts and the target of
-    text rows[u] over its images are
+    The target of image u over the batch's texts and the target of text u
+    over its images are
 
-        image row u: exp[rows[u], j] * p[u] * g[j] over the texts j,
-        text row u:  exp[i, rows[u]] * r[i] * s[u] over the images i,
+        image row u: exp[u, j] * p[u] * g[j] over the texts j,
+        text row u:  exp[i, u] * r[i] * s[u] over the images i,
 
     given a scale ``g`` over the texts and ``r`` over the images. The
-    normalizers p = 1 / (exp @ g)[rows] and s = 1 / (r @ exp)[rows] are
-    derived here (again by ``dataclasses.replace``), so every target row
-    sums to 1 by construction. The n x n block is an exponential of teacher
-    logits. Targets are constants to the student; nothing here writes to
-    the arrays it holds, and ``contrastive_xent`` reads the factors.
+    normalizers p = 1 / (exp @ g) and s = 1 / (r @ exp) are derived here
+    (again by ``dataclasses.replace``), so every target row sums to 1 by
+    construction. The n x n block is an exponential of teacher logits.
+    Targets are constants to the student; nothing here writes to the arrays
+    it holds, and ``contrastive_xent`` reads the factors.
 
     InvalidInputError is raised for a scale that is not a finite positive
-    number, for a non-finite full row sum (exp @ g or r @ exp: a NaN or
-    infinite entry anywhere), and for a target row whose sum is not
-    positive or has no finite reciprocal.
+    number, for a non-finite row sum (exp @ g or r @ exp: a NaN or infinite
+    entry anywhere), and for a row sum that is not positive or has no
+    finite reciprocal.
     """
 
-    rows: np.ndarray
     exp: np.ndarray
     g: np.ndarray
     r: np.ndarray
@@ -155,7 +154,6 @@ class SoftTargets:
         n = e.shape[0] if e.ndim == 2 else -1
         if e.shape != (n, n):
             raise InvalidInputError(f"target block must be square, got {e.shape}")
-        rows = increasing_rows(self.rows, n, "target rows")
         g, r = np.asarray(self.g, dtype=np.float64), np.asarray(self.r, dtype=np.float64)
         if g.shape != (n,) or r.shape != (n,):
             raise InvalidInputError(f"target scales {g.shape} and {r.shape} do not fit {n} rows")
@@ -168,15 +166,14 @@ class SoftTargets:
         if not np.isfinite(sums).all():
             raise InvalidInputError("target block holds NaN or infinite entries")
         with np.errstate(divide="ignore", over="ignore"):
-            norms = 1.0 / sums[np.concatenate([rows, n + rows])]
+            norms = 1.0 / sums
         if norms.size and not (norms.min() > 0.0 and norms.max() < math.inf):
             raise InvalidInputError("target row sums must be positive with finite reciprocals")
-        for name, value in (("rows", rows), ("exp", e), ("g", g), ("r", r),
-                            ("p", norms[: rows.size]), ("s", norms[rows.size:])):
+        for name, value in (("exp", e), ("g", g), ("r", r), ("p", norms[:n]), ("s", norms[n:])):
             object.__setattr__(self, name, value)
 
 
-def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
+def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray, soft_rows,
                      targets: SoftTargets | None) -> tuple[float, np.ndarray, np.ndarray]:
     """Weighted softmax cross-entropy of every row plus every column of the
     square logit matrix L = scaled_v t^T, with its gradients in the two
@@ -186,13 +183,13 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
     product is formed.
 
     Row i and column i each cost weights[i] * H(q, softmax(x)). Both
-    target the diagonal entry L[i, i] (hard), except for the rows of
-    ``targets`` (none when it is None), whose targets are the
-    ``SoftTargets`` entries: row rows[u] targets exp[rows[u], j] * p[u] *
-    g[j] over the columns j, and column rows[u] targets exp[i, rows[u]] *
-    r[i] * s[u] over the rows i. Their block, exp, must be n x n; it is not
-    written to. ``SoftTargets`` makes every soft target a distribution, so
-    each term takes the log-sum-exp form H(q, softmax(x)) = lse(x) - q . x.
+    target the diagonal entry L[i, i] (hard), except for ``soft_rows``,
+    increasing indices in 0..n-1, whose targets are ``targets``' entries:
+    soft row u targets exp[u, j] * p[u] * g[j] over the columns j, and
+    column u targets exp[i, u] * r[i] * s[u] over the rows i. The block,
+    exp, must be n x n; it is not written to. ``SoftTargets`` makes every
+    target a distribution, so each term takes the log-sum-exp form
+    H(q, softmax(x)) = lse(x) - q . x.
 
     The gradient in L is e * (a_i + b_j) - H - M, with e the one
     exponential of ``exp_both_axes``, taken in place in L's buffer,
@@ -211,13 +208,15 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
             f"shape mismatch: factors {scaled_v.shape} and {t.shape}, weights {weights.shape}")
     if targets is not None and targets.exp.shape != (n, n):
         raise InvalidInputError(f"target block {targets.exp.shape} does not fit {n} rows")
-    soft_rows = np.zeros(0, dtype=np.int64) if targets is None else targets.rows
+    soft_rows = increasing_rows(soft_rows, n, "soft rows")
     k = soft_rows.size
     if k:
+        if targets is None:
+            raise InvalidInputError(f"{k} soft rows given with no targets")
         block, g, r = targets.exp, targets.g, targets.r
         alpha, beta = np.zeros(n), np.zeros(n)
-        alpha[soft_rows] = weights[soft_rows] * targets.p
-        beta[soft_rows] = weights[soft_rows] * targets.s
+        alpha[soft_rows] = weights[soft_rows] * targets.p[soft_rows]
+        beta[soft_rows] = weights[soft_rows] * targets.s[soft_rows]
         x, y = np.stack([alpha, r], axis=1), np.stack([g, beta])  # M = block * (x @ y)
     logits = scaled_v @ t.T
     bands = [slice(start, min(start + _BAND_ROWS, n)) for start in range(0, n, _BAND_ROWS)]
@@ -234,8 +233,8 @@ def contrastive_xent(scaled_v: np.ndarray, t: np.ndarray, weights: np.ndarray,
             product = np.multiply(block[band], logits[band], out=work[: band.stop - band.start])
             soft_row[band] = product @ g
             soft_col += r[band] @ product
-        picked_row[soft_rows] = targets.p * soft_row[soft_rows]
-        picked_col[soft_rows] = targets.s * soft_col[soft_rows]
+        picked_row[soft_rows] = targets.p[soft_rows] * soft_row[soft_rows]
+        picked_col[soft_rows] = targets.s[soft_rows] * soft_col[soft_rows]
     row_sum, col_sum = exp_both_axes(logits, top)
     grad = logits  # e, which becomes the gradient in L in place
     row_lse = top + np.log(row_sum.ravel())

@@ -15,14 +15,14 @@ every row hard with weight 1/N; the PSD loss weights a plan's unaligned (soft)
 rows U (1 - alpha)/|U| and every other (hard) row alpha/(n - |U|).
 
 The teacher reads the rows and columns of its own (teacher_scale * V) T^T in
-the same way, and hands the kernel its targets as one
-``numkit.SoftTargets``, which holds them as factors, never as dense |U| x n
-rows: every target entry is an entry of the teacher's exponential E times
-one scale over the opposite modality and one normalizer per target row. The
-teacher picks the scale (for swapped targets, the reciprocals of E's column
-or row sums; for bootstrap targets, 1); ``SoftTargets`` alone checks the
-factors and derives the normalizers, so every target is a distribution and
-the kernel takes it as one. One E = exp(S - max S) under
+the same way and returns a target for every row as one ``numkit.SoftTargets``,
+held as factors, never as dense n x n rows: every target entry is an entry
+of the teacher's exponential E times one scale over the opposite modality
+and one normalizer per row; the plan alone names the rows that read them.
+The teacher picks the scale (for swapped targets, the reciprocals of E's
+column or row sums; for bootstrap targets, 1); ``SoftTargets`` alone checks
+the factors and derives the normalizers, so every target is a distribution
+and the kernel takes it as one. One E = exp(S - max S) under
 the global max serves both directions and both target kinds
 (``numkit.exp_both_axes``). Its span rule (``numkit.shared_exp_top``) asks
 every logit to lie within 600 of the largest, because a target scales single exponentials by
@@ -114,9 +114,9 @@ class EmbeddingBatch:
 @dataclass(frozen=True)
 class PartitionPlan:
     """The unaligned (soft-target) rows of a batch of n, sorted here and then
-    held to ``numkit.increasing_rows`` as ``SoftTargets`` holds its rows,
-    and the mixing coefficient alpha; every other row is aligned. Hand-built
-    plans may decouple alpha from the split (make_partition leaves
+    held to ``numkit.increasing_rows`` as ``contrastive_xent`` holds its
+    soft rows, and the mixing coefficient alpha; every other row is aligned.
+    Hand-built plans may decouple alpha from the split (make_partition leaves
     n - floor(alpha * n) rows unaligned), which the affine-in-alpha property
     relies on."""
 
@@ -143,12 +143,12 @@ class LossGrad:
 
 
 def _bidirectional_xent(batch: EmbeddingBatch, temp: TemperatureParam, weights: np.ndarray,
-                       targets: SoftTargets | None) -> LossGrad:
+                       soft_rows, targets: SoftTargets | None) -> LossGrad:
     """Weighted cross-entropy of every image row over the texts plus every
     text row over the images, from one similarity matrix. Row i is hard
-    (its target is partner i) unless it is one of the rows of ``targets``."""
+    (its target is partner i) unless in ``soft_rows``, which read ``targets``."""
     scaled_v = temp.scale * batch.image
-    loss, d_scaled_v, d_text = contrastive_xent(scaled_v, batch.text, weights, targets)
+    loss, d_scaled_v, d_text = contrastive_xent(scaled_v, batch.text, weights, soft_rows, targets)
     # sum(d_logits * logits) reduced over n x d instead of n x n, since the
     # logits are (scale * v) t^T; einsum, not a BLAS dot, because a threaded
     # BLAS splits a dot's sum across threads and its rounding would follow them.
@@ -162,12 +162,12 @@ def info_nce(batch: EmbeddingBatch, temp: TemperatureParam) -> LossGrad:
     pairing, image-to-text plus text-to-image, each with mean reduction."""
     if batch.n == 0:
         raise InvalidInputError("info_nce requires at least one pair")
-    return _bidirectional_xent(batch, temp, np.full(batch.n, 1.0 / batch.n), None)
+    return _bidirectional_xent(batch, temp, np.full(batch.n, 1.0 / batch.n), (), None)
 
 
 def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: PartitionPlan,
                   swapped: bool) -> SoftTargets:
-    """Teacher targets for the unaligned rows from one similarity matrix S,
+    """Teacher targets for every row from one similarity matrix S,
     read along its rows (images over texts) and its columns (texts over
     images): each row's own posterior, or (``swapped``) the opposite
     direction's posteriors of that row, renormalized. Only the factors are
@@ -190,9 +190,9 @@ def _soft_targets(teacher_image, teacher_text, teacher_scale: float, plan: Parti
     # scales. SoftTargets renormalizes.
     row_sum, col_sum = exp_both_axes(e, shared_exp_top(e))
     if swapped:
-        return SoftTargets(plan.unaligned_idx, e, 1.0 / col_sum.ravel(), 1.0 / row_sum.ravel())
+        return SoftTargets(e, 1.0 / col_sum.ravel(), 1.0 / row_sum.ravel())
     ones = np.ones(plan.n)
-    return SoftTargets(plan.unaligned_idx, e, ones, ones)
+    return SoftTargets(e, ones, ones)
 
 
 def soft_targets_swapped(teacher_image, teacher_text, teacher_scale: float,
@@ -203,7 +203,8 @@ def soft_targets_swapped(teacher_image, teacher_text, teacher_scale: float,
     image i against all other images (and symmetrically for texts), i.e. the
     transpose of the row-softmaxed opposite-direction similarity matrix. The
     transposed rows are renormalized to sum to 1 so they feed a
-    proper-distribution cross entropy.
+    proper-distribution cross entropy. Every row gets a target: ``plan``
+    only checks the batch size.
     """
     return _soft_targets(teacher_image, teacher_text, teacher_scale, plan, swapped=True)
 
@@ -213,7 +214,8 @@ def soft_targets_bootstrap(teacher_image, teacher_text, teacher_scale: float,
     """Forward-bootstrapping targets: each row's own same-direction posterior.
 
     Rows of the row-softmaxed similarity matrices are already stochastic, so
-    no renormalization is applied.
+    no renormalization is applied. Every row gets a target: ``plan`` only
+    checks the batch size.
     """
     return _soft_targets(teacher_image, teacher_text, teacher_scale, plan, swapped=False)
 
@@ -224,7 +226,8 @@ def psd_loss(batch: EmbeddingBatch, temp: TemperatureParam, plan: PartitionPlan,
 
     alpha * [hard InfoNCE terms over the aligned rows, each contrasted against
     the full batch] + (1 - alpha) * [soft cross-entropy terms over the
-    unaligned rows against the teacher targets]. Mean reduction is taken
+    unaligned rows, which the plan alone names, against their teacher
+    targets; ``targets`` holds one for every row]. Mean reduction is taken
     separately per subset; an empty subset contributes exactly 0. Gradients
     flow through every student embedding inside the softmaxes and through the
     log-scale, never through the targets.
@@ -233,11 +236,7 @@ def psd_loss(batch: EmbeddingBatch, temp: TemperatureParam, plan: PartitionPlan,
         raise InvalidInputError("psd_loss requires at least one pair")
     if plan.n != batch.n:
         raise InvalidInputError(f"plan covers {plan.n} rows but batch has {batch.n}")
-    if not np.array_equal(targets.rows, plan.unaligned_idx):
-        raise InvalidInputError(
-            f"targets for {targets.rows.size} rows do not match the plan's "
-            f"{plan.unaligned_idx.size} unaligned rows")
     k = plan.unaligned_idx.size
     weights = np.full(batch.n, plan.alpha / max(batch.n - k, 1))
     weights[plan.unaligned_idx] = (1.0 - plan.alpha) / max(k, 1)
-    return _bidirectional_xent(batch, temp, weights, targets)
+    return _bidirectional_xent(batch, temp, weights, plan.unaligned_idx, targets)

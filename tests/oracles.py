@@ -207,15 +207,15 @@ def softmax_rows(m, scale: float) -> np.ndarray:
     return probs
 
 
-def target_rows(targets: SoftTargets) -> tuple[np.ndarray, np.ndarray]:
-    """The dense |U| x n rows of soft targets, from their factors: row u of
-    the first is image rows[u]'s target over the texts, row u of the second
-    text rows[u]'s over the images."""
-    rows, e = targets.rows, targets.exp
-    image = e[rows] * targets.p[:, None]
+def target_rows(targets: SoftTargets, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The dense |U| x n rows of soft targets for the soft ``rows``, from
+    their factors: row u of the first is image rows[u]'s target over the
+    texts, row u of the second text rows[u]'s over the images."""
+    rows, e = np.asarray(rows, dtype=np.int64), targets.exp
+    image = e[rows] * targets.p[rows, None]
     image *= targets.g
     text = e[:, rows] * targets.r[:, None]
-    text *= targets.s
+    text *= targets.s[rows]
     return image, text.T
 
 

@@ -122,8 +122,8 @@ def draw_targets(rng, n, soft_rows):
     """Soft targets on a block exp(3 * normals) with scales in [0.5, 1.5),
     with their dense rows and columns."""
     block = np.exp(3.0 * rng.normals(n, n))
-    targets = SoftTargets(soft_rows, block, 0.5 + rng.uniforms(n), 0.5 + rng.uniforms(n))
-    return targets, *target_rows(targets)
+    targets = SoftTargets(block, 0.5 + rng.uniforms(n), 0.5 + rng.uniforms(n))
+    return targets, *target_rows(targets, soft_rows)
 
 
 def target_block(weights, soft_rows, row_targets, col_targets):
@@ -194,19 +194,19 @@ class TestCrossEntropyRows:
         # One block with scales on both sides, each soft row and column
         # normalized by its sum.
         weights = rng.uniforms(5)
-        targets = SoftTargets([0, 3], np.exp(rng.normals(5, 5)), 0.5 + rng.uniforms(5),
+        targets = SoftTargets(np.exp(rng.normals(5, 5)), 0.5 + rng.uniforms(5),
                               0.5 + rng.uniforms(5))
         assert (logit_span(v @ t.T) > SHARED_EXP_SPAN) == bool(far)
         if far:
             with pytest.raises(InvalidInputError, match="span"):
-                contrastive_xent(v, t, weights, targets)
+                contrastive_xent(v, t, weights, [0, 3], targets)
             return
 
         def loss_at(flat):
             return contrastive_xent(flat[:20].reshape(5, 4), flat[20:].reshape(5, 4),
-                                    weights, targets)[0]
+                                    weights, [0, 3], targets)[0]
 
-        _, d_v, d_t = contrastive_xent(v, t, weights, targets)
+        _, d_v, d_t = contrastive_xent(v, t, weights, [0, 3], targets)
         numeric = central_difference(loss_at, np.concatenate([v.ravel(), t.ravel()]))
         assert max_rel_error(np.concatenate([d_v.ravel(), d_t.ravel()]), numeric) < 1e-6
 
@@ -227,14 +227,14 @@ class TestCrossEntropyRows:
         weights = rng.uniforms(n)
         soft_rows = draw_soft_rows(rng, n, data)
         targets, row_targets, col_targets = draw_targets(rng, n, soft_rows)
-        swapped = SoftTargets(soft_rows, targets.exp.T, targets.r, targets.g)
+        swapped = SoftTargets(targets.exp.T, targets.r, targets.g)
         if logit_span(x) > SHARED_EXP_SPAN:
             for a, b, q in ((x, eye, targets), (eye, x, swapped)):
                 with pytest.raises(InvalidInputError, match="span"):
-                    contrastive_xent(a, b, weights, q)
+                    contrastive_xent(a, b, weights, soft_rows, q)
             return
-        loss, block, d_eye = contrastive_xent(x, eye, weights, targets)
-        ref_loss, ref_d_eye, ref_block = contrastive_xent(eye, x, weights, swapped)
+        loss, block, d_eye = contrastive_xent(x, eye, weights, soft_rows, targets)
+        ref_loss, ref_d_eye, ref_block = contrastive_xent(eye, x, weights, soft_rows, swapped)
         # The two reductions add exp(x - max) in another order, so a sum may
         # differ in its last bit; a log-sum-exp term is at most max|x| +
         # log(n) and a gradient term at most weight * mass in size.
@@ -269,9 +269,9 @@ class TestCrossEntropyRows:
         if logit_span(x) > SHARED_EXP_SPAN:
             event("rejected")
             with pytest.raises(InvalidInputError, match="span"):
-                contrastive_xent(x, np.eye(n), weights, targets)
+                contrastive_xent(x, np.eye(n), weights, soft_rows, targets)
             return
-        loss, d_x, d_eye = contrastive_xent(x, np.eye(n), weights, targets)
+        loss, d_x, d_eye = contrastive_xent(x, np.eye(n), weights, soft_rows, targets)
         ref_loss, ref_block, ref_d_eye = dense_xent(x, np.eye(n), weights, soft_rows,
                                                     row_targets, col_targets)
         # Bounds on the loss's log-sum-exp terms and on a gradient term, and
@@ -283,8 +283,8 @@ class TestCrossEntropyRows:
         # kernel's 3n then scaled by up to p[u] max(g, 1) (a row) or
         # s[u] max(r, 1) (a column).
         terms, wm = 0.0, 0.0
-        grid = 4.0 * n + 3.0 * n * (targets.p * max(targets.g.max(), 1.0)
-                                    + targets.s * max(targets.r.max(), 1.0))
+        grid = 4.0 * n + 3.0 * n * (targets.p[soft_rows] * max(targets.g.max(), 1.0)
+                                    + targets.s[soft_rows] * max(targets.r.max(), 1.0))
         drift = 2.0**-1074 * (weights[soft_rows] @ grid / 2.0)
         for q in (row_targets, col_targets):
             mass = np.ones(n)
@@ -306,13 +306,22 @@ class TestCrossEntropyRows:
         # The factors must share a shape, the weights fit their rows and the
         # target block be n x n; SoftTargets checks the rest of its factors.
         v, weights = np.zeros((2, 3)), np.full(2, 0.5)
-        for a, b, w, targets in (
-                (v, np.zeros((3, 3)), weights, None),
-                (v, v, np.full(3, 0.5), None),
-                (v, v, weights, SoftTargets([0], np.ones((3, 3)), np.ones(3), np.ones(3))),
-                (v, v, weights, SoftTargets([], np.ones((1, 1)), np.ones(1), np.ones(1)))):
+        for a, b, w, rows, targets in (
+                (v, np.zeros((3, 3)), weights, (), None),
+                (v, v, np.full(3, 0.5), (), None),
+                (v, v, weights, [0], SoftTargets(np.ones((3, 3)), np.ones(3), np.ones(3))),
+                (v, v, weights, [], SoftTargets(np.ones((1, 1)), np.ones(1), np.ones(1)))):
             with pytest.raises(InvalidInputError, match="shape mismatch|does not fit"):
-                contrastive_xent(a, b, w, targets)
+                contrastive_xent(a, b, w, rows, targets)
+
+    def test_soft_rows_without_targets_rejected(self):
+        # The soft rows' targets come from ``targets``; with none, only the
+        # hard rows of InfoNCE may be asked for. (test_objective holds the
+        # soft rows to increasing indices.)
+        v, weights = np.eye(3), np.full(3, 1.0 / 3.0)
+        with pytest.raises(InvalidInputError, match="2 soft rows given with no targets"):
+            contrastive_xent(v, v, weights, [0, 2], None)
+        assert contrastive_xent(v, v, weights, [], None)[0] > 0.0
 
     def test_gibbs_inequality(self, rng):
         for _ in range(30):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from psdlab.errors import InvalidInputError
 from psdlab.gradcheck import central_difference, max_rel_error
-from psdlab.numkit import SHARED_EXP_SPAN, RngState, normalize_rows_l2
+from psdlab.numkit import SHARED_EXP_SPAN, RngState, contrastive_xent, normalize_rows_l2
 from psdlab.objective import (
     EmbeddingBatch,
     PartitionPlan,
@@ -172,14 +172,14 @@ class TestSoftTargets:
         t = v.copy()
         plan = make_partition(5, 0.4, rng.permutation(5))
         for build in (soft_targets_swapped, soft_targets_bootstrap):
-            for rows in target_rows(build(v, t, 7.0, plan)):
+            for rows in target_rows(build(v, t, 7.0, plan), plan.unaligned_idx):
                 np.testing.assert_allclose(rows, 0.2, atol=1e-12)
 
     def test_uniform_in_small_scale_limit(self, rng):
         v, t = unit_batch(rng, 6, 5)
         plan = make_partition(6, 0.5, rng.permutation(6))
         for build in (soft_targets_swapped, soft_targets_bootstrap):
-            for rows in target_rows(build(v, t, 1e-9, plan)):
+            for rows in target_rows(build(v, t, 1e-9, plan), plan.unaligned_idx):
                 np.testing.assert_allclose(rows, 1.0 / 6.0, atol=1e-6)
 
     def test_swapped_scalar_definition_identity_sims(self):
@@ -187,7 +187,7 @@ class TestSoftTargets:
         v = np.eye(3)
         t = np.eye(3)
         plan = PartitionPlan(n=3, unaligned_idx=[2], alpha=2 / 3)
-        image, text = target_rows(soft_targets_swapped(v, t, scale, plan))
+        image, text = target_rows(soft_targets_swapped(v, t, scale, plan), plan.unaligned_idx)
         expected_v, expected_t = swapped_targets_scalar(v.tolist(), t.tolist(), scale, [2])
         np.testing.assert_allclose(image, expected_v, atol=1e-12)
         np.testing.assert_allclose(text, expected_t, atol=1e-12)
@@ -196,7 +196,7 @@ class TestSoftTargets:
     def test_swapped_scalar_oracle_random(self, rng):
         v, t = unit_batch(rng, 5, 4)
         plan = make_partition(5, 0.4, rng.permutation(5))
-        image, text = target_rows(soft_targets_swapped(v, t, 3.0, plan))
+        image, text = target_rows(soft_targets_swapped(v, t, 3.0, plan), plan.unaligned_idx)
         expected_v, expected_t = swapped_targets_scalar(
             v.tolist(), t.tolist(), 3.0, plan.unaligned_idx.tolist())
         np.testing.assert_allclose(image, expected_v, atol=1e-12)
@@ -206,13 +206,13 @@ class TestSoftTargets:
         v = np.array([[2.0, 0.0], [0.0, 2.0]])
         t = np.eye(2)
         plan = PartitionPlan(n=2, unaligned_idx=[1], alpha=0.5)
-        image, _ = target_rows(soft_targets_bootstrap(v, t, 1.0, plan))
+        image, _ = target_rows(soft_targets_bootstrap(v, t, 1.0, plan), plan.unaligned_idx)
         np.testing.assert_allclose(image[0], [0.119203, 0.880797], atol=1e-6)
 
     def test_bootstrap_scalar_oracle_random(self, rng):
         v, t = unit_batch(rng, 6, 3)
         plan = make_partition(6, 0.5, rng.permutation(6))
-        image, text = target_rows(soft_targets_bootstrap(v, t, 2.5, plan))
+        image, text = target_rows(soft_targets_bootstrap(v, t, 2.5, plan), plan.unaligned_idx)
         expected_v, expected_t = bootstrap_targets_scalar(
             v.tolist(), t.tolist(), 2.5, plan.unaligned_idx.tolist())
         np.testing.assert_allclose(image, expected_v, atol=1e-12)
@@ -226,7 +226,7 @@ class TestSoftTargets:
         v, t = widest_batch(rng)
         plan = PartitionPlan(n=6, unaligned_idx=[5, 4, 2, 1, 0], alpha=1 / 6)
         expected = oracle(v.tolist(), t.tolist(), 100.0, plan.unaligned_idx.tolist())
-        for got, want in zip(target_rows(build(v, t, 100.0, plan)), expected):
+        for got, want in zip(target_rows(build(v, t, 100.0, plan), plan.unaligned_idx), expected):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_swapped_equals_bootstrap_on_balanced_symmetric_sims(self):
@@ -236,8 +236,8 @@ class TestSoftTargets:
         v = np.eye(4)
         t = np.eye(4)
         plan = PartitionPlan(n=4, unaligned_idx=[1, 3], alpha=0.5)
-        swapped = target_rows(soft_targets_swapped(v, t, 3.0, plan))
-        boot = target_rows(soft_targets_bootstrap(v, t, 3.0, plan))
+        swapped = target_rows(soft_targets_swapped(v, t, 3.0, plan), plan.unaligned_idx)
+        boot = target_rows(soft_targets_bootstrap(v, t, 3.0, plan), plan.unaligned_idx)
         for a, b in zip(swapped, boot):
             np.testing.assert_allclose(a, b, atol=1e-9)
 
@@ -245,7 +245,7 @@ class TestSoftTargets:
         v, t = unit_batch(rng, 8, 6)
         plan = make_partition(8, 0.25, rng.permutation(8))
         for build in (soft_targets_swapped, soft_targets_bootstrap):
-            for rows in target_rows(build(v, t, 11.0, plan)):
+            for rows in target_rows(build(v, t, 11.0, plan), plan.unaligned_idx):
                 np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
 
     @settings(max_examples=80, deadline=None)
@@ -280,7 +280,7 @@ class TestSoftTargets:
                 with pytest.raises(InvalidInputError, match="span"):
                     build(v, t, scale, plan)
                 continue
-            out = target_rows(build(v, t, scale, plan))
+            out = target_rows(build(v, t, scale, plan), plan.unaligned_idx)
             for got, expected in zip(out, oracle(v.tolist(), t.tolist(), scale, u)):
                 assert got.shape == (len(u), n)
                 assert (got >= 0.0).all()
@@ -329,15 +329,15 @@ class TestSoftTargets:
                                       [[math.inf, 0.5]], [[-math.inf, 1.0]]])
     @pytest.mark.parametrize("side", ["image_targets", "text_targets"])
     def test_non_finite_targets_rejected(self, rows, side):
-        # The bad row laid into the block where a target row is read: an
-        # image row as row 0, a text row as column 0.
+        # The bad row laid into the block: an image row as row 0, a text row
+        # as column 0.
         block = np.full((2, 2), 0.5)
         if side == "image_targets":
             block[0] = rows[0]
         else:
             block[:, 0] = rows[0]
         with pytest.raises(InvalidInputError):
-            SoftTargets([0], block, np.ones(2), np.ones(2))
+            SoftTargets(block, np.ones(2), np.ones(2))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("which", ["p", "g", "r", "s"])
@@ -346,7 +346,7 @@ class TestSoftTargets:
         # block row (for p) or column (for s) rescaled to sum to 1 / bad.
         v, t = unit_batch(rng, 5, 3)
         st = soft_targets_swapped(v, t, 5.0, make_partition(5, 0.4, rng.permutation(5)))
-        u = st.rows[-1]
+        u = 4
         with np.errstate(divide="ignore", invalid="ignore"):
             inverse = np.float64(1.0) / bad
             if which in ("g", "r"):
@@ -365,14 +365,16 @@ class TestSoftTargets:
             dataclasses.replace(st, **change)
 
     @pytest.mark.parametrize("rows, n", [([-1], 1), ([2], 1), ([1, 0], 2), ([0, 0], 2),
-                                         ([0, 1], 1)])
+                                         ([0, 1], 1), ([[0, 1]], 2)])
     def test_rows_must_be_increasing_indices(self, rows, n):
-        # A negative row would wrap to the last one, and an unsorted or
-        # repeated one would derive one target twice; row 1 of a one-row
-        # block lies past its end.
-        block = np.full((n, n), 1.0 / n)
-        with pytest.raises(InvalidInputError):
-            SoftTargets(rows, block, np.ones(n), np.ones(n))
+        # The loss kernel holds the soft rows it is handed to the rule the
+        # plan holds its rows to. A negative row would wrap to the last one,
+        # and an unsorted or repeated one would take one target twice; row 1
+        # of a one-row batch lies past its end, and a 2-D array is no list.
+        v, weights = np.eye(n), np.full(n, 1.0 / n)
+        targets = SoftTargets(np.full((n, n), 1.0 / n), np.ones(n), np.ones(n))
+        with pytest.raises(InvalidInputError, match="soft rows must be increasing indices"):
+            contrastive_xent(v, v, weights, rows, targets)
 
     @pytest.mark.parametrize("block, g, r, message", [
         (np.ones((1, 2)), np.ones(2), np.ones(2), "square"),
@@ -383,37 +385,36 @@ class TestSoftTargets:
         # The block must be square, and g and r must each hold one scale
         # per row of it.
         with pytest.raises(InvalidInputError, match=message):
-            SoftTargets([0], block, g, r)
+            SoftTargets(block, g, r)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_scale_checked_apart_from_mass(self, bad):
-        # Row 0 of the identity block is [1, 0], and so is its column 0: a
-        # scale of 0 or -1 at index 1 of g or r leaves both target rows'
-        # sums, and so their normalizers, at exactly 1, so only the scale
-        # check can reject it.
-        eye, ones, odd = np.eye(2), np.ones(2), np.array([1.0, bad])
-        SoftTargets([0], eye, ones, ones)
+        # Every row and column of the block [[4, 2], [2, 1]] leads with
+        # twice its second entry: a scale of 0 or -1 at index 1 of g or r
+        # leaves every row sum, and so every normalizer, positive and
+        # finite, so only the scale check can reject it.
+        block, ones, odd = np.array([[4.0, 2.0], [2.0, 1.0]]), np.ones(2), np.array([1.0, bad])
+        SoftTargets(block, ones, ones)
         for g, r in ((odd, ones), (ones, odd)):
-            with pytest.raises(InvalidInputError):
-                SoftTargets([0], eye, g, r)
+            assert (block @ g > 0.0).all() and (r @ block > 0.0).all()
+            with pytest.raises(InvalidInputError, match="scales must be finite and positive"):
+                SoftTargets(block, g, r)
 
     def test_zero_target_row_rejected(self, rng):
-        # A target row whose sum is 0 has no normalizer. Its block row (image)
-        # or column (text) is zeroed at a target row, not at the first one;
-        # a zeroed aligned row is no target row and passes.
+        # A target row whose sum is 0 has no normalizer. Every row has a
+        # target, whichever rows a plan makes soft: a zeroed block row
+        # (image) or column (text) is rejected at an unaligned row and at an
+        # aligned one alike.
         v, t = unit_batch(rng, 6, 3)
         plan = PartitionPlan(n=6, unaligned_idx=[1, 2, 3, 5], alpha=1 / 3)
         st = soft_targets_bootstrap(v, t, 5.0, plan)
-        for row, accepted in ((2, False), (4, True)):
+        for row in (2, 4):
             image, text = st.exp.copy(), st.exp.copy()
             image[row] = 0.0
             text[:, row] = 0.0
             for block in (image, text):
-                if accepted:
+                with pytest.raises(InvalidInputError, match="row sums must be positive"):
                     dataclasses.replace(st, exp=block)
-                else:
-                    with pytest.raises(InvalidInputError, match="row sums must be positive"):
-                        dataclasses.replace(st, exp=block)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 256])
     def test_derived_rows_sum_to_one(self, n):
@@ -427,13 +428,13 @@ class TestSoftTargets:
             rng = RngState(seed)
             block = np.exp(3.0 * rng.normals(n, n))
             g, r = np.exp(3.0 * rng.normals(n)), np.exp(3.0 * rng.normals(n))
-            for rows in target_rows(SoftTargets(np.arange(n), block, g, r)):
+            for rows in target_rows(SoftTargets(block, g, r), np.arange(n)):
                 assert max(abs(math.fsum(row) - 1.0) for row in rows) <= bound
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_block_entry_rejected(self, rng, value):
-        # Even an entry outside the unaligned rows, which no derived row
-        # reads but the loss's gradient block would.
+        # Even an entry outside the unaligned rows, whose targets no loss
+        # reads but whose entries the loss's gradient block would.
         v, t = unit_batch(rng, 5, 3)
         plan = make_partition(5, 0.4, rng.permutation(5))
         st = soft_targets_bootstrap(v, t, 5.0, plan)
@@ -445,7 +446,7 @@ class TestSoftTargets:
     def test_empty_unaligned_set(self, rng):
         v, t = unit_batch(rng, 4, 3)
         plan = make_partition(4, 1.0, rng.permutation(4))
-        for rows in target_rows(soft_targets_swapped(v, t, 5.0, plan)):
+        for rows in target_rows(soft_targets_swapped(v, t, 5.0, plan), plan.unaligned_idx):
             assert rows.shape == (0, 4)
 
 
@@ -470,7 +471,7 @@ class TestPsdLoss:
         v, t = unit_batch(rng, 5, 4)
         temp = TemperatureParam(0.8)
         plan = PartitionPlan(n=5, unaligned_idx=np.arange(5), alpha=0.0)
-        targets = SoftTargets(np.arange(5), np.eye(5), np.ones(5), np.ones(5))
+        targets = SoftTargets(np.eye(5), np.ones(5), np.ones(5))
         a = psd_loss(EmbeddingBatch(v, t), temp, plan, targets)
         b = info_nce(EmbeddingBatch(v, t), temp)
         assert a.loss == pytest.approx(b.loss, abs=1e-12)
@@ -482,7 +483,7 @@ class TestPsdLoss:
         expected = psd_scalar(
             batch.image.tolist(), batch.text.tolist(), temp.scale,
             aligned_rows(plan).tolist(), plan.unaligned_idx.tolist(), plan.alpha,
-            *(rows.tolist() for rows in target_rows(targets)))
+            *(rows.tolist() for rows in target_rows(targets, plan.unaligned_idx)))
         assert lg.loss == pytest.approx(expected, abs=1e-10)
 
     def test_exact_at_extreme_logits(self, rng):
@@ -497,7 +498,7 @@ class TestPsdLoss:
             expected = psd_scalar(
                 v.tolist(), t.tolist(), temp.scale, aligned_rows(plan).tolist(),
                 plan.unaligned_idx.tolist(), plan.alpha,
-                *(rows.tolist() for rows in target_rows(targets)))
+                *(rows.tolist() for rows in target_rows(targets, plan.unaligned_idx)))
             assert lg.loss == pytest.approx(expected, rel=1e-12)
             with pytest.raises(InvalidInputError, match="span"):
                 psd_loss(EmbeddingBatch(3.0 * v, 3.0 * t), temp, plan, targets)
@@ -591,7 +592,7 @@ class TestPsdLoss:
         weights[plan.unaligned_idx] = (1.0 - plan.alpha) / max(k, 1)
         scaled_v = temp.scale * v
         loss, d_scaled_v, d_text = dense_xent(scaled_v, t, weights, plan.unaligned_idx,
-                                              *target_rows(factored))
+                                              *target_rows(factored, plan.unaligned_idx))
         d_log_scale = float(np.einsum("ij,ij->", d_scaled_v, scaled_v))
         top = temp.scale * np.abs(v @ t.T).max() + math.log(n)
         assert abs(a.loss - loss) <= 1e-12 * max(abs(loss), 2.0 * top)
@@ -610,7 +611,7 @@ class TestPsdLoss:
         v, t = unit_batch(rng, 9, 4)
         plan = make_partition(9, 0.4, rng.permutation(9))
         targets = build(v, t, teacher_scale, plan)
-        held = [targets.rows, targets.exp, targets.p, targets.g, targets.r, targets.s]
+        held = [targets.exp, targets.p, targets.g, targets.r, targets.s]
         before = [x.copy() for x in held]
         batch, temp = EmbeddingBatch(v, t), TemperatureParam(1.2)
         first, second = (psd_loss(batch, temp, plan, targets) for _ in range(2))
@@ -620,23 +621,35 @@ class TestPsdLoss:
         for now, then in zip(held, before):
             np.testing.assert_array_equal(now, then)
 
-    def test_plan_target_mismatch_rejected(self, rng):
-        batch, temp, plan, targets = self._random_setup(rng, n=6, alpha=0.5)
-        other_plan = make_partition(6, 0.9, rng.permutation(6))
-        with pytest.raises(InvalidInputError):
-            psd_loss(batch, temp, other_plan, targets)
+    @pytest.mark.parametrize("build", [soft_targets_swapped, soft_targets_bootstrap])
+    def test_targets_independent_of_plan(self, rng, build):
+        # The teacher gives every row a target and the plan alone names the
+        # soft rows: targets built under two plans of one batch hold equal
+        # arrays, and either serves a third plan's loss bit for bit.
+        v, t = unit_batch(rng, 7, 4)
+        batch, temp = EmbeddingBatch(v, t), TemperatureParam(1.2)
+        plan_a = make_partition(7, 0.9, rng.permutation(7))
+        plan_b = make_partition(7, 0.3, rng.permutation(7))
+        assert not np.array_equal(plan_a.unaligned_idx, plan_b.unaligned_idx)
+        a, b = build(v, t, 15.0, plan_a), build(v, t, 15.0, plan_b)
+        for name in ("exp", "g", "r", "p", "s"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        from_a, from_b = psd_loss(batch, temp, plan_b, a), psd_loss(batch, temp, plan_b, b)
+        assert from_a.loss == from_b.loss and from_a.d_log_scale == from_b.d_log_scale
+        np.testing.assert_array_equal(from_a.d_image, from_b.d_image)
+        np.testing.assert_array_equal(from_a.d_text, from_b.d_text)
 
     def test_targets_of_another_batch_size_rejected(self, rng):
-        # The targets' rows match the plan's unaligned rows, but their block
-        # is one row too large for the batch: the kernel rejects it.
+        # The targets' block is one row too large for the batch: the kernel
+        # rejects it.
         batch, temp, plan, _ = self._random_setup(rng, n=6, alpha=0.5)
-        targets = SoftTargets(plan.unaligned_idx, np.ones((7, 7)), np.ones(7), np.ones(7))
+        targets = SoftTargets(np.ones((7, 7)), np.ones(7), np.ones(7))
         with pytest.raises(InvalidInputError, match="does not fit"):
             psd_loss(batch, temp, plan, targets)
 
     def test_plan_validation(self):
-        # The plan sorts its rows and then holds them to the rule SoftTargets
-        # holds its rows to: a repeated row, one past the end or below 0 (it
+        # The plan sorts its rows and then holds them to the rule the loss
+        # kernel holds its soft rows to: a repeated row, one past the end or below 0 (it
         # would wrap to the last), or a 2-D index array is rejected.
         for n, rows, alpha, message in (
                 (3, [1, 1], 0.5, "unaligned rows must be increasing indices in 0..2"),
